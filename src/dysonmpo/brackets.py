@@ -4,13 +4,20 @@ A bracket table stores ``[f_{a_1} ... f_{a_k}]`` for every channel sequence
 up to a maximum order on one time interval.  Tables are computed once per
 interval and shared by every MPO construction for that step; the Taylor
 variant replaces the integrals by ``tau**k / k!``.
+
+The quantics engine evaluates the whole table in one pass over the trie of
+sequence suffixes (:func:`dysonmpo.quantics.time_ordered_integrals`).  With
+``c`` non-constant channels an order-``K`` table costs
+``(c + ... + c**(K-2)) + (c**2 + ... + c**(K-1))`` train compressions,
+18 for two channels at order 4; a separate nested chain per entry would
+take ``2 (k - 1)`` for each entry of order ``k``, 136 in total.
 """
 
 import math
 from itertools import product
 
 from .quadrature import quad_time_ordered_integral
-from .quantics import time_ordered_integral
+from .quantics import time_ordered_integrals
 
 
 class BracketTable:
@@ -36,18 +43,6 @@ class BracketTable:
     def channel_names(self):
         return sorted({name for key in self.values for name in key})
 
-    def max_factoring_defect(self):
-        """Largest violation of ``[a][b] = [ab] + [ba]`` stored in the table."""
-        worst = 0.0
-        names = self.channel_names()
-        if self.max_order < 2:
-            return worst
-        for a, b in product(names, repeat=2):
-            lhs = self.value((a,)) * self.value((b,))
-            rhs = self.value((a, b)) + self.value((b, a))
-            worst = max(worst, abs(lhs - rhs))
-        return worst
-
     @classmethod
     def compute(cls, channels, t0, t, max_order, bits=24, engine="qtt",
                 quad_tol=1e-10):
@@ -58,19 +53,16 @@ class BracketTable:
         """
         channels = list(channels)
         by_name = dict(channels)
-        values = {}
-        for k in range(1, max_order + 1):
-            for key in product([name for name, _ in channels], repeat=k):
-                fs = [by_name[name] for name in key]
-                if t == t0:
-                    values[key] = 0.0j
-                elif engine == "qtt":
-                    values[key] = time_ordered_integral(fs, t0, t, bits=bits)
-                elif engine == "quad":
-                    values[key] = quad_time_ordered_integral(fs, t0, t,
-                                                             abs_tol=quad_tol)
-                else:
-                    raise ValueError(f"unknown engine {engine!r}")
+        keys = [key for k in range(1, max_order + 1)
+                for key in product([name for name, _ in channels], repeat=k)]
+        if engine == "qtt":
+            values = time_ordered_integrals(by_name, keys, t0, t, bits=bits)
+        elif engine == "quad":
+            values = {key: quad_time_ordered_integral(
+                [by_name[name] for name in key], t0, t, abs_tol=quad_tol)
+                for key in keys}
+        else:
+            raise ValueError(f"unknown engine {engine!r}")
         return cls((t0, t), values, max_order)
 
 

@@ -64,13 +64,23 @@ def svd_truncate(m, max_rank=None, tol=0.0):
         return (np.zeros((m.shape[0], 0), dtype=complex), np.zeros(0),
                 np.zeros((0, m.shape[1]), dtype=complex), 0.0)
     u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+    keep, discarded = truncation_rank(s, tol, max_rank)
+    return u[:, :keep], s[:keep], vh[:keep, :], discarded
+
+
+def truncation_rank(s, tol=0.0, max_rank=None):
+    """Number of singular values `s` (descending) to keep, and the rest's weight.
+
+    Values at or below ``tol * s[0]`` are dropped and at most `max_rank`
+    are kept.  Returns ``(keep, discarded_weight)`` with the weight the sum
+    of squared dropped values.
+    """
     keep = len(s)
-    if s[0] > 0.0 and tol > 0.0:
+    if keep and s[0] > 0.0 and tol > 0.0:
         keep = int(np.count_nonzero(s > tol * s[0]))
     if max_rank is not None:
         keep = min(keep, max_rank)
-    discarded = float(np.sum(s[keep:] ** 2))
-    return u[:, :keep], s[:keep], vh[:keep, :], discarded
+    return keep, float(np.sum(s[keep:] ** 2))
 
 
 def qr_column_pivoted(m, tol=1e-12):

@@ -5,8 +5,6 @@ with one adaptive Gauss-Kronrod quadrature per nesting level.  Intended for
 verification; the cost grows quickly with the nesting depth.
 """
 
-import math
-
 import numpy as np
 from scipy.integrate import quad
 
@@ -60,7 +58,3 @@ def quad_time_ordered_integral(fs, t0, t, abs_tol=1e-10, limit=200):
             f"estimated error {err_total[0]:.2e} above budget for {abs_tol:.2e}")
     return complex((-1j) ** k * value)
 
-
-def constant_bracket(value_product, k, t0, t):
-    """Closed form ``prod(c) * (-i (t - t0))**k / k!`` for constant driving."""
-    return complex(value_product * (-1j * (t - t0)) ** k / math.factorial(k))

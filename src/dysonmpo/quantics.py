@@ -12,14 +12,24 @@ Nested time-ordered integrals
 
 are evaluated by alternating a cumulative-integral MPO of bond dimension 2
 (a strict Heaviside comparison of binary digits, left-endpoint rule) with
-pointwise products, and closing with a full grid sum.
+pointwise products, and closing with a full grid sum.  The inner train
+``W_s`` of a sequence depends only on its suffix ``s``, so
+:func:`time_ordered_integrals` walks the trie of suffixes once per interval:
+each channel train is built once, each ``H(W_s)`` and each product
+``f_n * H(W_s)`` is compressed once, and every sequence of two or more
+channels is closed by contracting ``sum_x f_n(x) H(W_s)(x)`` site by site
+without forming either train, so its value does not depend on which other
+sequences were requested.  A full table of order ``K`` over
+``c`` non-constant channels costs ``c + ... + c**(K-2)`` running-integral
+and ``c**2 + ... + c**(K-1)`` product compressions, each an R-site sweep.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import svd_truncate
+from .linalg import svd_truncate, truncation_rank
 
 
 class QuanticsTrain:
@@ -66,23 +76,36 @@ class QuanticsTrain:
         return QuanticsTrain(sites)
 
     def compress(self, tol=1e-13, max_bond=None):
-        """Two-sided sweep: QR to the right, truncated SVD back."""
-        sites = [s.copy() for s in self.sites]
+        """Two-sided sweep: QR to the right, truncated SVD back.
+
+        Singular values at or below ``tol`` times the largest one of each
+        bond are dropped, and at most `max_bond` are kept; the squared
+        dropped values are summed into ``discarded_weight``.
+        """
+        sites = list(self.sites)
         n = len(sites)
         for i in range(n - 1):
             dl, _, dr = sites[i].shape
             q, r = np.linalg.qr(sites[i].reshape(dl * 2, dr))
             sites[i] = q.reshape(dl, 2, q.shape[1])
-            sites[i + 1] = np.tensordot(r, sites[i + 1], axes=(1, 0))
+            nxt = sites[i + 1]
+            sites[i + 1] = (r @ nxt.reshape(dr, -1)).reshape(
+                r.shape[0], 2, nxt.shape[2])
         discarded = 0.0
         for i in range(n - 1, 0, -1):
             dl, _, dr = sites[i].shape
-            u, s, v, disc = svd_truncate(sites[i].reshape(dl, 2 * dr),
-                                         max_rank=max_bond, tol=tol)
+            # gesvd as in svd_truncate: the row compression downstream
+            # amplifies bracket rounding, so the driver is kept fixed
+            u, s, vh = scipy.linalg.svd(sites[i].reshape(dl, 2 * dr),
+                                        full_matrices=False,
+                                        lapack_driver="gesvd",
+                                        check_finite=False)
+            keep, disc = truncation_rank(s, tol, max_bond)
             discarded += disc
-            sites[i] = v.reshape(v.shape[0], 2, dr)
-            us = u * s
-            sites[i - 1] = np.tensordot(sites[i - 1], us, axes=(2, 0))
+            sites[i] = vh[:keep].reshape(keep, 2, dr)
+            prev = sites[i - 1]
+            sites[i - 1] = (prev.reshape(-1, dl) @ (u[:, :keep] * s[:keep])
+                            ).reshape(prev.shape[0], 2, keep)
         train = QuanticsTrain(sites)
         train.discarded_weight = discarded
         return train
@@ -206,22 +229,52 @@ class CumulativeIntegralMPO:
         w[1, 1, 0, 0] = self.delta_x
         self.tensor = w
 
+    def site(self, i):
+        """Tensor ``(a, y, x, b)`` of site `i`, boundary bonds terminated."""
+        w = self.tensor
+        if i == 0:
+            w = w[1:2]           # leftmost virtual index terminated at 1
+        if i == self.bits - 1:
+            w = w[..., 0:1]      # rightmost terminated at 0
+        return w
+
     def apply(self, train):
         """Train of the running integral of `train`."""
         if train.bits != self.bits:
             raise ValueError("bit counts differ")
         sites = []
         for i, site in enumerate(train.sites):
-            w = self.tensor
-            if i == 0:
-                w = w[1:2]           # leftmost virtual index terminated at 1
-            if i == self.bits - 1:
-                w = w[..., 0:1]      # rightmost terminated at 0
             # (a, y, x, b), (l, x, r) -> (a, l, y, b, r)
-            t = np.einsum("ayxb,lxr->alybr", w, site)
+            t = np.einsum("ayxb,lxr->alybr", self.site(i), site)
             al, fl, _, bl, fr = t.shape
             sites.append(t.reshape(al * fl, 2, bl * fr))
         return QuanticsTrain(sites)
+
+    def weighted_sum(self, f, train):
+        """``sum_y f(y) * (H train)(y)`` contracted site by site.
+
+        Neither the running integral nor the product is formed: the
+        environment carries one index each for `f`, the MPO and `train`.
+        """
+        if f.bits != self.bits or train.bits != self.bits:
+            raise ValueError("bit counts differ")
+        env = np.ones((1, 1, 1), dtype=complex)  # (f, a, train)
+        for i, (fs, ws) in enumerate(zip(f.sites, train.sites)):
+            w = self.site(i)
+            fl, a, wl = env.shape
+            wr = ws.shape[2]
+            b = w.shape[3]
+            # (f, a, train) . (train, x, r) -> (f, r, a, x)
+            t = env.reshape(fl * a, wl) @ ws.reshape(wl, 2 * wr)
+            t = t.reshape(fl, a, 2, wr).transpose(0, 3, 1, 2)
+            # (f, r, a, x) . (a, x, y, b) -> (r, b, f, y)
+            t = t.reshape(fl * wr, a * 2) @ \
+                w.transpose(0, 2, 1, 3).reshape(a * 2, 2 * b)
+            t = t.reshape(fl, wr, 2, b).transpose(1, 3, 0, 2)
+            # (r, b, f, y) . (f, y, fr) -> (fr, b, r)
+            t = t.reshape(wr * b, fl * 2) @ fs.reshape(fl * 2, -1)
+            env = t.reshape(wr, b, -1).transpose(2, 1, 0)
+        return complex(env[0, 0, 0])
 
 
 def cumulative_integral_mpo(bits, delta_x):
@@ -243,28 +296,66 @@ def pointwise_product(f, g, compress_tol=None):
     return out
 
 
+def time_ordered_integrals(channels, sequences, t0, t, bits=24,
+                           compress_tol=1e-13):
+    """Brackets of every sequence in `sequences` over ``[t0, t]``.
+
+    `channels` maps a channel name to its driving function; a sequence
+    lists names with the latest time first.  Returns a dict keyed by the
+    sequences as tuples.  Sequences of constant channels only take the
+    closed form ``prod(c) * (-i (t - t0))**k / k!``; the others are
+    evaluated on the quantics grid with the left-endpoint rule, sharing the
+    inner train of every common suffix (see the module docstring).
+    """
+    sequences = [tuple(seq) for seq in sequences]
+    if not all(sequences):
+        raise ValueError("empty channel sequence")
+    if t == t0:
+        return dict.fromkeys(sequences, 0.0 + 0.0j)
+    values = dict.fromkeys(sequences)
+    gridded = []
+    for seq in sequences:
+        consts = [channels[name].constant_value for name in seq]
+        if all(c is not None for c in consts):
+            prod = np.prod([complex(c) for c in consts])
+            values[seq] = complex(prod * (-1j * (t - t0)) ** len(seq)
+                                  / math.factorial(len(seq)))
+        else:
+            gridded.append(seq)
+    delta_x = (t - t0) / 2.0 ** bits
+    heaviside = cumulative_integral_mpo(bits, delta_x)
+    inner = {}    # suffix s -> W_s; a one-name suffix is the channel train
+    running = {}  # suffix s -> compressed H(W_s)
+
+    def train(s):
+        if s not in inner:
+            if len(s) == 1:
+                inner[s] = channels[s[0]].build_qtt(t0, t, bits)
+            else:
+                if s[1:] not in running:
+                    running[s[1:]] = heaviside.apply(train(s[1:])).compress(
+                        tol=compress_tol)
+                inner[s] = pointwise_product(train(s[:1]), running[s[1:]],
+                                             compress_tol=compress_tol)
+        return inner[s]
+
+    for seq in gridded:
+        if len(seq) == 1:
+            total = train(seq).full_sum()
+        else:
+            total = heaviside.weighted_sum(train(seq[:1]), train(seq[1:]))
+        values[seq] = complex((-1j) ** len(seq) * total * delta_x)
+    return values
+
+
 def time_ordered_integral(drivings, t0, t, bits=24, compress_tol=1e-13):
     """Bracket ``[f_1 ... f_k]`` over ``[t0, t]``; first entry = latest time.
 
-    Constant channels short-circuit to the closed form
-    ``prod(c) * (-i (t - t0))**k / k!``; otherwise the nested integrals are
-    evaluated on the quantics grid with the left-endpoint rule.
+    The single-path case of :func:`time_ordered_integrals`.
     """
     drivings = list(drivings)
-    k = len(drivings)
-    if k == 0:
+    if not drivings:
         raise ValueError("empty channel sequence")
-    if t == t0:
-        return 0.0 + 0.0j
-    consts = [d.constant_value for d in drivings]
-    if all(c is not None for c in consts):
-        prod = np.prod([complex(c) for c in consts])
-        return complex(prod * (-1j * (t - t0)) ** k / math.factorial(k))
-    delta_x = (t - t0) / 2.0 ** bits
-    heaviside = cumulative_integral_mpo(bits, delta_x)
-    w = drivings[-1].build_qtt(t0, t, bits)
-    for f in reversed(drivings[:-1]):
-        w = heaviside.apply(w).compress(tol=compress_tol)
-        w = pointwise_product(f.build_qtt(t0, t, bits), w,
-                              compress_tol=compress_tol)
-    return complex((-1j) ** k * w.full_sum() * delta_x)
+    seq = tuple(range(len(drivings)))
+    return time_ordered_integrals(dict(enumerate(drivings)), [seq], t0, t,
+                                  bits=bits, compress_tol=compress_tol)[seq]

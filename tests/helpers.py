@@ -5,10 +5,12 @@ operator on a contiguous support) so the MPO code under test never enters
 the expected-value computation.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
+from dysonmpo.quantics import cumulative_integral_mpo, pointwise_product
 from dysonmpo.spin import kron_chain
 
 
@@ -115,3 +117,38 @@ def random_fdmpo(rng, d=2, chi=1, with_d=True, with_a=False, hermitian=True):
         A[(0, 0)] = 0.5 * rand_op()
     D = rand_op() if with_d else None
     return FirstDegreeMPO(d, chi, L=L, A=A, R=R, D=D)
+
+
+def literal_time_ordered_integral(drivings, t0, t, bits=24,
+                                  compress_tol=1e-13):
+    """Bracket ``[f_1 ... f_k]`` by its own nested chain, nothing shared.
+
+    Alternates the running-integral MPO (compressed) with the pointwise
+    product (compressed) from the earliest time outward, then sums the
+    grid; all-constant sequences take the closed form.
+    """
+    drivings = list(drivings)
+    k = len(drivings)
+    if t == t0:
+        return 0.0 + 0.0j
+    consts = [d.constant_value for d in drivings]
+    if all(c is not None for c in consts):
+        prod = np.prod([complex(c) for c in consts])
+        return complex(prod * (-1j * (t - t0)) ** k / math.factorial(k))
+    delta_x = (t - t0) / 2.0 ** bits
+    heaviside = cumulative_integral_mpo(bits, delta_x)
+    w = drivings[-1].build_qtt(t0, t, bits)
+    for f in reversed(drivings[:-1]):
+        w = heaviside.apply(w).compress(tol=compress_tol)
+        w = pointwise_product(f.build_qtt(t0, t, bits), w,
+                              compress_tol=compress_tol)
+    return complex((-1j) ** k * w.full_sum() * delta_x)
+
+
+def literal_bracket_table(channels, t0, t, max_order, bits=24):
+    """Every bracket up to `max_order`, each from its own literal chain."""
+    by_name = dict(channels)
+    return {key: literal_time_ordered_integral(
+                [by_name[name] for name in key], t0, t, bits=bits)
+            for k in range(1, max_order + 1)
+            for key in product(list(by_name), repeat=k)}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dysonmpo.linalg import (RankDeficientError, contract, qr_column_pivoted,
-                             solve_least_squares, svd_truncate)
+                             solve_least_squares, svd_truncate,
+                             truncation_rank)
 
 
 def test_contract_identity_passthrough():
@@ -142,3 +143,16 @@ def test_lstsq_rank_deficient_raises():
     a = np.column_stack([np.ones(3), np.ones(3)])
     with pytest.raises(RankDeficientError):
         solve_least_squares(a, np.ones((3, 1)))
+
+
+def test_truncation_rank():
+    s = np.array([3.0, 1e-12, 1e-14])
+    assert truncation_rank(s) == (3, 0.0)
+    keep, w = truncation_rank(s, tol=1e-13)
+    assert keep == 2
+    np.testing.assert_allclose(w, 1e-28)
+    keep, w = truncation_rank(s, tol=1e-13, max_rank=1)
+    assert keep == 1
+    np.testing.assert_allclose(w, 1e-24 + 1e-28)
+    assert truncation_rank(np.zeros(2), tol=1e-13) == (2, 0.0)
+    assert truncation_rank(np.zeros(0), tol=1e-13) == (0, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from dysonmpo.driving import ConstDriving, ExpDriving, PolyDriving, TrigDriving
 from dysonmpo.quadrature import quad_time_ordered_integral
 from dysonmpo.quantics import (cumulative_integral_mpo, pointwise_product,
-                               qtt_const, qtt_exp, qtt_from_samples,
+                               qtt_add, qtt_const, qtt_exp, qtt_from_samples,
                                qtt_from_samples_of, qtt_trig,
                                time_ordered_integral)
 
@@ -48,6 +48,27 @@ def test_qtt_trig_random_grid_points():
     ns = rng.integers(0, 2 ** bits, size=100)
     ref = np.sin(2 * math.pi * ns / 2.0 ** bits)
     np.testing.assert_allclose(train.evaluate_many(ns), ref, atol=1e-13)
+
+
+def test_compress_doubled_trig_to_bond_two():
+    bits = 16
+    sin = qtt_trig("sin", 2 * math.pi, 0.3, bits)
+    doubled = qtt_add(sin, sin)
+    assert doubled.max_bond == 4
+    train = doubled.compress(tol=1e-13)
+    assert train.max_bond == 2
+    assert 0.0 <= train.discarded_weight < 1e-20
+    rng = np.random.default_rng(3)
+    ns = rng.integers(0, 2 ** bits, size=100)
+    ref = 2 * np.sin(2 * math.pi * ns / 2.0 ** bits + 0.3)
+    np.testing.assert_allclose(train.evaluate_many(ns), ref, rtol=0,
+                               atol=1e-13)
+
+
+def test_compress_bond_cap_reports_discarded_weight():
+    train = qtt_trig("cos", 2 * math.pi, 0.0, 10).compress(max_bond=1)
+    assert train.max_bond == 1
+    assert train.discarded_weight > 1e-3
 
 
 def test_qtt_from_samples_offset_sine():
