@@ -1,9 +1,10 @@
-"""Two-stage compression of evolution MPOs.
+"""Compression of evolution MPOs.
 
-Column compression merges levels with identical operator histories (exact);
-row compression expands levels over a kept basis of right-half operators
-(order-preserving).  The bond dimension of the compressed Taylor MPO
-follows closed-form polynomials in the Hamiltonian bond dimension.
+The power construction already merges levels with identical operator
+histories (exact); row compression then expands levels over a kept basis
+of right-half operators (order-preserving).  The bond dimension of the
+compressed Taylor MPO follows closed-form polynomials in the Hamiltonian
+bond dimension.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ for order in range(1, 7):
     for chi in (1, 2, 3):
         h = dm.from_terms(2, two_site=couplings[:chi])
         w = dm.taylor_mpo(h, -0.05j, order)
-        wc, _ = dm.compress_taylor(w, order)
+        wc, _ = dm.row_compress(w, order)
         row.append(wc.bond_dimension)
     print(f"N={order}   " + "  ".join(f"{b:>4}" for b in row))
 
@@ -46,7 +47,7 @@ for lvl, exp in report.removed_levels:
                 print(f"  ({lvl!r}) gets {c:.6f} * {k!r}")
         break
 
-# both compressions leave the dense operator intact to the working order
+# row compression leaves the dense operator intact to the working order
 dense_change = np.abs(wc.to_dense(4) - w.to_dense(4)).max()
 print(f"\ndense change from row compression at dt=0.15: {dense_change:.2e} "
       "(order dt^4)")

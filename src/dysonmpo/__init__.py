@@ -6,20 +6,18 @@ from .bench import (BracketCache, ErrorRecord, EvolutionConfig,
                     records_to_csv, run_benchmark, runtime_at_accuracy)
 from .brackets import BracketTable, TaylorBrackets
 from .compression import (CompressionBasisError, CompressionReport,
-                          column_compress, compress_taylor, row_compress)
+                          row_compress)
 from .driving import (Channel, ConstDriving, DrivingFunction, ExpDriving,
                       PolyDriving, SampledDriving, TimeDependentHamiltonian,
                       TrigDriving)
-from .dyson import dyson_first_order, dyson_mpo, identity_mpo, rewire, \
-    rewired_matrix_at
+from .dyson import dyson_first_order, dyson_mpo, identity_mpo, rewire
 from .evolve import exact_evolution_operator, exact_evolve
 from .extensive import ExtensiveMPO, RewiredHamiltonian
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     nondisjoint_product, nondisjoint_square, scale,
                     zero_hamiltonian)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
-from .linalg import (RankDeficientError, contract, qr_column_pivoted,
-                     solve_least_squares, svd_truncate)
+from .linalg import contract, qr_column_pivoted, svd_truncate
 from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .quadrature import quad_time_ordered_integral

@@ -46,7 +46,6 @@ class EvolutionConfig:
     qr_tol: float = 1e-12
     self_reference: bool = False
     seed: int = 0
-    compress: bool = True
     orders: tuple = ()               # sweep; defaults to (order,)
     dts: tuple = ()                  # sweep; defaults to (dt,)
 
@@ -100,9 +99,13 @@ class BracketCache:
         return table
 
 
-def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol=1e-6,
+def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
                    compress=True):
-    """Evolution MPO for one step, optionally row-compressed."""
+    """Evolution MPO for one step, optionally row-compressed.
+
+    Returns ``(mpo, report)``; `report` is the `CompressionReport`, or
+    None when the MPO was not compressed.
+    """
     if method == "dyson":
         mpo = dyson_mpo(hamiltonian, t0, t1, order, table)
     elif method == "magnus":
@@ -117,9 +120,10 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol=1e-6,
         mpo = taylor_mpo(frozen, -1j * (t1 - t0), order)
     else:
         raise ValueError(f"unknown method {method!r}")
+    report = None
     if compress and mpo.bond_dimension > 1:
-        mpo, _ = row_compress(mpo, order, tol=qr_tol)
-    return mpo
+        mpo, report = row_compress(mpo, order, tol=qr_tol)
+    return mpo, report
 
 
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
@@ -142,8 +146,8 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
         table = cache.table(s0, s1, order)
-        mpo = build_step_mpo(hamiltonian, s0, s1, order, config.method, table,
-                             qr_tol=config.qr_tol, compress=config.compress)
+        mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
+                                table, qr_tol=config.qr_tol)
         psi, _ = apply_mpo(mpo, psi, d_max=config.d_max, svd_tol=config.svd_tol)
         mpo_bond = max(mpo_bond, mpo.bond_dimension)
         mps_bond = max(mps_bond, psi.max_bond)

@@ -4,12 +4,9 @@ import argparse
 import sys
 
 from . import modelfile
-from .bench import EvolutionConfig, records_to_csv, run_benchmark
+from .bench import (EvolutionConfig, build_step_mpo, records_to_csv,
+                    run_benchmark)
 from .brackets import BracketTable
-from .compression import row_compress
-from .dyson import dyson_mpo
-from .magnus import magnus_evolution
-from .taylor import taylor_mpo
 
 
 def _add_common(p):
@@ -25,25 +22,9 @@ def cmd_build_mpo(args):
     channels = [(c.name, c.driving) for c in ham.channels]
     table = BracketTable.compute(channels, args.t0, args.t, args.order,
                                  bits=args.bits)
-    if args.method == "dyson":
-        mpo = dyson_mpo(ham, args.t0, args.t, args.order, table)
-    elif args.method == "magnus":
-        mpo = magnus_evolution(ham, args.t0, args.t, min(args.order, 2),
-                               args.order, table)
-    elif args.method == "taylor":
-        import numpy as np
-
-        from . import fdmpo
-        tm = 0.5 * (args.t0 + args.t)
-        frozen = None
-        for c in ham.channels:
-            term = fdmpo.scale(c.operator,
-                               complex(np.asarray(c.driving(tm)).item()))
-            frozen = term if frozen is None else fdmpo.add(frozen, term)
-        mpo = taylor_mpo(frozen, -1j * (args.t - args.t0), args.order)
-    report = None
-    if not args.no_compress and mpo.bond_dimension > 1:
-        mpo, report = row_compress(mpo, args.order, tol=args.qr_tol)
+    mpo, report = build_step_mpo(ham, args.t0, args.t, args.order,
+                                 args.method, table, args.qr_tol,
+                                 compress=not args.no_compress)
     print(f"method={args.method} order={args.order} interval=[{args.t0}, {args.t}]")
     print(f"bond dimension: {mpo.bond_dimension}")
     print("levels: " + " ".join(repr(l) for l in mpo.levels))

@@ -1,10 +1,11 @@
-"""Exact and order-preserving compression of evolution MPOs.
+"""Order-preserving row compression of evolution MPOs.
 
-Column compression merges levels whose labels agree after deleting 1
-symbols; their operator histories are identical, so summing their rows
-into one representative changes nothing in the dense expansion.
+The power construction already merges levels whose labels agree after
+deleting 1 symbols (their operator histories are identical), so every
+level reaching this module carries only 2 and 3 symbols; the literal
+column merge survives only as a test oracle.
 
-Row compression walks the remaining levels grouped by their counts of
+Row compression walks the levels grouped by their counts of
 in-progress and finished symbols, builds for each group the coefficients of
 the levels over a truncated basis of right-half operators (completions of
 the in-progress terms interleaved with newly inserted terms, weighted by
@@ -20,9 +21,9 @@ from itertools import product
 import numpy as np
 
 from .brackets import TaylorBrackets
-from .extensive import ExtensiveMPO, merge_equivalent_columns
-from .levels import IDENTITY_LEVEL, completion_rows, interleavings
-from .linalg import qr_column_pivoted, solve_least_squares
+from .extensive import ExtensiveMPO
+from .levels import IDENTITY_LEVEL, completion_rows, interleavings, is_one
+from .linalg import qr_column_pivoted
 
 
 class CompressionBasisError(RuntimeError):
@@ -50,34 +51,6 @@ class CompressionReport:
             combo = " + ".join(f"({c:.6g}) * {k!r}" for k, c in expansion.items())
             lines.append(f"  {lvl!r} = {combo if combo else '0'}")
         return "\n".join(lines)
-
-
-def column_compress(mpo):
-    """Merge strip-ones-equivalent levels; exact.
-
-    Returns the compressed MPO and a report listing each removed level with
-    its representative.
-    """
-    before = mpo.bond_dimension
-    classes = {}
-    for lvl in mpo.levels:
-        classes.setdefault(lvl.strip_ones(), []).append(lvl)
-    levels, entries = merge_equivalent_columns(mpo.d, mpo.levels, mpo.entries)
-    levels = sorted(levels, key=lambda l: (len(l), l))
-    out = ExtensiveMPO(mpo.d, levels, entries, order=mpo.order,
-                       params=dict(mpo.params))
-    removed = []
-    for key, members in sorted(classes.items()):
-        for m in members:
-            if m.strip_ones() != m or m != key:
-                removed.append((m, {key: 1.0}))
-    removed = [(m, x) for m, x in removed if m not in out.levels]
-    report = CompressionReport(kept_levels=list(out.levels),
-                               removed_levels=removed,
-                               bond_dimension_before=before,
-                               bond_dimension_after=out.bond_dimension,
-                               qr_tolerance=0.0)
-    return out, report
 
 
 def _segments(level):
@@ -163,22 +136,21 @@ def _select_new_levels(residual, tol, ref):
     return selected
 
 
-def row_compress(mpo, order=None, tol=1e-12, brackets=None, channels=None):
-    """Order-preserving row compression of a column-compressed MPO.
+def row_compress(mpo, order=None, tol=1e-12):
+    """Order-preserving row compression of a column-merged MPO.
 
     Parameters
     ----------
     mpo : ExtensiveMPO
+        Its levels must carry no 1 symbols.  The bracket table is the one
+        recorded at construction time (``params["brackets"]``); an MPO
+        built by the Taylor construction (Taylor or Magnus) records its
+        step instead, and gets the brackets ``tau**k / k!``.
     order : int, optional
         Expansion order; defaults to ``mpo.order``.
     tol : float
         Relative rank tolerance of the pivoted QR; vanishing integrals can
         legitimately reduce the kept set.
-    brackets : bracket table, optional
-        Defaults to the table recorded at construction time.
-    channels : list of str, optional
-        Channel names available for inserted terms; inferred from the level
-        labels when omitted.
 
     Returns ``(compressed_mpo, report)``.
 
@@ -188,15 +160,15 @@ def row_compress(mpo, order=None, tol=1e-12, brackets=None, channels=None):
     per 2-sequence.
     """
     order = mpo.order if order is None else int(order)
-    if brackets is None:
-        brackets = mpo.params.get("brackets")
-        if brackets is None and mpo.params.get("kind") == "taylor":
-            brackets = TaylorBrackets(mpo.params["tau"], order)
+    brackets = mpo.params.get("brackets")
+    if brackets is None and "tau" in mpo.params:
+        brackets = TaylorBrackets(mpo.params["tau"], order)
     if brackets is None:
         raise ValueError("no bracket table available for row compression")
-    mpo, _ = column_compress(mpo)
-    if channels is None:
-        channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})
+    if any(is_one(sym) for lvl in mpo.levels for sym in lvl):
+        raise ValueError("row compression needs column-merged levels "
+                         "(no 1 symbols)")
+    channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})
     before = mpo.bond_dimension
 
     # column-indexed entry store: cols[b][a] = operator
@@ -319,12 +291,3 @@ def row_compress(mpo, order=None, tol=1e-12, brackets=None, channels=None):
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=tol)
     return out, report
-
-
-def compress_taylor(mpo, order=None, tol=1e-12):
-    """Row compression of a Taylor MPO (brackets become ``tau**n / n!``)."""
-    order = mpo.order if order is None else int(order)
-    if mpo.params.get("kind") != "taylor":
-        raise ValueError("compress_taylor expects a Taylor MPO")
-    brackets = TaylorBrackets(mpo.params["tau"], order)
-    return row_compress(mpo, order=order, tol=tol, brackets=brackets)

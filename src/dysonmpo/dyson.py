@@ -16,42 +16,11 @@ from .levels import IDENTITY_LEVEL
 def rewire(hamiltonian):
     """Rewired Hamiltonian with one finishing level per driving channel.
 
-    The returned object exposes ``matrix_at(t)`` (the multi-level
-    operator-valued site matrix, with the driving weights on the arrows
-    into the finishing levels) and ``to_dense(n_sites, t)``.
+    The returned object exposes the level alphabet (``level_symbols()``),
+    the channel weights (``driving_value(name, t)``) and the dense
+    ``to_dense(n_sites, t)``.
     """
     return RewiredHamiltonian.from_hamiltonian(hamiltonian)
-
-
-def rewired_matrix_at(rew, t):
-    """Site matrix of the rewired Hamiltonian at fixed time `t`.
-
-    Level order: the start level, the middle block of every channel in
-    declaration order, then one finishing level per channel.  Returns
-    ``(labels, matrix)`` with `matrix` of shape ``(n, n, d, d)``.
-    """
-    labels = ["1"]
-    for name, h, _ in rew.channels:
-        labels.extend(f"2_{name}[{k}]" for k in range(h.chi))
-    labels.extend(f"3_{name}" for name, _, _ in rew.channels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    n = len(labels)
-    m = np.zeros((n, n, rew.d, rew.d), dtype=complex)
-    eye = np.eye(rew.d, dtype=complex)
-    m[0, 0] = eye
-    for name, h, drv in rew.channels:
-        f = 1.0 if drv is None else complex(np.asarray(drv(t)).item())
-        fin = index[f"3_{name}"]
-        m[fin, fin] = eye
-        if h.D is not None:
-            m[0, fin] = f * h.D
-        for k, op in h.L.items():
-            m[0, index[f"2_{name}[{k}]"]] = op
-        for (i, j), op in h.A.items():
-            m[index[f"2_{name}[{i}]"], index[f"2_{name}[{j}]"]] = op
-        for k, op in h.R.items():
-            m[index[f"2_{name}[{k}]"], fin] = f * op
-    return labels, m
 
 
 def identity_mpo(d):
@@ -61,13 +30,11 @@ def identity_mpo(d):
                         order=0, params={"kind": "identity"})
 
 
-def dyson_mpo(hamiltonian, t0, t, order, integrals, merged=True):
+def dyson_mpo(hamiltonian, t0, t, order, integrals):
     """N-th order Dyson MPO of the evolution operator on ``[t0, t]``.
 
     `integrals` must hold all brackets of the Hamiltonian's channels up to
-    `order`.  A degenerate interval returns the exact identity.  With
-    ``merged=False`` the power is kept over full symbol tuples and folded
-    with the literal per-level weights (oracle path).
+    `order`.  A degenerate interval returns the exact identity.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -83,7 +50,7 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, merged=True):
         return identity_mpo(hamiltonian.d)
     rew = RewiredHamiltonian.from_hamiltonian(hamiltonian)
     try:
-        mpo = build_evolution_mpo(rew, order, integrals.value, merged=merged)
+        mpo = build_evolution_mpo(rew, order, integrals.value)
     except KeyError as exc:
         raise ValueError(f"missing bracket: {exc}") from exc
     mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)

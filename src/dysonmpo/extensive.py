@@ -10,16 +10,13 @@ be applied to a state directly.
 Powers are never materialized over the full set of symbol tuples.  Levels
 that agree after deleting 1 symbols have identical operator histories and
 are merged on the fly, so the construction works directly with stripped
-labels (`build_power_stripped`).  A literal product over full tuples is
-kept as well (`build_power_flat`) as an oracle for the merged one.
+labels (`build_power_stripped`).
 """
 
 import numpy as np
 
-from .levels import (IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three,
-                     is_two, pad_with_ones, three, two)
-
-DENSE_CAP = 64
+from .fdmpo import DENSE_CAP
+from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
 
 
 class ExtensiveMPO:
@@ -155,7 +152,6 @@ class RewiredHamiltonian:
 
     def to_dense(self, n_sites, t, cap=DENSE_CAP):
         """Dense H(t): channel weights applied on the arrows into 3 levels."""
-        from .fdmpo import FirstDegreeMPO  # noqa: F401  (doc pointer)
         if self.d ** n_sites > cap:
             raise ValueError("dense cap exceeded")
         dim = self.d ** n_sites
@@ -202,119 +198,35 @@ def build_power_stripped(rew, n):
     return levels, entries
 
 
-def build_power_flat(rew, n):
-    """Literal `n`-th power over full symbol tuples (oracle, small n only)."""
-    entries = {}
-    for x, y, op in rew._transitions:
-        key = (LevelLabel((x,)), LevelLabel((y,)))
-        entries[key] = entries.get(key, 0) + op
-    for _ in range(n - 1):
-        new = {}
-        for (a, b), op in entries.items():
-            for x, y, t_op in rew._transitions:
-                key = (a.append(x), b.append(y))
-                prod = op @ t_op
-                if key in new:
-                    new[key] = new[key] + prod
-                else:
-                    new[key] = prod
-        entries = new
-    levels = sorted({lvl for pair in entries for lvl in pair})
-    return levels, entries
-
-
-def reroute_finished_levels(levels, entries, weight_of, per_level_scale=None):
+def reroute_finished_levels(levels, entries, weight_of):
     """Fold every level without 2 symbols into the identity level.
 
     `weight_of` maps the channel subscripts of a finished level's 3 symbols
-    (in factor order) to the scalar it contributes; `per_level_scale`
-    optionally rescales individual levels (used by the literal algorithm,
-    where every member of a strip-ones class is folded separately).
-    Returns ``(levels, entries)`` of the rerouted MPO.
+    (in factor order) to the scalar it contributes.  Returns
+    ``(levels, entries)`` of the rerouted MPO.
     """
-    identity = None
-    for lvl in levels:
-        if lvl.n2 == 0 and lvl.n3 == 0:
-            identity = lvl
-            break
-    if identity is None:
+    if IDENTITY_LEVEL not in levels:
         raise ValueError("power MPO lacks an identity level")
-    finished = [lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1]
-    doomed = set(finished)
+    doomed = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
     out = {}
     for (a, b), op in entries.items():
         if a in doomed:
             continue
         if b in doomed:
             w = weight_of(b.sigma())
-            if per_level_scale is not None:
-                w = w * per_level_scale(b)
             if w == 0:
                 continue
-            key = (a, identity)
+            key = (a, IDENTITY_LEVEL)
             out[key] = out.get(key, 0) + w * op
         else:
             out[(a, b)] = out.get((a, b), 0) + op
     kept = [lvl for lvl in levels if lvl not in doomed]
-    # map the all-ones level onto the canonical empty label
-    if identity != IDENTITY_LEVEL:
-        rename = {identity: IDENTITY_LEVEL}
-        kept = [rename.get(l, l) for l in kept]
-        out = {(rename.get(a, a), rename.get(b, b)): v for (a, b), v in out.items()}
     return kept, out
 
 
-def merge_equivalent_columns(d, levels, entries):
-    """Exact strip-ones column merge for label-carrying MPOs.
-
-    Levels whose labels coincide after deleting 1 symbols share their
-    operator history; their rows are summed into one representative and the
-    duplicate columns are dropped.  The dense expansion is unchanged.
-    """
-    classes = {}
-    for lvl in levels:
-        classes.setdefault(lvl.strip_ones(), []).append(lvl)
-    # representative: 1 symbols in front (always reachable)
-    length = max((len(l) for l in levels), default=0)
-    rep = {}
-    for key, members in classes.items():
-        cand = pad_with_ones(key, length)
-        rep[key] = cand if cand in members else members[0]
-    strip = {lvl: lvl.strip_ones() for lvl in levels}
-    rep_set = {r for r in rep.values()}
-    out = {}
-    for (a, b), op in entries.items():
-        if b not in rep_set:
-            continue
-        key = (strip[a], strip[b])
-        out[key] = out.get(key, 0) + op
-    new_levels = sorted(classes)
-    return new_levels, out
-
-
-def build_evolution_mpo(rew, n, weight_of, d=None, merged=True):
+def build_evolution_mpo(rew, n, weight_of):
     """Shared driver: N-th power, reroute, identity-first level order."""
-    d = rew.d if d is None else d
-    if merged:
-        levels, entries = build_power_stripped(rew, n)
-    else:
-        levels, entries = build_power_flat(rew, n)
-    if merged:
-        levels, entries = reroute_finished_levels(levels, entries, weight_of)
-    else:
-        fact = _flat_reroute_scale(n)
-        levels, entries = reroute_finished_levels(levels, entries, weight_of,
-                                                  per_level_scale=fact)
+    levels, entries = build_power_stripped(rew, n)
+    levels, entries = reroute_finished_levels(levels, entries, weight_of)
     levels = sorted(levels, key=lambda l: (len(l), l))
-    return ExtensiveMPO(d, levels, entries, order=n)
-
-
-def _flat_reroute_scale(n):
-    """Per-level factor n3!(N-n3)!/N! of the literal rerouting algorithm."""
-    from math import factorial
-
-    def scale(label):
-        k = label.n3
-        return factorial(k) * factorial(n - k) / factorial(n)
-
-    return scale
+    return ExtensiveMPO(rew.d, levels, entries, order=n)

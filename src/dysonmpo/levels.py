@@ -9,8 +9,8 @@ finite-state-machine states over the alphabet
 
 Factor order encodes time order: the leftmost symbol belongs to the factor
 carrying the *latest* time argument.  Labels that agree after removing all
-1 symbols describe identical operator histories, which is what both
-compression steps exploit.
+1 symbols describe identical operator histories, so the power
+construction keeps one stripped label per class.
 """
 
 from itertools import combinations, product

@@ -10,10 +10,6 @@ import numpy as np
 import scipy.linalg
 
 
-class RankDeficientError(np.linalg.LinAlgError):
-    """Raised when a least-squares system does not have full column rank."""
-
-
 def as_complex(a):
     """Return `a` as a C-contiguous complex128 array."""
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
@@ -104,21 +100,3 @@ def qr_column_pivoted(m, tol=1e-12):
     rank = int(np.count_nonzero(diag > tol * diag[0]))
     return rank, [int(p) for p in piv[:rank]], q, r
 
-
-def solve_least_squares(a, b, rank_tol=1e-12):
-    """Solve ``min ||A X - B||_F`` for a full-column-rank A.
-
-    Returns ``(X, residual)`` with `residual` the Frobenius norm of
-    ``A X - B``.  Raises :class:`RankDeficientError` when A is rank
-    deficient at `rank_tol` (relative to its largest singular value).
-    """
-    a = as_complex(a)
-    b = as_complex(b)
-    if b.ndim == 1:
-        b = b[:, None]
-    x, _, rank, sv = scipy.linalg.lstsq(a, b, cond=rank_tol)
-    if rank < a.shape[1]:
-        raise RankDeficientError(
-            f"matrix has numerical rank {rank} < {a.shape[1]} columns")
-    residual = float(np.linalg.norm(a @ x - b))
-    return x, residual

@@ -8,7 +8,10 @@ stripped label carries k finished symbols contributes the weight
     ( 1 + tau D   L )
     ( tau R       A )
 
-which reduces to the identity at ``tau = 0``.
+which reduces to the identity at ``tau = 0``.  The MPO records its step
+``tau``, from which `row_compress` takes the brackets ``tau**k / k!``.
+`taylor_family` keeps the same entries as polynomials in ``tau``, for
+exact derivatives at zero.
 """
 
 import math
@@ -17,19 +20,15 @@ import numpy as np
 
 from .extensive import (ExtensiveMPO, RewiredHamiltonian, build_evolution_mpo,
                         build_power_stripped)
+from .fdmpo import DENSE_CAP
 from .levels import IDENTITY_LEVEL
 
-DENSE_CAP = 64
 
-
-def taylor_mpo(h, tau, order, merged=True):
+def taylor_mpo(h, tau, order):
     """N-th order Taylor MPO of ``exp(tau * H)``.
 
-    With ``merged=False`` the power is built over full symbol tuples and
-    every finished level is folded separately with the literal weight
-    ``tau**n3 (N - n3)! / N!``; the default folds one representative per
-    strip-ones class with the combined weight ``tau**n3 / n3!``.  Both give
-    the same dense operator.
+    Each strip-ones class of finished levels is folded once, with the
+    weight ``tau**n3 / n3!``.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -40,7 +39,7 @@ def taylor_mpo(h, tau, order, merged=True):
         k = len(sigma)
         return tau ** k / math.factorial(k)
 
-    mpo = build_evolution_mpo(rew, order, weight, merged=merged)
+    mpo = build_evolution_mpo(rew, order, weight)
     mpo.params.update(tau=tau, kind="taylor")
     return mpo
 
@@ -99,14 +98,6 @@ def taylor_family(h, order):
             put((a, b), 0, op)
     kept = sorted((l for l in levels if l not in finished), key=lambda l: (len(l), l))
     return TaylorFamily(h.d, kept, fam, order)
-
-
-def constant_family(h, n_sites_hint=None):
-    """Family with no tau dependence (derivatives vanish); for testing."""
-    fam = taylor_family(h, 1)
-    entries = {k: {0: poly.get(0)} for k, poly in fam.entries.items()
-               if poly.get(0) is not None}
-    return TaylorFamily(fam.d, fam.levels, entries, 0)
 
 
 def mpo_derivative_at_zero(family, p, n_sites, cap=DENSE_CAP):

@@ -10,6 +10,10 @@ from itertools import product
 
 import numpy as np
 
+from dysonmpo.compression import CompressionReport
+from dysonmpo.extensive import (ExtensiveMPO, RewiredHamiltonian,
+                                reroute_finished_levels)
+from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, pad_with_ones
 from dysonmpo.quantics import cumulative_integral_mpo, pointwise_product
 from dysonmpo.spin import kron_chain
 
@@ -152,3 +156,121 @@ def literal_bracket_table(channels, t0, t, max_order, bits=24):
                 [by_name[name] for name in key], t0, t, bits=bits)
             for k in range(1, max_order + 1)
             for key in product(list(by_name), repeat=k)}
+
+
+def build_power_flat(rew, n):
+    """Literal `n`-th power over full symbol tuples (small n only)."""
+    entries = {}
+    for x, y, op in rew._transitions:
+        key = (LevelLabel((x,)), LevelLabel((y,)))
+        entries[key] = entries.get(key, 0) + op
+    for _ in range(n - 1):
+        new = {}
+        for (a, b), op in entries.items():
+            for x, y, t_op in rew._transitions:
+                key = (a.append(x), b.append(y))
+                prod = op @ t_op
+                if key in new:
+                    new[key] = new[key] + prod
+                else:
+                    new[key] = prod
+        entries = new
+    levels = sorted({lvl for pair in entries for lvl in pair})
+    return levels, entries
+
+
+def flat_evolution_mpo(rew, n, weight_of):
+    """Literal counterpart of ``build_evolution_mpo``.
+
+    Every member of a strip-ones class of finished levels is folded on its
+    own, so each carries the factor ``n3! (N - n3)! / N!`` of the literal
+    algorithm; a finished level has ``n3 == len(sigma)``.  The all-ones
+    level is renamed to the canonical empty label before folding.
+    """
+    def weight(sigma):
+        k = len(sigma)
+        return weight_of(sigma) * (math.factorial(k) * math.factorial(n - k)
+                                   / math.factorial(n))
+
+    levels, entries = build_power_flat(rew, n)
+    rename = {lvl: IDENTITY_LEVEL for lvl in levels
+              if lvl.n2 == 0 and lvl.n3 == 0}
+    levels = [rename.get(l, l) for l in levels]
+    entries = {(rename.get(a, a), rename.get(b, b)): op
+               for (a, b), op in entries.items()}
+    levels, entries = reroute_finished_levels(levels, entries, weight)
+    levels = sorted(levels, key=lambda l: (len(l), l))
+    return ExtensiveMPO(rew.d, levels, entries, order=n)
+
+
+def flat_taylor_mpo(h, tau, order):
+    """``taylor_mpo`` built over full symbol tuples."""
+    tau = complex(tau)
+    mpo = flat_evolution_mpo(RewiredHamiltonian.from_static(h), order,
+                             lambda sigma: tau ** len(sigma)
+                             / math.factorial(len(sigma)))
+    mpo.params.update(tau=tau, kind="taylor")
+    return mpo
+
+
+def flat_dyson_mpo(hamiltonian, t0, t, order, integrals):
+    """``dyson_mpo`` built over full symbol tuples (``t > t0``)."""
+    mpo = flat_evolution_mpo(RewiredHamiltonian.from_hamiltonian(hamiltonian),
+                             order, integrals.value)
+    mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
+    return mpo
+
+
+def merge_equivalent_columns(levels, entries):
+    """Exact strip-ones column merge for label-carrying MPOs.
+
+    Levels whose labels coincide after deleting 1 symbols share their
+    operator history; their rows are summed into one representative and the
+    duplicate columns are dropped.  The dense expansion is unchanged.
+    """
+    classes = {}
+    for lvl in levels:
+        classes.setdefault(lvl.strip_ones(), []).append(lvl)
+    # representative: 1 symbols in front (always reachable)
+    length = max((len(l) for l in levels), default=0)
+    rep = {}
+    for key, members in classes.items():
+        cand = pad_with_ones(key, length)
+        rep[key] = cand if cand in members else members[0]
+    strip = {lvl: lvl.strip_ones() for lvl in levels}
+    rep_set = set(rep.values())
+    out = {}
+    for (a, b), op in entries.items():
+        if b not in rep_set:
+            continue
+        key = (strip[a], strip[b])
+        out[key] = out.get(key, 0) + op
+    return sorted(classes), out
+
+
+def column_compress(mpo):
+    """Merge strip-ones-equivalent levels of a flat MPO; exact.
+
+    Returns the merged MPO and a report listing each removed level with
+    its representative.
+    """
+    before = mpo.bond_dimension
+    classes = {}
+    for lvl in mpo.levels:
+        classes.setdefault(lvl.strip_ones(), []).append(lvl)
+    levels, entries = merge_equivalent_columns(mpo.levels, mpo.entries)
+    levels = sorted(levels, key=lambda l: (len(l), l))
+    out = ExtensiveMPO(mpo.d, levels, entries, order=mpo.order,
+                       params=dict(mpo.params))
+    removed = []
+    for key, members in sorted(classes.items()):
+        for m in members:
+            if m.strip_ones() != m or m != key:
+                removed.append((m, {key: 1.0}))
+    removed = [(m, x) for m, x in removed if m not in out.levels]
+    report = CompressionReport(kept_levels=list(out.levels),
+                               removed_levels=removed,
+                               bond_dimension_before=before,
+                               bond_dimension_after=out.bond_dimension,
+                               qr_tolerance=0.0)
+    return out, report

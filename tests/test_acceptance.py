@@ -10,13 +10,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import disjoint_product_dense, random_fdmpo, strings_of
+from helpers import (column_compress, disjoint_product_dense, flat_dyson_mpo,
+                     random_fdmpo, strings_of)
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import EvolutionConfig, order_slopes, run_benchmark, \
     runtime_at_accuracy
 from dysonmpo.brackets import BracketTable
-from dysonmpo.compression import column_compress, compress_taylor, row_compress
+from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_first_order, dyson_mpo
@@ -73,7 +74,7 @@ def test_criterion_2_bond_dimension_tables():
         h = fdmpo.from_terms(2, two_site=couplings[:chi])
         for order in range(1, 7):
             w = taylor_mpo(h, -0.05j, order)
-            wc, _ = compress_taylor(w, order)
+            wc, _ = row_compress(w, order)
             if wc.bond_dimension != table_i[order](chi):
                 failures.append((chi, order, wc.bond_dimension,
                                  table_i[order](chi)))
@@ -101,16 +102,21 @@ def test_criterion_3_dense_oracle_equivalence():
     dts = (0.1, 0.05, 0.025)
     problems = []
     for order in (1, 2, 3):
-        errs, col_changes, row_diffs = [], [], []
+        errs, col_changes, build_diffs, row_diffs = [], [], [], []
         for dt in dts:
             tab = BracketTable.compute(
                 [(c.name, c.driving) for c in ham.channels],
                 t0, t0 + dt, order, bits=24)
-            flat = dyson_mpo(ham, t0, t0 + dt, order, tab, merged=False)
+            flat = flat_dyson_mpo(ham, t0, t0 + dt, order, tab)
             w = dyson_mpo(ham, t0, t0 + dt, order, tab)
             merged, _ = column_compress(flat)
             col_changes.append(
                 np.abs(merged.to_dense(n) - flat.to_dense(n)).max())
+            # the power construction reproduces the merged literal algorithm
+            if merged.levels != w.levels:
+                problems.append(f"N={order} merged levels differ from build")
+            build_diffs.append(
+                np.abs(merged.to_dense(n) - w.to_dense(n)).max())
             wc, _ = row_compress(w, order, tol=1e-6)
             row_diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
             u = exact_evolution_operator(ham, n, t0, t0 + dt, substeps=2500)
@@ -120,6 +126,9 @@ def test_criterion_3_dense_oracle_equivalence():
                 problems.append(f"N={order} oracle ratio {e1 / e2:.2f}")
         if max(col_changes) > 1e-13:
             problems.append(f"N={order} column change {max(col_changes):.2e}")
+        if max(build_diffs) > 1e-13:
+            problems.append(f"N={order} build vs merged oracle "
+                            f"{max(build_diffs):.2e}")
         # row compression changes the operator by O(dt^(N+1)): the change
         # must shrink at least as fast as dt^(N+1) under halving
         if max(row_diffs) > 1e-14:
@@ -127,7 +136,8 @@ def test_criterion_3_dense_oracle_equivalence():
                 if d1 / d2 < 0.7 * 2 ** (order + 1):
                     problems.append(f"N={order} row-diff ratio {d1 / d2:.2f}")
     _report(3, not problems, "; ".join(problems) if problems else
-            "oracle ratios ~2^(N+1), column change <= 1e-13, row change O(dt^(N+1))")
+            "oracle ratios ~2^(N+1), column change and build vs merged "
+            "oracle <= 1e-13, row change O(dt^(N+1))")
 
 
 def test_criterion_4_algebra_oracles():

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from dysonmpo.bench import (BracketCache, EvolutionConfig, fit_loglog_slope,
-                            initial_state, order_slopes, prune_plateau,
-                            records_to_csv, run_benchmark, runtime_at_accuracy)
+from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
+                            fit_loglog_slope, initial_state, order_slopes,
+                            prune_plateau, records_to_csv, run_benchmark,
+                            runtime_at_accuracy)
+from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.fdmpo import from_terms
@@ -21,6 +23,39 @@ def test_smoke_run_error_decreases():
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
+
+
+def test_magnus_step_compression_order_accuracy():
+    # the Magnus MPO is a Taylor MPO of Omega at unit step, so row
+    # compression uses the brackets 1/k!; the change it makes must be
+    # O(dt^(N+1)) like the Dyson one
+    ham = modulated_ising()
+    channels = [(c.name, c.driving) for c in ham.channels]
+    order, n = 2, 4
+    diffs = []
+    for dt in (0.1, 0.05, 0.025):
+        tab = BracketTable.compute(channels, 0.0, dt, order, bits=24)
+        w, none = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12,
+                                 compress=False)
+        wc, report = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12)
+        assert none is None
+        assert report.bond_dimension_before == w.bond_dimension
+        assert report.bond_dimension_after == wc.bond_dimension
+        assert wc.bond_dimension < w.bond_dimension
+        diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
+    for d1, d2 in zip(diffs, diffs[1:]):
+        assert d1 / d2 > 0.7 * 2 ** (order + 1)
+
+
+def test_magnus_benchmark_runs():
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, method="magnus", orders=(2,),
+                             dts=(0.25, 0.125), oracle_substeps=500,
+                             qtt_bits=16, d_max=8)
+    records = run_benchmark(ham, config)
+    eps = {r.dt: r.epsilon for r in records}
+    assert 0 < eps[0.125] < eps[0.25] < 1
+    assert all(r.method == "magnus" for r in records)
 
 
 def test_dt_must_divide_interval():

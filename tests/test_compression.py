@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import column_compress, flat_dyson_mpo, flat_taylor_mpo
+
 from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
-from dysonmpo.compression import column_compress, compress_taylor, row_compress
+from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo
@@ -31,10 +33,18 @@ def table_for(ham, t0, t1, order):
                                 t0, t1, order, bits=24)
 
 
+def assert_same_mpo(a, b, atol=1e-13):
+    """Same level list and entry keys, entries equal to `atol`."""
+    assert a.levels == b.levels
+    assert set(a.entries) == set(b.entries)
+    for key, op in a.entries.items():
+        np.testing.assert_allclose(b.entries[key], op, rtol=0, atol=atol)
+
+
 def test_column_compress_merges_same_history_labels():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
-    flat = dyson_mpo(ham, 0.1, 0.25, 3, tab, merged=False)
+    flat = flat_dyson_mpo(ham, 0.1, 0.25, 3, tab)
     lvl = lambda *syms: LevelLabel(syms)
     trio = [lvl(ONE, two("f1", 0), three("f2")),
             lvl(two("f1", 0), ONE, three("f2")),
@@ -51,6 +61,8 @@ def test_column_compress_merges_same_history_labels():
         if label != target:
             assert removed.get(label) == {target: 1.0} or label not in removed
     np.testing.assert_allclose(merged.to_dense(4), flat.to_dense(4), atol=1e-13)
+    # the power construction merges the same classes on the fly
+    assert_same_mpo(merged, dyson_mpo(ham, 0.1, 0.25, 3, tab))
 
 
 def test_column_compress_first_order_noop():
@@ -60,19 +72,35 @@ def test_column_compress_first_order_noop():
     merged, report = column_compress(w)
     assert merged.levels == w.levels
     assert report.bond_dimension_before == report.bond_dimension_after
+    assert_same_mpo(merged, w, atol=0.0)
+    # at first order the flat power has no 1 symbols to merge either
+    assert_same_mpo(flat_dyson_mpo(ham, 0.0, 0.2, 1, tab), w)
 
 
 @pytest.mark.parametrize("kind", ["taylor", "dyson"])
 def test_column_compress_exact_third_order(kind):
     if kind == "taylor":
-        flat = taylor_mpo(static_tfi(), -0.09j, 3, merged=False)
+        flat = flat_taylor_mpo(static_tfi(), -0.09j, 3)
+        built = taylor_mpo(static_tfi(), -0.09j, 3)
     else:
         ham = appendix_hamiltonian()
         tab = table_for(ham, 0.05, 0.2, 3)
-        flat = dyson_mpo(ham, 0.05, 0.2, 3, tab, merged=False)
+        flat = flat_dyson_mpo(ham, 0.05, 0.2, 3, tab)
+        built = dyson_mpo(ham, 0.05, 0.2, 3, tab)
     merged, _ = column_compress(flat)
     np.testing.assert_allclose(merged.to_dense(4), flat.to_dense(4), atol=1e-13)
     assert merged.bond_dimension < flat.bond_dimension
+    assert_same_mpo(merged, built)
+
+
+def test_row_compress_rejects_flat_mpo():
+    # levels that still carry 1 symbols have not been column-merged
+    ham = appendix_hamiltonian()
+    tab = table_for(ham, 0.05, 0.2, 2)
+    with pytest.raises(ValueError, match="1 symbols"):
+        row_compress(flat_dyson_mpo(ham, 0.05, 0.2, 2, tab), 2, tol=1e-6)
+    with pytest.raises(ValueError, match="1 symbols"):
+        row_compress(flat_taylor_mpo(static_tfi(), -0.09j, 2), 2)
 
 
 def test_row_compress_explicit_linear_combination():
@@ -200,16 +228,19 @@ def test_compress_taylor_bond_dimensions(order, expected, chi):
     two_site = [(SZ, SZ), (SX, SX)][:chi]
     h = fdmpo.from_terms(2, two_site=two_site)
     w = taylor_mpo(h, -0.05j, order)
-    wc, _ = compress_taylor(w, order)
+    wc, _ = row_compress(w, order)
     assert wc.bond_dimension == expected(chi)
 
 
 def test_compress_taylor_requires_taylor_mpo():
+    # Taylor brackets come from a recorded step; an MPO that carries
+    # neither a step nor a bracket table cannot be row-compressed
     ham = modulated_ising()
     tab = table_for(ham, 0.0, 0.1, 1)
     w = dyson_mpo(ham, 0.0, 0.1, 1, tab)
-    with pytest.raises(ValueError):
-        compress_taylor(w, 1)
+    del w.params["brackets"]
+    with pytest.raises(ValueError, match="no bracket table"):
+        row_compress(w, 1)
 
 
 def test_compress_taylor_preserves_order_accuracy():
@@ -220,7 +251,7 @@ def test_compress_taylor_preserves_order_accuracy():
     diffs = []
     for tau in (-0.1j, -0.05j, -0.025j):
         w = taylor_mpo(h, tau, order)
-        wc, _ = compress_taylor(w, order)
+        wc, _ = row_compress(w, order)
         diffs.append(np.linalg.norm(wc.to_dense(4) - scipy.linalg.expm(tau * href)))
     for d1, d2 in zip(diffs, diffs[1:]):
         assert abs(d1 / d2 - 2 ** (order + 1)) < 0.3 * 2 ** (order + 1)

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import flat_dyson_mpo
+
 from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import (dyson_first_order, dyson_mpo, identity_mpo,
-                            rewire, rewired_matrix_at)
+from dysonmpo.dyson import dyson_first_order, dyson_mpo, identity_mpo, rewire
 from dysonmpo.evolve import exact_evolution_operator
-from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, three, two
+from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
 from dysonmpo.magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from dysonmpo.models import modulated_ising
 from dysonmpo.spin import ID2, SX, SZ
@@ -34,22 +35,31 @@ def table_for(ham, t0, t1, order, **kw):
 
 def test_rewire_five_level_structure():
     ham = two_channel_couplings()
-    labels, m = rewired_matrix_at(rewire(ham), 0.3)
-    assert labels == ["1", "2_a[0]", "2_b[0]", "3_a", "3_b"]
-    f1 = math.sin(2 * math.pi * 0.3)
-    f2 = math.cos(2 * math.pi * 0.3)
-    np.testing.assert_allclose(m[0, 0], ID2)
-    np.testing.assert_allclose(m[0, 1], SZ)
-    np.testing.assert_allclose(m[0, 2], SX)
-    np.testing.assert_allclose(m[1, 3], f1 * SZ, atol=1e-15)
-    np.testing.assert_allclose(m[2, 4], f2 * SX, atol=1e-15)
-    np.testing.assert_allclose(m[3, 3], ID2)
-    np.testing.assert_allclose(m[4, 4], ID2)
-    assert not m[1, 4].any() and not m[2, 3].any()
-    # strictly upper triangular elsewhere
-    for i in range(5):
-        for j in range(i):
-            assert not m[i, j].any()
+    rew = rewire(ham)
+    assert rew.level_symbols() == [two("a", 0), two("b", 0), three("a"),
+                                   three("b")]
+    trans = {}
+    for x, y, op in rew._transitions:
+        assert (x, y) not in trans
+        trans[(x, y)] = op
+    # the start level, one middle level per channel, one finishing level
+    # per channel; nothing leads back towards the start level
+    assert set(trans) == {
+        (ONE, ONE), (ONE, two("a", 0)), (ONE, two("b", 0)),
+        (two("a", 0), three("a")), (two("b", 0), three("b")),
+        (three("a"), three("a")), (three("b"), three("b"))}
+    np.testing.assert_allclose(trans[(ONE, ONE)], ID2)
+    np.testing.assert_allclose(trans[(ONE, two("a", 0))], SZ)
+    np.testing.assert_allclose(trans[(ONE, two("b", 0))], SX)
+    np.testing.assert_allclose(trans[(two("a", 0), three("a"))], SZ)
+    np.testing.assert_allclose(trans[(two("b", 0), three("b"))], SX)
+    np.testing.assert_allclose(trans[(three("a"), three("a"))], ID2)
+    np.testing.assert_allclose(trans[(three("b"), three("b"))], ID2)
+    # the driving weights belong to the arrows into the finishing levels
+    assert rew.driving_value("a", 0.3) == pytest.approx(
+        math.sin(2 * math.pi * 0.3), abs=1e-15)
+    assert rew.driving_value("b", 0.3) == pytest.approx(
+        math.cos(2 * math.pi * 0.3), abs=1e-15)
 
 
 def test_rewire_constant_driving_matches_static():
@@ -198,8 +208,8 @@ def test_dyson_order_scaling(order):
 def test_dyson_merged_equals_flat():
     ham = modulated_ising()
     tab = table_for(ham, 0.3, 0.4, 2)
-    wm = dyson_mpo(ham, 0.3, 0.4, 2, tab, merged=True)
-    wf = dyson_mpo(ham, 0.3, 0.4, 2, tab, merged=False)
+    wm = dyson_mpo(ham, 0.3, 0.4, 2, tab)
+    wf = flat_dyson_mpo(ham, 0.3, 0.4, 2, tab)
     np.testing.assert_allclose(wm.to_dense(4), wf.to_dense(4), atol=1e-13)
 
 

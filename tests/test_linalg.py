@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dysonmpo.linalg import (RankDeficientError, contract, qr_column_pivoted,
-                             solve_least_squares, svd_truncate,
+from dysonmpo.linalg import (contract, qr_column_pivoted, svd_truncate,
                              truncation_rank)
 
 
@@ -111,38 +110,6 @@ def test_qr_rank_matches_svd_on_random_low_rank():
         svd_rank = int(np.sum(np.linalg.svd(mat, compute_uv=False)
                               > 1e-10 * np.linalg.svd(mat, compute_uv=False)[0]))
         assert rank == svd_rank
-
-
-def test_lstsq_identity():
-    b = np.arange(6.0).reshape(3, 2)
-    x, res = solve_least_squares(np.eye(3), b)
-    np.testing.assert_allclose(x, b)
-    assert res < 1e-13
-
-
-def test_lstsq_consistent_system():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, 2))
-    x0 = rng.normal(size=(2, 1))
-    x, res = solve_least_squares(a, a @ x0)
-    assert res < 1e-12
-    np.testing.assert_allclose(x, x0, atol=1e-10)
-
-
-def test_lstsq_inconsistent_residual_matches_projector():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    b = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-    x, res = solve_least_squares(a, b)
-    p = a @ np.linalg.inv(a.conj().T @ a) @ a.conj().T
-    expected = np.linalg.norm(b - p @ b)
-    np.testing.assert_allclose(res, expected, atol=1e-12)
-
-
-def test_lstsq_rank_deficient_raises():
-    a = np.column_stack([np.ones(3), np.ones(3)])
-    with pytest.raises(RankDeficientError):
-        solve_least_squares(a, np.ones((3, 1)))
 
 
 def test_truncation_rank():

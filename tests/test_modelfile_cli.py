@@ -102,6 +102,22 @@ def test_cli_build_mpo_no_compress(model_path, capsys):
     assert "bond dimension: 2" in out
 
 
+def test_cli_build_mpo_magnus(model_path, capsys):
+    args = ["build-mpo", "--model", model_path, "--method", "magnus",
+            "--order", "2", "--t0", "0.0", "--t", "0.125"]
+
+    def bond(out):
+        line = next(l for l in out.splitlines() if l.startswith("bond dim"))
+        return int(line.split(":")[1])
+
+    assert main(args + ["--no-compress"]) == 0
+    full = bond(capsys.readouterr().out)
+    assert main(args + ["--report"]) == 0
+    out = capsys.readouterr().out
+    assert "kept levels" in out
+    assert 1 < bond(out) < full
+
+
 def test_cli_integrate(model_path, capsys):
     assert main(["integrate", "--model", model_path, "--t0", "0.0",
                  "--t", "0.25", "--max-order", "2", "--bits", "20"]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import disjoint_power_dense, strings_of
+from helpers import disjoint_power_dense, flat_taylor_mpo, strings_of
 
 from dysonmpo import fdmpo
 from dysonmpo.extensive import ExtensiveMPO
@@ -114,8 +114,8 @@ def test_order_scaling_against_expm(order):
 def test_merged_equals_flat():
     tau = -0.08j
     for order in (1, 2, 3):
-        wm = taylor_mpo(TFI, tau, order, merged=True)
-        wf = taylor_mpo(TFI, tau, order, merged=False)
+        wm = taylor_mpo(TFI, tau, order)
+        wf = flat_taylor_mpo(TFI, tau, order)
         np.testing.assert_allclose(wm.to_dense(3), wf.to_dense(3), atol=1e-13)
 
 
