@@ -17,7 +17,7 @@ from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     nondisjoint_product, nondisjoint_square, scale,
                     zero_hamiltonian)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
-from .linalg import contract, qr_column_pivoted, svd_truncate
+from .linalg import qr_column_pivoted, svd_truncate
 from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .quadrature import quad_time_ordered_integral

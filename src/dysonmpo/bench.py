@@ -65,6 +65,7 @@ class ErrorRecord:
     mpo_bond_dim: int
     mps_bond_dim: int
     seed: int
+    discarded_weight: float = 0.0    # summed over the steps' MPS truncations
 
 
 class BracketCache:
@@ -129,8 +130,9 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform steps.
 
-    Returns ``(psi_out, stats)`` where stats carries per-step wall time and
-    the largest MPO/MPS bond dimensions encountered.
+    Returns ``(psi_out, stats)`` where stats carries per-step wall time,
+    the largest MPO/MPS bond dimensions encountered and the weight the MPS
+    truncations discarded, summed over the steps.
     """
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
@@ -141,6 +143,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits)
     mpo_bond = 0
     mps_bond = psi.max_bond
+    discarded = 0.0
     t_start = time.perf_counter()
     for i in range(n_steps):
         s0 = config.t0 + i * dt
@@ -148,12 +151,15 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         table = cache.table(s0, s1, order)
         mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
                                 table, qr_tol=config.qr_tol)
-        psi, _ = apply_mpo(mpo, psi, d_max=config.d_max, svd_tol=config.svd_tol)
+        psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
+                              svd_tol=config.svd_tol)
+        discarded += disc
         mpo_bond = max(mpo_bond, mpo.bond_dimension)
         mps_bond = max(mps_bond, psi.max_bond)
     wall = (time.perf_counter() - t_start) / max(n_steps, 1)
     return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
-                 "mps_bond_dim": mps_bond, "n_steps": n_steps}
+                 "mps_bond_dim": mps_bond, "n_steps": n_steps,
+                 "discarded_weight": discarded}
 
 
 def initial_state(config):
@@ -209,7 +215,8 @@ def run_benchmark(hamiltonian, config):
             records.append(ErrorRecord(config.method, order, dt, eps,
                                        stats["wall_time_per_step"],
                                        stats["mpo_bond_dim"],
-                                       stats["mps_bond_dim"], config.seed))
+                                       stats["mps_bond_dim"], config.seed,
+                                       stats["discarded_weight"]))
     return records
 
 

@@ -105,11 +105,20 @@ def gamma_entry(level, row, brackets, order):
     return total
 
 
-def _gamma_matrix(rows, levels, brackets, order):
+def _gamma_matrix(rows, levels, brackets, order, memo=None):
+    """Gamma entries of `levels` (columns) over `rows`, cached in `memo`.
+
+    A kept level comes back in later groups of the same 2-sequence, whose
+    rows (fewer insertions) are a subset of those it was first evaluated on.
+    """
+    memo = {} if memo is None else memo
     g = np.zeros((len(rows), len(levels)), dtype=complex)
     for j, lvl in enumerate(levels):
         for i, row in enumerate(rows):
-            g[i, j] = gamma_entry(lvl, row, brackets, order)
+            key = (lvl, row)
+            if key not in memo:
+                memo[key] = gamma_entry(lvl, row, brackets, order)
+            g[i, j] = memo[key]
     return g
 
 
@@ -179,6 +188,7 @@ def row_compress(mpo, order=None, tol=1e-12):
 
     kept = []      # beyond the always-kept identity level
     kept_by_cseq = {}
+    gamma_memo = {}
     removed = []
     present = [l for l in mpo.levels if l != IDENTITY_LEVEL]
     present_set = set(present)
@@ -207,7 +217,8 @@ def row_compress(mpo, order=None, tol=1e-12):
             for cseq in sorted(blocks):
                 compatible = blocks[cseq]
                 rows = completion_rows(cseq, channels, n_ins)
-                g_comp = _gamma_matrix(rows, compatible, brackets, order)
+                g_comp = _gamma_matrix(rows, compatible, brackets, order,
+                                       gamma_memo)
                 ref = max(np.linalg.norm(g_comp[:, j])
                           for j in range(len(compatible)))
                 kept_here = kept_by_cseq.get(cseq, [])
@@ -222,7 +233,8 @@ def row_compress(mpo, order=None, tol=1e-12):
                 residual = g_comp
                 g_kept = None
                 if kept_here:
-                    g_kept = _gamma_matrix(rows, kept_here, brackets, order)
+                    g_kept = _gamma_matrix(rows, kept_here, brackets, order,
+                                           gamma_memo)
                     if np.any(g_kept):
                         proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
                                                         rcond=None)[0]
@@ -239,12 +251,18 @@ def row_compress(mpo, order=None, tol=1e-12):
                 new_kept = [compatible[j] for j in selected]
                 kept.extend(new_kept)
                 kept_by_cseq.setdefault(cseq, []).extend(new_kept)
-                rest = [l for l in compatible if l not in new_kept]
-                if not rest:
+                rest_idx = [j for j in range(len(compatible))
+                            if j not in selected]
+                if not rest_idx:
                     continue
+                rest = [compatible[j] for j in rest_idx]
+                # the basis is the earlier kept levels then the new ones, so
+                # its columns are already in g_kept and g_comp
                 basis = kept_by_cseq[cseq]
-                g_basis = _gamma_matrix(rows, basis, brackets, order)
-                g_rest = _gamma_matrix(rows, rest, brackets, order)
+                g_basis = g_comp[:, selected]
+                if g_kept is not None:
+                    g_basis = np.hstack([g_kept, g_basis])
+                g_rest = g_comp[:, rest_idx]
                 if not np.any(g_basis):
                     if np.linalg.norm(g_rest) > tol * ref:
                         raise CompressionBasisError(

@@ -1,9 +1,8 @@
-"""Dense complex tensor kernels shared by all MPO/MPS routines.
+"""Dense complex matrix kernels shared by the MPO/MPS routines.
 
-All tensors are ``numpy.ndarray`` objects with ``complex128`` dtype and
-row-major (C-order) data layout.  Axis bookkeeping follows the
-``numpy.tensordot`` convention: the result carries the unpaired axes of the
-first argument followed by those of the second.
+A truncated SVD with its keep/discard rule, and a rank-revealing QR.
+Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype and
+row-major (C-order) data layout.
 """
 
 import numpy as np
@@ -13,35 +12,6 @@ import scipy.linalg
 def as_complex(a):
     """Return `a` as a C-contiguous complex128 array."""
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
-
-
-def contract(a, b, pairs):
-    """Contract tensors `a` and `b` over the given axis pairs.
-
-    Parameters
-    ----------
-    a, b : ndarray
-        Input tensors.
-    pairs : list of (int, int)
-        Pairs ``(axis_of_a, axis_of_b)``; paired axes must have equal extents.
-
-    Returns
-    -------
-    ndarray with the unpaired axes of `a` followed by those of `b`.
-    """
-    a = as_complex(a)
-    b = as_complex(b)
-    if pairs:
-        ax_a, ax_b = zip(*pairs)
-    else:
-        ax_a, ax_b = (), ()
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise ValueError(
-                f"axis {i} of a (dim {a.shape[i]}) does not match "
-                f"axis {j} of b (dim {b.shape[j]})"
-            )
-    return np.tensordot(a, b, axes=(list(ax_a), list(ax_b)))
 
 
 def svd_truncate(m, max_rank=None, tol=0.0):
@@ -69,8 +39,10 @@ def truncation_rank(s, tol=0.0, max_rank=None):
 
     Values at or below ``tol * s[0]`` are dropped and at most `max_rank`
     are kept.  Returns ``(keep, discarded_weight)`` with the weight the sum
-    of squared dropped values.
+    of squared dropped values.  A `max_rank` below 1 raises `ValueError`.
     """
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"max_rank must be at least 1, got {max_rank}")
     keep = len(s)
     if keep and s[0] > 0.0 and tol > 0.0:
         keep = int(np.count_nonzero(s > tol * s[0]))

@@ -1,4 +1,11 @@
-"""Finite matrix product states and MPO application with truncation."""
+"""Finite matrix product states and MPO application with truncation.
+
+`apply_mpo` never forms the raw product tensors of bond ``D_w * chi``
+(MPO bond times MPS bond).  It contracts the MPO into the MPS from both
+chain ends towards the centre, factorising as it goes, so that the exact
+product arrives in mixed-canonical form with bonds bounded by the Hilbert
+space dimension of the shorter side; one truncating SVD sweep follows.
+"""
 
 import numpy as np
 
@@ -10,6 +17,8 @@ class FiniteMPS:
 
     def __init__(self, tensors):
         self.tensors = [np.asarray(t, dtype=complex) for t in tensors]
+        if not self.tensors:
+            raise ValueError("an MPS needs at least one site")
         if self.tensors[0].shape[0] != 1 or self.tensors[-1].shape[2] != 1:
             raise ValueError("boundary bonds must have dimension 1")
         for a, b in zip(self.tensors, self.tensors[1:]):
@@ -96,54 +105,91 @@ class FiniteMPS:
             tensors[i] = tensors[i] / scale
         return FiniteMPS(tensors)
 
-    def canonicalized(self, d_max=None, svd_tol=0.0):
-        """Left-to-right QR sweep, then right-to-left truncated SVD sweep.
 
-        Returns ``(mps, discarded_weight)``; the state is not normalized.
-        """
-        tensors = [t.copy() for t in self.tensors]
-        n = len(tensors)
-        for i in range(n - 1):
-            dl, d, dr = tensors[i].shape
-            q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
-            tensors[i] = q.reshape(dl, d, q.shape[1])
-            tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
-        discarded = 0.0
-        for i in range(n - 1, 0, -1):
-            dl, d, dr = tensors[i].shape
-            u, s, v, disc = svd_truncate(tensors[i].reshape(dl, d * dr),
-                                         max_rank=d_max, tol=svd_tol)
-            discarded += disc
-            tensors[i] = v.reshape(-1, d, dr)
-            tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
-        return FiniteMPS(tensors), discarded
+def _left_step(r_left, a, w):
+    """Absorb one site into the left remainder; returns ``(q, r_left)``.
+
+    `r_left` has shape ``(k, D_w, chi_l)``; the contracted site is reshaped
+    to ``(k*d, D_w*chi_r)`` and QR-factorised into a left-orthonormal
+    ``(k, d, m)`` tensor and the new remainder ``(m, D_w, chi_r)``.
+    """
+    k, dw, _ = r_left.shape
+    d, chi_r = a.shape[1], a.shape[2]
+    t = np.tensordot(r_left, a, axes=(2, 0))                # (k, a, p, r)
+    t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
+    mat = t.transpose(0, 3, 2, 1).reshape(k * d, dw * chi_r)
+    q, r = np.linalg.qr(mat)
+    return q.reshape(k, d, -1), r.reshape(-1, dw, chi_r)
+
+
+def _right_step(a, w, r_right):
+    """Mirror of `_left_step` from the right chain end; returns ``(q, r_right)``.
+
+    `r_right` has shape ``(D_w, chi_r, k)``; the LQ factorisation of the
+    ``(D_w*chi_l, d*k)`` site matrix is the QR of its conjugate transpose.
+    """
+    dw, _, k = r_right.shape
+    chi_l, d = a.shape[0], a.shape[1]
+    t = np.tensordot(a, r_right, axes=(2, 1))               # (l, p, b, k)
+    t = np.tensordot(w, t, axes=([1, 3], [2, 1]))           # (a, s, l, k)
+    mat = t.transpose(0, 2, 1, 3).reshape(dw * chi_l, d * k)
+    q, r = np.linalg.qr(mat.conj().T)
+    return q.conj().T.reshape(-1, d, k), r.conj().T.reshape(dw, chi_l, -1)
 
 
 def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     """Apply an extensive MPO to a finite MPS and truncate.
 
-    Exact contraction (bond dimensions multiply) followed by a two-sided
-    SVD sweep at `d_max` / `svd_tol`.  Returns ``(psi_out, discarded)``
-    with a normalized state and the total discarded weight.
+    The product is contracted from both chain ends towards the centre site
+    ``c = n // 2``.  A left remainder ``(k, D_w, chi)`` absorbs the MPS and
+    MPO tensors of sites ``0 .. c-1`` one at a time and is QR-factorised
+    after each; a right remainder does the same with LQ factorisations for
+    sites ``n-1 .. c+1``; the centre site closes both.  A QR sweep over the
+    (now small) bonds right of the centre leaves the exact product in
+    left-canonical form, and a right-to-left SVD sweep truncates it at
+    `d_max` / `svd_tol`.  No tensor of the raw bond ``D_w * chi`` is formed,
+    and every factorised matrix has a side no longer than ``d`` to the
+    power of its distance to the nearer chain end.
+
+    Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
+    with the norm on site 0, and the total discarded weight.
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
     w = mpo.site_tensor()  # (left, right, out, in)
-    bidx = mpo.boundary_index()
-    tensors = []
+    dw = w.shape[0]
+    boundary = np.zeros(dw, dtype=complex)
+    boundary[mpo.boundary_index()] = 1.0
     n = psi.n_sites
-    for i, t in enumerate(psi.tensors):
-        wt = w
-        if i == 0:
-            wt = w[bidx:bidx + 1]
-        if i == n - 1:
-            wt = wt[:, bidx:bidx + 1]
-        new = np.einsum("absp,lpr->alsbr", wt, t, optimize=True)
-        al, ll, d, bl, rl = new.shape
-        tensors.append(new.reshape(al * ll, d, bl * rl))
-    raw = FiniteMPS(tensors)
-    out, discarded = raw.canonicalized(d_max=d_max, svd_tol=svd_tol)
-    return out.normalized(), discarded
+    c = n // 2
+    tensors = [None] * n
+    r_left = boundary.reshape(1, dw, 1)
+    for i in range(c):
+        tensors[i], r_left = _left_step(r_left, psi.tensors[i], w)
+    r_right = boundary.reshape(dw, 1, 1)
+    for i in range(n - 1, c, -1):
+        tensors[i], r_right = _right_step(psi.tensors[i], w, r_right)
+    t = np.tensordot(r_left, psi.tensors[c], axes=(2, 0))  # (k, a, p, r)
+    t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
+    tensors[c] = np.tensordot(t, r_right, axes=([1, 2], [1, 0]))
+    for i in range(c, n - 1):
+        dl, d, dr = tensors[i].shape
+        q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
+        tensors[i] = q.reshape(dl, d, q.shape[1])
+        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
+    discarded = 0.0
+    for i in range(n - 1, 0, -1):
+        dl, d, dr = tensors[i].shape
+        u, s, v, disc = svd_truncate(tensors[i].reshape(dl, d * dr),
+                                     max_rank=d_max, tol=svd_tol)
+        discarded += disc
+        tensors[i] = v.reshape(-1, d, dr)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+    nrm = np.linalg.norm(tensors[0])
+    if nrm == 0:
+        raise ValueError("cannot normalize the zero state")
+    tensors[0] = tensors[0] / nrm
+    return FiniteMPS(tensors), discarded
 
 
 def trace_distance_error(psi_a, psi_b):

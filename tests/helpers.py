@@ -14,6 +14,8 @@ from dysonmpo.compression import CompressionReport
 from dysonmpo.extensive import (ExtensiveMPO, RewiredHamiltonian,
                                 reroute_finished_levels)
 from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, pad_with_ones
+from dysonmpo.linalg import svd_truncate
+from dysonmpo.mps import FiniteMPS
 from dysonmpo.quantics import cumulative_integral_mpo, pointwise_product
 from dysonmpo.spin import kron_chain
 
@@ -274,3 +276,41 @@ def column_compress(mpo):
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=0.0)
     return out, report
+
+
+def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
+    """MPO times MPS through the raw product, as an oracle for `apply_mpo`.
+
+    Forms every site tensor ``W * A`` at bond ``D_w * chi``, QR-sweeps them
+    left to right at that bond, truncates in a right-to-left SVD sweep and
+    normalizes through the overlap.  Returns ``(psi_out, discarded)``.
+    """
+    if psi.d != mpo.d:
+        raise ValueError("physical dimensions differ")
+    w = mpo.site_tensor()  # (left, right, out, in)
+    bidx = mpo.boundary_index()
+    n = psi.n_sites
+    tensors = []
+    for i, t in enumerate(psi.tensors):
+        wt = w
+        if i == 0:
+            wt = w[bidx:bidx + 1]
+        if i == n - 1:
+            wt = wt[:, bidx:bidx + 1]
+        new = np.einsum("absp,lpr->alsbr", wt, t, optimize=True)
+        al, ll, d, bl, rl = new.shape
+        tensors.append(new.reshape(al * ll, d, bl * rl))
+    for i in range(n - 1):
+        dl, d, dr = tensors[i].shape
+        q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
+        tensors[i] = q.reshape(dl, d, q.shape[1])
+        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
+    discarded = 0.0
+    for i in range(n - 1, 0, -1):
+        dl, d, dr = tensors[i].shape
+        u, s, v, disc = svd_truncate(tensors[i].reshape(dl, d * dr),
+                                     max_rank=d_max, tol=svd_tol)
+        discarded += disc
+        tensors[i] = v.reshape(-1, d, dr)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+    return FiniteMPS(tensors).normalized(), discarded

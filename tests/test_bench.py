@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
-                            fit_loglog_slope, initial_state, order_slopes,
-                            prune_plateau, records_to_csv, run_benchmark,
-                            runtime_at_accuracy)
+                            evolve_state, fit_loglog_slope, initial_state,
+                            order_slopes, prune_plateau, records_to_csv,
+                            run_benchmark, runtime_at_accuracy)
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising
+from dysonmpo.mps import apply_mpo
 from dysonmpo.spin import SX
 
 
@@ -167,3 +168,29 @@ def test_order_slopes_and_runtime_estimate():
     runtimes = runtime_at_accuracy(records, 1e-6)
     # high order needs drastically fewer steps at equal accuracy
     assert runtimes[4] < runtimes[1]
+
+
+def test_discarded_weight_is_summed_over_steps():
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=6, t_final=0.5, orders=(2,),
+                             dts=(0.25, 0.125), oracle_substeps=300,
+                             qtt_bits=16, d_max=2, seed=3)
+    records = run_benchmark(ham, config)
+    for r in records:
+        assert math.isfinite(r.discarded_weight) and r.discarded_weight >= 0
+    cache = BracketCache(ham, bits=config.qtt_bits)
+    for r in records:
+        psi, manual = initial_state(config), 0.0
+        for i in range(round(config.t_final / r.dt)):
+            s0, s1 = i * r.dt, (i + 1) * r.dt
+            mpo, _ = build_step_mpo(ham, s0, s1, r.order, config.method,
+                                    cache.table(s0, s1, r.order),
+                                    qr_tol=config.qr_tol)
+            psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
+                                  svd_tol=config.svd_tol)
+            manual += disc
+        assert manual > 0
+        assert r.discarded_weight == pytest.approx(manual, rel=1e-12)
+    _, stats = evolve_state(ham, initial_state(config), config, order=2,
+                            dt=0.25)
+    assert stats["discarded_weight"] == records[0].discarded_weight

@@ -5,14 +5,14 @@ import pytest
 
 from helpers import column_compress, flat_dyson_mpo, flat_taylor_mpo
 
-from dysonmpo import fdmpo
+from dysonmpo import compression, fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo
 from dysonmpo.levels import ONE, LevelLabel, three, two
-from dysonmpo.models import modulated_ising, static_tfi
+from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.spin import SX, SZ
 from dysonmpo.taylor import taylor_mpo
 
@@ -265,3 +265,22 @@ def test_report_serialization():
     text = report.to_text()
     assert "bond dimension" in text and "kept levels" in text
     assert str(report.bond_dimension_after) in text
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
+    ham = model()
+    tab = table_for(ham, 0.0, 0.0625, 4)
+    mpo = dyson_mpo(ham, 0.0, 0.0625, 4, tab)
+    seen = []
+    entry = compression.gamma_entry
+
+    def counting_entry(level, row, brackets, order):
+        seen.append((level, row))
+        return entry(level, row, brackets, order)
+
+    monkeypatch.setattr(compression, "gamma_entry", counting_entry)
+    out, report = row_compress(mpo, tol=1e-12)
+    assert report.bond_dimension_after < report.bond_dimension_before
+    assert seen
+    assert len(set(seen)) == len(seen)

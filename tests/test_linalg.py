@@ -1,52 +1,7 @@
 import numpy as np
 import pytest
 
-from dysonmpo.linalg import (contract, qr_column_pivoted, svd_truncate,
-                             truncation_rank)
-
-
-def test_contract_identity_passthrough():
-    v = np.array([1.5, -2.0j])
-    out = contract(np.eye(2), v, [(1, 0)])
-    np.testing.assert_allclose(out, v)
-
-
-def test_contract_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    out = contract(a, b, [(1, 0)])
-    ref = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                ref[i, j] += a[i, k] * b[k, j]
-    np.testing.assert_allclose(out, ref, atol=1e-14)
-
-
-def test_contract_full_pairing_is_norm():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))
-    out = contract(a, a.conj(), [(0, 0), (1, 1), (2, 2)])
-    assert out.shape == ()
-    assert abs(out.imag) < 1e-14
-    assert out.real >= 0
-    np.testing.assert_allclose(out.real, np.sum(np.abs(a) ** 2))
-
-
-def test_contract_dimension_mismatch():
-    with pytest.raises(ValueError):
-        contract(np.zeros((2, 3)), np.zeros((2, 2)), [(1, 0)])
-
-
-def test_contract_bilinear():
-    rng = np.random.default_rng(2)
-    a, b, c = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-               for _ in range(3))
-    alpha = 0.3 - 1.7j
-    lhs = contract(alpha * a + b, c, [(1, 0)])
-    rhs = alpha * contract(a, c, [(1, 0)]) + contract(b, c, [(1, 0)])
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+from dysonmpo.linalg import qr_column_pivoted, svd_truncate, truncation_rank
 
 
 def test_svd_identity():
@@ -123,3 +78,12 @@ def test_truncation_rank():
     np.testing.assert_allclose(w, 1e-24 + 1e-28)
     assert truncation_rank(np.zeros(2), tol=1e-13) == (2, 0.0)
     assert truncation_rank(np.zeros(0), tol=1e-13) == (0, 0.0)
+
+
+@pytest.mark.parametrize("max_rank", [0, -1])
+def test_truncation_rank_rejects_rank_below_one(max_rank):
+    # a negative cap used to drop the smallest value silently
+    with pytest.raises(ValueError, match="max_rank"):
+        truncation_rank(np.array([3.0, 2.0, 1.0]), max_rank=max_rank)
+    with pytest.raises(ValueError, match="max_rank"):
+        svd_truncate(np.diag([3.0, 2.0, 1.0]), max_rank=max_rank)

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import literal_apply_mpo
+
+from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_first_order, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator, exact_evolve
 from dysonmpo.fdmpo import from_terms
-from dysonmpo.models import modulated_ising, static_tfi
+from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
 from dysonmpo.spin import SZ, SX
 from dysonmpo.taylor import taylor_mpo
@@ -139,3 +142,87 @@ def test_exact_regime_commutes_with_dense_application():
     ref = w.to_dense(6, cap=256) @ psi.to_dense()
     ref /= np.linalg.norm(ref)
     assert 1.0 - abs(np.vdot(out.to_dense(), ref)) < 1e-10
+
+
+def _dyson_steps(ham, dt, n_steps=4, order=4):
+    steps = []
+    for i in range(n_steps):
+        t0, t1 = i * dt, (i + 1) * dt
+        tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
+                                   t0, t1, order)
+        steps.append(build_step_mpo(ham, t0, t1, order, "dyson", tab,
+                                    qr_tol=1e-12)[0])
+    return steps
+
+
+@pytest.fixture(scope="module")
+def tfi_steps():
+    return _dyson_steps(modulated_ising(), 0.125)
+
+
+@pytest.fixture(scope="module")
+def xxz_steps():
+    return _dyson_steps(modulated_xxz(), 0.0625)
+
+
+def _assert_matches_literal(steps, n_sites, d_max):
+    psi = ref = FiniteMPS.random_product(n_sites, rng=10 + n_sites)
+    for w in steps:
+        psi, disc = apply_mpo(w, psi, d_max=d_max)
+        ref, disc_ref = literal_apply_mpo(w, ref, d_max=d_max)
+        assert psi.bond_dimensions == ref.bond_dimensions
+        assert np.abs(psi.to_dense() - ref.to_dense()).max() <= 1e-12
+        assert abs(disc - disc_ref) <= 1e-9 * disc_ref + 1e-24
+        assert abs(psi.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites,d_max", [
+    (1, None), (2, None), (2, 1), (3, None), (8, None), (8, 4), (9, None),
+    (9, 3)])
+def test_apply_matches_literal_tfi(tfi_steps, n_sites, d_max):
+    assert tfi_steps[0].bond_dimension == 15
+    _assert_matches_literal(tfi_steps, n_sites, d_max)
+
+
+def test_apply_matches_literal_xxz(xxz_steps):
+    assert max(w.bond_dimension for w in xxz_steps) == 187
+    _assert_matches_literal(xxz_steps, 8, 16)
+
+
+def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
+                                                         monkeypatch):
+    # the raw product of an order-4 TFI step (bond 15) and a bond-32 MPS
+    # has bond 480; no factorised matrix may have both sides above the
+    # Hilbert space dimension of half the chain
+    n, chi, d = 16, 32, 2
+    rng = np.random.default_rng(11)
+    bonds = [min(d ** i, chi, d ** (n - i)) for i in range(n + 1)]
+    psi = FiniteMPS([rng.normal(size=(bonds[i], d, bonds[i + 1]))
+                     + 1j * rng.normal(size=(bonds[i], d, bonds[i + 1]))
+                     for i in range(n)])
+    assert psi.max_bond == chi
+    shapes = []
+    qr = np.linalg.qr
+
+    def recording_qr(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    out, _ = apply_mpo(tfi_steps[0], psi, d_max=chi)
+    assert shapes
+    assert max(min(shape) for shape in shapes) <= d ** (n // 2)
+    assert out.max_bond == chi
+
+
+@pytest.mark.parametrize("d_max", [0, -1])
+def test_apply_rejects_d_max_below_one(d_max):
+    psi = FiniteMPS.random_product(4, rng=12)
+    w = taylor_mpo(static_tfi(), -0.01j, 2)
+    with pytest.raises(ValueError, match="max_rank"):
+        apply_mpo(w, psi, d_max=d_max)
+
+
+def test_empty_mps_raises():
+    with pytest.raises(ValueError, match="at least one site"):
+        FiniteMPS([])
