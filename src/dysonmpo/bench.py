@@ -2,10 +2,11 @@
 
 Splits an interval into uniform steps; per step computes the bracket table,
 builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
-row-compresses it and applies it to the state.  The evolved state is
-compared against a dense Runge-Kutta reference (or against the most
-accurate Dyson state when self-referencing) through the trace-distance
-error ``sqrt(1 - |<a|b>|^2)``.
+row-compresses it and applies it to the state.  Steps congruent modulo the
+driving period reuse the MPO built at the first of them.  The evolved
+state is compared against a dense Runge-Kutta reference (or against the
+most accurate Dyson state when self-referencing) through the
+trace-distance error ``sqrt(1 - |<a|b>|^2)``.
 """
 
 import csv
@@ -72,7 +73,8 @@ class BracketCache:
     """Bracket tables keyed on the step's congruence class.
 
     For periodic driving and uniform steps, intervals whose start times
-    agree modulo the common period share their tables.
+    agree modulo the common period share their tables.  `key` names the
+    class; `evolve_state` keys its compressed step MPOs on it as well.
     """
 
     def __init__(self, hamiltonian, bits=24):
@@ -81,12 +83,15 @@ class BracketCache:
         self.period = hamiltonian.common_period()
         self._store = {}
 
-    def table(self, t0, t1, order):
-        if self.period and self.period is not math.inf:
+    def key(self, t0, t1, order):
+        """``(phase, step length, order, bits)`` of the step ``[t0, t1]``."""
+        phase = t0
+        if self.period and math.isfinite(self.period):
             phase = t0 - math.floor((t0 + 1e-12) / self.period) * self.period
-        else:
-            phase = t0
-        key = (round(phase, 12), round(t1 - t0, 12), order, self.bits)
+        return (round(phase, 12), round(t1 - t0, 12), order, self.bits)
+
+    def table(self, t0, t1, order):
+        key = self.key(t0, t1, order)
         hit = self._store.get(key)
         if hit is not None:
             stored_t0, table = hit
@@ -130,9 +135,12 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform steps.
 
+    Steps in the same congruence class of `cache` share one compressed
+    MPO, built at the first of them; the store lives for this call only.
     Returns ``(psi_out, stats)`` where stats carries per-step wall time,
-    the largest MPO/MPS bond dimensions encountered and the weight the MPS
-    truncations discarded, summed over the steps.
+    the largest MPO/MPS bond dimensions encountered, the number of steps
+    and of step MPOs built, and the weight the MPS truncations discarded,
+    summed over the steps.
     """
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
@@ -141,6 +149,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     if abs(n_steps * dt - span) > 1e-12:
         raise ValueError("dt must divide t_final - t0")
     cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits)
+    step_mpos = {}
     mpo_bond = 0
     mps_bond = psi.max_bond
     discarded = 0.0
@@ -148,9 +157,13 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     for i in range(n_steps):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
-        table = cache.table(s0, s1, order)
-        mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
-                                table, qr_tol=config.qr_tol)
+        key = cache.key(s0, s1, order)
+        mpo = step_mpos.get(key)
+        if mpo is None:
+            table = cache.table(s0, s1, order)
+            mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
+                                    table, qr_tol=config.qr_tol)
+            step_mpos[key] = mpo
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
                               svd_tol=config.svd_tol)
         discarded += disc
@@ -159,6 +172,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     wall = (time.perf_counter() - t_start) / max(n_steps, 1)
     return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
                  "mps_bond_dim": mps_bond, "n_steps": n_steps,
+                 "mpo_builds": len(step_mpos),
                  "discarded_weight": discarded}
 
 

@@ -5,6 +5,9 @@
 chain ends towards the centre, factorising as it goes, so that the exact
 product arrives in mixed-canonical form with bonds bounded by the Hilbert
 space dimension of the shorter side; one truncating SVD sweep follows.
+A site matrix no taller than it is wide is not factorised: its Q would be
+a square unitary that shrinks no bond, so the site keeps the identity
+isometry and the whole matrix moves on, which is exact.
 """
 
 import numpy as np
@@ -111,13 +114,17 @@ def _left_step(r_left, a, w):
 
     `r_left` has shape ``(k, D_w, chi_l)``; the contracted site is reshaped
     to ``(k*d, D_w*chi_r)`` and QR-factorised into a left-orthonormal
-    ``(k, d, m)`` tensor and the new remainder ``(m, D_w, chi_r)``.
+    ``(k, d, m)`` tensor and the new remainder ``(m, D_w, chi_r)``.  When
+    ``k*d <= D_w*chi_r`` the site is the identity isometry ``(k, d, k*d)``,
+    returned as None, and the whole matrix is the remainder.
     """
     k, dw, _ = r_left.shape
     d, chi_r = a.shape[1], a.shape[2]
     t = np.tensordot(r_left, a, axes=(2, 0))                # (k, a, p, r)
     t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
     mat = t.transpose(0, 3, 2, 1).reshape(k * d, dw * chi_r)
+    if k * d <= dw * chi_r:
+        return None, mat.reshape(k * d, dw, chi_r)
     q, r = np.linalg.qr(mat)
     return q.reshape(k, d, -1), r.reshape(-1, dw, chi_r)
 
@@ -127,12 +134,16 @@ def _right_step(a, w, r_right):
 
     `r_right` has shape ``(D_w, chi_r, k)``; the LQ factorisation of the
     ``(D_w*chi_l, d*k)`` site matrix is the QR of its conjugate transpose.
+    When ``d*k <= D_w*chi_l`` the site is the identity isometry
+    ``(d*k, d, k)``, returned as None, and the whole matrix is the remainder.
     """
     dw, _, k = r_right.shape
     chi_l, d = a.shape[0], a.shape[1]
     t = np.tensordot(a, r_right, axes=(2, 1))               # (l, p, b, k)
     t = np.tensordot(w, t, axes=([1, 3], [2, 1]))           # (a, s, l, k)
     mat = t.transpose(0, 2, 1, 3).reshape(dw * chi_l, d * k)
+    if d * k <= dw * chi_l:
+        return None, mat.reshape(dw, chi_l, d * k)
     q, r = np.linalg.qr(mat.conj().T)
     return q.conj().T.reshape(-1, d, k), r.conj().T.reshape(dw, chi_l, -1)
 
@@ -150,6 +161,12 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     `d_max` / `svd_tol`.  No tensor of the raw bond ``D_w * chi`` is formed,
     and every factorised matrix has a side no longer than ``d`` to the
     power of its distance to the nearer chain end.
+
+    A left-step matrix ``(k*d, D_w*chi)`` with ``k*d <= D_w*chi`` (and the
+    mirror LQ case on the right) is not factorised: its Q would be a square
+    unitary, so the bond it leaves is ``k*d`` either way.  The site keeps
+    the identity isometry, which is orthonormal like Q, and the sweeps that
+    would multiply into it reshape instead; the product is the same state.
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
     with the norm on site 0, and the total discarded weight.
@@ -172,11 +189,15 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     t = np.tensordot(r_left, psi.tensors[c], axes=(2, 0))  # (k, a, p, r)
     t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
     tensors[c] = np.tensordot(t, r_right, axes=([1, 2], [1, 0]))
+    # a None site is an identity isometry: multiplying into it is a reshape
     for i in range(c, n - 1):
         dl, d, dr = tensors[i].shape
         q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
         tensors[i] = q.reshape(dl, d, q.shape[1])
-        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
+        if tensors[i + 1] is None:
+            tensors[i + 1] = r.reshape(r.shape[0], d, -1)
+        else:
+            tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
     discarded = 0.0
     for i in range(n - 1, 0, -1):
         dl, d, dr = tensors[i].shape
@@ -184,7 +205,11 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
                                      max_rank=d_max, tol=svd_tol)
         discarded += disc
         tensors[i] = v.reshape(-1, d, dr)
-        tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
+        us = u * s
+        if tensors[i - 1] is None:
+            tensors[i - 1] = us.reshape(-1, d, us.shape[1])
+        else:
+            tensors[i - 1] = np.tensordot(tensors[i - 1], us, axes=(2, 0))
     nrm = np.linalg.norm(tensors[0])
     if nrm == 0:
         raise ValueError("cannot normalize the zero state")

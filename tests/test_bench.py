@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dysonmpo import bench
 from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
                             evolve_state, fit_loglog_slope, initial_state,
                             order_slopes, prune_plateau, records_to_csv,
                             run_benchmark, runtime_at_accuracy)
 from dysonmpo.brackets import BracketTable
-from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
-    TrigDriving
+from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
+    TimeDependentHamiltonian, TrigDriving
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising
 from dysonmpo.mps import apply_mpo
@@ -194,3 +195,66 @@ def test_discarded_weight_is_summed_over_steps():
     _, stats = evolve_state(ham, initial_state(config), config, order=2,
                             dt=0.25)
     assert stats["discarded_weight"] == records[0].discarded_weight
+
+
+def _count_compressions(monkeypatch):
+    calls = []
+    original = bench.row_compress
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "row_compress", counting)
+    return calls
+
+
+def _build_and_apply_every_step(ham, config):
+    cache = BracketCache(ham, bits=config.qtt_bits)
+    psi = initial_state(config)
+    for i in range(round((config.t_final - config.t0) / config.dt)):
+        s0 = config.t0 + i * config.dt
+        s1 = config.t0 + (i + 1) * config.dt
+        mpo, _ = build_step_mpo(ham, s0, s1, config.order, config.method,
+                                cache.table(s0, s1, config.order),
+                                qr_tol=config.qr_tol)
+        psi, _ = apply_mpo(mpo, psi, d_max=config.d_max,
+                           svd_tol=config.svd_tol)
+    return psi
+
+
+def _reuse_config(method):
+    # period 1, dt 0.25: twelve steps in four congruence classes
+    return EvolutionConfig(n_sites=6, t_final=3.0, dt=0.25, order=3,
+                           method=method, d_max=8, qtt_bits=16, seed=5)
+
+
+@pytest.mark.parametrize("method", ["dyson", "magnus", "taylor"])
+def test_congruent_steps_reuse_one_compressed_mpo(method, monkeypatch):
+    ham = modulated_ising()
+    config = _reuse_config(method)
+    calls = _count_compressions(monkeypatch)
+    psi, stats = evolve_state(ham, initial_state(config), config)
+    assert stats["n_steps"] == 12
+    assert stats["mpo_builds"] == len(calls) == 4
+    ref = _build_and_apply_every_step(ham, config)
+    assert len(calls) == 4 + 12
+    if method == "taylor":
+        # the frozen midpoint driving of congruent steps agrees to rounding
+        assert np.abs(psi.to_dense() - ref.to_dense()).max() <= 1e-14
+    else:
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(psi.tensors, ref.tensors))
+
+
+def test_aperiodic_steps_are_all_built(monkeypatch):
+    ham = modulated_ising()
+    ham = TimeDependentHamiltonian([
+        ham.channels[0],
+        Channel("x", ham.channels[1].operator,
+                ExpDriving(rate=-0.5, amplitude=1.0))])
+    assert ham.common_period() is None
+    config = _reuse_config("dyson")
+    calls = _count_compressions(monkeypatch)
+    _, stats = evolve_state(ham, initial_state(config), config)
+    assert stats["mpo_builds"] == stats["n_steps"] == len(calls) == 12

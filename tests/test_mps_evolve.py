@@ -189,18 +189,17 @@ def test_apply_matches_literal_xxz(xxz_steps):
     _assert_matches_literal(xxz_steps, 8, 16)
 
 
-def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
-                                                         monkeypatch):
-    # the raw product of an order-4 TFI step (bond 15) and a bond-32 MPS
-    # has bond 480; no factorised matrix may have both sides above the
-    # Hilbert space dimension of half the chain
-    n, chi, d = 16, 32, 2
-    rng = np.random.default_rng(11)
+def _random_mps(n, chi, rng, d=2):
+    """Random MPS with bonds ``min(d^i, chi, d^(n-i))``."""
     bonds = [min(d ** i, chi, d ** (n - i)) for i in range(n + 1)]
-    psi = FiniteMPS([rng.normal(size=(bonds[i], d, bonds[i + 1]))
-                     + 1j * rng.normal(size=(bonds[i], d, bonds[i + 1]))
-                     for i in range(n)])
-    assert psi.max_bond == chi
+    return FiniteMPS([rng.normal(size=(bonds[i], d, bonds[i + 1]))
+                      + 1j * rng.normal(size=(bonds[i], d, bonds[i + 1]))
+                      for i in range(n)])
+
+
+@pytest.fixture
+def qr_shapes(monkeypatch):
+    """Shapes of the matrices passed to `np.linalg.qr` during the test."""
     shapes = []
     qr = np.linalg.qr
 
@@ -209,10 +208,56 @@ def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    return shapes
+
+
+def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
+                                                         qr_shapes):
+    # the raw product of an order-4 TFI step (bond 15) and a bond-32 MPS
+    # has bond 480; no factorised matrix may have both sides above the
+    # Hilbert space dimension of half the chain
+    n, chi, d = 16, 32, 2
+    psi = _random_mps(n, chi, np.random.default_rng(11))
+    assert psi.max_bond == chi
     out, _ = apply_mpo(tfi_steps[0], psi, d_max=chi)
-    assert shapes
-    assert max(min(shape) for shape in shapes) <= d ** (n // 2)
+    assert qr_shapes
+    assert max(min(shape) for shape in qr_shapes) <= d ** (n // 2)
     assert out.max_bond == chi
+
+
+def test_apply_factorises_only_tall_matrices(tfi_steps, qr_shapes):
+    # a QR of a matrix no taller than it is wide yields a square unitary
+    # that shrinks no bond; the left and right steps skip it (the 256x480
+    # matrix at site 7 of this chain was one)
+    n, chi = 16, 32
+    psi = _random_mps(n, chi, np.random.default_rng(11))
+    out, _ = apply_mpo(tfi_steps[0], psi, d_max=chi)
+    assert qr_shapes
+    assert all(rows > cols for rows, cols in qr_shapes), qr_shapes
+    assert out.max_bond == chi
+
+
+@pytest.mark.parametrize("d_max", [None, 3])
+def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
+    # MPO bond 2 on MPS bond 4: the steps nearest the chain ends have
+    # k*d <= D_w*chi and skip their factorisation, the inner ones do not
+    ham = modulated_ising()
+    tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
+                               0.0, 0.125, 1, bits=20)
+    w = dyson_first_order(ham, tab)
+    assert w.bond_dimension == 2
+    n = 12
+    psi = _random_mps(n, 4, np.random.default_rng(13))
+    out, disc = apply_mpo(w, psi, d_max=d_max)
+    # every site but the centre n // 2 takes one left or right step; the
+    # QR sweep right of the centre makes n - 1 - n // 2 more calls
+    step_qrs = len(qr_shapes) - (n - 1 - n // 2)
+    assert 0 < step_qrs < n - 1
+    ref, disc_ref = literal_apply_mpo(w, psi, d_max=d_max)
+    assert out.bond_dimensions == ref.bond_dimensions
+    assert np.abs(out.to_dense() - ref.to_dense()).max() <= 1e-12
+    assert abs(disc - disc_ref) <= 1e-9 * disc_ref + 1e-24
+    assert abs(out.norm() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("d_max", [0, -1])
