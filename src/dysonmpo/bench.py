@@ -1,11 +1,13 @@
 """Finite-chain error-scaling benchmark for the evolution-operator MPOs.
 
-Splits an interval into uniform steps; per step computes the bracket table,
+Splits an interval into uniform steps; per step obtains the bracket table,
 builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
 row-compresses it and applies it to the state.  Steps congruent modulo the
-driving period reuse the MPO built at the first of them.  The evolved
-state is compared against a dense Runge-Kutta reference (or against the
-most accurate Dyson state when self-referencing) through the
+driving period reuse the MPO built at the first of them.  One bracket table
+is computed per congruence class of step interval, at the highest order
+the sweep reads, and serves every lower order and every method.  The
+evolved state is compared against a dense Runge-Kutta reference (or
+against the most accurate Dyson state when self-referencing) through the
 trace-distance error ``sqrt(1 - |<a|b>|^2)``.
 """
 
@@ -67,40 +69,72 @@ class ErrorRecord:
     mps_bond_dim: int
     seed: int
     discarded_weight: float = 0.0    # summed over the steps' MPS truncations
+    bracket_s: float = 0.0           # spent obtaining bracket tables
+
+
+def bracket_order(method, order):
+    """Highest bracket order an order-`order` step of `method` reads.
+
+    Dyson reads every bracket up to `order`; Magnus only ``[f_a]`` and
+    ``[f_a f_b]`` (its operator stops at Omega_2); the frozen-Hamiltonian
+    Taylor step reads none.
+    """
+    if method == "taylor":
+        return 0
+    if method == "magnus":
+        return min(order, 2)
+    return order
 
 
 class BracketCache:
-    """Bracket tables keyed on the step's congruence class.
+    """One bracket table per congruence class of step interval.
 
-    For periodic driving and uniform steps, intervals whose start times
-    agree modulo the common period share their tables.  `key` names the
-    class; `evolve_state` keys its compressed step MPOs on it as well.
+    Intervals of equal length whose start times agree modulo the common
+    driving period share their table; with every channel constant (period
+    ``math.inf``) all intervals of equal length do, and with an aperiodic
+    drive none do.  `key` names the class; `evolve_state` keys its
+    compressed step MPOs on it as well.
+
+    A table is computed at ``max(order, self.order)``, so a cache made with
+    the highest order a sweep reads computes each interval's table once.
+    An order-`k` request is served by the stored table whenever ``k`` does
+    not exceed its `max_order`: each entry's value does not depend on
+    which other entries its table holds, so the lower orders are
+    bitwise what a table of order ``k`` would hold.  A request above the
+    stored order recomputes the table at that order and replaces it.
+    `computed` counts the tables computed.
     """
 
-    def __init__(self, hamiltonian, bits=24):
+    def __init__(self, hamiltonian, bits=24, order=1):
         self.hamiltonian = hamiltonian
         self.bits = bits
+        self.order = order
         self.period = hamiltonian.common_period()
+        self.computed = 0
         self._store = {}
 
-    def key(self, t0, t1, order):
-        """``(phase, step length, order, bits)`` of the step ``[t0, t1]``."""
+    def key(self, t0, t1):
+        """``(phase, step length, bits)`` of the step ``[t0, t1]``."""
         phase = t0
-        if self.period and math.isfinite(self.period):
+        if self.period == math.inf:
+            phase = 0.0
+        elif self.period:
             phase = t0 - math.floor((t0 + 1e-12) / self.period) * self.period
-        return (round(phase, 12), round(t1 - t0, 12), order, self.bits)
+        return (round(phase, 12), round(t1 - t0, 12), self.bits)
 
     def table(self, t0, t1, order):
-        key = self.key(t0, t1, order)
+        key = self.key(t0, t1)
         hit = self._store.get(key)
-        if hit is not None:
+        if hit is not None and hit[1].max_order >= order:
             stored_t0, table = hit
             if abs(stored_t0 - t0) < 1e-12:
                 return table
             # congruent interval: same table, shifted start
             return BracketTable((t0, t1), table.values, table.max_order)
         channels = [(c.name, c.driving) for c in self.hamiltonian.channels]
-        table = BracketTable.compute(channels, t0, t1, order, bits=self.bits)
+        table = BracketTable.compute(channels, t0, t1, max(order, self.order),
+                                     bits=self.bits)
+        self.computed += 1
         self._store[key] = (t0, table)
         return table
 
@@ -109,13 +143,16 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
                    compress=True):
     """Evolution MPO for one step, optionally row-compressed.
 
+    `table` holds the brackets of ``[t0, t1]`` up to at least
+    ``bracket_order(method, order)``; the Taylor step takes None.
     Returns ``(mpo, report)``; `report` is the `CompressionReport`, or
     None when the MPO was not compressed.
     """
     if method == "dyson":
         mpo = dyson_mpo(hamiltonian, t0, t1, order, table)
     elif method == "magnus":
-        mpo = magnus_evolution(hamiltonian, t0, t1, min(order, 2), order, table)
+        mpo = magnus_evolution(hamiltonian, t0, t1,
+                               bracket_order(method, order), order, table)
     elif method == "taylor":
         # constant-Hamiltonian baseline: freeze the driving at the midpoint
         tm = 0.5 * (t0 + t1)
@@ -137,10 +174,14 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
 
     Steps in the same congruence class of `cache` share one compressed
     MPO, built at the first of them; the store lives for this call only.
-    Returns ``(psi_out, stats)`` where stats carries per-step wall time,
-    the largest MPO/MPS bond dimensions encountered, the number of steps
-    and of step MPOs built, and the weight the MPS truncations discarded,
-    summed over the steps.
+    Tables are requested at ``bracket_order(config.method, order)``, and
+    not at all for Taylor steps.  Returns ``(psi_out, stats)`` where stats
+    carries per-step wall time, the largest MPO/MPS bond dimensions
+    encountered, the number of steps and of step MPOs built, the weight the
+    MPS truncations discarded, summed over the steps, the seconds spent
+    obtaining bracket tables (`bracket_s`) and the number of tables
+    computed for this call (`tables_computed`; a shared `cache` may serve
+    tables an earlier call computed).
     """
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
@@ -148,19 +189,27 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     n_steps = round(span / dt)
     if abs(n_steps * dt - span) > 1e-12:
         raise ValueError("dt must divide t_final - t0")
-    cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits)
+    need = bracket_order(config.method, order)
+    cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits,
+                                  order=need)
+    computed_before = cache.computed
     step_mpos = {}
     mpo_bond = 0
     mps_bond = psi.max_bond
     discarded = 0.0
+    bracket_s = 0.0
     t_start = time.perf_counter()
     for i in range(n_steps):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
-        key = cache.key(s0, s1, order)
+        key = cache.key(s0, s1)
         mpo = step_mpos.get(key)
         if mpo is None:
-            table = cache.table(s0, s1, order)
+            table = None
+            if need:
+                start = time.perf_counter()
+                table = cache.table(s0, s1, need)
+                bracket_s += time.perf_counter() - start
             mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
                                     table, qr_tol=config.qr_tol)
             step_mpos[key] = mpo
@@ -173,7 +222,8 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
                  "mps_bond_dim": mps_bond, "n_steps": n_steps,
                  "mpo_builds": len(step_mpos),
-                 "discarded_weight": discarded}
+                 "discarded_weight": discarded, "bracket_s": bracket_s,
+                 "tables_computed": cache.computed - computed_before}
 
 
 def initial_state(config):
@@ -204,10 +254,17 @@ def _epsilon_stable(psi, reference, dense_cap=4096):
 
 
 def run_benchmark(hamiltonian, config):
-    """Error records for every (order, dt) pair of the config's sweep."""
+    """Error records for every (order, dt) pair of the config's sweep.
+
+    One evolution per (order, dt), orders ascending, in record order.  The
+    sweep shares one `BracketCache` at the top order it reads, so the first
+    evolution that touches an interval (the lowest order) computes its
+    table, and its `bracket_s` carries that time.
+    """
     orders, dts = config.sweep()
     psi0 = initial_state(config)
-    cache = BracketCache(hamiltonian, bits=config.qtt_bits)
+    top = max(bracket_order(config.method, order) for order in orders)
+    cache = BracketCache(hamiltonian, bits=config.qtt_bits, order=top)
     evolved = {}
     for order in orders:
         for dt in dts:
@@ -230,7 +287,8 @@ def run_benchmark(hamiltonian, config):
                                        stats["wall_time_per_step"],
                                        stats["mpo_bond_dim"],
                                        stats["mps_bond_dim"], config.seed,
-                                       stats["discarded_weight"]))
+                                       stats["discarded_weight"],
+                                       stats["bracket_s"]))
     return records
 
 

@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from . import modelfile
-from .bench import (EvolutionConfig, build_step_mpo, records_to_csv,
-                    run_benchmark)
+from .bench import (EvolutionConfig, bracket_order, build_step_mpo,
+                    records_to_csv, run_benchmark)
 from .brackets import BracketTable
 
 
@@ -19,9 +19,12 @@ def _add_common(p):
 
 def cmd_build_mpo(args):
     ham = modelfile.load(args.model)
-    channels = [(c.name, c.driving) for c in ham.channels]
-    table = BracketTable.compute(channels, args.t0, args.t, args.order,
-                                 bits=args.bits)
+    need = bracket_order(args.method, args.order)
+    table = None
+    if need:
+        channels = [(c.name, c.driving) for c in ham.channels]
+        table = BracketTable.compute(channels, args.t0, args.t, need,
+                                     bits=args.bits)
     mpo, report = build_step_mpo(ham, args.t0, args.t, args.order,
                                  args.method, table, args.qr_tol,
                                  compress=not args.no_compress)

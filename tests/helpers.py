@@ -1,6 +1,6 @@
-"""Brute-force oracles shared by the test modules.
+"""Brute-force oracles and a call counter shared by the test modules.
 
-Everything here works with explicit operator strings (start site, dense
+The oracles work with explicit operator strings (start site, dense
 operator on a contiguous support) so the MPO code under test never enters
 the expected-value computation.
 """
@@ -10,6 +10,7 @@ from itertools import product
 
 import numpy as np
 
+from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import CompressionReport
 from dysonmpo.extensive import (ExtensiveMPO, RewiredHamiltonian,
                                 reroute_finished_levels)
@@ -314,3 +315,16 @@ def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
         tensors[i] = v.reshape(-1, d, dr)
         tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))
     return FiniteMPS(tensors).normalized(), discarded
+
+
+def count_tables(monkeypatch):
+    """Record the `max_order` of every `BracketTable.compute` call."""
+    orders = []
+    original = BracketTable.__dict__["compute"].__func__
+
+    def counting(cls, channels, t0, t, max_order, *args, **kwargs):
+        orders.append(max_order)
+        return original(cls, channels, t0, t, max_order, *args, **kwargs)
+
+    monkeypatch.setattr(BracketTable, "compute", classmethod(counting))
+    return orders

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import count_tables
 
 from dysonmpo import bench
 from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
@@ -12,7 +13,7 @@ from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
     TimeDependentHamiltonian, TrigDriving
 from dysonmpo.fdmpo import from_terms
-from dysonmpo.models import modulated_ising
+from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.mps import apply_mpo
 from dysonmpo.spin import SX
 
@@ -258,3 +259,120 @@ def test_aperiodic_steps_are_all_built(monkeypatch):
     calls = _count_compressions(monkeypatch)
     _, stats = evolve_state(ham, initial_state(config), config)
     assert stats["mpo_builds"] == stats["n_steps"] == len(calls) == 12
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_bracket_cache_serves_lower_orders_from_top_table(model):
+    # xxz: its constant channel takes the closed form
+    ham = model()
+    channels = [(c.name, c.driving) for c in ham.channels]
+    cache = BracketCache(ham, bits=16, order=4)
+    for order in (1, 2, 3):
+        direct = BracketTable.compute(channels, 0.25, 0.375, order, bits=16)
+        # the congruent interval gets the stored values, shifted
+        for t0 in (0.25, 1.25):
+            served = cache.table(t0, t0 + 0.125, order)
+            assert served.max_order == 4
+            assert served.interval == (t0, t0 + 0.125)
+            assert all(served.value(key) == value
+                       for key, value in direct.values.items())
+    assert cache.computed == len(cache._store) == 1
+
+
+def test_bracket_cache_recomputes_above_stored_order():
+    ham = modulated_ising()
+    channels = [(c.name, c.driving) for c in ham.channels]
+    cache = BracketCache(ham, bits=16, order=2)
+    assert cache.table(0.25, 0.375, 1).max_order == 2
+    high = cache.table(0.25, 0.375, 3)
+    assert high.max_order == 3 and cache.computed == 2
+    assert len(cache._store) == 1
+    direct = BracketTable.compute(channels, 0.25, 0.375, 3, bits=16)
+    assert high.values == direct.values
+    # the replacement serves every order up to its own
+    assert cache.table(1.25, 1.375, 2).values == direct.values
+    assert cache.computed == 2
+
+
+def test_static_drive_keys_on_step_length(monkeypatch):
+    ising = modulated_ising()
+    ham = TimeDependentHamiltonian([
+        Channel(c.name, c.operator, ConstDriving(1.0)) for c in ising.channels])
+    assert ham.common_period() == math.inf
+    config = EvolutionConfig(n_sites=6, t_final=1.0, dt=0.125, order=3,
+                             d_max=8, qtt_bits=16, seed=5)
+    tables = count_tables(monkeypatch)
+    psi, stats = evolve_state(ham, initial_state(config), config)
+    assert stats["n_steps"] == 8
+    assert stats["mpo_builds"] == stats["tables_computed"] == len(tables) == 1
+    # every step built from its own table: dyadic steps make the
+    # closed-form brackets, hence the MPOs, identical
+    channels = [(c.name, c.driving) for c in ham.channels]
+    ref = initial_state(config)
+    for i in range(8):
+        s0, s1 = i * 0.125, (i + 1) * 0.125
+        table = BracketTable.compute(channels, s0, s1, 3, bits=16)
+        mpo, _ = build_step_mpo(ham, s0, s1, 3, "dyson", table,
+                                qr_tol=config.qr_tol)
+        ref, _ = apply_mpo(mpo, ref, d_max=config.d_max,
+                           svd_tol=config.svd_tol)
+    assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
+
+
+@pytest.mark.parametrize("method,orders", [("dyson", [3] * 4),
+                                           ("magnus", [2] * 4),
+                                           ("taylor", [])])
+def test_tables_computed_at_the_order_the_method_reads(method, orders,
+                                                       monkeypatch):
+    ham = modulated_ising()
+    config = _reuse_config(method)
+    tables = count_tables(monkeypatch)
+    _, stats = evolve_state(ham, initial_state(config), config)
+    assert tables == orders
+    assert stats["tables_computed"] == len(orders)
+    assert bench.bracket_order(method, config.order) == max(orders, default=0)
+
+
+def _record_evolutions(monkeypatch):
+    """``(order, dt, stats)`` of every `evolve_state` call, in call order."""
+    calls = []
+    original = bench.evolve_state
+
+    def recording(hamiltonian, psi, config, order=None, dt=None, cache=None):
+        psi, stats = original(hamiltonian, psi, config, order=order, dt=dt,
+                              cache=cache)
+        calls.append((order, dt, stats))
+        return psi, stats
+
+    monkeypatch.setattr(bench, "evolve_state", recording)
+    return calls
+
+
+def test_run_benchmark_evolves_in_record_order(monkeypatch):
+    # perfbench pairs the speed probe taken before each evolve_state call
+    # with the record at the same position
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, orders=(1, 3, 2), dts=(0.25, 0.125),
+                             t_final=0.5, oracle_substeps=300, qtt_bits=16,
+                             d_max=8)
+    calls = _record_evolutions(monkeypatch)
+    records = run_benchmark(ham, config)
+    assert [(order, dt) for order, dt, _ in calls] == \
+        [(r.order, r.dt) for r in records]
+
+
+def test_sweep_computes_one_table_per_interval(monkeypatch):
+    ham = modulated_ising()  # period 1: [0, 0.5] holds 2 + 4 intervals
+    config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
+                             dts=(0.25, 0.125), t_final=0.5,
+                             oracle_substeps=300, qtt_bits=16, d_max=8)
+    tables = count_tables(monkeypatch)
+    calls = _record_evolutions(monkeypatch)
+    records = run_benchmark(ham, config)
+    assert tables == [4] * 6
+    assert sum(stats["tables_computed"] for _, _, stats in calls) == 6
+    for r, (_, _, stats) in zip(records, calls):
+        # the lowest order meets each interval first
+        first = round(config.t_final / r.dt) if r.order == 1 else 0
+        assert stats["tables_computed"] == first
+        assert r.bracket_s == stats["bracket_s"] >= 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import count_tables
 
 from dysonmpo import modelfile
 from dysonmpo.cli import main
@@ -116,6 +117,17 @@ def test_cli_build_mpo_magnus(model_path, capsys):
     out = capsys.readouterr().out
     assert "kept levels" in out
     assert 1 < bond(out) < full
+
+
+@pytest.mark.parametrize("method,orders", [("dyson", [3]), ("magnus", [2]),
+                                           ("taylor", [])])
+def test_cli_build_mpo_table_order(model_path, method, orders, monkeypatch,
+                                   capsys):
+    computed = count_tables(monkeypatch)
+    assert main(["build-mpo", "--model", model_path, "--method", method,
+                 "--order", "3", "--t", "0.125", "--bits", "16"]) == 0
+    assert "bond dimension" in capsys.readouterr().out
+    assert computed == orders
 
 
 def test_cli_integrate(model_path, capsys):
