@@ -6,6 +6,9 @@ row-compresses it and applies it to the state.  Steps congruent modulo the
 driving period reuse the MPO built at the first of them.  One bracket table
 is computed per congruence class of step interval, at the highest order
 the sweep reads, and serves every lower order and every method.  The
+Dyson steps of one order share one step plan (`BracketCache.plan`): the
+power, its level structure and the compression's index sets are built
+once per order and sweep, and each step only supplies its brackets.  The
 evolved state is compared against a dense Runge-Kutta reference (or
 against the most accurate Dyson state when self-referencing) through the
 trace-distance error ``sqrt(1 - |<a|b>|^2)``.
@@ -24,6 +27,7 @@ from .brackets import BracketTable
 from .compression import row_compress
 from .dyson import dyson_mpo
 from .evolve import exact_evolve
+from .extensive import PowerPlan, RewiredHamiltonian
 from .magnus import magnus_evolution
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import taylor_mpo
@@ -70,6 +74,7 @@ class ErrorRecord:
     seed: int
     discarded_weight: float = 0.0    # summed over the steps' MPS truncations
     bracket_s: float = 0.0           # spent obtaining bracket tables
+    n_steps: int = 1                 # steps of the evolution
 
 
 def bracket_order(method, order):
@@ -87,10 +92,11 @@ def bracket_order(method, order):
 
 
 class BracketCache:
-    """One bracket table per congruence class of step interval.
+    """Bracket tables and Dyson step plans of one Hamiltonian over a sweep.
 
-    Intervals of equal length whose start times agree modulo the common
-    driving period share their table; with every channel constant (period
+    One table serves each congruence class of step interval.  Intervals
+    of equal length whose start times agree modulo the common driving
+    period share their table; with every channel constant (period
     ``math.inf``) all intervals of equal length do, and with an aperiodic
     drive none do.  `key` names the class; `evolve_state` keys its
     compressed step MPOs on it as well.
@@ -103,6 +109,10 @@ class BracketCache:
     bitwise what a table of order ``k`` would hold.  A request above the
     stored order recomputes the table at that order and replaces it.
     `computed` counts the tables computed.
+
+    `plan` serves the `PowerPlan` of each Dyson order.  A plan lives as
+    long as its cache, so a sweep that makes its own cache builds its own
+    plans.
     """
 
     def __init__(self, hamiltonian, bits=24, order=1):
@@ -112,6 +122,7 @@ class BracketCache:
         self.period = hamiltonian.common_period()
         self.computed = 0
         self._store = {}
+        self._plans = {}
 
     def key(self, t0, t1):
         """``(phase, step length, bits)`` of the step ``[t0, t1]``."""
@@ -138,18 +149,34 @@ class BracketCache:
         self._store[key] = (t0, table)
         return table
 
+    def plan(self, method, order):
+        """Step plan shared by the `method` steps of `order`, or None.
+
+        Only the Dyson power is the same for every step; the Taylor and
+        Magnus operators change with the step, so each of their MPOs gets
+        a plan of its own.  The plan builds its power on first use.
+        """
+        if method != "dyson":
+            return None
+        key = (method, order)
+        if key not in self._plans:
+            self._plans[key] = PowerPlan(
+                RewiredHamiltonian.from_hamiltonian(self.hamiltonian), order)
+        return self._plans[key]
+
 
 def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
-                   compress=True):
+                   compress=True, plan=None):
     """Evolution MPO for one step, optionally row-compressed.
 
     `table` holds the brackets of ``[t0, t1]`` up to at least
-    ``bracket_order(method, order)``; the Taylor step takes None.
-    Returns ``(mpo, report)``; `report` is the `CompressionReport`, or
-    None when the MPO was not compressed.
+    ``bracket_order(method, order)``; the Taylor step takes None.  `plan`
+    is the Dyson step plan of `order` (`BracketCache.plan`); without one a
+    plan is built for this step.  Returns ``(mpo, report)``; `report` is
+    the `CompressionReport`, or None when the MPO was not compressed.
     """
     if method == "dyson":
-        mpo = dyson_mpo(hamiltonian, t0, t1, order, table)
+        mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
     elif method == "magnus":
         mpo = magnus_evolution(hamiltonian, t0, t1,
                                bracket_order(method, order), order, table)
@@ -175,13 +202,16 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     Steps in the same congruence class of `cache` share one compressed
     MPO, built at the first of them; the store lives for this call only.
     Tables are requested at ``bracket_order(config.method, order)``, and
-    not at all for Taylor steps.  Returns ``(psi_out, stats)`` where stats
+    not at all for Taylor steps; Dyson steps are built from the cache's
+    step plan of `order`.  Returns ``(psi_out, stats)`` where stats
     carries per-step wall time, the largest MPO/MPS bond dimensions
-    encountered, the number of steps and of step MPOs built, the weight the
-    MPS truncations discarded, summed over the steps, the seconds spent
-    obtaining bracket tables (`bracket_s`) and the number of tables
-    computed for this call (`tables_computed`; a shared `cache` may serve
-    tables an earlier call computed).
+    encountered, the largest MPO bond before row compression
+    (`mpo_bond_before`) and the largest relative residual of its
+    least-squares folds (`fold_residual`), the number of steps and of step
+    MPOs built, the weight the MPS truncations discarded, summed over the
+    steps, the seconds spent obtaining bracket tables (`bracket_s`) and the
+    number of tables computed for this call (`tables_computed`; a shared
+    `cache` may serve tables an earlier call computed).
     """
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
@@ -193,8 +223,11 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits,
                                   order=need)
     computed_before = cache.computed
+    plan = cache.plan(config.method, order)
     step_mpos = {}
     mpo_bond = 0
+    bond_before = 0
+    fold_residual = 0.0
     mps_bond = psi.max_bond
     discarded = 0.0
     bracket_s = 0.0
@@ -210,9 +243,14 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                 start = time.perf_counter()
                 table = cache.table(s0, s1, need)
                 bracket_s += time.perf_counter() - start
-            mpo, _ = build_step_mpo(hamiltonian, s0, s1, order, config.method,
-                                    table, qr_tol=config.qr_tol)
+            mpo, report = build_step_mpo(hamiltonian, s0, s1, order,
+                                         config.method, table,
+                                         qr_tol=config.qr_tol, plan=plan)
             step_mpos[key] = mpo
+            bond_before = max(bond_before, mpo.bond_dimension)
+            if report is not None:
+                bond_before = max(bond_before, report.bond_dimension_before)
+                fold_residual = max(fold_residual, report.fold_residual)
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
                               svd_tol=config.svd_tol)
         discarded += disc
@@ -220,7 +258,8 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         mps_bond = max(mps_bond, psi.max_bond)
     wall = (time.perf_counter() - t_start) / max(n_steps, 1)
     return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
-                 "mps_bond_dim": mps_bond, "n_steps": n_steps,
+                 "mps_bond_dim": mps_bond, "mpo_bond_before": bond_before,
+                 "fold_residual": fold_residual, "n_steps": n_steps,
                  "mpo_builds": len(step_mpos),
                  "discarded_weight": discarded, "bracket_s": bracket_s,
                  "tables_computed": cache.computed - computed_before}
@@ -288,7 +327,7 @@ def run_benchmark(hamiltonian, config):
                                        stats["mpo_bond_dim"],
                                        stats["mps_bond_dim"], config.seed,
                                        stats["discarded_weight"],
-                                       stats["bracket_s"]))
+                                       stats["bracket_s"], stats["n_steps"]))
     return records
 
 
@@ -352,7 +391,11 @@ def runtime_at_accuracy(records, target_eps, span=1.0):
 
     Extrapolates each order's fitted error scaling to the step size that
     reaches `target_eps` and multiplies the implied step count by the
-    measured average per-step wall time.
+    measured average per-step wall time, less the bracket-table time.
+    A sweep computes each interval's table once, in whichever evolution
+    meets the interval first, so the per-step cost of each order is taken
+    as ``wall_time_per_step - bracket_s / n_steps``.  An order with fewer
+    than two errors above 1e-12 has no fit and raises ValueError.
     """
     by_order = {}
     for r in records:
@@ -361,12 +404,16 @@ def runtime_at_accuracy(records, target_eps, span=1.0):
     for order, rs in by_order.items():
         rs = sorted(rs, key=lambda r: r.dt)
         pts = [(r.dt, r.epsilon) for r in rs if r.epsilon > 1e-12]
+        if len(pts) < 2:
+            raise ValueError(f"order {order}: fewer than two errors above "
+                             "the 1e-12 floor")
         x = np.log([p[0] for p in pts])
         y = np.log([p[1] for p in pts])
         slope, intercept = np.polyfit(x, y, 1)
         log_dt = (math.log(target_eps) - intercept) / slope
         dt_needed = math.exp(log_dt)
         n_steps = span / dt_needed
-        dt_av = float(np.mean([r.wall_time_per_step for r in rs]))
+        dt_av = float(np.mean([r.wall_time_per_step - r.bracket_s / r.n_steps
+                               for r in rs]))
         out[order] = n_steps * dt_av
     return out

@@ -13,6 +13,19 @@ the matching time-ordered integrals), projects out what the kept levels
 already span, selects genuinely new levels by rank-revealing QR, and folds
 the rest into the kept set by least squares.  Everything dropped this way
 carries weight of order higher than the expansion order of the MPO.
+
+All of that but the numbers is fixed by the levels and the order: the
+groups and their blocks per 2-sequence, each block's completion rows, and
+for every (level, row) pair the brackets its coefficient sums.  A
+`CompressionPlan` holds them, and the `PowerPlan` of a Dyson sweep keeps
+one for all the sweep's steps.  A compression then gathers the step's
+brackets into a vector, fills each block's coefficient matrix from the
+plan's index arrays (summing in the order of `gamma_keys`, so the rank
+decisions match a literal evaluation bit for bit), selects and solves, and
+folds the removed levels into the kept ones at once: the product
+``W[kept rows, :] @ T``, ``T`` holding the identity on kept levels and the
+fold coefficients, accumulated as one scatter-add in the order the levels
+were removed.  The result is held as its dense site tensor.
 """
 
 from dataclasses import dataclass, field
@@ -37,12 +50,14 @@ class CompressionReport:
     bond_dimension_before: int = 0
     bond_dimension_after: int = 0
     qr_tolerance: float = 0.0
+    fold_residual: float = 0.0  # largest |G_basis x - G_rest| / |G_rest|
 
     def to_text(self):
         lines = [
             f"bond dimension: {self.bond_dimension_before} -> "
             f"{self.bond_dimension_after}",
             f"qr tolerance: {self.qr_tolerance}",
+            f"fold residual: {self.fold_residual:.3g}",
             f"kept levels ({len(self.kept_levels)}):",
         ]
         lines.extend(f"  {lvl!r}" for lvl in self.kept_levels)
@@ -75,51 +90,128 @@ def _row_segments(row):
     return segs
 
 
-def gamma_entry(level, row, brackets, order):
-    """Coefficient of `level` along the right-operator basis element `row`.
+def gamma_keys(level, row, order):
+    """Bracket keys whose sum is the coefficient of `level` along `row`.
 
-    Sums the time-ordered integrals of every weave of the row's inserted
-    terms through the level's finished symbols, holding the factor order of
-    completions and insertions fixed as given by the row.
+    One key per weave of the row's inserted terms through the level's
+    finished symbols, holding the factor order of completions and
+    insertions fixed as given by the row, in summation order.  Empty when
+    the level cannot reach the row.
     """
     two_seq = list(level.two_sequence())
     row_cs = [(item[1], item[2]) for item in row if item[0] == "C"]
     if row_cs != two_seq:
-        return 0.0j
+        return []
     n_ins = sum(1 for item in row if item[0] == "I")
     if level.n2 + level.n3 + n_ins > order:
-        return 0.0j
+        return []
     chan_of_two = [ch for ch, _ in two_seq]
     lvl_segs = _segments(level)
     row_segs = _row_segments(row)
     per_segment = [interleavings(tuple(ls), tuple(rs))
                    for ls, rs in zip(lvl_segs, row_segs)]
-    total = 0.0j
+    keys = []
     for weave in product(*per_segment):
         sigma = []
         for i, seg in enumerate(weave):
             if i > 0:
                 sigma.append(chan_of_two[i - 1])
             sigma.extend(seg)
-        total += brackets.value(tuple(sigma))
-    return total
+        keys.append(tuple(sigma))
+    return keys
 
 
-def _gamma_matrix(rows, levels, brackets, order, memo=None):
-    """Gamma entries of `levels` (columns) over `rows`, cached in `memo`.
+@dataclass
+class Block:
+    """One 2-sequence of one ``(n2, n3)`` group, as a plan holds it.
 
-    A kept level comes back in later groups of the same 2-sequence, whose
-    rows (fewer insertions) are a subset of those it was first evaluated on.
+    `levels` are plan positions: the `n_prior` levels of the 2-sequence
+    from earlier blocks, then the block's own.  ``index[t, i, j]`` is the
+    position in the plan's bracket vector of the `t`-th key summed for
+    column `j` along completion row `i`; -1 pads to the vector's trailing
+    zero.
     """
-    memo = {} if memo is None else memo
-    g = np.zeros((len(rows), len(levels)), dtype=complex)
-    for j, lvl in enumerate(levels):
-        for i, row in enumerate(rows):
-            key = (lvl, row)
-            if key not in memo:
-                memo[key] = gamma_entry(lvl, row, brackets, order)
-            g[i, j] = memo[key]
-    return g
+
+    n2: int
+    n3: int
+    two_sequence: tuple
+    levels: np.ndarray
+    n_prior: int
+    index: np.ndarray
+
+    def gamma(self, values):
+        """Coefficients of the block's columns over its rows.
+
+        Sums the keys of each entry from zero, one at a time in key order,
+        as a literal evaluation does.
+        """
+        g = values[self.index[0]] + 0.0
+        for layer in self.index[1:]:
+            g = g + values[layer]
+        return g
+
+
+class CompressionPlan:
+    """What a row compression of `levels` at `order` does before any number.
+
+    `levels` holds the identity level, then the others by (length,
+    label): the order of the compressed MPO's levels.  `blocks` are
+    processed in order: groups ``(n2, n3)`` by ``n2`` then ``n3``, each
+    group's 2-sequences sorted.  `keys` lists the bracket keys the blocks
+    index, and `positions` maps each input level to its plan position.
+    """
+
+    def __init__(self, levels, order):
+        if any(is_one(sym) for lvl in levels for sym in lvl):
+            raise ValueError("row compression needs column-merged levels "
+                             "(no 1 symbols)")
+        self.order = order
+        others = sorted((l for l in levels if l != IDENTITY_LEVEL),
+                        key=lambda l: (len(l), l))
+        self.levels = [IDENTITY_LEVEL] + others
+        index = {lvl: i for i, lvl in enumerate(self.levels)}
+        self.positions = np.array([index[l] for l in levels], dtype=np.intp)
+        channels = sorted({sym[1] for lvl in levels for sym in lvl})
+        groups = {}
+        for lvl in others:
+            groups.setdefault((lvl.n2, lvl.n3), {}).setdefault(
+                lvl.two_sequence(), []).append(lvl)
+        slots = {}   # bracket key -> position in the bracket vector
+        memo = {}    # (level, row) -> key positions
+        earlier = {}  # 2-sequence -> levels of the blocks before
+        self.blocks = []
+        for n2 in range(1, order + 1):
+            for n3 in range(order - n2 + 1):
+                blocks = groups.get((n2, n3), {})
+                for cseq in sorted(blocks):
+                    prior = earlier.setdefault(cseq, [])
+                    cols = prior + blocks[cseq]
+                    rows = completion_rows(cseq, channels, order - n2 - n3)
+                    sums = []
+                    for row in rows:
+                        for lvl in cols:
+                            key = (lvl, row)
+                            if key not in memo:
+                                memo[key] = [
+                                    slots.setdefault(k, len(slots))
+                                    for k in gamma_keys(lvl, row, order)]
+                            sums.append(memo[key])
+                    depth = max(1, max(map(len, sums)))
+                    idx = np.full((len(sums), depth), -1, dtype=np.intp)
+                    for i, s in enumerate(sums):
+                        idx[i, :len(s)] = s
+                    self.blocks.append(Block(
+                        n2, n3, cseq,
+                        np.array([index[l] for l in cols], dtype=np.intp),
+                        len(prior),
+                        idx.T.reshape(depth, len(rows), len(cols))))
+                    prior.extend(blocks[cseq])
+        self.keys = list(slots)
+
+    def values(self, brackets):
+        """The bracket vector: one value per key, then a zero."""
+        return np.array([brackets.value(k) for k in self.keys] + [0.0],
+                        dtype=complex)
 
 
 def _select_new_levels(residual, tol, ref):
@@ -145,6 +237,16 @@ def _select_new_levels(residual, tol, ref):
     return selected
 
 
+def _plan_for(mpo, order):
+    """The compression plan of `mpo`: its power plan's, or one of its own."""
+    power = mpo.params.get("plan")
+    if power is None or power.order != order:
+        return CompressionPlan(mpo.levels, order)
+    if power.compression is None:
+        power.compression = CompressionPlan(power.levels, order)
+    return power.compression
+
+
 def row_compress(mpo, order=None, tol=1e-12):
     """Order-preserving row compression of a column-merged MPO.
 
@@ -154,14 +256,18 @@ def row_compress(mpo, order=None, tol=1e-12):
         Its levels must carry no 1 symbols.  The bracket table is the one
         recorded at construction time (``params["brackets"]``); an MPO
         built by the Taylor construction (Taylor or Magnus) records its
-        step instead, and gets the brackets ``tau**k / k!``.
+        step instead, and gets the brackets ``tau**k / k!``.  An MPO made
+        by a `PowerPlan` (``params["plan"]``) is compressed with the
+        compression plan that power plan keeps; any other gets a plan of
+        its own.
     order : int, optional
         Expansion order; defaults to ``mpo.order``.
     tol : float
         Relative rank tolerance of the pivoted QR; vanishing integrals can
         legitimately reduce the kept set.
 
-    Returns ``(compressed_mpo, report)``.
+    Returns ``(compressed_mpo, report)``; the compressed MPO holds its dense
+    site tensor.
 
     Levels are visited grouped by ``(n2, n3)`` with ``n3 = 0`` first.  Rows
     of the operator basis only couple levels sharing the same sequence of
@@ -174,138 +280,128 @@ def row_compress(mpo, order=None, tol=1e-12):
         brackets = TaylorBrackets(mpo.params["tau"], order)
     if brackets is None:
         raise ValueError("no bracket table available for row compression")
-    if any(is_one(sym) for lvl in mpo.levels for sym in lvl):
-        raise ValueError("row compression needs column-merged levels "
-                         "(no 1 symbols)")
-    channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})
-    before = mpo.bond_dimension
-
-    # column-indexed entry store: cols[b][a] = operator
-    cols = {}
-    for (a, b), op in mpo.entries.items():
-        cols.setdefault(b, {})[a] = op
-    dropped = set()
-
-    kept = []      # beyond the always-kept identity level
-    kept_by_cseq = {}
-    gamma_memo = {}
+    plan = _plan_for(mpo, order)
+    values = plan.values(brackets)
+    kept = np.ones(len(plan.levels), dtype=bool)
     removed = []
-    present = [l for l in mpo.levels if l != IDENTITY_LEVEL]
-    present_set = set(present)
-
-    def merge_column(target, source, coeff):
-        dst = cols.setdefault(target, {})
-        for a, op in cols.get(source, {}).items():
-            if a in dropped:
-                continue
-            if a in dst:
-                dst[a] = dst[a] + coeff * op
-            else:
-                dst[a] = coeff * op
-
-    for n2 in range(1, order + 1):
-        for n3 in range(0, order - n2 + 1):
-            group = sorted((l for l in present_set
-                            if l.n2 == n2 and l.n3 == n3),
-                           key=lambda l: (len(l), l))
-            if not group:
-                continue
-            n_ins = order - n2 - n3
-            blocks = {}
-            for lvl in group:
-                blocks.setdefault(lvl.two_sequence(), []).append(lvl)
-            for cseq in sorted(blocks):
-                compatible = blocks[cseq]
-                rows = completion_rows(cseq, channels, n_ins)
-                g_comp = _gamma_matrix(rows, compatible, brackets, order,
-                                       gamma_memo)
-                ref = max(np.linalg.norm(g_comp[:, j])
-                          for j in range(len(compatible)))
-                kept_here = kept_by_cseq.get(cseq, [])
-                if ref == 0.0:
-                    # identically vanishing weights: the block drops out
-                    for lvl in compatible:
-                        removed.append((lvl, {}))
-                        present_set.discard(lvl)
-                        dropped.add(lvl)
-                        cols.pop(lvl, None)
-                    continue
-                residual = g_comp
-                g_kept = None
-                if kept_here:
-                    g_kept = _gamma_matrix(rows, kept_here, brackets, order,
-                                           gamma_memo)
-                    if np.any(g_kept):
-                        proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
-                                                        rcond=None)[0]
-                        residual = g_comp - proj
-                # rank of the residual measured against the unprojected
-                # column scale, not the residual's own largest entry
-                _, pivots, _, r_fac = qr_column_pivoted(residual, tol=0.0)
-                diag = np.abs(np.diag(r_fac))
-                rank = int(np.count_nonzero(diag > tol * ref))
-                selected = _select_new_levels(residual, tol, ref)
-                if len(selected) != rank:
-                    # borderline numerics: fall back to the QR pivot choice
-                    selected = sorted(pivots[:rank])
-                new_kept = [compatible[j] for j in selected]
-                kept.extend(new_kept)
-                kept_by_cseq.setdefault(cseq, []).extend(new_kept)
-                rest_idx = [j for j in range(len(compatible))
-                            if j not in selected]
-                if not rest_idx:
-                    continue
-                rest = [compatible[j] for j in rest_idx]
-                # the basis is the earlier kept levels then the new ones, so
-                # its columns are already in g_kept and g_comp
-                basis = kept_by_cseq[cseq]
-                g_basis = g_comp[:, selected]
-                if g_kept is not None:
-                    g_basis = np.hstack([g_kept, g_basis])
-                g_rest = g_comp[:, rest_idx]
-                if not np.any(g_basis):
-                    if np.linalg.norm(g_rest) > tol * ref:
-                        raise CompressionBasisError(
-                            f"group ({n2},{n3}) block {cseq}: nothing spans "
-                            "the remaining levels")
-                    x = np.zeros((len(basis), len(rest)), dtype=complex)
-                else:
-                    # minimal-norm solution; kept levels may carry no weight
-                    # in this block's truncated basis
-                    x = np.linalg.lstsq(g_basis, g_rest, rcond=None)[0]
-                    resid = float(np.linalg.norm(g_basis @ x - g_rest))
-                    if resid > max(1e-8 * np.linalg.norm(g_rest),
-                                   100 * tol * ref):
-                        raise CompressionBasisError(
-                            f"group ({n2},{n3}) block {cseq}: expansion "
-                            f"residual {resid:.2e}")
-                cutoff = 1e-13 * max(1.0, np.abs(x).max(initial=0.0))
-                for jr, lvl in enumerate(rest):
-                    expansion = {}
-                    for ik, klvl in enumerate(basis):
-                        c = x[ik, jr]
-                        if abs(c) > cutoff:
-                            merge_column(klvl, lvl, c)
-                            expansion[klvl] = complex(c)
-                    removed.append((lvl, expansion))
-                    present_set.discard(lvl)
-                    dropped.add(lvl)
-                    cols.pop(lvl, None)
-
-    entries = {}
-    for b, col in cols.items():
-        if b in dropped:
+    folds = []       # (removed position, basis positions, coefficients)
+    fold_residual = 0.0
+    for block in plan.blocks:
+        g = block.gamma(values)
+        prior = block.levels[:block.n_prior]
+        own = block.levels[block.n_prior:]
+        g_comp = g[:, block.n_prior:]
+        ref = max(np.linalg.norm(g_comp[:, j]) for j in range(len(own)))
+        kept_prior = np.flatnonzero(kept[prior])
+        if ref == 0.0:
+            # identically vanishing weights: the block drops out
+            for p in own:
+                removed.append((plan.levels[p], {}))
+            kept[own] = False
             continue
-        for a, op in col.items():
-            if a in dropped:
-                continue
-            entries[(a, b)] = op
-    levels = [IDENTITY_LEVEL] + sorted(present_set, key=lambda l: (len(l), l))
-    out = ExtensiveMPO(mpo.d, levels, entries, order=order,
-                       params=dict(mpo.params))
+        residual = g_comp
+        g_kept = None
+        if len(kept_prior):
+            g_kept = g[:, kept_prior]
+            if np.any(g_kept):
+                proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
+                                                rcond=None)[0]
+                residual = g_comp - proj
+        # rank of the residual measured against the unprojected
+        # column scale, not the residual's own largest entry
+        _, pivots, _, r_fac = qr_column_pivoted(residual, tol=0.0)
+        diag = np.abs(np.diag(r_fac))
+        rank = int(np.count_nonzero(diag > tol * ref))
+        selected = _select_new_levels(residual, tol, ref)
+        if len(selected) != rank:
+            # borderline numerics: fall back to the QR pivot choice
+            selected = sorted(pivots[:rank])
+        rest_idx = [j for j in range(len(own)) if j not in selected]
+        if not rest_idx:
+            continue
+        rest = own[rest_idx]
+        # the basis is the earlier kept levels then the new ones, so
+        # its columns are already in g_kept and g_comp
+        basis = np.concatenate([prior[kept_prior], own[selected]])
+        g_basis = g_comp[:, selected]
+        if g_kept is not None:
+            g_basis = np.hstack([g_kept, g_basis])
+        g_rest = g_comp[:, rest_idx]
+        if not np.any(g_basis):
+            if np.linalg.norm(g_rest) > tol * ref:
+                raise CompressionBasisError(
+                    f"group ({block.n2},{block.n3}) block "
+                    f"{block.two_sequence}: nothing spans the remaining "
+                    "levels")
+            x = np.zeros((len(basis), len(rest)), dtype=complex)
+        else:
+            # minimal-norm solution; kept levels may carry no weight
+            # in this block's truncated basis
+            x = np.linalg.lstsq(g_basis, g_rest, rcond=None)[0]
+            rest_norm = np.linalg.norm(g_rest)
+            resid = float(np.linalg.norm(g_basis @ x - g_rest))
+            if resid > max(1e-8 * rest_norm, 100 * tol * ref):
+                raise CompressionBasisError(
+                    f"group ({block.n2},{block.n3}) block "
+                    f"{block.two_sequence}: expansion residual {resid:.2e}")
+            if rest_norm > 0:
+                fold_residual = max(fold_residual,
+                                    resid / float(rest_norm))
+        cutoff = 1e-13 * max(1.0, np.abs(x).max(initial=0.0))
+        big = np.abs(x) > cutoff
+        for jr, p in enumerate(rest):
+            on = np.flatnonzero(big[:, jr])
+            removed.append((plan.levels[p],
+                            {plan.levels[basis[i]]: complex(x[i, jr])
+                             for i in on}))
+            folds.append((p, basis[on], x[on, jr]))
+        kept[rest] = False
+
+    levels = [plan.levels[p] for p in np.flatnonzero(kept)]
+    params = {k: v for k, v in mpo.params.items() if k != "plan"}
+    out = ExtensiveMPO.from_site_tensor(
+        mpo.d, levels, _fold(mpo, plan.positions, kept, folds),
+        order=order, params=params)
     report = CompressionReport(kept_levels=list(levels),
                                removed_levels=removed,
-                               bond_dimension_before=before,
+                               bond_dimension_before=mpo.bond_dimension,
                                bond_dimension_after=out.bond_dimension,
-                               qr_tolerance=tol)
+                               qr_tolerance=tol, fold_residual=fold_residual)
     return out, report
+
+
+def _fold(mpo, positions, kept, folds):
+    """Dense site tensor of ``W[kept rows, :] @ T`` over the kept levels.
+
+    ``T`` is the identity on kept levels plus, for each removed level, its
+    coefficients on the kept ones (`folds`, in the order the levels were
+    removed).  Entry ``(a, k)`` starts from ``W[a, k]`` and adds the removed
+    levels' terms one at a time in that order, which is the order of a
+    level-by-level column merge.
+    """
+    rows, cols, blocks = mpo.coo()
+    rows, cols = positions[rows], positions[cols]
+    d = mpo.d
+    m = int(kept.sum())
+    new = np.cumsum(kept) - 1
+    out = np.zeros((m * m, d, d), dtype=complex)
+    direct = kept[rows] & kept[cols]
+    out[new[rows[direct]] * m + new[cols[direct]]] = blocks[direct]
+    if folds:
+        counts = [len(k) for _, k, _ in folds]
+        source = np.repeat([p for p, _, _ in folds], counts)
+        target = np.concatenate([k for _, k, _ in folds])
+        coeff = np.concatenate([c for _, _, c in folds])
+        # entries of each source column, term by term
+        by_col = np.argsort(cols, kind="stable")
+        start = np.searchsorted(cols[by_col], np.arange(len(kept) + 1))
+        n_entries = start[source + 1] - start[source]
+        term = np.repeat(np.arange(len(source)), n_entries)
+        offset = np.arange(len(term)) - np.repeat(
+            np.cumsum(n_entries) - n_entries, n_entries)
+        entry = by_col[start[source][term] + offset]
+        live = kept[rows[entry]]
+        entry, term = entry[live], term[live]
+        np.add.at(out, new[rows[entry]] * m + new[target[term]],
+                  coeff[term, None, None] * blocks[entry])
+    return out.reshape(m, m, d, d)

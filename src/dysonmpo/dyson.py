@@ -9,7 +9,7 @@ driving-function sequence, read with the latest time first.
 
 import numpy as np
 
-from .extensive import ExtensiveMPO, RewiredHamiltonian, build_evolution_mpo
+from .extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
 from .levels import IDENTITY_LEVEL
 
 
@@ -30,11 +30,13 @@ def identity_mpo(d):
                         order=0, params={"kind": "identity"})
 
 
-def dyson_mpo(hamiltonian, t0, t, order, integrals):
+def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
     """N-th order Dyson MPO of the evolution operator on ``[t0, t]``.
 
     `integrals` must hold all brackets of the Hamiltonian's channels up to
-    `order`.  A degenerate interval returns the exact identity.
+    `order`.  A degenerate interval returns the exact identity.  `plan` is
+    the `PowerPlan` of the Hamiltonian's rewired form at `order`, which the
+    steps of a sweep share; without one, this call builds its own.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -48,9 +50,14 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals):
             raise ValueError("bracket table interval does not match [t0, t]")
     if t == t0:
         return identity_mpo(hamiltonian.d)
-    rew = RewiredHamiltonian.from_hamiltonian(hamiltonian)
+    if plan is None:
+        plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(hamiltonian),
+                         order)
+    elif plan.order != order:
+        raise ValueError(f"an order-{plan.order} plan cannot build an "
+                         f"order-{order} Dyson MPO")
     try:
-        mpo = build_evolution_mpo(rew, order, integrals.value)
+        mpo = plan.mpo(integrals.value)
     except KeyError as exc:
         raise ValueError(f"missing bracket: {exc}") from exc
     mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)

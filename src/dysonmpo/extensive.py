@@ -11,6 +11,16 @@ Powers are never materialized over the full set of symbol tuples.  Levels
 that agree after deleting 1 symbols have identical operator histories and
 are merged on the fly, so the construction works directly with stripped
 labels (`build_power_stripped`).
+
+The power depends on the Hamiltonian's operators and the order, the weights
+on the step.  A `PowerPlan` holds the power once, as arrays: the entries
+between unfinished levels, and the entries into the identity column and
+into finished levels, each tagged with the channel sequence whose weight it
+carries.  A weighting then costs one gather of the weights and one
+scatter-add of the weighted entries into the identity column, in the order
+the entries were built.  A Dyson sweep keeps one plan per order for all its
+steps; the Taylor and Magnus operators change with the step, so each of
+their MPOs gets a plan of its own.
 """
 
 import numpy as np
@@ -33,39 +43,95 @@ class ExtensiveMPO:
     order : int
         Expansion order N the MPO is accurate to.
     params : dict
-        Construction record (expansion parameter, interval, bracket table).
+        Construction record (expansion parameter, interval, bracket table,
+        and the `PowerPlan` it came from).
+
+    The tensor is held as coordinate arrays (`coo`) or, after row
+    compression, as the dense `site_tensor`; `entries` is derived on first
+    use.
     """
 
     def __init__(self, d, levels, entries, order=0, params=None):
+        levels = list(levels)
+        if levels and levels[0] != IDENTITY_LEVEL:
+            if IDENTITY_LEVEL in levels:
+                levels.remove(IDENTITY_LEVEL)
+            levels.insert(0, IDENTITY_LEVEL)
+        entries = dict(entries)
+        index = {lvl: i for i, lvl in enumerate(levels)}
+        rows = np.array([index[a] for a, _ in entries], dtype=np.intp)
+        cols = np.array([index[b] for _, b in entries], dtype=np.intp)
+        blocks = np.array(list(entries.values()), dtype=complex)
+        self._set(d, levels, order, params,
+                  coo=(rows, cols, blocks.reshape(-1, int(d), int(d))))
+        self._entries = entries
+
+    @classmethod
+    def from_arrays(cls, d, levels, rows, cols, blocks, order=0, params=None):
+        """MPO with ``W[levels[rows[i]], levels[cols[i]]] = blocks[i]``.
+
+        The ``(rows[i], cols[i])`` pairs must be distinct, and
+        ``levels[0]`` the identity level.
+        """
+        mpo = cls.__new__(cls)
+        mpo._set(d, levels, order, params, coo=(rows, cols, blocks))
+        return mpo
+
+    @classmethod
+    def from_site_tensor(cls, d, levels, site, order=0, params=None):
+        """MPO held as its dense ``(left, right, out, in)`` site tensor.
+
+        `site` is made read-only: `site_tensor` hands out this array.
+        """
+        mpo = cls.__new__(cls)
+        site.flags.writeable = False
+        mpo._set(d, levels, order, params, site=site)
+        return mpo
+
+    def _set(self, d, levels, order, params, coo=None, site=None):
         self.d = int(d)
         self.levels = list(levels)
-        if self.levels and self.levels[0] != IDENTITY_LEVEL:
-            if IDENTITY_LEVEL in self.levels:
-                self.levels.remove(IDENTITY_LEVEL)
-            self.levels.insert(0, IDENTITY_LEVEL)
-        self.entries = dict(entries)
         self.order = int(order)
         self.params = dict(params or {})
+        self._coo = coo
+        self._site = site
+        self._entries = None
 
     @property
     def bond_dimension(self):
         return len(self.levels)
 
+    @property
+    def entries(self):
+        if self._entries is None:
+            rows, cols, blocks = self.coo()
+            lv = self.levels
+            self._entries = {(lv[a], lv[b]): op
+                             for a, b, op in zip(rows.tolist(), cols.tolist(),
+                                                 blocks)}
+        return self._entries
+
     def entry(self, a, b):
         return self.entries.get((a, b))
 
-    def copy(self):
-        return ExtensiveMPO(self.d, list(self.levels),
-                            {k: v.copy() for k, v in self.entries.items()},
-                            order=self.order, params=dict(self.params))
+    def coo(self):
+        """``(rows, cols, blocks)``: level indices and (d, d) blocks."""
+        if self._coo is None:
+            rows, cols = np.nonzero(np.any(self._site != 0, axis=(2, 3)))
+            self._coo = (rows, cols, self._site[rows, cols])
+        return self._coo
 
     def site_tensor(self):
-        """Dense site tensor with index order (left, right, out, in)."""
+        """Dense site tensor with index order (left, right, out, in).
+
+        An MPO held densely returns its own, read-only array.
+        """
+        if self._site is not None:
+            return self._site
         n = len(self.levels)
-        idx = {lvl: i for i, lvl in enumerate(self.levels)}
+        rows, cols, blocks = self.coo()
         w = np.zeros((n, n, self.d, self.d), dtype=complex)
-        for (a, b), op in self.entries.items():
-            w[idx[a], idx[b]] += op
+        w[rows, cols] = blocks
         return w
 
     def boundary_index(self):
@@ -198,35 +264,74 @@ def build_power_stripped(rew, n):
     return levels, entries
 
 
-def reroute_finished_levels(levels, entries, weight_of):
-    """Fold every level without 2 symbols into the identity level.
+class PowerPlan:
+    """The stripped `n`-th power of `rew`, rerouted under many weightings.
 
-    `weight_of` maps the channel subscripts of a finished level's 3 symbols
-    (in factor order) to the scalar it contributes.  Returns
-    ``(levels, entries)`` of the rerouted MPO.
+    The power is built on the first call of `mpo`.  Its unfinished levels,
+    identity first and the rest by (length, label), are the `levels` of
+    every MPO the plan makes.  `compression` is left to `row_compress`,
+    which keeps its plan for these levels there.
     """
-    if IDENTITY_LEVEL not in levels:
-        raise ValueError("power MPO lacks an identity level")
-    doomed = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
-    out = {}
-    for (a, b), op in entries.items():
-        if a in doomed:
-            continue
-        if b in doomed:
-            w = weight_of(b.sigma())
-            if w == 0:
+
+    def __init__(self, rew, n):
+        self.rew = rew
+        self.order = int(n)
+        self.levels = None
+        self.compression = None
+
+    def _build(self):
+        levels, entries = build_power_stripped(self.rew, self.order)
+        finished = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
+        self.levels = sorted((l for l in levels if l not in finished),
+                             key=lambda l: (len(l), l))
+        index = {lvl: i for i, lvl in enumerate(self.levels)}
+        sigmas = {}
+        fixed, rerouted = [], []
+        for (a, b), op in entries.items():
+            if a in finished:
                 continue
-            key = (a, IDENTITY_LEVEL)
-            out[key] = out.get(key, 0) + w * op
-        else:
-            out[(a, b)] = out.get((a, b), 0) + op
-    kept = [lvl for lvl in levels if lvl not in doomed]
-    return kept, out
+            if b in finished:
+                slot = sigmas.setdefault(b.sigma(), len(sigmas))
+                rerouted.append((index[a], slot, op))
+            elif b == IDENTITY_LEVEL:
+                rerouted.append((index[a], -1, op))  # weight 1
+            else:
+                fixed.append((index[a], index[b], op))
+        self.sigmas = list(sigmas)
+        self._fixed = _columns(fixed, self.rew.d)
+        self._rerouted = _columns(rerouted, self.rew.d)
+
+    def mpo(self, weight_of):
+        """Rerouted power: each finished level folds into the identity level.
+
+        `weight_of` maps the channel subscripts of a finished level's 3
+        symbols (in factor order) to the scalar it contributes.  The
+        identity-column entry of each level sums its weighted entries in
+        the order the power built them; entries of weight 0 are left out.
+        """
+        if self.levels is None:
+            self._build()
+        d = self.rew.d
+        weights = np.array([weight_of(s) for s in self.sigmas] + [1.0],
+                           dtype=complex)
+        rows, slots, blocks = self._rerouted
+        w = weights[slots]
+        live = w != 0
+        rows = rows[live]
+        column = np.zeros((len(self.levels), d, d), dtype=complex)
+        np.add.at(column, rows, w[live, None, None] * blocks[live])
+        hit = np.unique(rows)
+        f_rows, f_cols, f_blocks = self._fixed
+        return ExtensiveMPO.from_arrays(
+            d, self.levels, np.concatenate([hit, f_rows]),
+            np.concatenate([np.zeros_like(hit), f_cols]),
+            np.concatenate([column[hit], f_blocks]), order=self.order,
+            params={"plan": self})
 
 
-def build_evolution_mpo(rew, n, weight_of):
-    """Shared driver: N-th power, reroute, identity-first level order."""
-    levels, entries = build_power_stripped(rew, n)
-    levels, entries = reroute_finished_levels(levels, entries, weight_of)
-    levels = sorted(levels, key=lambda l: (len(l), l))
-    return ExtensiveMPO(rew.d, levels, entries, order=n)
+def _columns(triples, d):
+    """Three arrays from ``(int, int, (d, d) op)`` triples."""
+    first = np.array([t[0] for t in triples], dtype=np.intp)
+    second = np.array([t[1] for t in triples], dtype=np.intp)
+    blocks = np.array([t[2] for t in triples], dtype=complex)
+    return first, second, blocks.reshape(-1, d, d)

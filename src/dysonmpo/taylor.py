@@ -18,7 +18,8 @@ import math
 
 import numpy as np
 
-from .extensive import (ExtensiveMPO, RewiredHamiltonian, build_evolution_mpo,
+from .brackets import TaylorBrackets
+from .extensive import (ExtensiveMPO, PowerPlan, RewiredHamiltonian,
                         build_power_stripped)
 from .fdmpo import DENSE_CAP
 from .levels import IDENTITY_LEVEL
@@ -33,13 +34,8 @@ def taylor_mpo(h, tau, order):
     if order < 1:
         raise ValueError("order must be at least 1")
     tau = complex(tau)
-    rew = RewiredHamiltonian.from_static(h)
-
-    def weight(sigma):
-        k = len(sigma)
-        return tau ** k / math.factorial(k)
-
-    mpo = build_evolution_mpo(rew, order, weight)
+    plan = PowerPlan(RewiredHamiltonian.from_static(h), order)
+    mpo = plan.mpo(TaylorBrackets(tau, order).value)
     mpo.params.update(tau=tau, kind="taylor")
     return mpo
 

@@ -1,4 +1,4 @@
-"""Brute-force oracles and a call counter shared by the test modules.
+"""Brute-force oracles and call counters shared by the test modules.
 
 The oracles work with explicit operator strings (start site, dense
 operator on a contiguous support) so the MPO code under test never enters
@@ -10,12 +10,13 @@ from itertools import product
 
 import numpy as np
 
-from dysonmpo.brackets import BracketTable
-from dysonmpo.compression import CompressionReport
-from dysonmpo.extensive import (ExtensiveMPO, RewiredHamiltonian,
-                                reroute_finished_levels)
-from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, pad_with_ones
-from dysonmpo.linalg import svd_truncate
+from dysonmpo.brackets import BracketTable, TaylorBrackets
+from dysonmpo.compression import (CompressionBasisError, CompressionReport,
+                                  _select_new_levels, gamma_keys)
+from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
+from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
+                             is_one, pad_with_ones)
+from dysonmpo.linalg import qr_column_pivoted, svd_truncate
 from dysonmpo.mps import FiniteMPS
 from dysonmpo.quantics import cumulative_integral_mpo, pointwise_product
 from dysonmpo.spin import kron_chain
@@ -182,6 +183,30 @@ def build_power_flat(rew, n):
     return levels, entries
 
 
+def reroute_finished_levels(levels, entries, weight_of):
+    """Fold every level without 2 symbols into the identity level.
+
+    The per-entry reroute: `weight_of` maps the channel subscripts of a
+    finished level's 3 symbols (in factor order) to the scalar it
+    contributes.  Returns ``(levels, entries)`` of the rerouted MPO.
+    """
+    doomed = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
+    out = {}
+    for (a, b), op in entries.items():
+        if a in doomed:
+            continue
+        if b in doomed:
+            w = weight_of(b.sigma())
+            if w == 0:
+                continue
+            key = (a, IDENTITY_LEVEL)
+            out[key] = out.get(key, 0) + w * op
+        else:
+            out[(a, b)] = out.get((a, b), 0) + op
+    kept = [lvl for lvl in levels if lvl not in doomed]
+    return kept, out
+
+
 def flat_evolution_mpo(rew, n, weight_of):
     """Literal counterpart of ``build_evolution_mpo``.
 
@@ -276,6 +301,142 @@ def column_compress(mpo):
                                bond_dimension_before=before,
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=0.0)
+    return out, report
+
+
+def _literal_gamma(rows, levels, brackets, order, memo):
+    """Gamma entries of `levels` (columns) over `rows`, each summed once."""
+    g = np.zeros((len(rows), len(levels)), dtype=complex)
+    for j, lvl in enumerate(levels):
+        for i, row in enumerate(rows):
+            key = (lvl, row)
+            if key not in memo:
+                total = 0.0j
+                for sigma in gamma_keys(lvl, row, order):
+                    total += brackets.value(sigma)
+                memo[key] = total
+            g[i, j] = memo[key]
+    return g
+
+
+def literal_row_compress(mpo, order=None, tol=1e-12):
+    """`row_compress` with per-entry gammas and a column-by-column fold.
+
+    Every removed level is merged into each kept level of its expansion
+    with one dictionary update per operator entry (`merge_column`), in
+    the order the levels are removed.  Returns ``(mpo, report)``.
+    """
+    order = mpo.order if order is None else int(order)
+    brackets = mpo.params.get("brackets")
+    if brackets is None and "tau" in mpo.params:
+        brackets = TaylorBrackets(mpo.params["tau"], order)
+    if any(is_one(sym) for lvl in mpo.levels for sym in lvl):
+        raise ValueError("row compression needs column-merged levels")
+    channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})
+    cols = {}
+    for (a, b), op in mpo.entries.items():
+        cols.setdefault(b, {})[a] = op
+    dropped = set()
+    kept_by_cseq = {}
+    memo = {}
+    removed = []
+    fold_residual = 0.0
+    present_set = {l for l in mpo.levels if l != IDENTITY_LEVEL}
+
+    def merge_column(target, source, coeff):
+        dst = cols.setdefault(target, {})
+        for a, op in cols.get(source, {}).items():
+            if a in dropped:
+                continue
+            if a in dst:
+                dst[a] = dst[a] + coeff * op
+            else:
+                dst[a] = coeff * op
+
+    for n2 in range(1, order + 1):
+        for n3 in range(0, order - n2 + 1):
+            group = sorted((l for l in present_set
+                            if l.n2 == n2 and l.n3 == n3),
+                           key=lambda l: (len(l), l))
+            blocks = {}
+            for lvl in group:
+                blocks.setdefault(lvl.two_sequence(), []).append(lvl)
+            for cseq in sorted(blocks):
+                compatible = blocks[cseq]
+                rows = completion_rows(cseq, channels, order - n2 - n3)
+                g_comp = _literal_gamma(rows, compatible, brackets, order,
+                                        memo)
+                ref = max(np.linalg.norm(g_comp[:, j])
+                          for j in range(len(compatible)))
+                kept_here = kept_by_cseq.get(cseq, [])
+                if ref == 0.0:
+                    for lvl in compatible:
+                        removed.append((lvl, {}))
+                        present_set.discard(lvl)
+                        dropped.add(lvl)
+                        cols.pop(lvl, None)
+                    continue
+                residual = g_comp
+                g_kept = None
+                if kept_here:
+                    g_kept = _literal_gamma(rows, kept_here, brackets, order,
+                                            memo)
+                    if np.any(g_kept):
+                        proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
+                                                        rcond=None)[0]
+                        residual = g_comp - proj
+                _, pivots, _, r_fac = qr_column_pivoted(residual, tol=0.0)
+                diag = np.abs(np.diag(r_fac))
+                rank = int(np.count_nonzero(diag > tol * ref))
+                selected = _select_new_levels(residual, tol, ref)
+                if len(selected) != rank:
+                    selected = sorted(pivots[:rank])
+                kept_by_cseq.setdefault(cseq, []).extend(
+                    compatible[j] for j in selected)
+                rest_idx = [j for j in range(len(compatible))
+                            if j not in selected]
+                if not rest_idx:
+                    continue
+                rest = [compatible[j] for j in rest_idx]
+                basis = kept_by_cseq[cseq]
+                g_basis = g_comp[:, selected]
+                if g_kept is not None:
+                    g_basis = np.hstack([g_kept, g_basis])
+                g_rest = g_comp[:, rest_idx]
+                if not np.any(g_basis):
+                    if np.linalg.norm(g_rest) > tol * ref:
+                        raise CompressionBasisError("nothing spans the rest")
+                    x = np.zeros((len(basis), len(rest)), dtype=complex)
+                else:
+                    x = np.linalg.lstsq(g_basis, g_rest, rcond=None)[0]
+                    rest_norm = np.linalg.norm(g_rest)
+                    resid = float(np.linalg.norm(g_basis @ x - g_rest))
+                    if rest_norm > 0:
+                        fold_residual = max(fold_residual,
+                                            resid / float(rest_norm))
+                cutoff = 1e-13 * max(1.0, np.abs(x).max(initial=0.0))
+                for jr, lvl in enumerate(rest):
+                    expansion = {}
+                    for ik, klvl in enumerate(basis):
+                        c = x[ik, jr]
+                        if abs(c) > cutoff:
+                            merge_column(klvl, lvl, c)
+                            expansion[klvl] = complex(c)
+                    removed.append((lvl, expansion))
+                    present_set.discard(lvl)
+                    dropped.add(lvl)
+                    cols.pop(lvl, None)
+
+    entries = {(a, b): op for b, col in cols.items() if b not in dropped
+               for a, op in col.items() if a not in dropped}
+    levels = [IDENTITY_LEVEL] + sorted(present_set, key=lambda l: (len(l), l))
+    params = {k: v for k, v in mpo.params.items() if k != "plan"}
+    out = ExtensiveMPO(mpo.d, levels, entries, order=order, params=params)
+    report = CompressionReport(kept_levels=list(levels),
+                               removed_levels=removed,
+                               bond_dimension_before=mpo.bond_dimension,
+                               bond_dimension_after=out.bond_dimension,
+                               qr_tolerance=tol, fold_residual=fold_residual)
     return out, report
 
 

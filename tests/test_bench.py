@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from helpers import count_tables
 
-from dysonmpo import bench
+from dysonmpo import bench, extensive
 from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
                             evolve_state, fit_loglog_slope, initial_state,
                             order_slopes, prune_plateau, records_to_csv,
@@ -162,6 +163,7 @@ def test_order_slopes_and_runtime_estimate():
         def __init__(self, order, dt, eps, wall):
             self.order, self.dt, self.epsilon = order, dt, eps
             self.wall_time_per_step = wall
+            self.bracket_s, self.n_steps = 0.0, round(1.0 / dt)
 
     records = [R(1, dt, 0.5 * dt, 0.001) for dt in (0.2, 0.1, 0.05)]
     records += [R(4, dt, 0.5 * dt ** 4, 0.1) for dt in (0.2, 0.1, 0.05)]
@@ -376,3 +378,107 @@ def test_sweep_computes_one_table_per_interval(monkeypatch):
         first = round(config.t_final / r.dt) if r.order == 1 else 0
         assert stats["tables_computed"] == first
         assert r.bracket_s == stats["bracket_s"] >= 0
+
+
+def _count_powers(monkeypatch):
+    """The rewired Hamiltonian and order of every power built."""
+    built = []
+    original = extensive.build_power_stripped
+
+    def counting(rew, n):
+        built.append((rew, n))
+        return original(rew, n)
+
+    monkeypatch.setattr(extensive, "build_power_stripped", counting)
+    return built
+
+
+def _four_site_sweep(**kwargs):
+    # [0, 0.5] of period 1: 2 + 4 distinct steps per order
+    return EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
+                           dts=(0.25, 0.125), t_final=0.5,
+                           oracle_substeps=300, qtt_bits=16, d_max=8,
+                           **kwargs)
+
+
+def test_sweep_builds_the_power_once_per_order(monkeypatch):
+    ham = modulated_ising()
+    built = _count_powers(monkeypatch)
+    calls = _record_evolutions(monkeypatch)
+    run_benchmark(ham, _four_site_sweep())
+    assert sum(stats["mpo_builds"] for _, _, stats in calls) == 24
+    assert [n for _, n in built] == [1, 2, 3, 4]
+
+
+def test_plans_are_not_shared_between_sweeps(monkeypatch):
+    built = _count_powers(monkeypatch)
+    first, second = modulated_ising(), modulated_ising()
+    config = _four_site_sweep()
+    run_benchmark(first, config)
+    run_benchmark(first, config)
+    run_benchmark(second, config)
+    assert [n for _, n in built] == [1, 2, 3, 4] * 3
+    rews = [rew for rew, _ in built]
+    assert len({id(rew) for rew in rews}) == 12
+    # each sweep's plans hold the operators of its own Hamiltonian
+    for rew in rews[8:]:
+        assert [op for _, op, _ in rew.channels] == \
+            [c.operator for c in second.channels]
+    # Taylor and Magnus operators change with the step: a power per MPO
+    built.clear()
+    config = _reuse_config("magnus")
+    _, stats = evolve_state(first, initial_state(config), config)
+    assert len(built) == stats["mpo_builds"] == 4
+
+
+def test_evolve_state_reports_the_compression(monkeypatch):
+    ham = modulated_ising()
+    config = _reuse_config("dyson")
+    reports = []
+    original = bench.build_step_mpo
+
+    def recording(*args, **kwargs):
+        mpo, report = original(*args, **kwargs)
+        reports.append(report)
+        return mpo, report
+
+    monkeypatch.setattr(bench, "build_step_mpo", recording)
+    _, stats = evolve_state(ham, initial_state(config), config)
+    assert len(reports) == stats["mpo_builds"] == 4
+    assert stats["mpo_bond_before"] == max(
+        r.bond_dimension_before for r in reports) == 26
+    assert stats["mpo_bond_dim"] < stats["mpo_bond_before"]
+    assert stats["fold_residual"] == max(r.fold_residual for r in reports)
+    assert 0 <= stats["fold_residual"] < 1e-8
+
+
+def test_runtime_at_accuracy_leaves_out_table_time():
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, orders=(1, 2),
+                             dts=(0.25, 0.125, 0.0625), t_final=0.25,
+                             oracle_substeps=1000, qtt_bits=16, d_max=8)
+    records = run_benchmark(ham, config)
+    # the order-1 evolutions meet every interval first
+    assert all(r.bracket_s > 0 for r in records if r.order == 1)
+    assert all(r.n_steps == round(0.25 / r.dt) for r in records)
+    estimate = runtime_at_accuracy(records, 1e-6, span=0.25)
+    without = [dataclasses.replace(
+        r, wall_time_per_step=r.wall_time_per_step - r.bracket_s / r.n_steps,
+        bracket_s=0.0) for r in records]
+    charged = [dataclasses.replace(r, bracket_s=0.0) for r in records]
+    assert estimate == pytest.approx(
+        runtime_at_accuracy(without, 1e-6, span=0.25), rel=1e-12)
+    assert estimate[1] < runtime_at_accuracy(charged, 1e-6, span=0.25)[1]
+    assert estimate[2] <= runtime_at_accuracy(charged, 1e-6, span=0.25)[2]
+
+
+def test_runtime_at_accuracy_needs_two_points_per_order():
+    def record(order, dt, eps):
+        return bench.ErrorRecord("dyson", order, dt, eps, 0.01, 2, 2, 0,
+                                 n_steps=round(1 / dt))
+
+    records = [record(1, dt, 0.5 * dt) for dt in (0.2, 0.1)]
+    records += [record(2, 0.2, 1e-3), record(2, 0.1, 1e-13)]
+    with pytest.raises(ValueError, match="order 2"):
+        runtime_at_accuracy(records, 1e-6)
+    assert set(runtime_at_accuracy(records[:2], 1e-6)) == {1}

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import column_compress, flat_dyson_mpo, flat_taylor_mpo
+from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
+                     literal_row_compress)
 
 from dysonmpo import compression, fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
@@ -11,6 +12,7 @@ from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo
+from dysonmpo.extensive import PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.spin import SX, SZ
@@ -153,8 +155,8 @@ def test_row_compress_appendix_kept_set(chi):
 def test_row_compress_kept_set_minimality():
     # each kept level adds genuinely new operator content: dropping any one
     # of them leaves some level of its group outside the remaining span
-    from dysonmpo.compression import _gamma_matrix
-    from dysonmpo.levels import IDENTITY_LEVEL, completion_rows
+    from dysonmpo.compression import CompressionPlan
+    from dysonmpo.levels import IDENTITY_LEVEL
 
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
@@ -162,15 +164,21 @@ def test_row_compress_kept_set_minimality():
     compressed, report = row_compress(w, 3, tol=1e-6)
     kept = [l for l in report.kept_levels if l != IDENTITY_LEVEL]
     assert len(kept) == 5
-    channels = ["f1", "f2"]
+    plan = CompressionPlan(w.levels, 3)
+    values = plan.values(tab)
     for drop in kept:
         group = [l for l in kept
                  if (l.n2, l.n3) == (drop.n2, drop.n3)
                  and l.two_sequence() == drop.two_sequence()]
-        rows = completion_rows(drop.two_sequence(), channels,
-                               3 - drop.n2 - drop.n3)
-        g_full = _gamma_matrix(rows, group, tab, 3)
-        g_rest = _gamma_matrix(rows, [l for l in group if l != drop], tab, 3)
+        # the block of the group: its rows are the completions of the
+        # 2-sequence with 3 - n2 - n3 insertions
+        block = next(b for b in plan.blocks
+                     if (b.n2, b.n3, b.two_sequence)
+                     == (drop.n2, drop.n3, drop.two_sequence()))
+        g = block.gamma(values)
+        column = {plan.levels[p]: j for j, p in enumerate(block.levels)}
+        g_full = g[:, [column[l] for l in group]]
+        g_rest = g[:, [column[l] for l in group if l != drop]]
         rank_full = np.linalg.matrix_rank(g_full, tol=1e-8)
         rank_rest = np.linalg.matrix_rank(g_rest, tol=1e-8) if g_rest.size else 0
         assert rank_full == rank_rest + 1
@@ -269,18 +277,70 @@ def test_report_serialization():
 
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
 def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
+    # the keys of each (level, row) entry are enumerated once, when the
+    # plan is built; a later step of the same plan enumerates none
     ham = model()
     tab = table_for(ham, 0.0, 0.0625, 4)
     mpo = dyson_mpo(ham, 0.0, 0.0625, 4, tab)
     seen = []
-    entry = compression.gamma_entry
+    keys = compression.gamma_keys
 
-    def counting_entry(level, row, brackets, order):
+    def counting_keys(level, row, order):
         seen.append((level, row))
-        return entry(level, row, brackets, order)
+        return keys(level, row, order)
 
-    monkeypatch.setattr(compression, "gamma_entry", counting_entry)
+    monkeypatch.setattr(compression, "gamma_keys", counting_keys)
     out, report = row_compress(mpo, tol=1e-12)
     assert report.bond_dimension_after < report.bond_dimension_before
     assert seen
     assert len(set(seen)) == len(seen)
+    n_seen = len(seen)
+    tab2 = table_for(ham, 0.0625, 0.125, 4)
+    row_compress(dyson_mpo(ham, 0.0625, 0.125, 4, tab2,
+                           plan=mpo.params["plan"]), tol=1e-12)
+    assert len(seen) == n_seen
+
+
+_GRID_TABLES = {}
+
+
+def _grid_table(model, interval):
+    key = (model.__name__, interval)
+    if key not in _GRID_TABLES:
+        ham = model()
+        _GRID_TABLES[key] = table_for(ham, *interval, 4)
+    return _GRID_TABLES[key]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
+    # one plan serves the three steps, as in a sweep; each compressed MPO
+    # equals the per-entry gamma sums and column-by-column merges exactly
+    ham = model()
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
+    for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
+        tab = _grid_table(model, interval)
+        mpo = dyson_mpo(ham, *interval, order, tab, plan=plan)
+        out, report = row_compress(mpo, order, tol=tol)
+        ref, ref_report = literal_row_compress(mpo, order, tol=tol)
+        assert out.levels == ref.levels
+        assert report.to_text() == ref_report.to_text()
+        assert np.array_equal(out.site_tensor(), ref.site_tensor())
+    assert plan.compression is not None
+
+
+def test_compressed_mpo_holds_its_fold_tensor():
+    # apply_mpo reads the tensor the fold produced, not a copy rebuilt
+    # from entries, and the entries derived from it agree
+    ham = modulated_ising()
+    tab = table_for(ham, 0.0, 0.0625, 3)
+    out, _ = row_compress(dyson_mpo(ham, 0.0, 0.0625, 3, tab), 3)
+    site = out.site_tensor()
+    assert out.site_tensor() is site and not site.flags.writeable
+    idx = {lvl: i for i, lvl in enumerate(out.levels)}
+    rebuilt = np.zeros_like(site)
+    for (a, b), op in out.entries.items():
+        rebuilt[idx[a], idx[b]] = op
+    assert np.array_equal(rebuilt, site)
