@@ -3,7 +3,10 @@
 Driving functions become tensor trains with one binary digit per site
 (exponentials: bond 1, trig: bond 2).  A bond-dimension-2 MPO implements
 the running integral, and alternating it with pointwise products evaluates
-arbitrarily nested time-ordered integrals in O(R) work per level.
+arbitrarily nested time-ordered integrals in O(R) work per level.  For
+drivings that are sums of exponentials (const, sin, cos, exp, as below)
+`time_ordered_integral` returns the same left-endpoint grid sum in closed
+form; other drivings take the tensor-train path.
 """
 
 import math

@@ -5,12 +5,14 @@ up to a maximum order on one time interval.  Tables are computed once per
 interval and shared by every MPO construction for that step; the Taylor
 variant replaces the integrals by ``tau**k / k!``.
 
-The quantics engine evaluates the whole table in one pass over the trie of
-sequence suffixes (:func:`dysonmpo.quantics.time_ordered_integrals`).  With
-``c`` non-constant channels an order-``K`` table costs
-``(c + ... + c**(K-2)) + (c**2 + ... + c**(K-1))`` train compressions,
-18 for two channels at order 4; a separate nested chain per entry would
-take ``2 (k - 1)`` for each entry of order ``k``, 136 in total.
+The quantics engine evaluates the whole table in one call
+(:func:`dysonmpo.quantics.time_ordered_integrals`).  Channels that are sums
+of exponentials (const, sin, cos, exp) take the grid sums in closed form,
+one batched small matrix exponential per order.  The others take one pass
+over the trie of sequence suffixes: with ``c`` such channels an order-``K``
+table costs ``(c + ... + c**(K-2)) + (c**2 + ... + c**(K-1))`` train
+compressions, 18 for two channels at order 4; a separate nested chain per
+entry would take ``2 (k - 1)`` for each entry of order ``k``, 136 in total.
 """
 
 import math

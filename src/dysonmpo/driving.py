@@ -31,6 +31,14 @@ class DrivingFunction:
         from . import quantics
         return quantics.qtt_from_samples_of(self, t0, t1, bits)
 
+    def exponentials(self):
+        """``[(c, rate), ...]`` with ``f(t) = sum c * exp(rate * t)``, or None.
+
+        Drivings that are sums of exponentials get their brackets in
+        closed form (:func:`dysonmpo.quantics.time_ordered_integrals`).
+        """
+        return None
+
     def describe(self):
         return self.name
 
@@ -51,6 +59,9 @@ class ConstDriving(DrivingFunction):
     def build_qtt(self, t0, t1, bits):
         from . import quantics
         return quantics.qtt_const(self.value, bits)
+
+    def exponentials(self):
+        return [(self.constant_value, 0.0)]
 
     def describe(self):
         return f"const({self.value})"
@@ -91,6 +102,21 @@ class TrigDriving(DrivingFunction):
             train = quantics.qtt_add(train, quantics.qtt_const(self.offset, bits))
         return train
 
+    def exponentials(self):
+        if self.omega == 0:
+            return [(self.constant_value, 0.0)]
+        # sin x = (e^{ix} - e^{-ix}) / 2i,  cos x = (e^{ix} + e^{-ix}) / 2
+        plus = self.amplitude * np.exp(1j * self.phase)
+        minus = self.amplitude * np.exp(-1j * self.phase)
+        if self.kind == "sin":
+            plus, minus = plus / 2j, -minus / 2j
+        else:
+            plus, minus = plus / 2, minus / 2
+        terms = [(plus, 1j * self.omega), (minus, -1j * self.omega)]
+        if self.offset != 0:
+            terms.append((self.offset, 0.0))
+        return terms
+
     def describe(self):
         return (f"{self.kind}(omega={self.omega}, phase={self.phase}, "
                 f"amplitude={self.amplitude}, offset={self.offset})")
@@ -106,8 +132,12 @@ class ExpDriving(DrivingFunction):
     name = "exp"
 
     def __post_init__(self):
-        if self.rate == 0:
+        rate = complex(self.rate)
+        if rate == 0:
             self.constant_value = complex(self.amplitude)
+            self.period = math.inf
+        elif rate.real == 0:
+            self.period = 2.0 * math.pi / abs(rate.imag)
 
     def __call__(self, t):
         return self.amplitude * np.exp(self.rate * np.asarray(t))
@@ -116,6 +146,9 @@ class ExpDriving(DrivingFunction):
         from . import quantics
         train = quantics.qtt_exp(self.rate * (t1 - t0), bits)
         return train.scaled(self.amplitude * np.exp(self.rate * t0))
+
+    def exponentials(self):
+        return [(self.amplitude, self.rate)]
 
     def describe(self):
         return f"exp(rate={self.rate}, amplitude={self.amplitude})"
@@ -133,6 +166,7 @@ class PolyDriving(DrivingFunction):
         self.coeffs = tuple(complex(c) for c in self.coeffs)
         if all(c == 0 for c in self.coeffs[1:]):
             self.constant_value = self.coeffs[0] if self.coeffs else 0.0
+            self.period = math.inf
 
     def __call__(self, t):
         t = np.asarray(t)

@@ -10,21 +10,25 @@ Nested time-ordered integrals
     [f_1 f_2 ... f_k] = (-i)^k  int_{t0}^{t} dt_1 f_1(t_1)
                                 int_{t0}^{t_1} dt_2 f_2(t_2) ...
 
-are evaluated by alternating a cumulative-integral MPO of bond dimension 2
-(a strict Heaviside comparison of binary digits, left-endpoint rule) with
-pointwise products, and closing with a full grid sum.  The inner train
-``W_s`` of a sequence depends only on its suffix ``s``, so
+are evaluated on the same grid with the left-endpoint rule.  Drivings that
+are sums of exponentials (const, sin, cos, exp) take the grid sum in closed
+form: one small matrix exponential per exponent choice
+(:func:`_exponential_brackets`).  Other drivings alternate a
+cumulative-integral MPO of bond dimension 2 (a strict Heaviside comparison
+of binary digits) with pointwise products, and close with a full grid sum.
+The inner train ``W_s`` of a sequence depends only on its suffix ``s``, so
 :func:`time_ordered_integrals` walks the trie of suffixes once per interval:
 each channel train is built once, each ``H(W_s)`` and each product
 ``f_n * H(W_s)`` is compressed once, and every sequence of two or more
 channels is closed by contracting ``sum_x f_n(x) H(W_s)(x)`` site by site
 without forming either train, so its value does not depend on which other
-sequences were requested.  A full table of order ``K`` over
-``c`` non-constant channels costs ``c + ... + c**(K-2)`` running-integral
-and ``c**2 + ... + c**(K-1)`` product compressions, each an R-site sweep.
+sequences were requested.  A full table of order ``K`` over ``c`` channels
+without exponentials costs ``c + ... + c**(K-2)`` running-integral and
+``c**2 + ... + c**(K-1)`` product compressions, each an R-site sweep.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import scipy.linalg
@@ -296,16 +300,116 @@ def pointwise_product(f, g, compress_tol=None):
     return out
 
 
+def _grid_sum_generators(rates, tau, bits, interval):
+    """Scaled logarithms ``A`` of the grid-sum transfer matrices.
+
+    Row ``i`` of `rates` is one exponent choice ``lambda_1 .. lambda_k``
+    (latest time first).  With ``N = 2**bits``, ``delta = tau / N``,
+    prefix sums ``P_0 = 0``, ``P_i = lambda_1 + ... + lambda_i``,
+    ``Lambda_s = P_{k-s}`` and ``u_s = expm1(delta Lambda_s)``, the grid sum
+    ``sum_{N > n_1 > ... > n_k >= 0} prod_i exp(delta lambda_i n_i)`` is
+    ``[T**N]_{0,k}`` with ``T = (I + E) diag(1 + u)``, ``E`` the ones on
+    the superdiagonal; it equals ``N**k [exp(A)]_{0,k}`` for
+    ``A = G N log(T) G^-1``, ``G = diag(N**s)``.  ``log(T)`` is the series
+    ``sum_m (-1)**(m-1) / m (T - I)**m``, whose ``(s, r)`` entry carries
+    ``prod_{q=s+1..r} (1 + u_q)`` times the complete homogeneous symmetric
+    polynomial ``h_{m-(r-s)}(u_s .. u_r)``.  Each matrix sums as many terms
+    as its own ``max |u|`` needs, so its value does not depend on the
+    other rows.
+    """
+    n_rows, k = rates.shape
+    prefix = np.zeros((n_rows, k + 1), dtype=complex)
+    prefix[:, 1:] = np.cumsum(rates, axis=1)
+    lam = prefix[:, ::-1]
+    u = np.expm1(lam * (tau / 2.0 ** bits))
+    rho = np.abs(u).max(axis=1)
+    if rho.max() >= 0.5:
+        raise ValueError(
+            f"bits={bits} cannot resolve the interval {interval}: a grid "
+            f"step turns exp(rate * t) by |expm1| = {rho.max():.3g} >= 1/2")
+    # terms per matrix: the tail bound C(j + k, k) rho**j of the series
+    # truncated after h_{j-1} falls below 2**-60
+    powers = np.arange(1, 65 + 16 * k)
+    binom = np.array([float(math.comb(int(j) + k, k)) for j in powers])
+    tails = binom * rho[:, None] ** powers
+    terms = np.argmax(tails <= 2.0 ** -60, axis=1)
+    n_terms = int(terms.max())
+    a = np.zeros((n_rows, k + 1, k + 1), dtype=complex)
+    idx = np.arange(k + 1)
+    a[:, idx, idx] = tau * lam
+    h = u[:, :, None] ** np.arange(n_terms + 1)  # h_j(u_s)
+    lift = np.ones((n_rows, k + 1), dtype=complex)
+    for d in range(1, k + 1):
+        # h_j(u_s .. u_{s+d}) and prod_{q=s+1..s+d} (1 + u_q), s <= k - d
+        new = u[:, d:]
+        h = h[:, :k + 1 - d].copy()
+        for j in range(1, n_terms + 1):
+            h[:, :, j] += new * h[:, :, j - 1]
+        lift = lift[:, :k + 1 - d] * (1.0 + new)
+        series = np.zeros((n_rows, k + 1 - d), dtype=complex)
+        for j in range(n_terms, -1, -1):
+            term = h[:, :, j] * ((-1) ** (j + d - 1) / (j + d))
+            series = series + np.where(j <= terms[:, None], term, 0.0)
+        a[:, idx[:k + 1 - d], idx[d:]] = 2.0 ** (bits * (1 - d)) * lift * series
+    return a
+
+
+def _exponential_brackets(expansions, sequences, t0, t, bits):
+    """Closed-form brackets of sequences whose channels are exponential sums.
+
+    `expansions` maps a channel name to its ``[(c, rate), ...]``, or to
+    None for channels none of the `sequences` reads.  Each value is the
+    left-endpoint grid sum of the train engine, bias included:
+    ``(-i tau)**k sum_choices prod_i(c_i exp(lambda_i t0)) [exp(A)]_{0,k}``
+    with ``A`` from :func:`_grid_sum_generators`.  One batched matrix
+    exponential per order covers every distinct exponent choice, and each
+    sequence sums its choices in the order of ``product`` over its
+    channels' terms.
+    """
+    tau = t - t0
+    shifted = {name: [(complex(c) * np.exp(complex(rate) * t0), complex(rate))
+                      for c, rate in terms]
+               for name, terms in expansions.items() if terms is not None}
+    by_order = {}
+    for seq in sequences:
+        by_order.setdefault(len(seq), []).append(seq)
+    values = {}
+    for k, seqs in by_order.items():
+        rows = {}   # exponent choice -> row of the batch
+        sums = []   # per sequence: (coefficient, row) of each choice
+        for seq in seqs:
+            choices = []
+            for choice in product(*(shifted[name] for name in seq)):
+                rates = tuple(rate for _, rate in choice)
+                choices.append((math.prod(c for c, _ in choice),
+                                rows.setdefault(rates, len(rows))))
+            sums.append(choices)
+        a = _grid_sum_generators(np.array(list(rows), dtype=complex), tau,
+                                 bits, (t0, t))
+        grid = scipy.linalg.expm(a)[:, 0, k]
+        for seq, choices in zip(seqs, sums):
+            total = sum(coef * grid[row] for coef, row in choices)
+            values[seq] = complex((-1j * tau) ** k * total)
+    return values
+
+
 def time_ordered_integrals(channels, sequences, t0, t, bits=24,
                            compress_tol=1e-13):
     """Brackets of every sequence in `sequences` over ``[t0, t]``.
 
     `channels` maps a channel name to its driving function; a sequence
     lists names with the latest time first.  Returns a dict keyed by the
-    sequences as tuples.  Sequences of constant channels only take the
-    closed form ``prod(c) * (-i (t - t0))**k / k!``; the others are
-    evaluated on the quantics grid with the left-endpoint rule, sharing the
-    inner train of every common suffix (see the module docstring).
+    sequences as tuples.  The evaluator follows what the channels offer:
+
+    - sequences of constant channels only take the exact integral
+      ``prod(c) * (-i (t - t0))**k / k!``;
+    - sequences whose channels are all sums of exponentials
+      (`DrivingFunction.exponentials`) take the left-endpoint grid sum on
+      the ``2**bits`` grid of the interval in closed form
+      (:func:`_exponential_brackets`);
+    - the others take the same grid sum contracted as quantics trains,
+      sharing the inner train of every common suffix (see the module
+      docstring).
     """
     sequences = [tuple(seq) for seq in sequences]
     if not all(sequences):
@@ -313,6 +417,8 @@ def time_ordered_integrals(channels, sequences, t0, t, bits=24,
     if t == t0:
         return dict.fromkeys(sequences, 0.0 + 0.0j)
     values = dict.fromkeys(sequences)
+    expansions = {name: f.exponentials() for name, f in channels.items()}
+    closed = []
     gridded = []
     for seq in sequences:
         consts = [channels[name].constant_value for name in seq]
@@ -320,8 +426,11 @@ def time_ordered_integrals(channels, sequences, t0, t, bits=24,
             prod = np.prod([complex(c) for c in consts])
             values[seq] = complex(prod * (-1j * (t - t0)) ** len(seq)
                                   / math.factorial(len(seq)))
+        elif all(expansions[name] is not None for name in seq):
+            closed.append(seq)
         else:
             gridded.append(seq)
+    values.update(_exponential_brackets(expansions, closed, t0, t, bits))
     delta_x = (t - t0) / 2.0 ** bits
     heaviside = cumulative_integral_mpo(bits, delta_x)
     inner = {}    # suffix s -> W_s; a one-name suffix is the channel train

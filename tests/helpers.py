@@ -13,6 +13,7 @@ import numpy as np
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import (CompressionBasisError, CompressionReport,
                                   _select_new_levels, gamma_keys)
+from dysonmpo.driving import DrivingFunction
 from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
 from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
                              is_one, pad_with_ones)
@@ -160,6 +161,41 @@ def literal_bracket_table(channels, t0, t, max_order, bits=24):
                 [by_name[name] for name in key], t0, t, bits=bits)
             for k in range(1, max_order + 1)
             for key in product(list(by_name), repeat=k)}
+
+
+def dense_discrete_bracket(drivings, t0, t, bits):
+    """Left-endpoint grid sum of ``[f_1 ... f_k]`` on an explicit grid.
+
+    Samples every driving on the ``2**bits`` points ``t0 + n delta`` and
+    nests exclusive cumulative sums ``sum_{x < y}`` from the earliest time
+    outward, in extended precision (``np.longdouble``), so that the
+    oracle's own rounding sits far below double precision where the
+    platform has an extended type.
+    """
+    n = np.arange(2 ** bits, dtype=np.longdouble)
+    tau = np.longdouble(t) - np.longdouble(t0)
+    ts = np.longdouble(t0) + tau * n / 2 ** bits
+    delta = tau / 2 ** bits
+    w = np.asarray(drivings[-1](ts), dtype=np.clongdouble)
+    for f in reversed(drivings[:-1]):
+        below = np.concatenate([[0], np.cumsum(w)[:-1]])
+        w = np.asarray(f(ts), dtype=np.clongdouble) * below * delta
+    return complex((-1j) ** len(drivings) * np.sum(w) * delta)
+
+
+class OpaqueDriving(DrivingFunction):
+    """`inner` without its exponentials: its brackets take the train path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.period = inner.period
+        self.constant_value = inner.constant_value
+
+    def __call__(self, t):
+        return self.inner(t)
+
+    def build_qtt(self, t0, t1, bits):
+        return self.inner.build_qtt(t0, t1, bits)
 
 
 def build_power_flat(rew, n):

@@ -12,7 +12,7 @@ from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
                             run_benchmark, runtime_at_accuracy)
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
-    TimeDependentHamiltonian, TrigDriving
+    PolyDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.mps import apply_mpo
@@ -296,10 +296,10 @@ def test_bracket_cache_recomputes_above_stored_order():
     assert cache.computed == 2
 
 
-def test_static_drive_keys_on_step_length(monkeypatch):
+def _assert_static_drive_builds_once(driving, monkeypatch):
     ising = modulated_ising()
     ham = TimeDependentHamiltonian([
-        Channel(c.name, c.operator, ConstDriving(1.0)) for c in ising.channels])
+        Channel(c.name, c.operator, driving) for c in ising.channels])
     assert ham.common_period() == math.inf
     config = EvolutionConfig(n_sites=6, t_final=1.0, dt=0.125, order=3,
                              d_max=8, qtt_bits=16, seed=5)
@@ -319,6 +319,29 @@ def test_static_drive_keys_on_step_length(monkeypatch):
         ref, _ = apply_mpo(mpo, ref, d_max=config.d_max,
                            svd_tol=config.svd_tol)
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
+
+
+def test_static_drive_keys_on_step_length(monkeypatch):
+    _assert_static_drive_builds_once(ConstDriving(1.0), monkeypatch)
+
+
+def test_static_exp_drive_keys_on_step_length(monkeypatch):
+    _assert_static_drive_builds_once(ExpDriving(rate=0, amplitude=0.8),
+                                     monkeypatch)
+
+
+def test_constant_and_imaginary_rate_drives_are_periodic():
+    assert ExpDriving(rate=0).period == math.inf
+    assert PolyDriving(coeffs=(2.0, 0.0)).period == math.inf
+    assert ExpDriving(rate=-4j).period == pytest.approx(math.pi / 2)
+    assert ExpDriving(rate=-0.5).period is None
+    assert PolyDriving(coeffs=(0.0, 1.0)).period is None
+    ising = modulated_ising()
+    ham = TimeDependentHamiltonian([
+        ising.channels[0],
+        Channel("x", ising.channels[1].operator,
+                ExpDriving(rate=4j * math.pi))])
+    assert ham.common_period() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("method,orders", [("dyson", [3] * 4),
