@@ -11,7 +11,8 @@ power, its level structure and the compression's index sets are built
 once per order and sweep, and each step only supplies its brackets.  The
 evolved state is compared against a dense Runge-Kutta reference (or
 against the most accurate Dyson state when self-referencing) through the
-trace-distance error ``sqrt(1 - |<a|b>|^2)``.
+trace-distance error ``sqrt(1 - |<a|b>|^2)``, evaluated through the
+phase-aligned difference of the two states.
 """
 
 import csv
@@ -33,7 +34,9 @@ from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import taylor_mpo
 
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
-               "mpo_bond_dim", "mps_bond_dim", "seed"]
+               "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
+               "fold_residual", "mpo_builds", "discarded_weight",
+               "bracket_s"]
 
 
 @dataclass
@@ -75,6 +78,9 @@ class ErrorRecord:
     discarded_weight: float = 0.0    # summed over the steps' MPS truncations
     bracket_s: float = 0.0           # spent obtaining bracket tables
     n_steps: int = 1                 # steps of the evolution
+    mpo_bond_before: int = 0         # largest MPO bond before compression
+    fold_residual: float = 0.0       # largest relative least-squares residual
+    mpo_builds: int = 0              # step MPOs built (one per congruence class)
 
 
 def bracket_order(method, order):
@@ -275,9 +281,10 @@ def _epsilon_stable(psi, reference, dense_cap=4096):
     """Trace-distance error, accurate below the overlap's rounding floor.
 
     ``sqrt(1 - |<a|b>|^2)`` cancels catastrophically once the states agree
-    to ~1e-8; for small systems the phase-aligned difference norm delta
-    gives the same quantity as ``delta * sqrt(1 - delta^2 / 4)`` with full
-    precision.
+    to ~1e-8; the phase-aligned difference norm delta gives the same
+    quantity as ``delta * sqrt(1 - delta^2 / 4)`` with full precision.
+    Up to `dense_cap` amplitudes delta comes from the dense vectors, above
+    it from the difference MPS (`trace_distance_error`).
     """
     dim = psi.d ** psi.n_sites
     if dim > dense_cap:
@@ -327,7 +334,10 @@ def run_benchmark(hamiltonian, config):
                                        stats["mpo_bond_dim"],
                                        stats["mps_bond_dim"], config.seed,
                                        stats["discarded_weight"],
-                                       stats["bracket_s"], stats["n_steps"]))
+                                       stats["bracket_s"], stats["n_steps"],
+                                       stats["mpo_bond_before"],
+                                       stats["fold_residual"],
+                                       stats["mpo_builds"]))
     return records
 
 
@@ -339,7 +349,9 @@ def records_to_csv(records, seed=0):
     for r in records:
         writer.writerow([r.method, r.order, f"{r.dt:.12g}", f"{r.epsilon:.12g}",
                          f"{r.wall_time_per_step:.6g}", r.mpo_bond_dim,
-                         r.mps_bond_dim, r.seed])
+                         r.mps_bond_dim, r.seed, r.mpo_bond_before,
+                         f"{r.fold_residual:.6g}", r.mpo_builds,
+                         f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}"])
     return buf.getvalue()
 
 

@@ -12,7 +12,9 @@ the in-progress terms interleaved with newly inserted terms, weighted by
 the matching time-ordered integrals), projects out what the kept levels
 already span, selects genuinely new levels by rank-revealing QR, and folds
 the rest into the kept set by least squares.  Everything dropped this way
-carries weight of order higher than the expansion order of the MPO.
+carries weight of order higher than the expansion order of the MPO.  The
+rank tolerance is relative to the block's largest column norm and lies in
+``[0, 1)``.
 
 All of that but the numbers is fixed by the levels and the order: the
 groups and their blocks per 2-sequence, each block's completion rows, and
@@ -26,6 +28,15 @@ folds the removed levels into the kept ones at once: the product
 ``W[kept rows, :] @ T``, ``T`` holding the identity on kept levels and the
 fold coefficients, accumulated as one scatter-add in the order the levels
 were removed.  The result is held as its dense site tensor.
+
+A step does only the work whose outcome depends on its numbers.  A block
+with one own level and no earlier levels of its 2-sequence keeps that
+level exactly when its gamma column is nonzero, which is what the pivoted
+QR decides for any ``tol < 1``; the plan marks these blocks, and a step
+settles all of them with one stacked gather.  The other blocks take an
+R-only pivoted QR; only a rank strictly between 0 and the column count
+leaves a choice, and only then does the greedy pass run, its subset in
+column order kept when it has the QR's size.
 """
 
 from dataclasses import dataclass, field
@@ -159,6 +170,12 @@ class CompressionPlan:
     processed in order: groups ``(n2, n3)`` by ``n2`` then ``n3``, each
     group's 2-sequences sorted.  `keys` lists the bracket keys the blocks
     index, and `positions` maps each input level to its plan position.
+
+    A block with one own level and no earlier one is settled by its gamma
+    column alone: `settled` holds the numbers of those blocks,
+    `settled_levels` their levels and `settled_index` their index arrays
+    stacked and padded with -1 (see `settled_nonzero`).  `open` lists the
+    other blocks as ``(number, block)``.
     """
 
     def __init__(self, levels, order):
@@ -207,11 +224,45 @@ class CompressionPlan:
                         idx.T.reshape(depth, len(rows), len(cols))))
                     prior.extend(blocks[cseq])
         self.keys = list(slots)
+        single = [(b, block) for b, block in enumerate(self.blocks)
+                  if block.n_prior == 0 and len(block.levels) == 1]
+        self.open = [(b, block) for b, block in enumerate(self.blocks)
+                     if block.n_prior or len(block.levels) > 1]
+        self.settled = np.array([b for b, _ in single], dtype=np.intp)
+        self.settled_levels = np.array([block.levels[0] for _, block in single],
+                                       dtype=np.intp)
+        depth = max((block.index.shape[0] for _, block in single), default=1)
+        width = max((block.index.shape[1] for _, block in single), default=1)
+        self.settled_index = np.full((depth, len(single), width), -1,
+                                     dtype=np.intp)
+        for k, (_, block) in enumerate(single):
+            d, n, _ = block.index.shape
+            self.settled_index[:d, k, :n] = block.index[:, :, 0]
 
     def values(self, brackets):
-        """The bracket vector: one value per key, then a zero."""
-        return np.array([brackets.value(k) for k in self.keys] + [0.0],
-                        dtype=complex)
+        """The bracket vector: one value per key, then a zero.
+
+        A non-finite bracket raises `ValueError` naming its key.
+        """
+        values = np.array([brackets.value(k) for k in self.keys] + [0.0],
+                          dtype=complex)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"bracket {self.keys[bad[0]]!r} is not finite: "
+                             f"{values[bad[0]]}")
+        return values
+
+    def settled_nonzero(self, values):
+        """Whether each single-column block's gamma column is nonzero.
+
+        The column sums run in key order, as `Block.gamma`'s do; padding
+        adds the vector's trailing zero.  A column counts as zero when all
+        its squared entries are, which is when its norm is.
+        """
+        g = values[self.settled_index[0]] + 0.0
+        for layer in self.settled_index[1:]:
+            g = g + values[layer]
+        return (g.real * g.real + g.imag * g.imag).any(axis=1)
 
 
 def _select_new_levels(residual, tol, ref):
@@ -274,6 +325,8 @@ def row_compress(mpo, order=None, tol=1e-12):
     in-progress symbols, so each group decomposes into independent blocks
     per 2-sequence.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
     order = mpo.order if order is None else int(order)
     brackets = mpo.params.get("brackets")
     if brackets is None and "tau" in mpo.params:
@@ -283,20 +336,24 @@ def row_compress(mpo, order=None, tol=1e-12):
     plan = _plan_for(mpo, order)
     values = plan.values(brackets)
     kept = np.ones(len(plan.levels), dtype=bool)
-    removed = []
-    folds = []       # (removed position, basis positions, coefficients)
+    zero = ~plan.settled_nonzero(values)
+    kept[plan.settled_levels[zero]] = False
+    # (block number, its removals), merged into block order at the end
+    chunks = [(b, [(plan.levels[p], {})]) for b, p in
+              zip(plan.settled[zero].tolist(),
+                  plan.settled_levels[zero].tolist())]
+    folds = []       # per block: (removed, basis, coefficient) per term
     fold_residual = 0.0
-    for block in plan.blocks:
+    for number, block in plan.open:
         g = block.gamma(values)
         prior = block.levels[:block.n_prior]
         own = block.levels[block.n_prior:]
         g_comp = g[:, block.n_prior:]
-        ref = max(np.linalg.norm(g_comp[:, j]) for j in range(len(own)))
+        ref = _column_scale(g_comp)
         kept_prior = np.flatnonzero(kept[prior])
         if ref == 0.0:
             # identically vanishing weights: the block drops out
-            for p in own:
-                removed.append((plan.levels[p], {}))
+            chunks.append((number, [(plan.levels[p], {}) for p in own]))
             kept[own] = False
             continue
         residual = g_comp
@@ -309,16 +366,19 @@ def row_compress(mpo, order=None, tol=1e-12):
                 residual = g_comp - proj
         # rank of the residual measured against the unprojected
         # column scale, not the residual's own largest entry
-        _, pivots, _, r_fac = qr_column_pivoted(residual, tol=0.0)
+        _, pivots, r_fac = qr_column_pivoted(residual, tol=0.0)
         diag = np.abs(np.diag(r_fac))
         rank = int(np.count_nonzero(diag > tol * ref))
-        selected = _select_new_levels(residual, tol, ref)
-        if len(selected) != rank:
-            # borderline numerics: fall back to the QR pivot choice
-            selected = sorted(pivots[:rank])
-        rest_idx = [j for j in range(len(own)) if j not in selected]
-        if not rest_idx:
+        if rank == len(own):
             continue
+        # a rank of 0 leaves one choice too; in between, the greedy
+        # subset in column order wins when it has the QR's size
+        selected = sorted(pivots[:rank])
+        if rank:
+            greedy = _select_new_levels(residual, tol, ref)
+            if len(greedy) == rank:
+                selected = greedy
+        rest_idx = [j for j in range(len(own)) if j not in selected]
         rest = own[rest_idx]
         # the basis is the earlier kept levels then the new ones, so
         # its columns are already in g_kept and g_comp
@@ -348,13 +408,16 @@ def row_compress(mpo, order=None, tol=1e-12):
                 fold_residual = max(fold_residual,
                                     resid / float(rest_norm))
         cutoff = 1e-13 * max(1.0, np.abs(x).max(initial=0.0))
-        big = np.abs(x) > cutoff
-        for jr, p in enumerate(rest):
-            on = np.flatnonzero(big[:, jr])
-            removed.append((plan.levels[p],
-                            {plan.levels[basis[i]]: complex(x[i, jr])
-                             for i in on}))
-            folds.append((p, basis[on], x[on, jr]))
+        big = (np.abs(x) > cutoff).T
+        names = [plan.levels[p] for p in basis.tolist()]
+        chunks.append((number, [
+            (plan.levels[p], {names[i]: c for i, c in enumerate(coeffs)
+                              if on[i]})
+            for p, coeffs, on in zip(rest.tolist(), x.T.tolist(),
+                                     big.tolist())]))
+        # terms removed level by level, each over its basis in order
+        jr, i = np.nonzero(big)
+        folds.append((rest[jr], basis[i], x[i, jr]))
         kept[rest] = False
 
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
@@ -362,22 +425,42 @@ def row_compress(mpo, order=None, tol=1e-12):
     out = ExtensiveMPO.from_site_tensor(
         mpo.d, levels, _fold(mpo, plan.positions, kept, folds),
         order=order, params=params)
+    chunks.sort(key=lambda chunk: chunk[0])
     report = CompressionReport(kept_levels=list(levels),
-                               removed_levels=removed,
+                               removed_levels=[r for _, rs in chunks
+                                               for r in rs],
                                bond_dimension_before=mpo.bond_dimension,
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=tol, fold_residual=fold_residual)
     return out, report
 
 
+def _column_scale(g):
+    """Largest column norm of `g`, as ``np.linalg.norm`` gives each.
+
+    Squared column sums only pick the columns within 1e-8 of the largest
+    (all of them when the squares near underflow); the norm is then taken
+    column by column on those, so the value is bitwise the per-column
+    maximum whatever rounding the sums carry.
+    """
+    sq = (g.real * g.real + g.imag * g.imag).sum(axis=0)
+    top = sq.max()
+    if top == 0.0:
+        return 0.0
+    near = np.flatnonzero(sq >= (1.0 - 1e-8) * top) if top > 1e-280 \
+        else range(g.shape[1])
+    return max(np.linalg.norm(g[:, j]) for j in near)
+
+
 def _fold(mpo, positions, kept, folds):
     """Dense site tensor of ``W[kept rows, :] @ T`` over the kept levels.
 
     ``T`` is the identity on kept levels plus, for each removed level, its
-    coefficients on the kept ones (`folds`, in the order the levels were
-    removed).  Entry ``(a, k)`` starts from ``W[a, k]`` and adds the removed
-    levels' terms one at a time in that order, which is the order of a
-    level-by-level column merge.
+    coefficients on the kept ones.  `folds` holds one triple of arrays per
+    block, ``(removed level, kept level, coefficient)`` per term, in the
+    order the levels were removed.  Entry ``(a, k)`` starts from
+    ``W[a, k]`` and adds the removed levels' terms one at a time in that
+    order, which is the order of a level-by-level column merge.
     """
     rows, cols, blocks = mpo.coo()
     rows, cols = positions[rows], positions[cols]
@@ -388,8 +471,7 @@ def _fold(mpo, positions, kept, folds):
     direct = kept[rows] & kept[cols]
     out[new[rows[direct]] * m + new[cols[direct]]] = blocks[direct]
     if folds:
-        counts = [len(k) for _, k, _ in folds]
-        source = np.repeat([p for p, _, _ in folds], counts)
+        source = np.concatenate([s for s, _, _ in folds])
         target = np.concatenate([k for _, k, _ in folds])
         coeff = np.concatenate([c for _, _, c in folds])
         # entries of each source column, term by term

@@ -421,7 +421,7 @@ def literal_row_compress(mpo, order=None, tol=1e-12):
                         proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
                                                         rcond=None)[0]
                         residual = g_comp - proj
-                _, pivots, _, r_fac = qr_column_pivoted(residual, tol=0.0)
+                _, pivots, r_fac = qr_column_pivoted(residual, tol=0.0)
                 diag = np.abs(np.diag(r_fac))
                 rank = int(np.count_nonzero(diag > tol * ref))
                 selected = _select_new_levels(residual, tol, ref)

@@ -111,7 +111,9 @@ def test_csv_schema():
     assert lines[0] == "# seed=0"
     assert lines[1].split(",") == ["method", "order", "dt", "epsilon",
                                    "wall_time_per_step_s", "mpo_bond_dim",
-                                   "mps_bond_dim", "seed"]
+                                   "mps_bond_dim", "seed", "mpo_bond_before",
+                                   "fold_residual", "mpo_builds",
+                                   "discarded_weight", "bracket_s"]
 
 
 def test_initial_state_seeded():
@@ -473,6 +475,31 @@ def test_evolve_state_reports_the_compression(monkeypatch):
     assert stats["mpo_bond_dim"] < stats["mpo_bond_before"]
     assert stats["fold_residual"] == max(r.fold_residual for r in reports)
     assert 0 <= stats["fold_residual"] < 1e-8
+
+
+def test_records_carry_the_evolution_stats():
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, orders=(2, 3), dts=(0.5, 0.25),
+                             t_final=2.0, oracle_substeps=600, qtt_bits=16,
+                             d_max=4)
+    records = run_benchmark(ham, config)
+    rows = records_to_csv(records).strip().splitlines()[2:]
+    for r, row in zip(records, rows):
+        _, stats = evolve_state(ham, initial_state(config), config,
+                                order=r.order, dt=r.dt)
+        assert r.mpo_bond_before == stats["mpo_bond_before"] > r.mpo_bond_dim
+        assert r.fold_residual == stats["fold_residual"]
+        # two periods of the drive: the second reuses the first's MPOs
+        assert r.mpo_builds == stats["mpo_builds"] == r.n_steps // 2
+        fields = dict(zip(bench.CSV_COLUMNS, row.split(",")))
+        assert int(fields["mpo_bond_before"]) == r.mpo_bond_before
+        assert int(fields["mpo_builds"]) == r.mpo_builds
+        assert float(fields["fold_residual"]) == pytest.approx(
+            r.fold_residual, rel=1e-5, abs=0)
+        assert float(fields["discarded_weight"]) == pytest.approx(
+            r.discarded_weight, rel=1e-5, abs=0)
+        assert float(fields["bracket_s"]) == pytest.approx(r.bracket_s,
+                                                           rel=1e-5)
 
 
 def test_runtime_at_accuracy_leaves_out_table_time():

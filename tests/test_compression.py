@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
                      literal_row_compress)
 
 from dysonmpo import compression, fdmpo
+from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
@@ -15,7 +17,7 @@ from dysonmpo.dyson import dyson_mpo
 from dysonmpo.extensive import PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
-from dysonmpo.spin import SX, SZ
+from dysonmpo.spin import SX, SY, SZ
 from dysonmpo.taylor import taylor_mpo
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
@@ -312,14 +314,24 @@ def _grid_table(model, interval):
     return _GRID_TABLES[key]
 
 
+def ising_with_silent_channel():
+    """The modulated TFI plus a `yy` coupling whose driving is zero."""
+    ham = modulated_ising()
+    silent = Channel("yy", fdmpo.from_terms(2, two_site=[(SY, SY)]),
+                     ConstDriving(0.0))
+    return TimeDependentHamiltonian(list(ham.channels) + [silent])
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
-@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz,
+                                   ising_with_silent_channel])
 def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
     # one plan serves the three steps, as in a sweep; each compressed MPO
     # equals the per-entry gamma sums and column-by-column merges exactly
     ham = model()
     plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
+    settled_zero = 0
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _grid_table(model, interval)
         mpo = dyson_mpo(ham, *interval, order, tab, plan=plan)
@@ -328,7 +340,79 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
         assert out.levels == ref.levels
         assert report.to_text() == ref_report.to_text()
         assert np.array_equal(out.site_tensor(), ref.site_tensor())
+        nonzero = plan.compression.settled_nonzero(
+            plan.compression.values(tab))
+        settled_zero += int(np.count_nonzero(~nonzero))
     assert plan.compression is not None
+    if model is ising_with_silent_channel:
+        # the plan-settled removals are compared as well
+        assert settled_zero > 0
+
+
+def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
+    # the greedy pass runs on blocks whose QR rank lies strictly between
+    # 0 and the column count; elsewhere the pivots fix the kept set
+    ham = modulated_xxz()
+    tab = _grid_table(modulated_xxz, (0.1875, 0.25))
+    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    residuals = []
+    greedy = compression._select_new_levels
+
+    def recording(residual, tol, ref):
+        residuals.append(residual.copy())
+        return greedy(residual, tol, ref)
+
+    monkeypatch.setattr(compression, "_select_new_levels", recording)
+    out, report = row_compress(mpo, 4, tol=1e-12)
+    ref, ref_report = literal_row_compress(mpo, 4, tol=1e-12)
+    assert residuals
+    assert all(r.shape[1] >= 2 for r in residuals)
+    assert len(residuals) < len(mpo.params["plan"].compression.blocks)
+    assert out.levels == ref.levels
+    assert report.to_text() == ref_report.to_text()
+    assert np.array_equal(out.site_tensor(), ref.site_tensor())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 0.0])
+def test_column_scale_is_the_largest_column_norm(scale):
+    # the rank threshold: bitwise the per-column np.linalg.norm maximum,
+    # also for near ties and for squares in or below the subnormal range
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        g = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+        g /= np.linalg.norm(g, axis=0)
+        g *= scale * (1.0 + 1e-15 * rng.integers(-3, 4, size=5))
+        expected = max(np.linalg.norm(g[:, j]) for j in range(5))
+        assert compression._column_scale(g) == expected
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-12, 1.0, 2.5])
+def test_row_compress_rejects_tolerance_outside_unit_interval(tol):
+    ham = modulated_ising()
+    tab = table_for(ham, 0.0, 0.0625, 2)
+    named = re.escape(f"got {tol!r}")
+    with pytest.raises(ValueError, match=named):
+        row_compress(dyson_mpo(ham, 0.0, 0.0625, 2, tab), 2, tol=tol)
+    with pytest.raises(ValueError, match=named):
+        build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", tab, qr_tol=tol)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_row_compress_rejects_non_finite_brackets(bad):
+    # checked once per step, before any block is factorised
+    ham = modulated_ising()
+    tab = table_for(ham, 0.0, 0.0625, 2)
+    values = dict(tab.values)
+    values[("zz", "x")] = complex(bad, 0.0)
+    broken = BracketTable(tab.interval, values, tab.max_order)
+    # the power build multiplies the infinity by zeros on the way
+    with np.errstate(invalid="ignore"):
+        mpo = dyson_mpo(ham, 0.0, 0.0625, 2, broken)
+        with pytest.raises(ValueError, match=re.escape("('zz', 'x')")):
+            row_compress(mpo, 2)
+        with pytest.raises(ValueError, match="not finite"):
+            build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", broken,
+                           qr_tol=1e-12)
 
 
 def test_compressed_mpo_holds_its_fold_tensor():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dysonmpo.linalg import qr_column_pivoted, svd_truncate, truncation_rank
 
@@ -34,12 +35,12 @@ def test_svd_discarded_weight():
 
 
 def test_qr_zero_matrix():
-    rank, piv, q, r = qr_column_pivoted(np.zeros((3, 3)))
+    rank, piv, r = qr_column_pivoted(np.zeros((3, 3)))
     assert rank == 0 and piv == []
 
 
 def test_qr_identity():
-    rank, piv, q, r = qr_column_pivoted(np.eye(3), tol=1e-12)
+    rank, piv, r = qr_column_pivoted(np.eye(3), tol=1e-12)
     assert rank == 3
 
 
@@ -48,7 +49,7 @@ def test_qr_duplicate_column():
     col = rng.normal(size=4)
     other = rng.normal(size=4)
     m = np.column_stack([col, col, other])
-    rank, piv, q, r = qr_column_pivoted(m, tol=1e-12)
+    rank, piv, r = qr_column_pivoted(m, tol=1e-12)
     assert rank == np.linalg.matrix_rank(m)
     assert rank == 2
     # the two duplicates contribute a single pivot
@@ -65,6 +66,19 @@ def test_qr_rank_matches_svd_on_random_low_rank():
         svd_rank = int(np.sum(np.linalg.svd(mat, compute_uv=False)
                               > 1e-10 * np.linalg.svd(mat, compute_uv=False)[0]))
         assert rank == svd_rank
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (49, 1),
+                                   (1, 49), (17, 5)])
+def test_qr_r_factor_is_scipys(shape):
+    # one geqp3 call, no Q: the same R and pivots as scipy's economic QR
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m[:, -1] = m[:, 0]  # one dependent column where there are several
+    _, r_ref, piv_ref = scipy.linalg.qr(m, mode="economic", pivoting=True)
+    rank, piv, r = qr_column_pivoted(m, tol=0.0)
+    assert np.array_equal(r, r_ref)
+    assert piv == [int(p) for p in piv_ref[:rank]]
 
 
 def test_truncation_rank():

@@ -77,6 +77,39 @@ def test_trace_distance_basics():
     assert abs(trace_distance_error(up, plus) - 1 / math.sqrt(2)) < 1e-12
 
 
+def test_trace_distance_resolves_nearby_states():
+    # the overlap form reads up to ~4e-8 for a state against itself; the
+    # difference MPS resolves distances down to rounding
+    rng = np.random.default_rng(7)
+    psi = _random_mps(16, 8, rng)
+    assert trace_distance_error(psi, psi) <= 1e-14
+    turned = FiniteMPS([np.exp(0.7j) * psi.tensors[0]] + psi.tensors[1:])
+    assert trace_distance_error(psi, turned) <= 1e-14
+    # in left-canonical form, as apply_mpo's states are, one tensor
+    # perturbed by 1e-10 moves the state by a few 1e-10; both evaluations
+    # carry about 1e-16 of rounding in delta
+    tensors = list(psi.tensors)
+    for i in range(15):
+        dl, d, dr = tensors[i].shape
+        q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
+        tensors[i] = q.reshape(dl, d, -1)
+        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
+    tensors[15] = tensors[15] / np.linalg.norm(tensors[15])
+    canonical = FiniteMPS(tensors)
+    tensors = list(tensors)
+    tensors[5] = tensors[5] + 1e-10 * rng.normal(size=tensors[5].shape)
+    near = FiniteMPS(tensors)
+    a = canonical.to_dense()
+    b = near.to_dense()
+    a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+    ov = np.vdot(b, a)
+    delta = np.linalg.norm(a - ov / abs(ov) * b)
+    dense = delta * math.sqrt(1.0 - 0.25 * delta ** 2)
+    assert 1e-11 < dense < 1e-9
+    assert trace_distance_error(canonical, near) == pytest.approx(
+        dense, rel=1e-6, abs=0.0)
+
+
 def test_exact_evolve_time_independent_matches_expm():
     h = static_tfi()
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
