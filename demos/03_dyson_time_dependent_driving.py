@@ -31,11 +31,8 @@ for order in (1, 2, 3):
     print(f"  dyson order {order}: bond {w.bond_dimension:>2}  error {err:.3e}")
 
 # a frozen-Hamiltonian Taylor step of the same order for comparison
-frozen = None
 tm = t0 + dt / 2
-for c in ham.channels:
-    term = dm.scale(c.operator, complex(np.asarray(c.driving(tm)).item()))
-    frozen = term if frozen is None else dm.add(frozen, term)
+frozen = ham.weighted(lambda c: complex(np.asarray(c.driving(tm)).item()))
 w_frozen = dm.taylor_mpo(frozen, -1j * dt, 3)
 err = np.linalg.norm(w_frozen.to_dense(L, cap=256) - u_exact, 2)
 print(f"  frozen-H taylor order 3 (midpoint): error {err:.3e}")

@@ -10,7 +10,7 @@ from .compression import (CompressionBasisError, CompressionReport,
 from .driving import (Channel, ConstDriving, DrivingFunction, ExpDriving,
                       PolyDriving, SampledDriving, TimeDependentHamiltonian,
                       TrigDriving)
-from .dyson import dyson_first_order, dyson_mpo, identity_mpo, rewire
+from .dyson import dyson_mpo, identity_mpo
 from .evolve import exact_evolution_operator, exact_evolve
 from .extensive import ExtensiveMPO, RewiredHamiltonian
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
@@ -22,10 +22,8 @@ from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .quadrature import quad_time_ordered_integral
 from .quantics import (QuanticsTrain, cumulative_integral_mpo, pointwise_product,
-                       qtt_const, qtt_exp, qtt_from_samples, qtt_trig,
-                       time_ordered_integral)
-from .taylor import (mpo_derivative_at_zero, taylor_family, taylor_first_order,
-                     taylor_mpo)
+                       qtt_exp, qtt_from_samples, time_ordered_integral)
+from .taylor import mpo_derivative_at_zero, taylor_mpo
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fdmpo
 from .brackets import BracketTable
 from .compression import row_compress
 from .dyson import dyson_mpo
@@ -189,10 +188,8 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
     elif method == "taylor":
         # constant-Hamiltonian baseline: freeze the driving at the midpoint
         tm = 0.5 * (t0 + t1)
-        frozen = None
-        for c in hamiltonian.channels:
-            term = fdmpo.scale(c.operator, complex(np.asarray(c.driving(tm)).item()))
-            frozen = term if frozen is None else fdmpo.add(frozen, term)
+        frozen = hamiltonian.weighted(
+            lambda c: complex(np.asarray(c.driving(tm)).item()))
         mpo = taylor_mpo(frozen, -1j * (t1 - t0), order)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -203,13 +200,14 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
 
 
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
-    """Evolve `psi` over ``[t0, t_final]`` in uniform steps.
+    """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps.
 
-    Steps in the same congruence class of `cache` share one compressed
-    MPO, built at the first of them; the store lives for this call only.
-    Tables are requested at ``bracket_order(config.method, order)``, and
-    not at all for Taylor steps; Dyson steps are built from the cache's
-    step plan of `order`.  Returns ``(psi_out, stats)`` where stats
+    A given `cache` must have been made for `hamiltonian` with
+    ``config.qtt_bits``.  Steps in the same congruence class of `cache`
+    share one compressed MPO, built at the first of them; the store lives
+    for this call only.  Tables are requested at
+    ``bracket_order(config.method, order)``, and not at all for Taylor
+    steps; Dyson steps are built from the cache's step plan of `order`.  Returns ``(psi_out, stats)`` where stats
     carries per-step wall time, the largest MPO/MPS bond dimensions
     encountered, the largest MPO bond before row compression
     (`mpo_bond_before`) and the largest relative residual of its
@@ -222,12 +220,17 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
     span = config.t_final - config.t0
+    if dt <= 0 or span < 0:
+        raise ValueError("steps run forward: need dt > 0 and t_final >= t0")
     n_steps = round(span / dt)
     if abs(n_steps * dt - span) > 1e-12:
         raise ValueError("dt must divide t_final - t0")
     need = bracket_order(config.method, order)
-    cache = cache or BracketCache(hamiltonian, bits=config.qtt_bits,
-                                  order=need)
+    if cache is None:
+        cache = BracketCache(hamiltonian, bits=config.qtt_bits, order=need)
+    elif cache.hamiltonian is not hamiltonian or cache.bits != config.qtt_bits:
+        raise ValueError("the bracket cache was made for another Hamiltonian "
+                         "or another qtt_bits")
     computed_before = cache.computed
     plan = cache.plan(config.method, order)
     step_mpos = {}

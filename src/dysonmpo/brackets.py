@@ -37,14 +37,6 @@ class BracketTable:
                 f"bracket {sigma} exceeds table order {self.max_order}")
         return self.values[sigma]
 
-    __call__ = value
-
-    def __contains__(self, sigma):
-        return tuple(sigma) in self.values
-
-    def channel_names(self):
-        return sorted({name for key in self.values for name in key})
-
     @classmethod
     def compute(cls, channels, t0, t, max_order, bits=24, engine="qtt",
                 quad_tol=1e-10):
@@ -81,8 +73,3 @@ class TaylorBrackets:
         if k > self.max_order:
             raise KeyError(f"order {k} exceeds {self.max_order}")
         return self.tau ** k / math.factorial(k)
-
-    __call__ = value
-
-    def __contains__(self, sigma):
-        return len(tuple(sigma)) <= self.max_order

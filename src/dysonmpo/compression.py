@@ -44,7 +44,6 @@ from itertools import product
 
 import numpy as np
 
-from .brackets import TaylorBrackets
 from .extensive import ExtensiveMPO
 from .levels import IDENTITY_LEVEL, completion_rows, interleavings, is_one
 from .linalg import qr_column_pivoted
@@ -305,12 +304,11 @@ def row_compress(mpo, order=None, tol=1e-12):
     ----------
     mpo : ExtensiveMPO
         Its levels must carry no 1 symbols.  The bracket table is the one
-        recorded at construction time (``params["brackets"]``); an MPO
-        built by the Taylor construction (Taylor or Magnus) records its
-        step instead, and gets the brackets ``tau**k / k!``.  An MPO made
-        by a `PowerPlan` (``params["plan"]``) is compressed with the
-        compression plan that power plan keeps; any other gets a plan of
-        its own.
+        recorded at construction time (``params["brackets"]``): a Dyson
+        MPO's `BracketTable`, or the `TaylorBrackets` ``tau**k / k!`` of
+        a Taylor or Magnus MPO.  An MPO made by a `PowerPlan`
+        (``params["plan"]``) is compressed with the compression plan that
+        power plan keeps; any other gets a plan of its own.
     order : int, optional
         Expansion order; defaults to ``mpo.order``.
     tol : float
@@ -329,8 +327,6 @@ def row_compress(mpo, order=None, tol=1e-12):
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
     order = mpo.order if order is None else int(order)
     brackets = mpo.params.get("brackets")
-    if brackets is None and "tau" in mpo.params:
-        brackets = TaylorBrackets(mpo.params["tau"], order)
     if brackets is None:
         raise ValueError("no bracket table available for row compression")
     plan = _plan_for(mpo, order)

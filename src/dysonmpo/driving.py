@@ -5,9 +5,12 @@ A time-dependent Hamiltonian is a sum of driving channels
     H(t) = sum_a f_a(t) * H_a
 
 with each ``H_a`` a time-independent first-degree MPO and ``f_a`` a scalar
-driving function.  Driving functions know how to evaluate themselves, how to
-build their quantics tensor train on an interval, and (when periodic) their
-period, which lets bracket tables be reused between congruent time steps.
+driving function.  Driving functions know how to evaluate themselves and
+(when periodic) their period, which lets bracket tables be reused between
+congruent time steps.  A driving that is a sum of exponentials states that
+expansion once (``exponentials``); its closed-form brackets and its
+quantics train both follow from it.  Any other driving is sampled onto its
+train.
 """
 
 import math
@@ -15,9 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fdmpo, quantics
+
 
 class DrivingFunction:
-    """Base class; subclasses implement ``__call__`` and ``build_qtt``."""
+    """Base class of scalar driving functions.
+
+    Subclasses implement ``__call__``, and ``exponentials`` when they are
+    sums of exponentials.
+    """
 
     name = "driving"
     period = None          # None when not periodic
@@ -27,9 +36,21 @@ class DrivingFunction:
         raise NotImplementedError
 
     def build_qtt(self, t0, t1, bits):
-        """Quantics train of f on the dyadic grid of [t0, t1)."""
-        from . import quantics
-        return quantics.qtt_from_samples_of(self, t0, t1, bits)
+        """Quantics train of f on the dyadic grid of [t0, t1).
+
+        A sum of exponentials takes one ``exp(rate * tau x)`` train per
+        term, scaled by ``c * exp(rate * t0)``, on the unit grid x with
+        ``tau = t1 - t0``; any other driving is sampled.
+        """
+        terms = self.exponentials()
+        if terms is None:
+            return quantics.qtt_from_samples_of(self, t0, t1, bits)
+        train = None
+        for c, rate in terms:
+            term = quantics.qtt_exp(rate * (t1 - t0), bits).scaled(
+                c * np.exp(rate * t0))
+            train = term if train is None else quantics.qtt_add(train, term)
+        return train
 
     def exponentials(self):
         """``[(c, rate), ...]`` with ``f(t) = sum c * exp(rate * t)``, or None.
@@ -55,10 +76,6 @@ class ConstDriving(DrivingFunction):
 
     def __call__(self, t):
         return self.value * np.ones_like(np.asarray(t, dtype=float))
-
-    def build_qtt(self, t0, t1, bits):
-        from . import quantics
-        return quantics.qtt_const(self.value, bits)
 
     def exponentials(self):
         return [(self.constant_value, 0.0)]
@@ -89,18 +106,6 @@ class TrigDriving(DrivingFunction):
     def __call__(self, t):
         f = np.sin if self.kind == "sin" else np.cos
         return self.amplitude * f(self.omega * np.asarray(t) + self.phase) + self.offset
-
-    def build_qtt(self, t0, t1, bits):
-        from . import quantics
-        # on the unit grid x, t = t0 + (t1 - t0) x
-        freq = self.omega * (t1 - t0)
-        phase = self.omega * t0 + self.phase
-        train = quantics.qtt_trig(self.kind, freq, phase, bits)
-        if self.amplitude != 1.0:
-            train = train.scaled(self.amplitude)
-        if self.offset != 0.0:
-            train = quantics.qtt_add(train, quantics.qtt_const(self.offset, bits))
-        return train
 
     def exponentials(self):
         if self.omega == 0:
@@ -141,11 +146,6 @@ class ExpDriving(DrivingFunction):
 
     def __call__(self, t):
         return self.amplitude * np.exp(self.rate * np.asarray(t))
-
-    def build_qtt(self, t0, t1, bits):
-        from . import quantics
-        train = quantics.qtt_exp(self.rate * (t1 - t0), bits)
-        return train.scaled(self.amplitude * np.exp(self.rate * t0))
 
     def exponentials(self):
         return [(self.amplitude, self.rate)]
@@ -231,11 +231,13 @@ class TimeDependentHamiltonian:
     def channel_names(self):
         return [c.name for c in self.channels]
 
-    def channel(self, name):
+    def weighted(self, weight_of):
+        """``sum_a weight_of(channel_a) * H_a`` as one first-degree MPO."""
+        total = None
         for c in self.channels:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+            term = fdmpo.scale(c.operator, weight_of(c))
+            total = term if total is None else fdmpo.add(total, term)
+        return total
 
     def common_period(self):
         """Smallest common driving period, or None when aperiodic."""

@@ -13,16 +13,6 @@ from .extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
 from .levels import IDENTITY_LEVEL
 
 
-def rewire(hamiltonian):
-    """Rewired Hamiltonian with one finishing level per driving channel.
-
-    The returned object exposes the level alphabet (``level_symbols()``),
-    the channel weights (``driving_value(name, t)``) and the dense
-    ``to_dense(n_sites, t)``.
-    """
-    return RewiredHamiltonian.from_hamiltonian(hamiltonian)
-
-
 def identity_mpo(d):
     """The exact identity operator as a bond-dimension-1 extensive MPO."""
     return ExtensiveMPO(d, [IDENTITY_LEVEL],
@@ -62,9 +52,3 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
         raise ValueError(f"missing bracket: {exc}") from exc
     mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
     return mpo
-
-
-def dyson_first_order(hamiltonian, integrals):
-    """First-order Dyson MPO on the bracket table's interval."""
-    t0, t = integrals.interval
-    return dyson_mpo(hamiltonian, t0, t, 1, integrals)

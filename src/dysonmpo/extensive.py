@@ -43,8 +43,8 @@ class ExtensiveMPO:
     order : int
         Expansion order N the MPO is accurate to.
     params : dict
-        Construction record (expansion parameter, interval, bracket table,
-        and the `PowerPlan` it came from).
+        Construction record (kind, interval, the brackets it was weighted
+        with, and the `PowerPlan` it came from).
 
     The tensor is held as coordinate arrays (`coo`) or, after row
     compression, as the dense `site_tensor`; `entries` is derived on first

@@ -41,21 +41,15 @@ class FirstDegreeMPO:
         Operator-valued column vector (transitions ``2 -> 3``).
     D : (d, d) array or None
         On-site term (transition ``1 -> 3``).
-    middle_labels : list or None
-        Optional names for the `chi` middle slots (used to keep track of
-        channel blocks in sums of Hamiltonians).
     """
 
-    def __init__(self, d, chi, L=None, A=None, R=None, D=None, middle_labels=None):
+    def __init__(self, d, chi, L=None, A=None, R=None, D=None):
         self.d = int(d)
         self.chi = int(chi)
         self.L = {int(k): as_complex(v) for k, v in (L or {}).items()}
         self.A = {(int(i), int(j)): as_complex(v) for (i, j), v in (A or {}).items()}
         self.R = {int(k): as_complex(v) for k, v in (R or {}).items()}
         self.D = as_complex(D) if D is not None else None
-        if middle_labels is not None and len(middle_labels) != self.chi:
-            raise ValueError("middle_labels must have length chi")
-        self.middle_labels = list(middle_labels) if middle_labels is not None else None
         self._validate()
 
     def _validate(self):
@@ -139,7 +133,7 @@ class FirstDegreeMPO:
                 f"D={'yes' if self.D is not None else 'no'})")
 
 
-def from_terms(d, two_site=(), longer=None, on_site=None, middle_labels=None):
+def from_terms(d, two_site=(), longer=None, on_site=None):
     """Build a first-degree MPO from explicit coupling operators.
 
     Parameters
@@ -158,8 +152,7 @@ def from_terms(d, two_site=(), longer=None, on_site=None, middle_labels=None):
     for k, (lop, rop) in enumerate(two_site):
         L[k] = as_complex(lop)
         R[k] = as_complex(rop)
-    return FirstDegreeMPO(d, len(L), L=L, A=longer or {}, R=R, D=on_site,
-                          middle_labels=middle_labels)
+    return FirstDegreeMPO(d, len(L), L=L, A=longer or {}, R=R, D=on_site)
 
 
 def zero_hamiltonian(d):
@@ -195,11 +188,7 @@ def add(h1, h2):
         D = None
     else:
         D = (h1.D if h1.D is not None else 0) + (h2.D if h2.D is not None else 0)
-    labels = None
-    if h1.middle_labels is not None and h2.middle_labels is not None:
-        labels = h1.middle_labels + h2.middle_labels
-    return FirstDegreeMPO(h1.d, h1.chi + h2.chi, L=L, A=A, R=R, D=D,
-                          middle_labels=labels)
+    return FirstDegreeMPO(h1.d, h1.chi + h2.chi, L=L, A=A, R=R, D=D)
 
 
 def scale(h, lam):
@@ -210,8 +199,7 @@ def scale(h, lam):
     if lam == 0:
         L = {}
         D = None
-    return FirstDegreeMPO(h.d, h.chi, L=L, A=dict(h.A), R=dict(h.R), D=D,
-                          middle_labels=h.middle_labels)
+    return FirstDegreeMPO(h.d, h.chi, L=L, A=dict(h.A), R=dict(h.R), D=D)
 
 
 def _mul(a, b):
@@ -383,8 +371,3 @@ def commutator(h1, h2):
     commutator is the difference of the two non-disjoint products.
     """
     return add(nondisjoint_product(h1, h2), scale(nondisjoint_product(h2, h1), -1))
-
-
-def to_dense(h, n_sites, cap=DENSE_CAP):
-    """Dense oracle; see :meth:`FirstDegreeMPO.to_dense`."""
-    return h.to_dense(n_sites, cap=cap)

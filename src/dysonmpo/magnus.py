@@ -2,16 +2,21 @@
 
 The first Magnus operator is the channel-weighted sum
 
-    Omega_1 = sum_a [f_a] H_a
+    Omega_1 = sum_a [f_a] H_a,
 
-and the second collects commutators of channel pairs,
+built by `TimeDependentHamiltonian.weighted` like the frozen Hamiltonian
+of a Taylor step, and the second sums commutators of channel pairs
+(Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)),
 
     Omega_2 = sum_{a<b} alpha_ab [H_a, H_b],
-    alpha_ab = ([f_a f_b] - [f_b f_a]) / 2.
+    alpha_ab = ([f_a f_b] - [f_b f_a]) / 2,
 
-Both stay first-degree MPOs, so the evolution operator follows by the
-Taylor construction with unit step.
+each one `fdmpo.commutator`.  Both stay first-degree MPOs, so the
+evolution operator is the Taylor MPO of their sum at unit step; it records
+the brackets ``1/k!`` that `row_compress` reads.
 """
+
+from itertools import combinations
 
 from . import fdmpo
 from .taylor import taylor_mpo
@@ -19,27 +24,18 @@ from .taylor import taylor_mpo
 
 def magnus_omega1(hamiltonian, integrals):
     """First Magnus operator ``sum_a [f_a] H_a``."""
-    total = None
-    for c in hamiltonian.channels:
-        term = fdmpo.scale(c.operator, integrals.value((c.name,)))
-        total = term if total is None else fdmpo.add(total, term)
-    return total
+    return hamiltonian.weighted(lambda c: integrals.value((c.name,)))
 
 
 def magnus_omega2(hamiltonian, integrals):
-    """Second Magnus operator; commutator blocks weighted per channel pair."""
+    """Second Magnus operator ``sum_{a<b} alpha_ab [H_a, H_b]``."""
     total = fdmpo.zero_hamiltonian(hamiltonian.d)
-    chans = hamiltonian.channels
-    for i in range(len(chans)):
-        for j in range(i + 1, len(chans)):
-            a, b = chans[i], chans[j]
-            alpha = 0.5 * (integrals.value((a.name, b.name))
-                           - integrals.value((b.name, a.name)))
-            if alpha == 0:
-                continue
-            ab = fdmpo.scale(fdmpo.nondisjoint_product(a.operator, b.operator), alpha)
-            ba = fdmpo.scale(fdmpo.nondisjoint_product(b.operator, a.operator), -alpha)
-            total = fdmpo.add(total, fdmpo.add(ab, ba))
+    for a, b in combinations(hamiltonian.channels, 2):
+        alpha = 0.5 * (integrals.value((a.name, b.name))
+                       - integrals.value((b.name, a.name)))
+        if alpha != 0:
+            total = fdmpo.add(total, fdmpo.scale(
+                fdmpo.commutator(a.operator, b.operator), alpha))
     return total
 
 

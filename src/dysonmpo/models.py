@@ -12,7 +12,7 @@ def modulated_ising(omega=2.0 * math.pi):
 
     ``H(t) = sin(w t) sum_i sz_i sz_{i+1} + cos(w t) sum_i sx_i``
     """
-    ising = from_terms(2, two_site=[(SZ, SZ)], middle_labels=["zz"])
+    ising = from_terms(2, two_site=[(SZ, SZ)])
     field = from_terms(2, on_site=SX)
     return TimeDependentHamiltonian([
         Channel("zz", ising, TrigDriving("sin", omega=omega)),

@@ -134,11 +134,6 @@ def qtt_exp(a, bits):
     return QuanticsTrain(sites)
 
 
-def qtt_const(c, bits):
-    """Constant function `c`; bond dimension 1."""
-    return qtt_exp(0.0, bits).scaled(c)
-
-
 def qtt_add(f, g):
     """Direct sum of two trains; bond dimensions add."""
     if f.bits != g.bits:
@@ -157,21 +152,6 @@ def qtt_add(f, g):
             t[al:, :, ar:] = b
         sites.append(t)
     return QuanticsTrain(sites)
-
-
-def qtt_trig(kind, frequency, phase=0.0, bits=24):
-    """Train of ``sin/cos(frequency * x + phase)``; bond dimension 2."""
-    if kind == "sin":
-        cp = np.exp(1j * phase) / 2j
-        cm = -np.exp(-1j * phase) / 2j
-    elif kind == "cos":
-        cp = np.exp(1j * phase) / 2
-        cm = np.exp(-1j * phase) / 2
-    else:
-        raise ValueError("kind must be 'sin' or 'cos'")
-    plus = qtt_exp(1j * frequency, bits).scaled(cp)
-    minus = qtt_exp(-1j * frequency, bits).scaled(cm)
-    return qtt_add(plus, minus)
 
 
 def qtt_from_samples(values, max_bond=None, tol=1e-13):

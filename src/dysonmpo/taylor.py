@@ -1,17 +1,17 @@
 """Extensive Taylor MPOs for time-independent Hamiltonians.
 
-The N-th order construction forms the level structure of ``H**N`` and folds
-every fully finished level back into the identity level; a level whose
-stripped label carries k finished symbols contributes the weight
-``tau**k / k!``.  The first-order tensor is
+The N-th order construction is a `PowerPlan` of ``H**N`` under the
+weighting of `TaylorBrackets`: every fully finished level folds back into
+the identity level, and one whose stripped label carries k finished
+symbols contributes the weight ``tau**k / k!``.  The first-order tensor is
 
     ( 1 + tau D   L )
     ( tau R       A )
 
-which reduces to the identity at ``tau = 0``.  The MPO records its step
-``tau``, from which `row_compress` takes the brackets ``tau**k / k!``.
-`taylor_family` keeps the same entries as polynomials in ``tau``, for
-exact derivatives at zero.
+which reduces to the identity at ``tau = 0``.  The MPO records its
+`TaylorBrackets` in ``params["brackets"]``, where `row_compress` reads
+them as it reads a Dyson MPO's bracket table.  Derivatives at
+``tau = 0`` read the same plan, one weighting per power of ``tau``.
 """
 
 import math
@@ -19,10 +19,8 @@ import math
 import numpy as np
 
 from .brackets import TaylorBrackets
-from .extensive import (ExtensiveMPO, PowerPlan, RewiredHamiltonian,
-                        build_power_stripped)
+from .extensive import PowerPlan, RewiredHamiltonian
 from .fdmpo import DENSE_CAP
-from .levels import IDENTITY_LEVEL
 
 
 def taylor_mpo(h, tau, order):
@@ -33,100 +31,45 @@ def taylor_mpo(h, tau, order):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    tau = complex(tau)
+    brackets = TaylorBrackets(tau, order)
     plan = PowerPlan(RewiredHamiltonian.from_static(h), order)
-    mpo = plan.mpo(TaylorBrackets(tau, order).value)
-    mpo.params.update(tau=tau, kind="taylor")
+    mpo = plan.mpo(brackets.value)
+    mpo.params.update(kind="taylor", brackets=brackets)
     return mpo
 
 
-def taylor_first_order(h, tau):
-    """First-order Taylor MPO; identical to ``taylor_mpo(h, tau, 1)``."""
-    return taylor_mpo(h, tau, 1)
+def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
+    """Dense ``(1/p!) d^p/dtau^p`` of ``taylor_mpo(h, tau, order)`` at 0.
 
-
-class TaylorFamily:
-    """Taylor MPO with entries kept as polynomials in the step ``tau``.
-
-    Entries map level pairs to ``{power: operator}`` dictionaries, which
-    makes differentiation at ``tau = 0`` exact.
-    """
-
-    def __init__(self, d, levels, entries, order):
-        self.d = d
-        self.levels = list(levels)
-        self.entries = entries
-        self.order = order
-
-    def at(self, tau):
-        tau = complex(tau)
-        out = {}
-        for key, poly in self.entries.items():
-            acc = 0
-            for power, op in poly.items():
-                acc = acc + tau ** power * op
-            out[key] = acc
-        mpo = ExtensiveMPO(self.d, self.levels, out, order=self.order,
-                           params={"tau": tau, "kind": "taylor"})
-        return mpo
-
-
-def taylor_family(h, order):
-    """Polynomial-in-tau form of :func:`taylor_mpo`."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    rew = RewiredHamiltonian.from_static(h)
-    levels, entries = build_power_stripped(rew, order)
-    finished = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
-    fam = {}
-
-    def put(key, power, op):
-        poly = fam.setdefault(key, {})
-        poly[power] = poly.get(power, 0) + op
-
-    for (a, b), op in entries.items():
-        if a in finished:
-            continue
-        if b in finished:
-            k = b.n3
-            put((a, IDENTITY_LEVEL), k, op / math.factorial(k))
-        else:
-            put((a, b), 0, op)
-    kept = sorted((l for l in levels if l not in finished), key=lambda l: (len(l), l))
-    return TaylorFamily(h.d, kept, fam, order)
-
-
-def mpo_derivative_at_zero(family, p, n_sites, cap=DENSE_CAP):
-    """Dense ``(1/p!) d^p/dtau^p`` of the family's expansion at ``tau = 0``.
-
-    Uses the block construction for derivatives of one-parameter tensor
-    families: site tensors become ``(p+1) x (p+1)`` upper-triangular block
-    matrices whose ``(i, j)`` block is the coefficient of ``tau**(j-i)``,
-    with boundaries selecting block row 0 on the left and block column `p`
-    on the right.
+    The site tensor is a polynomial ``W_0 + sum_k tau**k W_k``.  The plan
+    gives ``W_0`` with every finished level weighted 0, and ``W_0 + W_k``
+    with the finished levels of length k weighted ``1/k!``.  The
+    derivative then follows from the block construction for one-parameter
+    tensor families: site tensors become ``(p+1) x (p+1)`` upper-triangular
+    block matrices whose ``(i, j)`` block is ``W_{j-i}``, with boundaries
+    selecting block row 0 on the left and block column `p` on the right.
     """
     if p < 1:
         raise ValueError("derivative order must be at least 1")
-    d = family.d
+    d = h.d
     if d ** n_sites > cap:
         raise ValueError("dense cap exceeded")
-    env = {(0, IDENTITY_LEVEL): np.array([[1.0 + 0.0j]])}
+    plan = PowerPlan(RewiredHamiltonian.from_static(h), order)
+    base = plan.mpo(lambda sigma: 0.0).site_tensor()
+    coeffs = [base] + [
+        plan.mpo(lambda sigma, k=k: (len(sigma) == k) / math.factorial(k))
+        .site_tensor() - base
+        for k in range(1, p + 1)]
+    n = len(plan.levels)
+    w = np.zeros(((p + 1) * n, (p + 1) * n, d, d), dtype=complex)
+    for i in range(p + 1):
+        for j in range(i, p + 1):
+            w[i * n:(i + 1) * n, j * n:(j + 1) * n] = coeffs[j - i]
+    # env[a]: dense operator on the processed sites, ending in level a;
+    # the identity level is the first of each block
+    env = np.zeros(((p + 1) * n, 1, 1), dtype=complex)
+    env[0] = 1.0
     for _ in range(n_sites):
-        new = {}
-        for (i, a), acc in env.items():
-            for (aa, b), poly in family.entries.items():
-                if aa != a:
-                    continue
-                for power, op in poly.items():
-                    j = i + power
-                    if j > p:
-                        continue
-                    key = (j, b)
-                    term = np.kron(acc, op)
-                    if key in new:
-                        new[key] += term
-                    else:
-                        new[key] = term
-        env = new
-    dim = d ** n_sites
-    return env.get((p, IDENTITY_LEVEL), np.zeros((dim, dim), dtype=complex))
+        dim = env.shape[1] * d
+        env = np.einsum("aij,abkl->bikjl", env, w).reshape(-1, dim, dim)
+    return env[p * n]

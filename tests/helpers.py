@@ -269,11 +269,10 @@ def flat_evolution_mpo(rew, n, weight_of):
 
 def flat_taylor_mpo(h, tau, order):
     """``taylor_mpo`` built over full symbol tuples."""
-    tau = complex(tau)
+    brackets = TaylorBrackets(tau, order)
     mpo = flat_evolution_mpo(RewiredHamiltonian.from_static(h), order,
-                             lambda sigma: tau ** len(sigma)
-                             / math.factorial(len(sigma)))
-    mpo.params.update(tau=tau, kind="taylor")
+                             brackets.value)
+    mpo.params.update(kind="taylor", brackets=brackets)
     return mpo
 
 
@@ -363,9 +362,7 @@ def literal_row_compress(mpo, order=None, tol=1e-12):
     the order the levels are removed.  Returns ``(mpo, report)``.
     """
     order = mpo.order if order is None else int(order)
-    brackets = mpo.params.get("brackets")
-    if brackets is None and "tau" in mpo.params:
-        brackets = TaylorBrackets(mpo.params["tau"], order)
+    brackets = mpo.params["brackets"]
     if any(is_one(sym) for lvl in mpo.levels for sym in lvl):
         raise ValueError("row compression needs column-merged levels")
     channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})

@@ -20,15 +20,14 @@ from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import dyson_first_order, dyson_mpo
+from dysonmpo.dyson import dyson_mpo
 from dysonmpo.evolve import exact_evolution_operator
 from dysonmpo.magnus import magnus_evolution
 from dysonmpo.models import modulated_ising, static_tfi
 from dysonmpo.quadrature import quad_time_ordered_integral
 from dysonmpo.quantics import time_ordered_integral
 from dysonmpo.spin import SX, SZ
-from dysonmpo.taylor import (mpo_derivative_at_zero, taylor_family,
-                             taylor_first_order, taylor_mpo)
+from dysonmpo.taylor import mpo_derivative_at_zero, taylor_mpo
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 COS = TrigDriving("cos", omega=2 * math.pi)
@@ -203,10 +202,10 @@ def test_criterion_5_integral_identities():
 
 def test_criterion_6_derivatives():
     tfi = static_tfi()
-    d1 = mpo_derivative_at_zero(taylor_family(tfi, 1), 1, 4)
+    d1 = mpo_derivative_at_zero(tfi, 1, 1, 4)
     err1 = np.abs(d1 - tfi.to_dense(4)).max()
     h3 = tfi.to_dense(3)
-    d2 = mpo_derivative_at_zero(taylor_family(tfi, 2), 2, 3)
+    d2 = mpo_derivative_at_zero(tfi, 2, 2, 3)
     err2 = np.abs(d2 - h3 @ h3 / 2).max()
     _report(6, err1 <= 1e-12 and err2 <= 1e-12,
             f"first derivative {err1:.2e}, second derivative {err2:.2e}")
@@ -229,7 +228,7 @@ def test_criterion_7_equivalence_of_formulations():
     tab2 = BracketTable.compute([(c.name, c.driving) for c in ham2.channels],
                                 0.0, 0.1, 1, bits=24)
     wm = magnus_evolution(ham2, 0.0, 0.1, 1, 1, tab2)
-    wd2 = dyson_first_order(ham2, tab2)
+    wd2 = dyson_mpo(ham2, 0.0, 0.1, 1, tab2)
     magnus_err = np.abs(wm.to_dense(4) - wd2.to_dense(4)).max()
     _report(7, entry_ok and magnus_err <= 1e-12,
             f"dyson==taylor entrywise: {entry_ok}, "

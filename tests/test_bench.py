@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +69,41 @@ def test_dt_must_divide_interval():
     config = EvolutionConfig(n_sites=4, dts=(0.3,), orders=(1,))
     with pytest.raises(ValueError):
         run_benchmark(ham, config)
+
+
+@pytest.mark.parametrize("t0, t_final, dt", [(0.0, 1.0, -0.25),
+                                              (0.0, 1.0, 0.0),
+                                              (1.0, 0.0, 0.25),
+                                              (1.0, 0.0, -0.25)])
+def test_backward_steps_are_rejected(t0, t_final, dt):
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=dt,
+                             order=1, qtt_bits=16)
+    with pytest.raises(ValueError, match="forward"):
+        evolve_state(ham, initial_state(config), config)
+
+
+def test_empty_interval_takes_no_step():
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5, dt=0.25,
+                             order=1, qtt_bits=16)
+    psi0 = initial_state(config)
+    psi, stats = evolve_state(ham, psi0, config)
+    assert stats["n_steps"] == stats["mpo_builds"] == 0
+    assert all(np.array_equal(a, b) for a, b in zip(psi.tensors,
+                                                    psi0.tensors))
+
+
+@pytest.mark.parametrize("other_model, bits", [(True, 16), (False, 24)])
+def test_evolve_state_rejects_a_cache_made_for_another_run(other_model,
+                                                           bits):
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, t_final=0.5, dt=0.25, order=2,
+                             qtt_bits=16)
+    cache = BracketCache(modulated_xxz() if other_model else ham, bits=bits)
+    with pytest.raises(ValueError, match="cache"):
+        evolve_state(ham, initial_state(config), config, cache=cache)
+    assert cache.computed == 0
 
 
 def test_bracket_cache_reuses_congruent_intervals():
@@ -532,3 +569,43 @@ def test_runtime_at_accuracy_needs_two_points_per_order():
     with pytest.raises(ValueError, match="order 2"):
         runtime_at_accuracy(records, 1e-6)
     assert set(runtime_at_accuracy(records[:2], 1e-6)) == {1}
+
+
+def _tracer_module():
+    """The benchmark's tracer module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _untimed(records):
+    return [{k: v for k, v in dataclasses.asdict(r).items()
+             if k not in ("wall_time_per_step", "bracket_s")}
+            for r in records]
+
+
+@pytest.mark.parametrize("method, build", [("dyson", "dyson_mpo"),
+                                           ("magnus", "magnus_evolution"),
+                                           ("taylor", "taylor_mpo")])
+def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
+    # the benchmark's tracer wraps names it looks up on `bench`; a sweep
+    # must still reach them there, and the wrappers must not change it
+    tracer_module = _tracer_module()
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, method=method, orders=(1, 2),
+                             dts=(0.25, 0.125), t_final=0.5,
+                             oracle_substeps=300, qtt_bits=16, d_max=8,
+                             seed=2)
+    plain = run_benchmark(ham, config)
+    tracer = tracer_module.LayerTracer(bench)
+    with tracer.installed():
+        traced = run_benchmark(ham, config)
+    assert _untimed(traced) == _untimed(plain)
+    names = {name for _, name, *_ in tracer.spans}
+    assert {build, "row_compress", "apply_mpo", "exact_evolve"} <= names
+    if method == "dyson":
+        layers = {layer for layer, *_ in tracer.spans}
+        assert layers == set(tracer_module.LAYERS)
+        assert tracer.counts["brackets.computed"] >= 1

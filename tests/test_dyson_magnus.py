@@ -9,13 +9,14 @@ from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import dyson_first_order, dyson_mpo, identity_mpo, rewire
+from dysonmpo.dyson import dyson_mpo, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator
+from dysonmpo.extensive import RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
 from dysonmpo.magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from dysonmpo.models import modulated_ising
 from dysonmpo.spin import ID2, SX, SZ
-from dysonmpo.taylor import taylor_first_order, taylor_mpo
+from dysonmpo.taylor import taylor_mpo
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 COS = TrigDriving("cos", omega=2 * math.pi)
@@ -35,7 +36,7 @@ def table_for(ham, t0, t1, order, **kw):
 
 def test_rewire_five_level_structure():
     ham = two_channel_couplings()
-    rew = rewire(ham)
+    rew = RewiredHamiltonian.from_hamiltonian(ham)
     assert rew.level_symbols() == [two("a", 0), two("b", 0), three("a"),
                                    three("b")]
     trans = {}
@@ -65,13 +66,13 @@ def test_rewire_five_level_structure():
 def test_rewire_constant_driving_matches_static():
     h = fdmpo.from_terms(2, two_site=[(SZ, SZ)])
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
-    rew = rewire(ham)
+    rew = RewiredHamiltonian.from_hamiltonian(ham)
     np.testing.assert_allclose(rew.to_dense(3, 0.77), h.to_dense(3), atol=1e-14)
 
 
 def test_rewire_dense_at_time():
     ham = two_channel_couplings()
-    rew = rewire(ham)
+    rew = RewiredHamiltonian.from_hamiltonian(ham)
     got = rew.to_dense(3, 0.3)
     ref = math.sin(0.6 * math.pi) * ham.channels[0].operator.to_dense(3) + \
         math.cos(0.6 * math.pi) * ham.channels[1].operator.to_dense(3)
@@ -82,7 +83,7 @@ def test_dyson_first_order_tensor_structure():
     ham = modulated_ising()
     t0, t1 = 0.1, 0.3
     tab = table_for(ham, t0, t1, 1)
-    w = dyson_first_order(ham, tab)
+    w = dyson_mpo(ham, t0, t1, 1, tab)
     one = IDENTITY_LEVEL
     lvl2 = LevelLabel((two("zz", 0),))
     f1 = tab.value(("zz",))
@@ -106,8 +107,8 @@ def test_dyson_constant_channel_matches_taylor_densely():
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
     dt = 0.17
     tab = table_for(ham, 0.0, dt, 1)
-    w = dyson_first_order(ham, tab)
-    ref = taylor_first_order(h, -1j * dt)
+    w = dyson_mpo(ham, 0.0, dt, 1, tab)
+    ref = taylor_mpo(h, -1j * dt, 1)
     np.testing.assert_allclose(w.to_dense(3), ref.to_dense(3), atol=1e-13)
 
 
@@ -183,7 +184,7 @@ def test_dyson_disjoint_second_order_factors():
     ham = modulated_ising()
     t0, t1 = 0.1, 0.35
     tab = table_for(ham, t0, t1, 1)
-    w = dyson_first_order(ham, tab).to_dense(4)
+    w = dyson_mpo(ham, t0, t1, 1, tab).to_dense(4)
     string = np.kron(np.kron(np.kron(SZ, SZ), ID2), SX)
     coeff = np.trace(string.conj().T @ w) / 16.0
     ref = tab.value(("zz",)) * tab.value(("x",))
@@ -295,7 +296,7 @@ def test_magnus_evolution_matches_dyson_first_order():
     ham = modulated_ising()
     t0, t1 = 0.0, 0.08
     tab = table_for(ham, t0, t1, 1)
-    wd = dyson_first_order(ham, tab)
+    wd = dyson_mpo(ham, t0, t1, 1, tab)
     wm = magnus_evolution(ham, t0, t1, 1, 1, tab)
     np.testing.assert_allclose(wm.to_dense(4), wd.to_dense(4), atol=1e-12)
 

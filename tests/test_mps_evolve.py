@@ -10,7 +10,7 @@ from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import dyson_first_order, identity_mpo
+from dysonmpo.dyson import dyson_mpo, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator, exact_evolve
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
@@ -54,7 +54,7 @@ def test_apply_dyson_first_order_on_chain_of_eight():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.125, 1, bits=20)
-    w = dyson_first_order(ham, tab)
+    w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
     psi = FiniteMPS.all_up(8)
     out, _ = apply_mpo(w, psi, d_max=16)
     assert abs(out.norm() - 1.0) < 1e-12
@@ -277,7 +277,7 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.125, 1, bits=20)
-    w = dyson_first_order(ham, tab)
+    w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
     assert w.bond_dimension == 2
     n = 12
     psi = _random_mps(n, 4, np.random.default_rng(13))

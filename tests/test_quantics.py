@@ -6,13 +6,22 @@ import pytest
 from dysonmpo.driving import ConstDriving, ExpDriving, PolyDriving, TrigDriving
 from dysonmpo.quadrature import quad_time_ordered_integral
 from dysonmpo.quantics import (cumulative_integral_mpo, pointwise_product,
-                               qtt_add, qtt_const, qtt_exp, qtt_from_samples,
-                               qtt_from_samples_of, qtt_trig,
-                               time_ordered_integral)
+                               qtt_add, qtt_exp, qtt_from_samples,
+                               qtt_from_samples_of, time_ordered_integral)
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 COS = TrigDriving("cos", omega=2 * math.pi)
 ONE = ConstDriving(1.0)
+
+
+def qtt_trig(kind, frequency, phase, bits):
+    """Train of ``sin/cos(frequency * x + phase)`` on the unit grid."""
+    return TrigDriving(kind, omega=frequency, phase=phase).build_qtt(
+        0.0, 1.0, bits)
+
+
+def qtt_const(c, bits):
+    return ConstDriving(c).build_qtt(0.0, 1.0, bits)
 
 
 def test_qtt_exp_zero_is_constant():

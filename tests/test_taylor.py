@@ -9,20 +9,19 @@ from dysonmpo.extensive import ExtensiveMPO
 from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, three, two
 from dysonmpo.models import static_tfi
 from dysonmpo.spin import ID2, SX, SZ
-from dysonmpo.taylor import (mpo_derivative_at_zero, taylor_family,
-                             taylor_first_order, taylor_mpo)
+from dysonmpo.taylor import mpo_derivative_at_zero, taylor_mpo
 
 TFI = static_tfi()
 
 
 def test_first_order_tau_zero_is_identity():
-    w = taylor_first_order(TFI, 0.0)
+    w = taylor_mpo(TFI, 0.0, 1)
     np.testing.assert_allclose(w.to_dense(4), np.eye(16), atol=1e-14)
 
 
 def test_first_order_tensor_blocks():
     tau = 0.3 - 0.2j
-    w = taylor_first_order(TFI, tau)
+    w = taylor_mpo(TFI, tau, 1)
     one = IDENTITY_LEVEL
     lvl2 = LevelLabel((two("h", 0),))
     np.testing.assert_allclose(w.entry(one, one), ID2 + tau * SX, atol=1e-14)
@@ -35,7 +34,7 @@ def test_first_order_disjoint_series():
     # the first-order tensor encodes 1 + tau H + tau^2/2 (HH)x + ...
     tau = 0.07j
     n = 3
-    w = taylor_first_order(TFI, tau).to_dense(n)
+    w = taylor_mpo(TFI, tau, 1).to_dense(n)
     strings = strings_of(TFI, n)
     ref = np.eye(2 ** n, dtype=complex)
     for k in (1, 2, 3):
@@ -48,19 +47,10 @@ def test_first_order_on_site_only_factorizes():
     h = fdmpo.from_terms(2, on_site=SX)
     tau = 0.21
     n = 3
-    w = taylor_first_order(h, tau).to_dense(n)
+    w = taylor_mpo(h, tau, 1).to_dense(n)
     single = ID2 + tau * SX
     ref = np.kron(np.kron(single, single), single)
     np.testing.assert_allclose(w, ref, atol=1e-13)
-
-
-def test_order_one_equals_first_order():
-    tau = -0.1j
-    w1 = taylor_first_order(TFI, tau)
-    wn = taylor_mpo(TFI, tau, 1)
-    assert w1.levels == wn.levels
-    for key, op in w1.entries.items():
-        np.testing.assert_allclose(op, wn.entries[key], atol=1e-15)
 
 
 def test_second_order_matches_block_form():
@@ -167,27 +157,35 @@ def test_invalid_order():
 
 
 def test_derivative_first_order_recovers_hamiltonian():
-    fam = taylor_family(TFI, 1)
-    d1 = mpo_derivative_at_zero(fam, 1, 4)
+    d1 = mpo_derivative_at_zero(TFI, 1, 1, 4)
     np.testing.assert_allclose(d1, TFI.to_dense(4), atol=1e-12)
 
 
-def test_derivative_of_constant_family_vanishes():
-    fam = taylor_family(TFI, 1)
-    const = {k: {0: poly[0]} for k, poly in fam.entries.items() if 0 in poly}
-    fam.entries = const
-    d1 = mpo_derivative_at_zero(fam, 1, 3)
-    assert np.abs(d1).max() < 1e-14
+def test_derivative_above_the_order_is_the_disjoint_power():
+    # the first-order MPO carries tau^2/2 (HH)x, the disjoint part of H^2
+    n = 3
+    d2 = mpo_derivative_at_zero(TFI, 1, 2, n)
+    ref = disjoint_power_dense(strings_of(TFI, n), 2, n) / 2
+    np.testing.assert_allclose(d2, ref, atol=1e-12)
+
+
+def test_derivative_of_zero_hamiltonian_vanishes():
+    d1 = mpo_derivative_at_zero(fdmpo.zero_hamiltonian(2), 2, 1, 3)
+    assert not d1.any()
 
 
 def test_second_derivative_gives_half_h_squared():
-    fam = taylor_family(TFI, 2)
-    d2 = mpo_derivative_at_zero(fam, 2, 3)
+    d2 = mpo_derivative_at_zero(TFI, 2, 2, 3)
     h = TFI.to_dense(3)
     np.testing.assert_allclose(d2, h @ h / 2, atol=1e-12)
 
 
+def test_third_derivative_gives_h_cubed_over_six():
+    d3 = mpo_derivative_at_zero(TFI, 3, 3, 3)
+    h = TFI.to_dense(3)
+    np.testing.assert_allclose(d3, h @ h @ h / 6, atol=1e-12)
+
+
 def test_derivative_requires_positive_order():
-    fam = taylor_family(TFI, 1)
     with pytest.raises(ValueError):
-        mpo_derivative_at_zero(fam, 0, 3)
+        mpo_derivative_at_zero(TFI, 1, 0, 3)
