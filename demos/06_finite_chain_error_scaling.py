@@ -15,7 +15,7 @@ ham = dm.models.modulated_ising()
 config = dm.EvolutionConfig(
     n_sites=6, t0=0.0, t_final=1.0, method="dyson", d_max=8,
     orders=(1, 2, 3), dts=(0.25, 0.125, 0.0625, 0.03125),
-    oracle_substeps=2000, qtt_bits=24)
+    oracle_substeps=2000, grid_bits=24)
 
 print("evolving |0...0> on 6 sites over one driving period")
 records = dm.run_benchmark(ham, config)

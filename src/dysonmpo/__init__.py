@@ -4,12 +4,12 @@ from . import modelfile, models, spin
 from .bench import (BracketCache, ErrorRecord, EvolutionConfig,
                     build_step_mpo, evolve_state, order_slopes,
                     records_to_csv, run_benchmark, runtime_at_accuracy)
-from .brackets import BracketTable, TaylorBrackets
+from .brackets import BracketTable, TaylorBrackets, time_ordered_integral
 from .compression import (CompressionBasisError, CompressionReport,
                           row_compress)
 from .driving import (Channel, ConstDriving, DrivingFunction, ExpDriving,
-                      PolyDriving, SampledDriving, TimeDependentHamiltonian,
-                      TrigDriving)
+                      Piece, PolyDriving, SampledDriving,
+                      TimeDependentHamiltonian, TrigDriving)
 from .dyson import dyson_mpo, identity_mpo
 from .evolve import exact_evolution_operator, exact_evolve
 from .extensive import ExtensiveMPO, RewiredHamiltonian
@@ -21,8 +21,6 @@ from .linalg import qr_column_pivoted, svd_truncate
 from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .quadrature import quad_time_ordered_integral
-from .quantics import (QuanticsTrain, cumulative_integral_mpo, pointwise_product,
-                       qtt_exp, qtt_from_samples, time_ordered_integral)
 from .taylor import mpo_derivative_at_zero, taylor_mpo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTable
+from .brackets import BracketTable, check_bits
 from .compression import row_compress
 from .dyson import dyson_mpo
 from .evolve import exact_evolve
@@ -50,7 +50,7 @@ class EvolutionConfig:
     method: str = "dyson"            # taylor | dyson | magnus
     d_max: int = 64
     svd_tol: float = 1e-14
-    qtt_bits: int = 24
+    grid_bits: int = 24
     oracle_substeps: int = 4000
     qr_tol: float = 1e-12
     self_reference: bool = False
@@ -122,7 +122,7 @@ class BracketCache:
 
     def __init__(self, hamiltonian, bits=24, order=1):
         self.hamiltonian = hamiltonian
-        self.bits = bits
+        self.bits = check_bits(bits)
         self.order = order
         self.period = hamiltonian.common_period()
         self.computed = 0
@@ -203,7 +203,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps.
 
     A given `cache` must have been made for `hamiltonian` with
-    ``config.qtt_bits``.  Steps in the same congruence class of `cache`
+    ``config.grid_bits``.  Steps in the same congruence class of `cache`
     share one compressed MPO, built at the first of them; the store lives
     for this call only.  Tables are requested at
     ``bracket_order(config.method, order)``, and not at all for Taylor
@@ -227,10 +227,11 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         raise ValueError("dt must divide t_final - t0")
     need = bracket_order(config.method, order)
     if cache is None:
-        cache = BracketCache(hamiltonian, bits=config.qtt_bits, order=need)
-    elif cache.hamiltonian is not hamiltonian or cache.bits != config.qtt_bits:
+        cache = BracketCache(hamiltonian, bits=config.grid_bits, order=need)
+    elif cache.hamiltonian is not hamiltonian \
+            or cache.bits != config.grid_bits:
         raise ValueError("the bracket cache was made for another Hamiltonian "
-                         "or another qtt_bits")
+                         "or another grid_bits")
     computed_before = cache.computed
     plan = cache.plan(config.method, order)
     step_mpos = {}
@@ -313,7 +314,7 @@ def run_benchmark(hamiltonian, config):
     orders, dts = config.sweep()
     psi0 = initial_state(config)
     top = max(bracket_order(config.method, order) for order in orders)
-    cache = BracketCache(hamiltonian, bits=config.qtt_bits, order=top)
+    cache = BracketCache(hamiltonian, bits=config.grid_bits, order=top)
     evolved = {}
     for order in orders:
         for dt in dts:

@@ -9,12 +9,20 @@ from .bench import (EvolutionConfig, bracket_order, build_step_mpo,
 from .brackets import BracketTable
 
 
+def _at_least_one(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t", type=float, default=0.125)
-    p.add_argument("--bits", type=int, default=24,
-                   help="quantics resolution for the bracket table")
+    p.add_argument("--bits", type=_at_least_one, default=24,
+                   help="brackets are left-endpoint sums on 2**bits grid "
+                        "points per step")
 
 
 def cmd_build_mpo(args):
@@ -57,7 +65,7 @@ def cmd_bench(args):
         method=args.method,
         d_max=args.dmax,
         svd_tol=args.svd_tol,
-        qtt_bits=args.bits,
+        grid_bits=args.bits,
         oracle_substeps=args.substeps,
         qr_tol=args.qr_tol,
         self_reference=args.self_reference,
@@ -86,7 +94,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--method", choices=["taylor", "dyson", "magnus"],
                    default="dyson")
-    p.add_argument("--order", type=int, default=2)
+    p.add_argument("--order", type=_at_least_one, default=2)
     p.add_argument("--no-compress", action="store_true")
     p.add_argument("--report", action="store_true",
                    help="print the compression report")
@@ -95,7 +103,7 @@ def build_parser():
 
     p = sub.add_parser("integrate", help="print a bracket table as CSV")
     _add_common(p)
-    p.add_argument("--max-order", type=int, default=2)
+    p.add_argument("--max-order", type=_at_least_one, default=2)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("bench", help="error-scaling benchmark")

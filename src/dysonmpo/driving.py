@@ -7,10 +7,11 @@ A time-dependent Hamiltonian is a sum of driving channels
 with each ``H_a`` a time-independent first-degree MPO and ``f_a`` a scalar
 driving function.  Driving functions know how to evaluate themselves and
 (when periodic) their period, which lets bracket tables be reused between
-congruent time steps.  A driving that is a sum of exponentials states that
-expansion once (``exponentials``); its closed-form brackets and its
-quantics train both follow from it.  Any other driving is sampled onto its
-train.
+congruent time steps.  For its brackets a driving states itself between
+its knots as a `Piece`: a small state vector that a shift matrix carries
+along the grid (:mod:`dysonmpo.brackets`).  Sums of exponentials take
+their pieces from ``exponentials``, polynomials from their Taylor
+coefficients, and sampled drivings are one line per knot interval.
 """
 
 import math
@@ -18,14 +19,60 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fdmpo, quantics
+from . import fdmpo
+
+
+def _binomial(x, size):
+    """``S[m, l] = C(l, m) x**(l - m)``: Taylor coefficients moved by x."""
+    out = np.zeros((size, size))
+    for m in range(size):
+        for l in range(m, size):
+            out[m, l] = math.comb(l, m) * x ** (l - m)
+    return out
+
+
+@dataclass(frozen=True)
+class Piece:
+    """A driving between knots: ``f(t_p + x) = sum((S(x) @ state)[read])``.
+
+    With `rates`, ``state[j] = c_j exp(rate_j t_p)`` for the terms of a sum
+    of exponentials, ``S(x) = diag(exp(rates x))`` and every letter is read.
+    Without, `state` holds the Taylor coefficients at ``t_p``, S(x) is the
+    binomial matrix and letter 0 is read.  Either way
+    ``S(x) S(y) = S(x + y)``.
+    """
+
+    state: np.ndarray
+    rates: np.ndarray = None
+
+    @property
+    def read(self):
+        """Letters whose sum is the driving's value."""
+        return range(len(self.state)) if self.rates is not None else range(1)
+
+    def shift(self, x):
+        """Rows of S(x) as ``(cols, coefs)``, both ``(letters, width)``.
+
+        Row m of ``S(x) @ u`` is ``sum_w coefs[m, w] * u[cols[m, w]]``;
+        column 0 is the diagonal and padding carries coefficient 0.
+        """
+        size = len(self.state)
+        rows = np.arange(size)[:, None]
+        if self.rates is not None:
+            return rows, np.exp(self.rates * x)[:, None]
+        cols = rows + np.arange(size)
+        full = _binomial(x, size)
+        coefs = np.zeros((size, size), dtype=complex)
+        for m in range(size):
+            coefs[m, :size - m] = full[m, m:]
+        return np.where(cols < size, cols, rows), coefs
 
 
 class DrivingFunction:
     """Base class of scalar driving functions.
 
-    Subclasses implement ``__call__``, and ``exponentials`` when they are
-    sums of exponentials.
+    Subclasses implement ``__call__``, and ``piece`` (or
+    ``exponentials``) for their brackets.
     """
 
     name = "driving"
@@ -35,30 +82,26 @@ class DrivingFunction:
     def __call__(self, t):
         raise NotImplementedError
 
-    def build_qtt(self, t0, t1, bits):
-        """Quantics train of f on the dyadic grid of [t0, t1).
+    def exponentials(self):
+        """``[(c, rate), ...]`` with ``f(t) = sum c exp(rate t)``, or None."""
+        return None
 
-        A sum of exponentials takes one ``exp(rate * tau x)`` train per
-        term, scaled by ``c * exp(rate * t0)``, on the unit grid x with
-        ``tau = t1 - t0``; any other driving is sampled.
+    def knots(self):
+        """Times at which the `Piece` form changes."""
+        return ()
+
+    def piece(self, t, t_last):
+        """The `Piece` of f on ``[t, t_last]`` with origin t, or None.
+
+        No knot lies strictly inside the span.  The default takes the
+        terms of ``exponentials``; None means f states no piece form.
         """
         terms = self.exponentials()
         if terms is None:
-            return quantics.qtt_from_samples_of(self, t0, t1, bits)
-        train = None
-        for c, rate in terms:
-            term = quantics.qtt_exp(rate * (t1 - t0), bits).scaled(
-                c * np.exp(rate * t0))
-            train = term if train is None else quantics.qtt_add(train, term)
-        return train
-
-    def exponentials(self):
-        """``[(c, rate), ...]`` with ``f(t) = sum c * exp(rate * t)``, or None.
-
-        Drivings that are sums of exponentials get their brackets in
-        closed form (:func:`dysonmpo.quantics.time_ordered_integrals`).
-        """
-        return None
+            return None
+        coefs = np.array([c for c, _ in terms], dtype=complex)
+        rates = np.array([rate for _, rate in terms], dtype=complex)
+        return Piece(coefs * np.exp(rates * t), rates)
 
     def describe(self):
         return self.name
@@ -175,13 +218,21 @@ class PolyDriving(DrivingFunction):
             out = out * t + c
         return out
 
+    def piece(self, t, t_last):
+        coeffs = np.array(self.coeffs or (0.0,), dtype=complex)
+        return Piece(_binomial(t, len(coeffs)) @ coeffs)
+
     def describe(self):
         return f"poly(coeffs={list(self.coeffs)})"
 
 
 @dataclass
 class SampledDriving(DrivingFunction):
-    """Linear interpolation through given samples on [t_start, t_end]."""
+    """Linear interpolation through real samples at evenly spaced knots.
+
+    The knots span ``[t_start, t_end]``; outside it the driving holds the
+    end values, as ``np.interp`` clamps.
+    """
 
     t_start: float = 0.0
     t_end: float = 1.0
@@ -190,11 +241,33 @@ class SampledDriving(DrivingFunction):
     name = "samples"
 
     def __post_init__(self):
+        if not self.t_end > self.t_start:
+            raise ValueError(f"samples need t_end > t_start, got "
+                             f"t_start={self.t_start!r}, t_end={self.t_end!r}")
+        if len(self.values) < 2:
+            raise ValueError(f"samples need at least two values, got "
+                             f"{tuple(self.values)!r}")
+        for v in self.values:
+            if np.imag(v) != 0:
+                raise ValueError(f"samples must be real, got {v!r}")
         self.values = tuple(float(np.real(v)) for v in self.values)
 
     def __call__(self, t):
-        grid = np.linspace(self.t_start, self.t_end, len(self.values))
-        return np.interp(np.asarray(t, dtype=float), grid, self.values)
+        return np.interp(np.asarray(t, dtype=float), self.knots(), self.values)
+
+    def knots(self):
+        return np.linspace(self.t_start, self.t_end, len(self.values))
+
+    def piece(self, t, t_last):
+        knots = self.knots()
+        j = int(np.searchsorted(knots, 0.5 * (t + t_last), side="right")) - 1
+        if j < 0 or j >= len(knots) - 1:
+            return Piece(np.array([self.values[0 if j < 0 else -1]],
+                                  dtype=complex))
+        y = self.values
+        slope = (y[j + 1] - y[j]) / (knots[j + 1] - knots[j])
+        return Piece(np.array([slope * (t - knots[j]) + y[j], slope],
+                              dtype=complex))
 
     def describe(self):
         return f"samples(n={len(self.values)} on [{self.t_start}, {self.t_end}])"

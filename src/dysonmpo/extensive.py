@@ -170,7 +170,7 @@ class RewiredHamiltonian:
     Transitions into the ``3_a`` level of channel `a` carry the channel's
     driving weight; the construction keeps them as bare operators tagged by
     the level label, and the weight is supplied when finished levels are
-    rerouted (time-ordered integrals) or when evaluating at a fixed time.
+    rerouted (time-ordered integrals).
     """
 
     def __init__(self, channels, d):
@@ -202,30 +202,6 @@ class RewiredHamiltonian:
                 trans.append((two(name, k), three(name), op))
             trans.append((three(name), three(name), eye))
         return trans
-
-    def level_symbols(self):
-        syms = []
-        for name, h, _ in self.channels:
-            syms.extend(two(name, k) for k in range(h.chi))
-        syms.extend(three(name) for name, _, _ in self.channels)
-        return syms
-
-    def driving_value(self, name, t):
-        for cname, _, drv in self.channels:
-            if cname == name:
-                return 1.0 if drv is None else drv(t)
-        raise KeyError(name)
-
-    def to_dense(self, n_sites, t, cap=DENSE_CAP):
-        """Dense H(t): channel weights applied on the arrows into 3 levels."""
-        if self.d ** n_sites > cap:
-            raise ValueError("dense cap exceeded")
-        dim = self.d ** n_sites
-        total = np.zeros((dim, dim), dtype=complex)
-        for name, h, drv in self.channels:
-            f = 1.0 if drv is None else drv(t)
-            total += f * h.to_dense(n_sites, cap=cap)
-        return total
 
 
 def build_power_stripped(rew, n):

@@ -5,9 +5,11 @@
 chain ends towards the centre, factorising as it goes, so that the exact
 product arrives in mixed-canonical form with bonds bounded by the Hilbert
 space dimension of the shorter side; one truncating SVD sweep follows.
-A site matrix no taller than it is wide is not factorised: its Q would be
-a square unitary that shrinks no bond, so the site keeps the identity
-isometry and the whole matrix moves on, which is exact.
+A site matrix no taller than it is wide has a square unitary Q that
+shrinks no bond.  It is still factorised while that costs no more than
+forming it, because the triangular remainder keeps weak MPO channels
+apart from strong ones; past that, the site keeps the identity isometry
+and the whole matrix moves on, which is exact.
 """
 
 import numpy as np
@@ -109,23 +111,40 @@ class FiniteMPS:
         return FiniteMPS(tensors)
 
 
+def _qr(mat):
+    """Thin QR; a wide matrix factorises only its leading square block.
+
+    Householder QR of an ``(m, n)`` matrix with ``m < n`` takes its m
+    reflectors from the first m columns, so the remaining columns of R are
+    ``Q^H`` times theirs; one product computes them faster than LAPACK's
+    update of the trailing columns.
+    """
+    m, n = mat.shape
+    if m >= n:
+        return np.linalg.qr(mat)
+    q, r = np.linalg.qr(mat[:, :m])
+    return q, np.concatenate([r, q.conj().T @ mat[:, m:]], axis=1)
+
+
 def _left_step(r_left, a, w):
     """Absorb one site into the left remainder; returns ``(q, r_left)``.
 
     `r_left` has shape ``(k, D_w, chi_l)``; the contracted site is reshaped
     to ``(k*d, D_w*chi_r)`` and QR-factorised into a left-orthonormal
     ``(k, d, m)`` tensor and the new remainder ``(m, D_w, chi_r)``.  When
-    ``k*d <= D_w*chi_r`` the site is the identity isometry ``(k, d, k*d)``,
-    returned as None, and the whole matrix is the remainder.
+    ``chi_l + D_w*d < k*d <= D_w*chi_r`` the site is the identity isometry
+    ``(k, d, k*d)``, returned as None, and the whole matrix is the
+    remainder: Q would be square, and the QR would cost more than the
+    ``k*d*D_w*chi_r*(chi_l + D_w*d)`` of the contraction.
     """
-    k, dw, _ = r_left.shape
+    k, dw, chi_l = r_left.shape
     d, chi_r = a.shape[1], a.shape[2]
     t = np.tensordot(r_left, a, axes=(2, 0))                # (k, a, p, r)
     t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
     mat = t.transpose(0, 3, 2, 1).reshape(k * d, dw * chi_r)
-    if k * d <= dw * chi_r:
+    if chi_l + dw * d < k * d <= dw * chi_r:
         return None, mat.reshape(k * d, dw, chi_r)
-    q, r = np.linalg.qr(mat)
+    q, r = _qr(mat)
     return q.reshape(k, d, -1), r.reshape(-1, dw, chi_r)
 
 
@@ -134,17 +153,18 @@ def _right_step(a, w, r_right):
 
     `r_right` has shape ``(D_w, chi_r, k)``; the LQ factorisation of the
     ``(D_w*chi_l, d*k)`` site matrix is the QR of its conjugate transpose.
-    When ``d*k <= D_w*chi_l`` the site is the identity isometry
-    ``(d*k, d, k)``, returned as None, and the whole matrix is the remainder.
+    When ``chi_r + D_w*d < d*k <= D_w*chi_l`` the site is the identity
+    isometry ``(d*k, d, k)``, returned as None, and the whole matrix is the
+    remainder.
     """
-    dw, _, k = r_right.shape
+    dw, chi_r, k = r_right.shape
     chi_l, d = a.shape[0], a.shape[1]
     t = np.tensordot(a, r_right, axes=(2, 1))               # (l, p, b, k)
     t = np.tensordot(w, t, axes=([1, 3], [2, 1]))           # (a, s, l, k)
     mat = t.transpose(0, 2, 1, 3).reshape(dw * chi_l, d * k)
-    if d * k <= dw * chi_l:
+    if chi_r + dw * d < d * k <= dw * chi_l:
         return None, mat.reshape(dw, chi_l, d * k)
-    q, r = np.linalg.qr(mat.conj().T)
+    q, r = _qr(mat.conj().T)
     return q.conj().T.reshape(-1, d, k), r.conj().T.reshape(dw, chi_l, -1)
 
 
@@ -163,10 +183,19 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     power of its distance to the nearer chain end.
 
     A left-step matrix ``(k*d, D_w*chi)`` with ``k*d <= D_w*chi`` (and the
-    mirror LQ case on the right) is not factorised: its Q would be a square
-    unitary, so the bond it leaves is ``k*d`` either way.  The site keeps
-    the identity isometry, which is orthonormal like Q, and the sweeps that
-    would multiply into it reshape instead; the product is the same state.
+    mirror LQ case on the right) leaves bond ``k*d`` with or without its
+    QR, whose Q is a square unitary.  The QR is still taken while it costs
+    no more than the contraction that formed the matrix, ``k*d <= chi_l +
+    D_w*d``: Householder QR keeps each column to rounding of its own norm,
+    so the triangular remainder holds the weak MPO channels in rows of
+    their own scale.  A discarded weight far below the norm, as `d_max`
+    leaves after a near-exact step, then comes out to about twelve digits
+    instead of about eight (order-4 TFI steps on 8 and 9 sites against an
+    extended-precision sweep).  Past that bound the site keeps the
+    identity isometry, which is orthonormal like Q, the sweeps that would
+    multiply into it reshape instead, and the product is the same state,
+    summed densely: its small singular values are then resolved only to
+    rounding of the norm.
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
     with the norm on site 0, and the total discarded weight.

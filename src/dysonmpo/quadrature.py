@@ -1,8 +1,8 @@
 """Adaptive-quadrature oracle for time-ordered integrals.
 
-Independent of the quantics route: the nested simplex integral is evaluated
-with one adaptive Gauss-Kronrod quadrature per nesting level.  Intended for
-verification; the cost grows quickly with the nesting depth.
+Independent of the grid-sum evaluator: the nested simplex integral is
+evaluated with one adaptive Gauss-Kronrod quadrature per nesting level.
+Intended for verification; the cost grows quickly with the nesting depth.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ def quad_time_ordered_integral(fs, t0, t, abs_tol=1e-10, limit=200):
     """Bracket ``[f_1 ... f_k]`` by nested adaptive quadrature.
 
     `fs` lists the driving functions with the latest time first, matching
-    the quantics evaluator.  Supports nesting depth up to 4.
+    :mod:`dysonmpo.brackets`.  Supports nesting depth up to 4.
     """
     fs = list(fs)
     k = len(fs)

@@ -2,13 +2,15 @@
 
 The oracles work with explicit operator strings (start site, dense
 operator on a contiguous support) so the MPO code under test never enters
-the expected-value computation.
+the expected-value computation.  The bracket oracle is a chain of quantics
+tensor trains, independent of the library's grid-sum evaluator.
 """
 
 import math
 from itertools import product
 
 import numpy as np
+import scipy.linalg
 
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import (CompressionBasisError, CompressionReport,
@@ -16,10 +18,9 @@ from dysonmpo.compression import (CompressionBasisError, CompressionReport,
 from dysonmpo.driving import DrivingFunction
 from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
 from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
-                             is_one, pad_with_ones)
-from dysonmpo.linalg import qr_column_pivoted, svd_truncate
+                             is_one, pad_with_ones, three, two)
+from dysonmpo.linalg import qr_column_pivoted, svd_truncate, truncation_rank
 from dysonmpo.mps import FiniteMPS
-from dysonmpo.quantics import cumulative_integral_mpo, pointwise_product
 from dysonmpo.spin import kron_chain
 
 
@@ -128,13 +129,229 @@ def random_fdmpo(rng, d=2, chi=1, with_d=True, with_a=False, hermitian=True):
     return FirstDegreeMPO(d, chi, L=L, A=A, R=R, D=D)
 
 
+class QuanticsTrain:
+    """R-site tensor train with physical dimension 2 per binary digit.
+
+    A scalar function on ``[t0, t1)`` is sampled on the dyadic grid
+    ``x_n = n / 2**R`` (mapped affinely onto the interval), one binary
+    digit per site, least-significant bit first.
+    """
+
+    def __init__(self, sites):
+        self.sites = [np.asarray(s, dtype=complex) for s in sites]
+        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
+            raise ValueError("boundary bonds must have dimension 1")
+
+    @property
+    def bits(self):
+        return len(self.sites)
+
+    @property
+    def max_bond(self):
+        return max((s.shape[2] for s in self.sites[:-1]), default=1)
+
+    def evaluate(self, n):
+        """Value at grid index `n` (bits read least-significant first)."""
+        v = np.ones((1,), dtype=complex)
+        for alpha, site in enumerate(self.sites):
+            v = v @ site[:, (int(n) >> alpha) & 1, :]
+        return complex(v[0])
+
+    def evaluate_many(self, ns):
+        return np.array([self.evaluate(n) for n in ns])
+
+    def full_sum(self):
+        """Sum of the train over all 2**R grid points."""
+        v = np.ones((1,), dtype=complex)
+        for site in self.sites:
+            v = v @ (site[:, 0, :] + site[:, 1, :])
+        return complex(v[0])
+
+    def scaled(self, c):
+        sites = [s.copy() for s in self.sites]
+        sites[0] = sites[0] * c
+        return QuanticsTrain(sites)
+
+    def compress(self, tol=1e-13, max_bond=None):
+        """Two-sided sweep: QR to the right, truncated SVD back.
+
+        Singular values at or below ``tol`` times the largest one of each
+        bond are dropped, and at most `max_bond` are kept; the squared
+        dropped values are summed into ``discarded_weight``.
+        """
+        sites = list(self.sites)
+        n = len(sites)
+        for i in range(n - 1):
+            dl, _, dr = sites[i].shape
+            q, r = np.linalg.qr(sites[i].reshape(dl * 2, dr))
+            sites[i] = q.reshape(dl, 2, q.shape[1])
+            nxt = sites[i + 1]
+            sites[i + 1] = (r @ nxt.reshape(dr, -1)).reshape(
+                r.shape[0], 2, nxt.shape[2])
+        discarded = 0.0
+        for i in range(n - 1, 0, -1):
+            dl, _, dr = sites[i].shape
+            u, s, vh = scipy.linalg.svd(sites[i].reshape(dl, 2 * dr),
+                                        full_matrices=False,
+                                        lapack_driver="gesvd",
+                                        check_finite=False)
+            keep, disc = truncation_rank(s, tol, max_bond)
+            discarded += disc
+            sites[i] = vh[:keep].reshape(keep, 2, dr)
+            prev = sites[i - 1]
+            sites[i - 1] = (prev.reshape(-1, dl) @ (u[:, :keep] * s[:keep])
+                            ).reshape(prev.shape[0], 2, keep)
+        train = QuanticsTrain(sites)
+        train.discarded_weight = discarded
+        return train
+
+
+def qtt_exp(a, bits):
+    """Train of ``exp(a * x)`` on the unit grid; bond dimension 1.
+
+    Site ``alpha`` holds the pair ``(1, exp(a * 2**(alpha - R)))``.
+    """
+    sites = []
+    for alpha in range(bits):
+        t = np.zeros((1, 2, 1), dtype=complex)
+        t[0, 0, 0] = 1.0
+        t[0, 1, 0] = np.exp(a * 2.0 ** (alpha - bits))
+        sites.append(t)
+    return QuanticsTrain(sites)
+
+
+def qtt_add(f, g):
+    """Direct sum of two trains; bond dimensions add."""
+    sites = []
+    for i, (a, b) in enumerate(zip(f.sites, g.sites)):
+        al, _, ar = a.shape
+        bl, _, br = b.shape
+        if i == 0:
+            t = np.concatenate([a, b], axis=2)
+        elif i == f.bits - 1:
+            t = np.concatenate([a, b], axis=0)
+        else:
+            t = np.zeros((al + bl, 2, ar + br), dtype=complex)
+            t[:al, :, :ar] = a
+            t[al:, :, ar:] = b
+        sites.append(t)
+    return QuanticsTrain(sites)
+
+
+def qtt_from_samples(values, max_bond=None, tol=1e-13):
+    """Sequential-SVD train of an explicitly sampled function.
+
+    `values` must have length ``2**R``, indexed by the grid position `n`.
+    Raises when `max_bond` forces truncation above `tol`.
+    """
+    values = np.asarray(values, dtype=complex)
+    bits = round(math.log2(len(values)))
+    scale = np.max(np.abs(values))
+    # reshape puts the most significant bit on the first axis; reverse so
+    # the least significant bit sits on the first site
+    tensor = values.reshape([2] * bits).transpose(tuple(reversed(range(bits))))
+    sites = []
+    rest = tensor.reshape(1, -1)
+    for _ in range(bits - 1):
+        dl = rest.shape[0]
+        u, s, v, disc = svd_truncate(rest.reshape(dl * 2, -1),
+                                     max_rank=max_bond, tol=tol)
+        if max_bond is not None and disc > (tol * max(scale, 1e-300)) ** 2:
+            raise ValueError("bond cap exceeded before tolerance was reached")
+        sites.append(u.reshape(dl, 2, u.shape[1]))
+        rest = s[:, None] * v
+    sites.append(rest.reshape(rest.shape[0], 2, 1))
+    return QuanticsTrain(sites)
+
+
+def qtt_from_samples_of(f, t0, t1, bits, max_bond=None, tol=1e-13):
+    """Sample a driving function on the interval grid and encode it."""
+    n = np.arange(2 ** bits)
+    ts = t0 + (t1 - t0) * n / 2.0 ** bits
+    return qtt_from_samples(np.asarray(f(ts), dtype=complex),
+                            max_bond=max_bond, tol=tol)
+
+
+def build_qtt(f, t0, t1, bits):
+    """Quantics train of the driving `f` on the dyadic grid of [t0, t1).
+
+    A sum of exponentials takes one ``exp(rate * tau x)`` train per term,
+    scaled by ``c * exp(rate * t0)``, on the unit grid x with
+    ``tau = t1 - t0``; any other driving is sampled.
+    """
+    terms = f.exponentials()
+    if terms is None:
+        return qtt_from_samples_of(f, t0, t1, bits)
+    train = None
+    for c, rate in terms:
+        term = qtt_exp(rate * (t1 - t0), bits).scaled(c * np.exp(rate * t0))
+        train = term if train is None else qtt_add(train, term)
+    return train
+
+
+class CumulativeIntegralMPO:
+    """Bond-dimension-2 MPO encoding ``F(y) = sum_{x < y} f(x) * delta_x``.
+
+    The digit comparison runs from the most significant bit (last site)
+    toward the least significant: virtual state 0 means all higher digits
+    agree, state 1 means the strict inequality is already decided.  The
+    deciding digit pair ``(y=1, x=0)`` carries the grid spacing.
+    """
+
+    def __init__(self, bits, delta_x):
+        self.bits = bits
+        w = np.zeros((2, 2, 2, 2), dtype=complex)  # (a, y, x, b)
+        for x in (0, 1):
+            for y in (0, 1):
+                w[1, y, x, 1] = 1.0
+                if x == y:
+                    w[0, y, x, 0] = 1.0
+        w[1, 1, 0, 0] = delta_x
+        self.tensor = w
+
+    def site(self, i):
+        """Tensor ``(a, y, x, b)`` of site `i`, boundary bonds terminated."""
+        w = self.tensor
+        if i == 0:
+            w = w[1:2]           # leftmost virtual index terminated at 1
+        if i == self.bits - 1:
+            w = w[..., 0:1]      # rightmost terminated at 0
+        return w
+
+    def apply(self, train):
+        """Train of the running integral of `train`."""
+        sites = []
+        for i, site in enumerate(train.sites):
+            # (a, y, x, b), (l, x, r) -> (a, l, y, b, r)
+            t = np.einsum("ayxb,lxr->alybr", self.site(i), site)
+            al, fl, _, bl, fr = t.shape
+            sites.append(t.reshape(al * fl, 2, bl * fr))
+        return QuanticsTrain(sites)
+
+
+def pointwise_product(f, g, compress_tol=None):
+    """Train of the pointwise product ``f(x) * g(x)``; bonds multiply."""
+    if f.bits != g.bits:
+        raise ValueError("bit counts differ")
+    sites = []
+    for a, b in zip(f.sites, g.sites):
+        t = np.einsum("lxr,mxs->lmxrs", a, b)
+        ll, ml, _, rl, sl = t.shape
+        sites.append(t.reshape(ll * ml, 2, rl * sl))
+    out = QuanticsTrain(sites)
+    if compress_tol is not None:
+        out = out.compress(tol=compress_tol)
+    return out
+
+
 def literal_time_ordered_integral(drivings, t0, t, bits=24,
                                   compress_tol=1e-13):
-    """Bracket ``[f_1 ... f_k]`` by its own nested chain, nothing shared.
+    """Bracket ``[f_1 ... f_k]`` by its own nested chain of trains.
 
     Alternates the running-integral MPO (compressed) with the pointwise
     product (compressed) from the earliest time outward, then sums the
-    grid; all-constant sequences take the closed form.
+    grid; all-constant sequences take the closed form.  The same
+    left-endpoint grid sum as `dysonmpo.brackets`, reached independently.
     """
     drivings = list(drivings)
     k = len(drivings)
@@ -145,11 +362,11 @@ def literal_time_ordered_integral(drivings, t0, t, bits=24,
         prod = np.prod([complex(c) for c in consts])
         return complex(prod * (-1j * (t - t0)) ** k / math.factorial(k))
     delta_x = (t - t0) / 2.0 ** bits
-    heaviside = cumulative_integral_mpo(bits, delta_x)
-    w = drivings[-1].build_qtt(t0, t, bits)
+    heaviside = CumulativeIntegralMPO(bits, delta_x)
+    w = build_qtt(drivings[-1], t0, t, bits)
     for f in reversed(drivings[:-1]):
         w = heaviside.apply(w).compress(tol=compress_tol)
-        w = pointwise_product(f.build_qtt(t0, t, bits), w,
+        w = pointwise_product(build_qtt(f, t0, t, bits), w,
                               compress_tol=compress_tol)
     return complex((-1j) ** k * w.full_sum() * delta_x)
 
@@ -184,7 +401,7 @@ def dense_discrete_bracket(drivings, t0, t, bits):
 
 
 class OpaqueDriving(DrivingFunction):
-    """`inner` without its exponentials: its brackets take the train path."""
+    """`inner` without its exponentials or any other piece form."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -194,8 +411,31 @@ class OpaqueDriving(DrivingFunction):
     def __call__(self, t):
         return self.inner(t)
 
-    def build_qtt(self, t0, t1, bits):
-        return self.inner.build_qtt(t0, t1, bits)
+
+def level_symbols(rew):
+    """The 2 and 3 symbols of a rewired Hamiltonian, channel by channel."""
+    syms = []
+    for name, h, _ in rew.channels:
+        syms.extend(two(name, k) for k in range(h.chi))
+    syms.extend(three(name) for name, _, _ in rew.channels)
+    return syms
+
+
+def driving_value(rew, name, t):
+    """Weight of channel `name` at time `t`; 1 for a static channel."""
+    for cname, _, drv in rew.channels:
+        if cname == name:
+            return 1.0 if drv is None else drv(t)
+    raise KeyError(name)
+
+
+def rewired_dense(rew, n_sites, t):
+    """Dense H(t) of a rewired Hamiltonian: each channel times its weight."""
+    dim = rew.d ** n_sites
+    total = np.zeros((dim, dim), dtype=complex)
+    for name, h, _ in rew.channels:
+        total += driving_value(rew, name, t) * h.to_dense(n_sites)
+    return total
 
 
 def build_power_flat(rew, n):

@@ -16,7 +16,7 @@ from helpers import (column_compress, disjoint_product_dense, flat_dyson_mpo,
 from dysonmpo import fdmpo
 from dysonmpo.bench import EvolutionConfig, order_slopes, run_benchmark, \
     runtime_at_accuracy
-from dysonmpo.brackets import BracketTable
+from dysonmpo.brackets import BracketTable, time_ordered_integral
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
@@ -25,7 +25,6 @@ from dysonmpo.evolve import exact_evolution_operator
 from dysonmpo.magnus import magnus_evolution
 from dysonmpo.models import modulated_ising, static_tfi
 from dysonmpo.quadrature import quad_time_ordered_integral
-from dysonmpo.quantics import time_ordered_integral
 from dysonmpo.spin import SX, SZ
 from dysonmpo.taylor import mpo_derivative_at_zero, taylor_mpo
 
@@ -46,7 +45,7 @@ def benchmark_records():
         n_sites=8, t0=0.0, t_final=1.0, method="dyson", d_max=16,
         orders=(1, 2, 3, 4),
         dts=(0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
-        oracle_substeps=4000, qtt_bits=24, qr_tol=1e-12)
+        oracle_substeps=4000, grid_bits=24, qr_tol=1e-12)
     return run_benchmark(ham, config)
 
 
@@ -167,15 +166,15 @@ def test_criterion_4_algebra_oracles():
 def test_criterion_5_integral_identities():
     channels = [("sin", SIN), ("cos", COS), ("const", ONE)]
     t0, t1 = 0.3, 0.55
-    qtt = {}
+    grid = {}
     quad = {}
     for k in (1, 2, 3):
         for key in product(range(3), repeat=k):
             fs = [channels[i][1] for i in key]
-            qtt[key] = time_ordered_integral(fs, t0, t1, bits=24)
+            grid[key] = time_ordered_integral(fs, t0, t1, bits=24)
             quad[key] = quad_time_ordered_integral(fs, t0, t1, abs_tol=1e-12)
     problems = []
-    for engine, tol, store in (("qtt", 1e-8, qtt), ("quad", 1e-10, quad)):
+    for engine, tol, store in (("grid", 1e-8, grid), ("quad", 1e-10, quad)):
         worst_f = max(abs(store[(a,)] * store[(b,)]
                           - store[(a, b)] - store[(b, a)])
                       for a in range(3) for b in range(3))
@@ -185,9 +184,9 @@ def test_criterion_5_integral_identities():
         if worst_f > tol or worst_3 > tol:
             problems.append(f"{engine}: factoring {worst_f:.2e}, "
                             f"three-factor {worst_3:.2e}")
-    worst_cross = max(abs(qtt[k] - quad[k]) for k in qtt)
+    worst_cross = max(abs(grid[k] - quad[k]) for k in grid)
     if worst_cross > 1e-8:
-        problems.append(f"qtt-vs-quad {worst_cross:.2e}")
+        problems.append(f"grid-vs-quad {worst_cross:.2e}")
     dt = 0.25
     worst_const = 0.0
     for k in range(1, 5):
@@ -197,7 +196,7 @@ def test_criterion_5_integral_identities():
     if worst_const > 1e-10:
         problems.append(f"constant closed form {worst_const:.2e}")
     _report(5, not problems, "; ".join(problems) if problems else
-            "factoring/three-factor identities, qtt-vs-quad, constant closed form")
+            "factoring/three-factor identities, grid-vs-quad, constant closed form")
 
 
 def test_criterion_6_derivatives():

@@ -25,7 +25,7 @@ def test_smoke_run_error_decreases():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, dt=0.25, order=1, orders=(1,),
                              dts=(0.25, 0.125), oracle_substeps=500,
-                             qtt_bits=16, d_max=8)
+                             grid_bits=16, d_max=8)
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
@@ -57,7 +57,7 @@ def test_magnus_benchmark_runs():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, method="magnus", orders=(2,),
                              dts=(0.25, 0.125), oracle_substeps=500,
-                             qtt_bits=16, d_max=8)
+                             grid_bits=16, d_max=8)
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
@@ -78,7 +78,7 @@ def test_dt_must_divide_interval():
 def test_backward_steps_are_rejected(t0, t_final, dt):
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=dt,
-                             order=1, qtt_bits=16)
+                             order=1, grid_bits=16)
     with pytest.raises(ValueError, match="forward"):
         evolve_state(ham, initial_state(config), config)
 
@@ -86,7 +86,7 @@ def test_backward_steps_are_rejected(t0, t_final, dt):
 def test_empty_interval_takes_no_step():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5, dt=0.25,
-                             order=1, qtt_bits=16)
+                             order=1, grid_bits=16)
     psi0 = initial_state(config)
     psi, stats = evolve_state(ham, psi0, config)
     assert stats["n_steps"] == stats["mpo_builds"] == 0
@@ -99,7 +99,7 @@ def test_evolve_state_rejects_a_cache_made_for_another_run(other_model,
                                                            bits):
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t_final=0.5, dt=0.25, order=2,
-                             qtt_bits=16)
+                             grid_bits=16)
     cache = BracketCache(modulated_xxz() if other_model else ham, bits=bits)
     with pytest.raises(ValueError, match="cache"):
         evolve_state(ham, initial_state(config), config, cache=cache)
@@ -123,7 +123,7 @@ def test_commuting_on_site_model_single_full_period_step():
     drv = TrigDriving("sin", omega=2 * math.pi, offset=0.1)
     ham = TimeDependentHamiltonian([Channel("x", field, drv)])
     config = EvolutionConfig(n_sites=4, t_final=1.0, dts=(1.0,), orders=(4,),
-                             oracle_substeps=2000, qtt_bits=20, d_max=8)
+                             oracle_substeps=2000, grid_bits=20, d_max=8)
     records = run_benchmark(ham, config)
     assert records[0].epsilon <= 1e-6
 
@@ -131,7 +131,7 @@ def test_commuting_on_site_model_single_full_period_step():
 def test_self_reference_mode():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 2), dts=(0.25, 0.125),
-                             qtt_bits=16, d_max=8, self_reference=True)
+                             grid_bits=16, d_max=8, self_reference=True)
     records = run_benchmark(ham, config)
     best = [r for r in records if r.order == 2 and r.dt == 0.125][0]
     assert best.epsilon < 1e-12  # reference compared against itself
@@ -142,7 +142,7 @@ def test_self_reference_mode():
 def test_csv_schema():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1,), dts=(0.5,),
-                             oracle_substeps=300, qtt_bits=14, d_max=4)
+                             oracle_substeps=300, grid_bits=14, d_max=4)
     text = records_to_csv(run_benchmark(ham, config), seed=0)
     lines = text.strip().splitlines()
     assert lines[0] == "# seed=0"
@@ -168,10 +168,10 @@ def test_self_reference_removes_oracle_plateau():
     ham = modulated_ising()
     dts = (0.25, 0.125, 0.0625, 0.03125)
     coarse = EvolutionConfig(n_sites=4, orders=(3,), dts=dts, d_max=8,
-                             qtt_bits=20, oracle_substeps=12)
+                             grid_bits=20, oracle_substeps=12)
     against_oracle = run_benchmark(ham, coarse)
     selfref = EvolutionConfig(n_sites=4, orders=(3, 4), dts=dts, d_max=8,
-                              qtt_bits=20, self_reference=True)
+                              grid_bits=20, self_reference=True)
     against_best = [r for r in run_benchmark(ham, selfref) if r.order == 3]
     eps_oracle = [r.epsilon for r in sorted(against_oracle, key=lambda r: -r.dt)]
     eps_best = [r.epsilon for r in sorted(against_best, key=lambda r: -r.dt)]
@@ -217,11 +217,11 @@ def test_discarded_weight_is_summed_over_steps():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=6, t_final=0.5, orders=(2,),
                              dts=(0.25, 0.125), oracle_substeps=300,
-                             qtt_bits=16, d_max=2, seed=3)
+                             grid_bits=16, d_max=2, seed=3)
     records = run_benchmark(ham, config)
     for r in records:
         assert math.isfinite(r.discarded_weight) and r.discarded_weight >= 0
-    cache = BracketCache(ham, bits=config.qtt_bits)
+    cache = BracketCache(ham, bits=config.grid_bits)
     for r in records:
         psi, manual = initial_state(config), 0.0
         for i in range(round(config.t_final / r.dt)):
@@ -252,7 +252,7 @@ def _count_compressions(monkeypatch):
 
 
 def _build_and_apply_every_step(ham, config):
-    cache = BracketCache(ham, bits=config.qtt_bits)
+    cache = BracketCache(ham, bits=config.grid_bits)
     psi = initial_state(config)
     for i in range(round((config.t_final - config.t0) / config.dt)):
         s0 = config.t0 + i * config.dt
@@ -268,7 +268,7 @@ def _build_and_apply_every_step(ham, config):
 def _reuse_config(method):
     # period 1, dt 0.25: twelve steps in four congruence classes
     return EvolutionConfig(n_sites=6, t_final=3.0, dt=0.25, order=3,
-                           method=method, d_max=8, qtt_bits=16, seed=5)
+                           method=method, d_max=8, grid_bits=16, seed=5)
 
 
 @pytest.mark.parametrize("method", ["dyson", "magnus", "taylor"])
@@ -341,7 +341,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
         Channel(c.name, c.operator, driving) for c in ising.channels])
     assert ham.common_period() == math.inf
     config = EvolutionConfig(n_sites=6, t_final=1.0, dt=0.125, order=3,
-                             d_max=8, qtt_bits=16, seed=5)
+                             d_max=8, grid_bits=16, seed=5)
     tables = count_tables(monkeypatch)
     psi, stats = evolve_state(ham, initial_state(config), config)
     assert stats["n_steps"] == 8
@@ -417,7 +417,7 @@ def test_run_benchmark_evolves_in_record_order(monkeypatch):
     # with the record at the same position
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 3, 2), dts=(0.25, 0.125),
-                             t_final=0.5, oracle_substeps=300, qtt_bits=16,
+                             t_final=0.5, oracle_substeps=300, grid_bits=16,
                              d_max=8)
     calls = _record_evolutions(monkeypatch)
     records = run_benchmark(ham, config)
@@ -429,7 +429,7 @@ def test_sweep_computes_one_table_per_interval(monkeypatch):
     ham = modulated_ising()  # period 1: [0, 0.5] holds 2 + 4 intervals
     config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
                              dts=(0.25, 0.125), t_final=0.5,
-                             oracle_substeps=300, qtt_bits=16, d_max=8)
+                             oracle_substeps=300, grid_bits=16, d_max=8)
     tables = count_tables(monkeypatch)
     calls = _record_evolutions(monkeypatch)
     records = run_benchmark(ham, config)
@@ -459,7 +459,7 @@ def _four_site_sweep(**kwargs):
     # [0, 0.5] of period 1: 2 + 4 distinct steps per order
     return EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
                            dts=(0.25, 0.125), t_final=0.5,
-                           oracle_substeps=300, qtt_bits=16, d_max=8,
+                           oracle_substeps=300, grid_bits=16, d_max=8,
                            **kwargs)
 
 
@@ -517,7 +517,7 @@ def test_evolve_state_reports_the_compression(monkeypatch):
 def test_records_carry_the_evolution_stats():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(2, 3), dts=(0.5, 0.25),
-                             t_final=2.0, oracle_substeps=600, qtt_bits=16,
+                             t_final=2.0, oracle_substeps=600, grid_bits=16,
                              d_max=4)
     records = run_benchmark(ham, config)
     rows = records_to_csv(records).strip().splitlines()[2:]
@@ -543,7 +543,7 @@ def test_runtime_at_accuracy_leaves_out_table_time():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 2),
                              dts=(0.25, 0.125, 0.0625), t_final=0.25,
-                             oracle_substeps=1000, qtt_bits=16, d_max=8)
+                             oracle_substeps=1000, grid_bits=16, d_max=8)
     records = run_benchmark(ham, config)
     # the order-1 evolutions meet every interval first
     assert all(r.bracket_s > 0 for r in records if r.order == 1)
@@ -596,7 +596,7 @@ def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, method=method, orders=(1, 2),
                              dts=(0.25, 0.125), t_final=0.5,
-                             oracle_substeps=300, qtt_bits=16, d_max=8,
+                             oracle_substeps=300, grid_bits=16, d_max=8,
                              seed=2)
     plain = run_benchmark(ham, config)
     tracer = tracer_module.LayerTracer(bench)

@@ -1,7 +1,8 @@
-"""Bracket tables against the literal per-sequence chain and the grid sum.
+"""Bracket tables against the literal train chain and the grid sum.
 
-Sums of exponentials take the closed form, other drivings the
-shared-suffix train engine; both evaluate the same left-endpoint grid sum.
+Every driving takes the one grid-sum evaluator of `dysonmpo.brackets`; the
+train chain of `helpers` and the explicit sum `dense_discrete_bracket`
+reach the same left-endpoint grid sum independently.
 """
 
 import math
@@ -13,11 +14,13 @@ import pytest
 from helpers import (OpaqueDriving, dense_discrete_bracket,
                      literal_bracket_table)
 
-from dysonmpo.brackets import BracketTable
+from dysonmpo.bench import BracketCache
+from dysonmpo.brackets import (BracketTable, time_ordered_integral,
+                               time_ordered_integrals)
 from dysonmpo.driving import (ConstDriving, ExpDriving, PolyDriving,
                               SampledDriving, TrigDriving)
 from dysonmpo.models import modulated_ising, modulated_xxz
-from dysonmpo.quantics import QuanticsTrain, time_ordered_integral
+from dysonmpo.quadrature import quad_time_ordered_integral
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 
@@ -73,6 +76,11 @@ def test_table_matches_literal_chain_exp_driving():
     assert_matches_literal(channels, 0.2, 0.45, 3)
 
 
+def test_table_matches_literal_chain_exp_set():
+    # real and complex rates next to a modulated sine
+    assert_matches_literal(CHANNEL_SETS["exp"], 0.1, 0.35, 4)
+
+
 def test_table_all_constant_channels_closed_form():
     channels = [("a", ConstDriving(2.0)), ("b", ConstDriving(-0.5))]
     t0, t1 = 0.1, 0.4
@@ -101,32 +109,22 @@ def test_table_empty_interval_is_zero():
     assert all(v == 0 for v in table.values.values())
 
 
-def test_unknown_engine_raises_on_empty_interval():
-    with pytest.raises(ValueError, match="unknown engine"):
-        BracketTable.compute(channels_of(modulated_ising()), 0.3, 0.3, 2,
-                             engine="bogus")
+def test_driving_without_piece_form_raises():
+    channels = [("a", SIN), ("b", OpaqueDriving(SIN))]
+    with pytest.raises(ValueError, match="channel 'b': driving OpaqueDriving "
+                                         r"\(driving\) states no piece form"):
+        BracketTable.compute(channels, 0.0, 0.25, 2)
 
 
-def test_order4_table_compression_count(monkeypatch):
-    # channels without exponentials take the train trie: one compression
-    # per shared suffix node, 2 + 4 running integrals and 4 + 8 products,
-    # against 136 for a separate chain per sequence; the trig channels
-    # themselves take the closed form and compress nothing
-    calls = []
-    compress = QuanticsTrain.compress
-
-    def counting(self, *args, **kwargs):
-        calls.append(self.bits)
-        return compress(self, *args, **kwargs)
-
-    monkeypatch.setattr(QuanticsTrain, "compress", counting)
+@pytest.mark.parametrize("bits", [0, -3, 2.5, "24", True])
+def test_bits_must_be_a_positive_integer(bits):
     channels = channels_of(modulated_ising())
-    opaque = [(name, OpaqueDriving(f)) for name, f in channels]
-    BracketTable.compute(opaque, 0.0, 0.25, 4)
-    assert len(calls) == 18
-    calls.clear()
-    BracketTable.compute(channels, 0.0, 0.25, 4)
-    assert len(calls) == 0
+    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
+        BracketTable.compute(channels, 0.0, 0.25, 2, bits=bits)
+    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
+        time_ordered_integrals(dict(channels), [("zz",)], 0.3, 0.3, bits=bits)
+    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
+        BracketCache(modulated_ising(), bits=bits)
 
 
 SIN_MOD = TrigDriving("sin", omega=2 * math.pi, phase=0.3, amplitude=1.7,
@@ -154,19 +152,28 @@ def test_only_exponential_sums_have_exponentials():
     assert OpaqueDriving(SIN).exponentials() is None
 
 
-# trig with phase, amplitude and offset next to a constant channel, and
-# exponentials with real and complex rates
-CLOSED_FORM_CHANNELS = {
+POLY = PolyDriving(coeffs=(0.5, -1.0, 2.0, 0.7))
+# knots inside both test intervals, and clamped ends inside (0.0, 0.5)
+SAMPLES = SampledDriving(t_start=0.05, t_end=0.4,
+                         values=(0.3, -1.2, 0.8, 0.5, 2.0))
+
+# trig with phase, amplitude and offset next to a constant channel,
+# exponentials with real and complex rates, a cubic next to a sine, and
+# a sampled driving next to a constant
+CHANNEL_SETS = {
     "trig": [("s", SIN_MOD), ("c", COS_MOD), ("k", ConstDriving(1.5))],
     "exp": [("e", EXP_REAL), ("z", EXP_COMPLEX), ("s", SIN_MOD)],
+    "poly": [("p", POLY), ("s", SIN_MOD)],
+    "samples": [("x", SAMPLES), ("k", ConstDriving(-0.7))],
 }
 
 
-@pytest.mark.parametrize("set_name", sorted(CLOSED_FORM_CHANNELS))
+# grids of 2 to 8 points too: no grid step needs to resolve the drivings
+@pytest.mark.parametrize("set_name", sorted(CHANNEL_SETS))
 @pytest.mark.parametrize("interval", [(0.1, 0.35), (0.0, 0.5)])
-@pytest.mark.parametrize("bits", [10, 12])
+@pytest.mark.parametrize("bits", [1, 2, 3, 10, 12])
 def test_closed_form_is_the_grid_sum(bits, interval, set_name):
-    channels = CLOSED_FORM_CHANNELS[set_name]
+    channels = CHANNEL_SETS[set_name]
     by_name = dict(channels)
     table = BracketTable.compute(channels, *interval, 4, bits=bits)
     # all-constant sequences take the exact integral, not the grid sum
@@ -183,21 +190,51 @@ def test_closed_form_is_the_grid_sum(bits, interval, set_name):
         assert abs(table.values[key] - ref[key]) <= 1e-14 * floor, key
 
 
-@pytest.mark.parametrize("channels", [
-    channels_of(modulated_ising()), channels_of(modulated_xxz()),
-    CLOSED_FORM_CHANNELS["exp"]], ids=["tfi", "xxz", "exp"])
-def test_closed_form_matches_train_path(channels):
-    closed = BracketTable.compute(channels, 0.1, 0.35, 4)
-    opaque = [(name, OpaqueDriving(f)) for name, f in channels]
-    trains = BracketTable.compute(opaque, 0.1, 0.35, 4)
-    scale = {}
-    for key, value in trains.values.items():
-        scale[len(key)] = max(scale.get(len(key), 0.0), abs(value))
-    for key, value in trains.values.items():
-        assert abs(closed.values[key] - value) <= 2e-13 * scale[len(key)], key
+def test_order4_poly_and_samples_table_reads_no_grid(monkeypatch):
+    # an order-4 table at R = 24 reads each driving through a few pieces,
+    # never on the 2**24 grid points
+    calls = []
+    for cls in (PolyDriving, SampledDriving, TrigDriving):
+        original = cls.__call__
+
+        def counting(self, t, original=original):
+            calls.append(np.size(t))
+            return original(self, t)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+    channels = [("p", POLY), ("x", SAMPLES), ("s", SIN_MOD)]
+    table = BracketTable.compute(channels, 0.0, 0.5, 4, bits=24)
+    assert len(table.values) == 3 + 9 + 27 + 81
+    assert sum(calls) <= 4
+    for key in [("p",), ("x",), ("x", "p"), ("s", "p")]:
+        fs = [dict(channels)[name] for name in key]
+        ref = quad_time_ordered_integral(fs, 0.0, 0.5, abs_tol=1e-10)
+        # the left-endpoint bias is O(2**-24)
+        assert abs(table.values[key] - ref) <= 1e-7, key
 
 
-def test_closed_form_needs_a_resolving_grid():
-    # a grid step of a quarter period turns exp(i w t) by |expm1| = 1.41
-    with pytest.raises(ValueError, match=r"bits=2 .*\(0\.0, 1\.0\)"):
-        time_ordered_integral([SIN], 0.0, 1.0, bits=2)
+@pytest.mark.parametrize("driving", [POLY, SAMPLES, SIN_MOD, EXP_COMPLEX],
+                         ids=lambda f: f.describe())
+def test_piece_reproduces_the_driving(driving):
+    # pieces between the knots 0.1375 and 0.225, and on the clamped end
+    for t, t_last in [(0.15, 0.2), (0.41, 0.9)]:
+        piece = driving.piece(t, t_last)
+        for x in np.linspace(0.0, t_last - t, 7):
+            cols, coefs = piece.shift(x)
+            moved = (coefs * piece.state[cols]).sum(axis=1)
+            got = sum(moved[letter] for letter in piece.read)
+            ref = driving(t + x)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (t, x)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"t_start": 1.0, "t_end": 0.0, "values": (0.0, 1.0, 0.0)},
+     "t_end > t_start, got t_start=1.0, t_end=0.0"),
+    ({"t_start": 0.5, "t_end": 0.5}, "t_end > t_start"),
+    ({"values": (1.0,)}, r"at least two values, got \(1\.0,\)"),
+    ({"values": (1j, 2.0)}, "samples must be real, got 1j"),
+])
+def test_sampled_driving_rejects_misread_input(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SampledDriving(**kwargs)
+

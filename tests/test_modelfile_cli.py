@@ -74,6 +74,8 @@ end
     "dim 2\nD [[0,1],[1,0]]",                   # operator outside channel
     "dim 2\nchannel a\nL [[1,0],[0,1]]\nend",   # L without R
     "dim 2\nchannel a\nwhat now\nend",          # unknown directive
+    "dim 2\nchannel a\ndriving samples t0=1.0 t1=0.0\nend",  # t1 <= t0
+    "dim 2\nchannel a\ndriving samples values=[1j, 2.0]\nend",  # complex
 ])
 def test_parse_errors(bad):
     with pytest.raises(modelfile.ModelFileError):
@@ -159,3 +161,18 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]
     assert eps[0] > eps[1] > 0  # error decreases with dt
+
+
+@pytest.mark.parametrize("args", [
+    ["integrate", "--bits", "-3"],
+    ["integrate", "--bits", "0"],
+    ["integrate", "--max-order", "0"],
+    ["build-mpo", "--order", "0"],
+    ["build-mpo", "--bits", "0"],
+    ["bench", "--bits", "0"],
+])
+def test_cli_rejects_counts_below_one(model_path, args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args[:1] + ["--model", model_path] + args[1:])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err

@@ -258,34 +258,41 @@ def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
     assert out.max_bond == chi
 
 
-def test_apply_factorises_only_tall_matrices(tfi_steps, qr_shapes):
+def test_apply_factorises_wide_matrices_only_where_cheap(tfi_steps,
+                                                        qr_shapes):
     # a QR of a matrix no taller than it is wide yields a square unitary
-    # that shrinks no bond; the left and right steps skip it (the 256x480
-    # matrix at site 7 of this chain was one)
-    n, chi = 16, 32
+    # that shrinks no bond; the left and right steps take it (as the QR of
+    # the leading square block) only while it costs no more than the
+    # contraction that formed the matrix, which bounds its rows by
+    # chi + D_w*d (the 256x480 matrix at site 7 of this chain is carried raw)
+    n, chi, d = 16, 32, 2
+    dw = tfi_steps[0].bond_dimension
     psi = _random_mps(n, chi, np.random.default_rng(11))
     out, _ = apply_mpo(tfi_steps[0], psi, d_max=chi)
-    assert qr_shapes
-    assert all(rows > cols for rows, cols in qr_shapes), qr_shapes
+    wide = [shape for shape in qr_shapes if shape[0] <= shape[1]]
+    assert wide
+    assert all(rows <= chi + dw * d for rows, _ in wide), wide
     assert out.max_bond == chi
 
 
 @pytest.mark.parametrize("d_max", [None, 3])
 def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
-    # MPO bond 2 on MPS bond 4: the steps nearest the chain ends have
-    # k*d <= D_w*chi and skip their factorisation, the inner ones do not
+    # MPO bond 2 on MPS bond 16: the steps nearest the chain ends are wide
+    # and cheap to factorise, the next ones are wide and costlier to
+    # factorise than to form and skip it, the inner ones are tall
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.125, 1, bits=20)
     w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
     assert w.bond_dimension == 2
     n = 12
-    psi = _random_mps(n, 4, np.random.default_rng(13))
+    psi = _random_mps(n, 16, np.random.default_rng(13))
     out, disc = apply_mpo(w, psi, d_max=d_max)
     # every site but the centre n // 2 takes one left or right step; the
     # QR sweep right of the centre makes n - 1 - n // 2 more calls
     step_qrs = len(qr_shapes) - (n - 1 - n // 2)
     assert 0 < step_qrs < n - 1
+    assert any(rows <= cols for rows, cols in qr_shapes[:step_qrs])
     ref, disc_ref = literal_apply_mpo(w, psi, d_max=d_max)
     assert out.bond_dimensions == ref.bond_dimensions
     assert np.abs(out.to_dense() - ref.to_dense()).max() <= 1e-12

@@ -1,13 +1,22 @@
+"""The quantics-train oracle of `helpers`, and brackets against quadrature.
+
+The train chain (`helpers.literal_time_ordered_integral`) is the reference
+the bracket tables are checked against, so its pieces are tested here on
+their own: exponential and sampled trains, compression, the running-integral
+MPO and pointwise products.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
+from helpers import (CumulativeIntegralMPO, build_qtt, pointwise_product,
+                     qtt_add, qtt_exp, qtt_from_samples, qtt_from_samples_of)
+
+from dysonmpo.brackets import time_ordered_integral
 from dysonmpo.driving import ConstDriving, ExpDriving, PolyDriving, TrigDriving
 from dysonmpo.quadrature import quad_time_ordered_integral
-from dysonmpo.quantics import (cumulative_integral_mpo, pointwise_product,
-                               qtt_add, qtt_exp, qtt_from_samples,
-                               qtt_from_samples_of, time_ordered_integral)
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 COS = TrigDriving("cos", omega=2 * math.pi)
@@ -16,12 +25,12 @@ ONE = ConstDriving(1.0)
 
 def qtt_trig(kind, frequency, phase, bits):
     """Train of ``sin/cos(frequency * x + phase)`` on the unit grid."""
-    return TrigDriving(kind, omega=frequency, phase=phase).build_qtt(
-        0.0, 1.0, bits)
+    return build_qtt(TrigDriving(kind, omega=frequency, phase=phase),
+                     0.0, 1.0, bits)
 
 
 def qtt_const(c, bits):
-    return ConstDriving(c).build_qtt(0.0, 1.0, bits)
+    return build_qtt(ConstDriving(c), 0.0, 1.0, bits)
 
 
 def test_qtt_exp_zero_is_constant():
@@ -84,7 +93,7 @@ def test_qtt_from_samples_offset_sine():
     f = TrigDriving("sin", omega=2 * math.pi, offset=2.0)
     train = qtt_from_samples_of(f, 0.0, 1.0, 12)
     assert train.max_bond <= 3
-    direct = f.build_qtt(0.0, 1.0, 12)
+    direct = build_qtt(f, 0.0, 1.0, 12)
     ns = np.arange(0, 2 ** 12, 17)
     np.testing.assert_allclose(train.evaluate_many(ns),
                                direct.evaluate_many(ns), atol=1e-11)
@@ -110,7 +119,7 @@ def test_qtt_from_samples_bond_cap_error():
 def test_cumulative_constant_prefix_count():
     bits = 4
     delta = 1.0 / 2 ** bits
-    heaviside = cumulative_integral_mpo(bits, delta)
+    heaviside = CumulativeIntegralMPO(bits, delta)
     train = heaviside.apply(qtt_const(1.0, bits))
     values = train.evaluate_many(range(16))
     np.testing.assert_allclose(values, np.arange(16) * delta, atol=1e-14)
@@ -118,7 +127,7 @@ def test_cumulative_constant_prefix_count():
 
 def test_cumulative_starts_at_zero():
     bits = 10
-    heaviside = cumulative_integral_mpo(bits, 1.0 / 2 ** bits)
+    heaviside = CumulativeIntegralMPO(bits, 1.0 / 2 ** bits)
     train = heaviside.apply(qtt_trig("sin", 5.0, 0.3, bits))
     assert abs(train.evaluate(0)) < 1e-15
 
@@ -126,7 +135,7 @@ def test_cumulative_starts_at_zero():
 def test_cumulative_sine_integral():
     bits = 16
     delta = 1.0 / 2 ** bits
-    heaviside = cumulative_integral_mpo(bits, delta)
+    heaviside = CumulativeIntegralMPO(bits, delta)
     train = heaviside.apply(qtt_trig("sin", 2 * math.pi, 0.0, bits))
     got = train.evaluate(2 ** bits // 2)
     exact = 1.0 / math.pi  # integral of sin(2 pi s) on [0, 1/2]
@@ -254,7 +263,7 @@ def test_three_factor_identity():
 
 def test_exp_driving_closed_form_train():
     f = ExpDriving(rate=-1.3, amplitude=0.7)
-    train = f.build_qtt(0.2, 0.9, 14)
+    train = build_qtt(f, 0.2, 0.9, 14)
     assert train.max_bond == 1
     ns = np.arange(0, 2 ** 14, 97)
     ts = 0.2 + 0.7 * ns / 2.0 ** 14
