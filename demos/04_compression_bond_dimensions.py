@@ -32,9 +32,9 @@ ham = dm.TimeDependentHamiltonian([
     dm.Channel("f1", dm.from_terms(2, two_site=[(SZ, SZ)]), sin),
     dm.Channel("f2", dm.from_terms(2, on_site=SX), cos),
 ])
-tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], 0.1, 0.25, 3, bits=24)
+tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], 0.1, 0.25, 3)
 w = dm.dyson_mpo(ham, 0.1, 0.25, 3, tab)
-wc, report = dm.row_compress(w, 3, tol=1e-6)
+wc, report = dm.row_compress(w, 3)
 print(f"\nthird-order two-channel Dyson MPO: bond {w.bond_dimension} -> "
       f"{wc.bond_dimension}")
 print("kept levels:", " ".join(repr(l) for l in report.kept_levels))

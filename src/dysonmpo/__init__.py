@@ -20,7 +20,6 @@ from .levels import IDENTITY_LEVEL, LevelLabel, three, two
 from .linalg import qr_column_pivoted, svd_truncate
 from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
-from .quadrature import quad_time_ordered_integral
 from .taylor import mpo_derivative_at_zero, taylor_mpo
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTable, check_bits
+from .brackets import BracketTable
 from .compression import row_compress
 from .dyson import dyson_mpo
 from .evolve import exact_evolve
@@ -50,7 +50,6 @@ class EvolutionConfig:
     method: str = "dyson"            # taylor | dyson | magnus
     d_max: int = 64
     svd_tol: float = 1e-14
-    grid_bits: int = 24
     oracle_substeps: int = 4000
     qr_tol: float = 1e-12
     self_reference: bool = False
@@ -120,9 +119,8 @@ class BracketCache:
     plans.
     """
 
-    def __init__(self, hamiltonian, bits=24, order=1):
+    def __init__(self, hamiltonian, order=1):
         self.hamiltonian = hamiltonian
-        self.bits = check_bits(bits)
         self.order = order
         self.period = hamiltonian.common_period()
         self.computed = 0
@@ -130,13 +128,13 @@ class BracketCache:
         self._plans = {}
 
     def key(self, t0, t1):
-        """``(phase, step length, bits)`` of the step ``[t0, t1]``."""
+        """``(phase, step length)`` of the step ``[t0, t1]``."""
         phase = t0
         if self.period == math.inf:
             phase = 0.0
         elif self.period:
             phase = t0 - math.floor((t0 + 1e-12) / self.period) * self.period
-        return (round(phase, 12), round(t1 - t0, 12), self.bits)
+        return (round(phase, 12), round(t1 - t0, 12))
 
     def table(self, t0, t1, order):
         key = self.key(t0, t1)
@@ -148,8 +146,7 @@ class BracketCache:
             # congruent interval: same table, shifted start
             return BracketTable((t0, t1), table.values, table.max_order)
         channels = [(c.name, c.driving) for c in self.hamiltonian.channels]
-        table = BracketTable.compute(channels, t0, t1, max(order, self.order),
-                                     bits=self.bits)
+        table = BracketTable.compute(channels, t0, t1, max(order, self.order))
         self.computed += 1
         self._store[key] = (t0, table)
         return table
@@ -202,9 +199,9 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps.
 
-    A given `cache` must have been made for `hamiltonian` with
-    ``config.grid_bits``.  Steps in the same congruence class of `cache`
-    share one compressed MPO, built at the first of them; the store lives
+    A given `cache` must have been made for `hamiltonian`.  Steps in the
+    same congruence class of `cache` share one compressed MPO, built at the
+    first of them; the store lives
     for this call only.  Tables are requested at
     ``bracket_order(config.method, order)``, and not at all for Taylor
     steps; Dyson steps are built from the cache's step plan of `order`.  Returns ``(psi_out, stats)`` where stats
@@ -227,11 +224,9 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         raise ValueError("dt must divide t_final - t0")
     need = bracket_order(config.method, order)
     if cache is None:
-        cache = BracketCache(hamiltonian, bits=config.grid_bits, order=need)
-    elif cache.hamiltonian is not hamiltonian \
-            or cache.bits != config.grid_bits:
-        raise ValueError("the bracket cache was made for another Hamiltonian "
-                         "or another grid_bits")
+        cache = BracketCache(hamiltonian, order=need)
+    elif cache.hamiltonian is not hamiltonian:
+        raise ValueError("the bracket cache was made for another Hamiltonian")
     computed_before = cache.computed
     plan = cache.plan(config.method, order)
     step_mpos = {}
@@ -314,7 +309,7 @@ def run_benchmark(hamiltonian, config):
     orders, dts = config.sweep()
     psi0 = initial_state(config)
     top = max(bracket_order(config.method, order) for order in orders)
-    cache = BracketCache(hamiltonian, bits=config.grid_bits, order=top)
+    cache = BracketCache(hamiltonian, order=top)
     evolved = {}
     for order in orders:
         for dt in dts:

@@ -5,51 +5,53 @@ A bracket
     [f_1 f_2 ... f_k] = (-i)^k  int_{t0}^{t} dt_1 f_1(t_1)
                                 int_{t0}^{t_1} dt_2 f_2(t_2) ...
 
-(first entry = latest time) is evaluated with the left-endpoint rule on
-the grid ``t0 + n delta``, ``n < N = 2**bits``, ``delta = (t - t0) / N``.
-Every bracket up to order K comes from one element of the truncated
-tensor algebra over the channels,
+(first entry = latest time) is evaluated exactly, up to rounding.  Every
+bracket up to order K of one step comes from the truncated signature of
+the path whose velocity is the vector of channel values: level k holds
+the iterated integrals
 
-    prod_n (1 + delta x_n),
+    int_{t0 < s_1 < ... < s_k < t} f_{a_1}(s_1) ... f_{a_k}(s_k) ds,
 
-with ``x_n`` the channel values at grid point ``n`` and the factors in
-time order.  Its level k is ``delta**k`` times the sum over
-``n_1 < ... < n_k`` of ``x_{n_1} (x) ... (x) x_{n_k}``; read latest-first and
-times ``(-i)**k`` it is the order-k table.  Sequences of constant channels
-only take the exact integral instead.
+axes in time order; read latest-first and times ``(-i)**k`` it is the
+order-k table.
 
-The product is never formed point by point.  Between knots every channel
-is a `dysonmpo.driving.Piece`, ``f(t_p + x) = sum((S(x) state)[read])``,
-so the points of a block shifted by ``y`` carry S(y) times the letters of
-the block.  A block of ``2**(j+1)`` points is then the block of ``2**j``
-points times a copy with ``S(2**j delta)`` applied on every tensor axis
-(Chen's identity: the iterated sums of a joined path are the product of
-the pieces' sums), and a whole step takes `bits` doublings.  A stretch of
-L points between knots is the product of the blocks of L's binary digits,
-contracted from the letters to the channels; the stretches are then
-multiplied in time order.
+Between knots every channel is a `dysonmpo.driving.Piece`: letters
+``u(x) = S(x) state`` with ``S(x) = exp(G x)``, and the channel value is
+the sum of the letters it reads.  Each stretch from knot to knot is cut
+into ``2**_DOUBLINGS`` blocks of length h.  The levels of the first block
+are the exact iterated integrals of the letters over ``[0, h]``, from the
+power series of ``exp(G x)`` (`_block`).  The levels of ``[h, 2h]`` are
+those of ``[0, h]`` with S(h) applied on every tensor axis, and the levels
+of a joined interval are the truncated tensor-algebra product of its
+parts' levels (Chen's identity; K.-T. Chen, Ann. Math. 65, 163 (1957)).
+So `_DOUBLINGS` doublings give a stretch, which is contracted from the
+letters to the channels; the stretches are then multiplied in time order.
+
+An exponential piece keeps `_TERMS` terms of the series.  While
+``max|rate| * h`` stays at or below `_RATE_LIMIT` the first dropped term
+is at most ``(1/32)**8 / 8!``, about 2e-17, of the first kept one, and
+order-4 tables at the limit match an independent matrix-exponential
+evaluation to 1e-15 of their largest entry; a longer stretch raises
+`ValueError`.  A polynomial keeps all of its terms, so its series is
+exact.
 
 Each operation is elementwise in the letters of the entry it computes:
-shifts broadcast over one axis at a time, and each axis sums its
-channel's letters in a fixed order.  So an entry's value does not depend
-on the order of the table that holds it, and `BracketCache` serves lower
-orders from a higher-order table.  Nor does it depend on the other
-channels, unless their knots split the step differently.
+the series and the shifts broadcast over one axis at a time, and each
+axis sums its channel's letters in a fixed order.  So an entry's value
+does not depend on the order of the table that holds it, and
+`BracketCache` serves lower orders from a higher-order table.  Nor does it
+depend on the other channels, unless their knots split the step
+differently.
 """
 
 import math
-import numbers
 from itertools import product
 
 import numpy as np
 
-
-def check_bits(bits):
-    """`bits` as an int, or ValueError unless it is an integer >= 1."""
-    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) \
-            or bits < 1:
-        raise ValueError(f"bits must be an integer >= 1, got {bits!r}")
-    return int(bits)
+_DOUBLINGS = 12       # a stretch between knots is 2**_DOUBLINGS blocks
+_TERMS = 8            # series terms per letter of an exponential piece
+_RATE_LIMIT = 1 / 32  # largest max|rate| * block length checked exact
 
 
 def _chen(a, b):
@@ -66,9 +68,11 @@ def _chen(a, b):
     return out
 
 
-def _shifted(levels, rows):
-    """`levels` with the letter map ``rows = (cols, coefs)`` on every axis."""
-    cols, coefs = rows
+def _shifted(levels, cols, coefs):
+    """`levels` with the letter map ``(cols, coefs)`` on every axis.
+
+    Row m of the map sends ``u`` to ``sum_w coefs[m, w] * u[cols[m, w]]``.
+    """
     out = []
     for level in levels:
         for axis in range(level.ndim):
@@ -83,40 +87,74 @@ def _shifted(levels, rows):
     return out
 
 
-def _letter_rows(pieces, x):
-    """Rows of the block-diagonal shift S(x) over all pieces' letters."""
-    parts = [p.shift(x) for p in pieces]
-    width = max(cols.shape[1] for cols, _ in parts)
-    all_cols, all_coefs, start = [], [], 0
-    for cols, coefs in parts:
-        pad = width - cols.shape[1]
-        all_cols.append(np.hstack([cols, np.repeat(cols[:, :1], pad, axis=1)])
-                        + start)
-        all_coefs.append(np.hstack([coefs, np.zeros((len(coefs), pad))]))
-        start += len(cols)
-    return np.vstack(all_cols), np.vstack(all_coefs)
+def _letter_rows(pieces, xs):
+    """Rows of the block-diagonal shifts S(x), x in `xs`, over all letters.
+
+    Returns ``cols`` of shape ``(letters, width)`` and ``coefs`` of shape
+    ``(len(xs), letters, width)``; padding points at the row's own letter
+    with coefficient 0.
+    """
+    parts = [[p.shift(x) for x in xs] for p in pieces]
+    size = sum(len(p.state) for p in pieces)
+    width = max(rows[0][0].shape[1] for rows in parts)
+    cols = np.repeat(np.arange(size)[:, None], width, axis=1)
+    coefs = np.zeros((len(xs), size, width), dtype=complex)
+    start = 0
+    for rows in parts:
+        stop = start + len(rows[0][0])
+        cols[start:stop, :rows[0][0].shape[1]] = rows[0][0] + start
+        for i, (_, c) in enumerate(rows):
+            coefs[i, start:stop, :c.shape[1]] = c
+        start = stop
+    return cols, coefs
 
 
-def _stretch(pieces, delta, length, order):
-    """Channel levels of ``length`` points from the pieces' common origin."""
-    state = np.concatenate([p.state for p in pieces])
-    block = [delta * state] + [np.zeros((len(state),) * k, dtype=complex)
-                               for k in range(2, order + 1)]
-    total, offset = None, 0
-    for j in range(length.bit_length()):
-        if length >> j & 1:
-            run = block if offset == 0 else _shifted(
-                block, _letter_rows(pieces, offset * delta))
-            total = run if total is None else _chen(total, run)
-            offset += 1 << j
-        if length >> (j + 1):
-            block = _chen(block, _shifted(
-                block, _letter_rows(pieces, (1 << j) * delta)))
+def _block(series, h, order):
+    """Levels 1..`order` of the letters' iterated integrals over ``[0, h]``.
+
+    ``series[j]`` is the coefficient of ``xi**j`` (``xi = x / h``) of the
+    letters on the block.  Level k is carried as the coefficients of its
+    running integral in xi, exponents ``k .. k + (k - 1) * (terms - 1)``;
+    the level is their sum, the value at ``xi = 1``.
+    """
+    terms, size = series.shape
+    levels = []
+    running = np.ones(1, dtype=complex)   # level 0: the constant 1
+    for k in range(1, order + 1):
+        coefs = np.zeros((len(running) + terms - 1,) + running.shape[1:]
+                         + (size,), dtype=complex)
+        for j in range(terms):
+            coefs[j:j + len(running)] += np.multiply.outer(running, series[j])
+        exponents = np.arange(k, k + len(coefs)).reshape(
+            (-1,) + (1,) * k)
+        running = h * coefs / exponents
+        level = running[-1]
+        for e in range(len(running) - 2, -1, -1):
+            level = level + running[e]
+        levels.append(level)
+    return levels
+
+
+def _stretch(pieces, span, order):
+    """Channel levels of the pieces over ``[0, span]`` from their origin."""
+    h = span / 2 ** _DOUBLINGS
+    terms = max([_TERMS] + [len(p.state) for p in pieces if p.rates is None])
+    series = np.zeros((terms, sum(len(p.state) for p in pieces)),
+                      dtype=complex)
+    start = 0
+    for p in pieces:
+        part = p.series(h, terms if p.rates is None else _TERMS)
+        series[:len(part), start:start + part.shape[1]] = part
+        start += part.shape[1]
+    block = _block(series, h, order)
+    cols, coefs = _letter_rows(pieces, [2 ** j * h for j in range(_DOUBLINGS)])
+    for j in range(_DOUBLINGS):
+        block = _chen(block, _shifted(block, cols, coefs[j]))
     reads, start = [], 0
     for p in pieces:
         reads.append([start + letter for letter in p.read])
         start += len(p.state)
-    return [_to_channels(level, reads) for level in total]
+    return [_to_channels(level, reads) for level in block]
 
 
 def _to_channels(level, reads):
@@ -132,73 +170,63 @@ def _to_channels(level, reads):
     return level
 
 
-def _grid_levels(drivings, t0, t, bits, order):
-    """Levels 1..`order` of ``prod_n (1 + delta x_n)`` over the `drivings`.
+def _levels(channels, t0, t, order):
+    """Levels 1..`order` of the iterated integrals of the `channels`.
 
-    Entry ``levels[k - 1][a_1, ..., a_k]`` is ``delta**k`` times the sum of
-    ``f_{a_1}(t_{n_1}) ... f_{a_k}(t_{n_k})`` over ``n_1 < ... < n_k``.
+    `channels` lists ``(name, driving)`` pairs; entry
+    ``levels[k - 1][a_1, ..., a_k]`` is the integral of
+    ``f_{a_1}(s_1) ... f_{a_k}(s_k)`` over ``t0 < s_1 < ... < s_k < t``,
+    oriented from t0 to t when ``t < t0``.
     """
-    n_points = 2 ** bits
-    delta = (t - t0) / n_points
-    cuts = {0, n_points}
-    for f in drivings:
-        for knot in f.knots():
-            cuts.add(min(max(math.ceil((knot - t0) / delta), 0), n_points))
-    cuts = sorted(cuts)
+    cuts = {t0, t}
+    for _, f in channels:
+        cuts.update(float(knot) for knot in f.knots()
+                    if min(t0, t) < knot < max(t0, t))
+    cuts = sorted(cuts, reverse=t < t0)
     total = None
-    for lo, hi in zip(cuts, cuts[1:]):
-        start, last = t0 + lo * delta, t0 + (hi - 1) * delta
-        levels = _stretch([f.piece(start, last) for f in drivings], delta,
-                          hi - lo, order)
+    for a, b in zip(cuts, cuts[1:]):
+        pieces = [f.piece(a, b) for _, f in channels]
+        for (name, f), p in zip(channels, pieces):
+            if p is None:
+                raise ValueError(
+                    f"channel {name!r}: driving {type(f).__name__} "
+                    f"({f.describe()}) states no piece form, so its "
+                    f"brackets cannot be evaluated")
+            rate = 0.0 if p.rates is None else max(np.abs(p.rates),
+                                                    default=0.0)
+            if rate * abs(b - a) / 2 ** _DOUBLINGS > _RATE_LIMIT:
+                raise ValueError(
+                    f"channel {name!r}: rate {rate:.6g} over a stretch of "
+                    f"{b - a:.6g} exceeds the bracket series' limit "
+                    f"max|rate| * stretch <= "
+                    f"{_RATE_LIMIT * 2 ** _DOUBLINGS:g}; split the step")
+        levels = _stretch(pieces, b - a, order)
         total = levels if total is None else _chen(total, levels)
     return total
 
 
-def time_ordered_integrals(channels, sequences, t0, t, bits=24):
+def time_ordered_integrals(channels, sequences, t0, t):
     """Brackets of every sequence in `sequences` over ``[t0, t]``.
 
     `channels` maps a channel name to its driving function; a sequence
     lists names with the latest time first.  Returns a dict keyed by the
-    sequences as tuples.  Sequences of constant channels only take the
-    exact integral ``prod(c) * (-i (t - t0))**k / k!``; the others take
-    the left-endpoint grid sum on ``2**bits`` points (module docstring).
+    sequences as tuples (module docstring).
     """
-    bits = check_bits(bits)
     sequences = [tuple(seq) for seq in sequences]
     if not all(sequences):
         raise ValueError("empty channel sequence")
     if t == t0:
         return dict.fromkeys(sequences, 0.0 + 0.0j)
-    values = {}
-    gridded = []
-    for seq in sequences:
-        consts = [channels[name].constant_value for name in seq]
-        if all(c is not None for c in consts):
-            prod = np.prod([complex(c) for c in consts])
-            values[seq] = complex(prod * (-1j * (t - t0)) ** len(seq)
-                                  / math.factorial(len(seq)))
-        else:
-            gridded.append(seq)
-    if gridded:
-        names = list(dict.fromkeys(name for seq in gridded for name in seq))
-        for name in names:
-            f = channels[name]
-            if f.piece(t0, t) is None:
-                raise ValueError(
-                    f"channel {name!r}: driving {type(f).__name__} "
-                    f"({f.describe()}) states no piece form, so its "
-                    f"brackets cannot be evaluated")
-        index = {name: i for i, name in enumerate(names)}
-        levels = _grid_levels([channels[name] for name in names], t0, t, bits,
-                             max(len(seq) for seq in gridded))
-        for seq in gridded:
-            word = tuple(index[name] for name in reversed(seq))
-            k = len(seq)
-            values[seq] = complex((-1j) ** k * levels[k - 1][word])
-    return {seq: values[seq] for seq in sequences}
+    names = list(dict.fromkeys(name for seq in sequences for name in seq))
+    index = {name: i for i, name in enumerate(names)}
+    levels = _levels([(name, channels[name]) for name in names], t0, t,
+                     max(len(seq) for seq in sequences))
+    return {seq: complex((-1j) ** len(seq) * levels[len(seq) - 1][
+                tuple(index[name] for name in reversed(seq))])
+            for seq in sequences}
 
 
-def time_ordered_integral(drivings, t0, t, bits=24):
+def time_ordered_integral(drivings, t0, t):
     """Bracket ``[f_1 ... f_k]`` over ``[t0, t]``; first entry = latest time.
 
     The single-path case of :func:`time_ordered_integrals`.
@@ -207,8 +235,8 @@ def time_ordered_integral(drivings, t0, t, bits=24):
     if not drivings:
         raise ValueError("empty channel sequence")
     seq = tuple(range(len(drivings)))
-    return time_ordered_integrals(dict(enumerate(drivings)), [seq], t0, t,
-                                  bits=bits)[seq]
+    return time_ordered_integrals(dict(enumerate(drivings)), [seq], t0,
+                                  t)[seq]
 
 
 class BracketTable:
@@ -227,7 +255,7 @@ class BracketTable:
         return self.values[sigma]
 
     @classmethod
-    def compute(cls, channels, t0, t, max_order, bits=24):
+    def compute(cls, channels, t0, t, max_order):
         """Evaluate all brackets up to `max_order` on ``[t0, t]``.
 
         `channels` is a list of ``(name, driving)`` pairs in channel order.
@@ -235,7 +263,7 @@ class BracketTable:
         channels = list(channels)
         keys = [key for k in range(1, max_order + 1)
                 for key in product([name for name, _ in channels], repeat=k)]
-        values = time_ordered_integrals(dict(channels), keys, t0, t, bits=bits)
+        values = time_ordered_integrals(dict(channels), keys, t0, t)
         return cls((t0, t), values, max_order)
 
 

@@ -20,9 +20,6 @@ def _add_common(p):
     p.add_argument("--model", required=True, help="model file path")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t", type=float, default=0.125)
-    p.add_argument("--bits", type=_at_least_one, default=24,
-                   help="brackets are left-endpoint sums on 2**bits grid "
-                        "points per step")
 
 
 def cmd_build_mpo(args):
@@ -31,8 +28,7 @@ def cmd_build_mpo(args):
     table = None
     if need:
         channels = [(c.name, c.driving) for c in ham.channels]
-        table = BracketTable.compute(channels, args.t0, args.t, need,
-                                     bits=args.bits)
+        table = BracketTable.compute(channels, args.t0, args.t, need)
     mpo, report = build_step_mpo(ham, args.t0, args.t, args.order,
                                  args.method, table, args.qr_tol,
                                  compress=not args.no_compress)
@@ -47,8 +43,7 @@ def cmd_build_mpo(args):
 def cmd_integrate(args):
     ham = modelfile.load(args.model)
     channels = [(c.name, c.driving) for c in ham.channels]
-    table = BracketTable.compute(channels, args.t0, args.t, args.max_order,
-                                 bits=args.bits)
+    table = BracketTable.compute(channels, args.t0, args.t, args.max_order)
     print("channels,real,imag")
     for key in sorted(table.values, key=lambda k: (len(k), k)):
         v = table.values[key]
@@ -65,7 +60,6 @@ def cmd_bench(args):
         method=args.method,
         d_max=args.dmax,
         svd_tol=args.svd_tol,
-        grid_bits=args.bits,
         oracle_substeps=args.substeps,
         qr_tol=args.qr_tol,
         self_reference=args.self_reference,
@@ -112,10 +106,10 @@ def build_parser():
                    default="dyson")
     p.add_argument("--orders", default="1,2,3,4")
     p.add_argument("--dts", default="0.25,0.125,0.0625")
-    p.add_argument("--sites", type=int, default=8)
-    p.add_argument("--dmax", type=int, default=64)
+    p.add_argument("--sites", type=_at_least_one, default=8)
+    p.add_argument("--dmax", type=_at_least_one, default=64)
     p.add_argument("--svd-tol", type=float, default=1e-14)
-    p.add_argument("--substeps", type=int, default=4000)
+    p.add_argument("--substeps", type=_at_least_one, default=4000)
     p.add_argument("--qr-tol", type=float, default=1e-12)
     p.add_argument("--self-reference", action="store_true")
     p.add_argument("--seed", type=int, default=0)

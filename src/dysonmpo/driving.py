@@ -8,10 +8,11 @@ with each ``H_a`` a time-independent first-degree MPO and ``f_a`` a scalar
 driving function.  Driving functions know how to evaluate themselves and
 (when periodic) their period, which lets bracket tables be reused between
 congruent time steps.  For its brackets a driving states itself between
-its knots as a `Piece`: a small state vector that a shift matrix carries
-along the grid (:mod:`dysonmpo.brackets`).  Sums of exponentials take
-their pieces from ``exponentials``, polynomials from their Taylor
-coefficients, and sampled drivings are one line per knot interval.
+its knots as a `Piece`: a small state vector ``u`` that obeys
+``u' = G u`` for a constant generator G (:mod:`dysonmpo.brackets`).  Sums
+of exponentials take their pieces from ``exponentials``, polynomials from
+their Taylor coefficients, and sampled drivings are one line per knot
+interval.
 """
 
 import math
@@ -35,11 +36,12 @@ def _binomial(x, size):
 class Piece:
     """A driving between knots: ``f(t_p + x) = sum((S(x) @ state)[read])``.
 
-    With `rates`, ``state[j] = c_j exp(rate_j t_p)`` for the terms of a sum
-    of exponentials, ``S(x) = diag(exp(rates x))`` and every letter is read.
-    Without, `state` holds the Taylor coefficients at ``t_p``, S(x) is the
-    binomial matrix and letter 0 is read.  Either way
-    ``S(x) S(y) = S(x + y)``.
+    ``S(x) = exp(G x)`` for the generator G of the piece.  With `rates`,
+    ``state[j] = c_j exp(rate_j t_p)`` for the terms of a sum of
+    exponentials, ``G = diag(rates)`` and every letter is read.  Without,
+    `state` holds the Taylor coefficients at ``t_p``, G is the binomial
+    derivative matrix (``G[m, m + 1] = m + 1``), S(x) the binomial matrix
+    and letter 0 is read.
     """
 
     state: np.ndarray
@@ -66,6 +68,25 @@ class Piece:
         for m in range(size):
             coefs[m, :size - m] = full[m, m:]
         return np.where(cols < size, cols, rows), coefs
+
+    def series(self, h, terms):
+        """Rows ``j < terms`` of ``(G h)**j state / j!``, one per term.
+
+        Row j is the coefficient of ``(x / h)**j`` in ``S(x) state``.  A
+        polynomial's rows vanish from its number of letters on, so its
+        series is exact with at least that many terms.
+        """
+        out = np.zeros((terms, len(self.state)), dtype=complex)
+        out[0] = self.state
+        if self.rates is not None:
+            step = self.rates * h
+            for j in range(1, terms):
+                out[j] = out[j - 1] * step / j
+        else:
+            step = np.arange(1, len(self.state)) * h
+            for j in range(1, terms):
+                out[j, :-1] = out[j - 1, 1:] * step / j
+        return out
 
 
 class DrivingFunction:

@@ -73,15 +73,15 @@ class LevelLabel(tuple):
     def __repr__(self):
         if not self:
             return "(1)"
-        bits = []
+        parts = []
         for s in self:
             if is_one(s):
-                bits.append("1")
+                parts.append("1")
             elif is_two(s):
-                bits.append(f"2_{s[1]}[{s[2]}]")
+                parts.append(f"2_{s[1]}[{s[2]}]")
             else:
-                bits.append(f"3_{s[1]}")
-        return "(" + " ".join(bits) + ")"
+                parts.append(f"3_{s[1]}")
+        return "(" + " ".join(parts) + ")"
 
 
 IDENTITY_LEVEL = LevelLabel(())

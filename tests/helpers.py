@@ -2,8 +2,9 @@
 
 The oracles work with explicit operator strings (start site, dense
 operator on a contiguous support) so the MPO code under test never enters
-the expected-value computation.  The bracket oracle is a chain of quantics
-tensor trains, independent of the library's grid-sum evaluator.
+the expected-value computation.  The bracket oracle takes one
+block-bidiagonal matrix exponential per channel sequence, independent of
+the library's bracket evaluator.
 """
 
 import math
@@ -15,11 +16,11 @@ import scipy.linalg
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import (CompressionBasisError, CompressionReport,
                                   _select_new_levels, gamma_keys)
-from dysonmpo.driving import DrivingFunction
+from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
 from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
 from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
                              is_one, pad_with_ones, three, two)
-from dysonmpo.linalg import qr_column_pivoted, svd_truncate, truncation_rank
+from dysonmpo.linalg import qr_column_pivoted, svd_truncate
 from dysonmpo.mps import FiniteMPS
 from dysonmpo.spin import kron_chain
 
@@ -129,275 +130,98 @@ def random_fdmpo(rng, d=2, chi=1, with_d=True, with_a=False, hermitian=True):
     return FirstDegreeMPO(d, chi, L=L, A=A, R=R, D=D)
 
 
-class QuanticsTrain:
-    """R-site tensor train with physical dimension 2 per binary digit.
+def _realization(f, t0):
+    """``(A, b, c)`` with ``f(t0 + x) = c @ expm(A x) @ b``.
 
-    A scalar function on ``[t0, t1)`` is sampled on the dyadic grid
-    ``x_n = n / 2**R`` (mapped affinely onto the interval), one binary
-    digit per site, least-significant bit first.
-    """
-
-    def __init__(self, sites):
-        self.sites = [np.asarray(s, dtype=complex) for s in sites]
-        if self.sites[0].shape[0] != 1 or self.sites[-1].shape[2] != 1:
-            raise ValueError("boundary bonds must have dimension 1")
-
-    @property
-    def bits(self):
-        return len(self.sites)
-
-    @property
-    def max_bond(self):
-        return max((s.shape[2] for s in self.sites[:-1]), default=1)
-
-    def evaluate(self, n):
-        """Value at grid index `n` (bits read least-significant first)."""
-        v = np.ones((1,), dtype=complex)
-        for alpha, site in enumerate(self.sites):
-            v = v @ site[:, (int(n) >> alpha) & 1, :]
-        return complex(v[0])
-
-    def evaluate_many(self, ns):
-        return np.array([self.evaluate(n) for n in ns])
-
-    def full_sum(self):
-        """Sum of the train over all 2**R grid points."""
-        v = np.ones((1,), dtype=complex)
-        for site in self.sites:
-            v = v @ (site[:, 0, :] + site[:, 1, :])
-        return complex(v[0])
-
-    def scaled(self, c):
-        sites = [s.copy() for s in self.sites]
-        sites[0] = sites[0] * c
-        return QuanticsTrain(sites)
-
-    def compress(self, tol=1e-13, max_bond=None):
-        """Two-sided sweep: QR to the right, truncated SVD back.
-
-        Singular values at or below ``tol`` times the largest one of each
-        bond are dropped, and at most `max_bond` are kept; the squared
-        dropped values are summed into ``discarded_weight``.
-        """
-        sites = list(self.sites)
-        n = len(sites)
-        for i in range(n - 1):
-            dl, _, dr = sites[i].shape
-            q, r = np.linalg.qr(sites[i].reshape(dl * 2, dr))
-            sites[i] = q.reshape(dl, 2, q.shape[1])
-            nxt = sites[i + 1]
-            sites[i + 1] = (r @ nxt.reshape(dr, -1)).reshape(
-                r.shape[0], 2, nxt.shape[2])
-        discarded = 0.0
-        for i in range(n - 1, 0, -1):
-            dl, _, dr = sites[i].shape
-            u, s, vh = scipy.linalg.svd(sites[i].reshape(dl, 2 * dr),
-                                        full_matrices=False,
-                                        lapack_driver="gesvd",
-                                        check_finite=False)
-            keep, disc = truncation_rank(s, tol, max_bond)
-            discarded += disc
-            sites[i] = vh[:keep].reshape(keep, 2, dr)
-            prev = sites[i - 1]
-            sites[i - 1] = (prev.reshape(-1, dl) @ (u[:, :keep] * s[:keep])
-                            ).reshape(prev.shape[0], 2, keep)
-        train = QuanticsTrain(sites)
-        train.discarded_weight = discarded
-        return train
-
-
-def qtt_exp(a, bits):
-    """Train of ``exp(a * x)`` on the unit grid; bond dimension 1.
-
-    Site ``alpha`` holds the pair ``(1, exp(a * 2**(alpha - R)))``.
-    """
-    sites = []
-    for alpha in range(bits):
-        t = np.zeros((1, 2, 1), dtype=complex)
-        t[0, 0, 0] = 1.0
-        t[0, 1, 0] = np.exp(a * 2.0 ** (alpha - bits))
-        sites.append(t)
-    return QuanticsTrain(sites)
-
-
-def qtt_add(f, g):
-    """Direct sum of two trains; bond dimensions add."""
-    sites = []
-    for i, (a, b) in enumerate(zip(f.sites, g.sites)):
-        al, _, ar = a.shape
-        bl, _, br = b.shape
-        if i == 0:
-            t = np.concatenate([a, b], axis=2)
-        elif i == f.bits - 1:
-            t = np.concatenate([a, b], axis=0)
-        else:
-            t = np.zeros((al + bl, 2, ar + br), dtype=complex)
-            t[:al, :, :ar] = a
-            t[al:, :, ar:] = b
-        sites.append(t)
-    return QuanticsTrain(sites)
-
-
-def qtt_from_samples(values, max_bond=None, tol=1e-13):
-    """Sequential-SVD train of an explicitly sampled function.
-
-    `values` must have length ``2**R``, indexed by the grid position `n`.
-    Raises when `max_bond` forces truncation above `tol`.
-    """
-    values = np.asarray(values, dtype=complex)
-    bits = round(math.log2(len(values)))
-    scale = np.max(np.abs(values))
-    # reshape puts the most significant bit on the first axis; reverse so
-    # the least significant bit sits on the first site
-    tensor = values.reshape([2] * bits).transpose(tuple(reversed(range(bits))))
-    sites = []
-    rest = tensor.reshape(1, -1)
-    for _ in range(bits - 1):
-        dl = rest.shape[0]
-        u, s, v, disc = svd_truncate(rest.reshape(dl * 2, -1),
-                                     max_rank=max_bond, tol=tol)
-        if max_bond is not None and disc > (tol * max(scale, 1e-300)) ** 2:
-            raise ValueError("bond cap exceeded before tolerance was reached")
-        sites.append(u.reshape(dl, 2, u.shape[1]))
-        rest = s[:, None] * v
-    sites.append(rest.reshape(rest.shape[0], 2, 1))
-    return QuanticsTrain(sites)
-
-
-def qtt_from_samples_of(f, t0, t1, bits, max_bond=None, tol=1e-13):
-    """Sample a driving function on the interval grid and encode it."""
-    n = np.arange(2 ** bits)
-    ts = t0 + (t1 - t0) * n / 2.0 ** bits
-    return qtt_from_samples(np.asarray(f(ts), dtype=complex),
-                            max_bond=max_bond, tol=tol)
-
-
-def build_qtt(f, t0, t1, bits):
-    """Quantics train of the driving `f` on the dyadic grid of [t0, t1).
-
-    A sum of exponentials takes one ``exp(rate * tau x)`` train per term,
-    scaled by ``c * exp(rate * t0)``, on the unit grid x with
-    ``tau = t1 - t0``; any other driving is sampled.
+    Taken from the driving's own terms, not from its `Piece`: a sum of
+    exponentials has ``A = diag(rates)``; a polynomial runs the monomials
+    ``x**l / l!`` through the lower shift matrix, started at ``t0``.
     """
     terms = f.exponentials()
-    if terms is None:
-        return qtt_from_samples_of(f, t0, t1, bits)
-    train = None
-    for c, rate in terms:
-        term = qtt_exp(rate * (t1 - t0), bits).scaled(c * np.exp(rate * t0))
-        train = term if train is None else qtt_add(train, term)
-    return train
+    if terms is not None:
+        rates = np.array([rate for _, rate in terms], dtype=complex)
+        coefs = np.array([c for c, _ in terms], dtype=complex)
+        return np.diag(rates), np.exp(rates * t0), coefs
+    if isinstance(f, PolyDriving):
+        size = len(f.coeffs)
+        shift = np.diag(np.ones(size - 1), -1).astype(complex)
+        start = np.zeros(size, dtype=complex)
+        start[0] = 1.0
+        coefs = np.array([c * math.factorial(l)
+                          for l, c in enumerate(f.coeffs)], dtype=complex)
+        return shift, scipy.linalg.expm(shift * t0) @ start, coefs
+    raise TypeError(f"no linear realization of {f.describe()}")
 
 
-class CumulativeIntegralMPO:
-    """Bond-dimension-2 MPO encoding ``F(y) = sum_{x < y} f(x) * delta_x``.
+def van_loan_bracket(drivings, t0, t):
+    """Bracket ``[f_1 ... f_k]`` from one block-bidiagonal exponential.
 
-    The digit comparison runs from the most significant bit (last site)
-    toward the least significant: virtual state 0 means all higher digits
-    agree, state 1 means the strict inequality is already decided.  The
-    deciding digit pair ``(y=1, x=0)`` carries the grid spacing.
+    Van Loan (IEEE TAC 23, 395 (1978)): with diagonal blocks
+    ``D_i = A_1 (+) ... (+) A_i`` (Kronecker sums, ``D_0 = 0``) and
+    superdiagonal blocks ``I (x) c_i``, block ``(0, k)`` of
+    ``expm(M (t - t0))`` applied to ``b_1 (x) ... (x) b_k`` is the nested
+    integral of ``f_1(s_1) ... f_k(s_k)`` over ``t0 < s_k < ... < s_1 < t``.
+    Sums of exponentials and polynomials only.
     """
-
-    def __init__(self, bits, delta_x):
-        self.bits = bits
-        w = np.zeros((2, 2, 2, 2), dtype=complex)  # (a, y, x, b)
-        for x in (0, 1):
-            for y in (0, 1):
-                w[1, y, x, 1] = 1.0
-                if x == y:
-                    w[0, y, x, 0] = 1.0
-        w[1, 1, 0, 0] = delta_x
-        self.tensor = w
-
-    def site(self, i):
-        """Tensor ``(a, y, x, b)`` of site `i`, boundary bonds terminated."""
-        w = self.tensor
-        if i == 0:
-            w = w[1:2]           # leftmost virtual index terminated at 1
-        if i == self.bits - 1:
-            w = w[..., 0:1]      # rightmost terminated at 0
-        return w
-
-    def apply(self, train):
-        """Train of the running integral of `train`."""
-        sites = []
-        for i, site in enumerate(train.sites):
-            # (a, y, x, b), (l, x, r) -> (a, l, y, b, r)
-            t = np.einsum("ayxb,lxr->alybr", self.site(i), site)
-            al, fl, _, bl, fr = t.shape
-            sites.append(t.reshape(al * fl, 2, bl * fr))
-        return QuanticsTrain(sites)
+    parts = [_realization(f, t0) for f in drivings]
+    dims = [1]
+    for a, _, _ in parts:
+        dims.append(dims[-1] * len(a))
+    offsets = np.cumsum([0] + dims)
+    m = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    for i, (_, _, c) in enumerate(parts, start=1):
+        block = np.zeros((dims[i], dims[i]), dtype=complex)
+        for j, (a, _, _) in enumerate(parts[:i]):
+            block += np.kron(np.kron(np.eye(dims[j]), a),
+                             np.eye(dims[i] // dims[j + 1]))
+        m[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]] = block
+        m[offsets[i - 1]:offsets[i], offsets[i]:offsets[i + 1]] = \
+            np.kron(np.eye(dims[i - 1]), c[None, :])
+    corner = scipy.linalg.expm(m * (t - t0))[0, offsets[-2]:]
+    start = np.ones(1, dtype=complex)
+    for _, b, _ in parts:
+        start = np.kron(start, b)
+    return complex((-1j) ** len(drivings) * (corner @ start))
 
 
-def pointwise_product(f, g, compress_tol=None):
-    """Train of the pointwise product ``f(x) * g(x)``; bonds multiply."""
-    if f.bits != g.bits:
-        raise ValueError("bit counts differ")
-    sites = []
-    for a, b in zip(f.sites, g.sites):
-        t = np.einsum("lxr,mxs->lmxrs", a, b)
-        ll, ml, _, rl, sl = t.shape
-        sites.append(t.reshape(ll * ml, 2, rl * sl))
-    out = QuanticsTrain(sites)
-    if compress_tol is not None:
-        out = out.compress(tol=compress_tol)
-    return out
-
-
-def literal_time_ordered_integral(drivings, t0, t, bits=24,
-                                  compress_tol=1e-13):
-    """Bracket ``[f_1 ... f_k]`` by its own nested chain of trains.
-
-    Alternates the running-integral MPO (compressed) with the pointwise
-    product (compressed) from the earliest time outward, then sums the
-    grid; all-constant sequences take the closed form.  The same
-    left-endpoint grid sum as `dysonmpo.brackets`, reached independently.
-    """
-    drivings = list(drivings)
-    k = len(drivings)
-    if t == t0:
-        return 0.0 + 0.0j
-    consts = [d.constant_value for d in drivings]
-    if all(c is not None for c in consts):
-        prod = np.prod([complex(c) for c in consts])
-        return complex(prod * (-1j * (t - t0)) ** k / math.factorial(k))
-    delta_x = (t - t0) / 2.0 ** bits
-    heaviside = CumulativeIntegralMPO(bits, delta_x)
-    w = build_qtt(drivings[-1], t0, t, bits)
-    for f in reversed(drivings[:-1]):
-        w = heaviside.apply(w).compress(tol=compress_tol)
-        w = pointwise_product(build_qtt(f, t0, t, bits), w,
-                              compress_tol=compress_tol)
-    return complex((-1j) ** k * w.full_sum() * delta_x)
-
-
-def literal_bracket_table(channels, t0, t, max_order, bits=24):
-    """Every bracket up to `max_order`, each from its own literal chain."""
+def van_loan_table(channels, t0, t, max_order):
+    """Every bracket up to `max_order`, each from its own exponential."""
     by_name = dict(channels)
-    return {key: literal_time_ordered_integral(
-                [by_name[name] for name in key], t0, t, bits=bits)
+    return {key: van_loan_bracket([by_name[name] for name in key], t0, t)
             for k in range(1, max_order + 1)
             for key in product(list(by_name), repeat=k)}
 
 
-def dense_discrete_bracket(drivings, t0, t, bits):
-    """Left-endpoint grid sum of ``[f_1 ... f_k]`` on an explicit grid.
+def piecewise_van_loan_table(channels, t0, t, max_order):
+    """`van_loan_table` joined over the knots of the `channels`.
 
-    Samples every driving on the ``2**bits`` points ``t0 + n delta`` and
-    nests exclusive cumulative sums ``sum_{x < y}`` from the earliest time
-    outward, in extended precision (``np.longdouble``), so that the
-    oracle's own rounding sits far below double precision where the
-    platform has an extended type.
+    Between neighbouring knots a `SampledDriving` is the line through its
+    values at the two ends, which `van_loan_bracket` takes as a
+    polynomial.  The pieces are joined by Chen's identity: the bracket of
+    a word over ``[a, c]`` is the sum, over the ways to cut the word, of
+    its latest letters' bracket over ``[b, c]`` times the earlier
+    letters' bracket over ``[a, b]``.
     """
-    n = np.arange(2 ** bits, dtype=np.longdouble)
-    tau = np.longdouble(t) - np.longdouble(t0)
-    ts = np.longdouble(t0) + tau * n / 2 ** bits
-    delta = tau / 2 ** bits
-    w = np.asarray(drivings[-1](ts), dtype=np.clongdouble)
-    for f in reversed(drivings[:-1]):
-        below = np.concatenate([[0], np.cumsum(w)[:-1]])
-        w = np.asarray(f(ts), dtype=np.clongdouble) * below * delta
-    return complex((-1j) ** len(drivings) * np.sum(w) * delta)
+    cuts = sorted({t0, t} | {float(knot) for _, f in channels
+                             for knot in f.knots() if t0 < knot < t})
+    tables = []
+    for a, b in zip(cuts, cuts[1:]):
+        pieces = []
+        for name, f in channels:
+            if isinstance(f, SampledDriving):
+                slope = (f(b) - f(a)) / (b - a)
+                f = PolyDriving(coeffs=(f(a) - slope * a, slope))
+            pieces.append((name, f))
+        table = van_loan_table(pieces, a, b, max_order)
+        table[()] = 1.0
+        tables.append(table)
+    total = tables[0]
+    for later in tables[1:]:
+        total = {key: sum(later[key[:j]] * total[key[j:]]
+                          for j in range(len(key) + 1))
+                 for key in total}
+    del total[()]
+    return total
 
 
 class OpaqueDriving(DrivingFunction):

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test each, with a printed pass/fail line.
 
-Run as ``pytest tests/test_acceptance.py -v -s``.  The full module takes a
-few minutes single-threaded; criterion 1 dominates.
+Run as ``pytest tests/test_acceptance.py -v -s``.  The full module takes
+about half a minute; the nested quadrature of criterion 5 dominates.
 """
 
 import math
@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (column_compress, disjoint_product_dense, flat_dyson_mpo,
                      random_fdmpo, strings_of)
+from quadrature import quad_time_ordered_integral
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import EvolutionConfig, order_slopes, run_benchmark, \
@@ -24,7 +25,6 @@ from dysonmpo.dyson import dyson_mpo
 from dysonmpo.evolve import exact_evolution_operator
 from dysonmpo.magnus import magnus_evolution
 from dysonmpo.models import modulated_ising, static_tfi
-from dysonmpo.quadrature import quad_time_ordered_integral
 from dysonmpo.spin import SX, SZ
 from dysonmpo.taylor import mpo_derivative_at_zero, taylor_mpo
 
@@ -44,8 +44,8 @@ def benchmark_records():
     config = EvolutionConfig(
         n_sites=8, t0=0.0, t_final=1.0, method="dyson", d_max=16,
         orders=(1, 2, 3, 4),
-        dts=(0.125, 0.0625, 0.03125, 0.015625, 0.0078125),
-        oracle_substeps=4000, grid_bits=24, qr_tol=1e-12)
+        dts=(0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625),
+        oracle_substeps=4000, qr_tol=1e-12)
     return run_benchmark(ham, config)
 
 
@@ -81,11 +81,9 @@ def test_criterion_2_bond_dimension_tables():
         ham = TimeDependentHamiltonian([
             Channel("f1", coup, SIN),
             Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
-        tab = BracketTable.compute([("f1", SIN), ("f2", COS)], 0.1, 0.25, 3,
-                                   bits=24)
+        tab = BracketTable.compute([("f1", SIN), ("f2", COS)], 0.1, 0.25, 3)
         w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-        # rank tolerance above the 2^-24 bracket discretization noise
-        wc, _ = row_compress(w, 3, tol=1e-6)
+        wc, _ = row_compress(w, 3)
         expected = 1 + 3 * chi + chi ** 2 + chi ** 3
         if wc.bond_dimension != expected:
             failures.append(("dyson", chi, wc.bond_dimension, expected))
@@ -104,7 +102,7 @@ def test_criterion_3_dense_oracle_equivalence():
         for dt in dts:
             tab = BracketTable.compute(
                 [(c.name, c.driving) for c in ham.channels],
-                t0, t0 + dt, order, bits=24)
+                t0, t0 + dt, order)
             flat = flat_dyson_mpo(ham, t0, t0 + dt, order, tab)
             w = dyson_mpo(ham, t0, t0 + dt, order, tab)
             merged, _ = column_compress(flat)
@@ -115,7 +113,7 @@ def test_criterion_3_dense_oracle_equivalence():
                 problems.append(f"N={order} merged levels differ from build")
             build_diffs.append(
                 np.abs(merged.to_dense(n) - w.to_dense(n)).max())
-            wc, _ = row_compress(w, order, tol=1e-6)
+            wc, _ = row_compress(w, order)
             row_diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
             u = exact_evolution_operator(ham, n, t0, t0 + dt, substeps=2500)
             errs.append(np.linalg.norm(w.to_dense(n) - u, 2))
@@ -166,15 +164,15 @@ def test_criterion_4_algebra_oracles():
 def test_criterion_5_integral_identities():
     channels = [("sin", SIN), ("cos", COS), ("const", ONE)]
     t0, t1 = 0.3, 0.55
-    grid = {}
+    exact = {}
     quad = {}
     for k in (1, 2, 3):
         for key in product(range(3), repeat=k):
             fs = [channels[i][1] for i in key]
-            grid[key] = time_ordered_integral(fs, t0, t1, bits=24)
+            exact[key] = time_ordered_integral(fs, t0, t1)
             quad[key] = quad_time_ordered_integral(fs, t0, t1, abs_tol=1e-12)
     problems = []
-    for engine, tol, store in (("grid", 1e-8, grid), ("quad", 1e-10, quad)):
+    for engine, tol, store in (("exact", 1e-13, exact), ("quad", 1e-10, quad)):
         worst_f = max(abs(store[(a,)] * store[(b,)]
                           - store[(a, b)] - store[(b, a)])
                       for a in range(3) for b in range(3))
@@ -184,9 +182,9 @@ def test_criterion_5_integral_identities():
         if worst_f > tol or worst_3 > tol:
             problems.append(f"{engine}: factoring {worst_f:.2e}, "
                             f"three-factor {worst_3:.2e}")
-    worst_cross = max(abs(grid[k] - quad[k]) for k in grid)
-    if worst_cross > 1e-8:
-        problems.append(f"grid-vs-quad {worst_cross:.2e}")
+    worst_cross = max(abs(exact[k] - quad[k]) for k in exact)
+    if worst_cross > 1e-11:
+        problems.append(f"exact-vs-quad {worst_cross:.2e}")
     dt = 0.25
     worst_const = 0.0
     for k in range(1, 5):
@@ -196,7 +194,7 @@ def test_criterion_5_integral_identities():
     if worst_const > 1e-10:
         problems.append(f"constant closed form {worst_const:.2e}")
     _report(5, not problems, "; ".join(problems) if problems else
-            "factoring/three-factor identities, grid-vs-quad, constant closed form")
+            "factoring/three-factor identities, exact-vs-quad, constant closed form")
 
 
 def test_criterion_6_derivatives():
@@ -225,7 +223,7 @@ def test_criterion_7_equivalence_of_formulations():
             entry_ok &= bool(np.abs(wd.entries[key] - op).max() < 1e-14)
     ham2 = modulated_ising()
     tab2 = BracketTable.compute([(c.name, c.driving) for c in ham2.channels],
-                                0.0, 0.1, 1, bits=24)
+                                0.0, 0.1, 1)
     wm = magnus_evolution(ham2, 0.0, 0.1, 1, 1, tab2)
     wd2 = dyson_mpo(ham2, 0.0, 0.1, 1, tab2)
     magnus_err = np.abs(wm.to_dense(4) - wd2.to_dense(4)).max()

@@ -25,7 +25,7 @@ def test_smoke_run_error_decreases():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, dt=0.25, order=1, orders=(1,),
                              dts=(0.25, 0.125), oracle_substeps=500,
-                             grid_bits=16, d_max=8)
+                             d_max=8)
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
@@ -40,7 +40,7 @@ def test_magnus_step_compression_order_accuracy():
     order, n = 2, 4
     diffs = []
     for dt in (0.1, 0.05, 0.025):
-        tab = BracketTable.compute(channels, 0.0, dt, order, bits=24)
+        tab = BracketTable.compute(channels, 0.0, dt, order)
         w, none = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12,
                                  compress=False)
         wc, report = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12)
@@ -57,7 +57,7 @@ def test_magnus_benchmark_runs():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, method="magnus", orders=(2,),
                              dts=(0.25, 0.125), oracle_substeps=500,
-                             grid_bits=16, d_max=8)
+                             d_max=8)
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
@@ -78,7 +78,7 @@ def test_dt_must_divide_interval():
 def test_backward_steps_are_rejected(t0, t_final, dt):
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=dt,
-                             order=1, grid_bits=16)
+                             order=1)
     with pytest.raises(ValueError, match="forward"):
         evolve_state(ham, initial_state(config), config)
 
@@ -86,7 +86,7 @@ def test_backward_steps_are_rejected(t0, t_final, dt):
 def test_empty_interval_takes_no_step():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5, dt=0.25,
-                             order=1, grid_bits=16)
+                             order=1)
     psi0 = initial_state(config)
     psi, stats = evolve_state(ham, psi0, config)
     assert stats["n_steps"] == stats["mpo_builds"] == 0
@@ -94,13 +94,10 @@ def test_empty_interval_takes_no_step():
                                                     psi0.tensors))
 
 
-@pytest.mark.parametrize("other_model, bits", [(True, 16), (False, 24)])
-def test_evolve_state_rejects_a_cache_made_for_another_run(other_model,
-                                                           bits):
+def test_evolve_state_rejects_a_cache_made_for_another_run():
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, t_final=0.5, dt=0.25, order=2,
-                             grid_bits=16)
-    cache = BracketCache(modulated_xxz() if other_model else ham, bits=bits)
+    config = EvolutionConfig(n_sites=4, t_final=0.5, dt=0.25, order=2)
+    cache = BracketCache(modulated_xxz())
     with pytest.raises(ValueError, match="cache"):
         evolve_state(ham, initial_state(config), config, cache=cache)
     assert cache.computed == 0
@@ -108,7 +105,7 @@ def test_evolve_state_rejects_a_cache_made_for_another_run(other_model,
 
 def test_bracket_cache_reuses_congruent_intervals():
     ham = modulated_ising()  # period 1
-    cache = BracketCache(ham, bits=16)
+    cache = BracketCache(ham)
     t1 = cache.table(0.25, 0.375, 2)
     t2 = cache.table(1.25, 1.375, 2)
     assert t2.values == t1.values
@@ -123,7 +120,7 @@ def test_commuting_on_site_model_single_full_period_step():
     drv = TrigDriving("sin", omega=2 * math.pi, offset=0.1)
     ham = TimeDependentHamiltonian([Channel("x", field, drv)])
     config = EvolutionConfig(n_sites=4, t_final=1.0, dts=(1.0,), orders=(4,),
-                             oracle_substeps=2000, grid_bits=20, d_max=8)
+                             oracle_substeps=2000, d_max=8)
     records = run_benchmark(ham, config)
     assert records[0].epsilon <= 1e-6
 
@@ -131,7 +128,7 @@ def test_commuting_on_site_model_single_full_period_step():
 def test_self_reference_mode():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 2), dts=(0.25, 0.125),
-                             grid_bits=16, d_max=8, self_reference=True)
+                             d_max=8, self_reference=True)
     records = run_benchmark(ham, config)
     best = [r for r in records if r.order == 2 and r.dt == 0.125][0]
     assert best.epsilon < 1e-12  # reference compared against itself
@@ -142,7 +139,7 @@ def test_self_reference_mode():
 def test_csv_schema():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1,), dts=(0.5,),
-                             oracle_substeps=300, grid_bits=14, d_max=4)
+                             oracle_substeps=300, d_max=4)
     text = records_to_csv(run_benchmark(ham, config), seed=0)
     lines = text.strip().splitlines()
     assert lines[0] == "# seed=0"
@@ -168,10 +165,10 @@ def test_self_reference_removes_oracle_plateau():
     ham = modulated_ising()
     dts = (0.25, 0.125, 0.0625, 0.03125)
     coarse = EvolutionConfig(n_sites=4, orders=(3,), dts=dts, d_max=8,
-                             grid_bits=20, oracle_substeps=12)
+                             oracle_substeps=12)
     against_oracle = run_benchmark(ham, coarse)
     selfref = EvolutionConfig(n_sites=4, orders=(3, 4), dts=dts, d_max=8,
-                              grid_bits=20, self_reference=True)
+                              self_reference=True)
     against_best = [r for r in run_benchmark(ham, selfref) if r.order == 3]
     eps_oracle = [r.epsilon for r in sorted(against_oracle, key=lambda r: -r.dt)]
     eps_best = [r.epsilon for r in sorted(against_best, key=lambda r: -r.dt)]
@@ -217,11 +214,11 @@ def test_discarded_weight_is_summed_over_steps():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=6, t_final=0.5, orders=(2,),
                              dts=(0.25, 0.125), oracle_substeps=300,
-                             grid_bits=16, d_max=2, seed=3)
+                             d_max=2, seed=3)
     records = run_benchmark(ham, config)
     for r in records:
         assert math.isfinite(r.discarded_weight) and r.discarded_weight >= 0
-    cache = BracketCache(ham, bits=config.grid_bits)
+    cache = BracketCache(ham)
     for r in records:
         psi, manual = initial_state(config), 0.0
         for i in range(round(config.t_final / r.dt)):
@@ -252,7 +249,7 @@ def _count_compressions(monkeypatch):
 
 
 def _build_and_apply_every_step(ham, config):
-    cache = BracketCache(ham, bits=config.grid_bits)
+    cache = BracketCache(ham)
     psi = initial_state(config)
     for i in range(round((config.t_final - config.t0) / config.dt)):
         s0 = config.t0 + i * config.dt
@@ -268,7 +265,7 @@ def _build_and_apply_every_step(ham, config):
 def _reuse_config(method):
     # period 1, dt 0.25: twelve steps in four congruence classes
     return EvolutionConfig(n_sites=6, t_final=3.0, dt=0.25, order=3,
-                           method=method, d_max=8, grid_bits=16, seed=5)
+                           method=method, d_max=8, seed=5)
 
 
 @pytest.mark.parametrize("method", ["dyson", "magnus", "taylor"])
@@ -307,9 +304,9 @@ def test_bracket_cache_serves_lower_orders_from_top_table(model):
     # xxz: its constant channel takes the closed form
     ham = model()
     channels = [(c.name, c.driving) for c in ham.channels]
-    cache = BracketCache(ham, bits=16, order=4)
+    cache = BracketCache(ham, order=4)
     for order in (1, 2, 3):
-        direct = BracketTable.compute(channels, 0.25, 0.375, order, bits=16)
+        direct = BracketTable.compute(channels, 0.25, 0.375, order)
         # the congruent interval gets the stored values, shifted
         for t0 in (0.25, 1.25):
             served = cache.table(t0, t0 + 0.125, order)
@@ -323,12 +320,12 @@ def test_bracket_cache_serves_lower_orders_from_top_table(model):
 def test_bracket_cache_recomputes_above_stored_order():
     ham = modulated_ising()
     channels = [(c.name, c.driving) for c in ham.channels]
-    cache = BracketCache(ham, bits=16, order=2)
+    cache = BracketCache(ham, order=2)
     assert cache.table(0.25, 0.375, 1).max_order == 2
     high = cache.table(0.25, 0.375, 3)
     assert high.max_order == 3 and cache.computed == 2
     assert len(cache._store) == 1
-    direct = BracketTable.compute(channels, 0.25, 0.375, 3, bits=16)
+    direct = BracketTable.compute(channels, 0.25, 0.375, 3)
     assert high.values == direct.values
     # the replacement serves every order up to its own
     assert cache.table(1.25, 1.375, 2).values == direct.values
@@ -341,7 +338,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
         Channel(c.name, c.operator, driving) for c in ising.channels])
     assert ham.common_period() == math.inf
     config = EvolutionConfig(n_sites=6, t_final=1.0, dt=0.125, order=3,
-                             d_max=8, grid_bits=16, seed=5)
+                             d_max=8, seed=5)
     tables = count_tables(monkeypatch)
     psi, stats = evolve_state(ham, initial_state(config), config)
     assert stats["n_steps"] == 8
@@ -352,7 +349,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
     ref = initial_state(config)
     for i in range(8):
         s0, s1 = i * 0.125, (i + 1) * 0.125
-        table = BracketTable.compute(channels, s0, s1, 3, bits=16)
+        table = BracketTable.compute(channels, s0, s1, 3)
         mpo, _ = build_step_mpo(ham, s0, s1, 3, "dyson", table,
                                 qr_tol=config.qr_tol)
         ref, _ = apply_mpo(mpo, ref, d_max=config.d_max,
@@ -417,8 +414,7 @@ def test_run_benchmark_evolves_in_record_order(monkeypatch):
     # with the record at the same position
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 3, 2), dts=(0.25, 0.125),
-                             t_final=0.5, oracle_substeps=300, grid_bits=16,
-                             d_max=8)
+                             t_final=0.5, oracle_substeps=300, d_max=8)
     calls = _record_evolutions(monkeypatch)
     records = run_benchmark(ham, config)
     assert [(order, dt) for order, dt, _ in calls] == \
@@ -429,7 +425,7 @@ def test_sweep_computes_one_table_per_interval(monkeypatch):
     ham = modulated_ising()  # period 1: [0, 0.5] holds 2 + 4 intervals
     config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
                              dts=(0.25, 0.125), t_final=0.5,
-                             oracle_substeps=300, grid_bits=16, d_max=8)
+                             oracle_substeps=300, d_max=8)
     tables = count_tables(monkeypatch)
     calls = _record_evolutions(monkeypatch)
     records = run_benchmark(ham, config)
@@ -459,7 +455,7 @@ def _four_site_sweep(**kwargs):
     # [0, 0.5] of period 1: 2 + 4 distinct steps per order
     return EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
                            dts=(0.25, 0.125), t_final=0.5,
-                           oracle_substeps=300, grid_bits=16, d_max=8,
+                           oracle_substeps=300, d_max=8,
                            **kwargs)
 
 
@@ -517,8 +513,7 @@ def test_evolve_state_reports_the_compression(monkeypatch):
 def test_records_carry_the_evolution_stats():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(2, 3), dts=(0.5, 0.25),
-                             t_final=2.0, oracle_substeps=600, grid_bits=16,
-                             d_max=4)
+                             t_final=2.0, oracle_substeps=600, d_max=4)
     records = run_benchmark(ham, config)
     rows = records_to_csv(records).strip().splitlines()[2:]
     for r, row in zip(records, rows):
@@ -543,7 +538,7 @@ def test_runtime_at_accuracy_leaves_out_table_time():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 2),
                              dts=(0.25, 0.125, 0.0625), t_final=0.25,
-                             oracle_substeps=1000, grid_bits=16, d_max=8)
+                             oracle_substeps=1000, d_max=8)
     records = run_benchmark(ham, config)
     # the order-1 evolutions meet every interval first
     assert all(r.bracket_s > 0 for r in records if r.order == 1)
@@ -596,7 +591,7 @@ def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, method=method, orders=(1, 2),
                              dts=(0.25, 0.125), t_final=0.5,
-                             oracle_substeps=300, grid_bits=16, d_max=8,
+                             oracle_substeps=300, d_max=8,
                              seed=2)
     plain = run_benchmark(ham, config)
     tracer = tracer_module.LayerTracer(bench)

@@ -1,8 +1,10 @@
-"""Bracket tables against the literal train chain and the grid sum.
+"""Bracket tables against the Van Loan exponential and quadrature.
 
-Every driving takes the one grid-sum evaluator of `dysonmpo.brackets`; the
-train chain of `helpers` and the explicit sum `dense_discrete_bracket`
-reach the same left-endpoint grid sum independently.
+Every driving takes the one exact evaluator of `dysonmpo.brackets`.
+`helpers.van_loan_bracket` reaches each bracket of exponential and
+polynomial drivings independently, with one matrix exponential per
+channel sequence; sampled drivings meet the knot-aware quadrature of
+`quadrature`.
 """
 
 import math
@@ -11,16 +13,14 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (OpaqueDriving, dense_discrete_bracket,
-                     literal_bracket_table)
+from helpers import OpaqueDriving, piecewise_van_loan_table, van_loan_table
+from quadrature import quad_time_ordered_integral
 
-from dysonmpo.bench import BracketCache
-from dysonmpo.brackets import (BracketTable, time_ordered_integral,
-                               time_ordered_integrals)
+from dysonmpo import brackets
+from dysonmpo.brackets import BracketTable, time_ordered_integral
 from dysonmpo.driving import (ConstDriving, ExpDriving, PolyDriving,
                               SampledDriving, TrigDriving)
 from dysonmpo.models import modulated_ising, modulated_xxz
-from dysonmpo.quadrature import quad_time_ordered_integral
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
 
@@ -29,30 +29,26 @@ def channels_of(ham):
     return [(c.name, c.driving) for c in ham.channels]
 
 
-def assert_matches_literal(channels, t0, t1, order, rel=1e-13):
-    """Every key within ``rel * max(|ref|, scale)`` of the literal chain.
+def assert_matches_oracle(channels, t0, t1, order, rel=1e-14):
+    """Every key within ``rel`` of the largest entry of its order.
 
-    `scale` is the largest entry of the same order.  The floor matters only
-    for entries that nearly cancel: on [0.1, 0.35] the cos channel's
-    integral changes sign and ``[x x x x]`` is 6.4e-8 against an order-4
-    scale of 1.0e-4.  There the grid sum itself is only good to about 5e-13
-    of the entry (the literal chain without any compression differs from
-    the compressed one by that much), so a bound relative to the entry
-    alone would test rounding, not the engine.
+    The reference is `van_loan_table`.  A bound relative to the entry
+    alone would test rounding where entries nearly cancel: on
+    [0.1, 0.35] the cos channel's integral changes sign and
+    ``[x x x x]`` is 6.4e-8 against an order-4 scale of 1.0e-4.
     """
     table = BracketTable.compute(channels, t0, t1, order)
     names = [name for name, _ in channels]
     for k in range(1, order + 1):
         got = {key for key in table.values if len(key) == k}
         assert got == set(product(names, repeat=k)), k
-    expected = literal_bracket_table(channels, t0, t1, order)
+    expected = van_loan_table(channels, t0, t1, order)
     assert set(table.values) == set(expected)
     scale = {}
     for key, ref in expected.items():
         scale[len(key)] = max(scale.get(len(key), 0.0), abs(ref))
     for key, ref in expected.items():
-        floor = max(abs(ref), scale[len(key)])
-        assert abs(table.values[key] - ref) <= rel * floor, \
+        assert abs(table.values[key] - ref) <= rel * scale[len(key)], \
             (key, table.values[key], ref)
     return table
 
@@ -63,28 +59,28 @@ def assert_matches_literal(channels, t0, t1, order, rel=1e-13):
 @pytest.mark.parametrize("interval", [(0.0, 0.25), (0.125, 0.1875),
                                       (0.1, 0.35)])
 def test_table_matches_literal_chain_tfi(order, interval):
-    assert_matches_literal(channels_of(modulated_ising()), *interval, order)
+    assert_matches_oracle(channels_of(modulated_ising()), *interval, order)
 
 
 def test_table_matches_literal_chain_xxz():
     # a constant channel next to a sine with an offset
-    assert_matches_literal(channels_of(modulated_xxz()), 0.0625, 0.125, 4)
+    assert_matches_oracle(channels_of(modulated_xxz()), 0.0625, 0.125, 4)
 
 
 def test_table_matches_literal_chain_exp_driving():
     channels = [("e", ExpDriving(rate=-1.3, amplitude=0.7)), ("s", SIN)]
-    assert_matches_literal(channels, 0.2, 0.45, 3)
+    assert_matches_oracle(channels, 0.2, 0.45, 3)
 
 
 def test_table_matches_literal_chain_exp_set():
     # real and complex rates next to a modulated sine
-    assert_matches_literal(CHANNEL_SETS["exp"], 0.1, 0.35, 4)
+    assert_matches_oracle(CHANNEL_SETS["exp"], 0.1, 0.35, 4)
 
 
 def test_table_all_constant_channels_closed_form():
     channels = [("a", ConstDriving(2.0)), ("b", ConstDriving(-0.5))]
     t0, t1 = 0.1, 0.4
-    table = assert_matches_literal(channels, t0, t1, 4, rel=0.0)
+    table = assert_matches_oracle(channels, t0, t1, 4)
     for key, value in table.values.items():
         c = np.prod([dict(channels)[name].value for name in key])
         k = len(key)
@@ -104,8 +100,8 @@ def test_entry_does_not_depend_on_table():
 
 
 def test_table_empty_interval_is_zero():
-    table = assert_matches_literal(channels_of(modulated_ising()),
-                                   0.3, 0.3, 3, rel=0.0)
+    table = assert_matches_oracle(channels_of(modulated_ising()),
+                                  0.3, 0.3, 3, rel=0.0)
     assert all(v == 0 for v in table.values.values())
 
 
@@ -114,17 +110,6 @@ def test_driving_without_piece_form_raises():
     with pytest.raises(ValueError, match="channel 'b': driving OpaqueDriving "
                                          r"\(driving\) states no piece form"):
         BracketTable.compute(channels, 0.0, 0.25, 2)
-
-
-@pytest.mark.parametrize("bits", [0, -3, 2.5, "24", True])
-def test_bits_must_be_a_positive_integer(bits):
-    channels = channels_of(modulated_ising())
-    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
-        BracketTable.compute(channels, 0.0, 0.25, 2, bits=bits)
-    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
-        time_ordered_integrals(dict(channels), [("zz",)], 0.3, 0.3, bits=bits)
-    with pytest.raises(ValueError, match="bits must be an integer >= 1"):
-        BracketCache(modulated_ising(), bits=bits)
 
 
 SIN_MOD = TrigDriving("sin", omega=2 * math.pi, phase=0.3, amplitude=1.7,
@@ -168,31 +153,53 @@ CHANNEL_SETS = {
 }
 
 
-# grids of 2 to 8 points too: no grid step needs to resolve the drivings
-@pytest.mark.parametrize("set_name", sorted(CHANNEL_SETS))
+# the last interval runs backward, from t0 = 0.35 to t = 0.1
+@pytest.mark.parametrize("set_name", ["exp", "poly", "trig"])
+@pytest.mark.parametrize("interval", [(0.1, 0.35), (0.0, 0.5), (0.35, 0.1)])
+def test_table_matches_the_van_loan_oracle(interval, set_name):
+    assert_matches_oracle(CHANNEL_SETS[set_name], *interval, 4)
+
+
 @pytest.mark.parametrize("interval", [(0.1, 0.35), (0.0, 0.5)])
-@pytest.mark.parametrize("bits", [1, 2, 3, 10, 12])
-def test_closed_form_is_the_grid_sum(bits, interval, set_name):
-    channels = CHANNEL_SETS[set_name]
+def test_samples_table_matches_quadrature_and_joined_pieces(interval):
+    # knots inside both intervals; orders 1-2 against the knot-aware
+    # quadrature, every order against the pieces' exponentials joined by
+    # Chen's identity.  The join's sums cancel where [x] changes sign, so
+    # there the oracle holds [x x x x] only to 7e-12 of the entry (the
+    # table to 1e-14 of [x]**4 / 4!), 1.3e-14 of the order-4 scale
+    channels = CHANNEL_SETS["samples"]
     by_name = dict(channels)
-    table = BracketTable.compute(channels, *interval, 4, bits=bits)
-    # all-constant sequences take the exact integral, not the grid sum
-    keys = [key for key in table.values
-            if any(by_name[name].constant_value is None for name in key)]
-    ref = {key: dense_discrete_bracket([by_name[n] for n in key], *interval,
-                                       bits)
-           for key in keys}
+    table = BracketTable.compute(channels, *interval, 4)
+    joined = piecewise_van_loan_table(channels, *interval, 4)
     scale = {}
-    for key in keys:
-        scale[len(key)] = max(scale.get(len(key), 0.0), abs(ref[key]))
-    for key in keys:
-        floor = max(abs(ref[key]), scale[len(key)])
-        assert abs(table.values[key] - ref[key]) <= 1e-14 * floor, key
+    for key, ref in joined.items():
+        scale[len(key)] = max(scale.get(len(key), 0.0), abs(ref))
+    for key, value in table.values.items():
+        assert abs(value - joined[key]) <= 1e-13 * scale[len(key)], key
+        if len(key) <= 2:
+            fs = [by_name[name] for name in key]
+            ref = quad_time_ordered_integral(fs, *interval, abs_tol=1e-12)
+            assert abs(value - ref) <= 1e-10, key
+
+
+def test_stretch_beyond_the_series_limit_raises():
+    # max|rate| * stretch may reach 2**_DOUBLINGS * _RATE_LIMIT, and the
+    # table is exact there
+    most = 2 ** brackets._DOUBLINGS * brackets._RATE_LIMIT
+    channels = [("fast", TrigDriving("sin", omega=most, phase=0.3,
+                                     offset=0.2)),
+                ("decay", ExpDriving(rate=-most))]
+    assert_matches_oracle(channels, 0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="channel 'fast': rate"):
+        BracketTable.compute(channels, 0.0, 1.01, 2)
+    # a knot splits the step into stretches that are short enough
+    split = channels + [("x", SampledDriving(t_start=0.5, t_end=2.0))]
+    BracketTable.compute(split, 0.0, 1.01, 2)
 
 
 def test_order4_poly_and_samples_table_reads_no_grid(monkeypatch):
-    # an order-4 table at R = 24 reads each driving through a few pieces,
-    # never on the 2**24 grid points
+    # an order-4 table reads each driving through its pieces, never by
+    # sampling it
     calls = []
     for cls in (PolyDriving, SampledDriving, TrigDriving):
         original = cls.__call__
@@ -203,14 +210,13 @@ def test_order4_poly_and_samples_table_reads_no_grid(monkeypatch):
 
         monkeypatch.setattr(cls, "__call__", counting)
     channels = [("p", POLY), ("x", SAMPLES), ("s", SIN_MOD)]
-    table = BracketTable.compute(channels, 0.0, 0.5, 4, bits=24)
+    table = BracketTable.compute(channels, 0.0, 0.5, 4)
     assert len(table.values) == 3 + 9 + 27 + 81
     assert sum(calls) <= 4
     for key in [("p",), ("x",), ("x", "p"), ("s", "p")]:
         fs = [dict(channels)[name] for name in key]
-        ref = quad_time_ordered_integral(fs, 0.0, 0.5, abs_tol=1e-10)
-        # the left-endpoint bias is O(2**-24)
-        assert abs(table.values[key] - ref) <= 1e-7, key
+        ref = quad_time_ordered_integral(fs, 0.0, 0.5, abs_tol=1e-12)
+        assert abs(table.values[key] - ref) <= 1e-10, key
 
 
 @pytest.mark.parametrize("driving", [POLY, SAMPLES, SIN_MOD, EXP_COMPLEX],

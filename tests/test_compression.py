@@ -34,7 +34,7 @@ def appendix_hamiltonian():
 
 def table_for(ham, t0, t1, order):
     return BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                                t0, t1, order, bits=24)
+                                t0, t1, order)
 
 
 def assert_same_mpo(a, b, atol=1e-13):
@@ -113,20 +113,19 @@ def test_row_compress_explicit_linear_combination():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    _, report = row_compress(w, 3, tol=1e-6)
+    _, report = row_compress(w, 3)
     removed = {lvl: dict(exp) for lvl, exp in report.removed_levels}
     l2 = LevelLabel((two("f1", 0),))
     l23a = LevelLabel((two("f1", 0), three("f1")))
     l23b = LevelLabel((two("f1", 0), three("f2")))
     l32a = LevelLabel((three("f1"), two("f1", 0)))
     l32b = LevelLabel((three("f2"), two("f1", 0)))
-    # coefficient tolerance follows the bracket discretization noise
     exp_a = removed[l32a]
-    assert abs(exp_a[l2] - tab.value(("f1",))) < 2e-5
-    assert abs(exp_a[l23a] + 1.0) < 2e-5
+    assert abs(exp_a[l2] - tab.value(("f1",))) < 1e-12
+    assert abs(exp_a[l23a] + 1.0) < 1e-12
     exp_b = removed[l32b]
-    assert abs(exp_b[l2] - tab.value(("f2",))) < 2e-5
-    assert abs(exp_b[l23b] + 1.0) < 2e-5
+    assert abs(exp_b[l2] - tab.value(("f2",))) < 1e-12
+    assert abs(exp_b[l23b] + 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("chi", [1, 2])
@@ -139,7 +138,7 @@ def test_row_compress_appendix_kept_set(chi):
                                     Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    compressed, report = row_compress(w, 3, tol=1e-6)
+    compressed, report = row_compress(w, 3)
     assert compressed.bond_dimension == 1 + 3 * chi + chi ** 2 + chi ** 3
     if chi == 1:
         kept = set(report.kept_levels)
@@ -303,15 +302,15 @@ def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
     assert len(seen) == n_seen
 
 
-_GRID_TABLES = {}
+_ORDER4_TABLES = {}
 
 
-def _grid_table(model, interval):
+def _order4_table(model, interval):
     key = (model.__name__, interval)
-    if key not in _GRID_TABLES:
+    if key not in _ORDER4_TABLES:
         ham = model()
-        _GRID_TABLES[key] = table_for(ham, *interval, 4)
-    return _GRID_TABLES[key]
+        _ORDER4_TABLES[key] = table_for(ham, *interval, 4)
+    return _ORDER4_TABLES[key]
 
 
 def ising_with_silent_channel():
@@ -333,7 +332,7 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
     plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
     settled_zero = 0
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
-        tab = _grid_table(model, interval)
+        tab = _order4_table(model, interval)
         mpo = dyson_mpo(ham, *interval, order, tab, plan=plan)
         out, report = row_compress(mpo, order, tol=tol)
         ref, ref_report = literal_row_compress(mpo, order, tol=tol)
@@ -353,7 +352,7 @@ def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
     # the greedy pass runs on blocks whose QR rank lies strictly between
     # 0 and the column count; elsewhere the pivots fix the kept set
     ham = modulated_xxz()
-    tab = _grid_table(modulated_xxz, (0.1875, 0.25))
+    tab = _order4_table(modulated_xxz, (0.1875, 0.25))
     mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
     residuals = []
     greedy = compression._select_new_levels

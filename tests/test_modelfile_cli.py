@@ -127,14 +127,14 @@ def test_cli_build_mpo_table_order(model_path, method, orders, monkeypatch,
                                    capsys):
     computed = count_tables(monkeypatch)
     assert main(["build-mpo", "--model", model_path, "--method", method,
-                 "--order", "3", "--t", "0.125", "--bits", "16"]) == 0
+                 "--order", "3", "--t", "0.125"]) == 0
     assert "bond dimension" in capsys.readouterr().out
     assert computed == orders
 
 
 def test_cli_integrate(model_path, capsys):
     assert main(["integrate", "--model", model_path, "--t0", "0.0",
-                 "--t", "0.25", "--max-order", "2", "--bits", "20"]) == 0
+                 "--t", "0.25", "--max-order", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "channels,real,imag"
     assert len(lines) == 1 + 2 + 4
@@ -143,14 +143,14 @@ def test_cli_integrate(model_path, capsys):
         key, re_s, im_s = line.split(",")
         row[key] = complex(float(re_s), float(im_s))
     expected = -1j * (1 - math.cos(2 * math.pi * 0.25)) / (2 * math.pi)
-    assert abs(row["zz"] - expected) < 1e-6
+    assert abs(row["zz"] - expected) < 1e-14
 
 
 def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     out_path = tmp_path / "bench.csv"
     assert main(["bench", "--model", model_path, "--orders", "1",
                  "--dts", "0.25,0.125", "--sites", "4", "--substeps", "400",
-                 "--bits", "16", "--out", str(out_path)]) == 0
+                 "--out", str(out_path)]) == 0
     lines = out_path.read_text().strip().splitlines()
     assert lines[0].startswith("# seed=")
     assert lines[1] == ("method,order,dt,epsilon,wall_time_per_step_s,"
@@ -164,12 +164,12 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["integrate", "--bits", "-3"],
-    ["integrate", "--bits", "0"],
     ["integrate", "--max-order", "0"],
+    ["integrate", "--max-order", "-3"],
     ["build-mpo", "--order", "0"],
-    ["build-mpo", "--bits", "0"],
-    ["bench", "--bits", "0"],
+    ["bench", "--sites", "0"],
+    ["bench", "--dmax", "0"],
+    ["bench", "--substeps", "-3"],
 ])
 def test_cli_rejects_counts_below_one(model_path, args, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -53,7 +53,7 @@ def test_apply_taylor_matches_dense():
 def test_apply_dyson_first_order_on_chain_of_eight():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.125, 1, bits=20)
+                               0.0, 0.125, 1)
     w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
     psi = FiniteMPS.all_up(8)
     out, _ = apply_mpo(w, psi, d_max=16)
@@ -167,7 +167,7 @@ def test_energy_drift_time_independent():
 def test_exact_regime_commutes_with_dense_application():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.1, 2, bits=20)
+                               0.0, 0.1, 2)
     from dysonmpo.dyson import dyson_mpo
     w = dyson_mpo(ham, 0.0, 0.1, 2, tab)
     psi = FiniteMPS.random_product(6, rng=8)
@@ -213,12 +213,12 @@ def _assert_matches_literal(steps, n_sites, d_max):
     (1, None), (2, None), (2, 1), (3, None), (8, None), (8, 4), (9, None),
     (9, 3)])
 def test_apply_matches_literal_tfi(tfi_steps, n_sites, d_max):
-    assert tfi_steps[0].bond_dimension == 15
+    assert tfi_steps[0].bond_dimension == 11
     _assert_matches_literal(tfi_steps, n_sites, d_max)
 
 
 def test_apply_matches_literal_xxz(xxz_steps):
-    assert max(w.bond_dimension for w in xxz_steps) == 187
+    assert max(w.bond_dimension for w in xxz_steps) == 163
     _assert_matches_literal(xxz_steps, 8, 16)
 
 
@@ -246,8 +246,8 @@ def qr_shapes(monkeypatch):
 
 def test_apply_factorises_no_matrix_wider_than_half_chain(tfi_steps,
                                                          qr_shapes):
-    # the raw product of an order-4 TFI step (bond 15) and a bond-32 MPS
-    # has bond 480; no factorised matrix may have both sides above the
+    # the raw product of an order-4 TFI step (bond 11) and a bond-32 MPS
+    # has bond 352; no factorised matrix may have both sides above the
     # Hilbert space dimension of half the chain
     n, chi, d = 16, 32, 2
     psi = _random_mps(n, chi, np.random.default_rng(11))
@@ -282,7 +282,7 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     # factorise than to form and skip it, the inner ones are tall
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.125, 1, bits=20)
+                               0.0, 0.125, 1)
     w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
     assert w.bond_dimension == 2
     n = 12
