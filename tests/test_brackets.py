@@ -4,7 +4,8 @@ Every driving takes the one exact evaluator of `dysonmpo.brackets`.
 `helpers.van_loan_bracket` reaches each bracket of exponential and
 polynomial drivings independently, with one matrix exponential per
 channel sequence; sampled drivings meet the knot-aware quadrature of
-`quadrature`.
+`quadrature`.  The left-endpoint grid sums of `helpers` approach every
+table within their first-order bias.
 """
 
 import math
@@ -13,7 +14,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import OpaqueDriving, piecewise_van_loan_table, van_loan_table
+from helpers import (OpaqueDriving, dense_discrete_bracket,
+                     literal_bracket_table, piecewise_van_loan_table,
+                     van_loan_table)
 from quadrature import quad_time_ordered_integral
 
 from dysonmpo import brackets
@@ -180,6 +183,53 @@ def test_samples_table_matches_quadrature_and_joined_pieces(interval):
             fs = [by_name[name] for name in key]
             ref = quad_time_ordered_integral(fs, *interval, abs_tol=1e-12)
             assert abs(value - ref) <= 1e-10, key
+
+
+def _sup_and_slope(f, t0, t1):
+    """``(sup |f|, sup |f'|)`` on ``[t0, t1]``, from 2**14 chords."""
+    ts = np.linspace(t0, t1, 2 ** 14 + 1)
+    values = np.asarray(f(ts), dtype=complex)
+    return (np.abs(values).max(),
+            (np.abs(np.diff(values)) / np.diff(ts)).max())
+
+
+# grids of 2 to 8 points too: the bound holds on every grid
+@pytest.mark.parametrize("set_name", sorted(CHANNEL_SETS))
+@pytest.mark.parametrize("interval", [(0.1, 0.35), (0.0, 0.5)])
+@pytest.mark.parametrize("bits", [1, 2, 3, 10, 12])
+def test_closed_form_is_the_grid_sum(bits, interval, set_name):
+    # the exact table is the limit of the left-endpoint sum
+    # sum_{n_1 > ... > n_k} over N = 2**bits grid points, which the train
+    # chain and the explicit cumulative sums reach independently.  With
+    # M_i >= |f_i| and D_i >= |f_i'|, h = T / N, its bias is at most
+    #   h * (T**k / k! * sum_i D_i / 2 * prod_{j != i} M_j
+    #        + (k - 1) * T**(k - 1) / (k - 1)! * prod_i M_i):
+    # each cell's left endpoint misses its integral by h**2 D_i / 2, and
+    # the strict sum leaves out the cells that hold two adjacent times
+    channels = CHANNEL_SETS[set_name]
+    by_name = dict(channels)
+    t0, t1 = interval
+    tau, h = t1 - t0, (t1 - t0) / 2 ** bits
+    table = BracketTable.compute(channels, t0, t1, 4)
+    trains = literal_bracket_table(channels, t0, t1, 4, bits)
+    bounds = {name: _sup_and_slope(f, t0, t1) for name, f in channels}
+    scale = {}
+    for key, value in table.values.items():
+        scale[len(key)] = max(scale.get(len(key), 0.0), abs(value))
+    for key, value in table.values.items():
+        k = len(key)
+        grid_sum = dense_discrete_bracket([by_name[n] for n in key], t0, t1,
+                                          bits)
+        assert abs(trains[key] - grid_sum) <= 5e-13 * scale[k], key
+        sups = [bounds[name][0] for name in key]
+        slopes = [bounds[name][1] for name in key]
+        bias = h * (tau ** k / math.factorial(k)
+                    * sum(slopes[i] / 2 * math.prod(sups[:i] + sups[i + 1:])
+                          for i in range(k))
+                    + (k - 1) * tau ** (k - 1) / math.factorial(k - 1)
+                    * math.prod(sups))
+        assert abs(value - grid_sum) <= bias + 1e-14 * scale[k], \
+            (key, value, grid_sum, bias)
 
 
 def test_stretch_beyond_the_series_limit_raises():
