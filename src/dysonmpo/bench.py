@@ -32,6 +32,7 @@ from .magnus import magnus_evolution
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import taylor_mpo
 
+METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
                "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
                "fold_residual", "mpo_builds", "discarded_weight",
@@ -212,8 +213,15 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     MPOs built, the weight the MPS truncations discarded, summed over the
     steps, the seconds spent obtaining bracket tables (`bracket_s`) and the
     number of tables computed for this call (`tables_computed`; a shared
-    `cache` may serve tables an earlier call computed).
+    `cache` may serve tables an earlier call computed).  An unknown
+    `config.method` or a negative or NaN `config.svd_tol` raises
+    `ValueError` before any step.
     """
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method {config.method!r}")
+    if not config.svd_tol >= 0:
+        raise ValueError(f"svd_tol must be a non-negative number, got "
+                         f"{config.svd_tol!r}")
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
     span = config.t_final - config.t0

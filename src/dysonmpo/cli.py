@@ -4,8 +4,8 @@ import argparse
 import sys
 
 from . import modelfile
-from .bench import (EvolutionConfig, bracket_order, build_step_mpo,
-                    records_to_csv, run_benchmark)
+from .bench import (METHODS, EvolutionConfig, bracket_order,
+                    build_step_mpo, records_to_csv, run_benchmark)
 from .brackets import BracketTable
 
 
@@ -86,8 +86,7 @@ def build_parser():
 
     p = sub.add_parser("build-mpo", help="build one evolution MPO")
     _add_common(p)
-    p.add_argument("--method", choices=["taylor", "dyson", "magnus"],
-                   default="dyson")
+    p.add_argument("--method", choices=METHODS, default="dyson")
     p.add_argument("--order", type=_at_least_one, default=2)
     p.add_argument("--no-compress", action="store_true")
     p.add_argument("--report", action="store_true",
@@ -102,8 +101,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="error-scaling benchmark")
     _add_common(p)
-    p.add_argument("--method", choices=["taylor", "dyson", "magnus"],
-                   default="dyson")
+    p.add_argument("--method", choices=METHODS, default="dyson")
     p.add_argument("--orders", default="1,2,3,4")
     p.add_argument("--dts", default="0.25,0.125,0.0625")
     p.add_argument("--sites", type=_at_least_one, default=8)

@@ -101,6 +101,12 @@ class DrivingFunction:
     constant_value = None  # set when f is a constant
 
     def __call__(self, t):
+        """f at `t`, a time or an array of times.
+
+        On an array the result has the shape of `t`, and each value is
+        within 1 ulp of f at that time alone: the state-vector oracle
+        evaluates every driving on whole time grids at once.
+        """
         raise NotImplementedError
 
     def exponentials(self):

@@ -198,10 +198,14 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     rounding of the norm.
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
-    with the norm on site 0, and the total discarded weight.
+    with the norm on site 0, and the total discarded weight.  A negative or
+    NaN `svd_tol` raises `ValueError`.
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
+    if not svd_tol >= 0:
+        raise ValueError(f"svd_tol must be a non-negative number, got "
+                         f"{svd_tol!r}")
     w = mpo.site_tensor()  # (left, right, out, in)
     dw = w.shape[0]
     boundary = np.zeros(dw, dtype=complex)

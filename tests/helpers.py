@@ -844,6 +844,36 @@ def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     return FiniteMPS(tensors).normalized(), discarded
 
 
+def literal_rk4(hamiltonian, n_sites, psi, t0, t, substeps):
+    """Fixed-step RK4 with dense channel matrices, as an oracle for `evolve`.
+
+    `psi` is one state or a ``(dim, m)`` block of them; each stage forms
+    ``sum_a f_a(s) (H_a @ psi)`` with every driving evaluated at one time.
+    """
+    mats = hamiltonian.dense_channel_matrices(n_sites, cap=1 << 20)
+    drvs = [c.driving for c in hamiltonian.channels]
+
+    def hpsi(s, vec):
+        out = np.zeros_like(vec)
+        for mat, f in zip(mats, drvs):
+            out += complex(np.asarray(f(s)).item()) * (mat @ vec)
+        return out
+
+    psi = np.asarray(psi, dtype=complex)
+    if t == t0:
+        return psi
+    h = (t - t0) / substeps
+    tcur = t0
+    for _ in range(substeps):
+        k1 = -1j * hpsi(tcur, psi)
+        k2 = -1j * hpsi(tcur + 0.5 * h, psi + 0.5 * h * k1)
+        k3 = -1j * hpsi(tcur + 0.5 * h, psi + 0.5 * h * k2)
+        k4 = -1j * hpsi(tcur + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        tcur += h
+    return psi
+
+
 def count_tables(monkeypatch):
     """Record the `max_order` of every `BracketTable.compute` call."""
     orders = []

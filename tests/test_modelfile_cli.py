@@ -5,8 +5,11 @@ import pytest
 from helpers import count_tables
 
 from dysonmpo import modelfile
+from dysonmpo.bench import EvolutionConfig, evolve_state
 from dysonmpo.cli import main
+from dysonmpo.dyson import identity_mpo
 from dysonmpo.models import modulated_ising, modulated_xxz
+from dysonmpo.mps import FiniteMPS, apply_mpo
 
 TFI_TEXT = """
 # modulated transverse-field Ising chain
@@ -176,3 +179,20 @@ def test_cli_rejects_counts_below_one(model_path, args, capsys):
         main(args[:1] + ["--model", model_path] + args[1:])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_evolve_state_rejects_unknown_method():
+    # an empty interval takes no step, so only an entry check can catch it
+    config = EvolutionConfig(n_sites=3, t_final=0.0, method="bogus")
+    with pytest.raises(ValueError, match="'bogus'"):
+        evolve_state(modulated_ising(), FiniteMPS.all_up(3), config)
+
+
+@pytest.mark.parametrize("svd_tol", [-1e-3, math.nan])
+def test_rejects_bad_svd_tol(svd_tol):
+    psi = FiniteMPS.all_up(3)
+    config = EvolutionConfig(n_sites=3, t_final=0.0, svd_tol=svd_tol)
+    with pytest.raises(ValueError, match=f"got {svd_tol}"):
+        evolve_state(modulated_ising(), psi, config)
+    with pytest.raises(ValueError, match=f"got {svd_tol}"):
+        apply_mpo(identity_mpo(2), psi, svd_tol=svd_tol)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import literal_apply_mpo
+from helpers import literal_apply_mpo, literal_rk4
 
+from dysonmpo import modelfile
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
-from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
-    TrigDriving
+from dysonmpo.driving import Channel, ConstDriving, ExpDriving, PolyDriving, \
+    SampledDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator, exact_evolve
 from dysonmpo.fdmpo import from_terms
@@ -145,6 +146,96 @@ def test_exact_evolution_operator_unitary():
     ham = modulated_ising()
     u = exact_evolution_operator(ham, 3, 0.0, 0.2, substeps=1500)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(8), atol=1e-10)
+
+
+ORACLE_MODELS = {"tfi": modulated_ising, "xxz": modulated_xxz}
+
+POLY_SAMPLES_TEXT = """
+dim 2
+channel zz
+driving poly coeffs=[0.3, -1.2, 2.0]
+L [[1, 0], [0, -1]]
+R [[1, 0], [0, -1]]
+end
+channel x
+driving samples t0=0.05 t1=0.3 values=[0.2, 1.0, -0.5, 0.7]
+D [[0, 1], [1, 0]]
+end
+channel y
+driving exp rate=2j amplitude=0.4
+D [[0, -1j], [1j, 0]]
+end
+"""
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_exact_evolve_matches_literal_rk4(model, n):
+    ham = ORACLE_MODELS[model]()
+    psi0 = FiniteMPS.random_product(n, rng=n).to_dense()
+    out = exact_evolve(ham, psi0, 0.1, 0.35, substeps=300)
+    ref = literal_rk4(ham, n, psi0, 0.1, 0.35, 300)
+    assert np.abs(out - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, substeps", [(6, 100), (8, 12)])
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_exact_evolution_operator_matches_literal_rk4(model, n, substeps):
+    ham = ORACLE_MODELS[model]()
+    u = exact_evolution_operator(ham, n, 0.1, 0.35, substeps=substeps)
+    ref = literal_rk4(ham, n, np.eye(2 ** n), 0.1, 0.35, substeps)
+    assert np.abs(u - ref).max() <= 1e-14
+
+
+def test_exact_evolve_poly_and_samples_model_matches_literal_rk4():
+    ham = modelfile.loads(POLY_SAMPLES_TEXT)
+    psi0 = FiniteMPS.random_product(6, rng=3).to_dense()
+    # the run crosses every knot of the samples and ends past the last
+    out = exact_evolve(ham, psi0, 0.0, 0.4, substeps=400)
+    ref = literal_rk4(ham, 6, psi0, 0.0, 0.4, 400)
+    assert np.abs(out - ref).max() <= 1e-14
+    u = exact_evolution_operator(ham, 4, 0.0, 0.4, substeps=100)
+    ref = literal_rk4(ham, 4, np.eye(16), 0.0, 0.4, 100)
+    assert np.abs(u - ref).max() <= 1e-14
+
+
+BUNDLED_DRIVINGS = [
+    ConstDriving(0.7), ConstDriving(1.5 - 0.5j),
+    TrigDriving("sin", omega=2 * math.pi),
+    TrigDriving("cos", omega=3.1, phase=0.4, amplitude=1.3, offset=2.0),
+    TrigDriving("sin", omega=0.0, phase=0.2, offset=-1.0),
+    ExpDriving(rate=-0.8, amplitude=2.0), ExpDriving(rate=2j, amplitude=0.4),
+    PolyDriving((0.3, -1.2, 2.0)), PolyDriving((1j, 0.5)),
+    SampledDriving(0.05, 0.3, (0.2, 1.0, -0.5, 0.7)),
+]
+
+
+@pytest.mark.parametrize("drv", BUNDLED_DRIVINGS, ids=lambda d: d.describe())
+def test_driving_on_array_matches_point_by_point(drv):
+    # the RK4 oracle evaluates each driving on whole time grids at once
+    ts = np.concatenate([np.linspace(-0.2, 0.6, 101), [0.05, 0.3]])
+    values = np.asarray(drv(ts), dtype=complex)
+    points = np.array([complex(np.asarray(drv(t)).item()) for t in ts])
+    assert values.shape == ts.shape
+    np.testing.assert_array_max_ulp(values.real, points.real, maxulp=1)
+    np.testing.assert_array_max_ulp(values.imag, points.imag, maxulp=1)
+
+
+@pytest.mark.parametrize("substeps", [0, -5])
+def test_oracle_rejects_substeps_below_one(substeps):
+    ham = modulated_ising()
+    psi0 = FiniteMPS.all_up(3).to_dense()
+    with pytest.raises(ValueError, match=f"got {substeps}"):
+        exact_evolve(ham, psi0, 0.0, 0.25, substeps=substeps)
+    with pytest.raises(ValueError, match=f"got {substeps}"):
+        exact_evolution_operator(ham, 3, 0.0, 0.25, substeps=substeps)
+
+
+@pytest.mark.parametrize("size", [3, 6, 12])
+def test_exact_evolve_rejects_size_not_power_of_d(size):
+    with pytest.raises(ValueError, match=f"state size {size} "):
+        exact_evolve(modulated_ising(), np.ones(size), 0.0, 0.25,
+                     substeps=10)
 
 
 def test_energy_drift_time_independent():
