@@ -18,7 +18,7 @@ from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     zero_hamiltonian)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
 from .linalg import qr_column_pivoted, svd_truncate
-from .magnus import magnus_evolution, magnus_omega1, magnus_omega2
+from .magnus import magnus_evolution
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import mpo_derivative_at_zero, taylor_mpo
 

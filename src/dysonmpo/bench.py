@@ -3,16 +3,13 @@
 Splits an interval into uniform steps; per step obtains the bracket table,
 builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
 row-compresses it and applies it to the state.  Steps congruent modulo the
-driving period reuse the MPO built at the first of them.  One bracket table
-is computed per congruence class of step interval, at the highest order
-the sweep reads, and serves every lower order and every method.  The
-Dyson steps of one order share one step plan (`BracketCache.plan`): the
-power, its level structure and the compression's index sets are built
-once per order and sweep, and each step only supplies its brackets.  The
-evolved state is compared against a dense Runge-Kutta reference (or
-against the most accurate Dyson state when self-referencing) through the
-trace-distance error ``sqrt(1 - |<a|b>|^2)``, evaluated through the
-phase-aligned difference of the two states.
+driving period reuse the MPO built at the first of them.  A sweep computes
+one bracket table per congruence class of step interval, and builds one
+step plan (power and compression index sets) per order, which its Dyson
+and Magnus steps weight (`BracketCache`).  The evolved state is compared
+against a dense Runge-Kutta reference (or the most accurate state when
+self-referencing) through the trace-distance error
+``sqrt(1 - |<a|b>|^2)``, evaluated through the phase-aligned difference.
 """
 
 import csv
@@ -85,9 +82,8 @@ class ErrorRecord:
 def bracket_order(method, order):
     """Highest bracket order an order-`order` step of `method` reads.
 
-    Dyson reads every bracket up to `order`; Magnus only ``[f_a]`` and
-    ``[f_a f_b]`` (its operator stops at Omega_2); the frozen-Hamiltonian
-    Taylor step reads none.
+    Dyson reads all up to `order`; Magnus at most ``[f_a f_b]``, for
+    Omega_2; the frozen-Hamiltonian Taylor step none.
     """
     if method == "taylor":
         return 0
@@ -97,7 +93,7 @@ def bracket_order(method, order):
 
 
 class BracketCache:
-    """Bracket tables and Dyson step plans of one Hamiltonian over a sweep.
+    """Bracket tables and step plans of one Hamiltonian over a sweep.
 
     One table serves each congruence class of step interval.  Intervals
     of equal length whose start times agree modulo the common driving
@@ -109,15 +105,12 @@ class BracketCache:
     A table is computed at ``max(order, self.order)``, so a cache made with
     the highest order a sweep reads computes each interval's table once.
     An order-`k` request is served by the stored table whenever ``k`` does
-    not exceed its `max_order`: each entry's value does not depend on
-    which other entries its table holds, so the lower orders are
-    bitwise what a table of order ``k`` would hold.  A request above the
-    stored order recomputes the table at that order and replaces it.
-    `computed` counts the tables computed.
-
-    `plan` serves the `PowerPlan` of each Dyson order.  A plan lives as
-    long as its cache, so a sweep that makes its own cache builds its own
-    plans.
+    not exceed its `max_order`: an entry's value does not depend on which
+    other entries its table holds, so the lower orders are bitwise what a
+    table of order ``k`` would hold.  A request above the stored order
+    recomputes and replaces the table.  `computed` counts the tables
+    computed.  `plan` serves the `PowerPlan` of each order, which the
+    Dyson and Magnus steps of that order share, for the life of the cache.
     """
 
     def __init__(self, hamiltonian, order=1):
@@ -152,20 +145,12 @@ class BracketCache:
         self._store[key] = (t0, table)
         return table
 
-    def plan(self, method, order):
-        """Step plan shared by the `method` steps of `order`, or None.
-
-        Only the Dyson power is the same for every step; the Taylor and
-        Magnus operators change with the step, so each of their MPOs gets
-        a plan of its own.  The plan builds its power on first use.
-        """
-        if method != "dyson":
-            return None
-        key = (method, order)
-        if key not in self._plans:
-            self._plans[key] = PowerPlan(
+    def plan(self, order):
+        """The step plan of `order`; it builds its power on first use."""
+        if order not in self._plans:
+            self._plans[order] = PowerPlan(
                 RewiredHamiltonian.from_hamiltonian(self.hamiltonian), order)
-        return self._plans[key]
+        return self._plans[order]
 
 
 def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
@@ -173,16 +158,17 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
     """Evolution MPO for one step, optionally row-compressed.
 
     `table` holds the brackets of ``[t0, t1]`` up to at least
-    ``bracket_order(method, order)``; the Taylor step takes None.  `plan`
-    is the Dyson step plan of `order` (`BracketCache.plan`); without one a
-    plan is built for this step.  Returns ``(mpo, report)``; `report` is
-    the `CompressionReport`, or None when the MPO was not compressed.
+    ``bracket_order(method, order)``; the Taylor step takes None.  Dyson
+    and Magnus steps weight `plan` (`BracketCache.plan`), or one of their
+    own.  Returns ``(mpo, report)``; `report` is the `CompressionReport`,
+    or None when the MPO was not compressed.
     """
     if method == "dyson":
         mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
     elif method == "magnus":
         mpo = magnus_evolution(hamiltonian, t0, t1,
-                               bracket_order(method, order), order, table)
+                               bracket_order(method, order), order, table,
+                               plan=plan)
     elif method == "taylor":
         # constant-Hamiltonian baseline: freeze the driving at the midpoint
         tm = 0.5 * (t0 + t1)
@@ -202,20 +188,18 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
 
     A given `cache` must have been made for `hamiltonian`.  Steps in the
     same congruence class of `cache` share one compressed MPO, built at the
-    first of them; the store lives
-    for this call only.  Tables are requested at
-    ``bracket_order(config.method, order)``, and not at all for Taylor
-    steps; Dyson steps are built from the cache's step plan of `order`.  Returns ``(psi_out, stats)`` where stats
-    carries per-step wall time, the largest MPO/MPS bond dimensions
-    encountered, the largest MPO bond before row compression
-    (`mpo_bond_before`) and the largest relative residual of its
-    least-squares folds (`fold_residual`), the number of steps and of step
-    MPOs built, the weight the MPS truncations discarded, summed over the
-    steps, the seconds spent obtaining bracket tables (`bracket_s`) and the
-    number of tables computed for this call (`tables_computed`; a shared
-    `cache` may serve tables an earlier call computed).  An unknown
-    `config.method` or a negative or NaN `config.svd_tol` raises
-    `ValueError` before any step.
+    first of them and stored for this call only, from a table of order
+    ``bracket_order(config.method, order)`` and the cache's step plan of
+    `order`.  Returns ``(psi_out, stats)`` where stats carries per-step
+    wall time, the largest MPO/MPS bond dimensions encountered, the
+    largest MPO bond before row compression (`mpo_bond_before`) and the
+    largest relative residual of its least-squares folds
+    (`fold_residual`), the number of steps and of step MPOs built, the
+    weight the MPS truncations discarded, summed over the steps, the
+    seconds spent obtaining bracket tables (`bracket_s`) and the number of
+    tables computed for this call (`tables_computed`; a shared `cache` may
+    serve tables an earlier call computed).  An unknown `config.method` or
+    a negative or NaN `config.svd_tol` raises `ValueError` before any step.
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
@@ -236,7 +220,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     elif cache.hamiltonian is not hamiltonian:
         raise ValueError("the bracket cache was made for another Hamiltonian")
     computed_before = cache.computed
-    plan = cache.plan(config.method, order)
+    plan = cache.plan(order)
     step_mpos = {}
     mpo_bond = 0
     bond_before = 0

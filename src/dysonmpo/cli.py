@@ -1,12 +1,12 @@
 """Command-line interface: build-mpo, integrate, bench."""
 
 import argparse
+import math
 import sys
 
 from . import modelfile
-from .bench import (METHODS, EvolutionConfig, bracket_order,
+from .bench import (METHODS, BracketCache, EvolutionConfig, bracket_order,
                     build_step_mpo, records_to_csv, run_benchmark)
-from .brackets import BracketTable
 
 
 def _at_least_one(text):
@@ -14,6 +14,23 @@ def _at_least_one(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _step_size(text):
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _list_of(item):
+    """Argument type of a comma-separated list of `item` entries."""
+    def parse(text):
+        try:
+            return tuple(item(entry) for entry in text.split(","))
+        except ValueError as exc:  # int() or float() naming the entry
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_common(p):
@@ -25,10 +42,7 @@ def _add_common(p):
 def cmd_build_mpo(args):
     ham = modelfile.load(args.model)
     need = bracket_order(args.method, args.order)
-    table = None
-    if need:
-        channels = [(c.name, c.driving) for c in ham.channels]
-        table = BracketTable.compute(channels, args.t0, args.t, need)
+    table = BracketCache(ham).table(args.t0, args.t, need) if need else None
     mpo, report = build_step_mpo(ham, args.t0, args.t, args.order,
                                  args.method, table, args.qr_tol,
                                  compress=not args.no_compress)
@@ -42,8 +56,7 @@ def cmd_build_mpo(args):
 
 def cmd_integrate(args):
     ham = modelfile.load(args.model)
-    channels = [(c.name, c.driving) for c in ham.channels]
-    table = BracketTable.compute(channels, args.t0, args.t, args.max_order)
+    table = BracketCache(ham).table(args.t0, args.t, args.max_order)
     print("channels,real,imag")
     for key in sorted(table.values, key=lambda k: (len(k), k)):
         v = table.values[key]
@@ -64,8 +77,8 @@ def cmd_bench(args):
         qr_tol=args.qr_tol,
         self_reference=args.self_reference,
         seed=args.seed,
-        orders=tuple(int(o) for o in args.orders.split(",")),
-        dts=tuple(float(x) for x in args.dts.split(",")),
+        orders=args.orders,
+        dts=args.dts,
     )
     records = run_benchmark(ham, config)
     text = records_to_csv(records, seed=args.seed)
@@ -102,8 +115,10 @@ def build_parser():
     p = sub.add_parser("bench", help="error-scaling benchmark")
     _add_common(p)
     p.add_argument("--method", choices=METHODS, default="dyson")
-    p.add_argument("--orders", default="1,2,3,4")
-    p.add_argument("--dts", default="0.25,0.125,0.0625")
+    p.add_argument("--orders", type=_list_of(_at_least_one),
+                   default="1,2,3,4")
+    p.add_argument("--dts", type=_list_of(_step_size),
+                   default="0.25,0.125,0.0625")
     p.add_argument("--sites", type=_at_least_one, default=8)
     p.add_argument("--dmax", type=_at_least_one, default=64)
     p.add_argument("--svd-tol", type=float, default=1e-14)

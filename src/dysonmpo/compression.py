@@ -19,10 +19,10 @@ rank tolerance is relative to the block's largest column norm and lies in
 All of that but the numbers is fixed by the levels and the order: the
 groups and their blocks per 2-sequence, each block's completion rows, and
 for every (level, row) pair the brackets its coefficient sums.  A
-`CompressionPlan` holds them, and the `PowerPlan` of a Dyson sweep keeps
-one for all the sweep's steps.  A compression then gathers the step's
-brackets into a vector, fills each block's coefficient matrix from the
-plan's index arrays (summing in the order of `gamma_keys`, so the rank
+`CompressionPlan` holds them, and a `PowerPlan` keeps one for all the
+Dyson and Magnus steps of its order.  A compression then gathers the
+step's brackets into a vector, fills each block's coefficient matrix from
+the plan's index arrays (summing in the order of `gamma_keys`, so the rank
 decisions match a literal evaluation bit for bit), selects and solves, and
 folds the removed levels into the kept ones at once: the product
 ``W[kept rows, :] @ T``, ``T`` holding the identity on kept levels and the
@@ -78,22 +78,15 @@ class CompressionReport:
         return "\n".join(lines)
 
 
-def _segments(level):
-    """Split a stripped label into 3-channel runs separated by its 2 symbols."""
-    segs = [[]]
-    for sym in level:
-        if sym[0] == "2":
-            segs.append([])
-        else:
-            segs[-1].append(sym[1])
-    return segs
+def _segments(items, marker):
+    """Channels of `items` in runs split at the items tagged `marker`.
 
-
-def _row_segments(row):
-    """Insertion channels of a row key, split by its completion items."""
+    A stripped label splits at its 2 symbols into runs of 3-channels, and
+    a row key at its completions ``"C"`` into runs of insertions.
+    """
     segs = [[]]
-    for item in row:
-        if item[0] == "C":
+    for item in items:
+        if item[0] == marker:
             segs.append([])
         else:
             segs[-1].append(item[1])
@@ -116,10 +109,8 @@ def gamma_keys(level, row, order):
     if level.n2 + level.n3 + n_ins > order:
         return []
     chan_of_two = [ch for ch, _ in two_seq]
-    lvl_segs = _segments(level)
-    row_segs = _row_segments(row)
-    per_segment = [interleavings(tuple(ls), tuple(rs))
-                   for ls, rs in zip(lvl_segs, row_segs)]
+    per_segment = [interleavings(tuple(ls), tuple(rs)) for ls, rs in
+                   zip(_segments(level, "2"), _segments(row, "C"))]
     keys = []
     for weave in product(*per_segment):
         sigma = []
@@ -305,10 +296,11 @@ def row_compress(mpo, order=None, tol=1e-12):
     mpo : ExtensiveMPO
         Its levels must carry no 1 symbols.  The bracket table is the one
         recorded at construction time (``params["brackets"]``): a Dyson
-        MPO's `BracketTable`, or the `TaylorBrackets` ``tau**k / k!`` of
-        a Taylor or Magnus MPO.  An MPO made by a `PowerPlan`
-        (``params["plan"]``) is compressed with the compression plan that
-        power plan keeps; any other gets a plan of its own.
+        MPO's `BracketTable`, a Magnus MPO's `MagnusWeights`, or the
+        `TaylorBrackets` ``tau**k / k!`` of a Taylor MPO.  An MPO made by
+        a `PowerPlan` (``params["plan"]``) is compressed with the
+        compression plan that power plan keeps; any other gets a plan of
+        its own.
     order : int, optional
         Expansion order; defaults to ``mpo.order``.
     tol : float

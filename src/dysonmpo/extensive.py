@@ -13,14 +13,10 @@ are merged on the fly, so the construction works directly with stripped
 labels (`build_power_stripped`).
 
 The power depends on the Hamiltonian's operators and the order, the weights
-on the step.  A `PowerPlan` holds the power once, as arrays: the entries
-between unfinished levels, and the entries into the identity column and
-into finished levels, each tagged with the channel sequence whose weight it
-carries.  A weighting then costs one gather of the weights and one
-scatter-add of the weighted entries into the identity column, in the order
-the entries were built.  A Dyson sweep keeps one plan per order for all its
-steps; the Taylor and Magnus operators change with the step, so each of
-their MPOs gets a plan of its own.
+on the step.  A `PowerPlan` holds the power once, as arrays, so a weighting
+costs one gather of the weights and one scatter-add into the identity
+column.  The Dyson and Magnus steps of one order share a plan; a Taylor
+operator changes with the step, so each Taylor MPO gets a plan of its own.
 """
 
 import numpy as np

@@ -6,15 +6,17 @@ the expected-value computation.  The bracket oracle takes one
 block-bidiagonal matrix exponential per channel sequence, independent of
 the library's bracket evaluator.  The left-endpoint grid sum that the
 exact brackets are the limit of comes two ways: a chain of quantics
-trains, and explicit cumulative sums.
+trains, and explicit cumulative sums.  The Magnus oracle is the Taylor
+power of ``Omega_1 + Omega_2`` assembled as one first-degree MPO.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import scipy.linalg
 
+from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import (CompressionBasisError, CompressionReport,
                                   _select_new_levels, gamma_keys)
@@ -26,6 +28,7 @@ from dysonmpo.linalg import (qr_column_pivoted, svd_truncate,
                              truncation_rank)
 from dysonmpo.mps import FiniteMPS
 from dysonmpo.spin import kron_chain
+from dysonmpo.taylor import taylor_mpo
 
 
 def strings_of(h, n_sites):
@@ -615,6 +618,39 @@ def flat_dyson_mpo(hamiltonian, t0, t, order, integrals):
                              order, integrals.value)
     mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
     return mpo
+
+
+def magnus_omega1(hamiltonian, integrals):
+    """First Magnus operator ``sum_a [f_a] H_a`` as a first-degree MPO."""
+    return hamiltonian.weighted(lambda c: integrals.value((c.name,)))
+
+
+def magnus_omega2(hamiltonian, integrals):
+    """Second Magnus operator ``sum_{a<b} alpha_ab [H_a, H_b]``.
+
+    ``alpha_ab = ([f_a f_b] - [f_b f_a]) / 2``; each term is one
+    `fdmpo.commutator`, so the sum stays a first-degree MPO.
+    """
+    total = fdmpo.zero_hamiltonian(hamiltonian.d)
+    for a, b in combinations(hamiltonian.channels, 2):
+        alpha = 0.5 * (integrals.value((a.name, b.name))
+                       - integrals.value((b.name, a.name)))
+        if alpha != 0:
+            total = fdmpo.add(total, fdmpo.scale(
+                fdmpo.commutator(a.operator, b.operator), alpha))
+    return total
+
+
+def magnus_taylor_mpo(hamiltonian, n_magnus, n_taylor, integrals):
+    """Order-`n_taylor` Taylor MPO of ``Omega_1 (+ Omega_2)`` at unit step.
+
+    Omega is assembled as one first-degree MPO, so the power keeps words
+    such as ``Omega_2**n_taylor`` that `magnus_evolution` drops.
+    """
+    omega = magnus_omega1(hamiltonian, integrals)
+    if n_magnus == 2:
+        omega = fdmpo.add(omega, magnus_omega2(hamiltonian, integrals))
+    return taylor_mpo(omega, 1.0, n_taylor)
 
 
 def merge_equivalent_columns(levels, entries):

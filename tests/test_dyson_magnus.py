@@ -1,12 +1,15 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 from helpers import (driving_value, flat_dyson_mpo, level_symbols,
+                     magnus_omega1, magnus_omega2, magnus_taylor_mpo,
                      rewired_dense)
 
 from dysonmpo import fdmpo
+from dysonmpo.bench import BracketCache, build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
@@ -14,8 +17,8 @@ from dysonmpo.dyson import dyson_mpo, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator
 from dysonmpo.extensive import RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
-from dysonmpo.magnus import magnus_evolution, magnus_omega1, magnus_omega2
-from dysonmpo.models import modulated_ising
+from dysonmpo.magnus import MagnusWeights, magnus_evolution
+from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.spin import ID2, SX, SZ
 from dysonmpo.taylor import taylor_mpo
 
@@ -330,6 +333,77 @@ def test_magnus_order_cap():
     tab = table_for(ham, 0.0, 0.1, 2)
     with pytest.raises(ValueError):
         magnus_evolution(ham, 0.0, 0.1, 3, 3, tab)
+
+
+def _shuffles(u, v):
+    """The shuffle product of two words, as a list of words."""
+    if not u or not v:
+        return [u + v]
+    return ([u[:1] + w for w in _shuffles(u[1:], v)]
+            + [v[:1] + w for w in _shuffles(u, v[1:])])
+
+
+@pytest.mark.parametrize("n_magnus", [1, 2])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_weights_obey_the_shuffle_relations(model, n_magnus):
+    # Omega is a Lie element, so exp(Omega) is group-like: its word
+    # coefficients multiply as the brackets do, c(u) c(v) = sum c(u ⧢ v)
+    ham = model()
+    weights = MagnusWeights(table_for(ham, 0.1, 0.6, 2), n_magnus, 4)
+    names = [c.name for c in ham.channels]
+    words = [w for k in (1, 2, 3) for w in product(names, repeat=k)]
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > 4:
+                continue
+            terms = [weights.value(w) for w in _shuffles(u, v)]
+            lhs = weights.value(u) * weights.value(v)
+            assert abs(lhs - sum(terms)) <= \
+                1e-14 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_words_of_two_letters_are_brackets(model):
+    # so Magnus orders 1 and 2 are Dyson orders 1 and 2
+    ham = model()
+    tab = table_for(ham, 0.1, 0.6, 2)
+    weights = MagnusWeights(tab, 2, 2)
+    for key, value in tab.values.items():
+        assert abs(weights.value(key) - value) <= 1e-14 * abs(value)
+
+
+@pytest.mark.parametrize("model, bonds", [(modulated_ising, [2, 3, 6, 11]),
+                                          (modulated_xxz, [4, 13, 46, 163])])
+def test_magnus_bond_equals_dyson_bond(model, bonds):
+    ham = model()
+    cache = BracketCache(ham, order=4)
+    tab = cache.table(0.0, 0.0625, 4)
+    for order, bond in zip((1, 2, 3, 4), bonds):
+        plan = cache.plan(order)
+        dyson, _ = build_step_mpo(ham, 0.0, 0.0625, order, "dyson", tab,
+                                  1e-12, plan=plan)
+        compression = plan.compression
+        magnus, _ = build_step_mpo(ham, 0.0, 0.0625, order, "magnus", tab,
+                                   1e-12, plan=plan)
+        assert dyson.bond_dimension == magnus.bond_dimension == bond
+        # the Magnus step reuses the Dyson order's compression plan
+        assert plan.compression is compression
+
+
+@pytest.mark.parametrize("order, dts", [(3, (0.2, 0.1, 0.05)),
+                                        (4, (0.1, 0.05))])
+def test_magnus_mpo_against_the_taylor_power_of_omega(order, dts):
+    # the power of Omega also keeps words of more than N letters, each
+    # weighing O(dt^(N+1))
+    ham = modulated_ising()
+    diffs = []
+    for dt in dts:
+        tab = table_for(ham, 0.0, dt, 2)
+        new = magnus_evolution(ham, 0.0, dt, 2, order, tab)
+        old = magnus_taylor_mpo(ham, 2, order, tab)
+        diffs.append(np.linalg.norm(new.to_dense(4) - old.to_dense(4), 2))
+    for d1, d2 in zip(diffs, diffs[1:]):
+        assert d1 / d2 > 0.7 * 2 ** (order + 1)
 
 
 def test_identity_mpo():

@@ -173,12 +173,50 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     ["bench", "--sites", "0"],
     ["bench", "--dmax", "0"],
     ["bench", "--substeps", "-3"],
+    ["bench", "--orders", "0"],
+    ["bench", "--orders", "1,2,0"],
 ])
 def test_cli_rejects_counts_below_one(model_path, args, capsys):
     with pytest.raises(SystemExit) as exc:
         main(args[:1] + ["--model", model_path] + args[1:])
     assert exc.value.code == 2
     assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, named", [
+    ("--orders", "1,x", "'x'"),
+    ("--orders", "2.5", "'2.5'"),
+    ("--orders", "1,,2", "''"),
+    ("--dts", "-0.125", "> 0, got -0.125"),
+    ("--dts", "0.25,0", "> 0, got 0"),
+    ("--dts", "0.125,nan", "> 0, got nan"),
+    ("--dts", "inf", "> 0, got inf"),
+    ("--dts", "0.25,y", "'y'"),
+])
+def test_cli_rejects_bad_sweep_lists(model_path, option, value, named,
+                                     capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--model", model_path, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}" in err and named in err
+
+
+def test_magnus_orders_above_four_raise_before_any_mpo_is_applied(
+        model_path, monkeypatch):
+    # Omega_1 + Omega_2 is a 4th-order method
+    applied = []
+    monkeypatch.setattr("dysonmpo.bench.apply_mpo",
+                        lambda *args, **kwargs: applied.append(args))
+    config = EvolutionConfig(n_sites=3, t_final=0.25, dt=0.125, order=5,
+                             method="magnus")
+    with pytest.raises(ValueError, match="order 5"):
+        evolve_state(modulated_ising(), FiniteMPS.all_up(3), config)
+    with pytest.raises(ValueError, match="order 5"):
+        main(["bench", "--model", model_path, "--method", "magnus",
+              "--orders", "5", "--dts", "0.125", "--sites", "4",
+              "--substeps", "100"])
+    assert applied == []
 
 
 def test_evolve_state_rejects_unknown_method():
