@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import magnus
 from .brackets import BracketTable
 from .compression import row_compress
 from .dyson import dyson_mpo
@@ -33,7 +34,7 @@ METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
                "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
                "fold_residual", "mpo_builds", "discarded_weight",
-               "bracket_s"]
+               "bracket_s", "build_s", "apply_s"]
 
 
 @dataclass
@@ -73,6 +74,8 @@ class ErrorRecord:
     seed: int
     discarded_weight: float = 0.0    # summed over the steps' MPS truncations
     bracket_s: float = 0.0           # spent obtaining bracket tables
+    build_s: float = 0.0             # spent building and compressing MPOs
+    apply_s: float = 0.0             # spent applying MPOs to the state
     n_steps: int = 1                 # steps of the evolution
     mpo_bond_before: int = 0         # largest MPO bond before compression
     fold_residual: float = 0.0       # largest relative least-squares residual
@@ -183,6 +186,30 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
     return mpo, report
 
 
+def _step_count(config, order, dt):
+    """Steps of an order-`order` evolution of `config` at step `dt`.
+
+    Raises `ValueError` for a run that `evolve_state` cannot make: an
+    unknown method, a negative or NaN `svd_tol`, a Magnus order above
+    `magnus.MAX_ORDER`, or steps that do not run forward or do not divide
+    the interval.
+    """
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method {config.method!r}")
+    if not config.svd_tol >= 0:
+        raise ValueError(f"svd_tol must be a non-negative number, got "
+                         f"{config.svd_tol!r}")
+    if config.method == "magnus":
+        magnus.check_order(order)
+    span = config.t_final - config.t0
+    if dt <= 0 or span < 0:
+        raise ValueError("steps run forward: need dt > 0 and t_final >= t0")
+    n_steps = round(span / dt)
+    if abs(n_steps * dt - span) > 1e-12:
+        raise ValueError(f"dt = {dt!r} must divide t_final - t0 = {span!r}")
+    return n_steps
+
+
 def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps.
 
@@ -196,24 +223,15 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     largest relative residual of its least-squares folds
     (`fold_residual`), the number of steps and of step MPOs built, the
     weight the MPS truncations discarded, summed over the steps, the
-    seconds spent obtaining bracket tables (`bracket_s`) and the number of
-    tables computed for this call (`tables_computed`; a shared `cache` may
-    serve tables an earlier call computed).  An unknown `config.method` or
-    a negative or NaN `config.svd_tol` raises `ValueError` before any step.
+    seconds spent obtaining bracket tables (`bracket_s`), building and
+    compressing step MPOs (`build_s`) and applying them (`apply_s`), and
+    the number of tables computed for this call (`tables_computed`; a
+    shared `cache` may serve tables an earlier call computed).  A run
+    `_step_count` rejects raises `ValueError` before any step.
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method {config.method!r}")
-    if not config.svd_tol >= 0:
-        raise ValueError(f"svd_tol must be a non-negative number, got "
-                         f"{config.svd_tol!r}")
     order = config.order if order is None else order
     dt = config.dt if dt is None else dt
-    span = config.t_final - config.t0
-    if dt <= 0 or span < 0:
-        raise ValueError("steps run forward: need dt > 0 and t_final >= t0")
-    n_steps = round(span / dt)
-    if abs(n_steps * dt - span) > 1e-12:
-        raise ValueError("dt must divide t_final - t0")
+    n_steps = _step_count(config, order, dt)
     need = bracket_order(config.method, order)
     if cache is None:
         cache = BracketCache(hamiltonian, order=need)
@@ -227,7 +245,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     fold_residual = 0.0
     mps_bond = psi.max_bond
     discarded = 0.0
-    bracket_s = 0.0
+    bracket_s = build_s = apply_s = 0.0
     t_start = time.perf_counter()
     for i in range(n_steps):
         s0 = config.t0 + i * dt
@@ -240,16 +258,20 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                 start = time.perf_counter()
                 table = cache.table(s0, s1, need)
                 bracket_s += time.perf_counter() - start
+            start = time.perf_counter()
             mpo, report = build_step_mpo(hamiltonian, s0, s1, order,
                                          config.method, table,
                                          qr_tol=config.qr_tol, plan=plan)
+            build_s += time.perf_counter() - start
             step_mpos[key] = mpo
             bond_before = max(bond_before, mpo.bond_dimension)
             if report is not None:
                 bond_before = max(bond_before, report.bond_dimension_before)
                 fold_residual = max(fold_residual, report.fold_residual)
+        start = time.perf_counter()
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
                               svd_tol=config.svd_tol)
+        apply_s += time.perf_counter() - start
         discarded += disc
         mpo_bond = max(mpo_bond, mpo.bond_dimension)
         mps_bond = max(mps_bond, psi.max_bond)
@@ -259,6 +281,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                  "fold_residual": fold_residual, "n_steps": n_steps,
                  "mpo_builds": len(step_mpos),
                  "discarded_weight": discarded, "bracket_s": bracket_s,
+                 "build_s": build_s, "apply_s": apply_s,
                  "tables_computed": cache.computed - computed_before}
 
 
@@ -290,15 +313,23 @@ def _epsilon_stable(psi, reference, dense_cap=4096):
     return float(delta * math.sqrt(max(0.0, 1.0 - 0.25 * delta ** 2)))
 
 
+_RECORDED = ("discarded_weight", "bracket_s", "build_s", "apply_s",
+             "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds")
+
+
 def run_benchmark(hamiltonian, config):
     """Error records for every (order, dt) pair of the config's sweep.
 
     One evolution per (order, dt), orders ascending, in record order.  The
     sweep shares one `BracketCache` at the top order it reads, so the first
     evolution that touches an interval (the lowest order) computes its
-    table, and its `bracket_s` carries that time.
+    table, and its `bracket_s` carries that time.  Every (order, dt) pair
+    is checked before the first evolution (see `_step_count`).
     """
     orders, dts = config.sweep()
+    for order in orders:
+        for dt in dts:
+            _step_count(config, order, dt)
     psi0 = initial_state(config)
     top = max(bracket_order(config.method, order) for order in orders)
     cache = BracketCache(hamiltonian, order=top)
@@ -320,15 +351,10 @@ def run_benchmark(hamiltonian, config):
         for dt in dts:
             psi, stats = evolved[(order, dt)]
             eps = _epsilon_stable(psi, reference)
-            records.append(ErrorRecord(config.method, order, dt, eps,
-                                       stats["wall_time_per_step"],
-                                       stats["mpo_bond_dim"],
-                                       stats["mps_bond_dim"], config.seed,
-                                       stats["discarded_weight"],
-                                       stats["bracket_s"], stats["n_steps"],
-                                       stats["mpo_bond_before"],
-                                       stats["fold_residual"],
-                                       stats["mpo_builds"]))
+            records.append(ErrorRecord(
+                config.method, order, dt, eps, stats["wall_time_per_step"],
+                stats["mpo_bond_dim"], stats["mps_bond_dim"], config.seed,
+                **{k: stats[k] for k in _RECORDED}))
     return records
 
 
@@ -342,7 +368,8 @@ def records_to_csv(records, seed=0):
                          f"{r.wall_time_per_step:.6g}", r.mpo_bond_dim,
                          r.mps_bond_dim, r.seed, r.mpo_bond_before,
                          f"{r.fold_residual:.6g}", r.mpo_builds,
-                         f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}"])
+                         f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}",
+                         f"{r.build_s:.6g}", f"{r.apply_s:.6g}"])
     return buf.getvalue()
 
 

@@ -26,8 +26,7 @@ the plan's index arrays (summing in the order of `gamma_keys`, so the rank
 decisions match a literal evaluation bit for bit), selects and solves, and
 folds the removed levels into the kept ones at once: the product
 ``W[kept rows, :] @ T``, ``T`` holding the identity on kept levels and the
-fold coefficients, accumulated as one scatter-add in the order the levels
-were removed.  The result is held as its dense site tensor.
+fold coefficients.  The result is held as its dense site tensor.
 
 A step does only the work whose outcome depends on its numbers.  A block
 with one own level and no earlier levels of its 2-sequence keeps that
@@ -37,30 +36,59 @@ settles all of them with one stacked gather.  The other blocks take an
 R-only pivoted QR; only a rank strictly between 0 and the column count
 leaves a choice, and only then does the greedy pass run, its subset in
 column order kept when it has the QR's size.
+
+The work is batched without changing a number.  A block reads only the
+kept flags of the earlier blocks of its 2-sequence, which have the same
+``n2`` and a smaller ``n3``, so the blocks of one ``n3`` are independent:
+a step takes them as one wave, and within a wave one batch per matrix
+shape, whose gathers, column scales, projections and rank tests run on
+stacks.  The least-squares solves call the gufunc behind
+``np.linalg.lstsq`` once per stack, which runs the same ``zgelsd`` per
+matrix; the fold solves, which no later block reads, run after the last
+wave, one stack per shape.  Each entry of the folded tensor adds its terms
+in block order, one round per term, with no index repeated in a round.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .extensive import ExtensiveMPO
 from .levels import IDENTITY_LEVEL, completion_rows, interleavings, is_one
-from .linalg import qr_column_pivoted
+from .linalg import _ZGEQP3, _geqp3_lwork
 
 
 class CompressionBasisError(RuntimeError):
     """A non-kept level could not be expanded over the kept basis."""
 
 
-@dataclass
 class CompressionReport:
-    kept_levels: list = field(default_factory=list)
-    removed_levels: list = field(default_factory=list)  # (level, {kept: coeff})
-    bond_dimension_before: int = 0
-    bond_dimension_after: int = 0
-    qr_tolerance: float = 0.0
-    fold_residual: float = 0.0  # largest |G_basis x - G_rest| / |G_rest|
+    """Kept and removed levels, bond sizes and the largest fold residual.
+
+    `removed_levels` lists ``(level, {kept level: coefficient})`` in block
+    order; a compression passes it as a function that builds the list,
+    called when the attribute is first read.
+    """
+
+    def __init__(self, kept_levels=None, removed_levels=None,
+                 bond_dimension_before=0, bond_dimension_after=0,
+                 qr_tolerance=0.0, fold_residual=0.0):
+        self.kept_levels = [] if kept_levels is None else kept_levels
+        self._removed = [] if removed_levels is None else removed_levels
+        self.bond_dimension_before = bond_dimension_before
+        self.bond_dimension_after = bond_dimension_after
+        self.qr_tolerance = qr_tolerance
+        # largest |G_basis x - G_rest| / |G_rest|
+        self.fold_residual = fold_residual
+
+    @property
+    def removed_levels(self):
+        if callable(self._removed):
+            self._removed = self._removed()
+        return self._removed
 
     def to_text(self):
         lines = [
@@ -122,6 +150,18 @@ def gamma_keys(level, row, order):
     return keys
 
 
+def _key_sums(values, index):
+    """``sum_t values[index[t]]``, from zero, one layer at a time.
+
+    Each entry sums its keys in key order, as a literal evaluation does;
+    an index of -1 adds the vector's trailing zero, which changes no sum.
+    """
+    g = values[index[0]] + 0.0
+    for layer in index[1:]:
+        g = g + values[layer]
+    return g
+
+
 @dataclass
 class Block:
     """One 2-sequence of one ``(n2, n3)`` group, as a plan holds it.
@@ -141,15 +181,33 @@ class Block:
     index: np.ndarray
 
     def gamma(self, values):
-        """Coefficients of the block's columns over its rows.
+        """Coefficients of the block's columns over its rows."""
+        return _key_sums(values, self.index)
 
-        Sums the keys of each entry from zero, one at a time in key order,
-        as a literal evaluation does.
-        """
-        g = values[self.index[0]] + 0.0
-        for layer in self.index[1:]:
-            g = g + values[layer]
-        return g
+
+class Batch:
+    """Open blocks of one wave with one shape, stacked.
+
+    `numbers` are the blocks' numbers in the plan, `levels` their plan
+    positions ``(blocks, columns)`` and `index` their index arrays
+    ``(depth, blocks, rows, columns)``, padded with -1 to the deepest.
+    """
+
+    def __init__(self, numbered):
+        self.numbers = [b for b, _ in numbered]
+        self.blocks = [block for _, block in numbered]
+        self.n_prior = self.blocks[0].n_prior
+        self.levels = np.array([block.levels for block in self.blocks])
+        depth = max(block.index.shape[0] for block in self.blocks)
+        _, rows, cols = self.blocks[0].index.shape
+        self.index = np.full((depth, len(self.blocks), rows, cols), -1,
+                             dtype=np.intp)
+        for k, block in enumerate(self.blocks):
+            self.index[:len(block.index), k] = block.index
+
+    def gamma(self, values):
+        """Coefficient matrices ``(blocks, rows, columns)``."""
+        return _key_sums(values, self.index)
 
 
 class CompressionPlan:
@@ -157,15 +215,15 @@ class CompressionPlan:
 
     `levels` holds the identity level, then the others by (length,
     label): the order of the compressed MPO's levels.  `blocks` are
-    processed in order: groups ``(n2, n3)`` by ``n2`` then ``n3``, each
+    numbered in order: groups ``(n2, n3)`` by ``n2`` then ``n3``, each
     group's 2-sequences sorted.  `keys` lists the bracket keys the blocks
     index, and `positions` maps each input level to its plan position.
 
     A block with one own level and no earlier one is settled by its gamma
     column alone: `settled` holds the numbers of those blocks,
     `settled_levels` their levels and `settled_index` their index arrays
-    stacked and padded with -1 (see `settled_nonzero`).  `open` lists the
-    other blocks as ``(number, block)``.
+    stacked and padded with -1 (see `settled_nonzero`).  `waves` holds the
+    other blocks, one list of `Batch`es per ``n3``, ascending.
     """
 
     def __init__(self, levels, order):
@@ -216,8 +274,15 @@ class CompressionPlan:
         self.keys = list(slots)
         single = [(b, block) for b, block in enumerate(self.blocks)
                   if block.n_prior == 0 and len(block.levels) == 1]
-        self.open = [(b, block) for b, block in enumerate(self.blocks)
-                     if block.n_prior or len(block.levels) > 1]
+        batches = {}
+        for b, block in enumerate(self.blocks):
+            if block.n_prior or len(block.levels) > 1:
+                shape = (block.n3, block.n_prior) + block.index.shape[1:]
+                batches.setdefault(shape, []).append((b, block))
+        self.waves = [[Batch(batches[s]) for s in sorted(batches)
+                       if s[0] == n3]
+                      for n3 in sorted({s[0] for s in batches})]
+        self._columns = None
         self.settled = np.array([b for b, _ in single], dtype=np.intp)
         self.settled_levels = np.array([block.levels[0] for _, block in single],
                                        dtype=np.intp)
@@ -228,6 +293,21 @@ class CompressionPlan:
         for k, (_, block) in enumerate(single):
             d, n, _ = block.index.shape
             self.settled_index[:d, k, :n] = block.index[:, :, 0]
+
+    def columns(self, cols):
+        """``(by_col, start)``: the entries of column `c` of an MPO whose
+        entries lie in columns `cols` are ``by_col[start[c]:start[c + 1]]``,
+        in entry order.
+
+        The MPOs of one power plan share the columns of every entry but
+        those of the identity column, so the last answer is kept for the
+        next step.
+        """
+        if self._columns is None or not np.array_equal(self._columns[0], cols):
+            by_col = np.argsort(cols, kind="stable")
+            start = np.searchsorted(cols[by_col], np.arange(len(self.levels) + 1))
+            self._columns = (cols, by_col, start)
+        return self._columns[1:]
 
     def values(self, brackets):
         """The bracket vector: one value per key, then a zero.
@@ -245,13 +325,11 @@ class CompressionPlan:
     def settled_nonzero(self, values):
         """Whether each single-column block's gamma column is nonzero.
 
-        The column sums run in key order, as `Block.gamma`'s do; padding
-        adds the vector's trailing zero.  A column counts as zero when all
-        its squared entries are, which is when its norm is.
+        The column sums run in key order, as `Block.gamma`'s do.  A column
+        counts as zero when all its squared entries are, which is when its
+        norm is.
         """
-        g = values[self.settled_index[0]] + 0.0
-        for layer in self.settled_index[1:]:
-            g = g + values[layer]
+        g = _key_sums(values, self.settled_index)
         return (g.real * g.real + g.imag * g.imag).any(axis=1)
 
 
@@ -260,20 +338,21 @@ def _select_new_levels(residual, tol, ref):
 
     The rank criterion matches the rank-revealing QR (columns whose
     residual norm exceeds ``tol * ref``); walking the columns in canonical
-    label order keeps the selection deterministic.
+    label order keeps the selection deterministic.  The norm is
+    ``np.linalg.norm``'s sum of two real dot products, spelled out.
     """
-    basis = []
+    basis = []  # (vector, its conjugate)
     selected = []
     for j in range(residual.shape[1]):
         v = residual[:, j].copy()
-        for b in basis:
-            v -= (b.conj() @ v) * b
-        # second orthogonalization pass for numerical safety
-        for b in basis:
-            v -= (b.conj() @ v) * b
-        nrm = np.linalg.norm(v)
+        # the second orthogonalization pass is for numerical safety
+        for _ in range(2):
+            for b, b_conj in basis:
+                v -= b_conj.dot(v) * b
+        nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
         if nrm > tol * ref:
-            basis.append(v / nrm)
+            b = v / nrm
+            basis.append((b, b.conj()))
             selected.append(j)
     return selected
 
@@ -286,6 +365,42 @@ def _plan_for(mpo, order):
     if power.compression is None:
         power.compression = CompressionPlan(power.levels, order)
     return power.compression
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _no_convergence(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq(a, b):
+    """``np.linalg.lstsq(a[k], b[k], rcond=None)[0]`` for every `k` at once.
+
+    Calls the gufunc that `np.linalg.lstsq` wraps, with its `rcond` and
+    error state; it runs ``zgelsd`` once per matrix, so each solution is
+    bitwise the one of a call per system.
+    """
+    rcond = _EPS * max(a.shape[-2:])
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(a, b, rcond, signature="DDd->Ddid")[0]
+
+
+@dataclass
+class _Fold:
+    """One block's least-squares fold: ``g[:, :n_basis] x = g[:, n_basis:]``.
+
+    `g` holds the block's coefficient columns of its basis, then of the
+    levels it removes, and `levels` their plan positions.
+    """
+
+    number: int
+    block: Block
+    g: np.ndarray
+    levels: np.ndarray
+    n_basis: int
+    ref: float
 
 
 def row_compress(mpo, order=None, tol=1e-12):
@@ -326,145 +441,243 @@ def row_compress(mpo, order=None, tol=1e-12):
     kept = np.ones(len(plan.levels), dtype=bool)
     zero = ~plan.settled_nonzero(values)
     kept[plan.settled_levels[zero]] = False
-    # (block number, its removals), merged into block order at the end
-    chunks = [(b, [(plan.levels[p], {})]) for b, p in
+    # (block number, removed positions, kept positions, coefficients, shown)
+    chunks = [(b, [p], None, None, None) for b, p in
               zip(plan.settled[zero].tolist(),
                   plan.settled_levels[zero].tolist())]
-    folds = []       # per block: (removed, basis, coefficient) per term
-    fold_residual = 0.0
-    for number, block in plan.open:
-        g = block.gamma(values)
-        prior = block.levels[:block.n_prior]
-        own = block.levels[block.n_prior:]
-        g_comp = g[:, block.n_prior:]
-        ref = _column_scale(g_comp)
-        kept_prior = np.flatnonzero(kept[prior])
-        if ref == 0.0:
-            # identically vanishing weights: the block drops out
-            chunks.append((number, [(plan.levels[p], {}) for p in own]))
-            kept[own] = False
-            continue
-        residual = g_comp
-        g_kept = None
-        if len(kept_prior):
-            g_kept = g[:, kept_prior]
-            if np.any(g_kept):
-                proj = g_kept @ np.linalg.lstsq(g_kept, g_comp,
-                                                rcond=None)[0]
-                residual = g_comp - proj
-        # rank of the residual measured against the unprojected
-        # column scale, not the residual's own largest entry
-        _, pivots, r_fac = qr_column_pivoted(residual, tol=0.0)
-        diag = np.abs(np.diag(r_fac))
-        rank = int(np.count_nonzero(diag > tol * ref))
-        if rank == len(own):
-            continue
-        # a rank of 0 leaves one choice too; in between, the greedy
-        # subset in column order wins when it has the QR's size
-        selected = sorted(pivots[:rank])
-        if rank:
-            greedy = _select_new_levels(residual, tol, ref)
-            if len(greedy) == rank:
-                selected = greedy
-        rest_idx = [j for j in range(len(own)) if j not in selected]
-        rest = own[rest_idx]
-        # the basis is the earlier kept levels then the new ones, so
-        # its columns are already in g_kept and g_comp
-        basis = np.concatenate([prior[kept_prior], own[selected]])
-        g_basis = g_comp[:, selected]
-        if g_kept is not None:
-            g_basis = np.hstack([g_kept, g_basis])
-        g_rest = g_comp[:, rest_idx]
-        if not np.any(g_basis):
-            if np.linalg.norm(g_rest) > tol * ref:
-                raise CompressionBasisError(
-                    f"group ({block.n2},{block.n3}) block "
-                    f"{block.two_sequence}: nothing spans the remaining "
-                    "levels")
-            x = np.zeros((len(basis), len(rest)), dtype=complex)
-        else:
-            # minimal-norm solution; kept levels may carry no weight
-            # in this block's truncated basis
-            x = np.linalg.lstsq(g_basis, g_rest, rcond=None)[0]
-            rest_norm = np.linalg.norm(g_rest)
-            resid = float(np.linalg.norm(g_basis @ x - g_rest))
-            if resid > max(1e-8 * rest_norm, 100 * tol * ref):
-                raise CompressionBasisError(
-                    f"group ({block.n2},{block.n3}) block "
-                    f"{block.two_sequence}: expansion residual {resid:.2e}")
-            if rest_norm > 0:
-                fold_residual = max(fold_residual,
-                                    resid / float(rest_norm))
-        cutoff = 1e-13 * max(1.0, np.abs(x).max(initial=0.0))
-        big = (np.abs(x) > cutoff).T
-        names = [plan.levels[p] for p in basis.tolist()]
-        chunks.append((number, [
-            (plan.levels[p], {names[i]: c for i, c in enumerate(coeffs)
-                              if on[i]})
-            for p, coeffs, on in zip(rest.tolist(), x.T.tolist(),
-                                     big.tolist())]))
-        # terms removed level by level, each over its basis in order
-        jr, i = np.nonzero(big)
-        folds.append((rest[jr], basis[i], x[i, jr]))
-        kept[rest] = False
+    folds = []
+    for wave in plan.waves:
+        for batch in wave:
+            _decide(batch, values, kept, tol, folds)
+    fold_residual, terms = _solve(folds, tol, chunks)
 
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
     out = ExtensiveMPO.from_site_tensor(
-        mpo.d, levels, _fold(mpo, plan.positions, kept, folds),
+        mpo.d, levels, _fold(mpo, plan, kept, terms),
         order=order, params=params)
-    chunks.sort(key=lambda chunk: chunk[0])
     report = CompressionReport(kept_levels=list(levels),
-                               removed_levels=[r for _, rs in chunks
-                                               for r in rs],
+                               removed_levels=lambda: _removals(plan, chunks),
                                bond_dimension_before=mpo.bond_dimension,
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=tol, fold_residual=fold_residual)
     return out, report
 
 
-def _column_scale(g):
-    """Largest column norm of `g`, as ``np.linalg.norm`` gives each.
+def _decide(batch, values, kept, tol, folds):
+    """Kept sets of one batch's blocks; their folds are solved later.
 
-    Squared column sums only pick the columns within 1e-8 of the largest
-    (all of them when the squares near underflow); the norm is then taken
-    column by column on those, so the value is bitwise the per-column
-    maximum whatever rounding the sums carry.
+    Clears the kept flag of every level a block removes and appends each
+    block that removes levels to `folds`.  A block whose columns all
+    vanish takes rank 0, and its levels fold to zero.
     """
-    sq = (g.real * g.real + g.imag * g.imag).sum(axis=0)
-    top = sq.max()
-    if top == 0.0:
-        return 0.0
-    near = np.flatnonzero(sq >= (1.0 - 1e-8) * top) if top > 1e-280 \
-        else range(g.shape[1])
-    return max(np.linalg.norm(g[:, j]) for j in near)
+    g = batch.gamma(values)
+    p = batch.n_prior
+    residual = g[:, :, p:].copy()
+    ref = _column_scale(residual)
+    if p:
+        prior_kept = kept[batch.levels[:, :p]]
+        n_kept = prior_kept.sum(axis=1)
+        # projection on the earlier kept columns; where those all vanish
+        # zgelsd returns zero and the residual stays bitwise the gammas
+        for n in set(n_kept.tolist()) - {0}:
+            sub = (n_kept == n).nonzero()[0]
+            g_kept = g[sub, :, :p]
+            if n < p:
+                # each block's kept earlier columns, in column order
+                cols = np.argsort(~prior_kept[sub], axis=1, kind="stable")
+                g_kept = np.take_along_axis(g_kept, cols[:, None, :n], axis=2)
+            g_comp = residual[sub]
+            residual[sub] = g_comp - g_kept @ _lstsq(g_kept, g_comp)
+    # rank of the residual measured against the unprojected column
+    # scale, not the residual's own largest entry; the stack holds each
+    # residual in Fortran order for zgeqp3 to factorise in place
+    n_rows, n_own = residual.shape[1:]
+    r_fac = residual.transpose(0, 2, 1).copy()
+    lwork = _geqp3_lwork(n_rows, n_own)
+    pivots = [_ZGEQP3(r.T, lwork=lwork, overwrite_a=True)[1] for r in r_fac]
+    diag = np.abs(np.diagonal(r_fac, axis1=1, axis2=2))
+    ranks = (diag > (tol * ref)[:, None]).sum(axis=1).tolist()
+    removed = []
+    for k, rank in enumerate(ranks):
+        if rank == n_own:
+            continue
+        # a rank of 0 leaves one choice too; in between, the greedy
+        # subset in column order wins when it has the QR's size
+        selected = sorted((pivots[k][:rank] - 1).tolist())
+        if rank:
+            greedy = _select_new_levels(residual[k], tol, ref[k])
+            if len(greedy) == rank:
+                selected = greedy
+        # the basis is the earlier kept levels then the new ones
+        basis = prior_kept[k].nonzero()[0].tolist() if p else []
+        basis += [p + j for j in selected]
+        cols = basis + [p + j for j in range(n_own) if j not in selected]
+        fold = _Fold(batch.numbers[k], batch.blocks[k], g[k][:, cols],
+                     batch.levels[k][cols], len(basis), ref[k])
+        folds.append(fold)
+        removed.append(fold.levels[fold.n_basis:])
+    if removed:
+        kept[np.concatenate(removed)] = False
 
 
-def _fold(mpo, positions, kept, folds):
+def _solve(folds, tol, chunks):
+    """Solve every fold, one stack per shape; check and record each.
+
+    Appends each block's removals to `chunks` and returns the largest
+    relative fold residual and the fold terms ``(removed, kept,
+    coefficient)`` in block order, each block's removed level by removed
+    level over its basis in order.  The first block, in block order, whose
+    basis cannot expand its removed levels raises `CompressionBasisError`.
+    """
+    by_shape = {}
+    for fold in folds:
+        by_shape.setdefault(fold.g.shape + (fold.n_basis,), []).append(fold)
+    ratios = [np.zeros(1)]
+    failed = []
+    terms = []
+    for group in by_shape.values():
+        n, n_basis = len(group), group[0].n_basis
+        g = np.array([f.g for f in group])
+        g_basis = np.ascontiguousarray(g[:, :, :n_basis])
+        g_rest = g[:, :, n_basis:]
+        ref = np.array([f.ref for f in group])
+        # minimal-norm solutions; kept levels may carry no weight in a
+        # block's truncated basis, and a basis of zeros solves to zero
+        x = _lstsq(g_basis, g_rest)
+        norms = _norms(np.concatenate([g_basis @ x - g_rest, g_rest])
+                       .reshape(2 * n, -1))
+        resid, rest_norm = norms[:n], norms[n:]
+        bad = resid > np.maximum(1e-8 * rest_norm, 100 * tol * ref)
+        spans = g_basis.reshape(n, -1).any(axis=1)
+        if not spans.all():
+            bad[~spans] = (rest_norm > tol * ref)[~spans]
+        failed.extend((group[k], f"expansion residual {resid[k]:.2e}"
+                       if spans[k] else "nothing spans the remaining levels")
+                      for k in bad.nonzero()[0].tolist())
+        measured = spans & (rest_norm > 0)
+        ratios.append(resid[measured] / rest_norm[measured])
+        size = np.abs(x)
+        cutoff = 1e-13 * np.maximum(1.0, size.max(axis=(1, 2), initial=0.0))
+        shown = size > cutoff[:, None, None]
+        levels = np.array([f.levels for f in group])
+        basis, rest = levels[:, :n_basis], levels[:, n_basis:]
+        numbers = np.array([f.number for f in group])
+        # terms removed level by level, each over its basis in order
+        k, jr, i = shown.transpose(0, 2, 1).nonzero()
+        terms.append((numbers[k], rest[k, jr], basis[k, i], x[k, i, jr]))
+        chunks.extend(zip(numbers.tolist(), rest, basis, x, shown))
+    if failed:
+        fold, why = min(failed, key=lambda item: item[0].number)
+        raise CompressionBasisError(
+            f"group ({fold.block.n2},{fold.block.n3}) block "
+            f"{fold.block.two_sequence}: {why}")
+    fold_residual = float(np.concatenate(ratios).max())
+    if not terms:
+        return fold_residual, None
+    number, source, target, coeff = (np.concatenate(a) for a in zip(*terms))
+    order = np.argsort(number, kind="stable")
+    return fold_residual, (source[order], target[order], coeff[order])
+
+
+def _removals(plan, chunks):
+    """``(level, {kept level: coefficient})`` per removed level, in block
+    order; a block's levels in column order, each expansion over its basis
+    in order."""
+    out = []
+    for _, rest, basis, x, shown in sorted(chunks, key=lambda c: c[0]):
+        if x is None:
+            out.extend((plan.levels[p], {}) for p in rest)
+            continue
+        names = [plan.levels[p] for p in basis.tolist()]
+        out.extend((plan.levels[p], {names[i]: c for i, c in enumerate(coeffs)
+                                     if on[i]})
+                   for p, coeffs, on in zip(rest.tolist(), x.T.tolist(),
+                                            shown.T.tolist()))
+    return out
+
+
+def _norms(a):
+    """``np.linalg.norm`` of each vector along the last axis of `a`.
+
+    `np.linalg.norm` sums the squares of a complex vector as the dot
+    products of its real and imaginary parts; `np.vecdot` takes the same
+    dot product of each vector of a stack, so every value is bitwise the
+    one a call per vector gives.
+    """
+    a = np.ascontiguousarray(a)
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def _column_scale(g):
+    """Largest column norm of each matrix of `g` (one, or a stack), as
+    ``np.linalg.norm`` gives each column."""
+    return _norms(g.swapaxes(-1, -2)).max(axis=-1)
+
+
+def _stable_order(keys, bound):
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Sorts by 16-bit digits, least significant first, so that numpy's radix
+    sort serves each pass.
+    """
+    order = np.arange(len(keys))
+    for shift in range(0, max(bound - 1, 1).bit_length(), 16):
+        digits = (keys[order] >> shift & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
+
+
+def _rounds(slot, bound):
+    """Schedule of adds into the entries `slot` (integers below `bound`).
+
+    The positions holding one entry form its run, in position order.
+    Round `j` takes the `j`-th position of every run longer than `j`; with
+    the runs ordered longest first, those runs are a prefix.  Returns the
+    positions round after round, the entry of each run in run order, and
+    ``(start, width)`` of each round in the positions.
+    """
+    n = len(slot)
+    by_slot = _stable_order(slot, bound)
+    ordered = slot[by_slot]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    length = np.append(first[1:], n) - first
+    runs = np.argsort(-length, kind="stable")
+    place = np.empty_like(runs)
+    place[runs] = np.arange(len(runs))
+    width = np.bincount(length)[:0:-1].cumsum()[::-1]  # runs longer than j
+    begin = np.cumsum(width) - width
+    j = np.arange(n) - np.repeat(first, length)
+    order = np.empty_like(by_slot)
+    order[begin[j] + np.repeat(place, length)] = by_slot
+    return order, ordered[first[runs]], zip(begin.tolist(), width.tolist())
+
+
+def _fold(mpo, plan, kept, terms):
     """Dense site tensor of ``W[kept rows, :] @ T`` over the kept levels.
 
     ``T`` is the identity on kept levels plus, for each removed level, its
-    coefficients on the kept ones.  `folds` holds one triple of arrays per
-    block, ``(removed level, kept level, coefficient)`` per term, in the
-    order the levels were removed.  Entry ``(a, k)`` starts from
+    coefficients on the kept ones.  `terms` holds three arrays
+    ``(removed level, kept level, coefficient)``, one entry per term in the
+    order the levels were removed, or None.  Entry ``(a, k)`` starts from
     ``W[a, k]`` and adds the removed levels' terms one at a time in that
-    order, which is the order of a level-by-level column merge.
+    order, which is the order of a level-by-level column merge: round `j`
+    adds the `j`-th term of every entry, so no round repeats an entry.
     """
     rows, cols, blocks = mpo.coo()
-    rows, cols = positions[rows], positions[cols]
+    rows, cols = plan.positions[rows], plan.positions[cols]
     d = mpo.d
     m = int(kept.sum())
     new = np.cumsum(kept) - 1
     out = np.zeros((m * m, d, d), dtype=complex)
     direct = kept[rows] & kept[cols]
     out[new[rows[direct]] * m + new[cols[direct]]] = blocks[direct]
-    if folds:
-        source = np.concatenate([s for s, _, _ in folds])
-        target = np.concatenate([k for _, k, _ in folds])
-        coeff = np.concatenate([c for _, _, c in folds])
+    if terms is not None:
+        source, target, coeff = terms
         # entries of each source column, term by term
-        by_col = np.argsort(cols, kind="stable")
-        start = np.searchsorted(cols[by_col], np.arange(len(kept) + 1))
+        by_col, start = plan.columns(cols)
         n_entries = start[source + 1] - start[source]
         term = np.repeat(np.arange(len(source)), n_entries)
         offset = np.arange(len(term)) - np.repeat(
@@ -472,6 +685,11 @@ def _fold(mpo, positions, kept, folds):
         entry = by_col[start[source][term] + offset]
         live = kept[rows[entry]]
         entry, term = entry[live], term[live]
-        np.add.at(out, new[rows[entry]] * m + new[target[term]],
-                  coeff[term, None, None] * blocks[entry])
+        slot = new[rows[entry]] * m + new[target[term]]
+        order, targets, rounds = _rounds(slot, m * m)
+        add = coeff[term[order], None, None] * blocks[entry[order]]
+        acc = out[targets]
+        for lo, width in rounds:
+            acc[:width] += add[lo:lo + width]
+        out[targets] = acc
     return out.reshape(m, m, d, d)

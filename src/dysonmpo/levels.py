@@ -13,6 +13,7 @@ carrying the *latest* time argument.  Labels that agree after removing all
 construction keeps one stripped label per class.
 """
 
+from functools import lru_cache
 from itertools import combinations, product
 
 ONE = ("1",)
@@ -92,8 +93,14 @@ def pad_with_ones(label, length):
     return LevelLabel((ONE,) * (length - len(label)) + tuple(label))
 
 
+@lru_cache(maxsize=4096)
 def interleavings(fixed, inserted):
-    """All weaves of `inserted` into `fixed` keeping both sequence orders."""
+    """All weaves of `inserted` into `fixed` keeping both sequence orders.
+
+    Both arguments are tuples; the weaves come back as a tuple of tuples,
+    computed once per argument pair (a compression plan asks for the same
+    few pairs thousands of times).
+    """
     n, m = len(fixed), len(inserted)
     out = []
     for pos in combinations(range(n + m), m):
@@ -108,7 +115,7 @@ def interleavings(fixed, inserted):
                 seq.append(fixed[fi])
                 fi += 1
         out.append(tuple(seq))
-    return out
+    return tuple(out)
 
 
 def completion_rows(two_seq, channels, max_insertions):

@@ -1,7 +1,8 @@
 """Dense complex matrix kernels shared by the MPO/MPS routines.
 
-A truncated SVD with its keep/discard rule, and a rank-revealing QR
-that forms only its triangular factor.
+A truncated SVD with its keep/discard rule, and LAPACK's column-pivoted
+QR ``zgeqp3`` with the workspace it asks for, which row compression calls
+on each block's residual to form only the triangular factor.
 Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype and
 row-major (C-order) data layout.
 """
@@ -61,31 +62,3 @@ def _geqp3_lwork(rows, cols):
     """The workspace LAPACK's ``zgeqp3`` asks for at this shape."""
     return int(_ZGEQP3(np.zeros((rows, cols), dtype=complex),
                        lwork=-1)[3][0].real)
-
-
-def qr_column_pivoted(m, tol=1e-12):
-    """Rank-revealing QR with column pivoting, without forming Q.
-
-    The numerical rank counts diagonal entries of R exceeding
-    ``tol * |R[0, 0]|``.  Returns ``(rank, pivot_columns, R)`` where
-    `pivot_columns` lists, in pivot order, the input columns that form a
-    spanning set, and `R` is the economic upper-triangular factor of
-    ``scipy.linalg.qr(m, mode="economic", pivoting=True)``.  Entries are
-    not checked for finiteness.
-    """
-    m = np.array(m, dtype=np.complex128, order="F")
-    if m.ndim != 2:
-        raise ValueError("qr_column_pivoted expects a matrix")
-    if m.size == 0 or not np.any(m):
-        return 0, [], np.zeros((0, m.shape[1]), dtype=complex)
-    rows, cols = m.shape
-    qr, piv, _, _, info = _ZGEQP3(m, lwork=_geqp3_lwork(rows, cols),
-                                  overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of zgeqp3")
-    r = np.triu(qr[:cols] if rows >= cols else qr)
-    diag = np.abs(np.diag(r))
-    if diag[0] == 0.0:
-        return 0, [], r[:0, :]
-    rank = int(np.count_nonzero(diag > tol * diag[0]))
-    return rank, [int(p) - 1 for p in piv[:rank]], r

@@ -50,6 +50,14 @@ class MagnusWeights:
         return sum(c / math.factorial(m) for m, c in enumerate(tilings[n]))
 
 
+def check_order(n_taylor):
+    """Raise `ValueError` for a step order Omega_1 + Omega_2 cannot reach."""
+    if n_taylor > MAX_ORDER:
+        raise ValueError(f"a Magnus step of order {n_taylor} needs Omega_3 "
+                         f"and beyond; Omega_1 + Omega_2 reach order "
+                         f"{MAX_ORDER}")
+
+
 def magnus_evolution(hamiltonian, t0, t, n_magnus, n_taylor, integrals,
                      plan=None):
     """Order-`n_taylor` MPO of ``exp(Omega)``, Omega of order ``n_magnus``.
@@ -60,9 +68,7 @@ def magnus_evolution(hamiltonian, t0, t, n_magnus, n_taylor, integrals,
     if n_magnus not in (1, 2):
         raise ValueError(f"only Magnus orders 1 and 2 are supported, got "
                          f"{n_magnus}")
-    if n_taylor > MAX_ORDER:
-        raise ValueError(f"a Magnus step of order {n_taylor} needs Omega_3 "
-                         f"and beyond; Omega_1 + Omega_2 reach order 4")
+    check_order(n_taylor)
     weights = MagnusWeights(integrals, n_magnus, n_taylor)
     mpo = dyson_mpo(hamiltonian, t0, t, n_taylor, weights, plan=plan)
     if t != t0:

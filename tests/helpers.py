@@ -24,7 +24,7 @@ from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
 from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
 from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
                              is_one, pad_with_ones, three, two)
-from dysonmpo.linalg import (qr_column_pivoted, svd_truncate,
+from dysonmpo.linalg import (_ZGEQP3, _geqp3_lwork, svd_truncate,
                              truncation_rank)
 from dysonmpo.mps import FiniteMPS
 from dysonmpo.spin import kron_chain
@@ -721,6 +721,34 @@ def _literal_gamma(rows, levels, brackets, order, memo):
                 memo[key] = total
             g[i, j] = memo[key]
     return g
+
+
+def qr_column_pivoted(m, tol=1e-12):
+    """Rank-revealing QR with column pivoting, without forming Q.
+
+    The numerical rank counts diagonal entries of R exceeding
+    ``tol * |R[0, 0]|``.  Returns ``(rank, pivot_columns, R)`` where
+    `pivot_columns` lists, in pivot order, the input columns that form a
+    spanning set, and `R` is the economic upper-triangular factor of
+    ``scipy.linalg.qr(m, mode="economic", pivoting=True)``.  Entries are
+    not checked for finiteness.
+    """
+    m = np.array(m, dtype=np.complex128, order="F")
+    if m.ndim != 2:
+        raise ValueError("qr_column_pivoted expects a matrix")
+    if m.size == 0 or not np.any(m):
+        return 0, [], np.zeros((0, m.shape[1]), dtype=complex)
+    rows, cols = m.shape
+    qr, piv, _, _, info = _ZGEQP3(m, lwork=_geqp3_lwork(rows, cols),
+                                  overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zgeqp3")
+    r = np.triu(qr[:cols] if rows >= cols else qr)
+    diag = np.abs(np.diag(r))
+    if diag[0] == 0.0:
+        return 0, [], r[:0, :]
+    rank = int(np.count_nonzero(diag > tol * diag[0]))
+    return rank, [int(p) - 1 for p in piv[:rank]], r
 
 
 def literal_row_compress(mpo, order=None, tol=1e-12):

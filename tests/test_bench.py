@@ -165,7 +165,8 @@ def test_csv_schema():
                                    "wall_time_per_step_s", "mpo_bond_dim",
                                    "mps_bond_dim", "seed", "mpo_bond_before",
                                    "fold_residual", "mpo_builds",
-                                   "discarded_weight", "bracket_s"]
+                                   "discarded_weight", "bracket_s",
+                                   "build_s", "apply_s"]
 
 
 def test_initial_state_seeded():
@@ -551,6 +552,22 @@ def test_records_carry_the_evolution_stats():
                                                            rel=1e-5)
 
 
+def test_records_carry_the_stage_times():
+    # tables, builds and applies are timed inside the timed step loop
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, orders=(2, 3), dts=(0.25, 0.125),
+                             t_final=0.5, oracle_substeps=300, d_max=4)
+    records = run_benchmark(ham, config)
+    rows = records_to_csv(records).strip().splitlines()[2:]
+    for r, row in zip(records, rows):
+        assert r.build_s > 0 and r.apply_s > 0 and r.bracket_s >= 0
+        assert (r.bracket_s + r.build_s + r.apply_s
+                <= r.n_steps * r.wall_time_per_step)
+        fields = dict(zip(bench.CSV_COLUMNS, row.split(",")))
+        assert float(fields["build_s"]) == pytest.approx(r.build_s, rel=1e-5)
+        assert float(fields["apply_s"]) == pytest.approx(r.apply_s, rel=1e-5)
+
+
 def test_runtime_at_accuracy_leaves_out_table_time():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, orders=(1, 2),
@@ -594,7 +611,8 @@ def _tracer_module():
 
 def _untimed(records):
     return [{k: v for k, v in dataclasses.asdict(r).items()
-             if k not in ("wall_time_per_step", "bracket_s")}
+             if k not in ("wall_time_per_step", "bracket_s", "build_s",
+                          "apply_s")}
             for r in records]
 
 

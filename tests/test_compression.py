@@ -16,6 +16,7 @@ from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
 from dysonmpo.dyson import dyson_mpo
 from dysonmpo.extensive import PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import ONE, LevelLabel, three, two
+from dysonmpo.magnus import magnus_evolution
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.spin import SX, SY, SZ
 from dysonmpo.taylor import taylor_mpo
@@ -348,6 +349,54 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
         assert settled_zero > 0
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_compression_matches_literal_fold_bitwise(model, order, tol):
+    # Magnus steps weight the Dyson plan with other numbers; one plan
+    # serves three intervals and every compressed MPO is the literal one
+    ham = model()
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
+    for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
+        tab = _order4_table(model, interval)
+        mpo = magnus_evolution(ham, *interval, 2, order, tab, plan=plan)
+        out, report = row_compress(mpo, order, tol=tol)
+        ref, ref_report = literal_row_compress(mpo, order, tol=tol)
+        assert out.levels == ref.levels
+        assert report.to_text() == ref_report.to_text()
+        assert np.array_equal(out.site_tensor(), ref.site_tensor())
+    assert plan.compression is not None
+
+
+def test_basis_that_cannot_span_raises_naming_the_block(monkeypatch):
+    # a greedy subset of the QR's size that picks the smallest residual
+    # columns leaves a removed level outside the kept span; the error
+    # names the first such block in block order
+    ham = modulated_xxz()
+    tab = _order4_table(modulated_xxz, (0.1875, 0.25))
+    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    greedy = compression._select_new_levels
+    chosen = []
+
+    def smallest(residual, tol, ref):
+        size = len(greedy(residual, tol, ref))
+        norms = np.linalg.norm(residual, axis=0)
+        chosen.append(residual)
+        return sorted(np.argsort(norms, kind="stable")[:size].tolist())
+
+    monkeypatch.setattr(compression, "_select_new_levels", smallest)
+    with pytest.raises(compression.CompressionBasisError) as exc:
+        row_compress(mpo, 4, tol=1e-12)
+    assert chosen
+    named = re.fullmatch(r"group \((\d+),(\d+)\) block (.*): "
+                         r"(expansion residual .*|nothing spans .*)",
+                         str(exc.value))
+    assert named
+    blocks = [(b.n2, b.n3, repr(b.two_sequence))
+              for b in mpo.params["plan"].compression.blocks]
+    assert (int(named[1]), int(named[2]), named[3]) in blocks
+
+
 def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
     # the greedy pass runs on blocks whose QR rank lies strictly between
     # 0 and the column count; elsewhere the pivots fix the kept set
@@ -370,6 +419,61 @@ def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
     assert out.levels == ref.levels
     assert report.to_text() == ref_report.to_text()
     assert np.array_equal(out.site_tensor(), ref.site_tensor())
+
+
+def test_greedy_sees_the_residuals_of_a_literal_evaluation(monkeypatch):
+    # the batched path factorises its residuals in place; the greedy pass
+    # must still receive each block's residual, single-row blocks included
+    import helpers
+
+    ham = modulated_xxz()
+    tab = _order4_table(modulated_xxz, (0.1875, 0.25))
+    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    greedy = compression._select_new_levels
+    seen = {"plan": [], "literal": []}
+
+    def recording(side):
+        def select(residual, tol, ref):
+            seen[side].append(residual.copy())
+            return greedy(residual, tol, ref)
+        return select
+
+    monkeypatch.setattr(compression, "_select_new_levels", recording("plan"))
+    monkeypatch.setattr(helpers, "_select_new_levels", recording("literal"))
+    row_compress(mpo, 4, tol=1e-12)
+    literal_row_compress(mpo, 4, tol=1e-12)
+    assert seen["plan"]
+    for r in seen["plan"]:
+        assert any(q.shape == r.shape and np.array_equal(q, r)
+                   for q in seen["literal"])
+
+
+def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
+    # a one-row residual stack is contiguous in either axis order, and the
+    # pivoted QR must factorise a copy of it, not the residual itself
+    class OneRowBatch:
+        n_prior = 0
+        numbers = [0]
+        blocks = [None]
+        levels = np.array([[1, 2, 3]])
+
+        def gamma(self, values):
+            return np.array([[[3.0j, 2.0 + 1.0j, 1.0]]])
+
+    seen = []
+
+    def recording(residual, tol, ref):
+        seen.append(residual.copy())
+        return [0]
+
+    monkeypatch.setattr(compression, "_select_new_levels", recording)
+    kept = np.ones(4, dtype=bool)
+    folds = []
+    compression._decide(OneRowBatch(), None, kept, 1e-12, folds)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], OneRowBatch().gamma(None)[0])
+    assert kept.tolist() == [True, True, False, False]
+    assert [f.levels.tolist() for f in folds] == [[1, 2, 3]]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 0.0])

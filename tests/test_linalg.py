@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from helpers import qr_column_pivoted
 
-from dysonmpo.linalg import qr_column_pivoted, svd_truncate, truncation_rank
+from dysonmpo.linalg import svd_truncate, truncation_rank
 
 
 def test_svd_identity():

@@ -159,7 +159,7 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert lines[1] == ("method,order,dt,epsilon,wall_time_per_step_s,"
                         "mpo_bond_dim,mps_bond_dim,seed,mpo_bond_before,"
                         "fold_residual,mpo_builds,discarded_weight,"
-                        "bracket_s")
+                        "bracket_s,build_s,apply_s")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]
@@ -203,7 +203,7 @@ def test_cli_rejects_bad_sweep_lists(model_path, option, value, named,
 
 
 def test_magnus_orders_above_four_raise_before_any_mpo_is_applied(
-        model_path, monkeypatch):
+        model_path, monkeypatch, capsys):
     # Omega_1 + Omega_2 is a 4th-order method
     applied = []
     monkeypatch.setattr("dysonmpo.bench.apply_mpo",
@@ -212,11 +212,43 @@ def test_magnus_orders_above_four_raise_before_any_mpo_is_applied(
                              method="magnus")
     with pytest.raises(ValueError, match="order 5"):
         evolve_state(modulated_ising(), FiniteMPS.all_up(3), config)
-    with pytest.raises(ValueError, match="order 5"):
+    with pytest.raises(SystemExit) as exc:
         main(["bench", "--model", model_path, "--method", "magnus",
               "--orders", "5", "--dts", "0.125", "--sites", "4",
               "--substeps", "100"])
+    assert exc.value.code == 2
+    assert "order 5" in capsys.readouterr().err
     assert applied == []
+
+
+@pytest.mark.parametrize("args, named", [
+    (["bench", "--orders", "1", "--dts", "0.3", "--sites", "3"],
+     "must divide t_final - t0"),
+    (["bench", "--method", "magnus", "--orders", "1,5", "--dts", "0.125",
+      "--sites", "3"], "order 5"),
+    (["build-mpo", "--qr-tol", "2"], "tol must lie in [0, 1), got 2.0"),
+])
+def test_cli_reports_library_errors(model_path, args, named, monkeypatch,
+                                    capsys):
+    # a ValueError from the library ends the run as a message with exit
+    # code 2; a sweep is checked whole before its first evolution
+    evolved = []
+    monkeypatch.setattr("dysonmpo.bench.evolve_state",
+                        lambda *a, **k: evolved.append(a))
+    with pytest.raises(SystemExit) as exc:
+        main(args[:1] + ["--model", model_path] + args[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dysonmpo: error: ") and named in err
+    assert "Traceback" not in err
+    assert evolved == []
+
+
+def test_empty_interval_rejects_magnus_order_five():
+    # no step is built, so only the entry check can catch it
+    config = EvolutionConfig(n_sites=3, t_final=0.0, order=5, method="magnus")
+    with pytest.raises(ValueError, match="order 5"):
+        evolve_state(modulated_ising(), FiniteMPS.all_up(3), config)
 
 
 def test_evolve_state_rejects_unknown_method():
