@@ -10,7 +10,7 @@ from .compression import (CompressionBasisError, CompressionReport,
 from .driving import (Channel, ConstDriving, DrivingFunction, ExpDriving,
                       Piece, PolyDriving, SampledDriving,
                       TimeDependentHamiltonian, TrigDriving)
-from .dyson import dyson_mpo, identity_mpo
+from .dyson import dyson_mpo, identity_mpo, magnus_evolution
 from .evolve import exact_evolution_operator, exact_evolve
 from .extensive import ExtensiveMPO, RewiredHamiltonian
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
@@ -18,7 +18,6 @@ from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     zero_hamiltonian)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
 from .linalg import svd_truncate
-from .magnus import magnus_evolution
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import mpo_derivative_at_zero, taylor_mpo
 

@@ -2,7 +2,8 @@
 
 Splits an interval into uniform steps; per step obtains the bracket table,
 builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
-row-compresses it and applies it to the state.  Steps congruent modulo the
+row-compresses it and applies it to the state.  An order-N Magnus step is
+the order-N Dyson step (`magnus_evolution`).  Steps congruent modulo the
 driving period reuse the MPO built at the first of them.  A sweep computes
 one bracket table per congruence class of step interval, and builds one
 step plan (power and compression index sets) per order, which its Dyson
@@ -20,14 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import magnus
 from .brackets import BracketTable
 from .compression import row_compress
-from .dyson import dyson_mpo
+from .dyson import dyson_mpo, magnus_evolution
 from .evolve import exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
-from .magnus import magnus_evolution
-from .mps import FiniteMPS, apply_mpo, trace_distance_error
+from .mps import FiniteMPS, apply_mpo, check_svd_tol, trace_distance_error
 from .taylor import taylor_mpo
 
 METHODS = ("taylor", "dyson", "magnus")
@@ -85,14 +84,10 @@ class ErrorRecord:
 def bracket_order(method, order):
     """Highest bracket order an order-`order` step of `method` reads.
 
-    Dyson reads all up to `order`; Magnus at most ``[f_a f_b]``, for
-    Omega_2; the frozen-Hamiltonian Taylor step none.
+    Dyson and Magnus read all up to `order`; the frozen-Hamiltonian
+    Taylor step none.
     """
-    if method == "taylor":
-        return 0
-    if method == "magnus":
-        return min(order, 2)
-    return order
+    return 0 if method == "taylor" else order
 
 
 class BracketCache:
@@ -169,9 +164,7 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
     if method == "dyson":
         mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
     elif method == "magnus":
-        mpo = magnus_evolution(hamiltonian, t0, t1,
-                               bracket_order(method, order), order, table,
-                               plan=plan)
+        mpo = magnus_evolution(hamiltonian, t0, t1, order, table, plan=plan)
     elif method == "taylor":
         # constant-Hamiltonian baseline: freeze the driving at the midpoint
         tm = 0.5 * (t0 + t1)
@@ -190,17 +183,12 @@ def _step_count(config, order, dt):
     """Steps of an order-`order` evolution of `config` at step `dt`.
 
     Raises `ValueError` for a run that `evolve_state` cannot make: an
-    unknown method, a negative or NaN `svd_tol`, a Magnus order above
-    `magnus.MAX_ORDER`, or steps that do not run forward or do not divide
-    the interval.
+    unknown method, an `svd_tol` outside ``[0, 1)``, or steps that do not
+    run forward or do not divide the interval.
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
-    if not config.svd_tol >= 0:
-        raise ValueError(f"svd_tol must be a non-negative number, got "
-                         f"{config.svd_tol!r}")
-    if config.method == "magnus":
-        magnus.check_order(order)
+    check_svd_tol(config.svd_tol)
     span = config.t_final - config.t0
     if dt <= 0 or span < 0:
         raise ValueError("steps run forward: need dt > 0 and t_final >= t0")
@@ -291,17 +279,20 @@ def initial_state(config):
     return FiniteMPS.all_up(config.n_sites)
 
 
-def _epsilon_stable(psi, reference, dense_cap=4096):
+EPSILON_DENSE_CAP = 4096  # largest state `_epsilon_stable` compares densely
+
+
+def _epsilon_stable(psi, reference):
     """Trace-distance error, accurate below the overlap's rounding floor.
 
     ``sqrt(1 - |<a|b>|^2)`` cancels catastrophically once the states agree
     to ~1e-8; the phase-aligned difference norm delta gives the same
     quantity as ``delta * sqrt(1 - delta^2 / 4)`` with full precision.
-    Up to `dense_cap` amplitudes delta comes from the dense vectors, above
-    it from the difference MPS (`trace_distance_error`).
+    Up to `EPSILON_DENSE_CAP` amplitudes delta comes from the dense
+    vectors, above it from the difference MPS (`trace_distance_error`).
     """
     dim = psi.d ** psi.n_sites
-    if dim > dense_cap:
+    if dim > EPSILON_DENSE_CAP:
         return trace_distance_error(psi, reference)
     a = psi.to_dense()
     b = reference.to_dense()

@@ -98,7 +98,6 @@ class DrivingFunction:
 
     name = "driving"
     period = None          # None when not periodic
-    constant_value = None  # set when f is a constant
 
     def __call__(self, t):
         """f at `t`, a time or an array of times.
@@ -141,14 +140,13 @@ class ConstDriving(DrivingFunction):
     name = "const"
 
     def __post_init__(self):
-        self.constant_value = complex(self.value)
         self.period = math.inf
 
     def __call__(self, t):
         return self.value * np.ones_like(np.asarray(t, dtype=float))
 
     def exponentials(self):
-        return [(self.constant_value, 0.0)]
+        return [(complex(self.value), 0.0)]
 
     def describe(self):
         return f"const({self.value})"
@@ -169,9 +167,6 @@ class TrigDriving(DrivingFunction):
             raise ValueError("kind must be 'sin' or 'cos'")
         self.name = self.kind
         self.period = 2.0 * math.pi / abs(self.omega) if self.omega else math.inf
-        if self.omega == 0:
-            f0 = math.sin(self.phase) if self.kind == "sin" else math.cos(self.phase)
-            self.constant_value = self.amplitude * f0 + self.offset
 
     def __call__(self, t):
         f = np.sin if self.kind == "sin" else np.cos
@@ -179,7 +174,8 @@ class TrigDriving(DrivingFunction):
 
     def exponentials(self):
         if self.omega == 0:
-            return [(self.constant_value, 0.0)]
+            f0 = math.sin(self.phase) if self.kind == "sin" else math.cos(self.phase)
+            return [(self.amplitude * f0 + self.offset, 0.0)]
         # sin x = (e^{ix} - e^{-ix}) / 2i,  cos x = (e^{ix} + e^{-ix}) / 2
         plus = self.amplitude * np.exp(1j * self.phase)
         minus = self.amplitude * np.exp(-1j * self.phase)
@@ -209,7 +205,6 @@ class ExpDriving(DrivingFunction):
     def __post_init__(self):
         rate = complex(self.rate)
         if rate == 0:
-            self.constant_value = complex(self.amplitude)
             self.period = math.inf
         elif rate.real == 0:
             self.period = 2.0 * math.pi / abs(rate.imag)
@@ -235,7 +230,6 @@ class PolyDriving(DrivingFunction):
     def __post_init__(self):
         self.coeffs = tuple(complex(c) for c in self.coeffs)
         if all(c == 0 for c in self.coeffs[1:]):
-            self.constant_value = self.coeffs[0] if self.coeffs else 0.0
             self.period = math.inf
 
     def __call__(self, t):

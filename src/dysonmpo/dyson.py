@@ -1,10 +1,12 @@
-"""Dyson-series MPOs for time-dependent Hamiltonians.
+"""Dyson-series and Magnus MPOs for time-dependent Hamiltonians.
 
 Each driving channel gets its own finishing level in the rewired
 Hamiltonian, so the level labels of its powers record which channel acted
 in which factor (time) slot.  Folding a finished level back into the
 identity level then picks up the time-ordered integral of the matching
-driving-function sequence, read with the latest time first.
+driving-function sequence, read with the latest time first.  These
+brackets, from `BracketTable`, are the only numbers a step reads; the
+power's levels and entries come from its `PowerPlan`.
 """
 
 import numpy as np
@@ -51,4 +53,21 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
     except KeyError as exc:
         raise ValueError(f"missing bracket: {exc}") from exc
     mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
+    return mpo
+
+
+def magnus_evolution(hamiltonian, t0, t, order, integrals, plan=None):
+    """Order-`order` Magnus MPO of the evolution operator on ``[t0, t]``.
+
+    The brackets of ``[t0, t]`` are the signature of the drivings, and the
+    Magnus operator Omega is its logarithm in the tensor algebra of
+    channel words (Chen, Ann. Math. 65, 163 (1957); Blanes, Casas, Oteo &
+    Ros, Phys. Rep. 470, 151 (2009)).  So ``exp(Omega)``, truncated to
+    words of at most `order` letters, is the bracket table itself, and the
+    order-N Magnus MPO is the order-N Dyson MPO: `dyson_mpo` with the same
+    arguments, labelled ``kind="magnus"``.
+    """
+    mpo = dyson_mpo(hamiltonian, t0, t, order, integrals, plan=plan)
+    if t != t0:
+        mpo.params["kind"] = "magnus"
     return mpo

@@ -25,7 +25,7 @@ def _rk4(hamiltonian, n_sites, psi, t0, t, substeps):
     """Fixed-step RK4 for `psi`, one state or a ``(dim, m)`` block of them."""
     if t == t0:
         return psi
-    mats = hamiltonian.dense_channel_matrices(n_sites, cap=STATE_CAP ** 2)
+    mats = hamiltonian.dense_channel_matrices(n_sites, cap=STATE_CAP)
     stacked = scipy.sparse.csr_array(np.concatenate(mats))
     shape = (len(mats),) + psi.shape
     h = (t - t0) / substeps

@@ -168,6 +168,16 @@ def _right_step(a, w, r_right):
     return q.conj().T.reshape(-1, d, k), r.conj().T.reshape(dw, chi_l, -1)
 
 
+def check_svd_tol(svd_tol):
+    """Raise `ValueError` unless ``0 <= svd_tol < 1``.
+
+    The truncation keeps singular values above ``svd_tol * s[0]``, so a
+    tolerance of 1 or more (or NaN) would keep none of them.
+    """
+    if not 0 <= svd_tol < 1:
+        raise ValueError(f"svd_tol must lie in [0, 1), got {svd_tol!r}")
+
+
 def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     """Apply an extensive MPO to a finite MPS and truncate.
 
@@ -198,14 +208,12 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     rounding of the norm.
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
-    with the norm on site 0, and the total discarded weight.  A negative or
-    NaN `svd_tol` raises `ValueError`.
+    with the norm on site 0, and the total discarded weight.  An `svd_tol`
+    outside ``[0, 1)`` raises `ValueError` (see `check_svd_tol`).
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
-    if not svd_tol >= 0:
-        raise ValueError(f"svd_tol must be a non-negative number, got "
-                         f"{svd_tol!r}")
+    check_svd_tol(svd_tol)
     w = mpo.site_tensor()  # (left, right, out, in)
     dw = w.shape[0]
     boundary = np.zeros(dw, dtype=complex)

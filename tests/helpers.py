@@ -6,8 +6,10 @@ the expected-value computation.  The bracket oracle takes one
 block-bidiagonal matrix exponential per channel sequence, independent of
 the library's bracket evaluator.  The left-endpoint grid sum that the
 exact brackets are the limit of comes two ways: a chain of quantics
-trains, and explicit cumulative sums.  The Magnus oracle is the Taylor
-power of ``Omega_1 + Omega_2`` assembled as one first-degree MPO.
+trains, and explicit cumulative sums.  The Magnus oracles are the Taylor
+power of ``Omega_1 + Omega_2`` assembled as one first-degree MPO, and
+Omega's coefficient on every channel word, the logarithm of the bracket
+table taken word by word.
 """
 
 import math
@@ -502,7 +504,6 @@ class OpaqueDriving(DrivingFunction):
     def __init__(self, inner):
         self.inner = inner
         self.period = inner.period
-        self.constant_value = inner.constant_value
 
     def __call__(self, t):
         return self.inner(t)
@@ -641,16 +642,55 @@ def magnus_omega2(hamiltonian, integrals):
     return total
 
 
-def magnus_taylor_mpo(hamiltonian, n_magnus, n_taylor, integrals):
-    """Order-`n_taylor` Taylor MPO of ``Omega_1 (+ Omega_2)`` at unit step.
+def magnus_taylor_mpo(hamiltonian, order, integrals):
+    """Order-`order` Taylor MPO of ``Omega_1 + Omega_2`` at unit step.
 
     Omega is assembled as one first-degree MPO, so the power keeps words
-    such as ``Omega_2**n_taylor`` that `magnus_evolution` drops.
+    such as ``Omega_2**order`` that `magnus_evolution` drops.
     """
-    omega = magnus_omega1(hamiltonian, integrals)
-    if n_magnus == 2:
-        omega = fdmpo.add(omega, magnus_omega2(hamiltonian, integrals))
-    return taylor_mpo(omega, 1.0, n_taylor)
+    omega = fdmpo.add(magnus_omega1(hamiltonian, integrals),
+                      magnus_omega2(hamiltonian, integrals))
+    return taylor_mpo(omega, 1.0, order)
+
+
+def compositions(word):
+    """Every split of `word` into consecutive nonempty parts, in order."""
+    if not word:
+        yield ()
+        return
+    for i in range(1, len(word) + 1):
+        for rest in compositions(word[i:]):
+            yield (word[:i],) + rest
+
+
+def composition_sum(word, value, weight):
+    """``sum_k weight(k) sum_{k-part compositions} prod value(part)``.
+
+    With `value` a word function ``S`` that has ``S(()) = 1``, this is
+    the coefficient of `word` in ``sum_k weight(k) (S - 1)^k`` in the
+    tensor algebra of words under concatenation.
+    """
+    return sum(weight(len(parts)) * math.prod(value(p) for p in parts)
+               for parts in compositions(tuple(word)))
+
+
+def log_weight(k):
+    """``(-1)^(k+1) / k``, the k-th coefficient of ``log(1 + x)``."""
+    return (-1) ** (k + 1) / k
+
+
+def exp_weight(k):
+    """``1 / k!``, the k-th coefficient of ``exp(x) - 1``."""
+    return 1.0 / math.factorial(k)
+
+
+def magnus_word(value, word):
+    """Omega's coefficient on `word`: the log series of the table `value`.
+
+    The bracket table is the signature of the drivings, and Omega is its
+    logarithm (Chen 1957), so no Omega_k formula enters.
+    """
+    return composition_sum(word, value, log_weight)
 
 
 def merge_equivalent_columns(levels, entries):

@@ -32,9 +32,9 @@ def test_smoke_run_error_decreases():
 
 
 def test_magnus_step_compression_order_accuracy():
-    # the Magnus MPO is the Dyson plan under the word weights of
-    # exp(Omega), which row compression reads as it reads brackets; the
-    # change it makes must be O(dt^(N+1)) like the Dyson one
+    # the Magnus MPO is the Dyson plan under the brackets, which are the
+    # word coefficients of exp(Omega); the change row compression makes
+    # must be O(dt^(N+1)) like the Dyson one
     ham = modulated_ising()
     channels = [(c.name, c.driving) for c in ham.channels]
     order, n = 2, 4
@@ -73,13 +73,24 @@ def test_magnus_sweep_keeps_the_order_slopes():
         oracle_substeps=4000)
     records = run_benchmark(modulated_ising(), config)
     slopes = order_slopes(records)
-    assert all(abs(slopes[n] - n) <= 0.3 for n in (1, 2, 4)), slopes
-    # order 3 is pre-asymptotic here (fitted slope about 3.37): the missing
-    # Omega_3 weighs O(dt^5) per step.  Its slopes between neighbouring
-    # dts fall towards 3, and the finest is within 0.3 of it
-    eps = [r.epsilon for r in records if r.order == 3]
-    local = np.log2(np.array(eps[:-1]) / np.array(eps[1:]))
-    assert np.all(np.diff(local) < 0) and abs(local[-1] - 3) <= 0.3, local
+    assert all(abs(slopes[n] - n) <= 0.3 for n in (1, 2, 3, 4)), slopes
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_records_equal_dyson_records(model):
+    # exp(Omega) truncated to N letters is the order-N bracket table, so a
+    # Magnus sweep makes the Dyson sweep's records, order 5 included
+    config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4, 5),
+                             dts=(0.25, 0.125), t_final=0.5,
+                             oracle_substeps=200, d_max=8, seed=3)
+    dyson = run_benchmark(model(), config)
+    magnus = run_benchmark(model(),
+                           dataclasses.replace(config, method="magnus"))
+    assert all(r.method == "magnus" for r in magnus)
+    same = [{**d, "method": "dyson"} for d in _untimed(magnus)]
+    assert same == _untimed(dyson)
+    assert max(r.mpo_bond_dim for r in magnus) == \
+        {modulated_ising: 21, modulated_xxz: 577}[model]
 
 
 def test_dt_must_divide_interval():
@@ -400,7 +411,7 @@ def test_constant_and_imaginary_rate_drives_are_periodic():
 
 
 @pytest.mark.parametrize("method,orders", [("dyson", [3] * 4),
-                                           ("magnus", [2] * 4),
+                                           ("magnus", [3] * 4),
                                            ("taylor", [])])
 def test_tables_computed_at_the_order_the_method_reads(method, orders,
                                                        monkeypatch):

@@ -13,10 +13,9 @@ from dysonmpo.brackets import BracketTable, TaylorBrackets
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import dyson_mpo
+from dysonmpo.dyson import dyson_mpo, magnus_evolution
 from dysonmpo.extensive import PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import ONE, LevelLabel, three, two
-from dysonmpo.magnus import magnus_evolution
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.spin import SX, SY, SZ
 from dysonmpo.taylor import taylor_mpo
@@ -353,13 +352,13 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
 def test_magnus_compression_matches_literal_fold_bitwise(model, order, tol):
-    # Magnus steps weight the Dyson plan with other numbers; one plan
-    # serves three intervals and every compressed MPO is the literal one
+    # a Magnus step is the Dyson step under its own label; one plan serves
+    # three intervals and every compressed MPO is the literal one
     ham = model()
     plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _order4_table(model, interval)
-        mpo = magnus_evolution(ham, *interval, 2, order, tab, plan=plan)
+        mpo = magnus_evolution(ham, *interval, order, tab, plan=plan)
         out, report = row_compress(mpo, order, tol=tol)
         ref, ref_report = literal_row_compress(mpo, order, tol=tol)
         assert out.levels == ref.levels

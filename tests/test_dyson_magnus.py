@@ -4,20 +4,20 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (driving_value, flat_dyson_mpo, level_symbols,
+from helpers import (composition_sum, driving_value, exp_weight,
+                     flat_dyson_mpo, level_symbols, log_weight,
                      magnus_omega1, magnus_omega2, magnus_taylor_mpo,
-                     rewired_dense)
+                     magnus_word, rewired_dense)
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import BracketCache, build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
-from dysonmpo.dyson import dyson_mpo, identity_mpo
+from dysonmpo.dyson import dyson_mpo, identity_mpo, magnus_evolution
 from dysonmpo.evolve import exact_evolution_operator
 from dysonmpo.extensive import RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
-from dysonmpo.magnus import MagnusWeights, magnus_evolution
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.spin import ID2, SX, SZ
 from dysonmpo.taylor import taylor_mpo
@@ -302,7 +302,7 @@ def test_magnus_evolution_matches_dyson_first_order():
     t0, t1 = 0.0, 0.08
     tab = table_for(ham, t0, t1, 1)
     wd = dyson_mpo(ham, t0, t1, 1, tab)
-    wm = magnus_evolution(ham, t0, t1, 1, 1, tab)
+    wm = magnus_evolution(ham, t0, t1, 1, tab)
     np.testing.assert_allclose(wm.to_dense(4), wd.to_dense(4), atol=1e-12)
 
 
@@ -311,7 +311,7 @@ def test_magnus_time_independent_reduces_to_taylor():
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
     dt = 0.16
     tab = table_for(ham, 0.0, dt, 2)
-    wm = magnus_evolution(ham, 0.0, dt, 1, 2, tab)
+    wm = magnus_evolution(ham, 0.0, dt, 2, tab)
     ref = taylor_mpo(h, -1j * dt, 2)
     np.testing.assert_allclose(wm.to_dense(4), ref.to_dense(4), atol=1e-12)
 
@@ -322,17 +322,10 @@ def test_magnus_second_order_scaling():
     errs = []
     for dt in (0.05, 0.025):
         tab = table_for(ham, 0.0, dt, 2)
-        w = magnus_evolution(ham, 0.0, dt, 2, 2, tab).to_dense(n, cap=256)
+        w = magnus_evolution(ham, 0.0, dt, 2, tab).to_dense(n, cap=256)
         u = exact_evolution_operator(ham, n, 0.0, dt, substeps=1500)
         errs.append(np.linalg.norm(w - u, 2))
     assert abs(errs[0] / errs[1] - 8) < 0.25 * 8
-
-
-def test_magnus_order_cap():
-    ham = modulated_ising()
-    tab = table_for(ham, 0.0, 0.1, 2)
-    with pytest.raises(ValueError):
-        magnus_evolution(ham, 0.0, 0.1, 3, 3, tab)
 
 
 def _shuffles(u, v):
@@ -343,33 +336,72 @@ def _shuffles(u, v):
             + [v[:1] + w for w in _shuffles(u, v[1:])])
 
 
-@pytest.mark.parametrize("n_magnus", [1, 2])
-@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
-def test_magnus_weights_obey_the_shuffle_relations(model, n_magnus):
-    # Omega is a Lie element, so exp(Omega) is group-like: its word
-    # coefficients multiply as the brackets do, c(u) c(v) = sum c(u ⧢ v)
-    ham = model()
-    weights = MagnusWeights(table_for(ham, 0.1, 0.6, 2), n_magnus, 4)
+def _words(ham, longest):
+    """Every channel word of 1 to `longest` letters."""
     names = [c.name for c in ham.channels]
-    words = [w for k in (1, 2, 3) for w in product(names, repeat=k)]
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > 4:
-                continue
-            terms = [weights.value(w) for w in _shuffles(u, v)]
-            lhs = weights.value(u) * weights.value(v)
-            assert abs(lhs - sum(terms)) <= \
-                1e-14 * sum(abs(t) for t in terms)
+    return [w for k in range(1, longest + 1)
+            for w in product(names, repeat=k)]
+
+
+def _omega_scale(tab, word):
+    """Summed magnitudes of the terms of Omega's log series on `word`."""
+    return composition_sum(word, lambda part: abs(tab.value(part)),
+                           lambda k: abs(log_weight(k)))
 
 
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
-def test_magnus_words_of_two_letters_are_brackets(model):
-    # so Magnus orders 1 and 2 are Dyson orders 1 and 2
+def test_omega_words_of_two_letters_are_omega1_and_omega2(model):
+    # the log of the table on words of 1-2 letters is [f_a] and
+    # ([f_a f_b] - [f_b f_a]) / 2, so it sums to Omega_1 + Omega_2
     ham = model()
     tab = table_for(ham, 0.1, 0.6, 2)
-    weights = MagnusWeights(tab, 2, 2)
-    for key, value in tab.values.items():
-        assert abs(weights.value(key) - value) <= 1e-14 * abs(value)
+    n = 4
+    dense = {c.name: c.operator.to_dense(n) for c in ham.channels}
+    total = np.zeros_like(next(iter(dense.values())))
+    for word in _words(ham, 2):
+        omega = magnus_word(tab.value, word)
+        if len(word) == 1:
+            expected = tab.value(word)
+        else:
+            expected = 0.5 * (tab.value(word) - tab.value(word[::-1]))
+        assert abs(omega - expected) <= 1e-14 * _omega_scale(tab, word)
+        total += omega * np.linalg.multi_dot([np.eye(2 ** n)] +
+                                             [dense[a] for a in word])
+    ref = fdmpo.add(magnus_omega1(ham, tab), magnus_omega2(ham, tab))
+    np.testing.assert_allclose(total, ref.to_dense(n), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_omega_is_a_lie_element(model):
+    # the log of the signature is primitive: its coefficients on the
+    # shuffles of any two nonempty words sum to zero (Ree 1958)
+    ham = model()
+    tab = table_for(ham, 0.1, 0.6, 5)
+    omega = {w: magnus_word(tab.value, w) for w in _words(ham, 5)}
+    words = _words(ham, 4)
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > 5:
+                continue
+            shuffled = _shuffles(u, v)
+            total = sum(omega[w] for w in shuffled)
+            scale = sum(_omega_scale(tab, w) for w in shuffled)
+            assert abs(total) <= 1e-14 * scale, (u, v, total, scale)
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_exp_of_omega_is_the_bracket_table(model):
+    # exp(Omega) truncated to N letters is the order-N table, which is why
+    # the order-N Magnus MPO is the order-N Dyson MPO
+    ham = model()
+    tab = table_for(ham, 0.1, 0.6, 5)
+    words = _words(ham, 5)
+    omega = {w: magnus_word(tab.value, w) for w in words}
+    omega_scale = {w: _omega_scale(tab, w) for w in words}
+    for word in words:
+        value = composition_sum(word, omega.__getitem__, exp_weight)
+        scale = composition_sum(word, omega_scale.__getitem__, exp_weight)
+        assert abs(value - tab.value(word)) <= 1e-13 * scale, word
 
 
 @pytest.mark.parametrize("model, bonds", [(modulated_ising, [2, 3, 6, 11]),
@@ -393,14 +425,14 @@ def test_magnus_bond_equals_dyson_bond(model, bonds):
 @pytest.mark.parametrize("order, dts", [(3, (0.2, 0.1, 0.05)),
                                         (4, (0.1, 0.05))])
 def test_magnus_mpo_against_the_taylor_power_of_omega(order, dts):
-    # the power of Omega also keeps words of more than N letters, each
-    # weighing O(dt^(N+1))
+    # the power of Omega_1 + Omega_2 lacks Omega_3 and beyond, and keeps
+    # words of more than N letters; each difference weighs O(dt^(N+1))
     ham = modulated_ising()
     diffs = []
     for dt in dts:
-        tab = table_for(ham, 0.0, dt, 2)
-        new = magnus_evolution(ham, 0.0, dt, 2, order, tab)
-        old = magnus_taylor_mpo(ham, 2, order, tab)
+        tab = table_for(ham, 0.0, dt, order)
+        new = magnus_evolution(ham, 0.0, dt, order, tab)
+        old = magnus_taylor_mpo(ham, order, tab)
         diffs.append(np.linalg.norm(new.to_dense(4) - old.to_dense(4), 2))
     for d1, d2 in zip(diffs, diffs[1:]):
         assert d1 / d2 > 0.7 * 2 ** (order + 1)
