@@ -389,6 +389,47 @@ def test_omega_is_a_lie_element(model):
             assert abs(total) <= 1e-14 * scale, (u, v, total, scale)
 
 
+@pytest.mark.parametrize("n_magnus", [1, 2])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_weights_obey_the_shuffle_relations(model, n_magnus):
+    # Omega_1 + ... + Omega_n (Omega's words of at most n letters) is a
+    # Lie element, so its exp is group-like: the word coefficients multiply
+    # as the brackets do, c(u) c(v) = sum c(u ⧢ v)
+    ham = model()
+    tab = table_for(ham, 0.1, 0.6, n_magnus)
+    omega, omega_scale = {}, {}
+    for w in _words(ham, n_magnus):
+        omega[w] = magnus_word(tab.value, w)
+        omega_scale[w] = _omega_scale(tab, w)
+    words = _words(ham, 4)
+    weights = {w: composition_sum(w, lambda p: omega.get(p, 0.0), exp_weight)
+               for w in words}
+    scales = {w: composition_sum(w, lambda p: omega_scale.get(p, 0.0),
+                                 exp_weight)
+              for w in words}
+    for u in _words(ham, 3):
+        for v in _words(ham, 3):
+            if len(u) + len(v) > 4:
+                continue
+            shuffled = _shuffles(u, v)
+            lhs = weights[u] * weights[v]
+            rhs = sum(weights[w] for w in shuffled)
+            scale = scales[u] * scales[v] + sum(scales[w] for w in shuffled)
+            assert abs(lhs - rhs) <= 1e-14 * scale, (u, v, lhs, rhs)
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_magnus_words_of_two_letters_are_brackets(model):
+    # exp(Omega_1 + Omega_2) on words of 1-2 letters is the table, so
+    # Magnus orders 1 and 2 are Dyson orders 1 and 2
+    ham = model()
+    tab = table_for(ham, 0.1, 0.6, 2)
+    omega = {w: magnus_word(tab.value, w) for w in _words(ham, 2)}
+    for key, value in tab.values.items():
+        weight = composition_sum(key, omega.__getitem__, exp_weight)
+        assert abs(weight - value) <= 1e-14 * abs(value), key
+
+
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
 def test_exp_of_omega_is_the_bracket_table(model):
     # exp(Omega) truncated to N letters is the order-N table, which is why
