@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import BracketTable
+from .brackets import BracketTable, check_interval
 from .compression import row_compress
 from .dyson import dyson_mpo, magnus_evolution
 from .evolve import exact_evolve
@@ -33,7 +33,7 @@ METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
                "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
                "fold_residual", "mpo_builds", "discarded_weight",
-               "bracket_s", "build_s", "apply_s"]
+               "bracket_s", "build_s", "apply_s", "plan_s"]
 
 
 @dataclass
@@ -79,6 +79,7 @@ class ErrorRecord:
     mpo_bond_before: int = 0         # largest MPO bond before compression
     fold_residual: float = 0.0       # largest relative least-squares residual
     mpo_builds: int = 0              # step MPOs built (one per congruence class)
+    plan_s: float = 0.0              # of build_s, spent building the step plan
 
 
 def bracket_order(method, order):
@@ -129,6 +130,7 @@ class BracketCache:
         return (round(phase, 12), round(t1 - t0, 12))
 
     def table(self, t0, t1, order):
+        check_interval(t0, t1)
         key = self.key(t0, t1)
         hit = self._store.get(key)
         if hit is not None and hit[1].max_order >= order:
@@ -183,12 +185,13 @@ def _step_count(config, order, dt):
     """Steps of an order-`order` evolution of `config` at step `dt`.
 
     Raises `ValueError` for a run that `evolve_state` cannot make: an
-    unknown method, an `svd_tol` outside ``[0, 1)``, or steps that do not
-    run forward or do not divide the interval.
+    unknown method, an `svd_tol` outside ``[0, 1)``, a non-finite end of
+    the interval, or steps that do not run forward or do not divide it.
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
     check_svd_tol(config.svd_tol)
+    check_interval(config.t0, config.t_final)
     span = config.t_final - config.t0
     if dt <= 0 or span < 0:
         raise ValueError("steps run forward: need dt > 0 and t_final >= t0")
@@ -212,9 +215,12 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     (`fold_residual`), the number of steps and of step MPOs built, the
     weight the MPS truncations discarded, summed over the steps, the
     seconds spent obtaining bracket tables (`bracket_s`), building and
-    compressing step MPOs (`build_s`) and applying them (`apply_s`), and
-    the number of tables computed for this call (`tables_computed`; a
-    shared `cache` may serve tables an earlier call computed).  A run
+    compressing step MPOs (`build_s`) and applying them (`apply_s`), the
+    part of `build_s` spent building the step plan of `order` (`plan_s`;
+    0 when an earlier call with the same `cache` built it, and for
+    Taylor steps, whose MPOs each build a plan of their own), and the
+    number of tables computed for this call (`tables_computed`; a shared
+    `cache` may serve tables an earlier call computed).  A run
     `_step_count` rejects raises `ValueError` before any step.
     """
     order = config.order if order is None else order
@@ -227,6 +233,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         raise ValueError("the bracket cache was made for another Hamiltonian")
     computed_before = cache.computed
     plan = cache.plan(order)
+    plan_before = plan.plan_s
     step_mpos = {}
     mpo_bond = 0
     bond_before = 0
@@ -270,6 +277,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                  "mpo_builds": len(step_mpos),
                  "discarded_weight": discarded, "bracket_s": bracket_s,
                  "build_s": build_s, "apply_s": apply_s,
+                 "plan_s": plan.plan_s - plan_before,
                  "tables_computed": cache.computed - computed_before}
 
 
@@ -305,7 +313,8 @@ def _epsilon_stable(psi, reference):
 
 
 _RECORDED = ("discarded_weight", "bracket_s", "build_s", "apply_s",
-             "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds")
+             "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds",
+             "plan_s")
 
 
 def run_benchmark(hamiltonian, config):
@@ -360,7 +369,8 @@ def records_to_csv(records, seed=0):
                          r.mps_bond_dim, r.seed, r.mpo_bond_before,
                          f"{r.fold_residual:.6g}", r.mpo_builds,
                          f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}",
-                         f"{r.build_s:.6g}", f"{r.apply_s:.6g}"])
+                         f"{r.build_s:.6g}", f"{r.apply_s:.6g}",
+                         f"{r.plan_s:.6g}"])
     return buf.getvalue()
 
 

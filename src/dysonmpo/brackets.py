@@ -205,13 +205,22 @@ def _levels(channels, t0, t, order):
     return total
 
 
+def check_interval(t0, t):
+    """Raise `ValueError` naming an interval end that is not finite."""
+    for name, end in (("t0", t0), ("t", t)):
+        if not math.isfinite(end):
+            raise ValueError(f"interval end {name} = {end!r} is not finite")
+
+
 def time_ordered_integrals(channels, sequences, t0, t):
     """Brackets of every sequence in `sequences` over ``[t0, t]``.
 
     `channels` maps a channel name to its driving function; a sequence
     lists names with the latest time first.  Returns a dict keyed by the
-    sequences as tuples (module docstring).
+    sequences as tuples (module docstring).  A non-finite end of the
+    interval raises `ValueError`.
     """
+    check_interval(t0, t)
     sequences = [tuple(seq) for seq in sequences]
     if not all(sequences):
         raise ValueError("empty channel sequence")

@@ -16,6 +16,13 @@ def _at_least_one(text):
     return value
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _step_size(text):
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -35,8 +42,8 @@ def _list_of(item):
 
 def _add_common(p):
     p.add_argument("--model", required=True, help="model file path")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t", type=float, default=0.125)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t", type=_finite, default=0.125)
 
 
 def cmd_build_mpo(args):

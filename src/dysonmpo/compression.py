@@ -20,13 +20,16 @@ All of that but the numbers is fixed by the levels and the order: the
 groups and their blocks per 2-sequence, each block's completion rows, and
 for every (level, row) pair the brackets its coefficient sums.  A
 `CompressionPlan` holds them, and a `PowerPlan` keeps one for all the
-Dyson and Magnus steps of its order.  A compression then gathers the
-step's brackets into a vector, fills each block's coefficient matrix from
-the plan's index arrays (summing in the order of `gamma_keys`, so the rank
-decisions match a literal evaluation bit for bit), selects and solves, and
-folds the removed levels into the kept ones at once: the product
-``W[kept rows, :] @ T``, ``T`` holding the identity on kept levels and the
-fold coefficients.  The result is held as its dense site tensor.
+Dyson and Magnus steps of its order.  The plan reads each level once and
+enumerates the keys of all pairs in array passes, one weave pattern per
+pair shape (`levels.block_keys`).  A compression then gathers the step's
+brackets into a vector, fills each block's coefficient matrix from the
+plan's index arrays (summing each entry's keys in weave order, so the
+rank decisions match a literal evaluation bit for bit), selects and
+solves, and folds the removed levels into the kept ones at once: the
+product ``W[kept rows, :] @ T``, ``T`` holding the identity on kept
+levels and the fold coefficients.  The result is held as its dense site
+tensor.
 
 A step does only the work whose outcome depends on its numbers.  A block
 with one own level and no earlier levels of its 2-sequence keeps that
@@ -50,14 +53,14 @@ in block order, one round per term, with no index repeated in a round.
 """
 
 import math
+import time
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .extensive import ExtensiveMPO
-from .levels import IDENTITY_LEVEL, completion_rows, interleavings, is_one
+from .extensive import ExtensiveMPO, _rounds
+from .levels import IDENTITY_LEVEL, block_keys, is_one
 from .linalg import _ZGEQP3, _geqp3_lwork
 
 
@@ -104,50 +107,6 @@ class CompressionReport:
             combo = " + ".join(f"({c:.6g}) * {k!r}" for k, c in expansion.items())
             lines.append(f"  {lvl!r} = {combo if combo else '0'}")
         return "\n".join(lines)
-
-
-def _segments(items, marker):
-    """Channels of `items` in runs split at the items tagged `marker`.
-
-    A stripped label splits at its 2 symbols into runs of 3-channels, and
-    a row key at its completions ``"C"`` into runs of insertions.
-    """
-    segs = [[]]
-    for item in items:
-        if item[0] == marker:
-            segs.append([])
-        else:
-            segs[-1].append(item[1])
-    return segs
-
-
-def gamma_keys(level, row, order):
-    """Bracket keys whose sum is the coefficient of `level` along `row`.
-
-    One key per weave of the row's inserted terms through the level's
-    finished symbols, holding the factor order of completions and
-    insertions fixed as given by the row, in summation order.  Empty when
-    the level cannot reach the row.
-    """
-    two_seq = list(level.two_sequence())
-    row_cs = [(item[1], item[2]) for item in row if item[0] == "C"]
-    if row_cs != two_seq:
-        return []
-    n_ins = sum(1 for item in row if item[0] == "I")
-    if level.n2 + level.n3 + n_ins > order:
-        return []
-    chan_of_two = [ch for ch, _ in two_seq]
-    per_segment = [interleavings(tuple(ls), tuple(rs)) for ls, rs in
-                   zip(_segments(level, "2"), _segments(row, "C"))]
-    keys = []
-    for weave in product(*per_segment):
-        sigma = []
-        for i, seg in enumerate(weave):
-            if i > 0:
-                sigma.append(chan_of_two[i - 1])
-            sigma.extend(seg)
-        keys.append(tuple(sigma))
-    return keys
 
 
 def _key_sums(values, index):
@@ -227,7 +186,8 @@ class CompressionPlan:
     """
 
     def __init__(self, levels, order):
-        if any(is_one(sym) for lvl in levels for sym in lvl):
+        symbols = sorted({sym for lvl in levels for sym in lvl})
+        if any(is_one(sym) for sym in symbols):
             raise ValueError("row compression needs column-merged levels "
                              "(no 1 symbols)")
         self.order = order
@@ -236,42 +196,12 @@ class CompressionPlan:
         self.levels = [IDENTITY_LEVEL] + others
         index = {lvl: i for i, lvl in enumerate(self.levels)}
         self.positions = np.array([index[l] for l in levels], dtype=np.intp)
-        channels = sorted({sym[1] for lvl in levels for sym in lvl})
-        groups = {}
-        for lvl in others:
-            groups.setdefault((lvl.n2, lvl.n3), {}).setdefault(
-                lvl.two_sequence(), []).append(lvl)
-        slots = {}   # bracket key -> position in the bracket vector
-        memo = {}    # (level, row) -> key positions
-        earlier = {}  # 2-sequence -> levels of the blocks before
-        self.blocks = []
-        for n2 in range(1, order + 1):
-            for n3 in range(order - n2 + 1):
-                blocks = groups.get((n2, n3), {})
-                for cseq in sorted(blocks):
-                    prior = earlier.setdefault(cseq, [])
-                    cols = prior + blocks[cseq]
-                    rows = completion_rows(cseq, channels, order - n2 - n3)
-                    sums = []
-                    for row in rows:
-                        for lvl in cols:
-                            key = (lvl, row)
-                            if key not in memo:
-                                memo[key] = [
-                                    slots.setdefault(k, len(slots))
-                                    for k in gamma_keys(lvl, row, order)]
-                            sums.append(memo[key])
-                    depth = max(1, max(map(len, sums)))
-                    idx = np.full((len(sums), depth), -1, dtype=np.intp)
-                    for i, s in enumerate(sums):
-                        idx[i, :len(s)] = s
-                    self.blocks.append(Block(
-                        n2, n3, cseq,
-                        np.array([index[l] for l in cols], dtype=np.intp),
-                        len(prior),
-                        idx.T.reshape(depth, len(rows), len(cols))))
-                    prior.extend(blocks[cseq])
-        self.keys = list(slots)
+        blocks, self.keys = block_keys(self.levels, symbols, order)
+        self.blocks = [Block(*block) for block in blocks]
+        self._batch()
+
+    def _batch(self):
+        """Settle the single-column blocks; batch the others into waves."""
         single = [(b, block) for b, block in enumerate(self.blocks)
                   if block.n_prior == 0 and len(block.levels) == 1]
         batches = {}
@@ -363,7 +293,9 @@ def _plan_for(mpo, order):
     if power is None or power.order != order:
         return CompressionPlan(mpo.levels, order)
     if power.compression is None:
+        start = time.perf_counter()
         power.compression = CompressionPlan(power.levels, order)
+        power.plan_s += time.perf_counter() - start
     return power.compression
 
 
@@ -613,46 +545,6 @@ def _column_scale(g):
     """Largest column norm of each matrix of `g` (one, or a stack), as
     ``np.linalg.norm`` gives each column."""
     return _norms(g.swapaxes(-1, -2)).max(axis=-1)
-
-
-def _stable_order(keys, bound):
-    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
-
-    Sorts by 16-bit digits, least significant first, so that numpy's radix
-    sort serves each pass.
-    """
-    order = np.arange(len(keys))
-    for shift in range(0, max(bound - 1, 1).bit_length(), 16):
-        digits = (keys[order] >> shift & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digits, kind="stable")]
-    return order
-
-
-def _rounds(slot, bound):
-    """Schedule of adds into the entries `slot` (integers below `bound`).
-
-    The positions holding one entry form its run, in position order.
-    Round `j` takes the `j`-th position of every run longer than `j`; with
-    the runs ordered longest first, those runs are a prefix.  Returns the
-    positions round after round, the entry of each run in run order, and
-    ``(start, width)`` of each round in the positions.
-    """
-    n = len(slot)
-    by_slot = _stable_order(slot, bound)
-    ordered = slot[by_slot]
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    length = np.append(first[1:], n) - first
-    runs = np.argsort(-length, kind="stable")
-    place = np.empty_like(runs)
-    place[runs] = np.arange(len(runs))
-    width = np.bincount(length)[:0:-1].cumsum()[::-1]  # runs longer than j
-    begin = np.cumsum(width) - width
-    j = np.arange(n) - np.repeat(first, length)
-    order = np.empty_like(by_slot)
-    order[begin[j] + np.repeat(place, length)] = by_slot
-    return order, ordered[first[runs]], zip(begin.tolist(), width.tolist())
 
 
 def _fold(mpo, plan, kept, terms):

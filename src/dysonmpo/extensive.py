@@ -10,7 +10,9 @@ be applied to a state directly.
 Powers are never materialized over the full set of symbol tuples.  Levels
 that agree after deleting 1 symbols have identical operator histories and
 are merged on the fly, so the construction works directly with stripped
-labels (`build_power_stripped`).
+labels, each interned once as an integer id (`_power`).  A step of the
+power is a handful of array passes over its (entry, transition) pairs;
+the nested-tuple labels are made once, for the levels of the result.
 
 The power depends on the Hamiltonian's operators and the order, the weights
 on the step.  A `PowerPlan` holds the power once, as arrays, so a weighting
@@ -19,10 +21,12 @@ column.  The Dyson and Magnus steps of one order share a plan; a Taylor
 operator changes with the step, so each Taylor MPO gets a plan of its own.
 """
 
+import time
+
 import numpy as np
 
-from .fdmpo import DENSE_CAP
-from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
+from .fdmpo import DENSE_CAP, dense_chain
+from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, two
 
 
 class ExtensiveMPO:
@@ -134,26 +138,11 @@ class ExtensiveMPO:
         return self.levels.index(IDENTITY_LEVEL)
 
     def to_dense(self, n_sites, cap=DENSE_CAP):
-        """Dense operator on `n_sites` sites, boundaries on the identity level."""
-        if self.d ** n_sites > cap:
-            raise ValueError(
-                f"d**n_sites = {self.d ** n_sites} exceeds cap {cap}")
-        env = {IDENTITY_LEVEL: np.array([[1.0 + 0.0j]])}
-        by_source = {}
-        for (a, b), op in self.entries.items():
-            by_source.setdefault(a, []).append((b, op))
-        for _ in range(n_sites):
-            new = {}
-            for a, acc in env.items():
-                for b, op in by_source.get(a, ()):
-                    term = np.kron(acc, op)
-                    if b in new:
-                        new[b] += term
-                    else:
-                        new[b] = term
-            env = new
-        dim = self.d ** n_sites
-        return env.get(IDENTITY_LEVEL, np.zeros((dim, dim), dtype=complex))
+        """Dense operator on `n_sites` sites, boundaries on the identity level
+        (`fdmpo.dense_chain` over the coordinate arrays)."""
+        edge = self.boundary_index()
+        return dense_chain(*self.coo(), len(self.levels), edge, edge, n_sites,
+                           cap)
 
     def __repr__(self):
         return (f"ExtensiveMPO(d={self.d}, bond={self.bond_dimension}, "
@@ -200,49 +189,83 @@ class RewiredHamiltonian:
         return trans
 
 
-def build_power_stripped(rew, n):
-    """Column-merged `n`-th power of a rewired Hamiltonian.
+def _power(rew, n):
+    """Column-merged `n`-th power of a rewired Hamiltonian, over label ids.
 
-    Levels are stripped labels (no 1 symbols); each product step appends one
-    factor and folds the new strip-ones classes into their representative,
-    so the intermediate size never exceeds that of the merged result.
-    Returns ``(levels, entries)``.
+    A stripped label (no 1 symbols) is interned once: ``labels[i]`` is its
+    tuple of symbols, id 0 the empty label, and a table ``(id, symbol) ->
+    id`` names the label one factor longer.  Each step appends one factor
+    to the entries the step before made.  Their (entry, transition) pairs
+    are keyed on index arrays, the products are one `np.matmul` over
+    stacks, and the products falling on one entry are summed in pair
+    order, one round at a time (`_rounds`).  So the entries come in the
+    order, and with the sums, of a step-by-step dictionary build.
+
+    Returns ``(labels, finished, (src, dst, blocks))``: whether each label
+    is finished (3 symbols only), and the entries as label ids and blocks.
     """
-    eye = np.eye(rew.d, dtype=complex)
-    append_trans = [(x, y, op) for (x, y, op) in rew._transitions
-                    if not is_one(y)]
-    empty = IDENTITY_LEVEL
-    entries = {(empty, empty): eye}
-    for x, y, op in append_trans:
-        src = empty if is_one(x) else LevelLabel((x,))
-        dst = LevelLabel((y,))
-        key = (src, dst)
-        entries[key] = entries.get(key, 0) + op
-    for k in range(1, n):
-        new = dict(entries)
-        for (a, b), op in entries.items():
-            if len(b) != k:
-                continue
-            for x, y, t_op in append_trans:
-                src = a if is_one(x) else a.append(x)
-                key = (src, b.append(y))
-                prod = op @ t_op
-                if key in new:
-                    new[key] = new[key] + prod
-                else:
-                    new[key] = prod
-        entries = new
-    levels = sorted({lvl for pair in entries for lvl in pair})
-    return levels, entries
+    trans = [(x, y, op) for x, y, op in rew._transitions if not is_one(y)]
+    symbols = list(dict.fromkeys(s for x, y, _ in trans for s in (x, y)
+                                 if not is_one(s)))
+    code = {sym: i for i, sym in enumerate(symbols)}
+    tx = np.array([-1 if is_one(x) else code[x] for x, _, _ in trans],
+                  dtype=np.intp)
+    ty = np.array([code[y] for _, y, _ in trans], dtype=np.intp)
+    t_ops = np.array([op for _, _, op in trans], dtype=complex)
+    labels, finished, child = [()], [False], {}
+
+    def children(parents, codes):
+        """Ids of the labels `parents` extended by `codes`; -1 keeps the
+        parent (a 1 symbol)."""
+        out = parents.copy()
+        own = codes >= 0
+        keys, inverse = np.unique(parents[own] * len(symbols) + codes[own],
+                                  return_inverse=True)
+        for key in keys.tolist():
+            if key not in child:
+                p, c = divmod(key, len(symbols))
+                child[key] = len(labels)
+                labels.append(labels[p] + (symbols[c],))
+                finished.append(is_three(symbols[c]) and (finished[p] or not p))
+        out[own] = np.array([child[k] for k in keys.tolist()],
+                            dtype=np.intp)[inverse.reshape(-1)]
+        return out
+
+    src = dst = np.zeros(1, dtype=np.intp)
+    steps = [(src, dst, np.eye(rew.d, dtype=complex)[None])]
+    for k in range(n):
+        a = children(np.repeat(src, len(trans)), np.tile(tx, len(src)))
+        b = children(np.repeat(dst, len(trans)), np.tile(ty, len(src)))
+        # the first factor sums its operators from 0, as a dictionary does
+        prods = t_ops + 0.0 if k == 0 else np.matmul(
+            steps[-1][2][:, None], t_ops[None]).reshape(-1, rew.d, rew.d)
+        _, at, inverse = np.unique(a * len(labels) + b, return_index=True,
+                                   return_inverse=True)
+        rank = np.empty(len(at), dtype=np.intp)
+        rank[np.argsort(at)] = np.arange(len(at))
+        order, targets, rounds = _rounds(rank[inverse.reshape(-1)], len(at))
+        (lo, width), *rounds = rounds
+        acc = prods[order[lo:lo + width]]
+        for lo, width in rounds:
+            acc[:width] += prods[order[lo:lo + width]]
+        ops = np.empty_like(acc)
+        ops[targets] = acc
+        at.sort()
+        src, dst = a[at], b[at]
+        steps.append((src, dst, ops))
+    return (labels, np.array(finished),
+            tuple(np.concatenate(part) for part in zip(*steps)))
 
 
 class PowerPlan:
     """The stripped `n`-th power of `rew`, rerouted under many weightings.
 
-    The power is built on the first call of `mpo`.  Its unfinished levels,
-    identity first and the rest by (length, label), are the `levels` of
-    every MPO the plan makes.  `compression` is left to `row_compress`,
-    which keeps its plan for these levels there.
+    The power is built on the first call of `mpo` (`_power`).  Its
+    unfinished levels, identity first and the rest by (length, label),
+    are the `levels` of every MPO the plan makes.  `compression` is left
+    to `row_compress`, which keeps its plan for these levels there.
+    `plan_s` sums the seconds spent building the power and, in
+    `row_compress`, the compression plan.
     """
 
     def __init__(self, rew, n):
@@ -250,28 +273,28 @@ class PowerPlan:
         self.order = int(n)
         self.levels = None
         self.compression = None
+        self.plan_s = 0.0
 
     def _build(self):
-        levels, entries = build_power_stripped(self.rew, self.order)
-        finished = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
-        self.levels = sorted((l for l in levels if l not in finished),
-                             key=lambda l: (len(l), l))
-        index = {lvl: i for i, lvl in enumerate(self.levels)}
-        sigmas = {}
-        fixed, rerouted = [], []
-        for (a, b), op in entries.items():
-            if a in finished:
-                continue
-            if b in finished:
-                slot = sigmas.setdefault(b.sigma(), len(sigmas))
-                rerouted.append((index[a], slot, op))
-            elif b == IDENTITY_LEVEL:
-                rerouted.append((index[a], -1, op))  # weight 1
-            else:
-                fixed.append((index[a], index[b], op))
-        self.sigmas = list(sigmas)
-        self._fixed = _columns(fixed, self.rew.d)
-        self._rerouted = _columns(rerouted, self.rew.d)
+        labels, finished, (src, dst, blocks) = _power(self.rew, self.order)
+        ids = sorted(np.flatnonzero(~finished).tolist(),
+                     key=lambda i: (len(labels[i]), labels[i]))
+        self.levels = [LevelLabel(labels[i]) for i in ids]
+        index = np.full(len(labels), -1, dtype=np.intp)
+        index[ids] = np.arange(len(ids))
+        live = ~finished[src]
+        src, dst, blocks = src[live], dst[live], blocks[live]
+        # weight slots: finished levels by first entry; -1 (weight 1)
+        # for the identity
+        ends, at = np.unique(dst[finished[dst]], return_index=True)
+        ends = ends[np.argsort(at)]
+        self.sigmas = [tuple(sym[1] for sym in labels[i])
+                       for i in ends.tolist()]
+        slot = np.full(len(labels), -1, dtype=np.intp)
+        slot[ends] = np.arange(len(ends))
+        out = finished[dst] | (dst == 0)
+        self._fixed = (index[src[~out]], index[dst[~out]], blocks[~out])
+        self._rerouted = (index[src[out]], slot[dst[out]], blocks[out])
 
     def mpo(self, weight_of):
         """Rerouted power: each finished level folds into the identity level.
@@ -282,7 +305,9 @@ class PowerPlan:
         the order the power built them; entries of weight 0 are left out.
         """
         if self.levels is None:
+            start = time.perf_counter()
             self._build()
+            self.plan_s += time.perf_counter() - start
         d = self.rew.d
         weights = np.array([weight_of(s) for s in self.sigmas] + [1.0],
                            dtype=complex)
@@ -301,9 +326,41 @@ class PowerPlan:
             params={"plan": self})
 
 
-def _columns(triples, d):
-    """Three arrays from ``(int, int, (d, d) op)`` triples."""
-    first = np.array([t[0] for t in triples], dtype=np.intp)
-    second = np.array([t[1] for t in triples], dtype=np.intp)
-    blocks = np.array([t[2] for t in triples], dtype=complex)
-    return first, second, blocks.reshape(-1, d, d)
+def _stable_order(keys, bound):
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Sorts by 16-bit digits, least significant first, so that numpy's radix
+    sort serves each pass.
+    """
+    order = np.arange(len(keys))
+    for shift in range(0, max(bound - 1, 1).bit_length(), 16):
+        digits = (keys[order] >> shift & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digits, kind="stable")]
+    return order
+
+
+def _rounds(slot, bound):
+    """Schedule of adds into the entries `slot` (integers below `bound`).
+
+    The positions holding one entry form its run, in position order.
+    Round `j` takes the `j`-th position of every run longer than `j`; with
+    the runs ordered longest first, those runs are a prefix.  Returns the
+    positions round after round, the entry of each run in run order, and
+    ``(start, width)`` of each round in the positions.
+    """
+    n = len(slot)
+    by_slot = _stable_order(slot, bound)
+    ordered = slot[by_slot]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    length = np.append(first[1:], n) - first
+    runs = np.argsort(-length, kind="stable")
+    place = np.empty_like(runs)
+    place[runs] = np.arange(len(runs))
+    width = np.bincount(length)[:0:-1].cumsum()[::-1]  # runs longer than j
+    begin = np.cumsum(width) - width
+    j = np.arange(n) - np.repeat(first, length)
+    order = np.empty_like(by_slot)
+    order[begin[j] + np.repeat(place, length)] = by_slot
+    return order, ordered[first[runs]], zip(begin.tolist(), width.tolist())

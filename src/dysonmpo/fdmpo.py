@@ -18,10 +18,39 @@ arithmetic of the sum, product and square constructions.
 """
 
 import numpy as np
+import scipy.sparse
 
 from .linalg import as_complex
 
 DENSE_CAP = 64  # largest d**n_sites a dense expansion will materialize
+
+
+def dense_chain(rows, cols, blocks, n_levels, first, last, n_sites,
+                cap=DENSE_CAP):
+    """Dense operator of `n_sites` equal site tensors, from virtual level
+    `first` on the left to level `last` on the right.
+
+    The tensor is given by its (d, d) blocks ``W[rows[i], cols[i]]``.
+    ``env[b]``, the operator on the sites so far ending on level `b`, goes
+    to ``sum over blocks (a, b) of kron(env[a], W[a, b])``: one sparse
+    product per site, so no dense site tensor is formed.
+    """
+    d = blocks.shape[-1]
+    if d ** n_sites > cap:
+        raise ValueError(f"d**n_sites = {d ** n_sites} exceeds cap {cap}")
+    sites = scipy.sparse.csr_array(
+        (blocks.reshape(-1), ((cols[:, None] * d * d + np.arange(d * d))
+                              .reshape(-1), np.repeat(rows, d * d))),
+        shape=(n_levels * d * d, n_levels))
+    env, dim = np.zeros((n_levels, 1), dtype=complex), 1
+    env[first] = 1.0
+    for site in range(n_sites):
+        step = sites[last * d * d:(last + 1) * d * d] \
+            if site == n_sites - 1 else sites
+        new = (step @ env).reshape(-1, d, d, dim, dim)
+        dim *= d
+        env = new.transpose(0, 3, 1, 4, 2).reshape(-1, dim * dim)
+    return env[0 if n_sites else last].reshape(dim, dim)
 
 
 class FirstDegreeMPO:
@@ -101,31 +130,10 @@ class FirstDegreeMPO:
         Contracts the site tensors with the boundary vectors selecting
         level (1) on the left and level (3) on the right.
         """
-        if self.d ** n_sites > cap:
-            raise ValueError(
-                f"d**n_sites = {self.d ** n_sites} exceeds cap {cap}")
         m = self.site_matrix()
-        n = m.shape[0]
-        # env[j]: dense operator accumulated on all processed sites,
-        # ending in virtual level j
-        env = [None] * n
-        env[0] = np.array([[1.0 + 0.0j]])
-        for _ in range(n_sites):
-            new = [None] * n
-            for i in range(n):
-                if env[i] is None:
-                    continue
-                for j in range(n):
-                    op = m[i, j]
-                    if not op.any():
-                        continue
-                    term = np.kron(env[i], op)
-                    new[j] = term if new[j] is None else new[j] + term
-            env = new
-        dim = self.d ** n_sites
-        if env[n - 1] is None:
-            return np.zeros((dim, dim), dtype=complex)
-        return env[n - 1]
+        rows, cols = np.nonzero(m.any(axis=(2, 3)))
+        return dense_chain(rows, cols, m[rows, cols], len(m), 0, len(m) - 1,
+                           n_sites, cap)
 
     def __repr__(self):
         return (f"FirstDegreeMPO(d={self.d}, chi={self.chi}, "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .brackets import TaylorBrackets
 from .extensive import PowerPlan, RewiredHamiltonian
-from .fdmpo import DENSE_CAP
+from .fdmpo import DENSE_CAP, dense_chain
 
 
 def taylor_mpo(h, tau, order):
@@ -65,11 +65,7 @@ def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
     for i in range(p + 1):
         for j in range(i, p + 1):
             w[i * n:(i + 1) * n, j * n:(j + 1) * n] = coeffs[j - i]
-    # env[a]: dense operator on the processed sites, ending in level a;
     # the identity level is the first of each block
-    env = np.zeros(((p + 1) * n, 1, 1), dtype=complex)
-    env[0] = 1.0
-    for _ in range(n_sites):
-        dim = env.shape[1] * d
-        env = np.einsum("aij,abkl->bikjl", env, w).reshape(-1, dim, dim)
-    return env[p * n]
+    rows, cols = np.nonzero(w.any(axis=(2, 3)))
+    return dense_chain(rows, cols, w[rows, cols], len(w), 0, p * n, n_sites,
+                       cap)

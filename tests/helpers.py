@@ -20,12 +20,12 @@ import scipy.linalg
 
 from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
-from dysonmpo.compression import (CompressionBasisError, CompressionReport,
-                                  _select_new_levels, gamma_keys)
+from dysonmpo.compression import (Block, CompressionBasisError,
+                                  CompressionPlan, CompressionReport,
+                                  _select_new_levels)
 from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
-from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
-from dysonmpo.levels import (IDENTITY_LEVEL, LevelLabel, completion_rows,
-                             is_one, pad_with_ones, three, two)
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
+from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
 from dysonmpo.linalg import (_ZGEQP3, _geqp3_lwork, svd_truncate,
                              truncation_rank)
 from dysonmpo.mps import FiniteMPS
@@ -556,6 +556,220 @@ def build_power_flat(rew, n):
     return levels, entries
 
 
+def build_power_stripped(rew, n):
+    """Column-merged `n`-th power of a rewired Hamiltonian, one dictionary
+    update per (entry, transition) pair; an oracle for `PowerPlan`.
+
+    Levels are stripped labels (no 1 symbols); each product step appends one
+    factor and folds the new strip-ones classes into their representative.
+    Returns ``(levels, entries)``.
+    """
+    eye = np.eye(rew.d, dtype=complex)
+    append_trans = [(x, y, op) for (x, y, op) in rew._transitions
+                    if not is_one(y)]
+    empty = IDENTITY_LEVEL
+    entries = {(empty, empty): eye}
+    for x, y, op in append_trans:
+        src = empty if is_one(x) else LevelLabel((x,))
+        dst = LevelLabel((y,))
+        key = (src, dst)
+        entries[key] = entries.get(key, 0) + op
+    for k in range(1, n):
+        new = dict(entries)
+        for (a, b), op in entries.items():
+            if len(b) != k:
+                continue
+            for x, y, t_op in append_trans:
+                src = a if is_one(x) else a.append(x)
+                key = (src, b.append(y))
+                prod = op @ t_op
+                if key in new:
+                    new[key] = new[key] + prod
+                else:
+                    new[key] = prod
+        entries = new
+    levels = sorted({lvl for pair in entries for lvl in pair})
+    return levels, entries
+
+
+def literal_power_plan(rew, n):
+    """A `PowerPlan` built from `build_power_stripped`, entry by entry."""
+    levels, entries = build_power_stripped(rew, n)
+    plan = PowerPlan(rew, n)
+    finished = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
+    plan.levels = sorted((l for l in levels if l not in finished),
+                         key=lambda l: (len(l), l))
+    index = {lvl: i for i, lvl in enumerate(plan.levels)}
+    sigmas = {}
+    fixed, rerouted = [], []
+    for (a, b), op in entries.items():
+        if a in finished:
+            continue
+        if b in finished:
+            slot = sigmas.setdefault(b.sigma(), len(sigmas))
+            rerouted.append((index[a], slot, op))
+        elif b == IDENTITY_LEVEL:
+            rerouted.append((index[a], -1, op))  # weight 1
+        else:
+            fixed.append((index[a], index[b], op))
+    plan.sigmas = list(sigmas)
+
+    def columns(triples):
+        first = np.array([t[0] for t in triples], dtype=np.intp)
+        second = np.array([t[1] for t in triples], dtype=np.intp)
+        blocks = np.array([t[2] for t in triples], dtype=complex)
+        return first, second, blocks.reshape(-1, rew.d, rew.d)
+
+    plan._fixed, plan._rerouted = columns(fixed), columns(rerouted)
+    return plan
+
+
+def interleavings(fixed, inserted):
+    """All weaves of the tuple `inserted` into the tuple `fixed` keeping
+    both sequence orders, by the places of the inserted items in
+    `itertools.combinations` order."""
+    n, m = len(fixed), len(inserted)
+    out = []
+    for pos in combinations(range(n + m), m):
+        seq = []
+        fi = ii = 0
+        pos = set(pos)
+        for p in range(n + m):
+            if p in pos:
+                seq.append(inserted[ii])
+                ii += 1
+            else:
+                seq.append(fixed[fi])
+                fi += 1
+        out.append(tuple(seq))
+    return tuple(out)
+
+
+def completion_rows(two_seq, channels, max_insertions):
+    """Row keys of the right-operator basis reachable from a 2 sequence.
+
+    A row is a tuple mixing ``("C", channel, slot)`` items (the in-progress
+    terms completing, in their fixed factor order) with ``("I", channel)``
+    items (terms started and finished within the right half).  The factor
+    positions of the insertions relative to the completions are part of the
+    key; their positions relative to any finished symbols of a level are
+    not, and are summed over when evaluating coefficients.
+    """
+    cs = tuple(("C", ch, slot) for ch, slot in two_seq)
+    rows = []
+    for j in range(max_insertions + 1):
+        for chans in product(channels, repeat=j):
+            ins = tuple(("I", ch) for ch in chans)
+            rows.extend(interleavings(cs, ins))
+    return rows
+
+
+def _segments(items, marker):
+    """Channels of `items` in runs split at the items tagged `marker`.
+
+    A stripped label splits at its 2 symbols into runs of 3-channels, and
+    a row key at its completions ``"C"`` into runs of insertions.
+    """
+    segs = [[]]
+    for item in items:
+        if item[0] == marker:
+            segs.append([])
+        else:
+            segs[-1].append(item[1])
+    return segs
+
+
+def gamma_keys(level, row, order):
+    """Bracket keys whose sum is the coefficient of `level` along `row`.
+
+    One key per weave of the row's inserted terms through the level's
+    finished symbols, holding the factor order of completions and
+    insertions fixed as given by the row, in summation order.  Empty when
+    the level cannot reach the row.
+    """
+    two_seq = list(level.two_sequence())
+    row_cs = [(item[1], item[2]) for item in row if item[0] == "C"]
+    if row_cs != two_seq:
+        return []
+    n_ins = sum(1 for item in row if item[0] == "I")
+    if level.n2 + level.n3 + n_ins > order:
+        return []
+    chan_of_two = [ch for ch, _ in two_seq]
+    per_segment = [interleavings(tuple(ls), tuple(rs)) for ls, rs in
+                   zip(_segments(level, "2"), _segments(row, "C"))]
+    keys = []
+    for weave in product(*per_segment):
+        sigma = []
+        for i, seg in enumerate(weave):
+            if i > 0:
+                sigma.append(chan_of_two[i - 1])
+            sigma.extend(seg)
+        keys.append(tuple(sigma))
+    return keys
+
+
+def literal_compression_plan(levels, order):
+    """A `CompressionPlan` whose blocks and keys come from `gamma_keys`,
+    called per (level, row) pair; an oracle for the plan's enumeration."""
+    plan = CompressionPlan.__new__(CompressionPlan)
+    plan.order = order
+    others = sorted((l for l in levels if l != IDENTITY_LEVEL),
+                    key=lambda l: (len(l), l))
+    plan.levels = [IDENTITY_LEVEL] + others
+    index = {lvl: i for i, lvl in enumerate(plan.levels)}
+    plan.positions = np.array([index[l] for l in levels], dtype=np.intp)
+    channels = sorted({sym[1] for lvl in levels for sym in lvl})
+    groups = {}
+    for lvl in others:
+        groups.setdefault((lvl.n2, lvl.n3), {}).setdefault(
+            lvl.two_sequence(), []).append(lvl)
+    slots = {}   # bracket key -> position in the bracket vector
+    earlier = {}  # 2-sequence -> levels of the blocks before
+    plan.blocks = []
+    for n2 in range(1, order + 1):
+        for n3 in range(order - n2 + 1):
+            blocks = groups.get((n2, n3), {})
+            for cseq in sorted(blocks):
+                prior = earlier.setdefault(cseq, [])
+                cols = prior + blocks[cseq]
+                rows = completion_rows(cseq, channels, order - n2 - n3)
+                sums = [[slots.setdefault(k, len(slots))
+                         for k in gamma_keys(lvl, row, order)]
+                        for row in rows for lvl in cols]
+                depth = max(1, max(map(len, sums)))
+                idx = np.full((len(sums), depth), -1, dtype=np.intp)
+                for i, s in enumerate(sums):
+                    idx[i, :len(s)] = s
+                plan.blocks.append(Block(
+                    n2, n3, cseq,
+                    np.array([index[l] for l in cols], dtype=np.intp),
+                    len(prior), idx.T.reshape(depth, len(rows), len(cols))))
+                prior.extend(blocks[cseq])
+    plan.keys = list(slots)
+    plan._batch()
+    return plan
+
+
+def literal_to_dense(mpo, n_sites):
+    """``mpo.to_dense(n_sites)`` with one `np.kron` per (level, entry)."""
+    env = {IDENTITY_LEVEL: np.array([[1.0 + 0.0j]])}
+    by_source = {}
+    for (a, b), op in mpo.entries.items():
+        by_source.setdefault(a, []).append((b, op))
+    for _ in range(n_sites):
+        new = {}
+        for a, acc in env.items():
+            for b, op in by_source.get(a, ()):
+                term = np.kron(acc, op)
+                if b in new:
+                    new[b] += term
+                else:
+                    new[b] = term
+        env = new
+    dim = mpo.d ** n_sites
+    return env.get(IDENTITY_LEVEL, np.zeros((dim, dim), dtype=complex))
+
+
 def reroute_finished_levels(levels, entries, weight_of):
     """Fold every level without 2 symbols into the identity level.
 
@@ -693,6 +907,16 @@ def magnus_word(value, word):
     return composition_sum(word, value, log_weight)
 
 
+def strip_ones(label):
+    """`label` with all 1 symbols removed; the column-merge key."""
+    return LevelLabel(s for s in label if not is_one(s))
+
+
+def pad_with_ones(label, length):
+    """Canonical member of a strip-ones class: 1 symbols in front."""
+    return LevelLabel((ONE,) * (length - len(label)) + tuple(label))
+
+
 def merge_equivalent_columns(levels, entries):
     """Exact strip-ones column merge for label-carrying MPOs.
 
@@ -702,14 +926,14 @@ def merge_equivalent_columns(levels, entries):
     """
     classes = {}
     for lvl in levels:
-        classes.setdefault(lvl.strip_ones(), []).append(lvl)
+        classes.setdefault(strip_ones(lvl), []).append(lvl)
     # representative: 1 symbols in front (always reachable)
     length = max((len(l) for l in levels), default=0)
     rep = {}
     for key, members in classes.items():
         cand = pad_with_ones(key, length)
         rep[key] = cand if cand in members else members[0]
-    strip = {lvl: lvl.strip_ones() for lvl in levels}
+    strip = {lvl: strip_ones(lvl) for lvl in levels}
     rep_set = set(rep.values())
     out = {}
     for (a, b), op in entries.items():
@@ -729,7 +953,7 @@ def column_compress(mpo):
     before = mpo.bond_dimension
     classes = {}
     for lvl in mpo.levels:
-        classes.setdefault(lvl.strip_ones(), []).append(lvl)
+        classes.setdefault(strip_ones(lvl), []).append(lvl)
     levels, entries = merge_equivalent_columns(mpo.levels, mpo.entries)
     levels = sorted(levels, key=lambda l: (len(l), l))
     out = ExtensiveMPO(mpo.d, levels, entries, order=mpo.order,
@@ -737,7 +961,7 @@ def column_compress(mpo):
     removed = []
     for key, members in sorted(classes.items()):
         for m in members:
-            if m.strip_ones() != m or m != key:
+            if strip_ones(m) != m or m != key:
                 removed.append((m, {key: 1.0}))
     removed = [(m, x) for m, x in removed if m not in out.levels]
     report = CompressionReport(kept_levels=list(out.levels),

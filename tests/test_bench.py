@@ -112,6 +112,22 @@ def test_backward_steps_are_rejected(t0, t_final, dt):
         evolve_state(ham, initial_state(config), config)
 
 
+@pytest.mark.parametrize("t0, t_final, named", [(math.nan, 1.0, "t0 = nan"),
+                                                (0.0, math.inf, "t = inf"),
+                                                (0.0, math.nan, "t = nan"),
+                                                (-math.inf, 0.0, "t0 = -inf")])
+def test_non_finite_interval_ends_are_rejected(t0, t_final, named):
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=0.25,
+                             order=1)
+    with pytest.raises(ValueError, match=f"interval end {named} is not"):
+        evolve_state(ham, initial_state(config), config)
+    cache = BracketCache(ham)
+    with pytest.raises(ValueError, match=f"interval end {named} is not"):
+        cache.table(t0, t_final, 2)
+    assert cache.computed == 0
+
+
 def test_empty_interval_takes_no_step():
     ham = modulated_ising()
     config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5, dt=0.25,
@@ -177,7 +193,7 @@ def test_csv_schema():
                                    "mps_bond_dim", "seed", "mpo_bond_before",
                                    "fold_residual", "mpo_builds",
                                    "discarded_weight", "bracket_s",
-                                   "build_s", "apply_s"]
+                                   "build_s", "apply_s", "plan_s"]
 
 
 def test_initial_state_seeded():
@@ -471,13 +487,13 @@ def test_sweep_computes_one_table_per_interval(monkeypatch):
 def _count_powers(monkeypatch):
     """The rewired Hamiltonian and order of every power built."""
     built = []
-    original = extensive.build_power_stripped
+    original = extensive._power
 
     def counting(rew, n):
         built.append((rew, n))
         return original(rew, n)
 
-    monkeypatch.setattr(extensive, "build_power_stripped", counting)
+    monkeypatch.setattr(extensive, "_power", counting)
     return built
 
 
@@ -516,6 +532,23 @@ def test_plans_are_not_shared_between_sweeps(monkeypatch):
     built.clear()
     run_benchmark(first, _four_site_sweep(method="magnus"))
     assert [n for _, n in built] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("method", ["dyson", "magnus"])
+def test_only_the_first_evolution_of_an_order_builds_its_plan(method):
+    # the power and compression plan of an order are built in its first
+    # evolution, as part of build_s; later ones of the sweep reuse them
+    records = run_benchmark(modulated_ising(), _four_site_sweep(
+        method=method))
+    rows = records_to_csv(records).strip().splitlines()[2:]
+    assert [r.dt for r in records] == [0.25, 0.125] * 4
+    for r, row in zip(records, rows):
+        if r.dt == 0.25:
+            assert 0 < r.plan_s < r.build_s
+        else:
+            assert r.plan_s == 0.0
+        fields = dict(zip(bench.CSV_COLUMNS, row.split(",")))
+        assert float(fields["plan_s"]) == pytest.approx(r.plan_s, rel=1e-5)
 
 
 def test_evolve_state_reports_the_compression(monkeypatch):
@@ -623,7 +656,7 @@ def _tracer_module():
 def _untimed(records):
     return [{k: v for k, v in dataclasses.asdict(r).items()
              if k not in ("wall_time_per_step", "bracket_s", "build_s",
-                          "apply_s")}
+                          "apply_s", "plan_s")}
             for r in records]
 
 

@@ -294,3 +294,12 @@ def test_sampled_driving_rejects_misread_input(kwargs, match):
     with pytest.raises(ValueError, match=match):
         SampledDriving(**kwargs)
 
+
+
+@pytest.mark.parametrize("t0, t, named", [(math.nan, 0.25, "t0 = nan"),
+                                          (0.0, math.inf, "t = inf"),
+                                          (0.0, -math.inf, "t = -inf")])
+def test_non_finite_interval_ends_raise(t0, t, named):
+    channels = [(c.name, c.driving) for c in modulated_ising().channels]
+    with pytest.raises(ValueError, match=f"interval end {named} is not"):
+        BracketTable.compute(channels, t0, t, 2)

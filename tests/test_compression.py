@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
+                     literal_compression_plan, literal_power_plan,
                      literal_row_compress)
 
-from dysonmpo import compression, fdmpo
+from dysonmpo import compression, fdmpo, levels
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
-from dysonmpo.compression import row_compress
+from dysonmpo.compression import CompressionPlan, row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, magnus_evolution
@@ -278,19 +279,19 @@ def test_report_serialization():
 
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
 def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
-    # the keys of each (level, row) entry are enumerated once, when the
+    # the keys of each (level, row) shape are enumerated once, when the
     # plan is built; a later step of the same plan enumerates none
     ham = model()
     tab = table_for(ham, 0.0, 0.0625, 4)
     mpo = dyson_mpo(ham, 0.0, 0.0625, 4, tab)
     seen = []
-    keys = compression.gamma_keys
+    pattern = levels._weave_pattern
 
-    def counting_keys(level, row, order):
-        seen.append((level, row))
-        return keys(level, row, order)
+    def counting_pattern(lengths, inserts, at):
+        seen.append((tuple(lengths), tuple(inserts)))
+        return pattern(lengths, inserts, at)
 
-    monkeypatch.setattr(compression, "gamma_keys", counting_keys)
+    monkeypatch.setattr(levels, "_weave_pattern", counting_pattern)
     out, report = row_compress(mpo, tol=1e-12)
     assert report.bond_dimension_after < report.bond_dimension_before
     assert seen
@@ -530,3 +531,60 @@ def test_compressed_mpo_holds_its_fold_tensor():
     for (a, b), op in out.entries.items():
         rebuilt[idx[a], idx[b]] = op
     assert np.array_equal(rebuilt, site)
+
+
+def xxz_with_field():
+    """The modulated XXZ plus a driven on-site field: three channels."""
+    field = Channel("x", fdmpo.from_terms(2, on_site=SX), COS)
+    return TimeDependentHamiltonian(list(modulated_xxz().channels) + [field])
+
+
+def _same_arrays(a, b):
+    """Equal lists of arrays: dtype, shape and every element."""
+    return len(a) == len(b) and all(
+        x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+        for x, y in zip(a, b))
+
+
+def _weight(sigma):
+    return 0.5 ** len(sigma) * (1 + 1j * sum(map(len, sigma)))
+
+
+@pytest.mark.parametrize("model, order", [
+    (model, order) for model in (modulated_ising, modulated_xxz)
+    for order in range(1, 6)] + [(xxz_with_field, order)
+                                 for order in range(1, 5)])
+def test_step_plans_equal_the_literal_builds_bitwise(model, order):
+    # the power and its compression plan, built in array passes, equal
+    # the power built entry by entry and the keys enumerated per (level,
+    # row) pair: levels, entry order and blocks, keys, index arrays,
+    # waves and settled arrays
+    rew = RewiredHamiltonian.from_hamiltonian(model())
+    plan, ref = PowerPlan(rew, order), literal_power_plan(rew, order)
+    mpo = plan.mpo(_weight)
+    assert plan.levels == ref.levels and plan.sigmas == ref.sigmas
+    assert _same_arrays(plan._fixed + plan._rerouted,
+                        ref._fixed + ref._rerouted)
+    assert _same_arrays(mpo.coo(), ref.mpo(_weight).coo())
+    # levels in an order of their own, so that positions are not trivial
+    shuffled = plan.levels[::-1]
+    comp = CompressionPlan(shuffled, order)
+    lit = literal_compression_plan(shuffled, order)
+    assert comp.levels == lit.levels == plan.levels
+    assert comp.keys == lit.keys
+    assert [(b.n2, b.n3, b.two_sequence, b.n_prior) for b in comp.blocks] \
+        == [(b.n2, b.n3, b.two_sequence, b.n_prior) for b in lit.blocks]
+    assert _same_arrays(
+        [a for b in comp.blocks for a in (b.levels, b.index)],
+        [a for b in lit.blocks for a in (b.levels, b.index)])
+    assert [[batch.numbers for batch in wave] for wave in comp.waves] == \
+        [[batch.numbers for batch in wave] for wave in lit.waves]
+    assert _same_arrays(
+        [a for wave in comp.waves for batch in wave
+         for a in (batch.levels, batch.index)],
+        [a for wave in lit.waves for batch in wave
+         for a in (batch.levels, batch.index)])
+    assert _same_arrays(
+        [comp.positions, comp.settled, comp.settled_levels,
+         comp.settled_index],
+        [lit.positions, lit.settled, lit.settled_levels, lit.settled_index])

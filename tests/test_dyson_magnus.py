@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from helpers import (composition_sum, driving_value, exp_weight,
-                     flat_dyson_mpo, level_symbols, log_weight,
-                     magnus_omega1, magnus_omega2, magnus_taylor_mpo,
-                     magnus_word, rewired_dense)
+                     flat_dyson_mpo, level_symbols, literal_to_dense,
+                     log_weight, magnus_omega1, magnus_omega2,
+                     magnus_taylor_mpo, magnus_word, rewired_dense)
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import BracketCache, build_step_mpo
@@ -482,3 +482,21 @@ def test_magnus_mpo_against_the_taylor_power_of_omega(order, dts):
 def test_identity_mpo():
     w = identity_mpo(2)
     np.testing.assert_allclose(w.to_dense(3), np.eye(8), atol=1e-15)
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_to_dense_matches_the_per_entry_expansion(model, order):
+    # the sparse contraction over the coordinate arrays against one kron
+    # per (level, entry), for the power and its row compression
+    ham = model()
+    tab = table_for(ham, 0.1, 0.35, order)
+    mpo, _ = build_step_mpo(ham, 0.1, 0.35, order, "dyson", tab, 1e-12,
+                            compress=False)
+    compressed, _ = build_step_mpo(ham, 0.1, 0.35, order, "dyson", tab,
+                                   1e-12)
+    for w in (mpo, compressed):
+        for n in range(5):
+            ref = literal_to_dense(w, n)
+            assert np.linalg.norm(w.to_dense(n) - ref) <= \
+                1e-13 * np.linalg.norm(ref)

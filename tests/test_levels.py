@@ -1,11 +1,11 @@
-from dysonmpo.levels import (IDENTITY_LEVEL, ONE, LevelLabel, completion_rows,
-                             interleavings, pad_with_ones, three, two)
+from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
+from helpers import completion_rows, interleavings, pad_with_ones, strip_ones
 
 
 def test_counters_and_strip():
     lbl = LevelLabel((ONE, two("a", 1), three("b"), ONE, three("a")))
     assert lbl.n1 == 2 and lbl.n2 == 1 and lbl.n3 == 2
-    stripped = lbl.strip_ones()
+    stripped = strip_ones(lbl)
     assert stripped == LevelLabel((two("a", 1), three("b"), three("a")))
     assert stripped.n1 == 0
     assert lbl.sigma() == ("b", "a")
@@ -26,7 +26,7 @@ def test_pad_with_ones():
     lbl = LevelLabel((two("x", 0),))
     padded = pad_with_ones(lbl, 3)
     assert padded == LevelLabel((ONE, ONE, two("x", 0)))
-    assert padded.strip_ones() == lbl
+    assert strip_ones(padded) == lbl
 
 
 def test_identity_level_is_empty():

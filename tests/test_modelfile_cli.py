@@ -159,7 +159,7 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert lines[1] == ("method,order,dt,epsilon,wall_time_per_step_s,"
                         "mpo_bond_dim,mps_bond_dim,seed,mpo_bond_before,"
                         "fold_residual,mpo_builds,discarded_weight,"
-                        "bracket_s,build_s,apply_s")
+                        "bracket_s,build_s,apply_s,plan_s")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]
@@ -200,6 +200,17 @@ def test_cli_rejects_bad_sweep_lists(model_path, option, value, named,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {option}" in err and named in err
+
+
+@pytest.mark.parametrize("command", ["bench", "build-mpo", "integrate"])
+@pytest.mark.parametrize("option, value", [("--t", "inf"), ("--t0", "nan")])
+def test_cli_rejects_non_finite_times(model_path, command, option, value,
+                                      capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", model_path, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be finite, got {value}" in err
 
 
 @pytest.mark.parametrize("args, named", [
