@@ -539,6 +539,22 @@ def xxz_with_field():
     return TimeDependentHamiltonian(list(modulated_xxz().channels) + [field])
 
 
+def three_level_longer_range():
+    """d = 3, a coupling over a middle-slot chain (A), three channels."""
+    rng = np.random.default_rng(1)
+
+    def op():
+        return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+    h1 = fdmpo.FirstDegreeMPO(3, 2, L={0: op(), 1: op()}, A={(0, 1): op()},
+                              R={0: op(), 1: op()}, D=op())
+    h2 = fdmpo.FirstDegreeMPO(3, 1, L={0: op()}, R={0: op()})
+    h3 = fdmpo.FirstDegreeMPO(3, 0, D=op())
+    return TimeDependentHamiltonian([Channel("p", h1, SIN),
+                                     Channel("q", h2, ConstDriving(1.0)),
+                                     Channel("r", h3, COS)])
+
+
 def _same_arrays(a, b):
     """Equal lists of arrays: dtype, shape and every element."""
     return len(a) == len(b) and all(
@@ -552,8 +568,9 @@ def _weight(sigma):
 
 @pytest.mark.parametrize("model, order", [
     (model, order) for model in (modulated_ising, modulated_xxz)
-    for order in range(1, 6)] + [(xxz_with_field, order)
-                                 for order in range(1, 5)])
+    for order in range(1, 6)] + [
+    (model, order) for model in (xxz_with_field, three_level_longer_range)
+    for order in range(1, 5)])
 def test_step_plans_equal_the_literal_builds_bitwise(model, order):
     # the power and its compression plan, built in array passes, equal
     # the power built entry by entry and the keys enumerated per (level,
@@ -588,3 +605,18 @@ def test_step_plans_equal_the_literal_builds_bitwise(model, order):
         [comp.positions, comp.settled, comp.settled_levels,
          comp.settled_index],
         [lit.positions, lit.settled, lit.settled_levels, lit.settled_index])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_compression_plan_below_the_power_order_equals_the_literal(order):
+    # levels longer than the compression order take no block
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(modulated_xxz()), 4)
+    plan.mpo(_weight)
+    comp = CompressionPlan(plan.levels, order)
+    lit = literal_compression_plan(plan.levels, order)
+    assert comp.keys == lit.keys
+    assert [(b.n2, b.n3, b.two_sequence, b.n_prior) for b in comp.blocks] \
+        == [(b.n2, b.n3, b.two_sequence, b.n_prior) for b in lit.blocks]
+    assert _same_arrays(
+        [a for b in comp.blocks for a in (b.levels, b.index)],
+        [a for b in lit.blocks for a in (b.levels, b.index)])
