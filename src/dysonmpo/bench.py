@@ -33,7 +33,7 @@ METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
                "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
                "fold_residual", "mpo_builds", "discarded_weight",
-               "bracket_s", "build_s", "apply_s", "plan_s"]
+               "bracket_s", "build_s", "apply_s", "plan_s", "mpo_blocks"]
 
 
 @dataclass
@@ -80,6 +80,7 @@ class ErrorRecord:
     fold_residual: float = 0.0       # largest relative least-squares residual
     mpo_builds: int = 0              # step MPOs built (one per congruence class)
     plan_s: float = 0.0              # of build_s, spent building the step plan
+    mpo_blocks: int = 0              # nonzero blocks of the largest step MPO
 
 
 def bracket_order(method, order):
@@ -218,9 +219,11 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     compressing step MPOs (`build_s`) and applying them (`apply_s`), the
     part of `build_s` spent building the step plan of `order` (`plan_s`;
     0 when an earlier call with the same `cache` built it, and for
-    Taylor steps, whose MPOs each build a plan of their own), and the
-    number of tables computed for this call (`tables_computed`; a shared
-    `cache` may serve tables an earlier call computed).  A run
+    Taylor steps, whose MPOs each build a plan of their own), the most
+    nonzero (left, right) blocks a step MPO holds (`mpo_blocks`; their
+    fill decides whether `apply_mpo`'s transfer operators are sparse),
+    and the number of tables computed for this call (`tables_computed`;
+    a shared `cache` may serve tables an earlier call computed).  A run
     `_step_count` rejects raises `ValueError` before any step.
     """
     order = config.order if order is None else order
@@ -236,6 +239,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     plan_before = plan.plan_s
     step_mpos = {}
     mpo_bond = 0
+    mpo_blocks = 0
     bond_before = 0
     fold_residual = 0.0
     mps_bond = psi.max_bond
@@ -259,6 +263,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                                          qr_tol=config.qr_tol, plan=plan)
             build_s += time.perf_counter() - start
             step_mpos[key] = mpo
+            mpo_blocks = max(mpo_blocks, mpo.n_blocks)
             bond_before = max(bond_before, mpo.bond_dimension)
             if report is not None:
                 bond_before = max(bond_before, report.bond_dimension_before)
@@ -278,6 +283,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
                  "discarded_weight": discarded, "bracket_s": bracket_s,
                  "build_s": build_s, "apply_s": apply_s,
                  "plan_s": plan.plan_s - plan_before,
+                 "mpo_blocks": mpo_blocks,
                  "tables_computed": cache.computed - computed_before}
 
 
@@ -314,7 +320,7 @@ def _epsilon_stable(psi, reference):
 
 _RECORDED = ("discarded_weight", "bracket_s", "build_s", "apply_s",
              "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds",
-             "plan_s")
+             "plan_s", "mpo_blocks")
 
 
 def run_benchmark(hamiltonian, config):
@@ -370,7 +376,7 @@ def records_to_csv(records, seed=0):
                          f"{r.fold_residual:.6g}", r.mpo_builds,
                          f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}",
                          f"{r.build_s:.6g}", f"{r.apply_s:.6g}",
-                         f"{r.plan_s:.6g}"])
+                         f"{r.plan_s:.6g}", r.mpo_blocks])
     return buf.getvalue()
 
 

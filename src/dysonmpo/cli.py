@@ -2,11 +2,23 @@
 
 import argparse
 import math
+import re
 import sys
 
 from . import modelfile
 from .bench import (METHODS, BracketCache, EvolutionConfig, bracket_order,
                     build_step_mpo, records_to_csv, run_benchmark)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads ``-inf``, ``-nan`` and ``-1e-3`` as
+    values, as argparse reads ``-1``, so that the value checks name them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)$",
+            re.IGNORECASE)
 
 
 def _at_least_one(text):
@@ -99,7 +111,7 @@ def cmd_bench(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dysonmpo",
         description="MPO encodings of time-evolution operators for 1D chains")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -28,8 +28,8 @@ plan's index arrays (summing each entry's keys in weave order, so the
 rank decisions match a literal evaluation bit for bit), selects and
 solves, and folds the removed levels into the kept ones at once: the
 product ``W[kept rows, :] @ T``, ``T`` holding the identity on kept
-levels and the fold coefficients.  The result is held as its dense site
-tensor.
+levels and the fold coefficients.  The result is held as the coordinate
+blocks the fold fills, which `apply_mpo` reads.
 
 A step does only the work whose outcome depends on its numbers.  A block
 with one own level and no earlier levels of its 2-sequence keeps that
@@ -354,8 +354,8 @@ def row_compress(mpo, order=None, tol=1e-12):
         Relative rank tolerance of the pivoted QR; vanishing integrals can
         legitimately reduce the kept set.
 
-    Returns ``(compressed_mpo, report)``; the compressed MPO holds its dense
-    site tensor.
+    Returns ``(compressed_mpo, report)``; the compressed MPO holds the
+    coordinate blocks of the fold.
 
     Levels are visited grouped by ``(n2, n3)`` with ``n3 = 0`` first.  Rows
     of the operator basis only couple levels sharing the same sequence of
@@ -385,9 +385,9 @@ def row_compress(mpo, order=None, tol=1e-12):
 
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
-    out = ExtensiveMPO.from_site_tensor(
-        mpo.d, levels, _fold(mpo, plan, kept, terms),
-        order=order, params=params)
+    out = ExtensiveMPO.from_arrays(
+        mpo.d, levels, *_fold(mpo, plan, kept, terms), order=order,
+        params=params)
     report = CompressionReport(kept_levels=list(levels),
                                removed_levels=lambda: _removals(plan, chunks),
                                bond_dimension_before=mpo.bond_dimension,
@@ -548,24 +548,29 @@ def _column_scale(g):
 
 
 def _fold(mpo, plan, kept, terms):
-    """Dense site tensor of ``W[kept rows, :] @ T`` over the kept levels.
+    """Coordinate blocks ``(rows, cols, blocks)`` of ``W[kept rows, :] @ T``.
 
     ``T`` is the identity on kept levels plus, for each removed level, its
-    coefficients on the kept ones.  `terms` holds three arrays
-    ``(removed level, kept level, coefficient)``, one entry per term in the
-    order the levels were removed, or None.  Entry ``(a, k)`` starts from
-    ``W[a, k]`` and adds the removed levels' terms one at a time in that
-    order, which is the order of a level-by-level column merge: round `j`
-    adds the `j`-th term of every entry, so no round repeats an entry.
+    coefficients on the kept ones; the indices count kept levels.
+    `terms` holds three arrays ``(removed level, kept level,
+    coefficient)``, one entry per term in the order the levels were
+    removed, or None.  Entry ``(a, k)`` starts from ``W[a, k]`` and adds
+    the removed levels' terms one at a time in that order, which is the
+    order of a level-by-level column merge: round `j` adds the `j`-th term
+    of every entry, so no round repeats an entry.  Only the entries some
+    term or kept block reaches are stored, in row-major order, and those
+    that sum to exactly zero are dropped.
     """
     rows, cols, blocks = mpo.coo()
     rows, cols = plan.positions[rows], plan.positions[cols]
-    d = mpo.d
     m = int(kept.sum())
     new = np.cumsum(kept) - 1
-    out = np.zeros((m * m, d, d), dtype=complex)
     direct = kept[rows] & kept[cols]
-    out[new[rows[direct]] * m + new[cols[direct]]] = blocks[direct]
+    # entries are numbered a * m + k over the kept levels; `at` numbers
+    # the ones reached in that order
+    hit = np.zeros(m * m, dtype=bool)
+    slot = new[rows[direct]] * m + new[cols[direct]]
+    hit[slot] = True
     if terms is not None:
         source, target, coeff = terms
         # entries of each source column, term by term
@@ -577,11 +582,20 @@ def _fold(mpo, plan, kept, terms):
         entry = by_col[start[source][term] + offset]
         live = kept[rows[entry]]
         entry, term = entry[live], term[live]
-        slot = new[rows[entry]] * m + new[target[term]]
-        order, targets, rounds = _rounds(slot, m * m)
+        added = new[rows[entry]] * m + new[target[term]]
+        hit[added] = True
+    slots = hit.nonzero()[0]
+    at = np.empty(m * m, dtype=np.intp)
+    at[slots] = np.arange(len(slots))
+    out = np.zeros((len(slots),) + blocks.shape[1:], dtype=complex)
+    out[at[slot]] = blocks[direct]
+    if terms is not None:
+        order, targets, rounds = _rounds(at[added], len(slots))
         add = coeff[term[order], None, None] * blocks[entry[order]]
         acc = out[targets]
         for lo, width in rounds:
             acc[:width] += add[lo:lo + width]
         out[targets] = acc
-    return out.reshape(m, m, d, d)
+    live = out.any(axis=(1, 2))
+    slots = slots[live]
+    return slots // m, slots % m, out[live]

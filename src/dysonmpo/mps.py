@@ -10,6 +10,16 @@ shrinks no bond.  It is still factorised while that costs no more than
 forming it, because the triangular remainder keeps weak MPO channels
 apart from strong ones; past that, the site keeps the identity isometry
 and the whole matrix moves on, which is exact.
+
+The MPO enters through its two transfer operators (`ExtensiveMPO.transfer`),
+``(D_w*d, D_w*d)`` matrices built once per MPO from its coordinate blocks:
+``(b, s) <- (a, p)`` for the sweep from the left end and ``(a, s) <-
+(b, p)`` for the one from the right.  A site is one matrix product with
+the MPS tensor, one with the operator and two transposes into the layout
+of the next product and of the factorisation.  An operator is a CSR
+matrix when its nonzero entries fill less than `extensive.SPARSE_BELOW`
+of it, as a wide order-4 XXZ MPO does (3.4%), and a dense array
+otherwise; both are used through ``@``.
 """
 
 import numpy as np
@@ -126,12 +136,25 @@ def _qr(mat):
     return q, np.concatenate([r, q.conj().T @ mat[:, m:]], axis=1)
 
 
-def _left_step(r_left, a, w):
+def _left_matrix(r_left, a, left):
+    """Site matrix ``(k*d, D_w*chi_r)``, rows (k, s) and columns (b, r), of
+    the left remainder ``(k, D_w, chi_l)`` times MPS tensor `a` and the
+    left transfer operator ``(b, s) <- (a, p)``."""
+    k, dw, chi_l = r_left.shape
+    d, chi_r = a.shape[1], a.shape[2]
+    t = r_left.reshape(k * dw, chi_l) @ a.reshape(chi_l, d * chi_r)
+    x = t.reshape(k, dw * d, chi_r).transpose(1, 0, 2)       # (a p, k, r)
+    y = left @ x.reshape(dw * d, k * chi_r)                  # (b s, k r)
+    return y.reshape(dw, d, k, chi_r).transpose(2, 1, 0, 3).reshape(
+        k * d, dw * chi_r)
+
+
+def _left_step(r_left, a, left):
     """Absorb one site into the left remainder; returns ``(q, r_left)``.
 
-    `r_left` has shape ``(k, D_w, chi_l)``; the contracted site is reshaped
-    to ``(k*d, D_w*chi_r)`` and QR-factorised into a left-orthonormal
-    ``(k, d, m)`` tensor and the new remainder ``(m, D_w, chi_r)``.  When
+    `r_left` has shape ``(k, D_w, chi_l)``; the contracted site
+    (`_left_matrix`) is QR-factorised into a left-orthonormal ``(k, d,
+    m)`` tensor and the new remainder ``(m, D_w, chi_r)``.  When
     ``chi_l + D_w*d < k*d <= D_w*chi_r`` the site is the identity isometry
     ``(k, d, k*d)``, returned as None, and the whole matrix is the
     remainder: Q would be square, and the QR would cost more than the
@@ -139,29 +162,31 @@ def _left_step(r_left, a, w):
     """
     k, dw, chi_l = r_left.shape
     d, chi_r = a.shape[1], a.shape[2]
-    t = np.tensordot(r_left, a, axes=(2, 0))                # (k, a, p, r)
-    t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
-    mat = t.transpose(0, 3, 2, 1).reshape(k * d, dw * chi_r)
+    mat = _left_matrix(r_left, a, left)
     if chi_l + dw * d < k * d <= dw * chi_r:
         return None, mat.reshape(k * d, dw, chi_r)
     q, r = _qr(mat)
     return q.reshape(k, d, -1), r.reshape(-1, dw, chi_r)
 
 
-def _right_step(a, w, r_right):
+def _right_step(a, right, r_right):
     """Mirror of `_left_step` from the right chain end; returns ``(q, r_right)``.
 
-    `r_right` has shape ``(D_w, chi_r, k)``; the LQ factorisation of the
-    ``(D_w*chi_l, d*k)`` site matrix is the QR of its conjugate transpose.
-    When ``chi_r + D_w*d < d*k <= D_w*chi_l`` the site is the identity
-    isometry ``(d*k, d, k)``, returned as None, and the whole matrix is the
-    remainder.
+    `r_right` has shape ``(D_w, chi_r, k)`` and `right` maps ``(b, p)``
+    to ``(a, s)``; the LQ factorisation of the ``(D_w*chi_l, d*k)`` site
+    matrix, rows (a, l) and columns (s, k), is the QR of its conjugate
+    transpose.  When ``chi_r + D_w*d < d*k <= D_w*chi_l`` the site is the
+    identity isometry ``(d*k, d, k)``, returned as None, and the whole
+    matrix is the remainder.
     """
     dw, chi_r, k = r_right.shape
     chi_l, d = a.shape[0], a.shape[1]
-    t = np.tensordot(a, r_right, axes=(2, 1))               # (l, p, b, k)
-    t = np.tensordot(w, t, axes=([1, 3], [2, 1]))           # (a, s, l, k)
-    mat = t.transpose(0, 2, 1, 3).reshape(dw * chi_l, d * k)
+    t = a.reshape(chi_l * d, chi_r) @ r_right.transpose(1, 0, 2).reshape(
+        chi_r, dw * k)                                       # (l, p, b, k)
+    x = t.reshape(chi_l, d, dw, k).transpose(2, 1, 0, 3)     # (b, p, l, k)
+    y = right @ x.reshape(dw * d, chi_l * k)                 # (a s, l k)
+    mat = y.reshape(dw, d, chi_l, k).transpose(0, 2, 1, 3).reshape(
+        dw * chi_l, d * k)
     if chi_r + dw * d < d * k <= dw * chi_l:
         return None, mat.reshape(dw, chi_l, d * k)
     q, r = _qr(mat.conj().T)
@@ -190,7 +215,10 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     left-canonical form, and a right-to-left SVD sweep truncates it at
     `d_max` / `svd_tol`.  No tensor of the raw bond ``D_w * chi`` is formed,
     and every factorised matrix has a side no longer than ``d`` to the
-    power of its distance to the nearer chain end.
+    power of its distance to the nearer chain end.  The MPO acts through
+    its transfer operators (`ExtensiveMPO.transfer`), built on the first
+    apply and kept with the MPO: CSR below `extensive.SPARSE_BELOW` of
+    their entries nonzero, dense above.
 
     A left-step matrix ``(k*d, D_w*chi)`` with ``k*d <= D_w*chi`` (and the
     mirror LQ case on the right) leaves bond ``k*d`` with or without its
@@ -214,8 +242,8 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
     check_svd_tol(svd_tol)
-    w = mpo.site_tensor()  # (left, right, out, in)
-    dw = w.shape[0]
+    left, right = mpo.transfer()
+    dw = mpo.bond_dimension
     boundary = np.zeros(dw, dtype=complex)
     boundary[mpo.boundary_index()] = 1.0
     n = psi.n_sites
@@ -223,13 +251,13 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     tensors = [None] * n
     r_left = boundary.reshape(1, dw, 1)
     for i in range(c):
-        tensors[i], r_left = _left_step(r_left, psi.tensors[i], w)
+        tensors[i], r_left = _left_step(r_left, psi.tensors[i], left)
     r_right = boundary.reshape(dw, 1, 1)
     for i in range(n - 1, c, -1):
-        tensors[i], r_right = _right_step(psi.tensors[i], w, r_right)
-    t = np.tensordot(r_left, psi.tensors[c], axes=(2, 0))  # (k, a, p, r)
-    t = np.tensordot(t, w, axes=([1, 2], [0, 3]))           # (k, r, b, s)
-    tensors[c] = np.tensordot(t, r_right, axes=([1, 2], [1, 0]))
+        tensors[i], r_right = _right_step(psi.tensors[i], right, r_right)
+    mat = _left_matrix(r_left, psi.tensors[c], left)
+    tensors[c] = (mat @ r_right.reshape(-1, r_right.shape[2])).reshape(
+        r_left.shape[0], psi.d, -1)
     # a None site is an identity isometry: multiplying into it is a reshape
     for i in range(c, n - 1):
         dl, d, dr = tensors[i].shape

@@ -193,7 +193,8 @@ def test_csv_schema():
                                    "mps_bond_dim", "seed", "mpo_bond_before",
                                    "fold_residual", "mpo_builds",
                                    "discarded_weight", "bracket_s",
-                                   "build_s", "apply_s", "plan_s"]
+                                   "build_s", "apply_s", "plan_s",
+                                   "mpo_blocks"]
 
 
 def test_initial_state_seeded():
@@ -554,12 +555,13 @@ def test_only_the_first_evolution_of_an_order_builds_its_plan(method):
 def test_evolve_state_reports_the_compression(monkeypatch):
     ham = modulated_ising()
     config = _reuse_config("dyson")
-    reports = []
+    reports, mpos = [], []
     original = bench.build_step_mpo
 
     def recording(*args, **kwargs):
         mpo, report = original(*args, **kwargs)
         reports.append(report)
+        mpos.append(mpo)
         return mpo, report
 
     monkeypatch.setattr(bench, "build_step_mpo", recording)
@@ -570,6 +572,9 @@ def test_evolve_state_reports_the_compression(monkeypatch):
     assert stats["mpo_bond_dim"] < stats["mpo_bond_before"]
     assert stats["fold_residual"] == max(r.fold_residual for r in reports)
     assert 0 <= stats["fold_residual"] < 1e-8
+    # the most nonzero (left, right) blocks of a step MPO
+    blocks = [int(m.site_tensor().any(axis=(2, 3)).sum()) for m in mpos]
+    assert stats["mpo_blocks"] == max(blocks) > 0
 
 
 def test_records_carry_the_evolution_stats():
@@ -585,9 +590,12 @@ def test_records_carry_the_evolution_stats():
         assert r.fold_residual == stats["fold_residual"]
         # two periods of the drive: the second reuses the first's MPOs
         assert r.mpo_builds == stats["mpo_builds"] == r.n_steps // 2
+        assert r.mpo_blocks == stats["mpo_blocks"] > r.mpo_bond_dim
         fields = dict(zip(bench.CSV_COLUMNS, row.split(",")))
         assert int(fields["mpo_bond_before"]) == r.mpo_bond_before
         assert int(fields["mpo_builds"]) == r.mpo_builds
+        assert int(fields["mpo_blocks"]) == r.mpo_blocks
+        assert row.split(",")[-1] == str(r.mpo_blocks)
         assert float(fields["fold_residual"]) == pytest.approx(
             r.fold_residual, rel=1e-5, abs=0)
         assert float(fields["discarded_weight"]) == pytest.approx(

@@ -15,9 +15,10 @@ from dysonmpo.compression import CompressionPlan, row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, magnus_evolution
-from dysonmpo.extensive import PowerPlan, RewiredHamiltonian
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
+from dysonmpo.mps import FiniteMPS, apply_mpo
 from dysonmpo.spin import SX, SY, SZ
 from dysonmpo.taylor import taylor_mpo
 
@@ -518,19 +519,45 @@ def test_row_compress_rejects_non_finite_brackets(bad):
                            qr_tol=1e-12)
 
 
-def test_compressed_mpo_holds_its_fold_tensor():
-    # apply_mpo reads the tensor the fold produced, not a copy rebuilt
-    # from entries, and the entries derived from it agree
-    ham = modulated_ising()
+def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
+    # the compressed MPO holds the coordinate blocks the fold made, in
+    # row-major order and none of them zero; apply_mpo builds its transfer
+    # operators from them without a dense site tensor, and coo(),
+    # site_tensor() and entries agree exactly
+    folded = []
+    fold = compression._fold
+
+    def recording(*args):
+        folded.append(fold(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(compression, "_fold", recording)
+    ham = modulated_xxz()
     tab = table_for(ham, 0.0, 0.0625, 3)
     out, _ = row_compress(dyson_mpo(ham, 0.0, 0.0625, 3, tab), 3)
+    rows, cols, blocks = out.coo()
+    assert all(a is b for a, b in zip(out.coo(), folded[0]))
+    m = out.bond_dimension
+    assert np.all(np.diff(rows * m + cols) > 0)
+    assert blocks.any(axis=(1, 2)).all()
     site = out.site_tensor()
-    assert out.site_tensor() is site and not site.flags.writeable
-    idx = {lvl: i for i, lvl in enumerate(out.levels)}
-    rebuilt = np.zeros_like(site)
-    for (a, b), op in out.entries.items():
-        rebuilt[idx[a], idx[b]] = op
-    assert np.array_equal(rebuilt, site)
+    assert np.array_equal(site[rows, cols], blocks)
+    assert np.count_nonzero(site.any(axis=(2, 3))) == len(rows)
+    lv = out.levels
+    assert list(out.entries) == [(lv[a], lv[b]) for a, b in zip(rows, cols)]
+    assert all(np.array_equal(op, block)
+               for op, block in zip(out.entries.values(), blocks))
+    psi = FiniteMPS.random_product(6, rng=5)
+    ref = apply_mpo(out, psi, d_max=8)
+    fresh = ExtensiveMPO.from_arrays(out.d, out.levels, rows, cols, blocks)
+
+    def no_site_tensor(self):
+        raise AssertionError("apply_mpo asked for the dense site tensor")
+
+    monkeypatch.setattr(ExtensiveMPO, "site_tensor", no_site_tensor)
+    got = apply_mpo(fresh, psi, d_max=8)
+    assert np.array_equal(got[0].to_dense(), ref[0].to_dense())
+    assert got[1] == ref[1]
 
 
 def xxz_with_field():

@@ -159,7 +159,7 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert lines[1] == ("method,order,dt,epsilon,wall_time_per_step_s,"
                         "mpo_bond_dim,mps_bond_dim,seed,mpo_bond_before,"
                         "fold_residual,mpo_builds,discarded_weight,"
-                        "bracket_s,build_s,apply_s,plan_s")
+                        "bracket_s,build_s,apply_s,plan_s,mpo_blocks")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]
@@ -203,9 +203,11 @@ def test_cli_rejects_bad_sweep_lists(model_path, option, value, named,
 
 
 @pytest.mark.parametrize("command", ["bench", "build-mpo", "integrate"])
-@pytest.mark.parametrize("option, value", [("--t", "inf"), ("--t0", "nan")])
+@pytest.mark.parametrize("option, value", [("--t", "inf"), ("--t0", "nan"),
+                                           ("--t", "-inf"), ("--t0", "-inf")])
 def test_cli_rejects_non_finite_times(model_path, command, option, value,
                                       capsys):
+    # "-inf" as its own argument is a value, not an unknown option
     with pytest.raises(SystemExit) as exc:
         main([command, "--model", model_path, option, value])
     assert exc.value.code == 2

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 
 from helpers import literal_apply_mpo, literal_rk4
 
-from dysonmpo import modelfile
+from dysonmpo import extensive, modelfile
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, PolyDriving, \
     SampledDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo
 from dysonmpo.evolve import exact_evolution_operator, exact_evolve
+from dysonmpo.extensive import ExtensiveMPO
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
@@ -402,3 +404,81 @@ def test_apply_rejects_d_max_below_one(d_max):
 def test_empty_mps_raises():
     with pytest.raises(ValueError, match="at least one site"):
         FiniteMPS([])
+
+
+def _fresh(w):
+    """A copy of `w` that has built no transfer operators."""
+    return ExtensiveMPO.from_arrays(w.d, w.levels, *w.coo(), order=w.order,
+                                    params=w.params)
+
+
+def _both_forms(w, monkeypatch):
+    """Copies of `w` whose transfer operators are CSR and dense."""
+    forms = []
+    for below in (2.0, 0.0):  # every nonzero fraction lies below 2
+        monkeypatch.setattr(extensive, "SPARSE_BELOW", below)
+        forms.append(_fresh(w))
+        forms[-1].transfer()
+    return forms
+
+
+@pytest.mark.parametrize("steps, n_sites, d_max", [
+    ("tfi_steps", 8, 4), ("tfi_steps", 9, None), ("xxz_steps", 8, 8)])
+def test_csr_and_dense_transfer_operators_apply_alike(steps, n_sites, d_max,
+                                                      request, monkeypatch):
+    for w in request.getfixturevalue(steps):
+        as_csr, as_dense = _both_forms(w, monkeypatch)
+        assert all(sparse.issparse(op) for op in as_csr.transfer())
+        assert not any(sparse.issparse(op) for op in as_dense.transfer())
+        for left, right in zip(as_csr.transfer(), as_dense.transfer()):
+            assert np.array_equal(left.toarray(), right)
+        psi = FiniteMPS.random_product(n_sites, rng=n_sites)
+        psi, _ = apply_mpo(w, psi, d_max=d_max)  # an entangled input
+        a, disc_a = apply_mpo(as_csr, psi, d_max=d_max)
+        b, disc_b = apply_mpo(as_dense, psi, d_max=d_max)
+        assert a.bond_dimensions == b.bond_dimensions
+        assert np.abs(a.to_dense() - b.to_dense()).max() <= 1e-12
+        assert abs(disc_a - disc_b) <= 1e-9 * disc_b + 1e-24
+
+
+def test_transfer_operators_are_the_site_tensor(tfi_steps, xxz_steps):
+    # left maps (a, p) to (b, s), right (b, p) to (a, s), of W[a, b, s, p]
+    for w in (tfi_steps[0], xxz_steps[0]):
+        n = w.bond_dimension * w.d
+        site = w.site_tensor()
+        left, right = (op.toarray() if sparse.issparse(op) else op
+                       for op in _fresh(w).transfer())
+        assert np.array_equal(left, site.transpose(1, 2, 0, 3).reshape(n, n))
+        assert np.array_equal(right,
+                              site.transpose(0, 2, 1, 3).reshape(n, n))
+
+
+def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_steps):
+    # order-4 XXZ (bond 163) fills 3.4% of its entries, order-4 TFI
+    # (bond 11) 42%
+    for w, fraction, csr in ((xxz_steps[0], 0.034, True),
+                             (tfi_steps[0], 0.42, False)):
+        n = w.bond_dimension * w.d
+        assert np.count_nonzero(w.coo()[2]) / n ** 2 == pytest.approx(
+            fraction, abs=0.005)
+        ops = _fresh(w).transfer()
+        assert [sparse.issparse(op) for op in ops] == [csr, csr]
+
+
+def test_second_apply_reuses_the_transfer_operators(xxz_steps, monkeypatch):
+    built = []
+    original = sparse.csr_array
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(extensive.sparse, "csr_array", counting)
+    w = _fresh(xxz_steps[0])
+    psi = FiniteMPS.random_product(8, rng=3)
+    first, disc = apply_mpo(w, psi, d_max=16)
+    ops = w.transfer()
+    again, disc_again = apply_mpo(w, psi, d_max=16)
+    assert len(built) == 2 and w.transfer() is ops
+    assert np.array_equal(first.to_dense(), again.to_dense())
+    assert disc == disc_again
