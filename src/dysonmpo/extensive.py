@@ -144,16 +144,15 @@ class ExtensiveMPO:
             d = self.d
             a, b = rows[k] * d, cols[k] * d
             size = len(self.levels) * d
-            pairs = ((b + s, a + p), (a + s, b + p))
+            pairs = ((b + s, a + p), (a + s, b + p))  # (row, column)
             if len(vals) < SPARSE_BELOW * size * size:
-                self._transfer = tuple(
-                    sparse.csr_array((vals, ij), shape=(size, size))
-                    for ij in pairs)
+                ops = [sparse.csr_array((vals, ij), shape=(size, size))
+                       for ij in pairs]
             else:
-                self._transfer = tuple(np.zeros((size, size), dtype=complex)
-                                       for _ in pairs)
-                for op, ij in zip(self._transfer, pairs):
+                ops = [np.zeros((size, size), dtype=complex) for _ in pairs]
+                for op, ij in zip(ops, pairs):
                     op[ij] = vals
+            self._transfer = tuple(ops)
         return self._transfer
 
     def boundary_index(self):

@@ -108,6 +108,13 @@ def test_cli_build_mpo_no_compress(model_path, capsys):
     assert "bond dimension: 2" in out
 
 
+def test_cli_reads_negative_exponent_values(model_path, capsys):
+    # "-1e-3" is a value, as "-1" is
+    assert main(["build-mpo", "--model", model_path, "--order", "1",
+                 "--t0", "-1e-3", "--t", "0.1", "--no-compress"]) == 0
+    assert "interval=[-0.001, 0.1]" in capsys.readouterr().out
+
+
 def test_cli_build_mpo_magnus(model_path, capsys):
     args = ["build-mpo", "--model", model_path, "--method", "magnus",
             "--order", "2", "--t0", "0.0", "--t", "0.125"]

@@ -430,8 +430,8 @@ def test_csr_and_dense_transfer_operators_apply_alike(steps, n_sites, d_max,
         as_csr, as_dense = _both_forms(w, monkeypatch)
         assert all(sparse.issparse(op) for op in as_csr.transfer())
         assert not any(sparse.issparse(op) for op in as_dense.transfer())
-        for left, right in zip(as_csr.transfer(), as_dense.transfer()):
-            assert np.array_equal(left.toarray(), right)
+        for csr_op, dense_op in zip(as_csr.transfer(), as_dense.transfer()):
+            assert np.array_equal(csr_op.toarray(), dense_op)
         psi = FiniteMPS.random_product(n_sites, rng=n_sites)
         psi, _ = apply_mpo(w, psi, d_max=d_max)  # an entangled input
         a, disc_a = apply_mpo(as_csr, psi, d_max=d_max)
@@ -460,7 +460,7 @@ def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_steps):
                              (tfi_steps[0], 0.42, False)):
         n = w.bond_dimension * w.d
         assert np.count_nonzero(w.coo()[2]) / n ** 2 == pytest.approx(
-            fraction, abs=0.005)
+            fraction, abs=0.01)
         ops = _fresh(w).transfer()
         assert [sparse.issparse(op) for op in ops] == [csr, csr]
 
