@@ -29,9 +29,10 @@ from scipy import sparse
 from .fdmpo import DENSE_CAP, dense_chain
 from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, two
 
-# Nonzero fraction below which the transfer operators are CSR: a CSR
-# (n, n) times a dense (n, m) took 0.3x the dense product's time at 3%,
-# 0.7-1.0x at 10% and 1.4-1.9x at 20% of the entries (n = 90-326,
+# Nonzero fraction below which the transfer operators are CSR, where a
+# CSR (n, n) times a dense (n, m) breaks even with the dense product: it
+# took 0.3x the dense time at 3% of the entries, 0.7-0.9x at 7.5%,
+# 0.8-1.3x at 10%, 1.1-1.2x at 12.5% and 1.4-1.9x at 20% (n = 92-326,
 # m = 16-1024, scipy 1.17, one BLAS thread, 2-vCPU Xeon VM).
 SPARSE_BELOW = 0.1
 
