@@ -4,7 +4,8 @@
 (MPO bond times MPS bond).  It contracts the MPO into the MPS from both
 chain ends towards the centre, factorising as it goes, so that the exact
 product arrives in mixed-canonical form with bonds bounded by the Hilbert
-space dimension of the shorter side; one truncating SVD sweep follows.
+space dimension of the shorter side; one truncating SVD sweep follows,
+forming no Q factor right of the centre.
 A site matrix no taller than it is wide has a square unitary Q that
 shrinks no bond.  It is still factorised while that costs no more than
 forming it, because the triangular remainder keeps weak MPO channels
@@ -104,7 +105,8 @@ class FiniteMPS:
             raise ValueError("site counts differ")
         env = np.ones((1, 1), dtype=complex)
         for a, b in zip(self.tensors, other.tensors):
-            env = np.einsum("lm,lpr,mps->rs", env, a.conj(), b, optimize=True)
+            t = (env @ b.reshape(b.shape[0], -1)).reshape(-1, b.shape[2])
+            env = a.reshape(-1, a.shape[2]).conj().T @ t     # (r, s)
         return complex(env[0, 0])
 
     def norm(self):
@@ -169,24 +171,32 @@ def _left_step(r_left, a, left):
     return q.reshape(k, d, -1), r.reshape(-1, dw, chi_r)
 
 
-def _right_step(a, right, r_right):
-    """Mirror of `_left_step` from the right chain end; returns ``(q, r_right)``.
-
-    `r_right` has shape ``(D_w, chi_r, k)`` and `right` maps ``(b, p)``
-    to ``(a, s)``; the LQ factorisation of the ``(D_w*chi_l, d*k)`` site
-    matrix, rows (a, l) and columns (s, k), is the QR of its conjugate
-    transpose.  When ``chi_r + D_w*d < d*k <= D_w*chi_l`` the site is the
-    identity isometry ``(d*k, d, k)``, returned as None, and the whole
-    matrix is the remainder.
-    """
+def _right_matrix(a, right, r_right):
+    """Site matrix ``(D_w*chi_l, d*k)``, rows (a, l) and columns (s, k), of
+    MPS tensor `a` and the right transfer operator ``(a, s) <- (b, p)``
+    times the right remainder ``(D_w, chi_r, k)``."""
     dw, chi_r, k = r_right.shape
     chi_l, d = a.shape[0], a.shape[1]
     t = a.reshape(chi_l * d, chi_r) @ r_right.transpose(1, 0, 2).reshape(
         chi_r, dw * k)                                       # (l, p, b, k)
     x = t.reshape(chi_l, d, dw, k).transpose(2, 1, 0, 3)     # (b, p, l, k)
     y = right @ x.reshape(dw * d, chi_l * k)                 # (a s, l k)
-    mat = y.reshape(dw, d, chi_l, k).transpose(0, 2, 1, 3).reshape(
+    return y.reshape(dw, d, chi_l, k).transpose(0, 2, 1, 3).reshape(
         dw * chi_l, d * k)
+
+
+def _right_step(a, right, r_right):
+    """Mirror of `_left_step` from the right chain end; returns ``(q, r_right)``.
+
+    `r_right` has shape ``(D_w, chi_r, k)``; the LQ factorisation of the
+    ``(D_w*chi_l, d*k)`` site matrix (`_right_matrix`) is the QR of its
+    conjugate transpose.  When ``chi_r + D_w*d < d*k <= D_w*chi_l`` the
+    site is the identity isometry ``(d*k, d, k)``, returned as None, and
+    the whole matrix is the remainder.
+    """
+    dw, chi_r, k = r_right.shape
+    chi_l, d = a.shape[0], a.shape[1]
+    mat = _right_matrix(a, right, r_right)
     if chi_r + dw * d < d * k <= dw * chi_l:
         return None, mat.reshape(dw, chi_l, d * k)
     q, r = _qr(mat.conj().T)
@@ -210,15 +220,20 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     ``c = n // 2``.  A left remainder ``(k, D_w, chi)`` absorbs the MPS and
     MPO tensors of sites ``0 .. c-1`` one at a time and is QR-factorised
     after each; a right remainder does the same with LQ factorisations for
-    sites ``n-1 .. c+1``; the centre site closes both.  A QR sweep over the
-    (now small) bonds right of the centre leaves the exact product in
-    left-canonical form, and a right-to-left SVD sweep truncates it at
-    `d_max` / `svd_tol`.  No tensor of the raw bond ``D_w * chi`` is formed,
-    and every factorised matrix has a side no longer than ``d`` to the
-    power of its distance to the nearer chain end.  The MPO acts through
-    its transfer operators (`ExtensiveMPO.transfer`), built on the first
-    apply and kept with the MPO: CSR below `extensive.SPARSE_BELOW` of
-    their entries nonzero, dense above.
+    sites ``n-1 .. c+1``; the centre site closes both, contracted from the
+    right (`_right_matrix`), whose remainder bond is never the larger.  A
+    right-to-left SVD sweep truncates the product at `d_max` / `svd_tol`:
+    at site ``i`` it factorises ``R_{i-1} N_i = U S V`` and pushes ``N_i
+    V^H`` into site ``i-1``, where ``N_i`` is site ``i`` times the push from
+    the right and ``R_{i-1}`` the triangular factor of the QR of sites ``c
+    .. i-1`` (1 for ``i <= c``).  As ``Q_i R_i = R_{i-1} B_i``, that push is
+    the ``Q_i (U S)_{i+1}`` of a sweep through the left-canonical form, but
+    no Q right of the centre is formed.  No tensor of the raw bond ``D_w *
+    chi`` is formed, and every factorised matrix has a side no longer than
+    ``d`` to the power of its distance to the nearer chain end.  The MPO
+    acts through its transfer operators (`ExtensiveMPO.transfer`), built on
+    the first apply and kept with the MPO: CSR below
+    `extensive.SPARSE_BELOW` of their entries nonzero, dense above.
 
     A left-step matrix ``(k*d, D_w*chi)`` with ``k*d <= D_w*chi`` (and the
     mirror LQ case on the right) leaves bond ``k*d`` with or without its
@@ -230,8 +245,8 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     leaves after a near-exact step, then comes out to about twelve digits
     instead of about eight (order-4 TFI steps on 8 and 9 sites against an
     extended-precision sweep).  Past that bound the site keeps the
-    identity isometry, which is orthonormal like Q, the sweeps that would
-    multiply into it reshape instead, and the product is the same state,
+    identity isometry, which is orthonormal like Q, the products that
+    would multiply into it reshape instead, and the result is the same state,
     summed densely: its small singular values are then resolved only to
     rounding of the norm.
 
@@ -255,30 +270,40 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     r_right = boundary.reshape(dw, 1, 1)
     for i in range(n - 1, c, -1):
         tensors[i], r_right = _right_step(psi.tensors[i], right, r_right)
-    mat = _left_matrix(r_left, psi.tensors[c], left)
-    tensors[c] = (mat @ r_right.reshape(-1, r_right.shape[2])).reshape(
-        r_left.shape[0], psi.d, -1)
-    # a None site is an identity isometry: multiplying into it is a reshape
-    for i in range(c, n - 1):
-        dl, d, dr = tensors[i].shape
-        q, r = np.linalg.qr(tensors[i].reshape(dl * d, dr))
-        tensors[i] = q.reshape(dl, d, q.shape[1])
-        if tensors[i + 1] is None:
-            tensors[i + 1] = r.reshape(r.shape[0], d, -1)
+    d, k = psi.d, r_left.shape[0]
+    tensors[c] = (r_left.reshape(k, -1) @ _right_matrix(
+        psi.tensors[c], right, r_right)).reshape(k, d, -1)
+    # R_i with Q_i R_i = R_{i-1} B_i and R_{c-1} = 1; Q_i is never formed.
+    # A None site is an identity isometry: multiplying into it is a reshape
+    grams = [None]
+    for t in tensors[c:n - 1]:
+        m = grams[-1]
+        if t is not None:
+            t = t.reshape(t.shape[0], -1)
+            m = t if m is None else m @ t
+        grams.append(np.linalg.qr(m.reshape(m.shape[0] * d, -1), mode="r"))
+    # SVD R_{i-1} N_i with N_i = B_i z, then push z = N_i V^H to the left
+    discarded, z = 0.0, None
+    for i in range(n - 1, -1, -1):
+        t, r = tensors[i], grams.pop() if grams else None
+        if t is None and r is not None:  # N_i is z on each (s, .) block
+            x = (r.reshape(-1, len(z)) @ z).reshape(len(r), -1)
         else:
-            tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=(1, 0))
-    discarded = 0.0
-    for i in range(n - 1, 0, -1):
-        dl, d, dr = tensors[i].shape
-        u, s, v, disc = svd_truncate(tensors[i].reshape(dl, d * dr),
-                                     max_rank=d_max, tol=svd_tol)
+            nz = (z.reshape(-1, d * z.shape[1]) if t is None else
+                  t.reshape(len(t), -1) if z is None else
+                  (t.reshape(-1, t.shape[2]) @ z).reshape(len(t), -1))
+            x = nz if r is None else r @ nz
+        if i == 0:
+            tensors[0] = x.reshape(1, d, -1)
+            break
+        u, s, v, disc = svd_truncate(x, max_rank=d_max, tol=svd_tol)
         discarded += disc
-        tensors[i] = v.reshape(-1, d, dr)
-        us = u * s
-        if tensors[i - 1] is None:
-            tensors[i - 1] = us.reshape(-1, d, us.shape[1])
+        tensors[i] = v.reshape(v.shape[0], d, -1)
+        vh = v.conj().T
+        if t is None and r is not None:
+            z = (z @ vh.reshape(d, z.shape[1], -1)).reshape(-1, vh.shape[1])
         else:
-            tensors[i - 1] = np.tensordot(tensors[i - 1], us, axes=(2, 0))
+            z = nz @ vh
     nrm = np.linalg.norm(tensors[0])
     if nrm == 0:
         raise ValueError("cannot normalize the zero state")

@@ -7,7 +7,7 @@ from scipy import sparse
 
 from helpers import literal_apply_mpo, literal_rk4
 
-from dysonmpo import extensive, modelfile
+from dysonmpo import extensive, modelfile, mps
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, PolyDriving, \
@@ -323,14 +323,25 @@ def _random_mps(n, chi, rng, d=2):
                       for i in range(n)])
 
 
+class _QRCalls(list):
+    """Shapes of the matrices passed to `np.linalg.qr`; `modes` holds the
+    mode of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.modes = []
+
+
 @pytest.fixture
 def qr_shapes(monkeypatch):
     """Shapes of the matrices passed to `np.linalg.qr` during the test."""
-    shapes = []
+    shapes = _QRCalls()
     qr = np.linalg.qr
 
     def recording_qr(a, *args, **kwargs):
         shapes.append(a.shape)
+        shapes.modes.append(kwargs.get("mode", args[0] if args else
+                                       "reduced"))
         return qr(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
@@ -382,15 +393,62 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     psi = _random_mps(n, 16, np.random.default_rng(13))
     out, disc = apply_mpo(w, psi, d_max=d_max)
     # every site but the centre n // 2 takes one left or right step; the
-    # QR sweep right of the centre makes n - 1 - n // 2 more calls
+    # Gram factors right of the centre take n - 1 - n // 2 more calls, and
+    # form no Q
     step_qrs = len(qr_shapes) - (n - 1 - n // 2)
     assert 0 < step_qrs < n - 1
+    assert qr_shapes.modes[:step_qrs] == ["reduced"] * step_qrs
+    assert qr_shapes.modes[step_qrs:] == ["r"] * (n - 1 - n // 2)
     assert any(rows <= cols for rows, cols in qr_shapes[:step_qrs])
     ref, disc_ref = literal_apply_mpo(w, psi, d_max=d_max)
     assert out.bond_dimensions == ref.bond_dimensions
     assert np.abs(out.to_dense() - ref.to_dense()).max() <= 1e-12
     assert abs(disc - disc_ref) <= 1e-9 * disc_ref + 1e-24
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+def _assert_right_canonical(psi):
+    """Sites 1 .. n-1 are right isometries and site 0 holds the unit norm."""
+    for t in psi.tensors[1:]:
+        m = t.reshape(t.shape[0], -1)
+        assert np.abs(m @ m.conj().T - np.eye(len(m))).max() <= 1e-12
+    assert abs(np.linalg.norm(psi.tensors[0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("steps, n_sites, d_max", [
+    ("tfi_steps", 9, None), ("tfi_steps", 8, 4), ("xxz_steps", 8, 16)])
+def test_apply_returns_right_canonical_form(steps, n_sites, d_max, request):
+    psi = FiniteMPS.random_product(n_sites, rng=n_sites)
+    for w in request.getfixturevalue(steps):
+        assert w.order == 4
+        psi, _ = apply_mpo(w, psi, d_max=d_max)
+        _assert_right_canonical(psi)
+
+
+def test_apply_matches_literal_with_identity_sites_on_both_sides(
+        tfi_steps, monkeypatch):
+    # an order-4 TFI step (bond 11) on a bond-16 MPS of 13 sites: both
+    # inward sweeps carry sites as identity isometries, and d_max = 8 cuts
+    # the exact product's bonds on both sides of the centre
+    skipped = []
+    for name in ("_left_step", "_right_step"):
+        def recording(*args, step=getattr(mps, name), name=name):
+            q, r = step(*args)
+            if q is None:
+                skipped.append(name)
+            return q, r
+        monkeypatch.setattr(mps, name, recording)
+    w, n, d_max = tfi_steps[0], 13, 8
+    psi = _random_mps(n, 16, np.random.default_rng(17))
+    out, disc = apply_mpo(w, psi, d_max=d_max)
+    assert set(skipped) == {"_left_step", "_right_step"}
+    exact = literal_apply_mpo(w, psi)[0].bond_dimensions
+    assert max(exact[:n // 2]) > d_max and max(exact[n // 2:]) > d_max
+    ref, disc_ref = literal_apply_mpo(w, psi, d_max=d_max)
+    assert out.bond_dimensions == ref.bond_dimensions
+    assert np.abs(out.to_dense() - ref.to_dense()).max() <= 1e-12
+    assert abs(disc - disc_ref) <= 1e-9 * disc_ref + 1e-24
+    _assert_right_canonical(out)
 
 
 @pytest.mark.parametrize("d_max", [0, -1])
