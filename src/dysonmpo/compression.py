@@ -49,7 +49,7 @@ stacks.  The least-squares solves call the gufunc behind
 ``np.linalg.lstsq`` once per stack, which runs the same ``zgelsd`` per
 matrix; the fold solves, which no later block reads, run after the last
 wave, one stack per shape.  Each entry of the folded tensor adds its terms
-in block order, one round per term, with no index repeated in a round.
+in block order, with one ordered scatter-add (`extensive.scatter_add`).
 """
 
 import math
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .extensive import ExtensiveMPO, _rounds
+from .extensive import ExtensiveMPO, scatter_add
 from .levels import IDENTITY_LEVEL, block_keys, is_one
 from .linalg import _ZGEQP3, _geqp3_lwork
 
@@ -178,6 +178,9 @@ class CompressionPlan:
     group's 2-sequences sorted.  `keys` lists the bracket keys the blocks
     index, and `positions` maps each input level to its plan position.
 
+    ``block_of[p]`` is the number of the block that decides the level at
+    plan position `p`, or -1 for a level no block holds, which stays.
+
     A block with one own level and no earlier one is settled by its gamma
     column alone: `settled` holds the numbers of those blocks,
     `settled_levels` their levels and `settled_index` their index arrays
@@ -202,6 +205,9 @@ class CompressionPlan:
 
     def _batch(self):
         """Settle the single-column blocks; batch the others into waves."""
+        self.block_of = np.full(len(self.levels), -1, dtype=np.intp)
+        for b, block in enumerate(self.blocks):
+            self.block_of[block.levels[block.n_prior:]] = b
         single = [(b, block) for b, block in enumerate(self.blocks)
                   if block.n_prior == 0 and len(block.levels) == 1]
         batches = {}
@@ -373,15 +379,11 @@ def row_compress(mpo, order=None, tol=1e-12):
     kept = np.ones(len(plan.levels), dtype=bool)
     zero = ~plan.settled_nonzero(values)
     kept[plan.settled_levels[zero]] = False
-    # (block number, removed positions, kept positions, coefficients, shown)
-    chunks = [(b, [p], None, None, None) for b, p in
-              zip(plan.settled[zero].tolist(),
-                  plan.settled_levels[zero].tolist())]
     folds = []
     for wave in plan.waves:
         for batch in wave:
             _decide(batch, values, kept, tol, folds)
-    fold_residual, terms = _solve(folds, tol, chunks)
+    fold_residual, terms = _solve(folds, tol)
 
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
@@ -389,7 +391,8 @@ def row_compress(mpo, order=None, tol=1e-12):
         mpo.d, levels, *_fold(mpo, plan, kept, terms), order=order,
         params=params)
     report = CompressionReport(kept_levels=list(levels),
-                               removed_levels=lambda: _removals(plan, chunks),
+                               removed_levels=lambda: _removals(
+                                   plan, kept, terms),
                                bond_dimension_before=mpo.bond_dimension,
                                bond_dimension_after=out.bond_dimension,
                                qr_tolerance=tol, fold_residual=fold_residual)
@@ -453,14 +456,15 @@ def _decide(batch, values, kept, tol, folds):
         kept[np.concatenate(removed)] = False
 
 
-def _solve(folds, tol, chunks):
-    """Solve every fold, one stack per shape; check and record each.
+def _solve(folds, tol):
+    """Solve every fold, one stack per shape, and check each.
 
-    Appends each block's removals to `chunks` and returns the largest
-    relative fold residual and the fold terms ``(removed, kept,
-    coefficient)`` in block order, each block's removed level by removed
-    level over its basis in order.  The first block, in block order, whose
-    basis cannot expand its removed levels raises `CompressionBasisError`.
+    Returns the largest relative fold residual and the fold terms
+    ``(removed, kept, coefficient)`` in block order, each block's removed
+    level by removed level over its basis in order; coefficients at most
+    ``1e-13`` times the block's largest (or 1) are left out.  The first
+    block, in block order, whose basis cannot expand its removed levels
+    raises `CompressionBasisError`.
     """
     by_shape = {}
     for fold in folds:
@@ -498,7 +502,6 @@ def _solve(folds, tol, chunks):
         # terms removed level by level, each over its basis in order
         k, jr, i = shown.transpose(0, 2, 1).nonzero()
         terms.append((numbers[k], rest[k, jr], basis[k, i], x[k, i, jr]))
-        chunks.extend(zip(numbers.tolist(), rest, basis, x, shown))
     if failed:
         fold, why = min(failed, key=lambda item: item[0].number)
         raise CompressionBasisError(
@@ -512,21 +515,17 @@ def _solve(folds, tol, chunks):
     return fold_residual, (source[order], target[order], coeff[order])
 
 
-def _removals(plan, chunks):
+def _removals(plan, kept, terms):
     """``(level, {kept level: coefficient})`` per removed level, in block
     order; a block's levels in column order, each expansion over its basis
-    in order."""
-    out = []
-    for _, rest, basis, x, shown in sorted(chunks, key=lambda c: c[0]):
-        if x is None:
-            out.extend((plan.levels[p], {}) for p in rest)
-            continue
-        names = [plan.levels[p] for p in basis.tolist()]
-        out.extend((plan.levels[p], {names[i]: c for i, c in enumerate(coeffs)
-                                     if on[i]})
-                   for p, coeffs, on in zip(rest.tolist(), x.T.tolist(),
-                                            shown.T.tolist()))
-    return out
+    in order (the order of the fold `terms`)."""
+    removed = np.flatnonzero(~kept)
+    removed = removed[np.argsort(plan.block_of[removed], kind="stable")]
+    expansions = {p: {} for p in removed.tolist()}
+    if terms is not None:
+        for p, k, c in zip(*(a.tolist() for a in terms)):
+            expansions[p][plan.levels[k]] = c
+    return [(plan.levels[p], e) for p, e in expansions.items()]
 
 
 def _norms(a):
@@ -555,11 +554,10 @@ def _fold(mpo, plan, kept, terms):
     `terms` holds three arrays ``(removed level, kept level,
     coefficient)``, one entry per term in the order the levels were
     removed, or None.  Entry ``(a, k)`` starts from ``W[a, k]`` and adds
-    the removed levels' terms one at a time in that order, which is the
-    order of a level-by-level column merge: round `j` adds the `j`-th term
-    of every entry, so no round repeats an entry.  Only the entries some
-    term or kept block reaches are stored, in row-major order, and those
-    that sum to exactly zero are dropped.
+    the removed levels' terms one at a time in that order (`scatter_add`),
+    which is the order of a level-by-level column merge.  Only the entries
+    some term or kept block reaches are stored, in row-major order, and
+    those that sum to exactly zero are dropped.
     """
     rows, cols, blocks = mpo.coo()
     rows, cols = plan.positions[rows], plan.positions[cols]
@@ -590,12 +588,7 @@ def _fold(mpo, plan, kept, terms):
     out = np.zeros((len(slots),) + blocks.shape[1:], dtype=complex)
     out[at[slot]] = blocks[direct]
     if terms is not None:
-        order, targets, rounds = _rounds(at[added], len(slots))
-        add = coeff[term[order], None, None] * blocks[entry[order]]
-        acc = out[targets]
-        for lo, width in rounds:
-            acc[:width] += add[lo:lo + width]
-        out[targets] = acc
+        scatter_add(out, at[added], coeff[term, None, None] * blocks[entry])
     live = out.any(axis=(1, 2))
     slots = slots[live]
     return slots // m, slots % m, out[live]

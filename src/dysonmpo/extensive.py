@@ -211,6 +211,22 @@ class RewiredHamiltonian:
         return trans
 
 
+def scatter_add(out, slot, add):
+    """``out[slot[i]] += add[i]`` for each `i` in turn, in place.
+
+    `out` is a C-contiguous complex stack, `add` complex blocks of its
+    shape.  A complex sum is the sum of its real parts and the sum of its
+    imaginary parts, so the adds run as one unbuffered `np.add.at`, in
+    index order, on the float views: block `i`'s floats go to ``slot[i] *
+    size + arange(size)``.  Each entry of `out` thus sums its terms in
+    position order, bit for bit as the loop does.
+    """
+    size = 2 * int(np.prod(out.shape[1:]))
+    index = slot[:, None] * size + np.arange(size)
+    np.add.at(out.reshape(-1, copy=False).view(np.float64), index.reshape(-1),
+              add.reshape(-1).view(np.float64))
+
+
 def _power(rew, n):
     """Column-merged `n`-th power of a rewired Hamiltonian, over label ids.
 
@@ -220,8 +236,8 @@ def _power(rew, n):
     to the entries the step before made.  Their (entry, transition) pairs
     are keyed on index arrays, the products are one `np.matmul` over
     stacks, and the products falling on one entry are summed in pair
-    order, one round at a time (`_rounds`).  So the entries come in the
-    order, and with the sums, of a step-by-step dictionary build.
+    order (`scatter_add`).  So the entries come in the order, and with the
+    sums, of a step-by-step dictionary build.
 
     Returns ``(labels, finished, (src, dst, blocks))``: whether each label
     is finished (3 symbols only), and the entries as label ids and blocks.
@@ -265,14 +281,12 @@ def _power(rew, n):
                                    return_inverse=True)
         rank = np.empty(len(at), dtype=np.intp)
         rank[np.argsort(at)] = np.arange(len(at))
-        order, targets, rounds = _rounds(rank[inverse.reshape(-1)], len(at))
-        (lo, width), *rounds = rounds
-        acc = prods[order[lo:lo + width]]
-        for lo, width in rounds:
-            acc[:width] += prods[order[lo:lo + width]]
-        ops = np.empty_like(acc)
-        ops[targets] = acc
         at.sort()
+        # each entry starts as its first product, then adds the others
+        rest = np.ones(len(a), dtype=bool)
+        rest[at] = False
+        ops = prods[at]
+        scatter_add(ops, rank[inverse.reshape(-1)[rest]], prods[rest])
         src, dst = a[at], b[at]
         steps.append((src, dst, ops))
     return (labels, np.array(finished),
@@ -338,7 +352,7 @@ class PowerPlan:
         live = w != 0
         rows = rows[live]
         column = np.zeros((len(self.levels), d, d), dtype=complex)
-        np.add.at(column, rows, w[live, None, None] * blocks[live])
+        scatter_add(column, rows, w[live, None, None] * blocks[live])
         hit = np.unique(rows)
         f_rows, f_cols, f_blocks = self._fixed
         return ExtensiveMPO.from_arrays(
@@ -346,43 +360,3 @@ class PowerPlan:
             np.concatenate([np.zeros_like(hit), f_cols]),
             np.concatenate([column[hit], f_blocks]), order=self.order,
             params={"plan": self})
-
-
-def _stable_order(keys, bound):
-    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
-
-    Sorts by 16-bit digits, least significant first, so that numpy's radix
-    sort serves each pass.
-    """
-    order = np.arange(len(keys))
-    for shift in range(0, max(bound - 1, 1).bit_length(), 16):
-        digits = (keys[order] >> shift & 0xFFFF).astype(np.uint16)
-        order = order[np.argsort(digits, kind="stable")]
-    return order
-
-
-def _rounds(slot, bound):
-    """Schedule of adds into the entries `slot` (integers below `bound`).
-
-    The positions holding one entry form its run, in position order.
-    Round `j` takes the `j`-th position of every run longer than `j`; with
-    the runs ordered longest first, those runs are a prefix.  Returns the
-    positions round after round, the entry of each run in run order, and
-    ``(start, width)`` of each round in the positions.
-    """
-    n = len(slot)
-    by_slot = _stable_order(slot, bound)
-    ordered = slot[by_slot]
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    length = np.append(first[1:], n) - first
-    runs = np.argsort(-length, kind="stable")
-    place = np.empty_like(runs)
-    place[runs] = np.arange(len(runs))
-    width = np.bincount(length)[:0:-1].cumsum()[::-1]  # runs longer than j
-    begin = np.cumsum(width) - width
-    j = np.arange(n) - np.repeat(first, length)
-    order = np.empty_like(by_slot)
-    order[begin[j] + np.repeat(place, length)] = by_slot
-    return order, ordered[first[runs]], zip(begin.tolist(), width.tolist())

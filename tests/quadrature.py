@@ -15,9 +15,18 @@ class QuadratureBudgetError(RuntimeError):
 
 
 def _quad_complex(func, a, b, epsabs, limit, points):
-    re, re_err = quad(lambda s: func(s).real, a, b, epsabs=epsabs,
+    # the imaginary pass reuses the values the real pass computed, so a
+    # nested integrand is not evaluated twice at one point
+    seen = {}
+
+    def value(s):
+        if s not in seen:
+            seen[s] = func(s)
+        return seen[s]
+
+    re, re_err = quad(lambda s: value(s).real, a, b, epsabs=epsabs,
                       limit=limit, points=points)
-    im, im_err = quad(lambda s: func(s).imag, a, b, epsabs=epsabs,
+    im, im_err = quad(lambda s: value(s).imag, a, b, epsabs=epsabs,
                       limit=limit, points=points)
     return complex(re, im), re_err + im_err
 

@@ -15,7 +15,8 @@ from dysonmpo.compression import CompressionPlan, row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, magnus_evolution
-from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian, \
+    scatter_add
 from dysonmpo.levels import ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo
@@ -591,6 +592,46 @@ def _same_arrays(a, b):
 
 def _weight(sigma):
     return 0.5 ** len(sigma) * (1 + 1j * sum(map(len, sigma)))
+
+
+def _loop_scatter_add(out, slot, add):
+    for i, s in enumerate(slot.tolist()):
+        out[s] += add[i]
+
+
+@pytest.mark.parametrize("d, n_out, slot", [
+    (2, 3, [2, 0, 2, 2, 0, 0, 2, 1, 1]),
+    (3, 4, [3, 1, 3, 0, 1]),
+    (2, 3, []),
+])
+def test_scatter_add_adds_in_position_order_bitwise(d, n_out, slot):
+    # each entry sums its terms in position order, signed zeros included;
+    # the block size comes from `out`, so an empty `slot` is no error
+    rng = np.random.default_rng(3)
+    slot = np.array(slot, dtype=np.intp)
+
+    def stack(n):
+        parts = rng.normal(size=(2, n, d, d)) * 10.0 ** rng.integers(
+            -8, 9, size=(2, n, d, d))
+        parts[rng.random(parts.shape) < 0.3] = -0.0
+        return parts[0] + 1j * parts[1]
+
+    start, add = stack(n_out), stack(len(slot))
+    if len(slot):
+        # one entry sums nothing but negative zeros
+        start[slot[-1]] = add[slot == slot[-1]] = complex(-0.0, -0.0)
+    ref = start.copy()
+    _loop_scatter_add(ref, slot, add)
+    out = start.copy()
+    scatter_add(out, slot, add)
+    assert out.tobytes() == ref.tobytes()
+    if len(slot):
+        assert np.signbit(ref[slot[-1]].view(float)).all()
+    if len(set(slot.tolist())) < len(slot):
+        # the data tells the orders apart
+        rev = start.copy()
+        _loop_scatter_add(rev, slot[::-1], add[::-1])
+        assert rev.tobytes() != ref.tobytes()
 
 
 @pytest.mark.parametrize("model, order", [
