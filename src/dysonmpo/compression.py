@@ -20,32 +20,32 @@ All of that but the numbers is fixed by the levels and the order: the
 groups and their blocks per 2-sequence, each block's completion rows, and
 for every (level, row) pair the brackets its coefficient sums.  A
 `CompressionPlan` holds them, and a `PowerPlan` keeps one for all the
-Dyson and Magnus steps of its order.  The plan reads each level once and
-enumerates the keys of all pairs in array passes, one weave pattern per
-pair shape (`levels.block_keys`).  A compression then gathers the step's
-brackets into a vector, fills each block's coefficient matrix from the
-plan's index arrays (summing each entry's keys in weave order, so the
-rank decisions match a literal evaluation bit for bit), selects and
-solves, and folds the removed levels into the kept ones at once: the
-product ``W[kept rows, :] @ T``, ``T`` holding the identity on kept
-levels and the fold coefficients.  The result is held as the coordinate
-blocks the fold fills, which `apply_mpo` reads.
+Dyson and Magnus steps of its order.  The plan enumerates the keys of all
+pairs in array passes, one weave pattern per pair shape
+(`levels.block_keys`), and stacks its blocks: one stack per shape, index
+arrays padded with -1 to the deepest block.  A compression gathers the
+step's brackets into a vector and fills a stack's coefficient matrices at
+once with `_key_sums`, the one evaluator of gamma sums (each entry sums
+its keys in weave order, so the rank decisions match a literal evaluation
+bit for bit).  It selects and solves, and folds the removed levels into
+the kept ones at once: the product ``W[kept rows, :] @ T``, ``T`` holding
+the identity on kept levels and the fold coefficients, held as the
+coordinate blocks `apply_mpo` reads.
 
 A step does only the work whose outcome depends on its numbers.  A block
 with one own level and no earlier levels of its 2-sequence keeps that
 level exactly when its gamma column is nonzero, which is what the pivoted
-QR decides for any ``tol < 1``; the plan marks these blocks, and a step
-settles all of them with one stacked gather.  The other blocks take an
-R-only pivoted QR; only a rank strictly between 0 and the column count
-leaves a choice, and only then does the greedy pass run, its subset in
-column order kept when it has the QR's size.
+QR decides for any ``tol < 1``; these blocks form one more stack, which a
+step settles with one gather.  The other blocks take an R-only pivoted
+QR; only a rank strictly between 0 and the column count leaves a choice,
+and only then does the greedy pass run, its subset in column order kept
+when it has the QR's size.
 
-The work is batched without changing a number.  A block reads only the
-kept flags of the earlier blocks of its 2-sequence, which have the same
-``n2`` and a smaller ``n3``, so the blocks of one ``n3`` are independent:
-a step takes them as one wave, and within a wave one batch per matrix
-shape, whose gathers, column scales, projections and rank tests run on
-stacks.  The least-squares solves call the gufunc behind
+A block reads only the kept flags of the earlier blocks of its
+2-sequence, which have the same ``n2`` and a smaller ``n3``, so the blocks
+of one ``n3`` are independent: a step takes them as one wave, and within
+a wave their stacks, whose column scales, projections and rank tests run
+on the whole stack.  The least-squares solves call the gufunc behind
 ``np.linalg.lstsq`` once per stack, which runs the same ``zgelsd`` per
 matrix; the fold solves, which no later block reads, run after the last
 wave, one stack per shape.  Each entry of the folded tensor adds its terms
@@ -54,7 +54,7 @@ in block order, with one ordered scatter-add (`extensive.scatter_add`).
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -121,8 +121,7 @@ def _key_sums(values, index):
     return g
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
     """One 2-sequence of one ``(n2, n3)`` group, as a plan holds it.
 
     `levels` are plan positions: the `n_prior` levels of the 2-sequence
@@ -139,34 +138,16 @@ class Block:
     n_prior: int
     index: np.ndarray
 
-    def gamma(self, values):
-        """Coefficients of the block's columns over its rows."""
-        return _key_sums(values, self.index)
 
+class Batch(NamedTuple):
+    """Blocks stacked: their `numbers` in the plan, their common `n_prior`,
+    `levels` ``(blocks, columns)``, and `index` ``(depth, blocks, rows,
+    columns)`` padded with -1 to the deepest and longest block."""
 
-class Batch:
-    """Open blocks of one wave with one shape, stacked.
-
-    `numbers` are the blocks' numbers in the plan, `levels` their plan
-    positions ``(blocks, columns)`` and `index` their index arrays
-    ``(depth, blocks, rows, columns)``, padded with -1 to the deepest.
-    """
-
-    def __init__(self, numbered):
-        self.numbers = [b for b, _ in numbered]
-        self.blocks = [block for _, block in numbered]
-        self.n_prior = self.blocks[0].n_prior
-        self.levels = np.array([block.levels for block in self.blocks])
-        depth = max(block.index.shape[0] for block in self.blocks)
-        _, rows, cols = self.blocks[0].index.shape
-        self.index = np.full((depth, len(self.blocks), rows, cols), -1,
-                             dtype=np.intp)
-        for k, block in enumerate(self.blocks):
-            self.index[:len(block.index), k] = block.index
-
-    def gamma(self, values):
-        """Coefficient matrices ``(blocks, rows, columns)``."""
-        return _key_sums(values, self.index)
+    numbers: list
+    n_prior: int
+    levels: np.ndarray
+    index: np.ndarray
 
 
 class CompressionPlan:
@@ -181,11 +162,11 @@ class CompressionPlan:
     ``block_of[p]`` is the number of the block that decides the level at
     plan position `p`, or -1 for a level no block holds, which stays.
 
-    A block with one own level and no earlier one is settled by its gamma
-    column alone: `settled` holds the numbers of those blocks,
-    `settled_levels` their levels and `settled_index` their index arrays
-    stacked and padded with -1 (see `settled_nonzero`).  `waves` holds the
-    other blocks, one list of `Batch`es per ``n3``, ascending.
+    The blocks are held a second time as stacks (`Batch`), whose gamma
+    sums `_key_sums` takes at once.  A block with one own level and no
+    earlier one is settled by its gamma column alone; `settled` stacks all
+    of these.  `waves` holds the other blocks, one list per ``n3``,
+    ascending, of one stack per shape.
     """
 
     def __init__(self, levels, order):
@@ -204,31 +185,32 @@ class CompressionPlan:
         self._batch()
 
     def _batch(self):
-        """Settle the single-column blocks; batch the others into waves."""
+        """Stack the single-column blocks; the others by wave and shape."""
         self.block_of = np.full(len(self.levels), -1, dtype=np.intp)
+        shapes = {}
         for b, block in enumerate(self.blocks):
             self.block_of[block.levels[block.n_prior:]] = b
-        single = [(b, block) for b, block in enumerate(self.blocks)
-                  if block.n_prior == 0 and len(block.levels) == 1]
-        batches = {}
-        for b, block in enumerate(self.blocks):
-            if block.n_prior or len(block.levels) > 1:
-                shape = (block.n3, block.n_prior) + block.index.shape[1:]
-                batches.setdefault(shape, []).append((b, block))
-        self.waves = [[Batch(batches[s]) for s in sorted(batches)
+            single = block.n_prior == 0 and len(block.levels) == 1
+            shapes.setdefault(None if single else (block.n3, block.n_prior)
+                              + block.index.shape[1:], []).append(b)
+        self.settled = self._stack(shapes.pop(None, []))
+        self.waves = [[self._stack(shapes[s]) for s in sorted(shapes)
                        if s[0] == n3]
-                      for n3 in sorted({s[0] for s in batches})]
+                      for n3 in sorted({s[0] for s in shapes})]
         self._columns = None
-        self.settled = np.array([b for b, _ in single], dtype=np.intp)
-        self.settled_levels = np.array([block.levels[0] for _, block in single],
-                                       dtype=np.intp)
-        depth = max((block.index.shape[0] for _, block in single), default=1)
-        width = max((block.index.shape[1] for _, block in single), default=1)
-        self.settled_index = np.full((depth, len(single), width), -1,
-                                     dtype=np.intp)
-        for k, (_, block) in enumerate(single):
-            d, n, _ = block.index.shape
-            self.settled_index[:d, k, :n] = block.index[:, :, 0]
+
+    def _stack(self, numbers):
+        """The blocks `numbers`, all with one column count, as a `Batch`."""
+        blocks = [self.blocks[b] for b in numbers]
+        depth, rows, cols = map(max, zip((1, 1, 1),
+                                         *(b.index.shape for b in blocks)))
+        index = np.full((depth, len(blocks), rows, cols), -1, dtype=np.intp)
+        for k, block in enumerate(blocks):
+            d, r, _ = block.index.shape
+            index[:d, k, :r] = block.index
+        levels = np.array([b.levels for b in blocks], dtype=np.intp)
+        return Batch(numbers, blocks[0].n_prior if blocks else 0,
+                     levels.reshape(len(blocks), cols), index)
 
     def columns(self, cols):
         """``(by_col, start)``: the entries of column `c` of an MPO whose
@@ -257,16 +239,6 @@ class CompressionPlan:
             raise ValueError(f"bracket {self.keys[bad[0]]!r} is not finite: "
                              f"{values[bad[0]]}")
         return values
-
-    def settled_nonzero(self, values):
-        """Whether each single-column block's gamma column is nonzero.
-
-        The column sums run in key order, as `Block.gamma`'s do.  A column
-        counts as zero when all its squared entries are, which is when its
-        norm is.
-        """
-        g = _key_sums(values, self.settled_index)
-        return (g.real * g.real + g.imag * g.imag).any(axis=1)
 
 
 def _select_new_levels(residual, tol, ref):
@@ -325,16 +297,12 @@ def _lstsq(a, b):
         return _umath_linalg.lstsq(a, b, rcond, signature="DDd->Ddid")[0]
 
 
-@dataclass
-class _Fold:
-    """One block's least-squares fold: ``g[:, :n_basis] x = g[:, n_basis:]``.
-
-    `g` holds the block's coefficient columns of its basis, then of the
-    levels it removes, and `levels` their plan positions.
-    """
+class _Fold(NamedTuple):
+    """A least-squares fold ``g[:, :n_basis] x = g[:, n_basis:]``: `g`
+    holds block `number`'s columns of its basis, then of the levels it
+    removes, and `levels` their plan positions."""
 
     number: int
-    block: Block
     g: np.ndarray
     levels: np.ndarray
     n_basis: int
@@ -362,11 +330,6 @@ def row_compress(mpo, order=None, tol=1e-12):
 
     Returns ``(compressed_mpo, report)``; the compressed MPO holds the
     coordinate blocks of the fold.
-
-    Levels are visited grouped by ``(n2, n3)`` with ``n3 = 0`` first.  Rows
-    of the operator basis only couple levels sharing the same sequence of
-    in-progress symbols, so each group decomposes into independent blocks
-    per 2-sequence.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
@@ -377,13 +340,16 @@ def row_compress(mpo, order=None, tol=1e-12):
     plan = _plan_for(mpo, order)
     values = plan.values(brackets)
     kept = np.ones(len(plan.levels), dtype=bool)
-    zero = ~plan.settled_nonzero(values)
-    kept[plan.settled_levels[zero]] = False
+    # a single-column block drops its level when all squared entries of
+    # its column are zero, which is when the column's norm is
+    g = _key_sums(values, plan.settled.index)
+    kept[plan.settled.levels[~(g.real * g.real + g.imag * g.imag)
+                             .any(axis=(1, 2))]] = False
     folds = []
     for wave in plan.waves:
         for batch in wave:
             _decide(batch, values, kept, tol, folds)
-    fold_residual, terms = _solve(folds, tol)
+    fold_residual, terms = _solve(plan, folds, tol)
 
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
@@ -406,7 +372,7 @@ def _decide(batch, values, kept, tol, folds):
     block that removes levels to `folds`.  A block whose columns all
     vanish takes rank 0, and its levels fold to zero.
     """
-    g = batch.gamma(values)
+    g = _key_sums(values, batch.index)
     p = batch.n_prior
     residual = g[:, :, p:].copy()
     ref = _column_scale(residual)
@@ -448,15 +414,15 @@ def _decide(batch, values, kept, tol, folds):
         basis = prior_kept[k].nonzero()[0].tolist() if p else []
         basis += [p + j for j in selected]
         cols = basis + [p + j for j in range(n_own) if j not in selected]
-        fold = _Fold(batch.numbers[k], batch.blocks[k], g[k][:, cols],
-                     batch.levels[k][cols], len(basis), ref[k])
+        fold = _Fold(batch.numbers[k], g[k][:, cols], batch.levels[k][cols],
+                     len(basis), ref[k])
         folds.append(fold)
         removed.append(fold.levels[fold.n_basis:])
     if removed:
         kept[np.concatenate(removed)] = False
 
 
-def _solve(folds, tol):
+def _solve(plan, folds, tol):
     """Solve every fold, one stack per shape, and check each.
 
     Returns the largest relative fold residual and the fold terms
@@ -469,9 +435,7 @@ def _solve(folds, tol):
     by_shape = {}
     for fold in folds:
         by_shape.setdefault(fold.g.shape + (fold.n_basis,), []).append(fold)
-    ratios = [np.zeros(1)]
-    failed = []
-    terms = []
+    ratios, failed, terms = [np.zeros(1)], [], []
     for group in by_shape.values():
         n, n_basis = len(group), group[0].n_basis
         g = np.array([f.g for f in group])
@@ -504,9 +468,9 @@ def _solve(folds, tol):
         terms.append((numbers[k], rest[k, jr], basis[k, i], x[k, i, jr]))
     if failed:
         fold, why = min(failed, key=lambda item: item[0].number)
+        n2, n3, two_sequence = plan.blocks[fold.number][:3]
         raise CompressionBasisError(
-            f"group ({fold.block.n2},{fold.block.n3}) block "
-            f"{fold.block.two_sequence}: {why}")
+            f"group ({n2},{n3}) block {two_sequence}: {why}")
     fold_residual = float(np.concatenate(ratios).max())
     if not terms:
         return fold_residual, None

@@ -89,6 +89,14 @@ class Piece:
         return out
 
 
+def _check_finite(driving, **params):
+    """Raise `ValueError` naming the first parameter that is not finite."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{driving.name} {name} must be finite, "
+                             f"got {value!r}")
+
+
 class DrivingFunction:
     """Base class of scalar driving functions.
 
@@ -140,6 +148,7 @@ class ConstDriving(DrivingFunction):
     name = "const"
 
     def __post_init__(self):
+        _check_finite(self, value=self.value)
         self.period = math.inf
 
     def __call__(self, t):
@@ -166,6 +175,8 @@ class TrigDriving(DrivingFunction):
         if self.kind not in ("sin", "cos"):
             raise ValueError("kind must be 'sin' or 'cos'")
         self.name = self.kind
+        _check_finite(self, omega=self.omega, phase=self.phase,
+                      amplitude=self.amplitude, offset=self.offset)
         self.period = 2.0 * math.pi / abs(self.omega) if self.omega else math.inf
 
     def __call__(self, t):
@@ -203,6 +214,7 @@ class ExpDriving(DrivingFunction):
     name = "exp"
 
     def __post_init__(self):
+        _check_finite(self, rate=self.rate, amplitude=self.amplitude)
         rate = complex(self.rate)
         if rate == 0:
             self.period = math.inf
@@ -229,6 +241,7 @@ class PolyDriving(DrivingFunction):
 
     def __post_init__(self):
         self.coeffs = tuple(complex(c) for c in self.coeffs)
+        _check_finite(self, coeffs=self.coeffs)
         if all(c == 0 for c in self.coeffs[1:]):
             self.period = math.inf
 
@@ -262,6 +275,8 @@ class SampledDriving(DrivingFunction):
     name = "samples"
 
     def __post_init__(self):
+        _check_finite(self, t_start=self.t_start, t_end=self.t_end,
+                      values=self.values)
         if not self.t_end > self.t_start:
             raise ValueError(f"samples need t_end > t_start, got "
                              f"t_start={self.t_start!r}, t_end={self.t_end!r}")

@@ -19,7 +19,8 @@ term.  Matrix entries may be complex (``1j``).  Channel order in the file is
 the channel order of the Hamiltonian.  Driving kinds: ``const value=``,
 ``sin``/``cos`` (``omega=, phase=, amplitude=, offset=``), ``exp``
 (``rate=, amplitude=``), ``poly`` (``coeffs=[...]``), ``samples``
-(``t0=, t1=, values=[...]``).
+(``t0=, t1=, values=[...]``).  Every driving parameter must be finite and
+``dim`` at least 1.
 """
 
 import ast
@@ -115,6 +116,8 @@ def loads(text):
         try:
             if head == "dim":
                 d = int(rest)
+                if d < 1:
+                    raise ModelFileError(f"dim must be at least 1, got {d}")
             elif head == "channel":
                 close_channel()
                 if d is None:

@@ -295,6 +295,28 @@ def test_sampled_driving_rejects_misread_input(kwargs, match):
         SampledDriving(**kwargs)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                 complex(1.0, math.inf)])
+@pytest.mark.parametrize("make, named", [
+    (lambda bad: ConstDriving(value=bad), "const value"),
+    (lambda bad: TrigDriving("sin", omega=bad), "sin omega"),
+    (lambda bad: TrigDriving("cos", phase=bad), "cos phase"),
+    (lambda bad: TrigDriving("sin", amplitude=bad), "sin amplitude"),
+    (lambda bad: TrigDriving("cos", offset=bad), "cos offset"),
+    (lambda bad: ExpDriving(rate=bad), "exp rate"),
+    (lambda bad: ExpDriving(amplitude=bad), "exp amplitude"),
+    (lambda bad: PolyDriving(coeffs=(1.0, bad)), "poly coeffs"),
+    (lambda bad: SampledDriving(t_start=bad), "samples t_start"),
+    (lambda bad: SampledDriving(t_end=bad), "samples t_end"),
+    (lambda bad: SampledDriving(values=(0.0, bad, 1.0)), "samples values"),
+])
+def test_drivings_reject_non_finite_parameters(make, named, bad):
+    # a non-finite parameter would reach the brackets as NaN rows, zeros
+    # or a misleading rate limit; it is named where it enters
+    with pytest.raises(ValueError, match=f"^{named} must be finite, got "):
+        make(bad)
+
+
 
 @pytest.mark.parametrize("t0, t, named", [(math.nan, 0.25, "t0 = nan"),
                                           (0.0, math.inf, "t = inf"),

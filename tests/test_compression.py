@@ -11,7 +11,8 @@ from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
 from dysonmpo import compression, fdmpo, levels
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
-from dysonmpo.compression import CompressionPlan, row_compress
+from dysonmpo.compression import Batch, CompressionPlan, _key_sums, \
+    row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, magnus_evolution
@@ -179,7 +180,7 @@ def test_row_compress_kept_set_minimality():
         block = next(b for b in plan.blocks
                      if (b.n2, b.n3, b.two_sequence)
                      == (drop.n2, drop.n3, drop.two_sequence()))
-        g = block.gamma(values)
+        g = _key_sums(values, block.index)
         column = {plan.levels[p]: j for j, p in enumerate(block.levels)}
         g_full = g[:, [column[l] for l in group]]
         g_rest = g[:, [column[l] for l in group if l != drop]]
@@ -342,9 +343,10 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
         assert out.levels == ref.levels
         assert report.to_text() == ref_report.to_text()
         assert np.array_equal(out.site_tensor(), ref.site_tensor())
-        nonzero = plan.compression.settled_nonzero(
-            plan.compression.values(tab))
-        settled_zero += int(np.count_nonzero(~nonzero))
+        g = _key_sums(plan.compression.values(tab),
+                      plan.compression.settled.index)
+        settled_zero += int(np.count_nonzero(
+            ~(g.real * g.real + g.imag * g.imag).any(axis=(1, 2))))
     assert plan.compression is not None
     if model is ising_with_silent_channel:
         # the plan-settled removals are compared as well
@@ -453,15 +455,8 @@ def test_greedy_sees_the_residuals_of_a_literal_evaluation(monkeypatch):
 def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
     # a one-row residual stack is contiguous in either axis order, and the
     # pivoted QR must factorise a copy of it, not the residual itself
-    class OneRowBatch:
-        n_prior = 0
-        numbers = [0]
-        blocks = [None]
-        levels = np.array([[1, 2, 3]])
-
-        def gamma(self, values):
-            return np.array([[[3.0j, 2.0 + 1.0j, 1.0]]])
-
+    values = np.array([3.0j, 2.0 + 1.0j, 1.0, 0.0])
+    batch = Batch([0], 0, np.array([[1, 2, 3]]), np.array([[[[0, 1, 2]]]]))
     seen = []
 
     def recording(residual, tol, ref):
@@ -471,9 +466,9 @@ def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
     monkeypatch.setattr(compression, "_select_new_levels", recording)
     kept = np.ones(4, dtype=bool)
     folds = []
-    compression._decide(OneRowBatch(), None, kept, 1e-12, folds)
+    compression._decide(batch, values, kept, 1e-12, folds)
     assert len(seen) == 1
-    assert np.array_equal(seen[0], OneRowBatch().gamma(None)[0])
+    assert np.array_equal(seen[0], values[None, :3])
     assert kept.tolist() == [True, True, False, False]
     assert [f.levels.tolist() for f in folds] == [[1, 2, 3]]
 
@@ -643,7 +638,7 @@ def test_step_plans_equal_the_literal_builds_bitwise(model, order):
     # the power and its compression plan, built in array passes, equal
     # the power built entry by entry and the keys enumerated per (level,
     # row) pair: levels, entry order and blocks, keys, index arrays,
-    # waves and settled arrays
+    # waves and the settled stack
     rew = RewiredHamiltonian.from_hamiltonian(model())
     plan, ref = PowerPlan(rew, order), literal_power_plan(rew, order)
     mpo = plan.mpo(_weight)
@@ -669,10 +664,52 @@ def test_step_plans_equal_the_literal_builds_bitwise(model, order):
          for a in (batch.levels, batch.index)],
         [a for wave in lit.waves for batch in wave
          for a in (batch.levels, batch.index)])
+    assert comp.settled.numbers == lit.settled.numbers
     assert _same_arrays(
-        [comp.positions, comp.settled, comp.settled_levels,
-         comp.settled_index],
-        [lit.positions, lit.settled, lit.settled_levels, lit.settled_index])
+        [comp.positions, comp.settled.levels, comp.settled.index],
+        [lit.positions, lit.settled.levels, lit.settled.index])
+
+
+@pytest.mark.parametrize("model, order", [
+    (model, order) for model in (modulated_ising, modulated_xxz)
+    for order in range(1, 6)])
+def test_plan_partitions_its_blocks_into_stacks(model, order):
+    # read against the plan's block list alone: each block sits in one
+    # stack, settled or of one wave and shape, padded with -1
+    power = PowerPlan(RewiredHamiltonian.from_hamiltonian(model()), order)
+    power.mpo(_weight)
+    plan = CompressionPlan(power.levels, order)
+    blocks = plan.blocks
+    stacks = [plan.settled] + [batch for wave in plan.waves for batch in wave]
+    numbers = [b for stack in stacks for b in stack.numbers]
+    assert sorted(numbers) == list(range(len(blocks)))
+    for b in plan.settled.numbers:
+        assert blocks[b].n_prior == 0 and len(blocks[b].levels) == 1
+    wave_n3 = []
+    for wave in plan.waves:
+        wave_n3.append(blocks[wave[0].numbers[0]].n3)
+        for batch in wave:
+            shapes = {(blocks[b].n3, blocks[b].n_prior)
+                      + blocks[b].index.shape[1:] for b in batch.numbers}
+            assert len(shapes) == 1
+            n3, n_prior, rows, columns = shapes.pop()
+            assert n3 == wave_n3[-1] and batch.n_prior == n_prior
+            assert n_prior > 0 or columns > 1
+    assert wave_n3 == sorted(set(wave_n3))
+    for stack in stacks:
+        for k, b in enumerate(stack.numbers):
+            depth, rows, columns = blocks[b].index.shape
+            assert np.array_equal(stack.levels[k], blocks[b].levels)
+            padded = stack.index[:, k].copy()
+            assert np.array_equal(padded[:depth, :rows, :columns],
+                                  blocks[b].index)
+            padded[:depth, :rows, :columns] = -1
+            assert (padded == -1).all()
+    owner = np.full(len(plan.levels), -1)
+    for b, block in enumerate(blocks):
+        assert (owner[block.levels[block.n_prior:]] == -1).all()
+        owner[block.levels[block.n_prior:]] = b
+    assert np.array_equal(plan.block_of, owner)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

@@ -79,6 +79,8 @@ end
     "dim 2\nchannel a\nwhat now\nend",          # unknown directive
     "dim 2\nchannel a\ndriving samples t0=1.0 t1=0.0\nend",  # t1 <= t0
     "dim 2\nchannel a\ndriving samples values=[1j, 2.0]\nend",  # complex
+    "dim 2\nchannel a\ndriving sin omega=1e999\nend",  # infinite rate
+    "dim 2\nchannel a\ndriving samples t0=0 t1=1e999\nend",  # infinite end
 ])
 def test_parse_errors(bad):
     with pytest.raises(modelfile.ModelFileError):
@@ -171,6 +173,27 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]
     assert eps[0] > eps[1] > 0  # error decreases with dt
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_dim_below_one_is_rejected(dim):
+    with pytest.raises(modelfile.ModelFileError,
+                       match=f"dim must be at least 1, got {dim}"):
+        modelfile.loads(TFI_TEXT.replace("dim 2", f"dim {dim}"))
+
+
+def test_cli_integrate_rejects_a_non_finite_driving(tmp_path, capsys):
+    # an infinite constant once printed NaN rows and exited 0
+    path = tmp_path / "inf.model"
+    path.write_text(TFI_TEXT.replace("driving cos omega=6.283185307179586",
+                                     "driving const value=1e999"))
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--model", str(path), "--t", "0.25"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dysonmpo: error: line 10: const value must be "
+                          "finite, got inf")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("args", [
