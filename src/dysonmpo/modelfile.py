@@ -140,8 +140,10 @@ def loads(text):
                 close_channel()
             else:
                 raise ModelFileError(f"unknown directive {head!r}")
-        except ModelFileError:
-            raise
+        except ModelFileError as exc:
+            if str(exc).startswith(f"line {lineno}: "):
+                raise
+            raise ModelFileError(f"line {lineno}: {exc}") from exc
         except Exception as exc:
             raise ModelFileError(f"line {lineno}: {exc}") from exc
     close_channel()

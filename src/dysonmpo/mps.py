@@ -5,7 +5,8 @@
 chain ends towards the centre, factorising as it goes, so that the exact
 product arrives in mixed-canonical form with bonds bounded by the Hilbert
 space dimension of the shorter side; one truncating SVD sweep follows,
-forming no Q factor right of the centre.
+forming no Q factor right of the centre and no U factor anywhere
+(`linalg.svd_truncate_v`).
 A site matrix no taller than it is wide has a square unitary Q that
 shrinks no bond.  It is still factorised while that costs no more than
 forming it, because the triangular remainder keeps weak MPO channels
@@ -25,7 +26,7 @@ otherwise; both are used through ``@``.
 
 import numpy as np
 
-from .linalg import svd_truncate
+from .linalg import svd_truncate, svd_truncate_v
 
 
 class FiniteMPS:
@@ -223,14 +224,17 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     sites ``n-1 .. c+1``; the centre site closes both, contracted from the
     right (`_right_matrix`), whose remainder bond is never the larger.  A
     right-to-left SVD sweep truncates the product at `d_max` / `svd_tol`:
-    at site ``i`` it factorises ``R_{i-1} N_i = U S V`` and pushes ``N_i
-    V^H`` into site ``i-1``, where ``N_i`` is site ``i`` times the push from
-    the right and ``R_{i-1}`` the triangular factor of the QR of sites ``c
-    .. i-1`` (1 for ``i <= c``).  As ``Q_i R_i = R_{i-1} B_i``, that push is
-    the ``Q_i (U S)_{i+1}`` of a sweep through the left-canonical form, but
-    no Q right of the centre is formed.  No tensor of the raw bond ``D_w *
-    chi`` is formed, and every factorised matrix has a side no longer than
-    ``d`` to the power of its distance to the nearer chain end.  The MPO
+    at site ``i`` it takes S and V of ``R_{i-1} N_i = U S V`` and pushes
+    ``N_i V^H`` into site ``i-1``, where ``N_i`` is site ``i`` times the
+    push from the right and ``R_{i-1}`` the triangular factor of the QR of
+    sites ``c .. i-1`` (1 for ``i <= c``).  As ``Q_i R_i = R_{i-1} B_i``,
+    that push is the ``Q_i (U S)_{i+1}`` of a sweep through the
+    left-canonical form, but no Q right of the centre is formed, and no U:
+    the SVD is LAPACK's ``zgesvd`` with ``jobu = 'N'``
+    (`linalg.svd_truncate_v`), whose S and V are bitwise those of
+    `svd_truncate`.  No tensor of the raw bond ``D_w * chi`` is formed, and
+    every factorised matrix has a side no longer than ``d`` to the power of
+    its distance to the nearer chain end.  The MPO
     acts through its transfer operators (`ExtensiveMPO.transfer`), built on
     the first apply and kept with the MPO: CSR below
     `extensive.SPARSE_BELOW` of their entries nonzero, dense above.
@@ -296,7 +300,7 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
         if i == 0:
             tensors[0] = x.reshape(1, d, -1)
             break
-        u, s, v, disc = svd_truncate(x, max_rank=d_max, tol=svd_tol)
+        _, v, disc = svd_truncate_v(x, max_rank=d_max, tol=svd_tol)
         discarded += disc
         tensors[i] = v.reshape(v.shape[0], d, -1)
         vh = v.conj().T

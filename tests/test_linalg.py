@@ -1,9 +1,13 @@
+import ctypes
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.cython_lapack
 from helpers import qr_column_pivoted
 
-from dysonmpo.linalg import svd_truncate, truncation_rank
+from dysonmpo import linalg
+from dysonmpo.linalg import svd_truncate, svd_truncate_v, truncation_rank
 
 
 def test_svd_identity():
@@ -102,3 +106,95 @@ def test_truncation_rank_rejects_rank_below_one(max_rank):
         truncation_rank(np.array([3.0, 2.0, 1.0]), max_rank=max_rank)
     with pytest.raises(ValueError, match="max_rank"):
         svd_truncate(np.diag([3.0, 2.0, 1.0]), max_rank=max_rank)
+    with pytest.raises(ValueError, match="max_rank"):
+        svd_truncate_v(np.diag([3.0, 2.0, 1.0]), max_rank=max_rank)
+
+
+def test_zgesvd_is_bound_with_its_c_prototype():
+    # the capsule's name is the C signature SciPy exports; int * arguments
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["zgesvd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule).decode()
+    assert name == linalg.ZGESVD_SIGNATURE
+    args = linalg.ZGESVD_SIGNATURE.removeprefix("void (").removesuffix(")")
+    assert [a.strip() for a in args.split(",")] == [
+        "char *", "char *", "int *", "int *", "__pyx_t_double_complex *",
+        "int *", "__pyx_t_5scipy_6linalg_13cython_lapack_d *",
+        "__pyx_t_double_complex *", "int *", "__pyx_t_double_complex *",
+        "int *", "__pyx_t_double_complex *", "int *",
+        "__pyx_t_5scipy_6linalg_13cython_lapack_d *", "int *"]
+
+
+def test_zgesvd_binding_refuses_another_prototype(monkeypatch):
+    other = linalg.ZGESVD_SIGNATURE.replace("int *", "int64_t *")
+    monkeypatch.setattr(linalg, "ZGESVD_SIGNATURE", other)
+    with pytest.raises(ImportError) as exc:
+        linalg._bind_zgesvd()
+    message = str(exc.value)
+    assert repr(other) in message
+    assert repr(other.replace("int64_t *", "int *")) in message
+
+
+def _graded(rng, shape, smallest):
+    """A complex matrix with singular values from 1 down to `smallest`."""
+    k = min(shape)
+    q_l = np.linalg.qr(rng.normal(size=(shape[0], k))
+                       + 1j * rng.normal(size=(shape[0], k)))[0]
+    q_r = np.linalg.qr(rng.normal(size=(shape[1], k))
+                       + 1j * rng.normal(size=(shape[1], k)))[0]
+    return (q_l * np.logspace(0, np.log10(smallest), k)) @ q_r.conj().T
+
+
+def _svd_input(kind, shape, rng):
+    rows, cols = shape
+    if kind == "rank_deficient":
+        r = min(shape) // 4
+        return ((rng.normal(size=(rows, r)) + 1j * rng.normal(size=(rows, r)))
+                @ (rng.normal(size=(r, cols)) + 1j * rng.normal(size=(r, cols))))
+    if kind == "graded":
+        return _graded(rng, shape, 1e-18)
+    m = rng.normal(size=(rows, 2 * cols)) + 1j * rng.normal(size=(rows, 2 * cols))
+    if kind == "fortran":
+        return np.asfortranarray(m[:, :cols])
+    if kind == "strided":
+        return m[:, ::2]
+    return np.ascontiguousarray(m[:, :cols])
+
+
+# zgesvd's paths: rows >= 1.6 cols (QR first), rows < 1.6 cols, square,
+# cols < 1.6 rows and cols >= 1.6 rows (LQ first)
+@pytest.mark.parametrize("shape", [(256, 64), (96, 64), (64, 64), (64, 96),
+                                   (32, 64)], ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("kind", ["c_order", "rank_deficient", "graded",
+                                  "fortran", "strided"])
+def test_v_only_svd_is_svd_truncate_bitwise(shape, kind):
+    rng = np.random.default_rng(11)
+    m = _svd_input(kind, shape, rng)
+    assert m.flags.c_contiguous == (kind in ("c_order", "rank_deficient",
+                                             "graded"))
+    for rule in ({}, {"max_rank": 7}, {"tol": 1e-9},
+                 {"max_rank": 40, "tol": 1e-12}):
+        _, s_ref, v_ref, w_ref = svd_truncate(m, **rule)
+        s, v, w = svd_truncate_v(m, **rule)
+        assert np.array_equal(s, s_ref) and s.dtype == s_ref.dtype
+        assert np.array_equal(v, v_ref) and v.strides == v_ref.strides
+        assert w == w_ref
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_v_only_svd_rejects_non_finite_input(bad):
+    m = np.ones((4, 3), dtype=complex)
+    m[2, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        svd_truncate(m)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        svd_truncate_v(m)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_v_only_svd_of_an_empty_matrix(shape):
+    _, s_ref, v_ref, w_ref = svd_truncate(np.zeros(shape))
+    s, v, w = svd_truncate_v(np.zeros(shape))
+    assert s.shape == s_ref.shape == (0,)
+    assert v.shape == v_ref.shape == (0, shape[1]) and v.dtype == complex
+    assert w == w_ref == 0.0

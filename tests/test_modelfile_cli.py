@@ -182,6 +182,23 @@ def test_dim_below_one_is_rejected(dim):
         modelfile.loads(TFI_TEXT.replace("dim 2", f"dim {dim}"))
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("dim 2\n\ndim 0\n", 3, "dim must be at least 1, got 0"),
+    ("dim 2\nchannel a\nwhat now\nend\n", 3, "unknown directive 'what'"),
+    ("# no channel yet\ndim 2\nD [[0, 1], [1, 0]]\n", 3,
+     "'D' outside a channel block"),
+    ("# no dim\nchannel a\n", 2, "dim must come before channels"),
+    ("dim 2\nchannel a\nD [[1]]\nend\n", 3,
+     "operator must be 2x2, got (1, 1)"),
+    ("dim 2\nchannel a\n\ndriving square omega=1.0\nend\n", 4,
+     "unknown driving kind 'square'"),
+])
+def test_loader_errors_name_their_line(text, line, message):
+    with pytest.raises(modelfile.ModelFileError) as exc:
+        modelfile.loads(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_cli_integrate_rejects_a_non_finite_driving(tmp_path, capsys):
     # an infinite constant once printed NaN rows and exited 0
     path = tmp_path / "inf.model"

@@ -459,6 +459,15 @@ def test_apply_rejects_d_max_below_one(d_max):
         apply_mpo(w, psi, d_max=d_max)
 
 
+@pytest.mark.parametrize("site", [0, 3, 4, 7])
+def test_apply_rejects_a_state_with_a_nan_entry(tfi_steps, site):
+    # the truncating sweep's SVD checks its input; nothing is returned
+    psi = _random_mps(8, 8, np.random.default_rng(19))
+    psi.tensors[site][0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        apply_mpo(tfi_steps[0], psi, d_max=4)
+
+
 def test_empty_mps_raises():
     with pytest.raises(ValueError, match="at least one site"):
         FiniteMPS([])
