@@ -24,7 +24,7 @@ import numpy as np
 from .brackets import BracketTable, check_interval
 from .compression import row_compress
 from .dyson import dyson_mpo, magnus_evolution
-from .evolve import exact_evolve
+from .evolve import check_oracle, exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
 from .mps import FiniteMPS, apply_mpo, check_svd_tol, trace_distance_error
 from .taylor import taylor_mpo
@@ -330,12 +330,16 @@ def run_benchmark(hamiltonian, config):
     sweep shares one `BracketCache` at the top order it reads, so the first
     evolution that touches an interval (the lowest order) computes its
     table, and its `bracket_s` carries that time.  Every (order, dt) pair
-    is checked before the first evolution (see `_step_count`).
+    is checked before the first evolution (see `_step_count`), and so are
+    the state size and `oracle_substeps` of the RK4 reference, unless the
+    sweep is self-referenced (see `evolve.check_oracle`).
     """
     orders, dts = config.sweep()
     for order in orders:
         for dt in dts:
             _step_count(config, order, dt)
+    if not config.self_reference:
+        check_oracle(hamiltonian.d ** config.n_sites, config.oracle_substeps)
     psi0 = initial_state(config)
     top = max(bracket_order(config.method, order) for order in orders)
     cache = BracketCache(hamiltonian, order=top)

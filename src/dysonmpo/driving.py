@@ -372,7 +372,3 @@ class TimeDependentHamiltonian:
             out += complex(np.asarray(c.driving(t)).item()) * \
                 c.operator.to_dense(n_sites, cap=cap)
         return out
-
-    def dense_channel_matrices(self, n_sites, cap=4096):
-        """Per-channel dense matrices, for the state-vector oracle."""
-        return [c.operator.to_dense(n_sites, cap=cap) for c in self.channels]

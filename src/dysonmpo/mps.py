@@ -256,11 +256,14 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
     with the norm on site 0, and the total discarded weight.  An `svd_tol`
-    outside ``[0, 1)`` raises `ValueError` (see `check_svd_tol`).
+    outside ``[0, 1)`` or a state with an inf or NaN entry raises
+    `ValueError` (see `check_svd_tol`).
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
     check_svd_tol(svd_tol)
+    if not np.isfinite(np.concatenate([t.ravel() for t in psi.tensors])).all():
+        raise ValueError("array must not contain infs or NaNs")
     left, right = mpo.transfer()
     dw = mpo.bond_dimension
     boundary = np.zeros(dw, dtype=complex)

@@ -1172,13 +1172,19 @@ def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     return FiniteMPS(tensors).normalized(), discarded
 
 
+def dense_channel_matrices(hamiltonian, n_sites, cap=1 << 20):
+    """Per-channel dense matrices (`FirstDegreeMPO.to_dense`)."""
+    return [c.operator.to_dense(n_sites, cap=cap)
+            for c in hamiltonian.channels]
+
+
 def literal_rk4(hamiltonian, n_sites, psi, t0, t, substeps):
     """Fixed-step RK4 with dense channel matrices, as an oracle for `evolve`.
 
     `psi` is one state or a ``(dim, m)`` block of them; each stage forms
     ``sum_a f_a(s) (H_a @ psi)`` with every driving evaluated at one time.
     """
-    mats = hamiltonian.dense_channel_matrices(n_sites, cap=1 << 20)
+    mats = dense_channel_matrices(hamiltonian, n_sites)
     drvs = [c.driving for c in hamiltonian.channels]
 
     def hpsi(s, vec):

@@ -468,6 +468,26 @@ def test_run_benchmark_evolves_in_record_order(monkeypatch):
         [(r.order, r.dt) for r in records]
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"n_sites": 15}, "STATE_CAP"),
+    ({"oracle_substeps": 0}, "substeps must be at least 1")])
+def test_run_benchmark_checks_the_oracle_before_evolving(change, message,
+                                                         monkeypatch):
+    config = dataclasses.replace(_four_site_sweep(), **change)
+    calls = _record_evolutions(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(modulated_ising(), config)
+    assert calls == []
+
+
+def test_self_referenced_sweep_needs_no_oracle():
+    config = EvolutionConfig(n_sites=4, orders=(1, 2), dts=(0.25, 0.125),
+                             t_final=0.5, d_max=8, oracle_substeps=0,
+                             self_reference=True)
+    records = run_benchmark(modulated_ising(), config)
+    assert len(records) == 4
+
+
 def test_sweep_computes_one_table_per_interval(monkeypatch):
     ham = modulated_ising()  # period 1: [0, 0.5] holds 2 + 4 intervals
     config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,18 +8,20 @@ from scipy import sparse
 
 from helpers import literal_apply_mpo, literal_rk4
 
-from dysonmpo import extensive, modelfile, mps
+from dysonmpo import evolve, extensive, modelfile, mps
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, PolyDriving, \
     SampledDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo
-from dysonmpo.evolve import exact_evolution_operator, exact_evolve
+from dysonmpo.evolve import (OPERATOR_CAP, STATE_CAP,
+                             exact_evolution_operator, exact_evolve,
+                             sparse_operator)
 from dysonmpo.extensive import ExtensiveMPO
-from dysonmpo.fdmpo import from_terms
+from dysonmpo.fdmpo import FirstDegreeMPO, from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
-from dysonmpo.spin import SZ, SX
+from dysonmpo.spin import SZ, SX, kron_chain
 from dysonmpo.taylor import taylor_mpo
 
 
@@ -199,6 +202,113 @@ def test_exact_evolve_poly_and_samples_model_matches_literal_rk4():
     u = exact_evolution_operator(ham, 4, 0.0, 0.4, substeps=100)
     ref = literal_rk4(ham, 4, np.eye(16), 0.0, 0.4, 100)
     assert np.abs(u - ref).max() <= 1e-14
+
+
+MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "demos" /
+                      "models").glob("*.model"))
+CHANNEL_MODELS = {
+    **{path.stem: lambda path=path: modelfile.load(str(path))
+       for path in MODEL_FILES},
+    **ORACLE_MODELS, "poly_samples": lambda: modelfile.loads(
+        POLY_SAMPLES_TEXT)}
+
+
+@pytest.mark.parametrize("model", sorted(CHANNEL_MODELS))
+def test_sparse_operators_equal_the_dense_chain(model):
+    ham = CHANNEL_MODELS[model]()
+    for ch in ham.channels:
+        for n in range(1, 9):
+            op = sparse_operator(ch.operator, n)
+            dense = ch.operator.to_dense(n, cap=1 << 8)
+            assert np.array_equal(op.toarray(), dense)
+            assert op.nnz == np.count_nonzero(dense)
+        if ch.operator.D is None:  # no one-site term: the zero operator
+            assert sparse_operator(ch.operator, 1).nnz == 0
+
+
+def test_sparse_operators_drop_the_entries_that_cancel():
+    # XX + YY: each pair's XX and YY entries coincide, and half cancel
+    xy = modulated_xxz().channels[0]
+    assert xy.name == "xy"
+    assert sparse_operator(xy.operator, 8).nnz == 896
+
+
+def _random_fdmpo(rng, d=3, chi=2):
+    def op():
+        return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return FirstDegreeMPO(
+        d, chi, L={k: op() for k in range(chi)},
+        A={(i, j): 0.5 * op() for i in range(chi) for j in range(chi)},
+        R={k: op() for k in range(chi)}, D=op())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_operators_of_random_mpos_with_chains(seed):
+    w = _random_fdmpo(np.random.default_rng(seed))
+    for n in range(1, 6):
+        op = sparse_operator(w, n)
+        dense = w.to_dense(n, cap=3 ** 5)
+        assert np.abs(op.toarray() - dense).max() <= \
+            1e-15 * np.abs(dense).max()
+        assert op.nnz == np.count_nonzero(dense)
+
+
+def test_exact_evolve_field_only_at_twelve_sites():
+    # H(t) = f(t) sum_i D_i: every site turns by exp(-i F D), F = int f
+    drv = TrigDriving("cos", omega=3.0, offset=0.5)
+    phase = math.sin(3.0 * 0.4) / 3.0 + 0.5 * 0.4
+    field = 0.7 * SX + 0.3 * SZ
+    ham = TimeDependentHamiltonian([Channel(
+        "f", from_terms(2, on_site=field), drv)])
+    rng = np.random.default_rng(21)
+    sites = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+    sites /= np.linalg.norm(sites, axis=1, keepdims=True)
+    out = exact_evolve(ham, kron_chain(sites[:, None])[0], 0.0, 0.4,
+                      substeps=400)
+    turn = scipy.linalg.expm(-1j * phase * field)
+    ref = kron_chain((sites @ turn.T)[:, None])[0]
+    assert np.abs(out - ref).max() < 1e-10
+
+
+def test_exact_evolve_zz_only_at_twelve_sites():
+    # H(t) = g(t) sum_i Z_i Z_{i+1} is diagonal: psi_z picks up the phase
+    # exp(-i G E(z)), G = int g, with E(z) the bond sum of z's spins
+    n = 12
+    drv = TrigDriving("sin", omega=2 * math.pi, offset=1.0)
+    phase = (1.0 - math.cos(2 * math.pi * 0.3)) / (2 * math.pi) + 0.3
+    ham = TimeDependentHamiltonian([Channel(
+        "zz", from_terms(2, two_site=[(SZ, SZ)]), drv)])
+    spins = 1 - 2 * ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1)
+    energy = (spins[:, 1:] * spins[:, :-1]).sum(axis=1)
+    rng = np.random.default_rng(22)
+    psi0 = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    psi0 /= np.linalg.norm(psi0)
+    out = exact_evolve(ham, psi0, 0.0, 0.3, substeps=800)
+    ref = np.exp(-1j * phase * energy) * psi0
+    assert np.abs(out - ref).max() < 1e-10
+
+
+def test_exact_evolve_takes_states_up_to_the_cap():
+    ham = modulated_xxz()
+    psi0 = FiniteMPS.random_product(14, rng=14).to_dense()
+    assert psi0.size == STATE_CAP
+    out = exact_evolve(ham, psi0, 0.0, 0.01, substeps=2)
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-8
+    with pytest.raises(ValueError, match=f"STATE_CAP = {STATE_CAP}"):
+        exact_evolve(ham, np.ones(2 * STATE_CAP), 0.0, 0.25, substeps=10)
+
+
+@pytest.mark.parametrize("n_sites", [11, 40])
+def test_exact_evolution_operator_rejects_before_it_allocates(n_sites,
+                                                              monkeypatch):
+    # 2**40 columns could not be allocated; nothing is built either
+    built = []
+    monkeypatch.setattr(evolve, "sparse_operator",
+                        lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=f"OPERATOR_CAP = {OPERATOR_CAP}"):
+        exact_evolution_operator(modulated_ising(), n_sites, 0.0, 0.25,
+                                 substeps=10)
+    assert not built
 
 
 BUNDLED_DRIVINGS = [
@@ -464,6 +574,17 @@ def test_apply_rejects_a_state_with_a_nan_entry(tfi_steps, site):
     # the truncating sweep's SVD checks its input; nothing is returned
     psi = _random_mps(8, 8, np.random.default_rng(19))
     psi.tensors[site][0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        apply_mpo(tfi_steps[0], psi, d_max=4)
+
+
+@pytest.mark.parametrize("n, site, value", [(1, 0, np.nan), (8, 5, np.inf),
+                                            (16, 9, np.nan)])
+def test_apply_rejects_a_non_finite_state_before_it_runs(tfi_steps, n, site,
+                                                          value):
+    # one site never reaches an SVD, and an inf fails in a product first
+    psi = _random_mps(n, 8, np.random.default_rng(23))
+    psi.tensors[site][0, 1, 0] = value
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         apply_mpo(tfi_steps[0], psi, d_max=4)
 
