@@ -2,8 +2,10 @@
 
 Splits an interval into uniform steps; per step obtains the bracket table,
 builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
-row-compresses it and applies it to the state.  An order-N Magnus step is
-the order-N Dyson step (`magnus_evolution`).  Steps congruent modulo the
+row-compresses it, factors a wide one down to its row rank
+(`bulk.bulk_compress`, from bond `bulk.BULK_FROM`) and applies it to the
+state.  An order-N Magnus step is the order-N Dyson step
+(`magnus_evolution`).  Steps congruent modulo the
 driving period reuse the MPO built at the first of them.  A sweep computes
 one bracket table per congruence class of step interval, and builds one
 step plan (power and compression index sets) per order, which its Dyson
@@ -22,18 +24,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import BracketTable, check_interval
+from .bulk import BULK_FROM, bulk_compress
 from .compression import row_compress
 from .dyson import dyson_mpo, magnus_evolution
 from .evolve import check_oracle, exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
-from .mps import FiniteMPS, apply_mpo, check_svd_tol, trace_distance_error
+from .mps import (FiniteMPS, apply_mpo, check_d_max, check_svd_tol,
+                  trace_distance_error)
 from .taylor import taylor_mpo
 
 METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
                "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
-               "fold_residual", "mpo_builds", "discarded_weight",
-               "bracket_s", "build_s", "apply_s", "plan_s", "mpo_blocks"]
+               "fold_residual", "bulk_residual", "mpo_builds",
+               "discarded_weight", "bracket_s", "build_s", "apply_s",
+               "plan_s", "mpo_blocks"]
 
 
 @dataclass
@@ -81,6 +86,7 @@ class ErrorRecord:
     mpo_builds: int = 0              # step MPOs built (one per congruence class)
     plan_s: float = 0.0              # of build_s, spent building the step plan
     mpo_blocks: int = 0              # nonzero blocks of the largest step MPO
+    bulk_residual: float = 0.0       # largest check residual of the bulk stage
 
 
 def bracket_order(method, order):
@@ -156,13 +162,16 @@ class BracketCache:
 
 def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
                    compress=True, plan=None):
-    """Evolution MPO for one step, optionally row-compressed.
+    """Evolution MPO for one step, optionally compressed.
 
     `table` holds the brackets of ``[t0, t1]`` up to at least
     ``bracket_order(method, order)``; the Taylor step takes None.  Dyson
     and Magnus steps weight `plan` (`BracketCache.plan`), or one of their
-    own.  Returns ``(mpo, report)``; `report` is the `CompressionReport`,
-    or None when the MPO was not compressed.
+    own.  Compression is row compression at `qr_tol`, then, for a
+    row-compressed bond of at least `bulk.BULK_FROM`, the exact bulk stage
+    at the same tolerance.  Returns ``(mpo, report)``; `report` is the
+    `CompressionReport`, with the bulk bond and residual, or None when the
+    MPO was not compressed.
     """
     if method == "dyson":
         mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
@@ -179,6 +188,9 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
     report = None
     if compress and mpo.bond_dimension > 1:
         mpo, report = row_compress(mpo, order, tol=qr_tol)
+        if mpo.bond_dimension >= BULK_FROM:
+            mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
+            report.bond_dimension_bulk = mpo.bond_dimension
     return mpo, report
 
 
@@ -186,12 +198,16 @@ def _step_count(config, order, dt):
     """Steps of an order-`order` evolution of `config` at step `dt`.
 
     Raises `ValueError` for a run that `evolve_state` cannot make: an
-    unknown method, an `svd_tol` outside ``[0, 1)``, a non-finite end of
-    the interval, or steps that do not run forward or do not divide it.
+    unknown method, a `d_max` other than None or an int ``>= 1``, an
+    `svd_tol` or `qr_tol` outside ``[0, 1)``, a non-finite end of the
+    interval, or steps that do not run forward or do not divide it.
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
+    check_d_max(config.d_max)
     check_svd_tol(config.svd_tol)
+    if not 0 <= config.qr_tol < 1:
+        raise ValueError(f"qr_tol must lie in [0, 1), got {config.qr_tol!r}")
     check_interval(config.t0, config.t_final)
     span = config.t_final - config.t0
     if dt <= 0 or span < 0:
@@ -213,7 +229,8 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     wall time, the largest MPO/MPS bond dimensions encountered, the
     largest MPO bond before row compression (`mpo_bond_before`) and the
     largest relative residual of its least-squares folds
-    (`fold_residual`), the number of steps and of step MPOs built, the
+    (`fold_residual`), the largest check residual of the bulk stage
+    (`bulk_residual`), the number of steps and of step MPOs built, the
     weight the MPS truncations discarded, summed over the steps, the
     seconds spent obtaining bracket tables (`bracket_s`), building and
     compressing step MPOs (`build_s`) and applying them (`apply_s`), the
@@ -241,7 +258,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     mpo_bond = 0
     mpo_blocks = 0
     bond_before = 0
-    fold_residual = 0.0
+    fold_residual = bulk_residual = 0.0
     mps_bond = psi.max_bond
     discarded = 0.0
     bracket_s = build_s = apply_s = 0.0
@@ -268,6 +285,7 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
             if report is not None:
                 bond_before = max(bond_before, report.bond_dimension_before)
                 fold_residual = max(fold_residual, report.fold_residual)
+                bulk_residual = max(bulk_residual, report.bulk_residual)
         start = time.perf_counter()
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
                               svd_tol=config.svd_tol)
@@ -278,7 +296,8 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
     wall = (time.perf_counter() - t_start) / max(n_steps, 1)
     return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
                  "mps_bond_dim": mps_bond, "mpo_bond_before": bond_before,
-                 "fold_residual": fold_residual, "n_steps": n_steps,
+                 "fold_residual": fold_residual,
+                 "bulk_residual": bulk_residual, "n_steps": n_steps,
                  "mpo_builds": len(step_mpos),
                  "discarded_weight": discarded, "bracket_s": bracket_s,
                  "build_s": build_s, "apply_s": apply_s,
@@ -320,7 +339,7 @@ def _epsilon_stable(psi, reference):
 
 _RECORDED = ("discarded_weight", "bracket_s", "build_s", "apply_s",
              "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds",
-             "plan_s", "mpo_blocks")
+             "plan_s", "mpo_blocks", "bulk_residual")
 
 
 def run_benchmark(hamiltonian, config):
@@ -377,7 +396,8 @@ def records_to_csv(records, seed=0):
         writer.writerow([r.method, r.order, f"{r.dt:.12g}", f"{r.epsilon:.12g}",
                          f"{r.wall_time_per_step:.6g}", r.mpo_bond_dim,
                          r.mps_bond_dim, r.seed, r.mpo_bond_before,
-                         f"{r.fold_residual:.6g}", r.mpo_builds,
+                         f"{r.fold_residual:.6g}", f"{r.bulk_residual:.6g}",
+                         r.mpo_builds,
                          f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}",
                          f"{r.build_s:.6g}", f"{r.apply_s:.6g}",
                          f"{r.plan_s:.6g}", r.mpo_blocks])

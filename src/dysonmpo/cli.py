@@ -67,7 +67,12 @@ def cmd_build_mpo(args):
                                  compress=not args.no_compress)
     print(f"method={args.method} order={args.order} interval=[{args.t0}, {args.t}]")
     print(f"bond dimension: {mpo.bond_dimension}")
-    print("levels: " + " ".join(repr(l) for l in mpo.levels))
+    levels = mpo.levels
+    if report is not None:
+        # a bulk MPO has no level labels; name the row-compressed levels
+        print(f"row-compressed bond dimension: {report.bond_dimension_after}")
+        levels = report.kept_levels
+    print("levels: " + " ".join(repr(l) for l in levels))
     if args.report and report is not None:
         print(report.to_text())
     return 0

@@ -73,7 +73,11 @@ class CompressionReport:
 
     `removed_levels` lists ``(level, {kept level: coefficient})`` in block
     order; a compression passes it as a function that builds the list,
-    called when the attribute is first read.
+    called when the attribute is first read.  `bond_dimension_after` is
+    the row-compressed bond; `bond_dimension_bulk` the bond of the MPO
+    `bench.build_step_mpo` applies, after its bulk stage
+    (`bulk.bulk_compress`), and `bulk_residual` that stage's check
+    residual (0 where the stage did not run).
     """
 
     def __init__(self, kept_levels=None, removed_levels=None,
@@ -83,9 +87,11 @@ class CompressionReport:
         self._removed = [] if removed_levels is None else removed_levels
         self.bond_dimension_before = bond_dimension_before
         self.bond_dimension_after = bond_dimension_after
+        self.bond_dimension_bulk = bond_dimension_after
         self.qr_tolerance = qr_tolerance
         # largest |G_basis x - G_rest| / |G_rest|
         self.fold_residual = fold_residual
+        self.bulk_residual = 0.0
 
     @property
     def removed_levels(self):
@@ -97,8 +103,10 @@ class CompressionReport:
         lines = [
             f"bond dimension: {self.bond_dimension_before} -> "
             f"{self.bond_dimension_after}",
+            f"bulk bond dimension: {self.bond_dimension_bulk}",
             f"qr tolerance: {self.qr_tolerance}",
             f"fold residual: {self.fold_residual:.3g}",
+            f"bulk residual: {self.bulk_residual:.3g}",
             f"kept levels ({len(self.kept_levels)}):",
         ]
         lines.extend(f"  {lvl!r}" for lvl in self.kept_levels)

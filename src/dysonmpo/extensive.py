@@ -19,6 +19,11 @@ on the step.  A `PowerPlan` holds the power once, as arrays, so a weighting
 costs one gather of the weights and one scatter-add into the identity
 column.  The Dyson and Magnus steps of one order share a plan; a Taylor
 operator changes with the step, so each Taylor MPO gets a plan of its own.
+
+An `ExtensiveMPO` carries its two boundary vectors.  Those of a power, and
+of its row compression, are one-hot on the identity level, and its levels
+carry labels; the bulk MPO that `bulk.bulk_compress` factors from a wide
+step has combined levels, no labels, and boundary vectors of its own.
 """
 
 import time
@@ -26,28 +31,42 @@ import time
 import numpy as np
 from scipy import sparse
 
-from .fdmpo import DENSE_CAP, dense_chain
+from .fdmpo import DENSE_CAP, dense_chain, one_hot
 from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, two
 
 # Nonzero fraction below which the transfer operators are CSR, where a
 # CSR (n, n) times a dense (n, m) breaks even with the dense product: it
 # took 0.3x the dense time at 3% of the entries, 0.7-0.9x at 7.5%,
 # 0.8-1.3x at 10%, 1.1-1.2x at 12.5% and 1.4-1.9x at 20% (n = 92-326,
-# m = 16-1024, scipy 1.17, one BLAS thread, 2-vCPU Xeon VM).
+# m = 16-1024, scipy 1.17, one BLAS thread, 2-vCPU Xeon VM).  Of the step
+# MPOs `bench.build_step_mpo` applies for the bundled models at orders
+# 1-5 (dt 1/16 and 1/4), only the order-2 XXZ step (bond 13, 9.5%) is
+# below it; the TFI steps fill 41-50%, and the XXZ steps of orders 3-5,
+# factored to bonds 20 / 35 / 95, fill 60-99%.  A row-compressed MPO that
+# skips the bulk stage, as order-4 XXZ (bond 163, 3.4%), is CSR too.
 SPARSE_BELOW = 0.1
 
 
 class ExtensiveMPO:
-    """Level-labelled MPO without termination structure.
+    """MPO without termination structure, with its two boundary vectors.
 
     Attributes
     ----------
     d : int
         Physical dimension.
-    levels : list of LevelLabel
-        Ordered virtual levels; the identity level comes first.
-    entries : dict (LevelLabel, LevelLabel) -> (d, d) array
-        Operator-valued tensor; absent entries are zero.
+    bond_dimension : int
+        Number of virtual levels ``D_w``.
+    levels : list of LevelLabel, or None
+        Ordered virtual levels, the identity level first; None for a bulk
+        MPO (`bulk.bulk_compress`), whose levels are combinations of
+        labelled ones.
+    boundary : (left, right)
+        Vectors of length ``D_w``: the operator on ``n >= 1`` sites is
+        ``left^T W ... W right``.  One-hot on the identity level unless
+        given.
+    entries : dict (level, level) -> (d, d) array
+        Operator-valued tensor, keyed by labels (by level index for a bulk
+        MPO); absent entries are zero.
     order : int
         Expansion order N the MPO is accurate to.
     params : dict
@@ -70,23 +89,35 @@ class ExtensiveMPO:
         cols = np.array([index[b] for _, b in entries], dtype=np.intp)
         blocks = np.array(list(entries.values()), dtype=complex)
         self._set(d, levels, order, params,
-                  (rows, cols, blocks.reshape(-1, int(d), int(d))))
+                  (rows, cols, blocks.reshape(-1, int(d), int(d))), None)
         self._entries = entries
 
     @classmethod
-    def from_arrays(cls, d, levels, rows, cols, blocks, order=0, params=None):
-        """MPO with ``W[levels[rows[i]], levels[cols[i]]] = blocks[i]``.
+    def from_arrays(cls, d, levels, rows, cols, blocks, order=0, params=None,
+                    boundary=None):
+        """MPO with ``W[rows[i], cols[i]] = blocks[i]``.
 
-        The ``(rows[i], cols[i])`` pairs must be distinct, and
-        ``levels[0]`` the identity level.
+        `levels` is the list of level labels, the identity level first, or
+        the bond dimension of an MPO without labels.  The ``(rows[i],
+        cols[i])`` pairs must be distinct.  `boundary` is the pair
+        ``(left, right)`` of boundary vectors; by default both are one-hot
+        on level 0.
         """
         mpo = cls.__new__(cls)
-        mpo._set(d, levels, order, params, (rows, cols, blocks))
+        mpo._set(d, levels, order, params, (rows, cols, blocks), boundary)
         return mpo
 
-    def _set(self, d, levels, order, params, coo):
+    def _set(self, d, levels, order, params, coo, boundary):
         self.d = int(d)
-        self.levels = list(levels)
+        if isinstance(levels, (int, np.integer)):
+            self.levels, self.bond_dimension = None, int(levels)
+        else:
+            self.levels = list(levels)
+            self.bond_dimension = len(self.levels)
+        if boundary is None:
+            edge = one_hot(self.bond_dimension, 0)
+            boundary = (edge, edge)
+        self.boundary = tuple(np.asarray(v, dtype=complex) for v in boundary)
         self.order = int(order)
         self.params = dict(params or {})
         self._coo = coo
@@ -94,14 +125,10 @@ class ExtensiveMPO:
         self._transfer = None
 
     @property
-    def bond_dimension(self):
-        return len(self.levels)
-
-    @property
     def entries(self):
         if self._entries is None:
             rows, cols, blocks = self.coo()
-            lv = self.levels
+            lv = self.levels or range(self.bond_dimension)
             self._entries = {(lv[a], lv[b]): op
                              for a, b, op in zip(rows.tolist(), cols.tolist(),
                                                  blocks)}
@@ -121,7 +148,7 @@ class ExtensiveMPO:
 
     def site_tensor(self):
         """Dense site tensor with index order (left, right, out, in)."""
-        n = len(self.levels)
+        n = self.bond_dimension
         rows, cols, blocks = self._coo
         w = np.zeros((n, n, self.d, self.d), dtype=complex)
         w[rows, cols] = blocks
@@ -144,7 +171,7 @@ class ExtensiveMPO:
             vals = blocks[k, s, p]
             d = self.d
             a, b = rows[k] * d, cols[k] * d
-            size = len(self.levels) * d
+            size = self.bond_dimension * d
             pairs = ((b + s, a + p), (a + s, b + p))  # (row, column)
             if len(vals) < SPARSE_BELOW * size * size:
                 ops = [sparse.csr_array((vals, ij), shape=(size, size))
@@ -156,15 +183,11 @@ class ExtensiveMPO:
             self._transfer = tuple(ops)
         return self._transfer
 
-    def boundary_index(self):
-        return self.levels.index(IDENTITY_LEVEL)
-
     def to_dense(self, n_sites, cap=DENSE_CAP):
-        """Dense operator on `n_sites` sites, boundaries on the identity level
+        """Dense operator on `n_sites` sites between the boundary vectors
         (`fdmpo.dense_chain` over the coordinate arrays)."""
-        edge = self.boundary_index()
-        return dense_chain(*self.coo(), len(self.levels), edge, edge, n_sites,
-                           cap)
+        return dense_chain(*self.coo(), self.bond_dimension, *self.boundary,
+                           n_sites, cap)
 
     def __repr__(self):
         return (f"ExtensiveMPO(d={self.d}, bond={self.bond_dimension}, "

@@ -25,15 +25,16 @@ from .linalg import as_complex
 DENSE_CAP = 64  # largest d**n_sites a dense expansion will materialize
 
 
-def dense_chain(rows, cols, blocks, n_levels, first, last, n_sites,
+def dense_chain(rows, cols, blocks, n_levels, left, right, n_sites,
                 cap=DENSE_CAP):
-    """Dense operator of `n_sites` equal site tensors, from virtual level
-    `first` on the left to level `last` on the right.
+    """Dense operator of `n_sites` equal site tensors between the boundary
+    vectors `left` and `right` (length `n_levels` each).
 
     The tensor is given by its (d, d) blocks ``W[rows[i], cols[i]]``.
-    ``env[b]``, the operator on the sites so far ending on level `b`, goes
-    to ``sum over blocks (a, b) of kron(env[a], W[a, b])``: one sparse
-    product per site, so no dense site tensor is formed.
+    ``env[b]``, the operator on the sites so far ending on level `b`,
+    starts as ``left[b]`` and goes to ``sum over blocks (a, b) of
+    kron(env[a], W[a, b])``: one sparse product per site, so no dense site
+    tensor is formed.  The result is ``sum over b of right[b] env[b]``.
     """
     d = blocks.shape[-1]
     if d ** n_sites > cap:
@@ -42,15 +43,19 @@ def dense_chain(rows, cols, blocks, n_levels, first, last, n_sites,
         (blocks.reshape(-1), ((cols[:, None] * d * d + np.arange(d * d))
                               .reshape(-1), np.repeat(rows, d * d))),
         shape=(n_levels * d * d, n_levels))
-    env, dim = np.zeros((n_levels, 1), dtype=complex), 1
-    env[first] = 1.0
-    for site in range(n_sites):
-        step = sites[last * d * d:(last + 1) * d * d] \
-            if site == n_sites - 1 else sites
-        new = (step @ env).reshape(-1, d, d, dim, dim)
+    env, dim = np.asarray(left, dtype=complex).reshape(n_levels, 1), 1
+    for _ in range(n_sites):
+        new = (sites @ env).reshape(-1, d, d, dim, dim)
         dim *= d
         env = new.transpose(0, 3, 1, 4, 2).reshape(-1, dim * dim)
-    return env[0 if n_sites else last].reshape(dim, dim)
+    return (np.asarray(right, dtype=complex) @ env).reshape(dim, dim)
+
+
+def one_hot(n, i):
+    """Boundary vector of length `n` on level `i`."""
+    vec = np.zeros(n, dtype=complex)
+    vec[i] = 1.0
+    return vec
 
 
 class FirstDegreeMPO:
@@ -132,7 +137,8 @@ class FirstDegreeMPO:
         """
         m = self.site_matrix()
         rows, cols = np.nonzero(m.any(axis=(2, 3)))
-        return dense_chain(rows, cols, m[rows, cols], len(m), 0, len(m) - 1,
+        return dense_chain(rows, cols, m[rows, cols], len(m),
+                           one_hot(len(m), 0), one_hot(len(m), len(m) - 1),
                            n_sites, cap)
 
     def __repr__(self):

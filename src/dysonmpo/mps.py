@@ -20,9 +20,13 @@ The MPO enters through its two transfer operators (`ExtensiveMPO.transfer`),
 the MPS tensor, one with the operator and two transposes into the layout
 of the next product and of the factorisation.  An operator is a CSR
 matrix when its nonzero entries fill less than `extensive.SPARSE_BELOW`
-of it, as a wide order-4 XXZ MPO does (3.4%), and a dense array
-otherwise; both are used through ``@``.
+of it, as the order-2 XXZ step does (9.5%), and a dense array otherwise,
+as the steps that `bench.build_step_mpo` factors to their row rank are
+(60-99%); both are used through ``@``.  The two remainders start from
+the MPO's boundary vectors.
 """
+
+import numbers
 
 import numpy as np
 
@@ -214,6 +218,20 @@ def check_svd_tol(svd_tol):
         raise ValueError(f"svd_tol must lie in [0, 1), got {svd_tol!r}")
 
 
+def check_d_max(d_max):
+    """Raise `ValueError` unless `d_max` is None or an int of at least 1.
+
+    A bool is not taken as a bond, nor a float, which the truncation
+    would reach only as a slice bound.
+    """
+    if d_max is None:
+        return
+    if isinstance(d_max, bool) or not isinstance(d_max, numbers.Integral) \
+            or d_max < 1:
+        raise ValueError("d_max, the max_rank of each truncating SVD, must "
+                         f"be None or an int >= 1, got {d_max!r}")
+
+
 def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     """Apply an extensive MPO to a finite MPS and truncate.
 
@@ -254,27 +272,31 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     summed densely: its small singular values are then resolved only to
     rounding of the norm.
 
+    The contraction starts from the MPO's boundary vectors
+    (`ExtensiveMPO.boundary`), one-hot on the identity level for a
+    labelled MPO and dense for a bulk one.
+
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
-    with the norm on site 0, and the total discarded weight.  An `svd_tol`
-    outside ``[0, 1)`` or a state with an inf or NaN entry raises
-    `ValueError` (see `check_svd_tol`).
+    with the norm on site 0, and the total discarded weight.  A `d_max`
+    other than None or an int ``>= 1``, an `svd_tol` outside ``[0, 1)``
+    or a state with an inf or NaN entry raises `ValueError` (see
+    `check_d_max`, `check_svd_tol`).
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
+    check_d_max(d_max)
     check_svd_tol(svd_tol)
     if not np.isfinite(np.concatenate([t.ravel() for t in psi.tensors])).all():
         raise ValueError("array must not contain infs or NaNs")
     left, right = mpo.transfer()
     dw = mpo.bond_dimension
-    boundary = np.zeros(dw, dtype=complex)
-    boundary[mpo.boundary_index()] = 1.0
     n = psi.n_sites
     c = n // 2
     tensors = [None] * n
-    r_left = boundary.reshape(1, dw, 1)
+    r_left = mpo.boundary[0].reshape(1, dw, 1)
     for i in range(c):
         tensors[i], r_left = _left_step(r_left, psi.tensors[i], left)
-    r_right = boundary.reshape(dw, 1, 1)
+    r_right = mpo.boundary[1].reshape(dw, 1, 1)
     for i in range(n - 1, c, -1):
         tensors[i], r_right = _right_step(psi.tensors[i], right, r_right)
     d, k = psi.d, r_left.shape[0]

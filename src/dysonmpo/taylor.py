@@ -20,7 +20,7 @@ import numpy as np
 
 from .brackets import TaylorBrackets
 from .extensive import PowerPlan, RewiredHamiltonian
-from .fdmpo import DENSE_CAP, dense_chain
+from .fdmpo import DENSE_CAP, dense_chain, one_hot
 
 
 def taylor_mpo(h, tau, order):
@@ -67,5 +67,5 @@ def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
             w[i * n:(i + 1) * n, j * n:(j + 1) * n] = coeffs[j - i]
     # the identity level is the first of each block
     rows, cols = np.nonzero(w.any(axis=(2, 3)))
-    return dense_chain(rows, cols, w[rows, cols], len(w), 0, p * n, n_sites,
-                       cap)
+    return dense_chain(rows, cols, w[rows, cols], len(w), one_hot(len(w), 0),
+                       one_hot(len(w), p * n), n_sites, cap)

@@ -751,11 +751,13 @@ def literal_compression_plan(levels, order):
 
 
 def literal_to_dense(mpo, n_sites):
-    """``mpo.to_dense(n_sites)`` with one `np.kron` per (level, entry)."""
-    env = {IDENTITY_LEVEL: np.array([[1.0 + 0.0j]])}
+    """``mpo.to_dense(n_sites)`` with one `np.kron` per (level, entry),
+    between the MPO's boundary vectors."""
+    left, right = mpo.boundary
+    env = {a: np.array([[v]]) for a, v in enumerate(left) if v != 0}
     by_source = {}
-    for (a, b), op in mpo.entries.items():
-        by_source.setdefault(a, []).append((b, op))
+    for a, b, op in zip(*mpo.coo()):
+        by_source.setdefault(int(a), []).append((int(b), op))
     for _ in range(n_sites):
         new = {}
         for a, acc in env.items():
@@ -767,7 +769,10 @@ def literal_to_dense(mpo, n_sites):
                     new[b] = term
         env = new
     dim = mpo.d ** n_sites
-    return env.get(IDENTITY_LEVEL, np.zeros((dim, dim), dtype=complex))
+    out = np.zeros((dim, dim), dtype=complex)
+    for b, acc in env.items():
+        out += right[b] * acc
+    return out
 
 
 def reroute_finished_levels(levels, entries, weight_of):
@@ -1137,22 +1142,23 @@ def literal_row_compress(mpo, order=None, tol=1e-12):
 def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     """MPO times MPS through the raw product, as an oracle for `apply_mpo`.
 
-    Forms every site tensor ``W * A`` at bond ``D_w * chi``, QR-sweeps them
-    left to right at that bond, truncates in a right-to-left SVD sweep and
+    Forms every site tensor ``W * A`` at bond ``D_w * chi``, the first and
+    last contracted with the MPO's boundary vectors, QR-sweeps them left to
+    right at that bond, truncates in a right-to-left SVD sweep and
     normalizes through the overlap.  Returns ``(psi_out, discarded)``.
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
     w = mpo.site_tensor()  # (left, right, out, in)
-    bidx = mpo.boundary_index()
+    left, right = mpo.boundary
     n = psi.n_sites
     tensors = []
     for i, t in enumerate(psi.tensors):
         wt = w
         if i == 0:
-            wt = w[bidx:bidx + 1]
+            wt = np.tensordot(left, wt, axes=(0, 0))[None]
         if i == n - 1:
-            wt = wt[:, bidx:bidx + 1]
+            wt = np.tensordot(wt, right, axes=(1, 0))[:, None]
         new = np.einsum("absp,lpr->alsbr", wt, t, optimize=True)
         al, ll, d, bl, rl = new.shape
         tensors.append(new.reshape(al * ll, d, bl * rl))

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,8 @@ def test_magnus_step_compression_order_accuracy():
         assert none is None
         assert report.bond_dimension_before == w.bond_dimension
         assert report.bond_dimension_after == wc.bond_dimension
+        assert report.bond_dimension_bulk == wc.bond_dimension
+        assert report.bulk_residual == 0.0
         assert wc.bond_dimension < w.bond_dimension
         diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
     for d1, d2 in zip(diffs, diffs[1:]):
@@ -77,19 +80,31 @@ def test_magnus_sweep_keeps_the_order_slopes():
 
 
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
-def test_magnus_records_equal_dyson_records(model):
+def test_magnus_records_equal_dyson_records(model, monkeypatch):
     # exp(Omega) truncated to N letters is the order-N bracket table, so a
     # Magnus sweep makes the Dyson sweep's records, order 5 included
     config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4, 5),
                              dts=(0.25, 0.125), t_final=0.5,
                              oracle_substeps=200, d_max=8, seed=3)
+    reports = []
+    original = bench.build_step_mpo
+
+    def recording(*args, **kwargs):
+        mpo, report = original(*args, **kwargs)
+        reports.append(report)
+        return mpo, report
+
+    monkeypatch.setattr(bench, "build_step_mpo", recording)
     dyson = run_benchmark(model(), config)
     magnus = run_benchmark(model(),
                            dataclasses.replace(config, method="magnus"))
     assert all(r.method == "magnus" for r in magnus)
     same = [{**d, "method": "dyson"} for d in _untimed(magnus)]
     assert same == _untimed(dyson)
+    # the order-5 XXZ step is applied at its row rank, 95 of 577 levels
     assert max(r.mpo_bond_dim for r in magnus) == \
+        {modulated_ising: 21, modulated_xxz: 95}[model]
+    assert max(r.bond_dimension_after for r in reports) == \
         {modulated_ising: 21, modulated_xxz: 577}[model]
 
 
@@ -98,6 +113,41 @@ def test_dt_must_divide_interval():
     config = EvolutionConfig(n_sites=4, dts=(0.3,), orders=(1,))
     with pytest.raises(ValueError):
         run_benchmark(ham, config)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_max", 0), ("d_max", -2), ("d_max", 2.5), ("d_max", True),
+    ("d_max", np.float64(4.0)), ("qr_tol", 1.5), ("qr_tol", 1.0),
+    ("qr_tol", -1e-3), ("qr_tol", math.nan)])
+def test_bad_d_max_and_qr_tol_raise_before_any_build(field, value,
+                                                     monkeypatch):
+    # checked where they enter: no table and no MPO is built first
+    builds = []
+    original = bench.build_step_mpo
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_step_mpo", counting)
+    tables = count_tables(monkeypatch)
+    config = EvolutionConfig(n_sites=6, order=3, orders=(3,), dts=(0.25,),
+                             t_final=0.5, seed=2, **{field: value})
+    named = f"{field}.* got {re.escape(repr(value))}"
+    with pytest.raises(ValueError, match=named):
+        run_benchmark(modulated_xxz(), config)
+    with pytest.raises(ValueError, match=named):
+        evolve_state(modulated_xxz(), initial_state(config), config)
+    assert builds == [] and tables == []
+
+
+@pytest.mark.parametrize("d_max", [None, 3, np.int64(3)])
+def test_int_d_max_is_accepted(d_max):
+    config = EvolutionConfig(n_sites=4, orders=(2,), dts=(0.25,),
+                             t_final=0.5, d_max=d_max, oracle_substeps=200,
+                             seed=2)
+    records = run_benchmark(modulated_xxz(), config)
+    assert records[0].mps_bond_dim <= (4 if d_max is None else 3)
 
 
 @pytest.mark.parametrize("t0, t_final, dt", [(0.0, 1.0, -0.25),
@@ -191,10 +241,10 @@ def test_csv_schema():
     assert lines[1].split(",") == ["method", "order", "dt", "epsilon",
                                    "wall_time_per_step_s", "mpo_bond_dim",
                                    "mps_bond_dim", "seed", "mpo_bond_before",
-                                   "fold_residual", "mpo_builds",
-                                   "discarded_weight", "bracket_s",
-                                   "build_s", "apply_s", "plan_s",
-                                   "mpo_blocks"]
+                                   "fold_residual", "bulk_residual",
+                                   "mpo_builds", "discarded_weight",
+                                   "bracket_s", "build_s", "apply_s",
+                                   "plan_s", "mpo_blocks"]
 
 
 def test_initial_state_seeded():

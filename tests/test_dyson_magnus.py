@@ -445,20 +445,27 @@ def test_exp_of_omega_is_the_bracket_table(model):
         assert abs(value - tab.value(word)) <= 1e-13 * scale, word
 
 
-@pytest.mark.parametrize("model, bonds", [(modulated_ising, [2, 3, 6, 11]),
-                                          (modulated_xxz, [4, 13, 46, 163])])
+@pytest.mark.parametrize("model, bonds", [
+    (modulated_ising, [(2, 2), (3, 3), (6, 6), (11, 11)]),
+    (modulated_xxz, [(4, 4), (13, 13), (46, 20), (163, 35)])])
 def test_magnus_bond_equals_dyson_bond(model, bonds):
+    # (row-compressed, applied) bonds; the XXZ steps of bond 46 and 163
+    # are factored to their row rank
     ham = model()
     cache = BracketCache(ham, order=4)
     tab = cache.table(0.0, 0.0625, 4)
-    for order, bond in zip((1, 2, 3, 4), bonds):
+    for order, (rows, bond) in zip((1, 2, 3, 4), bonds):
         plan = cache.plan(order)
-        dyson, _ = build_step_mpo(ham, 0.0, 0.0625, order, "dyson", tab,
-                                  1e-12, plan=plan)
+        dyson, report = build_step_mpo(ham, 0.0, 0.0625, order, "dyson", tab,
+                                       1e-12, plan=plan)
         compression = plan.compression
-        magnus, _ = build_step_mpo(ham, 0.0, 0.0625, order, "magnus", tab,
-                                   1e-12, plan=plan)
+        magnus, magnus_report = build_step_mpo(ham, 0.0, 0.0625, order,
+                                               "magnus", tab, 1e-12,
+                                               plan=plan)
         assert dyson.bond_dimension == magnus.bond_dimension == bond
+        assert report.bond_dimension_after == rows
+        assert magnus_report.bond_dimension_after == rows
+        assert report.bond_dimension_bulk == bond
         # the Magnus step reuses the Dyson order's compression plan
         assert plan.compression is compression
 

@@ -167,8 +167,9 @@ def test_cli_bench_writes_csv(model_path, tmp_path, capsys):
     assert lines[0].startswith("# seed=")
     assert lines[1] == ("method,order,dt,epsilon,wall_time_per_step_s,"
                         "mpo_bond_dim,mps_bond_dim,seed,mpo_bond_before,"
-                        "fold_residual,mpo_builds,discarded_weight,"
-                        "bracket_s,build_s,apply_s,plan_s,mpo_blocks")
+                        "fold_residual,bulk_residual,mpo_builds,"
+                        "discarded_weight,bracket_s,build_s,apply_s,plan_s,"
+                        "mpo_blocks")
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     eps = [float(r[3]) for r in rows]

@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from helpers import literal_apply_mpo, literal_rk4
 from dysonmpo import evolve, extensive, modelfile, mps
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
+from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, PolyDriving, \
     SampledDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo
@@ -380,25 +382,40 @@ def test_exact_regime_commutes_with_dense_application():
     assert 1.0 - abs(np.vdot(out.to_dense(), ref)) < 1e-10
 
 
-def _dyson_steps(ham, dt, n_steps=4, order=4):
-    steps = []
+def _dyson_builds(ham, dt, n_steps=4, order=4):
+    """``(mpo, report)`` of each step, and the row-compressed MPOs."""
+    builds, rows = [], []
     for i in range(n_steps):
         t0, t1 = i * dt, (i + 1) * dt
         tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                    t0, t1, order)
-        steps.append(build_step_mpo(ham, t0, t1, order, "dyson", tab,
-                                    qr_tol=1e-12)[0])
-    return steps
+        builds.append(build_step_mpo(ham, t0, t1, order, "dyson", tab,
+                                     qr_tol=1e-12))
+        rows.append(row_compress(dyson_mpo(ham, t0, t1, order, tab), order,
+                                 tol=1e-12)[0])
+    return builds, rows
 
 
 @pytest.fixture(scope="module")
 def tfi_steps():
-    return _dyson_steps(modulated_ising(), 0.125)
+    return [w for w, _ in _dyson_builds(modulated_ising(), 0.125)[0]]
 
 
 @pytest.fixture(scope="module")
-def xxz_steps():
-    return _dyson_steps(modulated_xxz(), 0.0625)
+def xxz_builds():
+    return _dyson_builds(modulated_xxz(), 0.0625)
+
+
+@pytest.fixture(scope="module")
+def xxz_steps(xxz_builds):
+    """The order-4 XXZ steps `build_step_mpo` applies (bulk MPOs)."""
+    return [w for w, _ in xxz_builds[0]]
+
+
+@pytest.fixture(scope="module")
+def xxz_rows(xxz_builds):
+    """The same steps, row-compressed only (CSR transfer operators)."""
+    return xxz_builds[1]
 
 
 def _assert_matches_literal(steps, n_sites, d_max):
@@ -420,8 +437,11 @@ def test_apply_matches_literal_tfi(tfi_steps, n_sites, d_max):
     _assert_matches_literal(tfi_steps, n_sites, d_max)
 
 
-def test_apply_matches_literal_xxz(xxz_steps):
-    assert max(w.bond_dimension for w in xxz_steps) == 163
+def test_apply_matches_literal_xxz(xxz_builds, xxz_steps):
+    assert max(w.bond_dimension for w in xxz_steps) == 35
+    reports = [report for _, report in xxz_builds[0]]
+    assert max(r.bond_dimension_after for r in reports) == 163
+    assert max(r.bond_dimension_bulk for r in reports) == 35
     _assert_matches_literal(xxz_steps, 8, 16)
 
 
@@ -569,6 +589,18 @@ def test_apply_rejects_d_max_below_one(d_max):
         apply_mpo(w, psi, d_max=d_max)
 
 
+@pytest.mark.parametrize("d_max", [2.5, True, np.float64(2.0)])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_apply_rejects_a_d_max_that_is_not_an_int(d_max, seed):
+    # a float reached the SVD sweep only as a slice bound, and failed
+    # there or not at all; a bool was taken as 1
+    psi = (FiniteMPS.random_product(6, rng=seed) if seed
+           else FiniteMPS.all_up(6))
+    w = taylor_mpo(static_tfi(), -0.01j, 2)
+    with pytest.raises(ValueError, match=f"got {re.escape(repr(d_max))}"):
+        apply_mpo(w, psi, d_max=d_max)
+
+
 @pytest.mark.parametrize("site", [0, 3, 4, 7])
 def test_apply_rejects_a_state_with_a_nan_entry(tfi_steps, site):
     # the truncating sweep's SVD checks its input; nothing is returned
@@ -596,8 +628,9 @@ def test_empty_mps_raises():
 
 def _fresh(w):
     """A copy of `w` that has built no transfer operators."""
-    return ExtensiveMPO.from_arrays(w.d, w.levels, *w.coo(), order=w.order,
-                                    params=w.params)
+    return ExtensiveMPO.from_arrays(
+        w.d, w.bond_dimension if w.levels is None else w.levels, *w.coo(),
+        order=w.order, params=w.params, boundary=w.boundary)
 
 
 def _both_forms(w, monkeypatch):
@@ -641,11 +674,13 @@ def test_transfer_operators_are_the_site_tensor(tfi_steps, xxz_steps):
                               site.transpose(0, 2, 1, 3).reshape(n, n))
 
 
-def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_steps):
-    # order-4 XXZ (bond 163) fills 3.4% of its entries, order-4 TFI
-    # (bond 11) 42%
-    for w, fraction, csr in ((xxz_steps[0], 0.034, True),
-                             (tfi_steps[0], 0.42, False)):
+def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_rows,
+                                                   xxz_steps):
+    # row-compressed order-4 XXZ (bond 163) fills 3.4% of its entries,
+    # order-4 TFI (bond 11) 42%, and the bulk order-4 XXZ (bond 35) 60%
+    for w, fraction, csr in ((xxz_rows[0], 0.034, True),
+                             (tfi_steps[0], 0.42, False),
+                             (xxz_steps[0], 0.60, False)):
         n = w.bond_dimension * w.d
         assert np.count_nonzero(w.coo()[2]) / n ** 2 == pytest.approx(
             fraction, abs=0.01)
@@ -653,7 +688,7 @@ def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_steps):
         assert [sparse.issparse(op) for op in ops] == [csr, csr]
 
 
-def test_second_apply_reuses_the_transfer_operators(xxz_steps, monkeypatch):
+def test_second_apply_reuses_the_transfer_operators(xxz_rows, monkeypatch):
     built = []
     original = sparse.csr_array
 
@@ -662,7 +697,7 @@ def test_second_apply_reuses_the_transfer_operators(xxz_steps, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(extensive.sparse, "csr_array", counting)
-    w = _fresh(xxz_steps[0])
+    w = _fresh(xxz_rows[0])
     psi = FiniteMPS.random_product(8, rng=3)
     first, disc = apply_mpo(w, psi, d_max=16)
     ops = w.transfer()
