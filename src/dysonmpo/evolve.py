@@ -9,32 +9,67 @@ the blocks of its first-degree MPO (`sparse_operator`): one coordinate
 triple (rows, columns, values) per virtual level, extended site by site
 by index arithmetic over the nonzero entries of each ``(d, d)`` block,
 with the entries that cancel (half of the 1,792 of the 8-site XX + YY
-channel) dropped.  The channel operators are stacked row by row, so an
-RK4 stage is one sparse product and one channel-weighted `np.dot` into a
-preallocated ``(4, size)`` stage array, and a substep closes with
-``psi + c @ k``.  Each driving is evaluated once per call, on the arrays
-of substep start, midpoint and end times, and its weights are scaled by
-``-1j`` before the loop.  A ``(dim, m)`` block of states runs through the
-same loop, reshaped.
+channel) dropped.  The channel operators are stacked row by row.  An RK4
+stage is one call of the CSR kernel that ``stacked @ vec`` ends in, on
+the stacked operator's own index and data arrays, into a preallocated,
+zero-filled product buffer, then one channel-weighted `np.dot` into a
+preallocated ``(4, size)`` stage array.  Each stage argument
+``y + a k[j]`` is built in one preallocated buffer, and a substep closes
+in place with ``y += c @ k``.  These are the operations of the ``@``
+loop in the same order, so the results are bitwise those of that loop
+(`tests/helpers.dispatch_rk4`), without SciPy's per-product dispatch
+(about half of each product at 8 sites).  Each driving is evaluated once
+per call, on the arrays of substep start, midpoint and end times, and
+its weights are scaled by ``-1j`` before the loop.  A ``(dim, m)`` block
+of states runs through the same loop.
+
+The kernels are SciPy's private ``scipy.sparse._sparsetools.csr_matvec``
+(one column) and ``csr_matvecs`` (``m`` columns), which add into their
+output.  They are looked up once, at import (`_bind_csr_kernels`); a
+SciPy without them raises `ImportError` naming the kernel and the SciPy
+version.
 
 `exact_evolve` takes states up to `STATE_CAP` = 16,384 amplitudes (14
 sites at ``d = 2``).  Over [0, 0.25] in 1,000 substeps the modulated TFI
-/ XXZ took 0.10 / 0.08 s at 10 sites, 0.39 / 0.26 s at 12 and 1.8 / 1.2 s
-at 14 (2-vCPU Xeon VM, one BLAS thread).  `exact_evolution_operator`
-allocates ``dim**2`` entries and keeps its own bound, `OPERATOR_CAP` =
-1,024.
+/ XXZ took 0.036 / 0.030 s at 8 sites, 0.094 / 0.077 s at 10, 0.42 /
+0.27 s at 12 and 2.1 / 1.4 s at 14 (2-vCPU Xeon VM, one BLAS thread,
+best of 9).  `exact_evolution_operator` allocates ``dim**2`` entries and
+keeps its own bound, `OPERATOR_CAP` = 1,024.
 """
+
+import numbers
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse._sparsetools
+
+from .brackets import check_interval
 
 STATE_CAP = 1 << 14
 OPERATOR_CAP = 1 << 10
 
 
+def _bind_csr_kernels(module):
+    """``csr_matvec`` and ``csr_matvecs`` from SciPy's private `module`.
+
+    Raises `ImportError` naming the missing kernel and the SciPy version,
+    so that a SciPy without them fails at import instead of mid-run.
+    """
+    for name in ("csr_matvec", "csr_matvecs"):
+        if not hasattr(module, name):
+            raise ImportError(f"{module.__name__} has no {name} in SciPy "
+                              f"{scipy.__version__}; the RK4 oracle calls it")
+    return module.csr_matvec, module.csr_matvecs
+
+
+_CSR_MATVEC, _CSR_MATVECS = _bind_csr_kernels(scipy.sparse._sparsetools)
+
+
 def _check_substeps(substeps):
-    if substeps < 1:
-        raise ValueError(f"substeps must be at least 1, got {substeps!r}")
+    if isinstance(substeps, bool) \
+            or not isinstance(substeps, numbers.Integral) or substeps < 1:
+        raise ValueError("substeps must be at least 1 and an int (not a "
+                         f"bool or a float), got {substeps!r}")
 
 
 def check_oracle(size, substeps):
@@ -81,14 +116,23 @@ def sparse_operator(mpo, n_sites):
 
 
 def _rk4(hamiltonian, n_sites, psi, t0, t, substeps):
-    """Fixed-step RK4 for `psi`, one state or a ``(dim, m)`` block of them."""
+    """Fixed-step RK4 for `psi`, one state or a ``(dim, m)`` block of them.
+
+    `psi` is a complex array the loop may overwrite.
+    """
     if t == t0:
         return psi
     channels = hamiltonian.channels
-    ops = [sparse_operator(ch.operator, n_sites) for ch in channels]
-    stacked = scipy.sparse.vstack(ops, format="csr")
-    shape, size = psi.shape, psi.size
-    parts = (len(ops), size)
+    stacked = scipy.sparse.vstack(
+        [sparse_operator(ch.operator, n_sites) for ch in channels],
+        format="csr")
+    (rows, dim), size = stacked.shape, psi.size
+    m = size // dim
+    # the kernel `stacked @ vec` ends in: csr_matvec(M, N, ..., x, y) for
+    # one column, csr_matvecs(M, N, m, ..., x, y) for more; both add to y
+    csr = (stacked.indptr, stacked.indices, stacked.data)
+    kernel, head = ((_CSR_MATVEC, (rows, dim)) if m == 1 else
+                    (_CSR_MATVECS, (rows, dim, m)))
     h = (t - t0) / substeps
     starts = np.empty(substeps)
     tcur = t0
@@ -102,18 +146,27 @@ def _rk4(hamiltonian, n_sites, psi, t0, t, substeps):
     weights = np.ascontiguousarray(-1j * weights)
     c = (h / 6.0) * np.array([1, 2, 2, 1], dtype=complex)
     k = np.empty((4, size), dtype=complex)
+    product = np.empty(rows * m, dtype=complex)
+    products = product.reshape(len(channels), size)
+    arg = np.empty(size, dtype=complex)
 
     def stage(j, w, vec):
-        np.dot(w, (stacked @ vec.reshape(shape)).reshape(parts), out=k[j])
+        product.fill(0)
+        kernel(*head, *csr, vec, product)
+        np.dot(w, products, out=k[j])
+
+    def shifted(a, kj):  # y + a k[j], into `arg`
+        np.multiply(a, kj, out=arg)
+        return np.add(y, arg, out=arg)
 
     y = psi.reshape(size)
     for w in weights:
         stage(0, w[0], y)
-        stage(1, w[1], y + (0.5 * h) * k[0])
-        stage(2, w[1], y + (0.5 * h) * k[1])
-        stage(3, w[2], y + h * k[2])
-        y = y + c @ k
-    return y.reshape(shape)
+        stage(1, w[1], shifted(0.5 * h, k[0]))
+        stage(2, w[1], shifted(0.5 * h, k[1]))
+        stage(3, w[2], shifted(h, k[2]))
+        np.add(y, c @ k, out=y)
+    return y.reshape(psi.shape)
 
 
 def exact_evolve(hamiltonian, psi0, t0, t, substeps=4000):
@@ -121,24 +174,34 @@ def exact_evolve(hamiltonian, psi0, t0, t, substeps=4000):
 
     `substeps` counts RK4 steps over the full interval; the norm drift over
     the run stays below 1e-10 for the bundled benchmarks at the default.
-    The state's size must be a power of the local dimension, at most
-    `STATE_CAP`.
+    The state's size must be a power of the local dimension, at least the
+    local dimension and at most `STATE_CAP`, its entries finite, and both
+    interval ends finite; ``t < t0`` evolves backward.
     """
     psi = np.asarray(psi0, dtype=complex).copy()
     check_oracle(psi.size, substeps)
-    n_sites = round(np.log(psi.size) / np.log(hamiltonian.d))
-    if hamiltonian.d ** n_sites != psi.size:
+    check_interval(t0, t)
+    d = hamiltonian.d
+    if psi.size < d:
+        raise ValueError(f"state size {psi.size} is below the local "
+                         f"dimension {d}")
+    if not np.isfinite(psi).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n_sites = round(np.log(psi.size) / np.log(d))
+    if d ** n_sites != psi.size:
         raise ValueError(f"state size {psi.size} is not a power of the "
-                         f"local dimension {hamiltonian.d}")
+                         f"local dimension {d}")
     return _rk4(hamiltonian, n_sites, psi, t0, t, substeps)
 
 
 def exact_evolution_operator(hamiltonian, n_sites, t0, t, substeps=4000):
     """Dense ``U(t, t0)``: the identity's columns evolved as one block.
 
-    The dimension ``d**n_sites`` must be at most `OPERATOR_CAP`.
+    The dimension ``d**n_sites`` must be at most `OPERATOR_CAP`, and both
+    interval ends finite.
     """
     _check_substeps(substeps)
+    check_interval(t0, t)
     dim = hamiltonian.d ** n_sites
     if dim > OPERATOR_CAP:
         raise ValueError(f"operator dimension {dim} exceeds OPERATOR_CAP = "

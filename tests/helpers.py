@@ -17,6 +17,7 @@ from itertools import combinations, product
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from dysonmpo import fdmpo
 from dysonmpo.brackets import BracketTable, TaylorBrackets
@@ -24,6 +25,7 @@ from dysonmpo.compression import (Block, CompressionBasisError,
                                   CompressionPlan, CompressionReport,
                                   _select_new_levels)
 from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
+from dysonmpo.evolve import sparse_operator
 from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
 from dysonmpo.linalg import (_ZGEQP3, _geqp3_lwork, svd_truncate,
@@ -1212,6 +1214,48 @@ def literal_rk4(hamiltonian, n_sites, psi, t0, t, substeps):
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tcur += h
     return psi
+
+
+def dispatch_rk4(hamiltonian, n_sites, psi, t0, t, substeps):
+    """`evolve`'s RK4 loop with one ``stacked @ vec`` product per stage.
+
+    The same floating-point operations in the same order as `evolve._rk4`,
+    through SciPy's sparse-product dispatch and fresh arrays: the reference
+    that loop must equal bitwise.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if t == t0:
+        return psi
+    channels = hamiltonian.channels
+    ops = [sparse_operator(ch.operator, n_sites) for ch in channels]
+    stacked = scipy.sparse.vstack(ops, format="csr")
+    shape, size = psi.shape, psi.size
+    parts = (len(ops), size)
+    h = (t - t0) / substeps
+    starts = np.empty(substeps)
+    tcur = t0
+    for i in range(substeps):
+        starts[i] = tcur
+        tcur += h
+    # (substep, time grid, channel): -1j times the weights of every stage
+    weights = np.array([[ch.driving(grid) for ch in channels]
+                        for grid in (starts, starts + 0.5 * h, starts + h)],
+                       dtype=complex).transpose(2, 0, 1)
+    weights = np.ascontiguousarray(-1j * weights)
+    c = (h / 6.0) * np.array([1, 2, 2, 1], dtype=complex)
+    k = np.empty((4, size), dtype=complex)
+
+    def stage(j, w, vec):
+        np.dot(w, (stacked @ vec.reshape(shape)).reshape(parts), out=k[j])
+
+    y = psi.reshape(size)
+    for w in weights:
+        stage(0, w[0], y)
+        stage(1, w[1], y + (0.5 * h) * k[0])
+        stage(2, w[1], y + (0.5 * h) * k[1])
+        stage(3, w[2], y + h * k[2])
+        y = y + c @ k
+    return y.reshape(shape)
 
 
 def count_tables(monkeypatch):

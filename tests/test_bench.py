@@ -520,7 +520,9 @@ def test_run_benchmark_evolves_in_record_order(monkeypatch):
 
 @pytest.mark.parametrize("change, message", [
     ({"n_sites": 15}, "STATE_CAP"),
-    ({"oracle_substeps": 0}, "substeps must be at least 1")])
+    ({"oracle_substeps": 0}, "substeps must be at least 1"),
+    ({"oracle_substeps": 1000.0}, "an int .* got 1000.0"),
+    ({"oracle_substeps": True}, "an int .* got True")])
 def test_run_benchmark_checks_the_oracle_before_evolving(change, message,
                                                          monkeypatch):
     config = dataclasses.replace(_four_site_sweep(), **change)

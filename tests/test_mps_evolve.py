@@ -1,5 +1,6 @@
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
-from helpers import literal_apply_mpo, literal_rk4
+from helpers import dispatch_rk4, literal_apply_mpo, literal_rk4
 
 from dysonmpo import evolve, extensive, modelfile, mps
 from dysonmpo.bench import build_step_mpo
@@ -335,14 +336,19 @@ def test_driving_on_array_matches_point_by_point(drv):
     np.testing.assert_array_max_ulp(values.imag, points.imag, maxulp=1)
 
 
-@pytest.mark.parametrize("substeps", [0, -5])
+@pytest.mark.parametrize("substeps", [0, -5, 2.5, 1000.0, True, False,
+                                      "10", None])
 def test_oracle_rejects_substeps_below_one(substeps):
+    # an int of at least 1: not a bool, a float or anything else
     ham = modulated_ising()
     psi0 = FiniteMPS.all_up(3).to_dense()
-    with pytest.raises(ValueError, match=f"got {substeps}"):
+    message = re.escape(f"got {substeps!r}")
+    with pytest.raises(ValueError, match=message):
         exact_evolve(ham, psi0, 0.0, 0.25, substeps=substeps)
-    with pytest.raises(ValueError, match=f"got {substeps}"):
+    with pytest.raises(ValueError, match=message):
         exact_evolution_operator(ham, 3, 0.0, 0.25, substeps=substeps)
+    with pytest.raises(ValueError, match="an int"):
+        evolve.check_oracle(8, substeps)
 
 
 @pytest.mark.parametrize("size", [3, 6, 12])
@@ -350,6 +356,100 @@ def test_exact_evolve_rejects_size_not_power_of_d(size):
     with pytest.raises(ValueError, match=f"state size {size} "):
         exact_evolve(modulated_ising(), np.ones(size), 0.0, 0.25,
                      substeps=10)
+
+
+@pytest.mark.parametrize("t0, t", [(0.1, 0.35), (0.35, 0.1)],
+                         ids=["forward", "backward"])
+@pytest.mark.parametrize("n", [4, 8, 10])
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_rk4_equals_the_dispatch_loop_bitwise(model, n, t0, t):
+    ham = ORACLE_MODELS[model]()
+    psi0 = FiniteMPS.random_product(n, rng=n).to_dense()
+    out = exact_evolve(ham, psi0, t0, t, substeps=40)
+    assert np.array_equal(out, dispatch_rk4(ham, n, psi0, t0, t, 40))
+    substeps = 2 if n == 10 else 10  # a 1,024-column block at 10 sites
+    u = exact_evolution_operator(ham, n, t0, t, substeps=substeps)
+    ref = dispatch_rk4(ham, n, np.eye(2 ** n), t0, t, substeps)
+    assert np.array_equal(u, ref)
+
+
+def test_rk4_backward_undoes_forward():
+    ham = modulated_xxz()
+    psi0 = FiniteMPS.random_product(6, rng=6).to_dense()
+    there = exact_evolve(ham, psi0, 0.1, 0.35, substeps=400)
+    back = exact_evolve(ham, there, 0.35, 0.1, substeps=400)
+    assert np.abs(back - psi0).max() < 1e-9
+
+
+def test_rk4_at_t_equal_t0_returns_the_input():
+    ham = modulated_ising()
+    psi0 = FiniteMPS.random_product(5, rng=5).to_dense()
+    out = exact_evolve(ham, psi0, 0.3, 0.3, substeps=10)
+    assert np.array_equal(out, psi0) and out is not psi0
+    out[0] = 7.0
+    assert psi0[0] != 7.0
+    u = exact_evolution_operator(ham, 3, 0.3, 0.3, substeps=10)
+    assert np.array_equal(u, np.eye(8))
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["t0", "t"])
+def test_oracle_rejects_a_non_finite_interval_end(which, end):
+    ham = modulated_ising()
+    ends = {"t0": 0.0, "t": 0.25, which: end}
+    psi0 = FiniteMPS.all_up(3).to_dense()
+    with pytest.raises(ValueError, match=f"interval end {which} = "):
+        exact_evolve(ham, psi0, ends["t0"], ends["t"], substeps=10)
+    with pytest.raises(ValueError, match=f"interval end {which} = "):
+        exact_evolution_operator(ham, 3, ends["t0"], ends["t"], substeps=10)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0, -math.inf)])
+@pytest.mark.parametrize("index", [0, 5])
+def test_exact_evolve_rejects_a_non_finite_state(entry, index):
+    psi0 = FiniteMPS.random_product(3, rng=3).to_dense()
+    psi0[index] = entry
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        exact_evolve(modulated_ising(), psi0, 0.0, 0.25, substeps=10)
+
+
+@pytest.mark.parametrize("size", [0, 1])
+def test_exact_evolve_rejects_a_state_below_the_local_dimension(size):
+    with pytest.raises(ValueError,
+                       match=f"state size {size} is below the local "
+                             "dimension 2"):
+        exact_evolve(modulated_ising(), np.ones(size), 0.0, 0.25,
+                     substeps=10)
+
+
+@pytest.mark.parametrize("substeps", [np.int64(20), np.int32(20)])
+def test_oracle_takes_numpy_integer_substeps(substeps):
+    ham = modulated_ising()
+    psi0 = FiniteMPS.random_product(3, rng=3).to_dense()
+    ref = exact_evolve(ham, psi0, 0.0, 0.25, substeps=20)
+    assert np.array_equal(exact_evolve(ham, psi0, 0.0, 0.25, substeps), ref)
+    u = exact_evolution_operator(ham, 3, 0.0, 0.25, substeps=substeps)
+    assert np.array_equal(u, exact_evolution_operator(ham, 3, 0.0, 0.25, 20))
+
+
+def test_csr_kernels_are_bound_from_sparsetools():
+    stub = types.ModuleType("stub_sparsetools")
+    stub.csr_matvec, stub.csr_matvecs = object(), object()
+    assert evolve._bind_csr_kernels(stub) == (stub.csr_matvec,
+                                              stub.csr_matvecs)
+    assert evolve._CSR_MATVEC is sparse._sparsetools.csr_matvec
+    assert evolve._CSR_MATVECS is sparse._sparsetools.csr_matvecs
+
+
+@pytest.mark.parametrize("missing", ["csr_matvec", "csr_matvecs"])
+def test_csr_kernel_binding_names_a_missing_kernel(missing):
+    stub = types.ModuleType("stub_sparsetools")
+    stub.csr_matvec, stub.csr_matvecs = object(), object()
+    delattr(stub, missing)
+    with pytest.raises(ImportError) as exc:
+        evolve._bind_csr_kernels(stub)
+    message = str(exc.value)
+    assert f"has no {missing} in SciPy {scipy.__version__}" in message
 
 
 def test_energy_drift_time_independent():
