@@ -33,10 +33,11 @@ for order in (1, 2, 3):
     err = np.linalg.norm(w.to_dense(L, cap=256) - u_exact, 2)
     print(f"  dyson order {order}: bond {w.bond_dimension:>2}  error {err:.3e}")
 
-# a frozen-Hamiltonian Taylor step of the same order for comparison
-tm = t0 + dt / 2
-frozen = ham.weighted(lambda c: complex(np.asarray(c.driving(tm)).item()))
-w_frozen = dm.taylor_mpo(frozen, -1j * dt, 3)
+# a frozen-Hamiltonian Taylor step of the same order for comparison: the
+# same plan, weighted by tau**k / k! times the drivings at the midpoint
+frozen = dm.step_table(dm.BracketCache(ham), "taylor", t0, t0 + dt, 3)
+w_frozen, _ = dm.build_step_mpo(ham, t0, t0 + dt, 3, "taylor", frozen, 1e-12,
+                                compress=False)
 err = np.linalg.norm(w_frozen.to_dense(L, cap=256) - u_exact, 2)
 print(f"  frozen-H taylor order 3 (midpoint): error {err:.3e}")
 

@@ -3,8 +3,9 @@
 from . import modelfile, models, spin
 from .bench import (BracketCache, ErrorRecord, EvolutionConfig,
                     build_step_mpo, evolve_state, order_slopes,
-                    records_to_csv, run_benchmark, runtime_at_accuracy)
-from .brackets import BracketTable, TaylorBrackets, time_ordered_integral
+                    records_to_csv, run_benchmark, runtime_at_accuracy,
+                    step_table)
+from .brackets import BracketTable, time_ordered_integral
 from .bulk import BulkCheckError, bulk_compress
 from .compression import (CompressionBasisError, CompressionReport,
                           row_compress)

@@ -1,25 +1,27 @@
 """Finite-chain error-scaling benchmark for the evolution-operator MPOs.
 
-Splits an interval into uniform steps; per step obtains the bracket table,
-builds the requested MPO (Dyson, Magnus or frozen-Hamiltonian Taylor),
-row-compresses it, factors a wide one down to its row rank
-(`bulk.bulk_compress`, from bond `bulk.BULK_FROM`) and applies it to the
-state.  An order-N Magnus step is the order-N Dyson step
-(`magnus_evolution`).  Steps congruent modulo the
-driving period reuse the MPO built at the first of them.  A sweep computes
-one bracket table per congruence class of step interval, and builds one
-step plan (power and compression index sets) per order, which its Dyson
-and Magnus steps weight (`BracketCache`).  The evolved state is compared
-against a dense Runge-Kutta reference (or the most accurate state when
-self-referencing) through the trace-distance error
-``sqrt(1 - |<a|b>|^2)``, evaluated through the phase-aligned difference.
+Splits an interval into uniform steps; per step obtains the step's table
+(`step_table`), weights the shared step plan with it, row-compresses the
+MPO, factors a wide one down to its row rank (`bulk.bulk_compress`, from
+bond `bulk.BULK_FROM`) and applies it to the state.  Every method builds
+its step the same way, as a `dyson_mpo`: Dyson and Magnus steps under the
+brackets of the step (an order-N Magnus step is the order-N Dyson step,
+`magnus_evolution`), the frozen-midpoint Taylor baseline under the frozen
+table of the drivings at the midpoint (`BracketTable.frozen`).  Steps
+congruent modulo the driving period reuse the MPO built at the first of
+them.  A sweep computes one bracket table per congruence class of step
+interval, and builds one step plan (power and compression index sets) per
+order, which all its steps weight (`BracketCache`).  The evolved state is
+compared against a dense Runge-Kutta reference (or the most accurate state
+when self-referencing) through the trace-distance error ``sqrt(1 -
+|<a|b>|^2)``, evaluated through the phase-aligned difference.
 """
 
 import csv
 import io
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,8 @@ from .evolve import check_oracle, exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
 from .mps import (FiniteMPS, apply_mpo, check_d_max, check_svd_tol,
                   trace_distance_error)
-from .taylor import taylor_mpo
+# not called here: perfbench/tracer.py looks up `bench.taylor_mpo` to wrap it
+from .taylor import taylor_mpo  # noqa: F401
 
 METHODS = ("taylor", "dyson", "magnus")
 CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
@@ -48,8 +51,6 @@ class EvolutionConfig:
     n_sites: int = 8
     t0: float = 0.0
     t_final: float = 1.0
-    dt: float = 0.125
-    order: int = 2
     method: str = "dyson"            # taylor | dyson | magnus
     d_max: int = 64
     svd_tol: float = 1e-14
@@ -57,13 +58,8 @@ class EvolutionConfig:
     qr_tol: float = 1e-12
     self_reference: bool = False
     seed: int = 0
-    orders: tuple = ()               # sweep; defaults to (order,)
-    dts: tuple = ()                  # sweep; defaults to (dt,)
-
-    def sweep(self):
-        orders = tuple(self.orders) or (self.order,)
-        dts = tuple(self.dts) or (self.dt,)
-        return orders, dts
+    orders: tuple = (2,)             # expansion orders of the sweep
+    dts: tuple = (0.125,)            # step sizes of the sweep
 
 
 @dataclass
@@ -89,15 +85,6 @@ class ErrorRecord:
     bulk_residual: float = 0.0       # largest check residual of the bulk stage
 
 
-def bracket_order(method, order):
-    """Highest bracket order an order-`order` step of `method` reads.
-
-    Dyson and Magnus read all up to `order`; the frozen-Hamiltonian
-    Taylor step none.
-    """
-    return 0 if method == "taylor" else order
-
-
 class BracketCache:
     """Bracket tables and step plans of one Hamiltonian over a sweep.
 
@@ -115,8 +102,9 @@ class BracketCache:
     other entries its table holds, so the lower orders are bitwise what a
     table of order ``k`` would hold.  A request above the stored order
     recomputes and replaces the table.  `computed` counts the tables
-    computed.  `plan` serves the `PowerPlan` of each order, which the
-    Dyson and Magnus steps of that order share, for the life of the cache.
+    computed.  `plan` serves the `PowerPlan` of each order, which every
+    step of that order shares, whatever its method, for the life of the
+    cache.
     """
 
     def __init__(self, hamiltonian, order=1):
@@ -160,31 +148,44 @@ class BracketCache:
         return self._plans[order]
 
 
+def step_table(cache, method, t0, t1, order):
+    """The table an order-`order` step of `method` on ``[t0, t1]`` reads.
+
+    Dyson and Magnus steps read the brackets of the step
+    (`BracketCache.table`).  The frozen-midpoint Taylor step reads
+    ``BracketTable.frozen`` of the channels' driving values at the
+    midpoint, with ``tau = -1j (t1 - t0)``: the Taylor series of the
+    Hamiltonian frozen there.  It computes no bracket.
+    """
+    if method != "taylor":
+        return cache.table(t0, t1, order)
+    check_interval(t0, t1)
+    tm = 0.5 * (t0 + t1)
+    weights = {c.name: complex(np.asarray(c.driving(tm)).item())
+               for c in cache.hamiltonian.channels}
+    return BracketTable.frozen(weights, -1j * (t1 - t0), order)
+
+
 def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
                    compress=True, plan=None):
     """Evolution MPO for one step, optionally compressed.
 
-    `table` holds the brackets of ``[t0, t1]`` up to at least
-    ``bracket_order(method, order)``; the Taylor step takes None.  Dyson
-    and Magnus steps weight `plan` (`BracketCache.plan`), or one of their
-    own.  Compression is row compression at `qr_tol`, then, for a
-    row-compressed bond of at least `bulk.BULK_FROM`, the exact bulk stage
-    at the same tolerance.  Returns ``(mpo, report)``; `report` is the
+    `table` is the step's table of `method` (`step_table`), of order at
+    least `order`.  Every method weights `plan` (`BracketCache.plan`), or
+    one of its own, as a `dyson_mpo`; a Magnus step goes through
+    `magnus_evolution`, and a Taylor step is labelled ``kind="taylor"``.
+    Compression is row compression at `qr_tol`, then, for a row-compressed
+    bond of at least `bulk.BULK_FROM`, the exact bulk stage at the same
+    tolerance.  Returns ``(mpo, report)``; `report` is the
     `CompressionReport`, with the bulk bond and residual, or None when the
     MPO was not compressed.
     """
-    if method == "dyson":
-        mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
-    elif method == "magnus":
-        mpo = magnus_evolution(hamiltonian, t0, t1, order, table, plan=plan)
-    elif method == "taylor":
-        # constant-Hamiltonian baseline: freeze the driving at the midpoint
-        tm = 0.5 * (t0 + t1)
-        frozen = hamiltonian.weighted(
-            lambda c: complex(np.asarray(c.driving(tm)).item()))
-        mpo = taylor_mpo(frozen, -1j * (t1 - t0), order)
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    build = magnus_evolution if method == "magnus" else dyson_mpo
+    mpo = build(hamiltonian, t0, t1, order, table, plan=plan)
+    if method == "taylor" and t1 != t0:
+        mpo.params["kind"] = "taylor"
     report = None
     if compress and mpo.bond_dimension > 1:
         mpo, report = row_compress(mpo, order, tol=qr_tol)
@@ -218,37 +219,32 @@ def _step_count(config, order, dt):
     return n_steps
 
 
-def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
-    """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps.
+def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
+    """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps of `dt`.
 
     A given `cache` must have been made for `hamiltonian`.  Steps in the
-    same congruence class of `cache` share one compressed MPO, built at the
-    first of them and stored for this call only, from a table of order
-    ``bracket_order(config.method, order)`` and the cache's step plan of
-    `order`.  Returns ``(psi_out, stats)`` where stats carries per-step
-    wall time, the largest MPO/MPS bond dimensions encountered, the
+    same congruence class of `cache` share one compressed MPO of `order`,
+    built at the first of them and stored for this call only, from its
+    `step_table` and the cache's step plan of `order`.  Returns
+    ``(psi_out, stats)`` where stats carries per-step wall time, the
+    largest MPO/MPS bond dimensions encountered, the
     largest MPO bond before row compression (`mpo_bond_before`) and the
     largest relative residual of its least-squares folds
     (`fold_residual`), the largest check residual of the bulk stage
     (`bulk_residual`), the number of steps and of step MPOs built, the
     weight the MPS truncations discarded, summed over the steps, the
-    seconds spent obtaining bracket tables (`bracket_s`), building and
+    seconds spent obtaining step tables (`bracket_s`), building and
     compressing step MPOs (`build_s`) and applying them (`apply_s`), the
     part of `build_s` spent building the step plan of `order` (`plan_s`;
-    0 when an earlier call with the same `cache` built it, and for
-    Taylor steps, whose MPOs each build a plan of their own), the most
-    nonzero (left, right) blocks a step MPO holds (`mpo_blocks`; their
-    fill decides whether `apply_mpo`'s transfer operators are sparse),
-    and the number of tables computed for this call (`tables_computed`;
+    0 when an earlier call with the same `cache` built it), the most
+    nonzero (left, right) blocks a step MPO holds (`mpo_blocks`), and the
+    number of tables computed for this call (`tables_computed`;
     a shared `cache` may serve tables an earlier call computed).  A run
     `_step_count` rejects raises `ValueError` before any step.
     """
-    order = config.order if order is None else order
-    dt = config.dt if dt is None else dt
     n_steps = _step_count(config, order, dt)
-    need = bracket_order(config.method, order)
     if cache is None:
-        cache = BracketCache(hamiltonian, order=need)
+        cache = BracketCache(hamiltonian, order=order)
     elif cache.hamiltonian is not hamiltonian:
         raise ValueError("the bracket cache was made for another Hamiltonian")
     computed_before = cache.computed
@@ -269,11 +265,9 @@ def evolve_state(hamiltonian, psi, config, order=None, dt=None, cache=None):
         key = cache.key(s0, s1)
         mpo = step_mpos.get(key)
         if mpo is None:
-            table = None
-            if need:
-                start = time.perf_counter()
-                table = cache.table(s0, s1, need)
-                bracket_s += time.perf_counter() - start
+            start = time.perf_counter()
+            table = step_table(cache, config.method, s0, s1, order)
+            bracket_s += time.perf_counter() - start
             start = time.perf_counter()
             mpo, report = build_step_mpo(hamiltonian, s0, s1, order,
                                          config.method, table,
@@ -353,15 +347,16 @@ def run_benchmark(hamiltonian, config):
     the state size and `oracle_substeps` of the RK4 reference, unless the
     sweep is self-referenced (see `evolve.check_oracle`).
     """
-    orders, dts = config.sweep()
+    orders, dts = config.orders, config.dts
+    if not (orders and dts):
+        raise ValueError("a sweep needs at least one order and one dt")
     for order in orders:
         for dt in dts:
             _step_count(config, order, dt)
     if not config.self_reference:
         check_oracle(hamiltonian.d ** config.n_sites, config.oracle_substeps)
     psi0 = initial_state(config)
-    top = max(bracket_order(config.method, order) for order in orders)
-    cache = BracketCache(hamiltonian, order=top)
+    cache = BracketCache(hamiltonian, order=max(orders))
     evolved = {}
     for order in orders:
         for dt in dts:

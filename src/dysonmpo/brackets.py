@@ -249,10 +249,15 @@ def time_ordered_integral(drivings, t0, t):
 
 
 class BracketTable:
-    """Time-ordered integrals keyed by channel-name sequences."""
+    """Time-ordered integrals keyed by channel-name sequences.
+
+    A computed table holds the brackets of its interval; a frozen one
+    (`frozen`) the word weights of a time-independent exponential, and no
+    interval.
+    """
 
     def __init__(self, interval, values, max_order):
-        self.interval = tuple(interval)
+        self.interval = None if interval is None else tuple(interval)
         self.values = dict(values)
         self.max_order = int(max_order)
 
@@ -275,17 +280,18 @@ class BracketTable:
         values = time_ordered_integrals(dict(channels), keys, t0, t)
         return cls((t0, t), values, max_order)
 
+    @classmethod
+    def frozen(cls, weights, tau, max_order):
+        """Word weights of ``exp(tau * sum_a weights[a] H_a)`` to `max_order`.
 
-class TaylorBrackets:
-    """Synthetic table for a time-independent exponential: ``tau**k / k!``."""
-
-    def __init__(self, tau, max_order):
-        self.tau = complex(tau)
-        self.max_order = int(max_order)
-        self.interval = None
-
-    def value(self, sigma):
-        k = len(tuple(sigma))
-        if k > self.max_order:
-            raise KeyError(f"order {k} exceeds {self.max_order}")
-        return self.tau ** k / math.factorial(k)
+        `weights` maps each channel name to its frozen value, in channel
+        order.  The entry of a word of k letters is ``tau**k / k!`` times
+        the product of its letters' weights; with every weight 1.0 that
+        product is exactly 1.0.
+        """
+        tau = complex(tau)
+        values = {key: tau ** len(key) / math.factorial(len(key))
+                  * math.prod(weights[a] for a in key)
+                  for k in range(1, max_order + 1)
+                  for key in product(weights, repeat=k)}
+        return cls(None, values, max_order)

@@ -6,8 +6,8 @@ import re
 import sys
 
 from . import modelfile
-from .bench import (METHODS, BracketCache, EvolutionConfig, bracket_order,
-                    build_step_mpo, records_to_csv, run_benchmark)
+from .bench import (METHODS, BracketCache, EvolutionConfig, build_step_mpo,
+                    records_to_csv, run_benchmark, step_table)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,8 +60,8 @@ def _add_common(p):
 
 def cmd_build_mpo(args):
     ham = modelfile.load(args.model)
-    need = bracket_order(args.method, args.order)
-    table = BracketCache(ham).table(args.t0, args.t, need) if need else None
+    table = step_table(BracketCache(ham), args.method, args.t0, args.t,
+                       args.order)
     mpo, report = build_step_mpo(ham, args.t0, args.t, args.order,
                                  args.method, table, args.qr_tol,
                                  compress=not args.no_compress)

@@ -325,8 +325,8 @@ def row_compress(mpo, order=None, tol=1e-12):
     mpo : ExtensiveMPO
         Its levels must carry no 1 symbols.  The bracket table is the one
         recorded at construction time (``params["brackets"]``): the
-        `BracketTable` of a Dyson or Magnus MPO, or the `TaylorBrackets`
-        ``tau**k / k!`` of a Taylor MPO.  An MPO made by
+        brackets of a Dyson or Magnus step, or the frozen table
+        (`BracketTable.frozen`) of a Taylor MPO.  An MPO made by
         a `PowerPlan` (``params["plan"]``) is compressed with the
         compression plan that power plan keeps; any other gets a plan of
         its own.

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fdmpo
-
 
 def _binomial(x, size):
     """``S[m, l] = C(l, m) x**(l - m)``: Taylor coefficients moved by x."""
@@ -339,14 +337,6 @@ class TimeDependentHamiltonian:
     @property
     def channel_names(self):
         return [c.name for c in self.channels]
-
-    def weighted(self, weight_of):
-        """``sum_a weight_of(channel_a) * H_a`` as one first-degree MPO."""
-        total = None
-        for c in self.channels:
-            term = fdmpo.scale(c.operator, weight_of(c))
-            total = term if total is None else fdmpo.add(total, term)
-        return total
 
     def common_period(self):
         """Smallest common driving period, or None when aperiodic."""

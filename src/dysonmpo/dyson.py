@@ -26,7 +26,9 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
     """N-th order Dyson MPO of the evolution operator on ``[t0, t]``.
 
     `integrals` must hold all brackets of the Hamiltonian's channels up to
-    `order`.  A degenerate interval returns the exact identity.  `plan` is
+    `order`, computed on ``[t0, t]``, or be a frozen table without an
+    interval (`BracketTable.frozen`), which makes the Taylor series of a
+    frozen Hamiltonian.  A degenerate interval returns the exact identity.  `plan` is
     the `PowerPlan` of the Hamiltonian's rewired form at `order`, which the
     steps of a sweep share; without one, this call builds its own.
     """
@@ -36,7 +38,7 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
         raise ValueError(
             f"bracket table of order {integrals.max_order} cannot build an "
             f"order-{order} Dyson MPO")
-    if getattr(integrals, "interval", None) is not None:
+    if integrals.interval is not None:
         i0, i1 = integrals.interval
         if abs(i0 - t0) > 1e-12 or abs(i1 - t) > 1e-12:
             raise ValueError("bracket table interval does not match [t0, t]")

@@ -65,17 +65,17 @@ def _bind_csr_kernels(module):
 _CSR_MATVEC, _CSR_MATVECS = _bind_csr_kernels(scipy.sparse._sparsetools)
 
 
-def _check_substeps(substeps):
-    if isinstance(substeps, bool) \
-            or not isinstance(substeps, numbers.Integral) or substeps < 1:
-        raise ValueError("substeps must be at least 1 and an int (not a "
-                         f"bool or a float), got {substeps!r}")
+def _check_count(name, value):
+    if isinstance(value, bool) \
+            or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be at least 1 and an int (not a "
+                         f"bool or a float), got {value!r}")
 
 
 def check_oracle(size, substeps):
     """Raise `ValueError` for a state of `size` amplitudes or a substep
     count that `exact_evolve` rejects, before any work is done."""
-    _check_substeps(substeps)
+    _check_count("substeps", substeps)
     if size > STATE_CAP:
         raise ValueError(f"state size {size} exceeds STATE_CAP = {STATE_CAP}")
 
@@ -118,7 +118,9 @@ def sparse_operator(mpo, n_sites):
 def _rk4(hamiltonian, n_sites, psi, t0, t, substeps):
     """Fixed-step RK4 for `psi`, one state or a ``(dim, m)`` block of them.
 
-    `psi` is a complex array the loop may overwrite.
+    `psi` is a complex array the loop may overwrite.  A result that is not
+    finite, as a step too long for RK4's stability leaves it, raises
+    `ValueError` naming the interval and `substeps`.
     """
     if t == t0:
         return psi
@@ -166,6 +168,10 @@ def _rk4(hamiltonian, n_sites, psi, t0, t, substeps):
         stage(2, w[1], shifted(0.5 * h, k[1]))
         stage(3, w[2], shifted(h, k[2]))
         np.add(y, c @ k, out=y)
+    if not np.isfinite(y).all():
+        raise ValueError(f"RK4 over [{t0!r}, {t!r}] in substeps = "
+                         f"{substeps} gave a non-finite state: the step is "
+                         "too long to be stable; take more substeps")
     return y.reshape(psi.shape)
 
 
@@ -176,7 +182,8 @@ def exact_evolve(hamiltonian, psi0, t0, t, substeps=4000):
     the run stays below 1e-10 for the bundled benchmarks at the default.
     The state's size must be a power of the local dimension, at least the
     local dimension and at most `STATE_CAP`, its entries finite, and both
-    interval ends finite; ``t < t0`` evolves backward.
+    interval ends finite; ``t < t0`` evolves backward.  A substep too long
+    for RK4 to stay finite raises `ValueError` instead of returning NaN.
     """
     psi = np.asarray(psi0, dtype=complex).copy()
     check_oracle(psi.size, substeps)
@@ -197,10 +204,12 @@ def exact_evolve(hamiltonian, psi0, t0, t, substeps=4000):
 def exact_evolution_operator(hamiltonian, n_sites, t0, t, substeps=4000):
     """Dense ``U(t, t0)``: the identity's columns evolved as one block.
 
-    The dimension ``d**n_sites`` must be at most `OPERATOR_CAP`, and both
-    interval ends finite.
+    `n_sites` must be an int of at least 1 (not a bool or a float), the
+    dimension ``d**n_sites`` at most `OPERATOR_CAP`, and both interval ends
+    finite.
     """
-    _check_substeps(substeps)
+    _check_count("substeps", substeps)
+    _check_count("n_sites", n_sites)
     check_interval(t0, t)
     dim = hamiltonian.d ** n_sites
     if dim > OPERATOR_CAP:

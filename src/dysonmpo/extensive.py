@@ -17,8 +17,9 @@ the nested-tuple labels are made once, for the levels of the result.
 The power depends on the Hamiltonian's operators and the order, the weights
 on the step.  A `PowerPlan` holds the power once, as arrays, so a weighting
 costs one gather of the weights and one scatter-add into the identity
-column.  The Dyson and Magnus steps of one order share a plan; a Taylor
-operator changes with the step, so each Taylor MPO gets a plan of its own.
+column.  Every step of one order shares a plan: the Dyson and Magnus
+steps weight it with their bracket tables, the frozen-midpoint Taylor step
+with a frozen table (`brackets.BracketTable.frozen`).
 
 An `ExtensiveMPO` carries its two boundary vectors.  Those of a power, and
 of its row compression, are one-hot on the identity level, and its levels
@@ -29,22 +30,9 @@ step has combined levels, no labels, and boundary vectors of its own.
 import time
 
 import numpy as np
-from scipy import sparse
 
 from .fdmpo import DENSE_CAP, dense_chain, one_hot
 from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, two
-
-# Nonzero fraction below which the transfer operators are CSR, where a
-# CSR (n, n) times a dense (n, m) breaks even with the dense product: it
-# took 0.3x the dense time at 3% of the entries, 0.7-0.9x at 7.5%,
-# 0.8-1.3x at 10%, 1.1-1.2x at 12.5% and 1.4-1.9x at 20% (n = 92-326,
-# m = 16-1024, scipy 1.17, one BLAS thread, 2-vCPU Xeon VM).  Of the step
-# MPOs `bench.build_step_mpo` applies for the bundled models at orders
-# 1-5 (dt 1/16 and 1/4), only the order-2 XXZ step (bond 13, 9.5%) is
-# below it; the TFI steps fill 41-50%, and the XXZ steps of orders 3-5,
-# factored to bonds 20 / 35 / 95, fill 60-99%.  A row-compressed MPO that
-# skips the bulk stage, as order-4 XXZ (bond 163, 3.4%), is CSR too.
-SPARSE_BELOW = 0.1
 
 
 class ExtensiveMPO:
@@ -160,10 +148,8 @@ class ExtensiveMPO:
         With ``W[a, b, s, p]`` the site tensor (left, right, out, in), both
         are ``(D_w*d, D_w*d)`` matrices: `left` maps ``(a, p)`` to ``(b,
         s)`` for the left-to-right sweep, and `right` maps ``(b, p)`` to
-        ``(a, s)`` for the right-to-left one.  They are built from the
-        nonzero entries of the coordinate blocks: as `scipy.sparse` CSR
-        matrices when those fill less than `SPARSE_BELOW` of the entries,
-        dense arrays otherwise.
+        ``(a, s)`` for the right-to-left one.  Both are dense arrays, filled
+        from the nonzero entries of the coordinate blocks.
         """
         if self._transfer is None:
             rows, cols, blocks = self._coo
@@ -173,13 +159,9 @@ class ExtensiveMPO:
             a, b = rows[k] * d, cols[k] * d
             size = self.bond_dimension * d
             pairs = ((b + s, a + p), (a + s, b + p))  # (row, column)
-            if len(vals) < SPARSE_BELOW * size * size:
-                ops = [sparse.csr_array((vals, ij), shape=(size, size))
-                       for ij in pairs]
-            else:
-                ops = [np.zeros((size, size), dtype=complex) for _ in pairs]
-                for op, ij in zip(ops, pairs):
-                    op[ij] = vals
+            ops = [np.zeros((size, size), dtype=complex) for _ in pairs]
+            for op, ij in zip(ops, pairs):
+                op[ij] = vals
             self._transfer = tuple(ops)
         return self._transfer
 
@@ -213,10 +195,6 @@ class RewiredHamiltonian:
     def from_hamiltonian(cls, hamiltonian):
         chans = [(c.name, c.operator, c.driving) for c in hamiltonian.channels]
         return cls(chans, hamiltonian.d)
-
-    @classmethod
-    def from_static(cls, h, name="h"):
-        return cls([(name, h, None)], h.d)
 
     def _build_transitions(self):
         eye = np.eye(self.d, dtype=complex)

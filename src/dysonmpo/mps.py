@@ -18,12 +18,8 @@ The MPO enters through its two transfer operators (`ExtensiveMPO.transfer`),
 ``(b, s) <- (a, p)`` for the sweep from the left end and ``(a, s) <-
 (b, p)`` for the one from the right.  A site is one matrix product with
 the MPS tensor, one with the operator and two transposes into the layout
-of the next product and of the factorisation.  An operator is a CSR
-matrix when its nonzero entries fill less than `extensive.SPARSE_BELOW`
-of it, as the order-2 XXZ step does (9.5%), and a dense array otherwise,
-as the steps that `bench.build_step_mpo` factors to their row rank are
-(60-99%); both are used through ``@``.  The two remainders start from
-the MPO's boundary vectors.
+of the next product and of the factorisation.  Both operators are dense
+arrays.  The two remainders start from the MPO's boundary vectors.
 """
 
 import numbers
@@ -253,9 +249,8 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     `svd_truncate`.  No tensor of the raw bond ``D_w * chi`` is formed, and
     every factorised matrix has a side no longer than ``d`` to the power of
     its distance to the nearer chain end.  The MPO
-    acts through its transfer operators (`ExtensiveMPO.transfer`), built on
-    the first apply and kept with the MPO: CSR below
-    `extensive.SPARSE_BELOW` of their entries nonzero, dense above.
+    acts through its dense transfer operators (`ExtensiveMPO.transfer`),
+    built on the first apply and kept with the MPO.
 
     A left-step matrix ``(k*d, D_w*chi)`` with ``k*d <= D_w*chi`` (and the
     mirror LQ case on the right) leaves bond ``k*d`` with or without its

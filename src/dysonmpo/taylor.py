@@ -1,26 +1,32 @@
 """Extensive Taylor MPOs for time-independent Hamiltonians.
 
-The N-th order construction is a `PowerPlan` of ``H**N`` under the
-weighting of `TaylorBrackets`: every fully finished level folds back into
-the identity level, and one whose stripped label carries k finished
-symbols contributes the weight ``tau**k / k!``.  The first-order tensor is
+The N-th order construction is a `PowerPlan` of ``H**N``, one channel
+``"h"``, weighted by the frozen table ``BracketTable.frozen({"h": 1.0},
+tau, N)``: every fully finished level folds back into the identity level,
+and one whose stripped label carries k finished symbols contributes the
+weight ``tau**k / k!``.  The first-order tensor is
 
     ( 1 + tau D   L )
     ( tau R       A )
 
-which reduces to the identity at ``tau = 0``.  The MPO records its
-`TaylorBrackets` in ``params["brackets"]``, where `row_compress` reads
-them as it reads a Dyson MPO's bracket table.  Derivatives at
-``tau = 0`` read the same plan, one weighting per power of ``tau``.
+which reduces to the identity at ``tau = 0``.  The MPO records its table
+in ``params["brackets"]``, where `row_compress` reads it as it reads a
+Dyson MPO's bracket table.  Derivatives at ``tau = 0`` read the same plan,
+one weighting per power of ``tau``.
 """
 
 import math
 
 import numpy as np
 
-from .brackets import TaylorBrackets
+from .brackets import BracketTable
 from .extensive import PowerPlan, RewiredHamiltonian
 from .fdmpo import DENSE_CAP, dense_chain, one_hot
+
+
+def _plan(h, order):
+    """The power plan of the one-channel Hamiltonian `h` at `order`."""
+    return PowerPlan(RewiredHamiltonian([("h", h, None)], h.d), order)
 
 
 def taylor_mpo(h, tau, order):
@@ -31,9 +37,8 @@ def taylor_mpo(h, tau, order):
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    brackets = TaylorBrackets(tau, order)
-    plan = PowerPlan(RewiredHamiltonian.from_static(h), order)
-    mpo = plan.mpo(brackets.value)
+    brackets = BracketTable.frozen({"h": 1.0}, tau, order)
+    mpo = _plan(h, order).mpo(brackets.value)
     mpo.params.update(kind="taylor", brackets=brackets)
     return mpo
 
@@ -54,7 +59,7 @@ def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
     d = h.d
     if d ** n_sites > cap:
         raise ValueError("dense cap exceeded")
-    plan = PowerPlan(RewiredHamiltonian.from_static(h), order)
+    plan = _plan(h, order)
     base = plan.mpo(lambda sigma: 0.0).site_tensor()
     coeffs = [base] + [
         plan.mpo(lambda sigma, k=k: (len(sigma) == k) / math.factorial(k))

@@ -13,6 +13,7 @@ table taken word by word.
 """
 
 import math
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -20,7 +21,7 @@ import scipy.linalg
 import scipy.sparse
 
 from dysonmpo import fdmpo
-from dysonmpo.brackets import BracketTable, TaylorBrackets
+from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import (Block, CompressionBasisError,
                                   CompressionPlan, CompressionReport,
                                   _select_new_levels)
@@ -825,11 +826,27 @@ def flat_evolution_mpo(rew, n, weight_of):
     return ExtensiveMPO(rew.d, levels, entries, order=n)
 
 
+def static_rewired(h):
+    """The rewired form of the static Hamiltonian `h`, one channel "h"."""
+    return RewiredHamiltonian([("h", h, None)], h.d)
+
+
+def taylor_weight(tau, sigma):
+    """``tau**k / k!`` for a word of k letters, as a complex number."""
+    k = len(tuple(sigma))
+    return complex(tau) ** k / math.factorial(k)
+
+
+def reference_taylor_mpo(h, tau, order):
+    """The static Taylor plan weighted by `taylor_weight` directly."""
+    return PowerPlan(static_rewired(h), order).mpo(
+        lambda sigma: taylor_weight(tau, sigma))
+
+
 def flat_taylor_mpo(h, tau, order):
     """``taylor_mpo`` built over full symbol tuples."""
-    brackets = TaylorBrackets(tau, order)
-    mpo = flat_evolution_mpo(RewiredHamiltonian.from_static(h), order,
-                             brackets.value)
+    brackets = BracketTable.frozen({"h": 1.0}, tau, order)
+    mpo = flat_evolution_mpo(static_rewired(h), order, brackets.value)
     mpo.params.update(kind="taylor", brackets=brackets)
     return mpo
 
@@ -842,9 +859,16 @@ def flat_dyson_mpo(hamiltonian, t0, t, order, integrals):
     return mpo
 
 
+def weighted_hamiltonian(hamiltonian, weight_of):
+    """``sum_a weight_of(channel_a) * H_a`` as one first-degree MPO."""
+    return reduce(fdmpo.add, [fdmpo.scale(c.operator, weight_of(c))
+                              for c in hamiltonian.channels])
+
+
 def magnus_omega1(hamiltonian, integrals):
     """First Magnus operator ``sum_a [f_a] H_a`` as a first-degree MPO."""
-    return hamiltonian.weighted(lambda c: integrals.value((c.name,)))
+    return weighted_hamiltonian(hamiltonian,
+                                lambda c: integrals.value((c.name,)))
 
 
 def magnus_omega2(hamiltonian, integrals):

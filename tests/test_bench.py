@@ -6,13 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import count_tables
+from helpers import count_tables, weighted_hamiltonian
 
 from dysonmpo import bench, extensive
 from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
                             evolve_state, fit_loglog_slope, initial_state,
                             order_slopes, prune_plateau, records_to_csv,
-                            run_benchmark, runtime_at_accuracy)
+                            run_benchmark, runtime_at_accuracy, step_table)
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
     PolyDriving, TimeDependentHamiltonian, TrigDriving
@@ -20,13 +20,13 @@ from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.mps import apply_mpo
 from dysonmpo.spin import SX
+from dysonmpo.taylor import taylor_mpo
 
 
 def test_smoke_run_error_decreases():
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, dt=0.25, order=1, orders=(1,),
-                             dts=(0.25, 0.125), oracle_substeps=500,
-                             d_max=8)
+    config = EvolutionConfig(n_sites=4, orders=(1,), dts=(0.25, 0.125),
+                             oracle_substeps=500, d_max=8)
     records = run_benchmark(ham, config)
     eps = {r.dt: r.epsilon for r in records}
     assert 0 < eps[0.125] < eps[0.25] < 1
@@ -115,6 +115,15 @@ def test_dt_must_divide_interval():
         run_benchmark(ham, config)
 
 
+@pytest.mark.parametrize("empty", [{"orders": ()}, {"dts": ()}])
+def test_an_empty_sweep_is_rejected_before_the_oracle(empty, monkeypatch):
+    calls = _record_evolutions(monkeypatch)
+    config = dataclasses.replace(_four_site_sweep(), **empty)
+    with pytest.raises(ValueError, match="at least one order and one dt"):
+        run_benchmark(modulated_ising(), config)
+    assert calls == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("d_max", 0), ("d_max", -2), ("d_max", 2.5), ("d_max", True),
     ("d_max", np.float64(4.0)), ("qr_tol", 1.5), ("qr_tol", 1.0),
@@ -131,13 +140,13 @@ def test_bad_d_max_and_qr_tol_raise_before_any_build(field, value,
 
     monkeypatch.setattr(bench, "build_step_mpo", counting)
     tables = count_tables(monkeypatch)
-    config = EvolutionConfig(n_sites=6, order=3, orders=(3,), dts=(0.25,),
+    config = EvolutionConfig(n_sites=6, orders=(3,), dts=(0.25,),
                              t_final=0.5, seed=2, **{field: value})
     named = f"{field}.* got {re.escape(repr(value))}"
     with pytest.raises(ValueError, match=named):
         run_benchmark(modulated_xxz(), config)
     with pytest.raises(ValueError, match=named):
-        evolve_state(modulated_xxz(), initial_state(config), config)
+        evolve_state(modulated_xxz(), initial_state(config), config, 3, 0.25)
     assert builds == [] and tables == []
 
 
@@ -156,10 +165,9 @@ def test_int_d_max_is_accepted(d_max):
                                               (1.0, 0.0, -0.25)])
 def test_backward_steps_are_rejected(t0, t_final, dt):
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=dt,
-                             order=1)
+    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final)
     with pytest.raises(ValueError, match="forward"):
-        evolve_state(ham, initial_state(config), config)
+        evolve_state(ham, initial_state(config), config, 1, dt)
 
 
 @pytest.mark.parametrize("t0, t_final, named", [(math.nan, 1.0, "t0 = nan"),
@@ -168,10 +176,9 @@ def test_backward_steps_are_rejected(t0, t_final, dt):
                                                 (-math.inf, 0.0, "t0 = -inf")])
 def test_non_finite_interval_ends_are_rejected(t0, t_final, named):
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final, dt=0.25,
-                             order=1)
+    config = EvolutionConfig(n_sites=4, t0=t0, t_final=t_final)
     with pytest.raises(ValueError, match=f"interval end {named} is not"):
-        evolve_state(ham, initial_state(config), config)
+        evolve_state(ham, initial_state(config), config, 1, 0.25)
     cache = BracketCache(ham)
     with pytest.raises(ValueError, match=f"interval end {named} is not"):
         cache.table(t0, t_final, 2)
@@ -180,10 +187,9 @@ def test_non_finite_interval_ends_are_rejected(t0, t_final, named):
 
 def test_empty_interval_takes_no_step():
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5, dt=0.25,
-                             order=1)
+    config = EvolutionConfig(n_sites=4, t0=0.5, t_final=0.5)
     psi0 = initial_state(config)
-    psi, stats = evolve_state(ham, psi0, config)
+    psi, stats = evolve_state(ham, psi0, config, 1, 0.25)
     assert stats["n_steps"] == stats["mpo_builds"] == 0
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors,
                                                     psi0.tensors))
@@ -191,10 +197,11 @@ def test_empty_interval_takes_no_step():
 
 def test_evolve_state_rejects_a_cache_made_for_another_run():
     ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, t_final=0.5, dt=0.25, order=2)
+    config = EvolutionConfig(n_sites=4, t_final=0.5)
     cache = BracketCache(modulated_xxz())
     with pytest.raises(ValueError, match="cache"):
-        evolve_state(ham, initial_state(config), config, cache=cache)
+        evolve_state(ham, initial_state(config), config, 2, 0.25,
+                     cache=cache)
     assert cache.computed == 0
 
 
@@ -345,24 +352,30 @@ def _count_compressions(monkeypatch):
     return calls
 
 
-def _build_and_apply_every_step(ham, config):
+def _build_and_apply_every_step(ham, config, order, dt):
+    # each step from its own table of the method and a plan of its own
     cache = BracketCache(ham)
     psi = initial_state(config)
-    for i in range(round((config.t_final - config.t0) / config.dt)):
-        s0 = config.t0 + i * config.dt
-        s1 = config.t0 + (i + 1) * config.dt
-        mpo, _ = build_step_mpo(ham, s0, s1, config.order, config.method,
-                                cache.table(s0, s1, config.order),
+    for i in range(round((config.t_final - config.t0) / dt)):
+        s0 = config.t0 + i * dt
+        s1 = config.t0 + (i + 1) * dt
+        mpo, _ = build_step_mpo(ham, s0, s1, order, config.method,
+                                step_table(cache, config.method, s0, s1,
+                                           order),
                                 qr_tol=config.qr_tol)
         psi, _ = apply_mpo(mpo, psi, d_max=config.d_max,
                            svd_tol=config.svd_tol)
     return psi
 
 
+# period 1, order 3 at dt 0.25: twelve steps in four congruence classes
+REUSE_STEP = (3, 0.25)
+
+
 def _reuse_config(method):
-    # period 1, dt 0.25: twelve steps in four congruence classes
-    return EvolutionConfig(n_sites=6, t_final=3.0, dt=0.25, order=3,
-                           method=method, d_max=8, seed=5)
+    return EvolutionConfig(n_sites=6, t_final=3.0, orders=(REUSE_STEP[0],),
+                           dts=(REUSE_STEP[1],), method=method, d_max=8,
+                           seed=5)
 
 
 @pytest.mark.parametrize("method", ["dyson", "magnus", "taylor"])
@@ -370,10 +383,11 @@ def test_congruent_steps_reuse_one_compressed_mpo(method, monkeypatch):
     ham = modulated_ising()
     config = _reuse_config(method)
     calls = _count_compressions(monkeypatch)
-    psi, stats = evolve_state(ham, initial_state(config), config)
+    psi, stats = evolve_state(ham, initial_state(config), config,
+                              *REUSE_STEP)
     assert stats["n_steps"] == 12
     assert stats["mpo_builds"] == len(calls) == 4
-    ref = _build_and_apply_every_step(ham, config)
+    ref = _build_and_apply_every_step(ham, config, *REUSE_STEP)
     assert len(calls) == 4 + 12
     if method == "taylor":
         # the frozen midpoint driving of congruent steps agrees to rounding
@@ -392,7 +406,7 @@ def test_aperiodic_steps_are_all_built(monkeypatch):
     assert ham.common_period() is None
     config = _reuse_config("dyson")
     calls = _count_compressions(monkeypatch)
-    _, stats = evolve_state(ham, initial_state(config), config)
+    _, stats = evolve_state(ham, initial_state(config), config, *REUSE_STEP)
     assert stats["mpo_builds"] == stats["n_steps"] == len(calls) == 12
 
 
@@ -434,10 +448,9 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
     ham = TimeDependentHamiltonian([
         Channel(c.name, c.operator, driving) for c in ising.channels])
     assert ham.common_period() == math.inf
-    config = EvolutionConfig(n_sites=6, t_final=1.0, dt=0.125, order=3,
-                             d_max=8, seed=5)
+    config = EvolutionConfig(n_sites=6, t_final=1.0, d_max=8, seed=5)
     tables = count_tables(monkeypatch)
-    psi, stats = evolve_state(ham, initial_state(config), config)
+    psi, stats = evolve_state(ham, initial_state(config), config, 3, 0.125)
     assert stats["n_steps"] == 8
     assert stats["mpo_builds"] == stats["tables_computed"] == len(tables) == 1
     # every step built from its own table: dyadic steps make the
@@ -485,10 +498,14 @@ def test_tables_computed_at_the_order_the_method_reads(method, orders,
     ham = modulated_ising()
     config = _reuse_config(method)
     tables = count_tables(monkeypatch)
-    _, stats = evolve_state(ham, initial_state(config), config)
+    _, stats = evolve_state(ham, initial_state(config), config, *REUSE_STEP)
     assert tables == orders
     assert stats["tables_computed"] == len(orders)
-    assert bench.bracket_order(method, config.order) == max(orders, default=0)
+    # the step table holds every word the step reads; a frozen Taylor
+    # table, computed from no bracket, has no interval
+    table = step_table(BracketCache(ham), method, 0.25, 0.5, 3)
+    assert table.max_order == 3
+    assert table.interval == (None if method == "taylor" else (0.25, 0.5))
 
 
 def _record_evolutions(monkeypatch):
@@ -496,8 +513,8 @@ def _record_evolutions(monkeypatch):
     calls = []
     original = bench.evolve_state
 
-    def recording(hamiltonian, psi, config, order=None, dt=None, cache=None):
-        psi, stats = original(hamiltonian, psi, config, order=order, dt=dt,
+    def recording(hamiltonian, psi, config, order, dt, cache=None):
+        psi, stats = original(hamiltonian, psi, config, order, dt,
                               cache=cache)
         calls.append((order, dt, stats))
         return psi, stats
@@ -587,6 +604,36 @@ def test_sweep_builds_the_power_once_per_order(monkeypatch):
     assert [n for _, n in built] == [1, 2, 3, 4]
 
 
+def test_taylor_sweep_builds_the_power_once_per_order(monkeypatch):
+    # frozen tables weight the shared plans, and compute no bracket
+    built = _count_powers(monkeypatch)
+    tables = count_tables(monkeypatch)
+    calls = _record_evolutions(monkeypatch)
+    records = run_benchmark(modulated_ising(),
+                            _four_site_sweep(method="taylor"))
+    assert sum(stats["mpo_builds"] for _, _, stats in calls) == 24
+    assert [n for _, n in built] == [1, 2, 3, 4]
+    assert tables == []
+    assert all(r.method == "taylor" for r in records)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_taylor_step_is_the_series_of_the_midpoint_hamiltonian(model, order):
+    ham = model()
+    t0, t1 = 0.3, 0.55
+    table = step_table(BracketCache(ham), "taylor", t0, t1, order)
+    w, report = build_step_mpo(ham, t0, t1, order, "taylor", table, 1e-12,
+                               compress=False)
+    assert report is None and w.params["kind"] == "taylor"
+    tm = 0.5 * (t0 + t1)
+    frozen = weighted_hamiltonian(
+        ham, lambda c: complex(np.asarray(c.driving(tm)).item()))
+    ref = taylor_mpo(frozen, -1j * (t1 - t0), order).to_dense(5)
+    assert np.linalg.norm(w.to_dense(5) - ref) <= \
+        1e-14 * np.linalg.norm(ref)
+
+
 def test_plans_are_not_shared_between_sweeps(monkeypatch):
     built = _count_powers(monkeypatch)
     first, second = modulated_ising(), modulated_ising()
@@ -637,7 +684,7 @@ def test_evolve_state_reports_the_compression(monkeypatch):
         return mpo, report
 
     monkeypatch.setattr(bench, "build_step_mpo", recording)
-    _, stats = evolve_state(ham, initial_state(config), config)
+    _, stats = evolve_state(ham, initial_state(config), config, *REUSE_STEP)
     assert len(reports) == stats["mpo_builds"] == 4
     assert stats["mpo_bond_before"] == max(
         r.bond_dimension_before for r in reports) == 26
@@ -742,7 +789,7 @@ def _untimed(records):
 
 @pytest.mark.parametrize("method, build", [("dyson", "dyson_mpo"),
                                            ("magnus", "magnus_evolution"),
-                                           ("taylor", "taylor_mpo")])
+                                           ("taylor", "dyson_mpo")])
 def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
     # the benchmark's tracer wraps names it looks up on `bench`; a sweep
     # must still reach them there, and the wrappers must not change it

@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (OpaqueDriving, dense_discrete_bracket,
+from helpers import (OpaqueDriving, dense_discrete_bracket, taylor_weight,
                      literal_bracket_table, piecewise_van_loan_table,
                      van_loan_table)
 from quadrature import quad_time_ordered_integral
@@ -325,3 +325,28 @@ def test_non_finite_interval_ends_raise(t0, t, named):
     channels = [(c.name, c.driving) for c in modulated_ising().channels]
     with pytest.raises(ValueError, match=f"interval end {named} is not"):
         BracketTable.compute(channels, t0, t, 2)
+
+
+def test_frozen_table_entries():
+    # a word of k letters weighs tau**k / k! times its letters' weights
+    tau, weights = -0.5j, {"a": 2.0, "b": 1j}
+    table = BracketTable.frozen(weights, tau, 3)
+    assert table.interval is None and table.max_order == 3
+    assert set(table.values) == {word for k in (1, 2, 3)
+                                 for word in product("ab", repeat=k)}
+    assert table.value(("a",)) == -1j
+    assert table.value(("b",)) == 0.5
+    assert table.value(("a", "b")) == table.value(("b", "a")) == -0.25j
+    assert table.value(("b", "b")) == 0.125
+    assert table.value(("a", "b", "a")) == pytest.approx(-1 / 12, abs=1e-17)
+    assert table.value(("b", "b", "b")) == pytest.approx(1 / 48, abs=1e-17)
+    with pytest.raises(KeyError, match="exceeds table order 3"):
+        table.value(("a",) * 4)
+
+
+@pytest.mark.parametrize("tau", [-0.125j, 0.3 - 0.05j, 1e-3, -2.0j])
+def test_unit_weight_frozen_table_is_the_taylor_series_bitwise(tau):
+    table = BracketTable.frozen({"h": 1.0}, tau, 6)
+    assert list(table.values) == [("h",) * k for k in range(1, 7)]
+    for word, value in table.values.items():
+        assert value == taylor_weight(tau, word)

@@ -10,7 +10,7 @@ from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
 
 from dysonmpo import compression, fdmpo, levels
 from dysonmpo.bench import build_step_mpo
-from dysonmpo.brackets import BracketTable, TaylorBrackets
+from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import Batch, CompressionPlan, _key_sums, \
     row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \

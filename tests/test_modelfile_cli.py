@@ -290,7 +290,8 @@ def test_evolve_state_rejects_unknown_method():
     # an empty interval takes no step, so only an entry check can catch it
     config = EvolutionConfig(n_sites=3, t_final=0.0, method="bogus")
     with pytest.raises(ValueError, match="'bogus'"):
-        evolve_state(modulated_ising(), FiniteMPS.all_up(3), config)
+        evolve_state(modulated_ising(), FiniteMPS.all_up(3), config, 2,
+                     0.125)
 
 
 @pytest.mark.parametrize("svd_tol", [-1e-3, math.nan, 1.0, math.inf])
@@ -298,6 +299,6 @@ def test_rejects_bad_svd_tol(svd_tol):
     psi = FiniteMPS.all_up(3)
     config = EvolutionConfig(n_sites=3, t_final=0.0, svd_tol=svd_tol)
     with pytest.raises(ValueError, match=f"got {svd_tol}"):
-        evolve_state(modulated_ising(), psi, config)
+        evolve_state(modulated_ising(), psi, config, 2, 0.125)
     with pytest.raises(ValueError, match=f"got {svd_tol}"):
         apply_mpo(identity_mpo(2), psi, svd_tol=svd_tol)

@@ -1,6 +1,7 @@
 import math
 import re
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import sparse
 
 from helpers import dispatch_rk4, literal_apply_mpo, literal_rk4
 
-from dysonmpo import evolve, extensive, modelfile, mps
+from dysonmpo import evolve, modelfile, mps
 from dysonmpo.bench import build_step_mpo
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import row_compress
@@ -432,6 +433,35 @@ def test_oracle_takes_numpy_integer_substeps(substeps):
     assert np.array_equal(u, exact_evolution_operator(ham, 3, 0.0, 0.25, 20))
 
 
+def test_exact_evolve_raises_where_rk4_is_unstable():
+    # three substeps over 1e300 overflow; the overflow warnings come first
+    psi0 = np.ones(4)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError,
+                           match=r"over \[0\.0, 1e\+300\] in substeps = 3 "
+                                 "gave a non-finite state"):
+            exact_evolve(modulated_ising(), psi0, 0.0, 1e300, substeps=3)
+    assert any("overflow" in str(w.message) for w in seen)
+    assert np.array_equal(psi0, np.ones(4))
+
+
+@pytest.mark.parametrize("n_sites", [0, -1, 2.5, 2.0, True, False, "3",
+                                     None])
+def test_exact_evolution_operator_rejects_a_bad_n_sites(n_sites):
+    # an int of at least 1, as `mps.check_d_max` takes d_max
+    with pytest.raises(ValueError, match="n_sites must be at least 1 and an "
+                       f"int .* got {re.escape(repr(n_sites))}"):
+        exact_evolution_operator(modulated_ising(), n_sites, 0.0, 0.25,
+                                 substeps=10)
+
+
+def test_exact_evolution_operator_takes_numpy_integer_n_sites():
+    ham = modulated_ising()
+    u = exact_evolution_operator(ham, np.int64(3), 0.0, 0.25, substeps=20)
+    assert np.array_equal(u, exact_evolution_operator(ham, 3, 0.0, 0.25, 20))
+
+
 def test_csr_kernels_are_bound_from_sparsetools():
     stub = types.ModuleType("stub_sparsetools")
     stub.csr_matvec, stub.csr_matvecs = object(), object()
@@ -514,7 +544,7 @@ def xxz_steps(xxz_builds):
 
 @pytest.fixture(scope="module")
 def xxz_rows(xxz_builds):
-    """The same steps, row-compressed only (CSR transfer operators)."""
+    """The same steps, row-compressed only."""
     return xxz_builds[1]
 
 
@@ -733,75 +763,26 @@ def _fresh(w):
         order=w.order, params=w.params, boundary=w.boundary)
 
 
-def _both_forms(w, monkeypatch):
-    """Copies of `w` whose transfer operators are CSR and dense."""
-    forms = []
-    for below in (2.0, 0.0):  # every nonzero fraction lies below 2
-        monkeypatch.setattr(extensive, "SPARSE_BELOW", below)
-        forms.append(_fresh(w))
-        forms[-1].transfer()
-    return forms
-
-
-@pytest.mark.parametrize("steps, n_sites, d_max", [
-    ("tfi_steps", 8, 4), ("tfi_steps", 9, None), ("xxz_steps", 8, 8)])
-def test_csr_and_dense_transfer_operators_apply_alike(steps, n_sites, d_max,
-                                                      request, monkeypatch):
-    for w in request.getfixturevalue(steps):
-        as_csr, as_dense = _both_forms(w, monkeypatch)
-        assert all(sparse.issparse(op) for op in as_csr.transfer())
-        assert not any(sparse.issparse(op) for op in as_dense.transfer())
-        for csr_op, dense_op in zip(as_csr.transfer(), as_dense.transfer()):
-            assert np.array_equal(csr_op.toarray(), dense_op)
-        psi = FiniteMPS.random_product(n_sites, rng=n_sites)
-        psi, _ = apply_mpo(w, psi, d_max=d_max)  # an entangled input
-        a, disc_a = apply_mpo(as_csr, psi, d_max=d_max)
-        b, disc_b = apply_mpo(as_dense, psi, d_max=d_max)
-        assert a.bond_dimensions == b.bond_dimensions
-        assert np.abs(a.to_dense() - b.to_dense()).max() <= 1e-12
-        assert abs(disc_a - disc_b) <= 1e-9 * disc_b + 1e-24
-
-
 def test_transfer_operators_are_the_site_tensor(tfi_steps, xxz_steps):
     # left maps (a, p) to (b, s), right (b, p) to (a, s), of W[a, b, s, p]
     for w in (tfi_steps[0], xxz_steps[0]):
         n = w.bond_dimension * w.d
         site = w.site_tensor()
-        left, right = (op.toarray() if sparse.issparse(op) else op
-                       for op in _fresh(w).transfer())
+        left, right = _fresh(w).transfer()
         assert np.array_equal(left, site.transpose(1, 2, 0, 3).reshape(n, n))
         assert np.array_equal(right,
                               site.transpose(0, 2, 1, 3).reshape(n, n))
 
 
-def test_transfer_form_follows_the_nonzero_fraction(tfi_steps, xxz_rows,
-                                                   xxz_steps):
-    # row-compressed order-4 XXZ (bond 163) fills 3.4% of its entries,
-    # order-4 TFI (bond 11) 42%, and the bulk order-4 XXZ (bond 35) 60%
-    for w, fraction, csr in ((xxz_rows[0], 0.034, True),
-                             (tfi_steps[0], 0.42, False),
-                             (xxz_steps[0], 0.60, False)):
-        n = w.bond_dimension * w.d
-        assert np.count_nonzero(w.coo()[2]) / n ** 2 == pytest.approx(
-            fraction, abs=0.01)
-        ops = _fresh(w).transfer()
-        assert [sparse.issparse(op) for op in ops] == [csr, csr]
-
-
-def test_second_apply_reuses_the_transfer_operators(xxz_rows, monkeypatch):
-    built = []
-    original = sparse.csr_array
-
-    def counting(*args, **kwargs):
-        built.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(extensive.sparse, "csr_array", counting)
+def test_second_apply_reuses_the_transfer_operators(xxz_rows):
+    # the row-compressed order-4 XXZ step (bond 163) applies as it is
     w = _fresh(xxz_rows[0])
+    assert w._transfer is None
     psi = FiniteMPS.random_product(8, rng=3)
     first, disc = apply_mpo(w, psi, d_max=16)
     ops = w.transfer()
+    assert [op.shape for op in ops] == [(326, 326)] * 2
     again, disc_again = apply_mpo(w, psi, d_max=16)
-    assert len(built) == 2 and w.transfer() is ops
+    assert w.transfer() is ops
     assert np.array_equal(first.to_dense(), again.to_dense())
     assert disc == disc_again

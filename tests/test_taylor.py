@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import disjoint_power_dense, flat_taylor_mpo, strings_of
+from helpers import (disjoint_power_dense, flat_taylor_mpo,
+                     reference_taylor_mpo, strings_of)
 
 from dysonmpo import fdmpo
 from dysonmpo.extensive import ExtensiveMPO
 from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, three, two
 from dysonmpo.models import static_tfi
-from dysonmpo.spin import ID2, SX, SZ
+from dysonmpo.spin import ID2, SX, SY, SZ
 from dysonmpo.taylor import mpo_derivative_at_zero, taylor_mpo
 
 TFI = static_tfi()
@@ -189,3 +190,19 @@ def test_third_derivative_gives_h_cubed_over_six():
 def test_derivative_requires_positive_order():
     with pytest.raises(ValueError):
         mpo_derivative_at_zero(TFI, 1, 0, 3)
+
+
+def _static_xxz(delta=2.0):
+    return fdmpo.from_terms(2, two_site=[(SX, SX), (SY, SY), (SZ, delta * SZ)])
+
+
+@pytest.mark.parametrize("tau", [-0.125j, 0.3 - 0.05j])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("model", [static_tfi, _static_xxz])
+def test_coordinate_blocks_equal_the_direct_weighting_bitwise(model, order,
+                                                              tau):
+    # the frozen table {"h": 1.0} gives each word exactly tau**k / k!
+    h = model()
+    got, ref = taylor_mpo(h, tau, order), reference_taylor_mpo(h, tau, order)
+    assert got.levels == ref.levels
+    assert all(np.array_equal(a, b) for a, b in zip(got.coo(), ref.coo()))
