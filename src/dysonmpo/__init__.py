@@ -16,8 +16,7 @@ from .dyson import dyson_mpo, identity_mpo, magnus_evolution
 from .evolve import exact_evolution_operator, exact_evolve
 from .extensive import ExtensiveMPO, RewiredHamiltonian
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
-                    nondisjoint_product, nondisjoint_square, scale,
-                    zero_hamiltonian)
+                    nondisjoint_product, nondisjoint_square, scale)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
 from .linalg import svd_truncate
 from .mps import FiniteMPS, apply_mpo, trace_distance_error

@@ -21,7 +21,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -37,11 +37,6 @@ from .mps import (FiniteMPS, apply_mpo, check_d_max, check_svd_tol,
 from .taylor import taylor_mpo  # noqa: F401
 
 METHODS = ("taylor", "dyson", "magnus")
-CSV_COLUMNS = ["method", "order", "dt", "epsilon", "wall_time_per_step_s",
-               "mpo_bond_dim", "mps_bond_dim", "seed", "mpo_bond_before",
-               "fold_residual", "bulk_residual", "mpo_builds",
-               "discarded_weight", "bracket_s", "build_s", "apply_s",
-               "plan_s", "mpo_blocks"]
 
 
 @dataclass
@@ -62,27 +57,52 @@ class EvolutionConfig:
     dts: tuple = (0.125,)            # step sizes of the sweep
 
 
+def _column(fmt, default=MISSING, name=None):
+    """A record field written to CSV as ``format(value, fmt)``, under
+    `name` (by default the field's own name)."""
+    return field(default=default, metadata={"fmt": fmt, "column": name})
+
+
 @dataclass
 class ErrorRecord:
+    """Outcome of one evolution of a sweep (`run_benchmark`).
+
+    The fields are the CSV columns in order (`records_to_csv`), except
+    `n_steps`, last, which is not written.  A field made by `_column`
+    carries its CSV format; any other is written as it is.  `evolve_state`
+    reports every field after `epsilon` but `seed`, under its own name.
+    The three stage times are taken inside the timed step loop.  `plan_s`
+    is 0 when an earlier evolution with the same `BracketCache` built the
+    step plan of the order.
+    """
+
     method: str
     order: int
-    dt: float
-    epsilon: float
-    wall_time_per_step: float
-    mpo_bond_dim: int
-    mps_bond_dim: int
+    dt: float = _column(".12g")
+    epsilon: float = _column(".12g")  # trace-distance error at t_final
+    wall_time_per_step: float = _column(".6g", name="wall_time_per_step_s")
+    mpo_bond_dim: int                 # largest applied MPO bond
+    mps_bond_dim: int                 # largest MPS bond
     seed: int
-    discarded_weight: float = 0.0    # summed over the steps' MPS truncations
-    bracket_s: float = 0.0           # spent obtaining bracket tables
-    build_s: float = 0.0             # spent building and compressing MPOs
-    apply_s: float = 0.0             # spent applying MPOs to the state
-    n_steps: int = 1                 # steps of the evolution
-    mpo_bond_before: int = 0         # largest MPO bond before compression
-    fold_residual: float = 0.0       # largest relative least-squares residual
-    mpo_builds: int = 0              # step MPOs built (one per congruence class)
-    plan_s: float = 0.0              # of build_s, spent building the step plan
-    mpo_blocks: int = 0              # nonzero blocks of the largest step MPO
-    bulk_residual: float = 0.0       # largest check residual of the bulk stage
+    mpo_bond_before: int = 0          # largest MPO bond before compression
+    # largest relative residual of the least-squares folds, and largest
+    # check residual of the bulk stage
+    fold_residual: float = _column(".6g", 0.0)
+    bulk_residual: float = _column(".6g", 0.0)
+    mpo_builds: int = 0               # step MPOs built, one per step class
+    discarded_weight: float = _column(".6g", 0.0)  # by the MPS truncations
+    # seconds spent obtaining step tables, building and compressing step
+    # MPOs, applying them, and (part of build_s) building the step plan
+    bracket_s: float = _column(".6g", 0.0)
+    build_s: float = _column(".6g", 0.0)
+    apply_s: float = _column(".6g", 0.0)
+    plan_s: float = _column(".6g", 0.0)
+    mpo_blocks: int = 0               # nonzero blocks of the largest step MPO
+    n_steps: int = 1                  # steps of the evolution; last, unwritten
+
+
+_WRITTEN = fields(ErrorRecord)[:-1]
+CSV_COLUMNS = [f.metadata.get("column") or f.name for f in _WRITTEN]
 
 
 class BracketCache:
@@ -219,6 +239,12 @@ def _step_count(config, order, dt):
     return n_steps
 
 
+def _raise_to(stats, **values):
+    """Raise each named entry of `stats` to at least the given value."""
+    for key, value in values.items():
+        stats[key] = max(stats[key], value)
+
+
 def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     """Evolve `psi` over ``[t0, t_final]`` in uniform forward steps of `dt`.
 
@@ -226,20 +252,10 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     same congruence class of `cache` share one compressed MPO of `order`,
     built at the first of them and stored for this call only, from its
     `step_table` and the cache's step plan of `order`.  Returns
-    ``(psi_out, stats)`` where stats carries per-step wall time, the
-    largest MPO/MPS bond dimensions encountered, the
-    largest MPO bond before row compression (`mpo_bond_before`) and the
-    largest relative residual of its least-squares folds
-    (`fold_residual`), the largest check residual of the bulk stage
-    (`bulk_residual`), the number of steps and of step MPOs built, the
-    weight the MPS truncations discarded, summed over the steps, the
-    seconds spent obtaining step tables (`bracket_s`), building and
-    compressing step MPOs (`build_s`) and applying them (`apply_s`), the
-    part of `build_s` spent building the step plan of `order` (`plan_s`;
-    0 when an earlier call with the same `cache` built it), the most
-    nonzero (left, right) blocks a step MPO holds (`mpo_blocks`), and the
-    number of tables computed for this call (`tables_computed`;
-    a shared `cache` may serve tables an earlier call computed).  A run
+    ``(psi_out, stats)``.  `stats` holds every `ErrorRecord` field after
+    `epsilon` but `seed`, under its name and with its meaning there, and
+    `tables_computed`, the number of tables computed for this call (a
+    shared `cache` may serve tables an earlier call computed).  A run
     `_step_count` rejects raises `ValueError` before any step.
     """
     n_steps = _step_count(config, order, dt)
@@ -251,13 +267,10 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     plan = cache.plan(order)
     plan_before = plan.plan_s
     step_mpos = {}
-    mpo_bond = 0
-    mpo_blocks = 0
-    bond_before = 0
-    fold_residual = bulk_residual = 0.0
-    mps_bond = psi.max_bond
-    discarded = 0.0
-    bracket_s = build_s = apply_s = 0.0
+    stats = {"mpo_bond_dim": 0, "mps_bond_dim": psi.max_bond,
+             "mpo_bond_before": 0, "fold_residual": 0.0,
+             "bulk_residual": 0.0, "discarded_weight": 0.0, "bracket_s": 0.0,
+             "build_s": 0.0, "apply_s": 0.0, "mpo_blocks": 0}
     t_start = time.perf_counter()
     for i in range(n_steps):
         s0 = config.t0 + i * dt
@@ -267,37 +280,32 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
         if mpo is None:
             start = time.perf_counter()
             table = step_table(cache, config.method, s0, s1, order)
-            bracket_s += time.perf_counter() - start
+            stats["bracket_s"] += time.perf_counter() - start
             start = time.perf_counter()
             mpo, report = build_step_mpo(hamiltonian, s0, s1, order,
                                          config.method, table,
                                          qr_tol=config.qr_tol, plan=plan)
-            build_s += time.perf_counter() - start
+            stats["build_s"] += time.perf_counter() - start
             step_mpos[key] = mpo
-            mpo_blocks = max(mpo_blocks, mpo.n_blocks)
-            bond_before = max(bond_before, mpo.bond_dimension)
+            _raise_to(stats, mpo_blocks=mpo.n_blocks,
+                      mpo_bond_before=mpo.bond_dimension)
             if report is not None:
-                bond_before = max(bond_before, report.bond_dimension_before)
-                fold_residual = max(fold_residual, report.fold_residual)
-                bulk_residual = max(bulk_residual, report.bulk_residual)
+                _raise_to(stats, mpo_bond_before=report.bond_dimension_before,
+                          fold_residual=report.fold_residual,
+                          bulk_residual=report.bulk_residual)
         start = time.perf_counter()
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
                               svd_tol=config.svd_tol)
-        apply_s += time.perf_counter() - start
-        discarded += disc
-        mpo_bond = max(mpo_bond, mpo.bond_dimension)
-        mps_bond = max(mps_bond, psi.max_bond)
-    wall = (time.perf_counter() - t_start) / max(n_steps, 1)
-    return psi, {"wall_time_per_step": wall, "mpo_bond_dim": mpo_bond,
-                 "mps_bond_dim": mps_bond, "mpo_bond_before": bond_before,
-                 "fold_residual": fold_residual,
-                 "bulk_residual": bulk_residual, "n_steps": n_steps,
-                 "mpo_builds": len(step_mpos),
-                 "discarded_weight": discarded, "bracket_s": bracket_s,
-                 "build_s": build_s, "apply_s": apply_s,
-                 "plan_s": plan.plan_s - plan_before,
-                 "mpo_blocks": mpo_blocks,
-                 "tables_computed": cache.computed - computed_before}
+        stats["apply_s"] += time.perf_counter() - start
+        stats["discarded_weight"] += disc
+        _raise_to(stats, mpo_bond_dim=mpo.bond_dimension,
+                  mps_bond_dim=psi.max_bond)
+    stats.update(
+        wall_time_per_step=(time.perf_counter() - t_start) / max(n_steps, 1),
+        n_steps=n_steps, mpo_builds=len(step_mpos),
+        plan_s=plan.plan_s - plan_before,
+        tables_computed=cache.computed - computed_before)
+    return psi, stats
 
 
 def initial_state(config):
@@ -329,11 +337,6 @@ def _epsilon_stable(psi, reference):
     phase = ov / abs(ov) if abs(ov) > 0 else 1.0
     delta = np.linalg.norm(a - phase * b)
     return float(delta * math.sqrt(max(0.0, 1.0 - 0.25 * delta ** 2)))
-
-
-_RECORDED = ("discarded_weight", "bracket_s", "build_s", "apply_s",
-             "n_steps", "mpo_bond_before", "fold_residual", "mpo_builds",
-             "plan_s", "mpo_blocks", "bulk_residual")
 
 
 def run_benchmark(hamiltonian, config):
@@ -376,100 +379,96 @@ def run_benchmark(hamiltonian, config):
             psi, stats = evolved[(order, dt)]
             eps = _epsilon_stable(psi, reference)
             records.append(ErrorRecord(
-                config.method, order, dt, eps, stats["wall_time_per_step"],
-                stats["mpo_bond_dim"], stats["mps_bond_dim"], config.seed,
-                **{k: stats[k] for k in _RECORDED}))
+                config.method, order, dt, eps, seed=config.seed,
+                **{k: v for k, v in stats.items() if k != "tables_computed"}))
     return records
 
 
 def records_to_csv(records, seed=0):
+    """CSV text of `records`: a ``# seed=`` line, `CSV_COLUMNS`, a row each."""
     buf = io.StringIO()
     buf.write(f"# seed={seed}\n")
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow([r.method, r.order, f"{r.dt:.12g}", f"{r.epsilon:.12g}",
-                         f"{r.wall_time_per_step:.6g}", r.mpo_bond_dim,
-                         r.mps_bond_dim, r.seed, r.mpo_bond_before,
-                         f"{r.fold_residual:.6g}", f"{r.bulk_residual:.6g}",
-                         r.mpo_builds,
-                         f"{r.discarded_weight:.6g}", f"{r.bracket_s:.6g}",
-                         f"{r.build_s:.6g}", f"{r.apply_s:.6g}",
-                         f"{r.plan_s:.6g}", r.mpo_blocks])
+        row = [(getattr(r, f.name), f.metadata.get("fmt")) for f in _WRITTEN]
+        writer.writerow([v if fmt is None else format(v, fmt)
+                         for v, fmt in row])
     return buf.getvalue()
 
 
-def prune_plateau(dts, epsilons, eps_floor=1e-11, min_ratio=1.4):
+EPS_FLOOR = 1e-11  # an error at or below it is the reference's own floor
+MIN_RATIO = 1.4    # least shrink of the error per halving of dt
+
+
+def prune_plateau(dts, epsilons):
     """Keep the pre-plateau points of an error-vs-step-size curve.
 
     Walking from the largest step down, points are kept while each halving
-    of dt still shrinks the error by at least ``min_ratio ** halvings``;
-    once the curve flattens (reference-accuracy floor) the tail is cut.
+    of dt still shrinks the error by at least ``MIN_RATIO ** halvings``
+    and stays above `EPS_FLOOR`; once the curve flattens
+    (reference-accuracy floor) or turns up, the tail is cut.
     """
     pts = sorted(zip(dts, epsilons), key=lambda p: -p[0])
     kept = [pts[0]]
     for prev, cur in zip(pts, pts[1:]):
-        if cur[1] <= eps_floor:
+        if cur[1] <= EPS_FLOOR:
             break
         halvings = math.log2(prev[0] / cur[0])
-        if prev[1] / cur[1] < min_ratio ** halvings:
+        if prev[1] / cur[1] < MIN_RATIO ** halvings:
             break
         kept.append(cur)
     return kept
 
 
-def fit_loglog_slope(dts, epsilons, eps_floor=1e-11):
-    """Least-squares slope of log(eps) vs log(dt) over pre-plateau points."""
-    pts = prune_plateau(dts, epsilons, eps_floor=eps_floor)
-    if len(pts) < 2:
-        raise ValueError("not enough points above the error floor")
-    x = np.log(np.array([p[0] for p in pts]))
-    y = np.log(np.array([p[1] for p in pts]))
-    return float(np.polyfit(x, y, 1)[0])
+def _order_fits(records):
+    """``{order: (slope, intercept, records)}`` of each order's errors.
 
-
-def order_slopes(records, eps_floor=1e-11):
-    """Per-order log-log slopes from a benchmark record list."""
+    The line is the least-squares fit of ``log(epsilon)`` against
+    ``log(dt)`` over the order's pre-plateau points (`prune_plateau`),
+    taken in ascending dt; the records are the order's, by ascending dt.
+    An order with a non-finite error, or with fewer than two pre-plateau
+    points, raises `ValueError`.
+    """
     by_order = {}
     for r in records:
         by_order.setdefault(r.order, []).append(r)
-    slopes = {}
+    fits = {}
     for order, rs in by_order.items():
         rs = sorted(rs, key=lambda r: r.dt)
-        slopes[order] = fit_loglog_slope([r.dt for r in rs],
-                                         [r.epsilon for r in rs],
-                                         eps_floor=eps_floor)
-    return slopes
+        if not all(math.isfinite(r.epsilon) for r in rs):
+            raise ValueError(f"order {order}: non-finite error, so no fit")
+        pts = prune_plateau([r.dt for r in rs], [r.epsilon for r in rs])[::-1]
+        if len(pts) < 2:
+            raise ValueError(f"order {order}: fewer than two errors before "
+                             "the plateau, so no fit")
+        slope, intercept = np.polyfit(np.log([p[0] for p in pts]),
+                                      np.log([p[1] for p in pts]), 1)
+        fits[order] = (slope, intercept, rs)
+    return fits
+
+
+def order_slopes(records):
+    """Per-order log-log slopes of a benchmark record list (`_order_fits`)."""
+    return {order: float(slope)
+            for order, (slope, _, _) in _order_fits(records).items()}
 
 
 def runtime_at_accuracy(records, target_eps, span=1.0):
     """Estimated total runtime ``N_steps * dt_av`` per order at fixed error.
 
-    Extrapolates each order's fitted error scaling to the step size that
-    reaches `target_eps` and multiplies the implied step count by the
+    Extrapolates each order's error fit (`_order_fits`) to the step size
+    that reaches `target_eps` and multiplies the implied step count by the
     measured average per-step wall time, less the bracket-table time.
     A sweep computes each interval's table once, in whichever evolution
     meets the interval first, so the per-step cost of each order is taken
-    as ``wall_time_per_step - bracket_s / n_steps``.  An order with fewer
-    than two errors above 1e-12 has no fit and raises ValueError.
+    as ``wall_time_per_step - bracket_s / n_steps``, averaged over all its
+    records.  An order without a fit raises `ValueError`.
     """
-    by_order = {}
-    for r in records:
-        by_order.setdefault(r.order, []).append(r)
     out = {}
-    for order, rs in by_order.items():
-        rs = sorted(rs, key=lambda r: r.dt)
-        pts = [(r.dt, r.epsilon) for r in rs if r.epsilon > 1e-12]
-        if len(pts) < 2:
-            raise ValueError(f"order {order}: fewer than two errors above "
-                             "the 1e-12 floor")
-        x = np.log([p[0] for p in pts])
-        y = np.log([p[1] for p in pts])
-        slope, intercept = np.polyfit(x, y, 1)
-        log_dt = (math.log(target_eps) - intercept) / slope
-        dt_needed = math.exp(log_dt)
-        n_steps = span / dt_needed
+    for order, (slope, intercept, rs) in _order_fits(records).items():
+        dt_needed = math.exp((math.log(target_eps) - intercept) / slope)
         dt_av = float(np.mean([r.wall_time_per_step - r.bracket_s / r.n_steps
                                for r in rs]))
-        out[order] = n_steps * dt_av
+        out[order] = span / dt_needed * dt_av
     return out

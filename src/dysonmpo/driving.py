@@ -334,10 +334,6 @@ class TimeDependentHamiltonian:
         if len(set(names)) != len(names):
             raise ValueError("channel names must be unique")
 
-    @property
-    def channel_names(self):
-        return [c.name for c in self.channels]
-
     def common_period(self):
         """Smallest common driving period, or None when aperiodic."""
         periods = [c.driving.period for c in self.channels]

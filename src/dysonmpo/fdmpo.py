@@ -169,11 +169,6 @@ def from_terms(d, two_site=(), longer=None, on_site=None):
     return FirstDegreeMPO(d, len(L), L=L, A=longer or {}, R=R, D=on_site)
 
 
-def zero_hamiltonian(d):
-    """The zero operator as an (empty) first-degree MPO."""
-    return FirstDegreeMPO(d, 0)
-
-
 def add(h1, h2):
     """Sum of two Hamiltonians; middle blocks are concatenated.
 

@@ -50,10 +50,6 @@ class LevelLabel(tuple):
     __slots__ = ()
 
     @property
-    def n1(self):
-        return sum(1 for s in self if is_one(s))
-
-    @property
     def n2(self):
         return sum(1 for s in self if is_two(s))
 

@@ -185,18 +185,23 @@ def _format_driving(drv):
 
 
 def dumps(hamiltonian):
-    """Serialize a Hamiltonian back into model-file text."""
+    """Serialize a Hamiltonian back into model-file text.
+
+    ``L`` and ``R`` lines fill consecutive slots, so a slot a channel
+    leaves empty is written as the zero matrix.
+    """
     lines = [f"dim {hamiltonian.d}"]
+    zero = np.zeros((hamiltonian.d, hamiltonian.d))
     for c in hamiltonian.channels:
         lines.append(f"channel {c.name}")
         lines.append(_format_driving(c.driving))
         op = c.operator
         for k in range(op.chi):
-            lines.append(f"L {_format_matrix(op.L[k])}")
+            lines.append(f"L {_format_matrix(op.L.get(k, zero))}")
         for (i, j), mat in sorted(op.A.items()):
             lines.append(f"A {i} {j} {_format_matrix(mat)}")
         for k in range(op.chi):
-            lines.append(f"R {_format_matrix(op.R[k])}")
+            lines.append(f"R {_format_matrix(op.R.get(k, zero))}")
         if op.D is not None:
             lines.append(f"D {_format_matrix(op.D)}")
         lines.append("end")

@@ -6,19 +6,3 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
-
-
-def kron_chain(ops):
-    """Kronecker product of a list of site operators, leftmost first."""
-    out = np.array([[1.0 + 0.0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
-def embed(op, site, n_sites, d=2):
-    """Embed a k-site operator acting on sites ``site..site+k-1`` of a chain."""
-    k = round(np.log(op.shape[0]) / np.log(d))
-    eye = np.eye(d, dtype=complex)
-    parts = [eye] * site + [op] + [eye] * (n_sites - site - k)
-    return kron_chain(parts)

@@ -12,6 +12,7 @@ Omega's coefficient on every channel word, the logarithm of the bracket
 table taken word by word.
 """
 
+import hashlib
 import math
 from functools import reduce
 from itertools import combinations, product
@@ -32,8 +33,28 @@ from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
 from dysonmpo.linalg import (_ZGEQP3, _geqp3_lwork, svd_truncate,
                              truncation_rank)
 from dysonmpo.mps import FiniteMPS
-from dysonmpo.spin import kron_chain
 from dysonmpo.taylor import taylor_mpo
+
+
+def kron_chain(ops):
+    """Kronecker product of a list of site operators, leftmost first."""
+    out = np.array([[1.0 + 0.0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def embed(op, site, n_sites, d=2):
+    """Embed a k-site operator acting on sites ``site..site+k-1`` of a chain."""
+    k = round(np.log(op.shape[0]) / np.log(d))
+    eye = np.eye(d, dtype=complex)
+    parts = [eye] * site + [op] + [eye] * (n_sites - site - k)
+    return kron_chain(parts)
+
+
+def zero_hamiltonian(d):
+    """The zero operator as an (empty) first-degree MPO."""
+    return fdmpo.FirstDegreeMPO(d, 0)
 
 
 def strings_of(h, n_sites):
@@ -877,7 +898,7 @@ def magnus_omega2(hamiltonian, integrals):
     ``alpha_ab = ([f_a f_b] - [f_b f_a]) / 2``; each term is one
     `fdmpo.commutator`, so the sum stays a first-degree MPO.
     """
-    total = fdmpo.zero_hamiltonian(hamiltonian.d)
+    total = zero_hamiltonian(hamiltonian.d)
     for a, b in combinations(hamiltonian.channels, 2):
         alpha = 0.5 * (integrals.value((a.name, b.name))
                        - integrals.value((b.name, a.name)))
@@ -1293,3 +1314,13 @@ def count_tables(monkeypatch):
 
     monkeypatch.setattr(BracketTable, "compute", classmethod(counting))
     return orders
+
+
+def coo_digest(mpo):
+    """Digest of an MPO's coordinate arrays: equal digests mean bitwise
+    equal ``(rows, cols, blocks)``."""
+    h = hashlib.sha256()
+    for a in mpo.coo():
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()

@@ -1,22 +1,22 @@
 """Acceptance criteria, one test each, with a printed pass/fail line.
 
 Run as ``pytest tests/test_acceptance.py -v -s``.  The full module takes
-about 13 s; the error-scaling sweep of criterion 1 takes about half.
+about 13 s; the error-scaling sweep of criterion 1 takes about half.  That
+sweep is the session fixture `criterion1_sweep` (``conftest.py``), which
+criteria 1 and 8 and the Magnus sweep test of ``test_bench.py`` share.
 """
 
 import math
 from itertools import product
 
 import numpy as np
-import pytest
 
 from helpers import (column_compress, disjoint_product_dense, flat_dyson_mpo,
                      random_fdmpo, strings_of)
 from quadrature import quad_time_ordered_integral
 
 from dysonmpo import fdmpo
-from dysonmpo.bench import EvolutionConfig, order_slopes, run_benchmark, \
-    runtime_at_accuracy
+from dysonmpo.bench import order_slopes, runtime_at_accuracy
 from dysonmpo.brackets import BracketTable, time_ordered_integral
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
@@ -37,19 +37,8 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def benchmark_records():
-    ham = modulated_ising()
-    config = EvolutionConfig(
-        n_sites=8, t0=0.0, t_final=1.0, method="dyson", d_max=16,
-        orders=(1, 2, 3, 4),
-        dts=(0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625),
-        oracle_substeps=4000, qr_tol=1e-12)
-    return run_benchmark(ham, config)
-
-
-def test_criterion_1_error_scaling(benchmark_records):
-    slopes = order_slopes(benchmark_records)
+def test_criterion_1_error_scaling(criterion1_sweep):
+    slopes = order_slopes(criterion1_sweep.records)
     ok = all(abs(slopes[n] - n) <= 0.3 for n in (1, 2, 3, 4))
     detail = "slopes " + ", ".join(f"N={n}: {slopes[n]:.3f}" for n in (1, 2, 3, 4))
     _report(1, ok, detail)
@@ -231,8 +220,8 @@ def test_criterion_7_equivalence_of_formulations():
             f"magnus-1 vs dyson-1 {magnus_err:.2e}")
 
 
-def test_criterion_8_runtime_tradeoff(benchmark_records):
-    runtimes = runtime_at_accuracy(benchmark_records, 1e-6, span=1.0)
+def test_criterion_8_runtime_tradeoff(criterion1_sweep):
+    runtimes = runtime_at_accuracy(criterion1_sweep.records, 1e-6, span=1.0)
     ok = runtimes[4] < runtimes[1]
     _report(8, ok, f"estimated runtime at eps=1e-6: N=1 {runtimes[1]:.1f}s, "
                    f"N=4 {runtimes[4]:.2f}s")

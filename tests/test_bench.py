@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import count_tables, weighted_hamiltonian
+from helpers import coo_digest, count_tables, weighted_hamiltonian
 
 from dysonmpo import bench, extensive
-from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
-                            evolve_state, fit_loglog_slope, initial_state,
+from dysonmpo.bench import (BracketCache, ErrorRecord, EvolutionConfig,
+                            build_step_mpo, evolve_state, initial_state,
                             order_slopes, prune_plateau, records_to_csv,
                             run_benchmark, runtime_at_accuracy, step_table)
 from dysonmpo.brackets import BracketTable
@@ -67,14 +67,21 @@ def test_magnus_benchmark_runs():
     assert all(r.method == "magnus" for r in records)
 
 
-def test_magnus_sweep_keeps_the_order_slopes():
-    # criterion 1's sweep with Magnus steps
-    config = EvolutionConfig(
-        n_sites=8, t_final=1.0, method="magnus", d_max=16,
-        orders=(1, 2, 3, 4),
-        dts=(0.0625, 0.03125, 0.015625, 0.0078125, 0.00390625),
-        oracle_substeps=4000)
-    records = run_benchmark(modulated_ising(), config)
+def test_magnus_sweep_keeps_the_order_slopes(criterion1_sweep):
+    # criterion 1's sweep with Magnus steps.  Each Magnus step MPO is
+    # bitwise the Dyson step the sweep built, under the same table and
+    # plan, so the Magnus sweep's records are the Dyson ones relabelled
+    assert len(criterion1_sweep.steps) == 4 * 496
+    for (ham, t0, t1, order, table), kwargs, digest in criterion1_sweep.steps:
+        mpo, _ = build_step_mpo(ham, t0, t1, order, "magnus", table,
+                                criterion1_sweep.config.qr_tol,
+                                compress=False, plan=kwargs["plan"])
+        assert mpo.params["kind"] == "magnus"
+        assert mpo.params["brackets"] is table
+        assert mpo.params["plan"] is kwargs["plan"]
+        assert coo_digest(mpo) == digest
+    records = [dataclasses.replace(r, method="magnus")
+               for r in criterion1_sweep.records]
     slopes = order_slopes(records)
     assert all(abs(slopes[n] - n) <= 0.3 for n in (1, 2, 3, 4)), slopes
 
@@ -280,9 +287,7 @@ def test_self_reference_removes_oracle_plateau():
     assert eps_oracle[-2] / eps_oracle[-1] < 3.0
     # the self-referenced curve keeps contracting by ~2^3 per halving
     assert eps_best[-2] / eps_best[-1] > 5.0
-    by_dt = sorted(against_best, key=lambda r: r.dt)
-    slope = fit_loglog_slope([r.dt for r in by_dt], [r.epsilon for r in by_dt])
-    assert abs(slope - 3) < 0.6
+    assert abs(order_slopes(against_best)[3] - 3) < 0.6
 
 
 def test_prune_plateau_cuts_flat_tail():
@@ -292,10 +297,80 @@ def test_prune_plateau_cuts_flat_tail():
     assert [p[0] for p in kept] == [0.2, 0.1, 0.05]
 
 
+def _records(order, dts, epsilons):
+    return [ErrorRecord("dyson", order, dt, eps, 0.01, 2, 2, 0,
+                        n_steps=round(1 / dt))
+            for dt, eps in zip(dts, epsilons)]
+
+
 def test_fit_slope_clean_power_law():
     dts = [0.2, 0.1, 0.05, 0.025]
-    eps = [0.3 * dt ** 2 for dt in dts]
-    assert abs(fit_loglog_slope(dts, eps) - 2.0) < 1e-12
+    records = _records(2, dts, [0.3 * dt ** 2 for dt in dts])
+    assert abs(order_slopes(records)[2] - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("epsilons", [(1e-4, 1e-4, 1e-4),
+                                      (1e-4, 2e-4, 4e-4),
+                                      (math.nan, 1e-4, 1e-5),
+                                      (1e-3, 1e-4, math.nan)],
+                         ids=["flat", "rising", "nan-first", "nan-last"])
+def test_an_order_without_a_fit_raises(epsilons):
+    # a second point counts only when one halving of dt shrinks the error
+    # by MIN_RATIO, so a flat or rising curve has no fit; a NaN error
+    # would make the fit NaN
+    records = _records(1, (0.1, 0.05), (0.1, 0.025))
+    records += _records(3, (0.25, 0.125, 0.0625), epsilons)
+    for fit in (order_slopes, lambda rs: runtime_at_accuracy(rs, 1e-6)):
+        with pytest.raises(ValueError, match="order 3"):
+            fit(records)
+
+
+def test_a_plateau_is_left_out_of_both_fits():
+    dts = (0.25, 0.125, 0.0625, 0.03125)
+    records = _records(4, dts, (1e-4, 6.25e-6, 3.9e-7, 3.0e-7))
+    slope = order_slopes(records)[4]
+    assert slope == order_slopes(records[:3])[4]
+    assert abs(slope - 4.0) < 0.01
+    assert runtime_at_accuracy(records, 1e-8) == pytest.approx(
+        runtime_at_accuracy(records[:3], 1e-8), rel=1e-12)
+
+
+GOLDEN_RECORDS = [
+    ErrorRecord(method="dyson", order=4, dt=0.0625,
+                epsilon=np.float64(1.2345678901234567e-07),
+                wall_time_per_step=0.0012345678901, mpo_bond_dim=np.int64(11),
+                mps_bond_dim=np.int64(16), seed=3,
+                mpo_bond_before=np.int64(91), fold_residual=2.5e-13,
+                bulk_residual=0.0, mpo_builds=4, discarded_weight=1.5e-20,
+                bracket_s=1e-4, build_s=0.0025, apply_s=0.0033333333333,
+                plan_s=0.0, mpo_blocks=np.int64(42), n_steps=4),
+    ErrorRecord(method="magnus", order=1, dt=1 / 3, epsilon=0.1,
+                wall_time_per_step=2.0, mpo_bond_dim=3,
+                mps_bond_dim=np.int32(2), seed=0, n_steps=3),
+]
+# fixed text: a change to a column, its order or its format shows here
+GOLDEN_CSV = (
+    "# seed=7\n"
+    "method,order,dt,epsilon,wall_time_per_step_s,mpo_bond_dim,mps_bond_dim,"
+    "seed,mpo_bond_before,fold_residual,bulk_residual,mpo_builds,"
+    "discarded_weight,bracket_s,build_s,apply_s,plan_s,mpo_blocks\r\n"
+    "dyson,4,0.0625,1.23456789012e-07,0.00123457,11,16,3,91,2.5e-13,0,4,"
+    "1.5e-20,0.0001,0.0025,0.00333333,0,42\r\n"
+    "magnus,1,0.333333333333,0.1,2,3,2,0,0,0,0,0,0,0,0,0,0,0\r\n")
+
+
+def test_csv_rows_are_byte_identical_to_the_golden_text():
+    assert records_to_csv(GOLDEN_RECORDS, seed=7) == GOLDEN_CSV
+
+
+def test_csv_columns_are_the_record_fields():
+    names = [f.name for f in dataclasses.fields(ErrorRecord)]
+    assert names[-1] == "n_steps"
+    assert bench.CSV_COLUMNS == [
+        "wall_time_per_step_s" if n == "wall_time_per_step" else n
+        for n in names[:-1]]
+    header = records_to_csv([]).splitlines()[1]
+    assert header.split(",") == bench.CSV_COLUMNS
 
 
 def test_order_slopes_and_runtime_estimate():
@@ -760,12 +835,8 @@ def test_runtime_at_accuracy_leaves_out_table_time():
 
 
 def test_runtime_at_accuracy_needs_two_points_per_order():
-    def record(order, dt, eps):
-        return bench.ErrorRecord("dyson", order, dt, eps, 0.01, 2, 2, 0,
-                                 n_steps=round(1 / dt))
-
-    records = [record(1, dt, 0.5 * dt) for dt in (0.2, 0.1)]
-    records += [record(2, 0.2, 1e-3), record(2, 0.1, 1e-13)]
+    records = _records(1, (0.2, 0.1), (0.1, 0.05))
+    records += _records(2, (0.2, 0.1), (1e-3, 1e-13))
     with pytest.raises(ValueError, match="order 2"):
         runtime_at_accuracy(records, 1e-6)
     assert set(runtime_at_accuracy(records[:2], 1e-6)) == {1}

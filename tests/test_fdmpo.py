@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import disjoint_product_dense, random_fdmpo, strings_of
+from helpers import (disjoint_product_dense, embed, random_fdmpo, strings_of,
+                     zero_hamiltonian)
 
 from dysonmpo import fdmpo
-from dysonmpo.spin import ID2, SX, SZ, embed
+from dysonmpo.spin import ID2, SX, SZ
 
 
 def ising():
@@ -61,7 +62,7 @@ def test_from_terms_decaying_coupling():
 
 def test_add_zero():
     h = ising()
-    z = fdmpo.zero_hamiltonian(2)
+    z = zero_hamiltonian(2)
     np.testing.assert_allclose(fdmpo.add(h, z).to_dense(3), h.to_dense(3),
                                atol=1e-14)
 
@@ -110,7 +111,7 @@ def test_product_dense_vs_disjoint_enumeration():
 
 def test_product_with_zero():
     h = ising()
-    z = fdmpo.zero_hamiltonian(2)
+    z = zero_hamiltonian(2)
     prod = fdmpo.nondisjoint_product(h, z)
     assert np.abs(prod.to_dense(3)).max() < 1e-14
 

@@ -1,13 +1,14 @@
-from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
+from dysonmpo.levels import (IDENTITY_LEVEL, ONE, LevelLabel, is_one, three,
+                             two)
 from helpers import completion_rows, interleavings, pad_with_ones, strip_ones
 
 
 def test_counters_and_strip():
     lbl = LevelLabel((ONE, two("a", 1), three("b"), ONE, three("a")))
-    assert lbl.n1 == 2 and lbl.n2 == 1 and lbl.n3 == 2
+    assert sum(map(is_one, lbl)) == 2 and lbl.n2 == 1 and lbl.n3 == 2
     stripped = strip_ones(lbl)
     assert stripped == LevelLabel((two("a", 1), three("b"), three("a")))
-    assert stripped.n1 == 0
+    assert not any(map(is_one, stripped))
     assert lbl.sigma() == ("b", "a")
     assert lbl.two_sequence() == (("a", 1),)
 

@@ -7,9 +7,12 @@ from helpers import count_tables
 from dysonmpo import modelfile
 from dysonmpo.bench import EvolutionConfig, evolve_state
 from dysonmpo.cli import main
+from dysonmpo.driving import Channel, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.dyson import identity_mpo
+from dysonmpo.fdmpo import FirstDegreeMPO, from_terms, nondisjoint_product
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.mps import FiniteMPS, apply_mpo
+from dysonmpo.spin import SX, SZ
 
 TFI_TEXT = """
 # modulated transverse-field Ising chain
@@ -28,17 +31,34 @@ end
 
 def test_loads_modulated_tfi():
     ham = modelfile.loads(TFI_TEXT)
-    assert ham.channel_names == ["zz", "x"]
+    assert [c.name for c in ham.channels] == ["zz", "x"]
     ref = modulated_ising()
     for t in (0.0, 0.3, 0.77):
         np.testing.assert_allclose(ham.to_dense(3, t), ref.to_dense(3, t),
                                    atol=1e-13)
 
 
+@pytest.mark.parametrize("operator", [
+    FirstDegreeMPO(2, 2, L={0: SZ, 1: SX}, R={0: SZ}),
+    nondisjoint_product(from_terms(2, two_site=[(SZ, SZ)], on_site=SX),
+                        from_terms(2, two_site=[(SZ, SZ)]))],
+    ids=["no-R-1", "product"])
+def test_dumps_writes_an_empty_slot_as_zero(operator):
+    # L and R lines fill consecutive slots, so an absent slot is written
+    # as the zero matrix
+    ham = TimeDependentHamiltonian(
+        [Channel("h", operator, TrigDriving("cos", omega=3.0))])
+    assert set(operator.L) != set(operator.R)
+    back = modelfile.loads(modelfile.dumps(ham))
+    for t in (0.0, 0.4):
+        np.testing.assert_array_equal(back.to_dense(3, t), ham.to_dense(3, t))
+
+
 def test_roundtrip_through_dumps():
     for ham in (modulated_ising(), modulated_xxz()):
         back = modelfile.loads(modelfile.dumps(ham))
-        assert back.channel_names == ham.channel_names
+        assert [c.name for c in back.channels] == \
+            [c.name for c in ham.channels]
         np.testing.assert_allclose(back.to_dense(3, 0.4), ham.to_dense(3, 0.4),
                                    atol=1e-13)
 

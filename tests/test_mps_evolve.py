@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
-from helpers import dispatch_rk4, literal_apply_mpo, literal_rk4
+from helpers import dispatch_rk4, kron_chain, literal_apply_mpo, literal_rk4
 
 from dysonmpo import evolve, modelfile, mps
 from dysonmpo.bench import build_step_mpo
@@ -25,7 +25,7 @@ from dysonmpo.extensive import ExtensiveMPO
 from dysonmpo.fdmpo import FirstDegreeMPO, from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
-from dysonmpo.spin import SZ, SX, kron_chain
+from dysonmpo.spin import SZ, SX
 from dysonmpo.taylor import taylor_mpo
 
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from helpers import (disjoint_power_dense, flat_taylor_mpo,
-                     reference_taylor_mpo, strings_of)
+                     reference_taylor_mpo, strings_of, zero_hamiltonian)
 
 from dysonmpo import fdmpo
 from dysonmpo.extensive import ExtensiveMPO
@@ -171,7 +171,7 @@ def test_derivative_above_the_order_is_the_disjoint_power():
 
 
 def test_derivative_of_zero_hamiltonian_vanishes():
-    d1 = mpo_derivative_at_zero(fdmpo.zero_hamiltonian(2), 2, 1, 3)
+    d1 = mpo_derivative_at_zero(zero_hamiltonian(2), 2, 1, 3)
     assert not d1.any()
 
 
