@@ -21,7 +21,7 @@ for order in range(1, 7):
     for chi in (1, 2, 3):
         h = dm.from_terms(2, two_site=couplings[:chi])
         w = dm.taylor_mpo(h, -0.05j, order)
-        wc, _ = dm.row_compress(w, order)
+        wc, _ = dm.row_compress(w)
         row.append(wc.bond_dimension)
     print(f"N={order}   " + "  ".join(f"{b:>4}" for b in row))
 
@@ -34,7 +34,7 @@ ham = dm.TimeDependentHamiltonian([
 ])
 tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], 0.1, 0.25, 3)
 w = dm.dyson_mpo(ham, 0.1, 0.25, 3, tab)
-wc, report = dm.row_compress(w, 3)
+wc, report = dm.row_compress(w)
 print(f"\nthird-order two-channel Dyson MPO: bond {w.bond_dimension} -> "
       f"{wc.bond_dimension}")
 print("kept levels:", " ".join(repr(l) for l in report.kept_levels))

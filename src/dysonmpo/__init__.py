@@ -18,7 +18,6 @@ from .extensive import ExtensiveMPO, RewiredHamiltonian
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     nondisjoint_product, nondisjoint_square, scale)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two
-from .linalg import svd_truncate
 from .mps import FiniteMPS, apply_mpo, trace_distance_error
 from .taylor import mpo_derivative_at_zero, taylor_mpo
 

@@ -31,8 +31,7 @@ from .compression import row_compress
 from .dyson import dyson_mpo, magnus_evolution
 from .evolve import check_oracle, exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
-from .mps import (FiniteMPS, apply_mpo, check_d_max, check_svd_tol,
-                  trace_distance_error)
+from .mps import FiniteMPS, apply_mpo, check_d_max, trace_distance_error
 # not called here: perfbench/tracer.py looks up `bench.taylor_mpo` to wrap it
 from .taylor import taylor_mpo  # noqa: F401
 
@@ -48,7 +47,6 @@ class EvolutionConfig:
     t_final: float = 1.0
     method: str = "dyson"            # taylor | dyson | magnus
     d_max: int = 64
-    svd_tol: float = 1e-14
     oracle_substeps: int = 4000
     qr_tol: float = 1e-12
     self_reference: bool = False
@@ -208,7 +206,7 @@ def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
         mpo.params["kind"] = "taylor"
     report = None
     if compress and mpo.bond_dimension > 1:
-        mpo, report = row_compress(mpo, order, tol=qr_tol)
+        mpo, report = row_compress(mpo, tol=qr_tol)
         if mpo.bond_dimension >= BULK_FROM:
             mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
             report.bond_dimension_bulk = mpo.bond_dimension
@@ -219,14 +217,13 @@ def _step_count(config, order, dt):
     """Steps of an order-`order` evolution of `config` at step `dt`.
 
     Raises `ValueError` for a run that `evolve_state` cannot make: an
-    unknown method, a `d_max` other than None or an int ``>= 1``, an
-    `svd_tol` or `qr_tol` outside ``[0, 1)``, a non-finite end of the
-    interval, or steps that do not run forward or do not divide it.
+    unknown method, a `d_max` other than None or an int ``>= 1``, a
+    `qr_tol` outside ``[0, 1)``, a non-finite end of the interval, or
+    steps that do not run forward or do not divide it.
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method {config.method!r}")
     check_d_max(config.d_max)
-    check_svd_tol(config.svd_tol)
     if not 0 <= config.qr_tol < 1:
         raise ValueError(f"qr_tol must lie in [0, 1), got {config.qr_tol!r}")
     check_interval(config.t0, config.t_final)
@@ -294,8 +291,7 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
                           fold_residual=report.fold_residual,
                           bulk_residual=report.bulk_residual)
         start = time.perf_counter()
-        psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
-                              svd_tol=config.svd_tol)
+        psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
         stats["apply_s"] += time.perf_counter() - start
         stats["discarded_weight"] += disc
         _raise_to(stats, mpo_bond_dim=mpo.bond_dimension,
@@ -308,10 +304,13 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     return psi, stats
 
 
-def initial_state(config):
+def initial_state(config, d=2):
+    """The sweep's initial state on `config.n_sites` sites of dimension
+    `d`: level 0 on every site at config seed 0, else a product state
+    drawn from the seed."""
     if config.seed:
-        return FiniteMPS.random_product(config.n_sites, rng=config.seed)
-    return FiniteMPS.all_up(config.n_sites)
+        return FiniteMPS.random_product(config.n_sites, d, rng=config.seed)
+    return FiniteMPS.all_up(config.n_sites, d)
 
 
 EPSILON_DENSE_CAP = 4096  # largest state `_epsilon_stable` compares densely
@@ -323,16 +322,18 @@ def _epsilon_stable(psi, reference):
     ``sqrt(1 - |<a|b>|^2)`` cancels catastrophically once the states agree
     to ~1e-8; the phase-aligned difference norm delta gives the same
     quantity as ``delta * sqrt(1 - delta^2 / 4)`` with full precision.
-    Up to `EPSILON_DENSE_CAP` amplitudes delta comes from the dense
-    vectors, above it from the difference MPS (`trace_distance_error`).
+    `reference` is an MPS or a dense state vector.  Against a vector, or
+    up to `EPSILON_DENSE_CAP` amplitudes, delta comes from the dense
+    vectors; above it, against an MPS, from the difference MPS
+    (`trace_distance_error`).
     """
-    dim = psi.d ** psi.n_sites
-    if dim > EPSILON_DENSE_CAP:
-        return trace_distance_error(psi, reference)
+    if isinstance(reference, FiniteMPS):
+        if psi.d ** psi.n_sites > EPSILON_DENSE_CAP:
+            return trace_distance_error(psi, reference)
+        reference = reference.to_dense()
     a = psi.to_dense()
-    b = reference.to_dense()
     a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
+    b = reference / np.linalg.norm(reference)
     ov = np.vdot(b, a)
     phase = ov / abs(ov) if abs(ov) > 0 else 1.0
     delta = np.linalg.norm(a - phase * b)
@@ -358,7 +359,7 @@ def run_benchmark(hamiltonian, config):
             _step_count(config, order, dt)
     if not config.self_reference:
         check_oracle(hamiltonian.d ** config.n_sites, config.oracle_substeps)
-    psi0 = initial_state(config)
+    psi0 = initial_state(config, hamiltonian.d)
     cache = BracketCache(hamiltonian, order=max(orders))
     evolved = {}
     for order in orders:
@@ -367,12 +368,11 @@ def run_benchmark(hamiltonian, config):
                                       order=order, dt=dt, cache=cache)
             evolved[(order, dt)] = (psi, stats)
     if config.self_reference:
-        best = max(orders), min(dts)
-        reference = evolved[best][0]
+        reference = evolved[max(orders), min(dts)][0]
     else:
-        vec = exact_evolve(hamiltonian, psi0.to_dense(), config.t0,
-                           config.t_final, substeps=config.oracle_substeps)
-        reference = FiniteMPS.from_dense(vec, config.n_sites, hamiltonian.d)
+        reference = exact_evolve(hamiltonian, psi0.to_dense(), config.t0,
+                                 config.t_final,
+                                 substeps=config.oracle_substeps)
     records = []
     for order in orders:
         for dt in dts:

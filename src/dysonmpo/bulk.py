@@ -34,8 +34,7 @@ estimates ``|M - T W_r| / |M|`` in the Frobenius norm (Halko, Martinsson
 
 The sketch columns are uniform random numbers drawn once per shape from
 a fixed seed and kept read-only, so equal MPOs give bitwise equal
-results.  Drawing the 652 x 44 of the order-4 XXZ step took 0.15-0.4 ms
-of a stage of 1.0-1.8 ms; the cache holds at most eight shapes.
+results; the cache holds at most eight shapes.
 """
 
 import functools
@@ -46,14 +45,8 @@ from scipy.linalg import blas, lapack
 
 from .extensive import ExtensiveMPO
 
-# Row-compressed bond from which `bench.build_step_mpo` factors a step.
-# Below it the stage bought too little: the order-2 XXZ step (13 -> 8)
-# applied 1.01x faster on 8 sites at chi 16, for a 0.37 ms stage, and the
-# order-4 TFI step (11 -> 9) 1.09x faster on 16 sites at chi 32.  The XXZ
-# steps of bond 46 (to 20) and 163 (to 35) applied 1.9x and 4.5x faster
-# on 8 sites at chi 16, for stages of 0.4-0.7 and 1.0-1.8 ms, best of 15
-# (one BLAS thread, 2-vCPU Xeon VM).  No TFI step reaches it (bond 21 at
-# order 5).
+# Row-compressed bond from which `bench.build_step_mpo` factors a step;
+# below it the faster applies did not pay for the stage (CHANGES.md)
 BULK_FROM = 32
 SKETCH = 40      # sketch columns of a first try; doubled while too few
 PROBES = 4       # sketch columns kept back for the check

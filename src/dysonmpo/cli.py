@@ -96,7 +96,6 @@ def cmd_bench(args):
         t_final=args.t,
         method=args.method,
         d_max=args.dmax,
-        svd_tol=args.svd_tol,
         oracle_substeps=args.substeps,
         qr_tol=args.qr_tol,
         self_reference=args.self_reference,
@@ -145,7 +144,6 @@ def build_parser():
                    default="0.25,0.125,0.0625")
     p.add_argument("--sites", type=_at_least_one, default=8)
     p.add_argument("--dmax", type=_at_least_one, default=64)
-    p.add_argument("--svd-tol", type=float, default=1e-14)
     p.add_argument("--substeps", type=_at_least_one, default=4000)
     p.add_argument("--qr-tol", type=float, default=1e-12)
     p.add_argument("--self-reference", action="store_true")

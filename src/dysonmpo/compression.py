@@ -273,14 +273,14 @@ def _select_new_levels(residual, tol, ref):
     return selected
 
 
-def _plan_for(mpo, order):
+def _plan_for(mpo):
     """The compression plan of `mpo`: its power plan's, or one of its own."""
     power = mpo.params.get("plan")
-    if power is None or power.order != order:
-        return CompressionPlan(mpo.levels, order)
+    if power is None:
+        return CompressionPlan(mpo.levels, mpo.order)
     if power.compression is None:
         start = time.perf_counter()
-        power.compression = CompressionPlan(power.levels, order)
+        power.compression = CompressionPlan(power.levels, mpo.order)
         power.plan_s += time.perf_counter() - start
     return power.compression
 
@@ -317,7 +317,7 @@ class _Fold(NamedTuple):
     ref: float
 
 
-def row_compress(mpo, order=None, tol=1e-12):
+def row_compress(mpo, *, tol=1e-12):
     """Order-preserving row compression of a column-merged MPO.
 
     Parameters
@@ -329,9 +329,7 @@ def row_compress(mpo, order=None, tol=1e-12):
         (`BracketTable.frozen`) of a Taylor MPO.  An MPO made by
         a `PowerPlan` (``params["plan"]``) is compressed with the
         compression plan that power plan keeps; any other gets a plan of
-        its own.
-    order : int, optional
-        Expansion order; defaults to ``mpo.order``.
+        its own.  Compression preserves the expansion order ``mpo.order``.
     tol : float
         Relative rank tolerance of the pivoted QR; vanishing integrals can
         legitimately reduce the kept set.
@@ -341,11 +339,10 @@ def row_compress(mpo, order=None, tol=1e-12):
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
-    order = mpo.order if order is None else int(order)
     brackets = mpo.params.get("brackets")
     if brackets is None:
         raise ValueError("no bracket table available for row compression")
-    plan = _plan_for(mpo, order)
+    plan = _plan_for(mpo)
     values = plan.values(brackets)
     kept = np.ones(len(plan.levels), dtype=bool)
     # a single-column block drops its level when all squared entries of
@@ -362,7 +359,7 @@ def row_compress(mpo, order=None, tol=1e-12):
     levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
     out = ExtensiveMPO.from_arrays(
-        mpo.d, levels, *_fold(mpo, plan, kept, terms), order=order,
+        mpo.d, levels, *_fold(mpo, plan, kept, terms), order=mpo.order,
         params=params)
     report = CompressionReport(kept_levels=list(levels),
                                removed_levels=lambda: _removals(

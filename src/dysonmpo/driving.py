@@ -319,7 +319,7 @@ class Channel:
 class TimeDependentHamiltonian:
     """``H(t) = sum_a f_a(t) H_a`` with a fixed channel order."""
 
-    def __init__(self, channels, d=None):
+    def __init__(self, channels):
         self.channels = [c if isinstance(c, Channel) else Channel(*c)
                          for c in channels]
         if not self.channels:
@@ -328,8 +328,6 @@ class TimeDependentHamiltonian:
         if len(dims) != 1:
             raise ValueError("all channels must share the physical dimension")
         self.d = dims.pop()
-        if d is not None and d != self.d:
-            raise ValueError("declared d does not match the channel operators")
         names = [c.name for c in self.channels]
         if len(set(names)) != len(names):
             raise ValueError("channel names must be unique")

@@ -30,11 +30,8 @@ SciPy without them raises `ImportError` naming the kernel and the SciPy
 version.
 
 `exact_evolve` takes states up to `STATE_CAP` = 16,384 amplitudes (14
-sites at ``d = 2``).  Over [0, 0.25] in 1,000 substeps the modulated TFI
-/ XXZ took 0.036 / 0.030 s at 8 sites, 0.094 / 0.077 s at 10, 0.42 /
-0.27 s at 12 and 2.1 / 1.4 s at 14 (2-vCPU Xeon VM, one BLAS thread,
-best of 9).  `exact_evolution_operator` allocates ``dim**2`` entries and
-keeps its own bound, `OPERATOR_CAP` = 1,024.
+sites at ``d = 2``).  `exact_evolution_operator` allocates ``dim**2``
+entries and keeps its own bound, `OPERATOR_CAP` = 1,024.
 """
 
 import numbers

@@ -68,9 +68,8 @@ class ExtensiveMPO:
     def __init__(self, d, levels, entries, order=0, params=None):
         levels = list(levels)
         if levels and levels[0] != IDENTITY_LEVEL:
-            if IDENTITY_LEVEL in levels:
-                levels.remove(IDENTITY_LEVEL)
-            levels.insert(0, IDENTITY_LEVEL)
+            raise ValueError("the first level must be the identity level, on "
+                             "which both boundary vectors are one-hot")
         entries = dict(entries)
         index = {lvl: i for i, lvl in enumerate(levels)}
         rows = np.array([index[a] for a, _ in entries], dtype=np.intp)

@@ -101,17 +101,6 @@ class FirstDegreeMPO:
         if self.D is not None and self.D.shape != (self.d, self.d):
             raise ValueError("D has wrong shape")
 
-    # -- convenience -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __rmul__(self, lam):
-        return scale(self, lam)
-
-    def __matmul__(self, other):
-        return nondisjoint_product(self, other)
-
     def site_matrix(self):
         """Assembled (2 + chi) x (2 + chi) operator-valued site tensor."""
         n = 2 + self.chi

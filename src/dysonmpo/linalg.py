@@ -1,7 +1,7 @@
 """Dense complex matrix kernels shared by the MPO/MPS routines.
 
-A truncated SVD with its keep/discard rule; the same SVD without the
-left factor, which `mps.apply_mpo`'s truncating sweep calls; and LAPACK's
+A truncated SVD without the left factor, which `mps.apply_mpo`'s
+truncating sweep calls, with its keep/discard rule; and LAPACK's
 column-pivoted QR ``zgeqp3`` with the workspace it asks for, which row
 compression calls on each block's residual to form only the triangular
 factor.  Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype
@@ -12,7 +12,9 @@ SciPy's ``zgesvd`` wrapper forms U and V together or neither.
 ``zgesvd`` as exported by ``scipy.linalg.cython_lapack``, with ``jobu =
 'N'`` and ``jobvt = 'S'``.  The singular values and V come from the same
 bidiagonalisation and the same ``zbdsqr`` rotations, of which only the
-update of U is skipped, so they are bitwise those of `svd_truncate`.
+update of U is skipped, so they are bitwise those of SciPy's
+``scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")``
+(`tests/helpers.svd_truncate`, the full truncated SVD, is the reference).
 """
 
 import ctypes
@@ -63,34 +65,16 @@ def as_complex(a):
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
 
-def svd_truncate(m, max_rank=None, tol=0.0):
-    """Truncated SVD of a matrix.
-
-    Singular values below ``tol * max(S)`` are dropped, and at most
-    `max_rank` values are kept.  Returns ``(U, S, V, discarded_weight)``
-    with ``U @ diag(S) @ V`` approximating `m` and `discarded_weight` the
-    sum of squared discarded singular values.  A rank-0 input yields empty
-    factors.
-    """
-    m = as_complex(m)
-    if m.ndim != 2:
-        raise ValueError("svd_truncate expects a matrix")
-    if min(m.shape) == 0:
-        return (np.zeros((m.shape[0], 0), dtype=complex), np.zeros(0),
-                np.zeros((0, m.shape[1]), dtype=complex), 0.0)
-    u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    keep, discarded = truncation_rank(s, tol, max_rank)
-    return u[:, :keep], s[:keep], vh[:keep, :], discarded
-
-
 def svd_truncate_v(m, max_rank=None, tol=0.0):
-    """`svd_truncate` without U: returns ``(S, V, discarded_weight)``.
+    """Truncated SVD without U: returns ``(S, V, discarded_weight)``.
 
-    One ``zgesvd`` call with ``jobu = 'N'``, so S, V and the discarded
-    weight are bitwise `svd_truncate`'s, truncated by the same
-    `truncation_rank` rule.  As there, a non-finite entry raises
-    `ValueError`, a ``zbdsqr`` that does not converge raises
-    `numpy.linalg.LinAlgError`, and a rank-0 input yields empty factors.
+    One ``zgesvd`` call with ``jobu = 'N'``, so S and V are bitwise those
+    of SciPy's ``gesvd`` SVD.  Singular values at or below ``tol * max(S)``
+    are dropped and at most `max_rank` are kept (`truncation_rank`); the
+    discarded weight is the sum of their squares.  As in SciPy, a
+    non-finite entry raises `ValueError` and a ``zbdsqr`` that does not
+    converge raises `numpy.linalg.LinAlgError`.  A rank-0 input yields
+    empty factors.
     """
     m = as_complex(m)
     if m.ndim != 2:

@@ -26,7 +26,9 @@ import numbers
 
 import numpy as np
 
-from .linalg import svd_truncate, svd_truncate_v
+from .linalg import svd_truncate_v
+
+SVD_TOL = 1e-14  # relative singular-value cut of `apply_mpo`'s sweep
 
 
 class FiniteMPS:
@@ -78,20 +80,6 @@ class FiniteMPS:
             v = rng.normal(size=d) + 1j * rng.normal(size=d)
             states.append(v / np.linalg.norm(v))
         return cls.product_state(states)
-
-    @classmethod
-    def from_dense(cls, vec, n_sites, d=2):
-        """Exact MPS of a dense state vector."""
-        vec = np.asarray(vec, dtype=complex)
-        tensors = []
-        rest = vec.reshape(1, -1)
-        for _ in range(n_sites - 1):
-            dl = rest.shape[0]
-            u, s, v, _ = svd_truncate(rest.reshape(dl * d, -1), tol=0.0)
-            tensors.append(u.reshape(dl, d, -1))
-            rest = s[:, None] * v
-        tensors.append(rest.reshape(rest.shape[0], d, 1))
-        return cls(tensors)
 
     def to_dense(self):
         out = np.ones((1, 1), dtype=complex)
@@ -204,16 +192,6 @@ def _right_step(a, right, r_right):
     return q.conj().T.reshape(-1, d, k), r.conj().T.reshape(dw, chi_l, -1)
 
 
-def check_svd_tol(svd_tol):
-    """Raise `ValueError` unless ``0 <= svd_tol < 1``.
-
-    The truncation keeps singular values above ``svd_tol * s[0]``, so a
-    tolerance of 1 or more (or NaN) would keep none of them.
-    """
-    if not 0 <= svd_tol < 1:
-        raise ValueError(f"svd_tol must lie in [0, 1), got {svd_tol!r}")
-
-
 def check_d_max(d_max):
     """Raise `ValueError` unless `d_max` is None or an int of at least 1.
 
@@ -228,7 +206,7 @@ def check_d_max(d_max):
                          f"be None or an int >= 1, got {d_max!r}")
 
 
-def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
+def apply_mpo(mpo, psi, d_max=None):
     """Apply an extensive MPO to a finite MPS and truncate.
 
     The product is contracted from both chain ends towards the centre site
@@ -237,7 +215,8 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     after each; a right remainder does the same with LQ factorisations for
     sites ``n-1 .. c+1``; the centre site closes both, contracted from the
     right (`_right_matrix`), whose remainder bond is never the larger.  A
-    right-to-left SVD sweep truncates the product at `d_max` / `svd_tol`:
+    right-to-left SVD sweep truncates the product at `d_max` and
+    `SVD_TOL` (singular values at or below `SVD_TOL` times the largest go):
     at site ``i`` it takes S and V of ``R_{i-1} N_i = U S V`` and pushes
     ``N_i V^H`` into site ``i-1``, where ``N_i`` is site ``i`` times the
     push from the right and ``R_{i-1}`` the triangular factor of the QR of
@@ -245,8 +224,8 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     that push is the ``Q_i (U S)_{i+1}`` of a sweep through the
     left-canonical form, but no Q right of the centre is formed, and no U:
     the SVD is LAPACK's ``zgesvd`` with ``jobu = 'N'``
-    (`linalg.svd_truncate_v`), whose S and V are bitwise those of
-    `svd_truncate`.  No tensor of the raw bond ``D_w * chi`` is formed, and
+    (`linalg.svd_truncate_v`), whose S and V are bitwise those of the
+    full SVD.  No tensor of the raw bond ``D_w * chi`` is formed, and
     every factorised matrix has a side no longer than ``d`` to the power of
     its distance to the nearer chain end.  The MPO
     acts through its dense transfer operators (`ExtensiveMPO.transfer`),
@@ -273,14 +252,12 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
 
     Returns ``(psi_out, discarded)`` with a normalized state, right-canonical
     with the norm on site 0, and the total discarded weight.  A `d_max`
-    other than None or an int ``>= 1``, an `svd_tol` outside ``[0, 1)``
-    or a state with an inf or NaN entry raises `ValueError` (see
-    `check_d_max`, `check_svd_tol`).
+    other than None or an int ``>= 1`` (see `check_d_max`) or a state
+    with an inf or NaN entry raises `ValueError`.
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
     check_d_max(d_max)
-    check_svd_tol(svd_tol)
     if not np.isfinite(np.concatenate([t.ravel() for t in psi.tensors])).all():
         raise ValueError("array must not contain infs or NaNs")
     left, right = mpo.transfer()
@@ -320,7 +297,7 @@ def apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
         if i == 0:
             tensors[0] = x.reshape(1, d, -1)
             break
-        _, v, disc = svd_truncate_v(x, max_rank=d_max, tol=svd_tol)
+        _, v, disc = svd_truncate_v(x, max_rank=d_max, tol=SVD_TOL)
         discarded += disc
         tensors[i] = v.reshape(v.shape[0], d, -1)
         vh = v.conj().T

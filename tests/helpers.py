@@ -30,10 +30,30 @@ from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
 from dysonmpo.evolve import sparse_operator
 from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
-from dysonmpo.linalg import (_ZGEQP3, _geqp3_lwork, svd_truncate,
-                             truncation_rank)
-from dysonmpo.mps import FiniteMPS
+from dysonmpo.linalg import _ZGEQP3, _geqp3_lwork, as_complex, truncation_rank
+from dysonmpo.mps import SVD_TOL, FiniteMPS
 from dysonmpo.taylor import taylor_mpo
+
+
+def svd_truncate(m, max_rank=None, tol=0.0):
+    """Truncated SVD of a matrix, the bitwise reference of
+    `linalg.svd_truncate_v`.
+
+    Singular values at or below ``tol * max(S)`` are dropped, and at most
+    `max_rank` values are kept (`truncation_rank`).  Returns ``(U, S, V,
+    discarded_weight)`` with ``U @ diag(S) @ V`` approximating `m` and
+    `discarded_weight` the sum of squared discarded singular values.  A
+    rank-0 input yields empty factors.
+    """
+    m = as_complex(m)
+    if m.ndim != 2:
+        raise ValueError("svd_truncate expects a matrix")
+    if min(m.shape) == 0:
+        return (np.zeros((m.shape[0], 0), dtype=complex), np.zeros(0),
+                np.zeros((0, m.shape[1]), dtype=complex), 0.0)
+    u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+    keep, discarded = truncation_rank(s, tol, max_rank)
+    return u[:, :keep], s[:keep], vh[:keep, :], discarded
 
 
 def kron_chain(ops):
@@ -1067,14 +1087,14 @@ def qr_column_pivoted(m, tol=1e-12):
     return rank, [int(p) - 1 for p in piv[:rank]], r
 
 
-def literal_row_compress(mpo, order=None, tol=1e-12):
+def literal_row_compress(mpo, *, tol=1e-12):
     """`row_compress` with per-entry gammas and a column-by-column fold.
 
     Every removed level is merged into each kept level of its expansion
     with one dictionary update per operator entry (`merge_column`), in
     the order the levels are removed.  Returns ``(mpo, report)``.
     """
-    order = mpo.order if order is None else int(order)
+    order = mpo.order
     brackets = mpo.params["brackets"]
     if any(is_one(sym) for lvl in mpo.levels for sym in lvl):
         raise ValueError("row compression needs column-merged levels")
@@ -1186,13 +1206,13 @@ def literal_row_compress(mpo, order=None, tol=1e-12):
     return out, report
 
 
-def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
+def literal_apply_mpo(mpo, psi, d_max=None):
     """MPO times MPS through the raw product, as an oracle for `apply_mpo`.
 
     Forms every site tensor ``W * A`` at bond ``D_w * chi``, the first and
     last contracted with the MPO's boundary vectors, QR-sweeps them left to
-    right at that bond, truncates in a right-to-left SVD sweep and
-    normalizes through the overlap.  Returns ``(psi_out, discarded)``.
+    right at that bond, truncates in a right-to-left SVD sweep at `d_max`
+    and `mps.SVD_TOL` and normalizes through the overlap.  Returns ``(psi_out, discarded)``.
     """
     if psi.d != mpo.d:
         raise ValueError("physical dimensions differ")
@@ -1218,7 +1238,7 @@ def literal_apply_mpo(mpo, psi, d_max=None, svd_tol=1e-14):
     for i in range(n - 1, 0, -1):
         dl, d, dr = tensors[i].shape
         u, s, v, disc = svd_truncate(tensors[i].reshape(dl, d * dr),
-                                     max_rank=d_max, tol=svd_tol)
+                                     max_rank=d_max, tol=SVD_TOL)
         discarded += disc
         tensors[i] = v.reshape(-1, d, dr)
         tensors[i - 1] = np.tensordot(tensors[i - 1], u * s, axes=(2, 0))

@@ -60,7 +60,7 @@ def test_criterion_2_bond_dimension_tables():
         h = fdmpo.from_terms(2, two_site=couplings[:chi])
         for order in range(1, 7):
             w = taylor_mpo(h, -0.05j, order)
-            wc, _ = row_compress(w, order)
+            wc, _ = row_compress(w)
             if wc.bond_dimension != table_i[order](chi):
                 failures.append((chi, order, wc.bond_dimension,
                                  table_i[order](chi)))
@@ -71,7 +71,7 @@ def test_criterion_2_bond_dimension_tables():
             Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
         tab = BracketTable.compute([("f1", SIN), ("f2", COS)], 0.1, 0.25, 3)
         w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-        wc, _ = row_compress(w, 3)
+        wc, _ = row_compress(w)
         expected = 1 + 3 * chi + chi ** 2 + chi ** 3
         if wc.bond_dimension != expected:
             failures.append(("dyson", chi, wc.bond_dimension, expected))
@@ -101,7 +101,7 @@ def test_criterion_3_dense_oracle_equivalence():
                 problems.append(f"N={order} merged levels differ from build")
             build_diffs.append(
                 np.abs(merged.to_dense(n) - w.to_dense(n)).max())
-            wc, _ = row_compress(w, order)
+            wc, _ = row_compress(w)
             row_diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
             u = exact_evolution_operator(ham, n, t0, t0 + dt, substeps=2500)
             errs.append(np.linalg.norm(w.to_dense(n) - u, 2))

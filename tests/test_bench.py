@@ -18,7 +18,7 @@ from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
     PolyDriving, TimeDependentHamiltonian, TrigDriving
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz
-from dysonmpo.mps import apply_mpo
+from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
 from dysonmpo.spin import SX
 from dysonmpo.taylor import taylor_mpo
 
@@ -405,8 +405,7 @@ def test_discarded_weight_is_summed_over_steps():
             mpo, _ = build_step_mpo(ham, s0, s1, r.order, config.method,
                                     cache.table(s0, s1, r.order),
                                     qr_tol=config.qr_tol)
-            psi, disc = apply_mpo(mpo, psi, d_max=config.d_max,
-                                  svd_tol=config.svd_tol)
+            psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
             manual += disc
         assert manual > 0
         assert r.discarded_weight == pytest.approx(manual, rel=1e-12)
@@ -438,8 +437,7 @@ def _build_and_apply_every_step(ham, config, order, dt):
                                 step_table(cache, config.method, s0, s1,
                                            order),
                                 qr_tol=config.qr_tol)
-        psi, _ = apply_mpo(mpo, psi, d_max=config.d_max,
-                           svd_tol=config.svd_tol)
+        psi, _ = apply_mpo(mpo, psi, d_max=config.d_max)
     return psi
 
 
@@ -537,8 +535,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
         table = BracketTable.compute(channels, s0, s1, 3)
         mpo, _ = build_step_mpo(ham, s0, s1, 3, "dyson", table,
                                 qr_tol=config.qr_tol)
-        ref, _ = apply_mpo(mpo, ref, d_max=config.d_max,
-                           svd_tol=config.svd_tol)
+        ref, _ = apply_mpo(mpo, ref, d_max=config.d_max)
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
 
 
@@ -881,3 +878,27 @@ def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
         layers = {layer for layer, *_ in tracer.spans}
         assert layers == set(tracer_module.LAYERS)
         assert tracer.counts["brackets.computed"] >= 1
+
+
+def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
+    # above EPSILON_DENSE_CAP amplitudes an MPS reference is compared
+    # through the difference MPS; against its dense vector, through the
+    # dense phase-aligned formula; the two agree to rounding
+    ham = modulated_ising()
+    channels = [(c.name, c.driving) for c in ham.channels]
+    psi = FiniteMPS.random_product(13, rng=7)
+    assert 2 ** 13 > bench.EPSILON_DENSE_CAP
+    calls = []
+    monkeypatch.setattr(bench, "trace_distance_error",
+                        lambda a, b: calls.append(b) or
+                        trace_distance_error(a, b))
+    for dt in (1e-6, 1e-3, 0.05, 0.5):
+        table = BracketTable.compute(channels, 0.0, dt, 2)
+        mpo, _ = build_step_mpo(ham, 0.0, dt, 2, "dyson", table, 1e-12)
+        ref, _ = apply_mpo(mpo, psi)
+        eps = bench._epsilon_stable(psi, ref)
+        assert calls.pop() is ref and not calls
+        dense = bench._epsilon_stable(psi, ref.to_dense())
+        assert not calls
+        assert 1e-6 < dense < 1
+        assert abs(eps - dense) <= 1e-14

@@ -317,6 +317,11 @@ def test_drivings_reject_non_finite_parameters(make, named, bad):
         make(bad)
 
 
+def test_trig_driving_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^kind must be 'sin' or 'cos'$"):
+        TrigDriving("tan")
+
+
 
 @pytest.mark.parametrize("t0, t, named", [(math.nan, 0.25, "t0 = nan"),
                                           (0.0, math.inf, "t = inf"),

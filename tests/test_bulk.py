@@ -30,7 +30,7 @@ def _row_compressed(model, order, t0=0.0, dt=0.0625):
     ham = MODELS[model]()
     tab = BracketCache(ham, order=order).table(t0, t0 + dt, order)
     mpo = dyson_mpo(ham, t0, t0 + dt, order, tab)
-    return row_compress(mpo, order, tol=1e-12)[0]
+    return row_compress(mpo, tol=1e-12)[0]
 
 
 @pytest.fixture(scope="module", params=sorted(RANKS),

@@ -106,9 +106,9 @@ def test_row_compress_rejects_flat_mpo():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.05, 0.2, 2)
     with pytest.raises(ValueError, match="1 symbols"):
-        row_compress(flat_dyson_mpo(ham, 0.05, 0.2, 2, tab), 2, tol=1e-6)
+        row_compress(flat_dyson_mpo(ham, 0.05, 0.2, 2, tab), tol=1e-6)
     with pytest.raises(ValueError, match="1 symbols"):
-        row_compress(flat_taylor_mpo(static_tfi(), -0.09j, 2), 2)
+        row_compress(flat_taylor_mpo(static_tfi(), -0.09j, 2))
 
 
 def test_row_compress_explicit_linear_combination():
@@ -117,7 +117,7 @@ def test_row_compress_explicit_linear_combination():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    _, report = row_compress(w, 3)
+    _, report = row_compress(w)
     removed = {lvl: dict(exp) for lvl, exp in report.removed_levels}
     l2 = LevelLabel((two("f1", 0),))
     l23a = LevelLabel((two("f1", 0), three("f1")))
@@ -142,7 +142,7 @@ def test_row_compress_appendix_kept_set(chi):
                                     Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    compressed, report = row_compress(w, 3)
+    compressed, report = row_compress(w)
     assert compressed.bond_dimension == 1 + 3 * chi + chi ** 2 + chi ** 3
     if chi == 1:
         kept = set(report.kept_levels)
@@ -166,7 +166,7 @@ def test_row_compress_kept_set_minimality():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    compressed, report = row_compress(w, 3, tol=1e-6)
+    compressed, report = row_compress(w, tol=1e-6)
     kept = [l for l in report.kept_levels if l != IDENTITY_LEVEL]
     assert len(kept) == 5
     plan = CompressionPlan(w.levels, 3)
@@ -200,7 +200,7 @@ def test_row_compress_order_accuracy_ratio(order):
     for dt in (0.1, 0.05, 0.025):
         tab = table_for(ham, 0.0, dt, order)
         w = dyson_mpo(ham, 0.0, dt, order, tab)
-        wc, _ = row_compress(w, order, tol=1e-6)
+        wc, _ = row_compress(w, tol=1e-6)
         diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
     if max(diffs) < 1e-14:
         return  # compression exact for this order
@@ -212,8 +212,8 @@ def test_row_compress_idempotent():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
     w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
-    once, _ = row_compress(w, 3, tol=1e-6)
-    twice, report = row_compress(once, 3, tol=1e-6)
+    once, _ = row_compress(w, tol=1e-6)
+    twice, report = row_compress(once, tol=1e-6)
     assert twice.bond_dimension == once.bond_dimension
     assert not report.removed_levels
     for key, op in once.entries.items():
@@ -225,7 +225,7 @@ def test_row_compress_zero_driving_leaves_identity():
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(0.0))])
     tab = table_for(ham, 0.0, 0.3, 2)
     w = dyson_mpo(ham, 0.0, 0.3, 2, tab)
-    wc, _ = row_compress(w, 2, tol=1e-10)
+    wc, _ = row_compress(w, tol=1e-10)
     assert wc.bond_dimension == 1
     np.testing.assert_allclose(wc.to_dense(3), np.eye(8), atol=1e-14)
 
@@ -241,7 +241,7 @@ def test_compress_taylor_bond_dimensions(order, expected, chi):
     two_site = [(SZ, SZ), (SX, SX)][:chi]
     h = fdmpo.from_terms(2, two_site=two_site)
     w = taylor_mpo(h, -0.05j, order)
-    wc, _ = row_compress(w, order)
+    wc, _ = row_compress(w)
     assert wc.bond_dimension == expected(chi)
 
 
@@ -253,7 +253,7 @@ def test_compress_taylor_requires_taylor_mpo():
     w = dyson_mpo(ham, 0.0, 0.1, 1, tab)
     del w.params["brackets"]
     with pytest.raises(ValueError, match="no bracket table"):
-        row_compress(w, 1)
+        row_compress(w)
 
 
 def test_compress_taylor_preserves_order_accuracy():
@@ -264,7 +264,7 @@ def test_compress_taylor_preserves_order_accuracy():
     diffs = []
     for tau in (-0.1j, -0.05j, -0.025j):
         w = taylor_mpo(h, tau, order)
-        wc, _ = row_compress(w, order)
+        wc, _ = row_compress(w)
         diffs.append(np.linalg.norm(wc.to_dense(4) - scipy.linalg.expm(tau * href)))
     for d1, d2 in zip(diffs, diffs[1:]):
         assert abs(d1 / d2 - 2 ** (order + 1)) < 0.3 * 2 ** (order + 1)
@@ -274,7 +274,7 @@ def test_report_serialization():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 2)
     w = dyson_mpo(ham, 0.1, 0.25, 2, tab)
-    _, report = row_compress(w, 2, tol=1e-6)
+    _, report = row_compress(w, tol=1e-6)
     text = report.to_text()
     assert "bond dimension" in text and "kept levels" in text
     assert str(report.bond_dimension_after) in text
@@ -338,8 +338,8 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _order4_table(model, interval)
         mpo = dyson_mpo(ham, *interval, order, tab, plan=plan)
-        out, report = row_compress(mpo, order, tol=tol)
-        ref, ref_report = literal_row_compress(mpo, order, tol=tol)
+        out, report = row_compress(mpo, tol=tol)
+        ref, ref_report = literal_row_compress(mpo, tol=tol)
         assert out.levels == ref.levels
         assert report.to_text() == ref_report.to_text()
         assert np.array_equal(out.site_tensor(), ref.site_tensor())
@@ -364,8 +364,8 @@ def test_magnus_compression_matches_literal_fold_bitwise(model, order, tol):
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _order4_table(model, interval)
         mpo = magnus_evolution(ham, *interval, order, tab, plan=plan)
-        out, report = row_compress(mpo, order, tol=tol)
-        ref, ref_report = literal_row_compress(mpo, order, tol=tol)
+        out, report = row_compress(mpo, tol=tol)
+        ref, ref_report = literal_row_compress(mpo, tol=tol)
         assert out.levels == ref.levels
         assert report.to_text() == ref_report.to_text()
         assert np.array_equal(out.site_tensor(), ref.site_tensor())
@@ -390,7 +390,7 @@ def test_basis_that_cannot_span_raises_naming_the_block(monkeypatch):
 
     monkeypatch.setattr(compression, "_select_new_levels", smallest)
     with pytest.raises(compression.CompressionBasisError) as exc:
-        row_compress(mpo, 4, tol=1e-12)
+        row_compress(mpo, tol=1e-12)
     assert chosen
     named = re.fullmatch(r"group \((\d+),(\d+)\) block (.*): "
                          r"(expansion residual .*|nothing spans .*)",
@@ -415,8 +415,8 @@ def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
         return greedy(residual, tol, ref)
 
     monkeypatch.setattr(compression, "_select_new_levels", recording)
-    out, report = row_compress(mpo, 4, tol=1e-12)
-    ref, ref_report = literal_row_compress(mpo, 4, tol=1e-12)
+    out, report = row_compress(mpo, tol=1e-12)
+    ref, ref_report = literal_row_compress(mpo, tol=1e-12)
     assert residuals
     assert all(r.shape[1] >= 2 for r in residuals)
     assert len(residuals) < len(mpo.params["plan"].compression.blocks)
@@ -444,8 +444,8 @@ def test_greedy_sees_the_residuals_of_a_literal_evaluation(monkeypatch):
 
     monkeypatch.setattr(compression, "_select_new_levels", recording("plan"))
     monkeypatch.setattr(helpers, "_select_new_levels", recording("literal"))
-    row_compress(mpo, 4, tol=1e-12)
-    literal_row_compress(mpo, 4, tol=1e-12)
+    row_compress(mpo, tol=1e-12)
+    literal_row_compress(mpo, tol=1e-12)
     assert seen["plan"]
     for r in seen["plan"]:
         assert any(q.shape == r.shape and np.array_equal(q, r)
@@ -492,7 +492,7 @@ def test_row_compress_rejects_tolerance_outside_unit_interval(tol):
     tab = table_for(ham, 0.0, 0.0625, 2)
     named = re.escape(f"got {tol!r}")
     with pytest.raises(ValueError, match=named):
-        row_compress(dyson_mpo(ham, 0.0, 0.0625, 2, tab), 2, tol=tol)
+        row_compress(dyson_mpo(ham, 0.0, 0.0625, 2, tab), tol=tol)
     with pytest.raises(ValueError, match=named):
         build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", tab, qr_tol=tol)
 
@@ -509,7 +509,7 @@ def test_row_compress_rejects_non_finite_brackets(bad):
     with np.errstate(invalid="ignore"):
         mpo = dyson_mpo(ham, 0.0, 0.0625, 2, broken)
         with pytest.raises(ValueError, match=re.escape("('zz', 'x')")):
-            row_compress(mpo, 2)
+            row_compress(mpo)
         with pytest.raises(ValueError, match="not finite"):
             build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", broken,
                            qr_tol=1e-12)
@@ -530,7 +530,7 @@ def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
     monkeypatch.setattr(compression, "_fold", recording)
     ham = modulated_xxz()
     tab = table_for(ham, 0.0, 0.0625, 3)
-    out, _ = row_compress(dyson_mpo(ham, 0.0, 0.0625, 3, tab), 3)
+    out, _ = row_compress(dyson_mpo(ham, 0.0, 0.0625, 3, tab))
     rows, cols, blocks = out.coo()
     assert all(a is b for a, b in zip(out.coo(), folded[0]))
     m = out.bond_dimension

@@ -16,7 +16,7 @@ from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo, magnus_evolution
 from dysonmpo.evolve import exact_evolution_operator
-from dysonmpo.extensive import RewiredHamiltonian
+from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.spin import ID2, SX, SZ
@@ -507,3 +507,49 @@ def test_to_dense_matches_the_per_entry_expansion(model, order):
             ref = literal_to_dense(w, n)
             assert np.linalg.norm(w.to_dense(n) - ref) <= \
                 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("channels, message", [
+    ([], "at least one channel required"),
+    ([Channel("a", fdmpo.from_terms(2, on_site=SX), SIN),
+      Channel("b", fdmpo.from_terms(3, on_site=np.eye(3)), COS)],
+     "all channels must share the physical dimension"),
+    ([Channel("a", fdmpo.from_terms(2, on_site=SX), SIN),
+      Channel("a", fdmpo.from_terms(2, on_site=SZ), COS)],
+     "channel names must be unique"),
+])
+def test_hamiltonian_rejects_bad_channels(channels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TimeDependentHamiltonian(channels)
+
+
+def test_common_period_of_commensurate_and_incommensurate_drives():
+    x = fdmpo.from_terms(2, on_site=SX)
+    zz = fdmpo.from_terms(2, two_site=[(SZ, SZ)])
+
+    def period(omega):
+        return TimeDependentHamiltonian([
+            Channel("zz", zz, SIN),
+            Channel("x", x, TrigDriving("cos", omega=omega))]).common_period()
+
+    assert period(4 * math.pi) == pytest.approx(1.0)
+    assert period(2 * math.pi * math.sqrt(2)) is None
+
+
+def test_dyson_mpo_rejects_order_zero_and_a_plan_of_another_order():
+    ham = modulated_ising()
+    cache = BracketCache(ham, order=3)
+    tab = cache.table(0.0, 0.125, 3)
+    with pytest.raises(ValueError, match="^order must be at least 1$"):
+        dyson_mpo(ham, 0.0, 0.125, 0, tab)
+    with pytest.raises(ValueError, match="^an order-2 plan cannot build an "
+                                         "order-3 Dyson MPO$"):
+        dyson_mpo(ham, 0.0, 0.125, 3, tab, plan=cache.plan(2))
+
+
+def test_extensive_mpo_needs_the_identity_level_first():
+    # both boundary vectors are one-hot on level 0
+    level = LevelLabel((two("zz", 0),))
+    with pytest.raises(ValueError, match="first level must be the identity"):
+        ExtensiveMPO(2, [level, IDENTITY_LEVEL],
+                     {(IDENTITY_LEVEL, IDENTITY_LEVEL): np.eye(2)})

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.cython_lapack
-from helpers import qr_column_pivoted
+from helpers import qr_column_pivoted, svd_truncate
 
 from dysonmpo import linalg
-from dysonmpo.linalg import svd_truncate, svd_truncate_v, truncation_rank
+from dysonmpo.linalg import svd_truncate_v, truncation_rank
 
 
 def test_svd_identity():

@@ -1,17 +1,20 @@
+import argparse
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from helpers import count_tables
 
 from dysonmpo import modelfile
-from dysonmpo.bench import EvolutionConfig, evolve_state
-from dysonmpo.cli import main
-from dysonmpo.driving import Channel, TimeDependentHamiltonian, TrigDriving
-from dysonmpo.dyson import identity_mpo
+from dysonmpo.bench import EvolutionConfig, evolve_state, run_benchmark
+from dysonmpo.cli import build_parser, main
+from dysonmpo.driving import (Channel, ConstDriving, DrivingFunction,
+                              ExpDriving, PolyDriving, SampledDriving,
+                              TimeDependentHamiltonian, TrigDriving)
 from dysonmpo.fdmpo import FirstDegreeMPO, from_terms, nondisjoint_product
 from dysonmpo.models import modulated_ising, modulated_xxz
-from dysonmpo.mps import FiniteMPS, apply_mpo
+from dysonmpo.mps import FiniteMPS
 from dysonmpo.spin import SX, SZ
 
 TFI_TEXT = """
@@ -54,13 +57,43 @@ def test_dumps_writes_an_empty_slot_as_zero(operator):
         np.testing.assert_array_equal(back.to_dense(3, t), ham.to_dense(3, t))
 
 
+def every_driving_kind():
+    """A Hamiltonian with one channel per driving kind a model file names."""
+    zz = from_terms(2, two_site=[(SZ, SZ)])
+    x = from_terms(2, on_site=SX)
+    drivings = [ConstDriving(0.5),
+                TrigDriving("sin", omega=3.0, phase=0.2, amplitude=1.5,
+                            offset=0.1),
+                TrigDriving("cos", omega=2.0),
+                ExpDriving(rate=-0.5 + 1j, amplitude=0.3),
+                PolyDriving((0.1, -0.2, 0.3j)),
+                SampledDriving(0.0, 1.0, (0.0, 1.0, -0.5))]
+    return TimeDependentHamiltonian([
+        Channel(f"c{i}", (zz, x)[i % 2], drv)
+        for i, drv in enumerate(drivings)])
+
+
 def test_roundtrip_through_dumps():
-    for ham in (modulated_ising(), modulated_xxz()):
+    for ham in (modulated_ising(), modulated_xxz(), every_driving_kind()):
         back = modelfile.loads(modelfile.dumps(ham))
         assert [c.name for c in back.channels] == \
             [c.name for c in ham.channels]
+        assert [c.driving for c in back.channels] == \
+            [c.driving for c in ham.channels]
         np.testing.assert_allclose(back.to_dense(3, 0.4), ham.to_dense(3, 0.4),
                                    atol=1e-13)
+
+
+def test_dumps_rejects_a_driving_without_a_kind():
+    class Square(DrivingFunction):
+        def __call__(self, t):
+            return np.asarray(t) ** 2
+
+    ham = TimeDependentHamiltonian([
+        Channel("sq", from_terms(2, on_site=SX), Square())])
+    with pytest.raises(modelfile.ModelFileError,
+                       match="cannot serialize driving"):
+        modelfile.dumps(ham)
 
 
 def test_longer_range_and_complex_entries():
@@ -287,7 +320,7 @@ def test_cli_rejects_non_finite_times(model_path, command, option, value,
     (["bench", "--orders", "1", "--dts", "0.3", "--sites", "3"],
      "must divide t_final - t0"),
     (["bench", "--orders", "1", "--dts", "0.125", "--sites", "3",
-      "--svd-tol", "1"], "got 1.0"),
+      "--qr-tol", "1"], "got 1.0"),
     (["build-mpo", "--qr-tol", "2"], "tol must lie in [0, 1), got 2.0"),
 ])
 def test_cli_reports_library_errors(model_path, args, named, monkeypatch,
@@ -314,11 +347,63 @@ def test_evolve_state_rejects_unknown_method():
                      0.125)
 
 
-@pytest.mark.parametrize("svd_tol", [-1e-3, math.nan, 1.0, math.inf])
-def test_rejects_bad_svd_tol(svd_tol):
-    psi = FiniteMPS.all_up(3)
-    config = EvolutionConfig(n_sites=3, t_final=0.0, svd_tol=svd_tol)
-    with pytest.raises(ValueError, match=f"got {svd_tol}"):
-        evolve_state(modulated_ising(), psi, config, 2, 0.125)
-    with pytest.raises(ValueError, match=f"got {svd_tol}"):
-        apply_mpo(identity_mpo(2), psi, svd_tol=svd_tol)
+SPIN1_TEXT = """
+# spin-1 chain: sin(wt) sum Sz Sz + cos(wt) sum Sx
+dim 3
+channel zz
+driving sin omega=6.283185307179586
+L [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+R [[1, 0, 0], [0, 0, 0], [0, 0, -1]]
+end
+channel x
+driving cos omega=6.283185307179586
+D [[0, 0.7071067811865476, 0], [0.7071067811865476, 0, 0.7071067811865476], [0, 0.7071067811865476, 0]]
+end
+"""
+
+
+def test_spin_one_sweep_runs_against_rk4(tmp_path):
+    # the sweep's initial state takes the model's physical dimension
+    ham = modelfile.loads(SPIN1_TEXT)
+    assert ham.d == 3
+    config = EvolutionConfig(n_sites=4, t_final=0.25, orders=(1, 2),
+                             dts=(0.125,), oracle_substeps=400, seed=1)
+    eps = [r.epsilon for r in run_benchmark(ham, config)]
+    assert 0 < eps[1] < eps[0] < 0.1
+    path, out = tmp_path / "spin1.model", tmp_path / "spin1.csv"
+    path.write_text(SPIN1_TEXT)
+    assert main(["bench", "--model", str(path), "--orders", "1,2", "--dts",
+                 "0.125", "--sites", "4", "--t", "0.25", "--substeps", "400",
+                 "--seed", "1", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [float(r[3]) for r in rows] == pytest.approx(eps, rel=1e-11)
+
+
+# `dysonmpo bench` flags whose destination is not their config field's name
+FIELD_OF_FLAG = {"sites": "n_sites", "t": "t_final", "dmax": "d_max",
+                 "substeps": "oracle_substeps"}
+
+
+def test_bench_flags_are_the_config_fields(model_path, monkeypatch, capsys):
+    # every EvolutionConfig field has one bench flag, and every flag but
+    # --model and --out sets one field to the value it is given
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest for a in sub.choices["bench"]._actions}
+    flags -= {"help", "model", "out"}
+    assert sorted(FIELD_OF_FLAG.get(f, f) for f in flags) == \
+        sorted(f.name for f in fields(EvolutionConfig))
+    seen = []
+    monkeypatch.setattr("dysonmpo.cli.run_benchmark",
+                        lambda ham, config: seen.append(config) or [])
+    assert main(["bench", "--model", model_path, "--sites", "5", "--t0",
+                 "0.5", "--t", "1.5", "--method", "magnus", "--dmax", "7",
+                 "--substeps", "9", "--qr-tol", "1e-7", "--self-reference",
+                 "--seed", "3", "--orders", "2,3", "--dts", "0.5,0.25"]) == 0
+    given = EvolutionConfig(n_sites=5, t0=0.5, t_final=1.5, method="magnus",
+                            d_max=7, oracle_substeps=9, qr_tol=1e-7,
+                            self_reference=True, seed=3, orders=(2, 3),
+                            dts=(0.5, 0.25))
+    assert seen == [given]
+    assert all(getattr(given, f.name) != f.default
+               for f in fields(EvolutionConfig))

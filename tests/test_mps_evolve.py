@@ -35,13 +35,20 @@ def test_mps_product_state_norm():
     assert psi.bond_dimensions == [1, 1, 1, 1]
 
 
-def test_mps_dense_roundtrip():
-    rng = np.random.default_rng(2)
-    vec = rng.normal(size=2 ** 5) + 1j * rng.normal(size=2 ** 5)
-    vec /= np.linalg.norm(vec)
-    psi = FiniteMPS.from_dense(vec, 5)
-    np.testing.assert_allclose(psi.to_dense(), vec, atol=1e-12)
-    assert abs(psi.overlap(psi) - 1.0) < 1e-12
+@pytest.mark.parametrize("shapes, message", [
+    ([], "an MPS needs at least one site"),
+    ([(2, 2, 1)], "boundary bonds must have dimension 1"),
+    ([(1, 2, 2), (2, 2, 2)], "boundary bonds must have dimension 1"),
+    ([(1, 2, 2), (3, 2, 1)], "mismatched internal bonds"),
+])
+def test_mps_rejects_bad_bonds(shapes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteMPS([np.zeros(shape) for shape in shapes])
+
+
+def test_overlap_needs_chains_of_equal_length():
+    with pytest.raises(ValueError, match="^site counts differ$"):
+        FiniteMPS.all_up(3).overlap(FiniteMPS.all_up(4))
 
 
 def test_apply_identity_mpo():
@@ -521,7 +528,7 @@ def _dyson_builds(ham, dt, n_steps=4, order=4):
                                    t0, t1, order)
         builds.append(build_step_mpo(ham, t0, t1, order, "dyson", tab,
                                      qr_tol=1e-12))
-        rows.append(row_compress(dyson_mpo(ham, t0, t1, order, tab), order,
+        rows.append(row_compress(dyson_mpo(ham, t0, t1, order, tab),
                                  tol=1e-12)[0])
     return builds, rows
 
