@@ -36,7 +36,7 @@ for order in (1, 2, 3):
 # a frozen-Hamiltonian Taylor step of the same order for comparison: the
 # same plan, weighted by tau**k / k! times the drivings at the midpoint
 frozen = dm.step_table(dm.BracketCache(ham), "taylor", t0, t0 + dt, 3)
-w_frozen, _ = dm.build_step_mpo(ham, t0, t0 + dt, 3, "taylor", frozen, 1e-12,
+w_frozen, _ = dm.build_step_mpo(ham, t0, t0 + dt, 3, frozen, qr_tol=1e-12,
                                 compress=False)
 err = np.linalg.norm(w_frozen.to_dense(L, cap=256) - u_exact, 2)
 print(f"  frozen-H taylor order 3 (midpoint): error {err:.3e}")
@@ -46,8 +46,9 @@ print(f"  frozen-H taylor order 3 (midpoint): error {err:.3e}")
 print("\nrow-compressed steps, Magnus and Dyson:")
 for order in (2, 3, 4, 5):
     tab = dm.BracketTable.compute(channels, t0, t0 + dt, order)
-    for method in ("magnus", "dyson"):
-        w, _ = dm.build_step_mpo(ham, t0, t0 + dt, order, method, tab, 1e-12)
+    for method, build in (("magnus", dm.magnus_evolution),
+                          ("dyson", dm.dyson_mpo)):
+        w, _ = dm.row_compress(build(ham, t0, t0 + dt, order, tab), tol=1e-12)
         err = np.linalg.norm(w.to_dense(L, cap=256) - u_exact, 2)
         print(f"  {method:<6} order {order}: bond {w.bond_dimension:>2}  "
               f"error {err:.3e}")

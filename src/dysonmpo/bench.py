@@ -3,11 +3,12 @@
 Splits an interval into uniform steps; per step obtains the step's table
 (`step_table`), weights the shared step plan with it, row-compresses the
 MPO, factors a wide one down to its row rank (`bulk.bulk_compress`, from
-bond `bulk.BULK_FROM`) and applies it to the state.  Every method builds
-its step the same way, as a `dyson_mpo`: Dyson and Magnus steps under the
+bond `bulk.BULK_FROM`) and applies it to the state.  The method is read
+only where the step's table is chosen: Dyson and Magnus steps read the
 brackets of the step (an order-N Magnus step is the order-N Dyson step,
-`magnus_evolution`), the frozen-midpoint Taylor baseline under the frozen
-table of the drivings at the midpoint (`BracketTable.frozen`).  Steps
+`magnus_evolution`), the frozen-midpoint Taylor baseline the frozen table
+of the drivings at the midpoint (`BracketTable.frozen`).  From the table
+on, every step is built the same way, as a `dyson_mpo`.  Steps
 congruent modulo the driving period reuse the MPO built at the first of
 them.  A sweep computes one bracket table per congruence class of step
 interval, and builds one step plan (power and compression index sets) per
@@ -28,11 +29,12 @@ import numpy as np
 from .brackets import BracketTable, check_interval
 from .bulk import BULK_FROM, bulk_compress
 from .compression import row_compress
-from .dyson import dyson_mpo, magnus_evolution
+# `magnus_evolution` and `taylor_mpo` are not called here: perfbench/tracer.py
+# looks them up on this module to wrap them
+from .dyson import dyson_mpo, magnus_evolution  # noqa: F401
 from .evolve import check_oracle, exact_evolve
 from .extensive import PowerPlan, RewiredHamiltonian
 from .mps import FiniteMPS, apply_mpo, check_d_max, trace_distance_error
-# not called here: perfbench/tracer.py looks up `bench.taylor_mpo` to wrap it
 from .taylor import taylor_mpo  # noqa: F401
 
 METHODS = ("taylor", "dyson", "magnus")
@@ -173,8 +175,12 @@ def step_table(cache, method, t0, t1, order):
     (`BracketCache.table`).  The frozen-midpoint Taylor step reads
     ``BracketTable.frozen`` of the channels' driving values at the
     midpoint, with ``tau = -1j (t1 - t0)``: the Taylor series of the
-    Hamiltonian frozen there.  It computes no bracket.
+    Hamiltonian frozen there.  It computes no bracket.  It is the one
+    function past `_step_count` that reads the method; an unknown one
+    raises `ValueError`.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if method != "taylor":
         return cache.table(t0, t1, order)
     check_interval(t0, t1)
@@ -184,26 +190,20 @@ def step_table(cache, method, t0, t1, order):
     return BracketTable.frozen(weights, -1j * (t1 - t0), order)
 
 
-def build_step_mpo(hamiltonian, t0, t1, order, method, table, qr_tol,
+def build_step_mpo(hamiltonian, t0, t1, order, table, *, qr_tol,
                    compress=True, plan=None):
     """Evolution MPO for one step, optionally compressed.
 
-    `table` is the step's table of `method` (`step_table`), of order at
-    least `order`.  Every method weights `plan` (`BracketCache.plan`), or
-    one of its own, as a `dyson_mpo`; a Magnus step goes through
-    `magnus_evolution`, and a Taylor step is labelled ``kind="taylor"``.
+    `table` is the step's table (`step_table`), of order at least `order`,
+    and the only thing of the step's method this reads: `dyson_mpo`
+    weights `plan` (`BracketCache.plan`), or one of its own, with it.
     Compression is row compression at `qr_tol`, then, for a row-compressed
     bond of at least `bulk.BULK_FROM`, the exact bulk stage at the same
     tolerance.  Returns ``(mpo, report)``; `report` is the
     `CompressionReport`, with the bulk bond and residual, or None when the
     MPO was not compressed.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    build = magnus_evolution if method == "magnus" else dyson_mpo
-    mpo = build(hamiltonian, t0, t1, order, table, plan=plan)
-    if method == "taylor" and t1 != t0:
-        mpo.params["kind"] = "taylor"
+    mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
     report = None
     if compress and mpo.bond_dimension > 1:
         mpo, report = row_compress(mpo, tol=qr_tol)
@@ -279,8 +279,7 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
             table = step_table(cache, config.method, s0, s1, order)
             stats["bracket_s"] += time.perf_counter() - start
             start = time.perf_counter()
-            mpo, report = build_step_mpo(hamiltonian, s0, s1, order,
-                                         config.method, table,
+            mpo, report = build_step_mpo(hamiltonian, s0, s1, order, table,
                                          qr_tol=config.qr_tol, plan=plan)
             stats["build_s"] += time.perf_counter() - start
             step_mpos[key] = mpo

@@ -212,40 +212,17 @@ def check_interval(t0, t):
             raise ValueError(f"interval end {name} = {end!r} is not finite")
 
 
-def time_ordered_integrals(channels, sequences, t0, t):
-    """Brackets of every sequence in `sequences` over ``[t0, t]``.
-
-    `channels` maps a channel name to its driving function; a sequence
-    lists names with the latest time first.  Returns a dict keyed by the
-    sequences as tuples (module docstring).  A non-finite end of the
-    interval raises `ValueError`.
-    """
-    check_interval(t0, t)
-    sequences = [tuple(seq) for seq in sequences]
-    if not all(sequences):
-        raise ValueError("empty channel sequence")
-    if t == t0:
-        return dict.fromkeys(sequences, 0.0 + 0.0j)
-    names = list(dict.fromkeys(name for seq in sequences for name in seq))
-    index = {name: i for i, name in enumerate(names)}
-    levels = _levels([(name, channels[name]) for name in names], t0, t,
-                     max(len(seq) for seq in sequences))
-    return {seq: complex((-1j) ** len(seq) * levels[len(seq) - 1][
-                tuple(index[name] for name in reversed(seq))])
-            for seq in sequences}
-
-
 def time_ordered_integral(drivings, t0, t):
     """Bracket ``[f_1 ... f_k]`` over ``[t0, t]``; first entry = latest time.
 
-    The single-path case of :func:`time_ordered_integrals`.
+    The entry ``(0, ..., k - 1)`` of the order-k `BracketTable.compute` of
+    the drivings, each its own channel, named by its position.
     """
-    drivings = list(drivings)
-    if not drivings:
+    channels = list(enumerate(drivings))
+    if not channels:
         raise ValueError("empty channel sequence")
-    seq = tuple(range(len(drivings)))
-    return time_ordered_integrals(dict(enumerate(drivings)), [seq], t0,
-                                  t)[seq]
+    word = tuple(range(len(channels)))
+    return BracketTable.compute(channels, t0, t, len(word)).values[word]
 
 
 class BracketTable:
@@ -272,12 +249,24 @@ class BracketTable:
     def compute(cls, channels, t0, t, max_order):
         """Evaluate all brackets up to `max_order` on ``[t0, t]``.
 
-        `channels` is a list of ``(name, driving)`` pairs in channel order.
+        `channels` is a list of ``(name, driving)`` pairs in channel order;
+        a name listed twice raises `ValueError`, and so does a non-finite
+        end of the interval.  An empty interval holds zeros.
         """
+        check_interval(t0, t)
         channels = list(channels)
+        index = {}
+        for i, (name, _) in enumerate(channels):
+            if index.setdefault(name, i) != i:
+                raise ValueError(f"channel name {name!r} is listed twice")
         keys = [key for k in range(1, max_order + 1)
-                for key in product([name for name, _ in channels], repeat=k)]
-        values = time_ordered_integrals(dict(channels), keys, t0, t)
+                for key in product(index, repeat=k)]
+        if t == t0:
+            return cls((t0, t), dict.fromkeys(keys, 0.0 + 0.0j), max_order)
+        levels = _levels(channels, t0, t, max_order)
+        values = {key: complex((-1j) ** len(key) * levels[len(key) - 1][
+                      tuple(index[name] for name in reversed(key))])
+                  for key in keys}
         return cls((t0, t), values, max_order)
 
     @classmethod

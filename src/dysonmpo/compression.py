@@ -205,7 +205,6 @@ class CompressionPlan:
         self.waves = [[self._stack(shapes[s]) for s in sorted(shapes)
                        if s[0] == n3]
                       for n3 in sorted({s[0] for s in shapes})]
-        self._columns = None
 
     def _stack(self, numbers):
         """The blocks `numbers`, all with one column count, as a `Batch`."""
@@ -219,21 +218,6 @@ class CompressionPlan:
         levels = np.array([b.levels for b in blocks], dtype=np.intp)
         return Batch(numbers, blocks[0].n_prior if blocks else 0,
                      levels.reshape(len(blocks), cols), index)
-
-    def columns(self, cols):
-        """``(by_col, start)``: the entries of column `c` of an MPO whose
-        entries lie in columns `cols` are ``by_col[start[c]:start[c + 1]]``,
-        in entry order.
-
-        The MPOs of one power plan share the columns of every entry but
-        those of the identity column, so the last answer is kept for the
-        next step.
-        """
-        if self._columns is None or not np.array_equal(self._columns[0], cols):
-            by_col = np.argsort(cols, kind="stable")
-            start = np.searchsorted(cols[by_col], np.arange(len(self.levels) + 1))
-            self._columns = (cols, by_col, start)
-        return self._columns[1:]
 
     def values(self, brackets):
         """The bracket vector: one value per key, then a zero.
@@ -541,7 +525,8 @@ def _fold(mpo, plan, kept, terms):
     if terms is not None:
         source, target, coeff = terms
         # entries of each source column, term by term
-        by_col, start = plan.columns(cols)
+        by_col = np.argsort(cols, kind="stable")
+        start = np.searchsorted(cols[by_col], np.arange(len(plan.levels) + 1))
         n_entries = start[source + 1] - start[source]
         term = np.repeat(np.arange(len(source)), n_entries)
         offset = np.arange(len(term)) - np.repeat(

@@ -17,8 +17,11 @@ interval.
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
+
+PERIOD_DENOMINATOR = 12  # largest denominator of a commensurate period ratio
 
 
 def _binomial(x, size):
@@ -333,7 +336,13 @@ class TimeDependentHamiltonian:
             raise ValueError("channel names must be unique")
 
     def common_period(self):
-        """Smallest common driving period, or None when aperiodic."""
+        """Smallest common driving period, or None when aperiodic.
+
+        Two periods are commensurate when the longer over the shorter lies
+        within 1e-9 of a fraction ``a / b`` with ``b`` at most
+        `PERIOD_DENOMINATOR`; their common period is then the longer times
+        ``b``, their least common multiple.
+        """
         periods = [c.driving.period for c in self.channels]
         if any(p is None for p in periods):
             return None
@@ -342,10 +351,11 @@ class TimeDependentHamiltonian:
             return math.inf
         base = finite[0]
         for p in finite[1:]:
-            ratio = base / p
-            if abs(ratio - round(ratio)) > 1e-9 and abs(1 / ratio - round(1 / ratio)) > 1e-9:
+            short, long = sorted((base, p))
+            ratio = Fraction(long / short).limit_denominator(PERIOD_DENOMINATOR)
+            if abs(long / short - ratio) > 1e-9:
                 return None
-            base = max(base, p)
+            base = long * ratio.denominator
         return base
 
     def to_dense(self, n_sites, t, cap=64):

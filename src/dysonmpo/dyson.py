@@ -19,7 +19,7 @@ def identity_mpo(d):
     """The exact identity operator as a bond-dimension-1 extensive MPO."""
     return ExtensiveMPO(d, [IDENTITY_LEVEL],
                         {(IDENTITY_LEVEL, IDENTITY_LEVEL): np.eye(d, dtype=complex)},
-                        order=0, params={"kind": "identity"})
+                        order=0)
 
 
 def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
@@ -28,9 +28,11 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
     `integrals` must hold all brackets of the Hamiltonian's channels up to
     `order`, computed on ``[t0, t]``, or be a frozen table without an
     interval (`BracketTable.frozen`), which makes the Taylor series of a
-    frozen Hamiltonian.  A degenerate interval returns the exact identity.  `plan` is
-    the `PowerPlan` of the Hamiltonian's rewired form at `order`, which the
-    steps of a sweep share; without one, this call builds its own.
+    frozen Hamiltonian.  A degenerate interval returns the exact identity.
+    `plan` is the `PowerPlan` of the Hamiltonian's rewired form at `order`,
+    which the steps of a sweep share; without one, this call builds its
+    own.  The MPO's ``params`` hold the plan and, under ``"brackets"``, the
+    table, which `row_compress` reads.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -54,7 +56,7 @@ def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):
         mpo = plan.mpo(integrals.value)
     except KeyError as exc:
         raise ValueError(f"missing bracket: {exc}") from exc
-    mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
+    mpo.params["brackets"] = integrals
     return mpo
 
 
@@ -66,10 +68,7 @@ def magnus_evolution(hamiltonian, t0, t, order, integrals, plan=None):
     channel words (Chen, Ann. Math. 65, 163 (1957); Blanes, Casas, Oteo &
     Ros, Phys. Rep. 470, 151 (2009)).  So ``exp(Omega)``, truncated to
     words of at most `order` letters, is the bracket table itself, and the
-    order-N Magnus MPO is the order-N Dyson MPO: `dyson_mpo` with the same
-    arguments, labelled ``kind="magnus"``.
+    order-N Magnus MPO is the order-N Dyson MPO: this returns `dyson_mpo`
+    of the same arguments.
     """
-    mpo = dyson_mpo(hamiltonian, t0, t, order, integrals, plan=plan)
-    if t != t0:
-        mpo.params["kind"] = "magnus"
-    return mpo
+    return dyson_mpo(hamiltonian, t0, t, order, integrals, plan=plan)

@@ -58,8 +58,8 @@ class ExtensiveMPO:
     order : int
         Expansion order N the MPO is accurate to.
     params : dict
-        Construction record (kind, interval, the brackets it was weighted
-        with, and the `PowerPlan` it came from).
+        Construction record: the `PowerPlan` it came from (``"plan"``) and
+        the table it was weighted with (``"brackets"``), as far as known.
 
     The tensor is held as coordinate arrays (`coo`); `entries`, the dense
     `site_tensor` and the `transfer` operators are derived from them.

@@ -39,7 +39,7 @@ def taylor_mpo(h, tau, order):
         raise ValueError("order must be at least 1")
     brackets = BracketTable.frozen({"h": 1.0}, tau, order)
     mpo = _plan(h, order).mpo(brackets.value)
-    mpo.params.update(kind="taylor", brackets=brackets)
+    mpo.params["brackets"] = brackets
     return mpo
 
 

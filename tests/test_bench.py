@@ -1,7 +1,10 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from dysonmpo.bench import (BracketCache, ErrorRecord, EvolutionConfig,
 from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import Channel, ConstDriving, ExpDriving, \
     PolyDriving, TimeDependentHamiltonian, TrigDriving
+from dysonmpo.dyson import magnus_evolution
 from dysonmpo.fdmpo import from_terms
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.mps import FiniteMPS, apply_mpo, trace_distance_error
@@ -42,9 +46,9 @@ def test_magnus_step_compression_order_accuracy():
     diffs = []
     for dt in (0.1, 0.05, 0.025):
         tab = BracketTable.compute(channels, 0.0, dt, order)
-        w, none = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12,
+        w, none = build_step_mpo(ham, 0.0, dt, order, tab, qr_tol=1e-12,
                                  compress=False)
-        wc, report = build_step_mpo(ham, 0.0, dt, order, "magnus", tab, 1e-12)
+        wc, report = build_step_mpo(ham, 0.0, dt, order, tab, qr_tol=1e-12)
         assert none is None
         assert report.bond_dimension_before == w.bond_dimension
         assert report.bond_dimension_after == wc.bond_dimension
@@ -73,10 +77,7 @@ def test_magnus_sweep_keeps_the_order_slopes(criterion1_sweep):
     # plan, so the Magnus sweep's records are the Dyson ones relabelled
     assert len(criterion1_sweep.steps) == 4 * 496
     for (ham, t0, t1, order, table), kwargs, digest in criterion1_sweep.steps:
-        mpo, _ = build_step_mpo(ham, t0, t1, order, "magnus", table,
-                                criterion1_sweep.config.qr_tol,
-                                compress=False, plan=kwargs["plan"])
-        assert mpo.params["kind"] == "magnus"
+        mpo = magnus_evolution(ham, t0, t1, order, table, plan=kwargs["plan"])
         assert mpo.params["brackets"] is table
         assert mpo.params["plan"] is kwargs["plan"]
         assert coo_digest(mpo) == digest
@@ -402,7 +403,7 @@ def test_discarded_weight_is_summed_over_steps():
         psi, manual = initial_state(config), 0.0
         for i in range(round(config.t_final / r.dt)):
             s0, s1 = i * r.dt, (i + 1) * r.dt
-            mpo, _ = build_step_mpo(ham, s0, s1, r.order, config.method,
+            mpo, _ = build_step_mpo(ham, s0, s1, r.order,
                                     cache.table(s0, s1, r.order),
                                     qr_tol=config.qr_tol)
             psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
@@ -433,7 +434,7 @@ def _build_and_apply_every_step(ham, config, order, dt):
     for i in range(round((config.t_final - config.t0) / dt)):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
-        mpo, _ = build_step_mpo(ham, s0, s1, order, config.method,
+        mpo, _ = build_step_mpo(ham, s0, s1, order,
                                 step_table(cache, config.method, s0, s1,
                                            order),
                                 qr_tol=config.qr_tol)
@@ -533,8 +534,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
     for i in range(8):
         s0, s1 = i * 0.125, (i + 1) * 0.125
         table = BracketTable.compute(channels, s0, s1, 3)
-        mpo, _ = build_step_mpo(ham, s0, s1, 3, "dyson", table,
-                                qr_tol=config.qr_tol)
+        mpo, _ = build_step_mpo(ham, s0, s1, 3, table, qr_tol=config.qr_tol)
         ref, _ = apply_mpo(mpo, ref, d_max=config.d_max)
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
 
@@ -560,6 +560,37 @@ def test_constant_and_imaginary_rate_drives_are_periodic():
         Channel("x", ising.channels[1].operator,
                 ExpDriving(rate=4j * math.pi))])
     assert ham.common_period() == pytest.approx(1.0)
+
+
+def test_fractional_period_ratio_shares_steps_over_the_common_period(
+        monkeypatch):
+    # periods 1 and 1.5 repeat together every 3: the twelve steps of 0.5
+    # over [0, 6] fall in six congruence classes
+    ising = modulated_ising()
+    ham = TimeDependentHamiltonian([
+        Channel("zz", ising.channels[0].operator,
+                TrigDriving("sin", omega=2 * math.pi)),
+        Channel("x", ising.channels[1].operator,
+                TrigDriving("cos", omega=4 * math.pi / 3))])
+    config = EvolutionConfig(n_sites=4, t_final=6.0, d_max=8)
+    tables = count_tables(monkeypatch)
+    _, stats = evolve_state(ham, initial_state(config), config, 2, 0.5)
+    assert stats["n_steps"] == 12
+    assert stats["mpo_builds"] == stats["tables_computed"] == len(tables) == 6
+
+
+def test_build_step_mpo_takes_the_table_and_no_method():
+    # a call in the old form, the method before the table, is refused
+    ham = modulated_ising()
+    table = BracketCache(ham).table(0.0, 0.1, 2)
+    with pytest.raises(TypeError):
+        build_step_mpo(ham, 0.0, 0.1, 2, "dyson", table, 1e-12)
+
+
+def test_step_table_rejects_an_unknown_method():
+    # the one place past `_step_count` that reads the method
+    with pytest.raises(ValueError, match="^unknown method 'foo'$"):
+        step_table(BracketCache(modulated_ising()), "foo", 0.0, 0.1, 2)
 
 
 @pytest.mark.parametrize("method,orders", [("dyson", [3] * 4),
@@ -695,9 +726,9 @@ def test_taylor_step_is_the_series_of_the_midpoint_hamiltonian(model, order):
     ham = model()
     t0, t1 = 0.3, 0.55
     table = step_table(BracketCache(ham), "taylor", t0, t1, order)
-    w, report = build_step_mpo(ham, t0, t1, order, "taylor", table, 1e-12,
+    w, report = build_step_mpo(ham, t0, t1, order, table, qr_tol=1e-12,
                                compress=False)
-    assert report is None and w.params["kind"] == "taylor"
+    assert report is None and w.params["brackets"] is table
     tm = 0.5 * (t0 + t1)
     frozen = weighted_hamiltonian(
         ham, lambda c: complex(np.asarray(c.driving(tm)).item()))
@@ -856,7 +887,7 @@ def _untimed(records):
 
 
 @pytest.mark.parametrize("method, build", [("dyson", "dyson_mpo"),
-                                           ("magnus", "magnus_evolution"),
+                                           ("magnus", "dyson_mpo"),
                                            ("taylor", "dyson_mpo")])
 def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
     # the benchmark's tracer wraps names it looks up on `bench`; a sweep
@@ -880,6 +911,18 @@ def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
         assert tracer.counts["brackets.computed"] >= 1
 
 
+def test_benchmark_command_runs_a_traced_sweep():
+    # the benchmark looks up `bench` names by hand, in perfbench/run.py and
+    # its tracer; one traced sweep of a workload fails on a renamed one
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "run.py"), "--workload",
+         "xxz_wide", "--seed", "0", "--seconds", "0", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
 def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
     # above EPSILON_DENSE_CAP amplitudes an MPS reference is compared
     # through the difference MPS; against its dense vector, through the
@@ -894,7 +937,7 @@ def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
                         trace_distance_error(a, b))
     for dt in (1e-6, 1e-3, 0.05, 0.5):
         table = BracketTable.compute(channels, 0.0, dt, 2)
-        mpo, _ = build_step_mpo(ham, 0.0, dt, 2, "dyson", table, 1e-12)
+        mpo, _ = build_step_mpo(ham, 0.0, dt, 2, table, qr_tol=1e-12)
         ref, _ = apply_mpo(mpo, psi)
         eps = bench._epsilon_stable(psi, ref)
         assert calls.pop() is ref and not calls

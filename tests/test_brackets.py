@@ -108,6 +108,14 @@ def test_table_empty_interval_is_zero():
     assert all(v == 0 for v in table.values.values())
 
 
+def test_table_rejects_a_repeated_channel_name():
+    # a repeated name would key two channels' brackets alike, and the
+    # table would keep the last driving's
+    channels = [("a", ConstDriving(1.0)), ("a", ConstDriving(5.0))]
+    with pytest.raises(ValueError, match="^channel name 'a' is listed twice$"):
+        BracketTable.compute(channels, 0.0, 1.0, 2)
+
+
 def test_driving_without_piece_form_raises():
     channels = [("a", SIN), ("b", OpaqueDriving(SIN))]
     with pytest.raises(ValueError, match="channel 'b': driving OpaqueDriving "

@@ -494,7 +494,7 @@ def test_row_compress_rejects_tolerance_outside_unit_interval(tol):
     with pytest.raises(ValueError, match=named):
         row_compress(dyson_mpo(ham, 0.0, 0.0625, 2, tab), tol=tol)
     with pytest.raises(ValueError, match=named):
-        build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", tab, qr_tol=tol)
+        build_step_mpo(ham, 0.0, 0.0625, 2, tab, qr_tol=tol)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -511,8 +511,7 @@ def test_row_compress_rejects_non_finite_brackets(bad):
         with pytest.raises(ValueError, match=re.escape("('zz', 'x')")):
             row_compress(mpo)
         with pytest.raises(ValueError, match="not finite"):
-            build_step_mpo(ham, 0.0, 0.0625, 2, "dyson", broken,
-                           qr_tol=1e-12)
+            build_step_mpo(ham, 0.0, 0.0625, 2, broken, qr_tol=1e-12)
 
 
 def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):

@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (composition_sum, driving_value, exp_weight,
+from helpers import (composition_sum, coo_digest, driving_value, exp_weight,
                      flat_dyson_mpo, level_symbols, literal_to_dense,
                      log_weight, magnus_omega1, magnus_omega2,
                      magnus_taylor_mpo, magnus_word, rewired_dense)
@@ -12,6 +12,7 @@ from helpers import (composition_sum, driving_value, exp_weight,
 from dysonmpo import fdmpo
 from dysonmpo.bench import BracketCache, build_step_mpo
 from dysonmpo.brackets import BracketTable
+from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo, magnus_evolution
@@ -456,16 +457,17 @@ def test_magnus_bond_equals_dyson_bond(model, bonds):
     tab = cache.table(0.0, 0.0625, 4)
     for order, (rows, bond) in zip((1, 2, 3, 4), bonds):
         plan = cache.plan(order)
-        dyson, report = build_step_mpo(ham, 0.0, 0.0625, order, "dyson", tab,
-                                       1e-12, plan=plan)
-        compression = plan.compression
-        magnus, magnus_report = build_step_mpo(ham, 0.0, 0.0625, order,
-                                               "magnus", tab, 1e-12,
-                                               plan=plan)
-        assert dyson.bond_dimension == magnus.bond_dimension == bond
+        step, report = build_step_mpo(ham, 0.0, 0.0625, order, tab,
+                                      qr_tol=1e-12, plan=plan)
+        assert step.bond_dimension == report.bond_dimension_bulk == bond
         assert report.bond_dimension_after == rows
-        assert magnus_report.bond_dimension_after == rows
-        assert report.bond_dimension_bulk == bond
+        compression = plan.compression
+        dyson = dyson_mpo(ham, 0.0, 0.0625, order, tab, plan=plan)
+        magnus = magnus_evolution(ham, 0.0, 0.0625, order, tab, plan=plan)
+        assert coo_digest(magnus) == coo_digest(dyson)
+        for mpo in (dyson, magnus):
+            compressed, _ = row_compress(mpo, tol=1e-12)
+            assert compressed.bond_dimension == rows
         # the Magnus step reuses the Dyson order's compression plan
         assert plan.compression is compression
 
@@ -498,10 +500,9 @@ def test_to_dense_matches_the_per_entry_expansion(model, order):
     # per (level, entry), for the power and its row compression
     ham = model()
     tab = table_for(ham, 0.1, 0.35, order)
-    mpo, _ = build_step_mpo(ham, 0.1, 0.35, order, "dyson", tab, 1e-12,
+    mpo, _ = build_step_mpo(ham, 0.1, 0.35, order, tab, qr_tol=1e-12,
                             compress=False)
-    compressed, _ = build_step_mpo(ham, 0.1, 0.35, order, "dyson", tab,
-                                   1e-12)
+    compressed, _ = build_step_mpo(ham, 0.1, 0.35, order, tab, qr_tol=1e-12)
     for w in (mpo, compressed):
         for n in range(5):
             ref = literal_to_dense(w, n)
@@ -527,13 +528,17 @@ def test_common_period_of_commensurate_and_incommensurate_drives():
     x = fdmpo.from_terms(2, on_site=SX)
     zz = fdmpo.from_terms(2, two_site=[(SZ, SZ)])
 
-    def period(omega):
+    def period(omega, swap=False):
+        drives = [SIN, TrigDriving("cos", omega=omega)][::-1 if swap else 1]
         return TimeDependentHamiltonian([
-            Channel("zz", zz, SIN),
-            Channel("x", x, TrigDriving("cos", omega=omega))]).common_period()
+            Channel("zz", zz, drives[0]),
+            Channel("x", x, drives[1])]).common_period()
 
     assert period(4 * math.pi) == pytest.approx(1.0)
-    assert period(2 * math.pi * math.sqrt(2)) is None
+    # periods 1 and 1.5 first repeat together at 3, in either order
+    for swap in (False, True):
+        assert period(4 * math.pi / 3, swap) == pytest.approx(3.0, rel=1e-12)
+        assert period(2 * math.pi * math.sqrt(2), swap) is None
 
 
 def test_dyson_mpo_rejects_order_zero_and_a_plan_of_another_order():

@@ -1,6 +1,7 @@
 import argparse
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +185,22 @@ def test_cli_build_mpo_magnus(model_path, capsys):
     out = capsys.readouterr().out
     assert "kept levels" in out
     assert 1 < bond(out) < full
+
+
+def test_cli_build_mpo_reads_the_method_only_for_the_table(capsys):
+    # Magnus and Dyson steps read one table, so they print one step
+    model = str(Path(__file__).resolve().parents[1] / "demos" / "models"
+                / "modulated_tfi.model")
+
+    def run(method):
+        assert main(["build-mpo", "--model", model, "--method", method,
+                     "--order", "3", "--report"]) == 0
+        header, *rest = capsys.readouterr().out.splitlines()
+        assert header.startswith(f"method={method} ")
+        return header.removeprefix(f"method={method} "), rest
+
+    assert run("magnus") == run("dyson")
+    run("taylor")
 
 
 @pytest.mark.parametrize("method,orders", [("dyson", [3]), ("magnus", [3]),

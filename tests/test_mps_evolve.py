@@ -526,8 +526,7 @@ def _dyson_builds(ham, dt, n_steps=4, order=4):
         t0, t1 = i * dt, (i + 1) * dt
         tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                    t0, t1, order)
-        builds.append(build_step_mpo(ham, t0, t1, order, "dyson", tab,
-                                     qr_tol=1e-12))
+        builds.append(build_step_mpo(ham, t0, t1, order, tab, qr_tol=1e-12))
         rows.append(row_compress(dyson_mpo(ham, t0, t1, order, tab),
                                  tol=1e-12)[0])
     return builds, rows
