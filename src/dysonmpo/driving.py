@@ -331,9 +331,11 @@ class TimeDependentHamiltonian:
         if len(dims) != 1:
             raise ValueError("all channels must share the physical dimension")
         self.d = dims.pop()
-        names = [c.name for c in self.channels]
-        if len(set(names)) != len(names):
-            raise ValueError("channel names must be unique")
+        names = set()
+        for c in self.channels:
+            if c.name in names:
+                raise ValueError(f"channel name {c.name!r} is listed twice")
+            names.add(c.name)
 
     def common_period(self):
         """Smallest common driving period, or None when aperiodic.

@@ -1,11 +1,23 @@
 """Dense complex matrix kernels shared by the MPO/MPS routines.
 
-A truncated SVD without the left factor, which `mps.apply_mpo`'s
+The thin QR that `mps.apply_mpo` and `mps.trace_distance_error` take
+(`qr`); a truncated SVD without the left factor, which `apply_mpo`'s
 truncating sweep calls, with its keep/discard rule; and LAPACK's
 column-pivoted QR ``zgeqp3`` with the workspace it asks for, which row
 compression calls on each block's residual to form only the triangular
 factor.  Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype
-and row-major (C-order) data layout.
+and row-major (C-order) data layout.  This module is the one place in
+`dysonmpo` that calls a QR or SVD routine.
+
+`qr` calls the two gufuncs ``numpy.linalg.qr`` ends in,
+``_umath_linalg.qr_r_raw`` (``zgeqrf``) and ``qr_reduced`` (``zungqr``),
+under the same floating-point error state, and zeroes R's lower triangle
+through a boolean mask, cached per shape for small matrices.  Its Q and R
+are bitwise ``numpy.linalg.qr``'s, with the same C-order layout; it skips
+only the wrapper's dtype dispatch and its ``triu``, which cost more than
+LAPACK on the small matrices `apply_mpo` factorises.  The gufuncs are
+looked up once, at import (`_bind_qr_gufuncs`); a numpy without them
+raises `ImportError` naming the gufunc and the numpy version.
 
 SciPy's ``zgesvd`` wrapper forms U and V together or neither.
 `svd_truncate_v` calls the routine that wrapper calls, LAPACK's
@@ -15,16 +27,27 @@ bidiagonalisation and the same ``zbdsqr`` rotations, of which only the
 update of U is skipped, so they are bitwise those of SciPy's
 ``scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")``
 (`tests/helpers.svd_truncate`, the full truncated SVD, is the reference).
+A call makes no array for LAPACK when its buffers fit the thread's
+scratch buffer (`_zgesvd_v`).
+
+Memory kept between calls is bounded by `SCRATCH_SLOTS` entries per
+matrix: a matrix larger than that, whose LAPACK work outweighs the set-up,
+gets its buffers and mask for the call only, so nothing the apply of a
+wide MPS needs once stays resident.
 """
 
 import ctypes
 import functools
+import threading
 
 import numpy as np
+import numpy.linalg._umath_linalg
 import scipy.linalg
 import scipy.linalg.cython_lapack
 
 _ZGEQP3, = scipy.linalg.get_lapack_funcs(("geqp3",), dtype=np.complex128)
+
+SCRATCH_SLOTS = 4096  # entries of the zgesvd scratch and of a cached R mask
 
 # The C prototype SciPy exports ``zgesvd`` under, which is the capsule's name:
 # (jobu, jobvt, m, n, a, lda, s, u, ldu, vt, ldvt, work, lwork, rwork, info)
@@ -58,6 +81,61 @@ def _bind_zgesvd():
 
 
 _ZGESVD = _bind_zgesvd()
+
+
+def _bind_qr_gufuncs(module):
+    """``qr_r_raw`` and ``qr_reduced`` from numpy's private `module`.
+
+    Raises `ImportError` naming the missing gufunc and the numpy version,
+    so that a numpy without them fails at import instead of mid-run.
+    """
+    for name in ("qr_r_raw", "qr_reduced"):
+        if not hasattr(module, name):
+            raise ImportError(f"{module.__name__} has no {name} in numpy "
+                              f"{np.__version__}; linalg.qr calls it")
+    return module.qr_r_raw, module.qr_reduced
+
+
+_QR_R_RAW, _QR_REDUCED = _bind_qr_gufuncs(numpy.linalg._umath_linalg)
+
+
+def _qr_failed(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing "
+                                "QR factorization")
+
+
+@functools.lru_cache(maxsize=64)
+def _below_diagonal(rows, cols):
+    """Boolean mask of the entries below the diagonal of a ``(rows, cols)``
+    matrix; `qr` takes it from this cache only for a matrix of at most
+    `SCRATCH_SLOTS` entries."""
+    return np.tri(rows, cols, -1, dtype=bool)
+
+
+def qr(mat, mode="reduced"):
+    """Thin QR of a matrix: ``(Q, R)``, or R alone with ``mode = "r"``.
+
+    Bitwise ``numpy.linalg.qr(mat, mode)`` for a complex `mat` of any
+    layout, and C-ordered like it; a real `mat` is factorised as complex.
+    R is the leading ``min(rows, cols)`` rows of the factorised copy of
+    `mat`, a view of it when that copy is C-ordered.  A mode other than
+    ``"reduced"`` or ``"r"`` raises `ValueError`; an input LAPACK rejects
+    raises `numpy.linalg.LinAlgError`, as in numpy.
+    """
+    if mode not in ("reduced", "r"):
+        raise ValueError(f"qr mode must be 'reduced' or 'r', got {mode!r}")
+    a = np.array(mat, dtype=np.complex128)    # overwritten
+    rows, cols = a.shape
+    with np.errstate(call=_qr_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        tau = _QR_R_RAW(a, signature="D->D")
+        if mode == "reduced":
+            q = _QR_REDUCED(a, tau, signature="DD->D")
+    k = min(rows, cols)
+    r = np.ascontiguousarray(a[:k])
+    np.putmask(r, _below_diagonal(k, cols) if k * cols <= SCRATCH_SLOTS
+               else np.tri(k, cols, -1, dtype=bool), 0)
+    return r if mode == "r" else (q, r)
 
 
 def as_complex(a):
@@ -94,32 +172,55 @@ def svd_truncate_v(m, max_rank=None, tol=0.0):
     return s[:keep], vt[:keep, :], discarded
 
 
+class _Scratch(threading.local):
+    """A ``complex128`` buffer of `SCRATCH_SLOTS` entries and its address,
+    made once per thread that reads it."""
+
+    def __init__(self):
+        self.buffer = np.empty(SCRATCH_SLOTS, dtype=complex)
+        self.address = self.buffer.ctypes.data
+
+
+_SCRATCH = _Scratch()
+
+
 def _zgesvd_v(m, lwork):
     """``zgesvd`` of the matrix `m` with ``jobu = 'N'``, ``jobvt = 'S'``.
 
     Returns the singular values, ``V^H`` (Fortran order, as SciPy's
     wrapper returns it), LAPACK's ``info`` and the workspace size the
     routine asks for; ``lwork = -1`` computes only the last.  LAPACK reads
-    and writes every buffer through a raw pointer, so each one is made
-    here, at the size the call is given, and stays referenced by a name
-    until the call returns.
+    and writes through raw pointers into one buffer: the integer
+    arguments, U (not referenced), the overwritten copy of `m`, ``V^H``,
+    S, ``rwork`` and ``work`` (given `lwork` whatever its size) are
+    consecutive slices of it, and S and ``V^H`` are copied out.  A call
+    that fits takes the thread's `_Scratch`, so it makes no array and
+    looks up no address; a larger one, whose LAPACK work outweighs both,
+    makes its own buffer for the call, so that no memory outlives it.
     """
-    a = np.array(m, dtype=complex, order="F")    # overwritten
-    rows, cols = a.shape
+    rows, cols = m.shape
     k = min(rows, cols)
-    s = np.empty(k)
-    vt = np.empty((k, cols), dtype=complex, order="F")
-    u = np.empty(1, dtype=complex)               # not referenced
-    work = np.empty(max(1, lwork), dtype=complex)
-    rwork = np.empty(5 * k)
+    # slots of 16 bytes: 7 ints in 2, U in 1, then a, vt, s, rwork, work
+    at_vt = 3 + rows * cols
+    at_s = at_vt + k * cols
+    at_rwork = at_s + (k + 1) // 2
+    at_work = at_rwork + (5 * k + 1) // 2
+    size = at_work + max(1, lwork)
+    if size <= SCRATCH_SLOTS:
+        buf, at = _SCRATCH.buffer, _SCRATCH.address
+    else:
+        buf = np.empty(size, dtype=complex)
+        at = buf.ctypes.data
+    buf[3:at_vt].reshape(cols, rows)[...] = m.T
+    ints = buf[:2].view(np.intc)
     # m, n, lda, ldu, ldvt, lwork, info
-    ints = np.array([rows, cols, rows, 1, k, lwork, 0], dtype=np.intc)
-    at, step = ints.ctypes.data, ints.itemsize
-    _ZGESVD(b"N", b"S", at, at + step, a.ctypes.data, at + 2 * step,
-            s.ctypes.data, u.ctypes.data, at + 3 * step, vt.ctypes.data,
-            at + 4 * step, work.ctypes.data, at + 5 * step, rwork.ctypes.data,
-            at + 6 * step)
-    return s, vt, int(ints[6]), int(work[0].real)
+    ints[:7] = rows, cols, rows, 1, k, lwork, 0
+    _ZGESVD(b"N", b"S", at, at + 4, at + 48, at + 8, at + 16 * at_s, at + 32,
+            at + 12, at + 16 * at_vt, at + 16, at + 16 * at_work, at + 20,
+            at + 16 * at_rwork, at + 24)
+    s = buf[at_s:at_rwork].view(np.float64)[:k].copy()
+    vt = buf[at_vt:at_s].reshape(cols, k).copy().T
+    return s, vt, int(ints[6]), int(buf[at_work].real)
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,7 +244,7 @@ def truncation_rank(s, tol=0.0, max_rank=None):
         keep = int(np.count_nonzero(s > tol * s[0]))
     if max_rank is not None:
         keep = min(keep, max_rank)
-    return keep, float(np.sum(s[keep:] ** 2))
+    return keep, float(np.add.reduce(s[keep:] ** 2))
 
 
 @functools.lru_cache(maxsize=256)

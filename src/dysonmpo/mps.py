@@ -6,7 +6,9 @@ chain ends towards the centre, factorising as it goes, so that the exact
 product arrives in mixed-canonical form with bonds bounded by the Hilbert
 space dimension of the shorter side; one truncating SVD sweep follows,
 forming no Q factor right of the centre and no U factor anywhere
-(`linalg.svd_truncate_v`).
+(`linalg.svd_truncate_v`).  Every QR, here and in `trace_distance_error`,
+is `linalg.qr`, which calls numpy's QR gufuncs directly: its factors are
+bitwise those of ``numpy.linalg.qr``, without the wrapper's per-call cost.
 A site matrix no taller than it is wide has a square unitary Q that
 shrinks no bond.  It is still factorised while that costs no more than
 forming it, because the triangular remainder keeps weak MPO channels
@@ -26,7 +28,7 @@ import numbers
 
 import numpy as np
 
-from .linalg import svd_truncate_v
+from .linalg import qr, svd_truncate_v
 
 SVD_TOL = 1e-14  # relative singular-value cut of `apply_mpo`'s sweep
 
@@ -122,8 +124,8 @@ def _qr(mat):
     """
     m, n = mat.shape
     if m >= n:
-        return np.linalg.qr(mat)
-    q, r = np.linalg.qr(mat[:, :m])
+        return qr(mat)
+    q, r = qr(mat[:, :m])
     return q, np.concatenate([r, q.conj().T @ mat[:, m:]], axis=1)
 
 
@@ -282,7 +284,7 @@ def apply_mpo(mpo, psi, d_max=None):
         if t is not None:
             t = t.reshape(t.shape[0], -1)
             m = t if m is None else m @ t
-        grams.append(np.linalg.qr(m.reshape(m.shape[0] * d, -1), mode="r"))
+        grams.append(qr(m.reshape(m.shape[0] * d, -1), mode="r"))
     # SVD R_{i-1} N_i with N_i = B_i z, then push z = N_i V^H to the left
     discarded, z = 0.0, None
     for i in range(n - 1, -1, -1):
@@ -352,4 +354,4 @@ def _difference_norm(xs, ys):
         if i == n - 1:
             return float(np.linalg.norm(t))
         dl, d, dr = t.shape
-        r = np.linalg.qr(t.reshape(dl * d, dr), mode="r")
+        r = qr(t.reshape(dl * d, dr), mode="r")

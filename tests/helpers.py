@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dysonmpo import fdmpo
+from dysonmpo import fdmpo, mps
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import (Block, CompressionBasisError,
                                   CompressionPlan, CompressionReport,
@@ -54,6 +54,18 @@ def svd_truncate(m, max_rank=None, tol=0.0):
     u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     keep, discarded = truncation_rank(s, tol, max_rank)
     return u[:, :keep], s[:keep], vh[:keep, :], discarded
+
+
+def numpy_factorisations(monkeypatch):
+    """Make `mps` factorise through ``numpy.linalg.qr`` and `svd_truncate`.
+
+    These are the bitwise references of `linalg.qr` and
+    `linalg.svd_truncate_v`, so nothing `mps` returns may change.
+    """
+    monkeypatch.setattr(mps, "qr", lambda mat, mode="reduced":
+                        np.linalg.qr(mat, mode=mode))
+    monkeypatch.setattr(mps, "svd_truncate_v", lambda m, max_rank=None,
+                        tol=0.0: svd_truncate(m, max_rank, tol)[1:])
 
 
 def kron_chain(ops):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import coo_digest, count_tables, weighted_hamiltonian
+from helpers import coo_digest, count_tables, numpy_factorisations, \
+    weighted_hamiltonian
 
 from dysonmpo import bench, extensive
 from dysonmpo.bench import (BracketCache, ErrorRecord, EvolutionConfig,
@@ -884,6 +885,20 @@ def _untimed(records):
              if k not in ("wall_time_per_step", "bracket_s", "build_s",
                           "apply_s", "plan_s")}
             for r in records]
+
+
+@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
+def test_records_are_those_of_numpy_and_scipy_factorisations(model,
+                                                            monkeypatch):
+    # `linalg.qr` and `linalg.svd_truncate_v` are bitwise the numpy and
+    # SciPy factorisations, so a sweep through either makes equal records
+    config = EvolutionConfig(n_sites=6, orders=(1, 2, 4), dts=(0.25, 0.125),
+                             t_final=0.5, oracle_substeps=300, d_max=8,
+                             seed=2)
+    records = run_benchmark(model(), config)
+    numpy_factorisations(monkeypatch)
+    assert _untimed(run_benchmark(model(), config)) == _untimed(records)
+    assert max(r.discarded_weight for r in records) > 0.0
 
 
 @pytest.mark.parametrize("method, build", [("dyson", "dyson_mpo"),

@@ -1,4 +1,9 @@
+import ast
 import ctypes
+import sys
+import threading
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,9 +167,11 @@ def _svd_input(kind, shape, rng):
 
 
 # zgesvd's paths: rows >= 1.6 cols (QR first), rows < 1.6 cols, square,
-# cols < 1.6 rows and cols >= 1.6 rows (LQ first)
+# cols < 1.6 rows and cols >= 1.6 rows (LQ first); the last three fit
+# the scratch buffer, the others do not
 @pytest.mark.parametrize("shape", [(256, 64), (96, 64), (64, 64), (64, 96),
-                                   (32, 64)], ids="{0[0]}x{0[1]}".format)
+                                   (32, 64), (12, 8), (8, 12), (6, 6)],
+                         ids="{0[0]}x{0[1]}".format)
 @pytest.mark.parametrize("kind", ["c_order", "rank_deficient", "graded",
                                   "fortran", "strided"])
 def test_v_only_svd_is_svd_truncate_bitwise(shape, kind):
@@ -198,3 +205,133 @@ def test_v_only_svd_of_an_empty_matrix(shape):
     assert s.shape == s_ref.shape == (0,)
     assert v.shape == v_ref.shape == (0, shape[1]) and v.dtype == complex
     assert w == w_ref == 0.0
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (1, 7), (7, 1),
+                                   (1, 1), (80, 70), (70, 80)],
+                         ids="{0[0]}x{0[1]}".format)
+@pytest.mark.parametrize("kind", ["c_order", "fortran", "strided", "zero"])
+def test_qr_is_numpys_bitwise(shape, kind):
+    # the gufuncs numpy.linalg.qr ends in, without its wrapper: the same
+    # bits, dtype and C-order layout in both modes, with R's mask cached
+    # (up to SCRATCH_SLOTS entries) or made for the call (the last two)
+    m = (np.zeros(shape, dtype=complex) if kind == "zero"
+         else _svd_input(kind, shape, np.random.default_rng(12)))
+    before = m.copy()
+    q, r = linalg.qr(m)
+    q_ref, r_ref = np.linalg.qr(m)
+    r_only, r_only_ref = linalg.qr(m, mode="r"), np.linalg.qr(m, mode="r")
+    for x, ref in ((q, q_ref), (r, r_ref), (r_only, r_only_ref)):
+        assert np.array_equal(x, ref) and x.tobytes() == ref.tobytes()
+        assert x.dtype == ref.dtype and x.strides == ref.strides
+    assert np.array_equal(m, before)
+
+
+def test_qr_takes_only_the_thin_modes():
+    with pytest.raises(ValueError, match="^qr mode must be 'reduced' or 'r', "
+                                         "got 'complete'$"):
+        linalg.qr(np.eye(3), mode="complete")
+
+
+def test_qr_gufunc_binding_names_a_missing_gufunc():
+    stub = types.ModuleType("numpy.linalg._umath_linalg")
+    stub.qr_r_raw = np.linalg._umath_linalg.qr_r_raw
+    with pytest.raises(ImportError) as exc:
+        linalg._bind_qr_gufuncs(stub)
+    assert str(exc.value) == (f"numpy.linalg._umath_linalg has no qr_reduced "
+                              f"in numpy {np.__version__}; linalg.qr calls it")
+    gufuncs = linalg._bind_qr_gufuncs(np.linalg._umath_linalg)
+    assert gufuncs == (linalg._QR_R_RAW, linalg._QR_REDUCED)
+
+
+@pytest.mark.parametrize("n", [3, 9, 40, 300])
+def test_discarded_weight_is_the_numpy_sum(n):
+    # np.add.reduce is np.sum's reduction, pairwise summation included
+    s = np.sort(np.random.default_rng(n).random(n))[::-1]
+    for max_rank in (1, n // 3 + 1):
+        keep, weight = truncation_rank(s, max_rank=max_rank)
+        assert weight == float(np.sum(s[keep:] ** 2))
+
+
+def test_zgesvd_scratch_serves_small_calls_only():
+    # a call of at most SCRATCH_SLOTS entries works in the thread's
+    # scratch buffer and a larger one in its own; no result is a view of
+    # either, and a small call after a large one reads no stale entry
+    rng = np.random.default_rng(13)
+    small = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    large = rng.normal(size=(90, 70)) + 1j * rng.normal(size=(90, 70))
+    scratch = linalg._SCRATCH.buffer
+    first = svd_truncate_v(small)
+    for x in svd_truncate_v(large)[:2] + first[:2]:
+        assert not np.shares_memory(x, scratch)
+    again = svd_truncate_v(small)
+    assert linalg._SCRATCH.buffer is scratch
+    assert scratch.size == linalg.SCRATCH_SLOTS < large.size
+    for x, y in zip(first[:2], again[:2]):
+        assert x.tobytes() == y.tobytes()
+
+
+_FACTORISATIONS = {("numpy", "linalg", "qr"), ("np", "linalg", "qr"),
+                   ("numpy", "linalg", "svd"), ("np", "linalg", "svd"),
+                   ("scipy", "linalg", "svd")}
+
+
+def _factorisation_calls(source):
+    """Dotted names of the QR and SVD routines `source` reaches directly."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Attribute) and \
+                isinstance(node.value.value, ast.Name):
+            name = (node.value.value.id, node.value.attr, node.attr)
+            if name in _FACTORISATIONS:
+                found.append(".".join(name))
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if (*(node.module or "").split("."), a.name)
+                      in _FACTORISATIONS]
+    return found
+
+
+def test_only_linalg_calls_the_numpy_and_scipy_factorisations():
+    # linalg.py is the one layer bound to the QR and SVD routines; the
+    # rest of src/ goes through it
+    assert _factorisation_calls(
+        "import numpy as np\nfrom scipy.linalg import svd\nnp.linalg.qr(a)") \
+        == ["scipy.linalg.svd", "np.linalg.qr"]
+    package = Path(linalg.__file__).parent
+    calls = {path.name: _factorisation_calls(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(calls) > 10
+    assert {name: found for name, found in calls.items()
+            if found and name != "linalg.py"} == {}
+
+
+def test_zgesvd_scratch_is_one_per_thread():
+    # zgesvd runs with the interpreter lock released; threads that share
+    # no scratch buffer return what a serial run returns, under fast
+    # switching
+    rng = np.random.default_rng(14)
+    mats = [rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+            for r, c in ((6, 9), (40, 30), (17, 17), (3, 50), (90, 70))]
+    expected = [svd_truncate_v(m)[1].tobytes() for m in mats]
+    mismatches = []
+
+    def work(offset):
+        for i in range(40):
+            j = (i + offset) % len(mats)
+            if svd_truncate_v(mats[j])[1].tobytes() != expected[j]:
+                mismatches.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

@@ -9,7 +9,8 @@ import pytest
 import scipy.linalg
 from scipy import sparse
 
-from helpers import dispatch_rk4, kron_chain, literal_apply_mpo, literal_rk4
+from helpers import dispatch_rk4, kron_chain, literal_apply_mpo, literal_rk4, \
+    numpy_factorisations
 
 from dysonmpo import evolve, modelfile, mps
 from dysonmpo.bench import build_step_mpo
@@ -590,7 +591,7 @@ def _random_mps(n, chi, rng, d=2):
 
 
 class _QRCalls(list):
-    """Shapes of the matrices passed to `np.linalg.qr`; `modes` holds the
+    """Shapes of the matrices passed to `linalg.qr`; `modes` holds the
     mode of each call."""
 
     def __init__(self):
@@ -600,9 +601,9 @@ class _QRCalls(list):
 
 @pytest.fixture
 def qr_shapes(monkeypatch):
-    """Shapes of the matrices passed to `np.linalg.qr` during the test."""
+    """Shapes of the matrices `mps` passes to `linalg.qr` during the test."""
     shapes = _QRCalls()
-    qr = np.linalg.qr
+    qr = mps.qr
 
     def recording_qr(a, *args, **kwargs):
         shapes.append(a.shape)
@@ -610,7 +611,7 @@ def qr_shapes(monkeypatch):
                                        "reduced"))
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(mps, "qr", recording_qr)
     return shapes
 
 
@@ -671,6 +672,27 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     assert np.abs(out.to_dense() - ref.to_dense()).max() <= 1e-12
     assert abs(disc - disc_ref) <= 1e-9 * disc_ref + 1e-24
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d_max", [None, 16])
+@pytest.mark.parametrize("case", ["tfi_8", "tfi_16", "xxz_bulk_8"])
+def test_apply_is_bitwise_that_of_numpy_and_scipy_factorisations(
+        tfi_steps, xxz_steps, monkeypatch, case, d_max):
+    # linalg.qr and linalg.svd_truncate_v skip the numpy and SciPy wrappers
+    # but not their LAPACK calls: every byte of the applied state and the
+    # discarded weight must come out the same with the wrappers back in
+    model, n = case.rsplit("_", 1)
+    w = (xxz_steps if model == "xxz_bulk" else tfi_steps)[0]
+    psi = _random_mps(int(n), 32, np.random.default_rng(5)).normalized()
+    outs = [apply_mpo(w, psi, d_max=d_max)]
+    with monkeypatch.context() as patch:
+        numpy_factorisations(patch)
+        outs.append(apply_mpo(w, psi, d_max=d_max))
+    (out, disc), (ref, disc_ref) = outs
+    assert out.bond_dimensions == ref.bond_dimensions
+    assert [t.tobytes() for t in out.tensors] == \
+        [t.tobytes() for t in ref.tensors]
+    assert disc == disc_ref
 
 
 def _assert_right_canonical(psi):
