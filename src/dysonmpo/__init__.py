@@ -5,7 +5,7 @@ from .bench import (BracketCache, ErrorRecord, EvolutionConfig,
                     build_step_mpo, evolve_state, order_slopes,
                     records_to_csv, run_benchmark, runtime_at_accuracy,
                     step_table)
-from .brackets import BracketTable, time_ordered_integral
+from .brackets import BracketTable
 from .bulk import BulkCheckError, bulk_compress
 from .compression import (CompressionBasisError, CompressionReport,
                           row_compress)

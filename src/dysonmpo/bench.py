@@ -21,6 +21,7 @@ when self-referencing) through the trace-distance error ``sqrt(1 -
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -347,12 +348,17 @@ def run_benchmark(hamiltonian, config):
     evolution that touches an interval (the lowest order) computes its
     table, and its `bracket_s` carries that time.  Every (order, dt) pair
     is checked before the first evolution (see `_step_count`), and so are
-    the state size and `oracle_substeps` of the RK4 reference, unless the
-    sweep is self-referenced (see `evolve.check_oracle`).
+    the seed of the initial state, an int of at least 0, and the state
+    size and `oracle_substeps` of the RK4 reference, unless the sweep is
+    self-referenced (see `evolve.check_oracle`).
     """
     orders, dts = config.orders, config.dts
     if not (orders and dts):
         raise ValueError("a sweep needs at least one order and one dt")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
+            or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     for order in orders:
         for dt in dts:
             _step_count(config, order, dt)

@@ -212,19 +212,6 @@ def check_interval(t0, t):
             raise ValueError(f"interval end {name} = {end!r} is not finite")
 
 
-def time_ordered_integral(drivings, t0, t):
-    """Bracket ``[f_1 ... f_k]`` over ``[t0, t]``; first entry = latest time.
-
-    The entry ``(0, ..., k - 1)`` of the order-k `BracketTable.compute` of
-    the drivings, each its own channel, named by its position.
-    """
-    channels = list(enumerate(drivings))
-    if not channels:
-        raise ValueError("empty channel sequence")
-    word = tuple(range(len(channels)))
-    return BracketTable.compute(channels, t0, t, len(word)).values[word]
-
-
 class BracketTable:
     """Time-ordered integrals keyed by channel-name sequences.
 

@@ -28,6 +28,13 @@ def _at_least_one(text):
     return value
 
 
+def _at_least_zero(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _finite(text):
     value = float(text)
     if not math.isfinite(value):
@@ -147,7 +154,7 @@ def build_parser():
     p.add_argument("--substeps", type=_at_least_one, default=4000)
     p.add_argument("--qr-tol", type=float, default=1e-12)
     p.add_argument("--self-reference", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least_zero, default=0)
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_bench, t=1.0)
     return parser

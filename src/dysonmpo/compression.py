@@ -16,40 +16,60 @@ carries weight of order higher than the expansion order of the MPO.  The
 rank tolerance is relative to the block's largest column norm and lies in
 ``[0, 1)``.
 
-All of that but the numbers is fixed by the levels and the order: the
-groups and their blocks per 2-sequence, each block's completion rows, and
-for every (level, row) pair the brackets its coefficient sums.  A
-`CompressionPlan` holds them, and a `PowerPlan` keeps one for all the
-Dyson and Magnus steps of its order.  The plan enumerates the keys of all
-pairs in array passes, one weave pattern per pair shape
-(`levels.block_keys`), and stacks its blocks: one stack per shape, index
-arrays padded with -1 to the deepest block.  A compression gathers the
-step's brackets into a vector and fills a stack's coefficient matrices at
-once with `_key_sums`, the one evaluator of gamma sums (each entry sums
-its keys in weave order, so the rank decisions match a literal evaluation
-bit for bit).  It selects and solves, and folds the removed levels into
-the kept ones at once: the product ``W[kept rows, :] @ T``, ``T`` holding
-the identity on kept levels and the fold coefficients, held as the
-coordinate blocks `apply_mpo` reads.
+Three things fix what a compression does: the plan, the step's decision
+and the step's numbers.  Each piece of work is redone only when what
+fixes it changes.
 
-A step does only the work whose outcome depends on its numbers.  A block
-with one own level and no earlier levels of its 2-sequence keeps that
-level exactly when its gamma column is nonzero, which is what the pivoted
-QR decides for any ``tol < 1``; these blocks form one more stack, which a
-step settles with one gather.  The other blocks take an R-only pivoted
-QR; only a rank strictly between 0 and the column count leaves a choice,
-and only then does the greedy pass run, its subset in column order kept
-when it has the QR's size.
+Per plan.  The levels and the order fix the groups and their blocks per
+2-sequence, each block's completion rows, and for every (level, row) pair
+the brackets its coefficient sums.  A `CompressionPlan` holds them, and a
+`PowerPlan` keeps one for all the Dyson and Magnus steps of its order.
+The plan enumerates the keys of all pairs in array passes, one weave
+pattern per pair shape (`levels.block_keys`), and stacks its blocks: one
+stack per shape, index arrays padded with -1 to the deepest block.  It
+also keeps the column sort of the MPO's coordinate blocks
+(`CompressionPlan.by_column`), one pattern per plan in practice.
 
-A block reads only the kept flags of the earlier blocks of its
-2-sequence, which have the same ``n2`` and a smaller ``n3``, so the blocks
-of one ``n3`` are independent: a step takes them as one wave, and within
-a wave their stacks, whose column scales, projections and rank tests run
-on the whole stack.  The least-squares solves call the gufunc behind
-``np.linalg.lstsq`` once per stack, which runs the same ``zgelsd`` per
-matrix; the fold solves, which no later block reads, run after the last
-wave, one stack per shape.  Each entry of the folded tensor adds its terms
-in block order, with one ordered scatter-add (`extensive.scatter_add`).
+Per step: the decision and the numbers.  A compression gathers the step's
+brackets into a vector and fills a stack's coefficient matrices at once
+with `_key_sums`, the one evaluator of gamma sums (each entry sums its
+keys in weave order, so the rank decisions match a literal evaluation bit
+for bit).  A block with one own level and no earlier levels of its
+2-sequence keeps that level exactly when its gamma column is nonzero,
+which is what the pivoted QR decides for any ``tol < 1``; these blocks
+form one more stack, which a step settles with one gather.  The other
+blocks take an R-only pivoted QR; only a rank strictly between 0 and the
+column count leaves a choice, and only then does the greedy pass run,
+its subset in column order kept when it has the QR's size.  A block reads
+only the kept flags of the earlier blocks of its 2-sequence, which have
+the same ``n2`` and a smaller ``n3``, so the blocks of one ``n3`` are
+independent: a step takes them as one wave, and within a wave their
+stacks, whose column scales, projections and rank tests run on the whole
+stack.  The decision is the kept flags it leaves.
+
+Per decision.  The kept flags fix each block's basis (its earlier kept
+levels, then its own kept ones) and removed levels, in column order, and
+so the fold solves stacked by shape, the full list of fold terms (every
+removed level over every basis level of its block) and where each term's
+products land in the folded tensor, for the block pattern of the MPO
+(which a plan's steps share in practice).  A `Layout` holds all of that;
+the plan memoises one, which serves every step whose decision and
+pattern repeat and is replaced by a step with another.  On the benchmark workloads at
+``qr_tol`` 1e-12 each plan decides once per sweep, so every step after a
+plan's first is served.
+
+Per step again, the numbers of the fold.  The least-squares solves call
+the gufunc behind ``np.linalg.lstsq`` once per stack (`linalg.lstsq`),
+which runs the same ``zgelsd`` per matrix; the fold solves, which no later
+block reads, run after the last wave, one stack per shape, and each is
+checked.  A step cuts the coefficients at most ``1e-13`` times its
+block's largest as a mask on the layout's term list.  The fold then forms
+the product ``W[kept rows, :] @ T``, ``T`` holding the identity on kept
+levels and the fold coefficients, as the coordinate blocks `apply_mpo`
+reads: each entry adds its shown terms in block order, with one ordered
+scatter-add (`extensive.scatter_add`), and entries that sum to exactly
+zero, or that only cut terms reach, are dropped.  So a memoised layout
+gives bitwise the MPO and report of one built for the step alone.
 """
 
 import math
@@ -57,11 +77,10 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .extensive import ExtensiveMPO, scatter_add
 from .levels import IDENTITY_LEVEL, block_keys, is_one
-from .linalg import _ZGEQP3, _geqp3_lwork
+from .linalg import _ZGEQP3, _geqp3_lwork, lstsq
 
 
 class CompressionBasisError(RuntimeError):
@@ -191,6 +210,8 @@ class CompressionPlan:
         blocks, self.keys = block_keys(self.levels, symbols, order)
         self.blocks = [Block(*block) for block in blocks]
         self._batch()
+        self._by_column = None
+        self._layout = None
 
     def _batch(self):
         """Stack the single-column blocks; the others by wave and shape."""
@@ -218,6 +239,34 @@ class CompressionPlan:
         levels = np.array([b.levels for b in blocks], dtype=np.intp)
         return Batch(numbers, blocks[0].n_prior if blocks else 0,
                      levels.reshape(len(blocks), cols), index)
+
+    def by_column(self, cols):
+        """``(by_col, start)`` of an MPO whose blocks sit in plan columns
+        `cols`: its entries sorted by column (stable), and where each
+        column's run starts.  The last pattern seen is kept."""
+        cached = self._by_column
+        if cached is None or not np.array_equal(cached[0], cols):
+            by_col = np.argsort(cols, kind="stable")
+            start = np.searchsorted(cols[by_col],
+                                    np.arange(len(self.levels) + 1))
+            cached = self._by_column = (cols, by_col, start)
+        return cached[1:]
+
+    def layout(self, kept, rows, cols):
+        """The `Layout` of the decision `kept` for an MPO whose
+        coordinate blocks sit at `rows`, `cols`.
+
+        One layout is memoised: it serves while the decision and the
+        block pattern repeat, and a step with another builds and keeps a
+        new one.  A layout is not changed once built, so steps that share
+        the plan may run in parallel.
+        """
+        memo = self._layout
+        if (memo is None or not np.array_equal(memo.kept, kept)
+                or not np.array_equal(memo.rows, rows)
+                or not np.array_equal(memo.cols, cols)):
+            memo = self._layout = Layout(self, kept, rows, cols)
+        return memo
 
     def values(self, brackets):
         """The bracket vector: one value per key, then a zero.
@@ -269,36 +318,130 @@ def _plan_for(mpo):
     return power.compression
 
 
-_EPS = np.finfo(np.float64).eps
+class FoldStack(NamedTuple):
+    """The folds of one shape, as a `Layout` holds them.
 
-
-def _no_convergence(err, flag):
-    raise LinAlgError("SVD did not converge in Linear Least Squares")
-
-
-def _lstsq(a, b):
-    """``np.linalg.lstsq(a[k], b[k], rcond=None)[0]`` for every `k` at once.
-
-    Calls the gufunc that `np.linalg.lstsq` wraps, with its `rcond` and
-    error state; it runs ``zgelsd`` once per matrix, so each solution is
-    bitwise the one of a call per system.
+    Each fold solves ``g[:, basis] x = g[:, removed]`` for one block that
+    removes levels: `numbers` are the blocks, in wave and batch order,
+    and `basis` and `rest` ``(folds, rows, columns)`` index a step's
+    gammas, all batches' stacks raveled in wave order, at each block's
+    basis columns (the earlier kept levels, then its own kept ones) and
+    its removed columns.  `scale` indexes the step's column scales, `levels` holds
+    the plan positions of the basis then the removed columns.
     """
-    rcond = _EPS * max(a.shape[-2:])
-    with np.errstate(call=_no_convergence, invalid="call", over="ignore",
-                     divide="ignore", under="ignore"):
-        return _umath_linalg.lstsq(a, b, rcond, signature="DDd->Ddid")[0]
 
-
-class _Fold(NamedTuple):
-    """A least-squares fold ``g[:, :n_basis] x = g[:, n_basis:]``: `g`
-    holds block `number`'s columns of its basis, then of the levels it
-    removes, and `levels` their plan positions."""
-
-    number: int
-    g: np.ndarray
+    numbers: np.ndarray
+    basis: np.ndarray
+    rest: np.ndarray
+    scale: np.ndarray
     levels: np.ndarray
-    n_basis: int
-    ref: float
+
+
+class Layout:
+    """Everything a compression does that its plan and decision fix.
+
+    The decision is the kept flags: they fix each block's basis columns
+    and removed columns, in order, and so every fold.  The layout holds
+    the kept labels, the fold stacks, one per shape (`FoldStack`), and
+    the full term list ``(source, target)``, every (removed, basis) pair
+    in block order, each block's removed level by removed level over its
+    basis in order.  The coefficients a step solves for come stack by
+    stack, each stack fold by fold, removed column by removed column;
+    `term_order` puts them in term order.
+
+    `_fold`'s index arrays are built here too, for the MPO's coordinate
+    blocks at `rows`, `cols`, as if every term were shown: the `direct`
+    entries, kept row and column, land at `at_direct`; entry ``entry[i]``
+    times term ``term[i]``'s coefficient adds at ``at_added[i]``; `slots`
+    numbers the entries ``a * m + k`` reached, ascending.
+    """
+
+    def __init__(self, plan, kept, rows, cols):
+        self.kept = kept.copy()
+        self.rows, self.cols = rows, cols
+        self.labels = [plan.levels[p] for p in np.flatnonzero(kept)]
+        self.stacks = self._stacks(plan, kept)
+        none = np.zeros(0, dtype=np.intp)
+        numbers, source, target = (np.concatenate(a) for a in zip(
+            *[_terms(stack) for stack in self.stacks], (none,) * 3))
+        self.term_order = np.argsort(numbers, kind="stable")
+        self.source = source[self.term_order]
+        self.target = target[self.term_order]
+        self._index(plan, plan.positions[rows], plan.positions[cols])
+
+    @staticmethod
+    def _stacks(plan, kept):
+        """The fold stacks of the decision `kept`, one per shape ``(rows,
+        columns, basis columns)``, each in wave and batch order."""
+        groups = {}
+        offset = first = 0
+        for batch in (batch for wave in plan.waves for batch in wave):
+            n, n_rows, n_cols = batch.index.shape[1:]
+            flags = kept[batch.levels]
+            # column classes: kept 0, removed own 1, removed earlier 2;
+            # a stable sort puts the basis first, then the removed ones
+            grade = np.where(flags, 0, 1)
+            grade[:, :batch.n_prior] *= 2
+            order = np.argsort(grade, axis=1, kind="stable")
+            n_basis = (grade == 0).sum(axis=1)
+            n_rest = (grade == 1).sum(axis=1)
+            for nb, nr in sorted(set(zip(n_basis.tolist(), n_rest.tolist()))):
+                if not nr:
+                    continue
+                k = np.flatnonzero((n_basis == nb) & (n_rest == nr))
+                columns = order[k, :nb + nr]
+                at = offset + (k[:, None, None] * n_rows
+                               + np.arange(n_rows)[:, None]) * n_cols \
+                    + columns[:, None, :]
+                groups.setdefault((n_rows, nb + nr, nb), []).append((
+                    np.asarray(batch.numbers)[k], at, first + k,
+                    np.take_along_axis(batch.levels[k], columns, axis=1)))
+            offset += n * n_rows * n_cols
+            first += n
+        stacks = []
+        for (_, _, nb), parts in groups.items():
+            numbers, at, scale, levels = (np.concatenate(a)
+                                          for a in zip(*parts))
+            stacks.append(FoldStack(numbers, np.ascontiguousarray(
+                at[:, :, :nb]), np.ascontiguousarray(at[:, :, nb:]),
+                scale, levels))
+        return stacks
+
+    def _index(self, plan, rows, cols):
+        """`_fold`'s index arrays over every term."""
+        kept = self.kept
+        m = len(self.labels)
+        new = np.cumsum(kept) - 1
+        self.direct = np.flatnonzero(kept[rows] & kept[cols])
+        hit = np.zeros(m * m, dtype=bool)
+        slot = new[rows[self.direct]] * m + new[cols[self.direct]]
+        hit[slot] = True
+        # entries of each source column, term by term
+        source, target = self.source, self.target
+        by_col, start = plan.by_column(cols)
+        n_entries = start[source + 1] - start[source]
+        term = np.repeat(np.arange(len(source)), n_entries)
+        offset = np.arange(len(term)) - np.repeat(
+            np.cumsum(n_entries) - n_entries, n_entries)
+        entry = by_col[start[source][term] + offset]
+        live = kept[rows[entry]]
+        self.entry, self.term = entry[live], term[live]
+        added = new[rows[self.entry]] * m + new[target[self.term]]
+        hit[added] = True
+        self.slots = hit.nonzero()[0]
+        at = np.empty(m * m, dtype=np.intp)
+        at[self.slots] = np.arange(len(self.slots))
+        self.at_direct, self.at_added = at[slot], at[added]
+
+
+def _terms(stack):
+    """Block numbers, sources and targets of every term of `stack`, fold
+    by fold, removed column by removed column, basis column by column."""
+    nb, nr = stack.basis.shape[2], stack.rest.shape[2]
+    basis, rest = stack.levels[:, :nb], stack.levels[:, nb:]
+    return (np.repeat(stack.numbers, nr * nb),
+            np.repeat(rest, nb, axis=1).ravel(),
+            np.tile(basis, (1, nr)).ravel())
 
 
 def row_compress(mpo, *, tol=1e-12):
@@ -334,32 +477,31 @@ def row_compress(mpo, *, tol=1e-12):
     g = _key_sums(values, plan.settled.index)
     kept[plan.settled.levels[~(g.real * g.real + g.imag * g.imag)
                              .any(axis=(1, 2))]] = False
-    folds = []
-    for wave in plan.waves:
-        for batch in wave:
-            _decide(batch, values, kept, tol, folds)
-    fold_residual, terms = _solve(plan, folds, tol)
+    decided = [_decide(batch, values, kept, tol)
+               for wave in plan.waves for batch in wave]
+    layout = plan.layout(kept, *mpo.coo()[:2])
+    fold_residual, coeff, shown = _solve(plan, layout, decided, tol)
 
-    levels = [plan.levels[p] for p in np.flatnonzero(kept)]
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
     out = ExtensiveMPO.from_arrays(
-        mpo.d, levels, *_fold(mpo, plan, kept, terms), order=mpo.order,
-        params=params)
-    report = CompressionReport(kept_levels=list(levels),
-                               removed_levels=lambda: _removals(
-                                   plan, kept, terms),
-                               bond_dimension_before=mpo.bond_dimension,
-                               bond_dimension_after=out.bond_dimension,
-                               qr_tolerance=tol, fold_residual=fold_residual)
+        mpo.d, layout.labels, *_fold(mpo, layout, coeff, shown),
+        order=mpo.order, params=params)
+    report = CompressionReport(
+        kept_levels=list(layout.labels),
+        removed_levels=lambda: _removals(plan, layout, coeff, shown),
+        bond_dimension_before=mpo.bond_dimension,
+        bond_dimension_after=out.bond_dimension, qr_tolerance=tol,
+        fold_residual=fold_residual)
     return out, report
 
 
-def _decide(batch, values, kept, tol, folds):
+def _decide(batch, values, kept, tol):
     """Kept sets of one batch's blocks; their folds are solved later.
 
-    Clears the kept flag of every level a block removes and appends each
-    block that removes levels to `folds`.  A block whose columns all
-    vanish takes rank 0, and its levels fold to zero.
+    Clears the kept flag of every level a block removes, and returns the
+    batch's gammas and column scales, which the fold solves read.  A
+    block whose columns all vanish takes rank 0, and its levels fold to
+    zero.
     """
     g = _key_sums(values, batch.index)
     p = batch.n_prior
@@ -378,7 +520,7 @@ def _decide(batch, values, kept, tol, folds):
                 cols = np.argsort(~prior_kept[sub], axis=1, kind="stable")
                 g_kept = np.take_along_axis(g_kept, cols[:, None, :n], axis=2)
             g_comp = residual[sub]
-            residual[sub] = g_comp - g_kept @ _lstsq(g_kept, g_comp)
+            residual[sub] = g_comp - g_kept @ lstsq(g_kept, g_comp)
     # rank of the residual measured against the unprojected column
     # scale, not the residual's own largest entry; the stack holds each
     # residual in Fortran order for zgeqp3 to factorise in place
@@ -387,53 +529,44 @@ def _decide(batch, values, kept, tol, folds):
     lwork = _geqp3_lwork(n_rows, n_own)
     pivots = [_ZGEQP3(r.T, lwork=lwork, overwrite_a=True)[1] for r in r_fac]
     diag = np.abs(np.diagonal(r_fac, axis1=1, axis2=2))
-    ranks = (diag > (tol * ref)[:, None]).sum(axis=1).tolist()
-    removed = []
-    for k, rank in enumerate(ranks):
-        if rank == n_own:
-            continue
-        # a rank of 0 leaves one choice too; in between, the greedy
-        # subset in column order wins when it has the QR's size
-        selected = sorted((pivots[k][:rank] - 1).tolist())
-        if rank:
-            greedy = _select_new_levels(residual[k], tol, ref[k])
-            if len(greedy) == rank:
-                selected = greedy
-        # the basis is the earlier kept levels then the new ones
-        basis = prior_kept[k].nonzero()[0].tolist() if p else []
-        basis += [p + j for j in selected]
-        cols = basis + [p + j for j in range(n_own) if j not in selected]
-        fold = _Fold(batch.numbers[k], g[k][:, cols], batch.levels[k][cols],
-                     len(basis), ref[k])
-        folds.append(fold)
-        removed.append(fold.levels[fold.n_basis:])
-    if removed:
-        kept[np.concatenate(removed)] = False
+    ranks = (diag > (tol * ref)[:, None]).sum(axis=1)
+    # a rank of 0 removes every own level; in between, the greedy subset
+    # in column order wins when it has the QR's size
+    removed = np.repeat((ranks == 0)[:, None], n_own, axis=1)
+    for k in np.flatnonzero((ranks > 0) & (ranks < n_own)).tolist():
+        selected = pivots[k][:ranks[k]] - 1
+        greedy = _select_new_levels(residual[k], tol, ref[k])
+        if len(greedy) == ranks[k]:
+            selected = greedy
+        removed[k] = True
+        removed[k, selected] = False
+    kept[batch.levels[:, p:][removed]] = False
+    return g, ref
 
 
-def _solve(plan, folds, tol):
-    """Solve every fold, one stack per shape, and check each.
+def _solve(plan, layout, decided, tol):
+    """Solve every fold of `layout`, one stack per shape, and check each.
 
-    Returns the largest relative fold residual and the fold terms
-    ``(removed, kept, coefficient)`` in block order, each block's removed
-    level by removed level over its basis in order; coefficients at most
-    ``1e-13`` times the block's largest (or 1) are left out.  The first
-    block, in block order, whose basis cannot expand its removed levels
-    raises `CompressionBasisError`.
+    `decided` holds each batch's gammas and column scales.  Returns the
+    largest relative fold residual, and the coefficient and whether it is
+    shown of every term, in term order: coefficients at most ``1e-13``
+    times the block's largest (or 1) are not.  The first block, in block
+    order, whose basis cannot expand its removed levels raises
+    `CompressionBasisError`.
     """
-    by_shape = {}
-    for fold in folds:
-        by_shape.setdefault(fold.g.shape + (fold.n_basis,), []).append(fold)
-    ratios, failed, terms = [np.zeros(1)], [], []
-    for group in by_shape.values():
-        n, n_basis = len(group), group[0].n_basis
-        g = np.array([f.g for f in group])
-        g_basis = np.ascontiguousarray(g[:, :, :n_basis])
-        g_rest = g[:, :, n_basis:]
-        ref = np.array([f.ref for f in group])
+    ratios, failed = [np.zeros(1)], []
+    coeffs, shows = [np.zeros(0, dtype=complex)], [np.zeros(0, dtype=bool)]
+    # every batch's gammas, raveled in wave order, and column scales
+    gamma = np.concatenate([np.zeros(0, dtype=complex)]
+                           + [g.ravel() for g, _ in decided])
+    scales = np.concatenate([np.zeros(0)] + [ref for _, ref in decided])
+    for stack in layout.stacks:
+        n = len(stack.numbers)
+        g_basis, g_rest = gamma[stack.basis], gamma[stack.rest]
+        ref = scales[stack.scale]
         # minimal-norm solutions; kept levels may carry no weight in a
         # block's truncated basis, and a basis of zeros solves to zero
-        x = _lstsq(g_basis, g_rest)
+        x = lstsq(g_basis, g_rest)
         norms = _norms(np.concatenate([g_basis @ x - g_rest, g_rest])
                        .reshape(2 * n, -1))
         resid, rest_norm = norms[:n], norms[n:]
@@ -441,43 +574,36 @@ def _solve(plan, folds, tol):
         spans = g_basis.reshape(n, -1).any(axis=1)
         if not spans.all():
             bad[~spans] = (rest_norm > tol * ref)[~spans]
-        failed.extend((group[k], f"expansion residual {resid[k]:.2e}"
+        failed.extend((stack.numbers[k], f"expansion residual {resid[k]:.2e}"
                        if spans[k] else "nothing spans the remaining levels")
                       for k in bad.nonzero()[0].tolist())
         measured = spans & (rest_norm > 0)
         ratios.append(resid[measured] / rest_norm[measured])
         size = np.abs(x)
         cutoff = 1e-13 * np.maximum(1.0, size.max(axis=(1, 2), initial=0.0))
-        shown = size > cutoff[:, None, None]
-        levels = np.array([f.levels for f in group])
-        basis, rest = levels[:, :n_basis], levels[:, n_basis:]
-        numbers = np.array([f.number for f in group])
         # terms removed level by level, each over its basis in order
-        k, jr, i = shown.transpose(0, 2, 1).nonzero()
-        terms.append((numbers[k], rest[k, jr], basis[k, i], x[k, i, jr]))
+        coeffs.append(x.transpose(0, 2, 1).ravel())
+        shows.append((size > cutoff[:, None, None]).transpose(0, 2, 1).ravel())
     if failed:
-        fold, why = min(failed, key=lambda item: item[0].number)
-        n2, n3, two_sequence = plan.blocks[fold.number][:3]
+        number, why = min(failed, key=lambda item: item[0])
+        n2, n3, two_sequence = plan.blocks[number][:3]
         raise CompressionBasisError(
             f"group ({n2},{n3}) block {two_sequence}: {why}")
-    fold_residual = float(np.concatenate(ratios).max())
-    if not terms:
-        return fold_residual, None
-    number, source, target, coeff = (np.concatenate(a) for a in zip(*terms))
-    order = np.argsort(number, kind="stable")
-    return fold_residual, (source[order], target[order], coeff[order])
+    order = layout.term_order
+    return (float(np.concatenate(ratios).max()),
+            np.concatenate(coeffs)[order], np.concatenate(shows)[order])
 
 
-def _removals(plan, kept, terms):
+def _removals(plan, layout, coeff, shown):
     """``(level, {kept level: coefficient})`` per removed level, in block
     order; a block's levels in column order, each expansion over its basis
-    in order (the order of the fold `terms`)."""
-    removed = np.flatnonzero(~kept)
+    in order (the order of the shown terms)."""
+    removed = np.flatnonzero(~layout.kept)
     removed = removed[np.argsort(plan.block_of[removed], kind="stable")]
     expansions = {p: {} for p in removed.tolist()}
-    if terms is not None:
-        for p, k, c in zip(*(a.tolist() for a in terms)):
-            expansions[p][plan.levels[k]] = c
+    terms = layout.source[shown], layout.target[shown], coeff[shown]
+    for p, k, c in zip(*(a.tolist() for a in terms)):
+        expansions[p][plan.levels[k]] = c
     return [(plan.levels[p], e) for p, e in expansions.items()]
 
 
@@ -499,50 +625,28 @@ def _column_scale(g):
     return _norms(g.swapaxes(-1, -2)).max(axis=-1)
 
 
-def _fold(mpo, plan, kept, terms):
+def _fold(mpo, layout, coeff, shown):
     """Coordinate blocks ``(rows, cols, blocks)`` of ``W[kept rows, :] @ T``.
 
     ``T`` is the identity on kept levels plus, for each removed level, its
-    coefficients on the kept ones; the indices count kept levels.
-    `terms` holds three arrays ``(removed level, kept level,
-    coefficient)``, one entry per term in the order the levels were
-    removed, or None.  Entry ``(a, k)`` starts from ``W[a, k]`` and adds
-    the removed levels' terms one at a time in that order (`scatter_add`),
-    which is the order of a level-by-level column merge.  Only the entries
-    some term or kept block reaches are stored, in row-major order, and
-    those that sum to exactly zero are dropped.
+    coefficients on the kept ones; the indices count kept levels.  `coeff`
+    and `shown` hold the coefficient of each term of `layout` and whether
+    it is shown.  Entry ``(a, k)`` starts from ``W[a, k]`` and adds the
+    shown terms one at a time in term order (`scatter_add`), which is the
+    order of a level-by-level column merge.  Only the entries some kept
+    block or shown term reaches are stored, in row-major order: of the
+    layout's slots, which every term reaches, those that sum to exactly
+    zero are dropped, and so are those that only cut terms reach.
     """
-    rows, cols, blocks = mpo.coo()
-    rows, cols = plan.positions[rows], plan.positions[cols]
-    m = int(kept.sum())
-    new = np.cumsum(kept) - 1
-    direct = kept[rows] & kept[cols]
-    # entries are numbered a * m + k over the kept levels; `at` numbers
-    # the ones reached in that order
-    hit = np.zeros(m * m, dtype=bool)
-    slot = new[rows[direct]] * m + new[cols[direct]]
-    hit[slot] = True
-    if terms is not None:
-        source, target, coeff = terms
-        # entries of each source column, term by term
-        by_col = np.argsort(cols, kind="stable")
-        start = np.searchsorted(cols[by_col], np.arange(len(plan.levels) + 1))
-        n_entries = start[source + 1] - start[source]
-        term = np.repeat(np.arange(len(source)), n_entries)
-        offset = np.arange(len(term)) - np.repeat(
-            np.cumsum(n_entries) - n_entries, n_entries)
-        entry = by_col[start[source][term] + offset]
-        live = kept[rows[entry]]
-        entry, term = entry[live], term[live]
-        added = new[rows[entry]] * m + new[target[term]]
-        hit[added] = True
-    slots = hit.nonzero()[0]
-    at = np.empty(m * m, dtype=np.intp)
-    at[slots] = np.arange(len(slots))
-    out = np.zeros((len(slots),) + blocks.shape[1:], dtype=complex)
-    out[at[slot]] = blocks[direct]
-    if terms is not None:
-        scatter_add(out, at[added], coeff[term, None, None] * blocks[entry])
+    blocks = mpo.coo()[2]
+    out = np.zeros((len(layout.slots),) + blocks.shape[1:], dtype=complex)
+    out[layout.at_direct] = blocks[layout.direct]
+    live = shown[layout.term]
+    term = layout.term[live]
+    if len(term):
+        scatter_add(out, layout.at_added[live],
+                    coeff[term, None, None] * blocks[layout.entry[live]])
     live = out.any(axis=(1, 2))
-    slots = slots[live]
+    slots = layout.slots[live]
+    m = len(layout.labels)
     return slots // m, slots % m, out[live]

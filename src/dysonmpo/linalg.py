@@ -7,7 +7,7 @@ column-pivoted QR ``zgeqp3`` with the workspace it asks for, which row
 compression calls on each block's residual to form only the triangular
 factor.  Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype
 and row-major (C-order) data layout.  This module is the one place in
-`dysonmpo` that calls a QR or SVD routine.
+`dysonmpo` that calls a QR, SVD or least-squares routine.
 
 `qr` calls the two gufuncs ``numpy.linalg.qr`` ends in,
 ``_umath_linalg.qr_r_raw`` (``zgeqrf``) and ``qr_reduced`` (``zungqr``),
@@ -17,7 +17,10 @@ are bitwise ``numpy.linalg.qr``'s, with the same C-order layout; it skips
 only the wrapper's dtype dispatch and its ``triu``, which cost more than
 LAPACK on the small matrices `apply_mpo` factorises.  The gufuncs are
 looked up once, at import (`_bind_qr_gufuncs`); a numpy without them
-raises `ImportError` naming the gufunc and the numpy version.
+raises `ImportError` naming the gufunc and the numpy version.  So is the
+``lstsq`` gufunc (``zgelsd``) behind ``numpy.linalg.lstsq``, which
+`lstsq` calls on a whole stack of least-squares problems for row
+compression.
 
 SciPy's ``zgesvd`` wrapper forms U and V together or neither.
 `svd_truncate_v` calls the routine that wrapper calls, LAPACK's
@@ -83,20 +86,26 @@ def _bind_zgesvd():
 _ZGESVD = _bind_zgesvd()
 
 
-def _bind_qr_gufuncs(module):
-    """``qr_r_raw`` and ``qr_reduced`` from numpy's private `module`.
+def _gufunc(module, name, caller):
+    """The gufunc `name` of numpy's private `module`, which `caller` calls.
 
     Raises `ImportError` naming the missing gufunc and the numpy version,
-    so that a numpy without them fails at import instead of mid-run.
+    so that a numpy without it fails at import instead of mid-run.
     """
-    for name in ("qr_r_raw", "qr_reduced"):
-        if not hasattr(module, name):
-            raise ImportError(f"{module.__name__} has no {name} in numpy "
-                              f"{np.__version__}; linalg.qr calls it")
-    return module.qr_r_raw, module.qr_reduced
+    if not hasattr(module, name):
+        raise ImportError(f"{module.__name__} has no {name} in numpy "
+                          f"{np.__version__}; {caller} calls it")
+    return getattr(module, name)
+
+
+def _bind_qr_gufuncs(module):
+    """``qr_r_raw`` and ``qr_reduced`` from numpy's private `module`."""
+    return tuple(_gufunc(module, name, "linalg.qr")
+                 for name in ("qr_r_raw", "qr_reduced"))
 
 
 _QR_R_RAW, _QR_REDUCED = _bind_qr_gufuncs(numpy.linalg._umath_linalg)
+_LSTSQ = _gufunc(numpy.linalg._umath_linalg, "lstsq", "linalg.lstsq")
 
 
 def _qr_failed(err, flag):
@@ -136,6 +145,27 @@ def qr(mat, mode="reduced"):
     np.putmask(r, _below_diagonal(k, cols) if k * cols <= SCRATCH_SLOTS
                else np.tri(k, cols, -1, dtype=bool), 0)
     return r if mode == "r" else (q, r)
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq(a, b):
+    """``np.linalg.lstsq(a[k], b[k], rcond=None)[0]`` for every `k` at once.
+
+    Calls the gufunc that `np.linalg.lstsq` wraps, with its `rcond` and
+    error state; it runs ``zgelsd`` once per matrix, so each solution is
+    bitwise the one of a call per system.  `a` and `b` are complex stacks
+    of matrices.
+    """
+    rcond = _EPS * max(a.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _LSTSQ(a, b, rcond, signature="DDd->Ddid")[0]
 
 
 def as_complex(a):

@@ -505,6 +505,19 @@ def pointwise_product(f, g, compress_tol=None):
     return out
 
 
+def time_ordered_integral(drivings, t0, t):
+    """Bracket ``[f_1 ... f_k]`` over ``[t0, t]``; first entry = latest time.
+
+    The entry ``(0, ..., k - 1)`` of the order-k `BracketTable.compute` of
+    the drivings, each its own channel, named by its position.
+    """
+    channels = list(enumerate(drivings))
+    if not channels:
+        raise ValueError("empty channel sequence")
+    word = tuple(range(len(channels)))
+    return BracketTable.compute(channels, t0, t, len(word)).values[word]
+
+
 def literal_time_ordered_integral(drivings, t0, t, bits):
     """Left-endpoint grid sum of ``[f_1 ... f_k]`` by a chain of trains.
 

@@ -12,12 +12,12 @@ from itertools import product
 import numpy as np
 
 from helpers import (column_compress, disjoint_product_dense, flat_dyson_mpo,
-                     random_fdmpo, strings_of)
+                     random_fdmpo, strings_of, time_ordered_integral)
 from quadrature import quad_time_ordered_integral
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import order_slopes, runtime_at_accuracy
-from dysonmpo.brackets import BracketTable, time_ordered_integral
+from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import row_compress
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving

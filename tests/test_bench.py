@@ -133,6 +133,17 @@ def test_an_empty_sweep_is_rejected_before_the_oracle(empty, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("seed", [-1, -7, np.int64(-2), 1.5, True])
+def test_a_bad_seed_is_rejected_before_any_evolution(seed, monkeypatch):
+    # named where it enters, not by numpy's generator in initial_state
+    calls = _record_evolutions(monkeypatch)
+    config = dataclasses.replace(_four_site_sweep(), seed=seed)
+    with pytest.raises(ValueError, match=f"^seed must be an int >= 0, got "
+                                         f"{re.escape(repr(seed))}$"):
+        run_benchmark(modulated_ising(), config)
+    assert calls == []
+
+
 @pytest.mark.parametrize("field, value", [
     ("d_max", 0), ("d_max", -2), ("d_max", 2.5), ("d_max", True),
     ("d_max", np.float64(4.0)), ("qr_tol", 1.5), ("qr_tol", 1.0),

@@ -16,11 +16,11 @@ import pytest
 
 from helpers import (OpaqueDriving, dense_discrete_bracket, taylor_weight,
                      literal_bracket_table, piecewise_van_loan_table,
-                     van_loan_table)
+                     time_ordered_integral, van_loan_table)
 from quadrature import quad_time_ordered_integral
 
 from dysonmpo import brackets
-from dysonmpo.brackets import BracketTable, time_ordered_integral
+from dysonmpo.brackets import BracketTable
 from dysonmpo.driving import (ConstDriving, ExpDriving, PolyDriving,
                               SampledDriving, TrigDriving)
 from dysonmpo.models import modulated_ising, modulated_xxz

@@ -353,6 +353,107 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
         assert settled_zero > 0
 
 
+def _without_plan(mpo):
+    """`mpo` without its power plan, so that `row_compress` gives it a
+    compression plan of its own."""
+    params = {k: v for k, v in mpo.params.items() if k != "plan"}
+    return ExtensiveMPO.from_arrays(mpo.d, mpo.levels, *mpo.coo(),
+                                    order=mpo.order, params=params)
+
+
+def _count_layouts(monkeypatch, power):
+    """The kept flags of each layout built for the compression plan of
+    the `PowerPlan` `power`, in build order."""
+    built = []
+
+    class Counting(compression.Layout):
+        def __init__(self, plan, kept, rows, cols):
+            if plan is power.compression:
+                built.append(kept.copy())
+            super().__init__(plan, kept, rows, cols)
+
+    monkeypatch.setattr(compression, "Layout", Counting)
+    return built
+
+
+def test_a_repeated_decision_builds_its_layout_once(monkeypatch):
+    # at qr_tol 1e-12 two XXZ order-4 steps keep the same levels: the
+    # plan builds the layout at the first and serves the second, and a
+    # step compressed again, from it
+    ham = modulated_xxz()
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    built = _count_layouts(monkeypatch, plan)
+    steps = [dyson_mpo(ham, *interval, 4, _order4_table(modulated_xxz,
+                                                        interval), plan=plan)
+             for interval in [(0.0, 0.0625), (0.1875, 0.25)]]
+    first, _ = row_compress(steps[0])
+    layout = plan.compression._layout
+    assert len(built) == 1
+    second, report = row_compress(steps[1])
+    again, _ = row_compress(steps[0])
+    assert len(built) == 1 and plan.compression._layout is layout
+    assert second.levels == first.levels == report.kept_levels
+    assert [a.tobytes() for a in again.coo()] == \
+        [a.tobytes() for a in first.coo()]
+    ref, ref_report = row_compress(_without_plan(steps[1]))
+    assert [a.tobytes() for a in second.coo()] == \
+        [a.tobytes() for a in ref.coo()]
+    assert report.to_text() == ref_report.to_text()
+
+
+def test_a_new_block_pattern_builds_a_new_layout(monkeypatch):
+    # the decision reads only the brackets, so an MPO with one entry
+    # fewer keeps the same levels; its fold still needs its own index
+    # arrays, and equals the fold of a plan of its own
+    ham = modulated_xxz()
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    built = _count_layouts(monkeypatch, plan)
+    interval = (0.0, 0.0625)
+    mpo = dyson_mpo(ham, *interval, 4, _order4_table(modulated_xxz, interval),
+                    plan=plan)
+    first, _ = row_compress(mpo)
+    thinned = ExtensiveMPO.from_arrays(
+        mpo.d, mpo.levels, *(a[1:] for a in mpo.coo()), order=mpo.order,
+        params=mpo.params)
+    out, report = row_compress(thinned)
+    assert len(built) == 2
+    assert [k.tolist() for k in built[:1]] == [built[1].tolist()]
+    ref, ref_report = row_compress(_without_plan(thinned))
+    assert [a.tobytes() for a in out.coo()] == \
+        [a.tobytes() for a in ref.coo()]
+    assert report.to_text() == ref_report.to_text()
+    assert out.coo()[2].tobytes() != first.coo()[2].tobytes()
+
+
+def test_plan_compressions_through_layout_misses_equal_fresh_plans(
+        monkeypatch):
+    # at qr_tol 1e-6 consecutive XXZ order-4 steps keep different sets, so
+    # the plan replaces its layout where the decision changes and reuses
+    # it where it repeats; every result is bitwise the one of a plan of
+    # its own
+    ham = modulated_xxz()
+    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    built = _count_layouts(monkeypatch, plan)
+    kept_sets = []
+    for step in range(6):
+        interval = (step / 16, (step + 1) / 16)
+        mpo = dyson_mpo(ham, *interval, 4,
+                        _order4_table(modulated_xxz, interval), plan=plan)
+        out, report = row_compress(mpo, tol=1e-6)
+        ref, ref_report = row_compress(_without_plan(mpo), tol=1e-6)
+        assert [a.tobytes() for a in out.coo()] == \
+            [a.tobytes() for a in ref.coo()]
+        assert report.kept_levels == ref_report.kept_levels
+        assert report.removed_levels == ref_report.removed_levels
+        assert report.fold_residual == ref_report.fold_residual
+        kept_sets.append(report.kept_levels)
+    changes = sum(a != b for a, b in zip(kept_sets, kept_sets[1:]))
+    assert len(built) == 1 + changes
+    # both a miss after the first step and a hit occur
+    assert 1 < len(built) < len(kept_sets)
+    assert [len(k) for k in kept_sets[:2]] == [163, 154]
+
+
 @pytest.mark.parametrize("tol", [1e-12, 1e-6])
 @pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
@@ -465,12 +566,13 @@ def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
 
     monkeypatch.setattr(compression, "_select_new_levels", recording)
     kept = np.ones(4, dtype=bool)
-    folds = []
-    compression._decide(batch, values, kept, 1e-12, folds)
+    g, ref = compression._decide(batch, values, kept, 1e-12)
     assert len(seen) == 1
     assert np.array_equal(seen[0], values[None, :3])
     assert kept.tolist() == [True, True, False, False]
-    assert [f.levels.tolist() for f in folds] == [[1, 2, 3]]
+    # the gammas and column scale the fold of levels 2 and 3 reads
+    assert np.array_equal(g, values[None, None, :3])
+    assert ref.tolist() == [3.0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 0.0])

@@ -244,6 +244,33 @@ def test_qr_gufunc_binding_names_a_missing_gufunc():
     assert gufuncs == (linalg._QR_R_RAW, linalg._QR_REDUCED)
 
 
+def test_lstsq_gufunc_binding_names_a_missing_gufunc():
+    stub = types.ModuleType("numpy.linalg._umath_linalg")
+    stub.qr_r_raw = np.linalg._umath_linalg.qr_r_raw
+    with pytest.raises(ImportError) as exc:
+        linalg._gufunc(stub, "lstsq", "linalg.lstsq")
+    assert str(exc.value) == (f"numpy.linalg._umath_linalg has no lstsq in "
+                              f"numpy {np.__version__}; linalg.lstsq calls it")
+    assert linalg._gufunc(np.linalg._umath_linalg, "lstsq",
+                          "linalg.lstsq") is linalg._LSTSQ
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2), (4, 2, 6), (3, 1, 4), (2, 7, 1)])
+def test_stacked_lstsq_is_numpy_lstsq_per_system(shape):
+    # full-rank, rank-deficient and all-zero systems in one stack, each
+    # solved bitwise as np.linalg.lstsq solves it alone
+    rng = np.random.default_rng(sum(shape))
+    n, rows, cols = shape
+    a = rng.normal(size=(n, rows, cols)) + 1j * rng.normal(size=(n, rows, cols))
+    b = rng.normal(size=(n, rows, 3)) + 1j * rng.normal(size=(n, rows, 3))
+    a[1, :, -1] = a[1, :, 0]
+    a[-1] = 0.0
+    x = linalg.lstsq(a, b)
+    for k in range(n):
+        assert np.array_equal(x[k], np.linalg.lstsq(a[k], b[k], rcond=None)[0])
+    assert not x[-1].any()
+
+
 @pytest.mark.parametrize("n", [3, 9, 40, 300])
 def test_discarded_weight_is_the_numpy_sum(n):
     # np.add.reduce is np.sum's reduction, pairwise summation included
@@ -273,7 +300,8 @@ def test_zgesvd_scratch_serves_small_calls_only():
 
 _FACTORISATIONS = {("numpy", "linalg", "qr"), ("np", "linalg", "qr"),
                    ("numpy", "linalg", "svd"), ("np", "linalg", "svd"),
-                   ("scipy", "linalg", "svd")}
+                   ("scipy", "linalg", "svd"),
+                   ("numpy", "linalg", "_umath_linalg")}
 
 
 def _factorisation_calls(source):
@@ -299,6 +327,9 @@ def test_only_linalg_calls_the_numpy_and_scipy_factorisations():
     assert _factorisation_calls(
         "import numpy as np\nfrom scipy.linalg import svd\nnp.linalg.qr(a)") \
         == ["scipy.linalg.svd", "np.linalg.qr"]
+    assert _factorisation_calls("from numpy.linalg import _umath_linalg\n"
+                                "numpy.linalg._umath_linalg.lstsq") \
+        == ["numpy.linalg._umath_linalg"] * 2
     package = Path(linalg.__file__).parent
     calls = {path.name: _factorisation_calls(path.read_text())
              for path in sorted(package.glob("*.py"))}

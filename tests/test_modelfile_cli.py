@@ -301,6 +301,15 @@ def test_cli_rejects_counts_below_one(model_path, args, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "-12"])
+def test_cli_rejects_a_negative_seed(model_path, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--model", model_path, "--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be at least 0, got {value}" in err
+
+
 @pytest.mark.parametrize("option, value, named", [
     ("--orders", "1,x", "'x'"),
     ("--orders", "2.5", "'2.5'"),

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from helpers import (CumulativeIntegralMPO, build_qtt, pointwise_product,
-                     qtt_add, qtt_exp, qtt_from_samples, qtt_from_samples_of)
+                     qtt_add, qtt_exp, qtt_from_samples, qtt_from_samples_of,
+                     time_ordered_integral)
 from quadrature import quad_time_ordered_integral
 
-from dysonmpo.brackets import time_ordered_integral
 from dysonmpo.driving import ConstDriving, ExpDriving, PolyDriving, TrigDriving
 
 SIN = TrigDriving("sin", omega=2 * math.pi)
