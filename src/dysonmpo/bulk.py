@@ -172,7 +172,7 @@ def bulk_compress(mpo, tol=1e-12):
         -1, d, d)
     live = np.flatnonzero(((blocks.real != 0) | (blocks.imag != 0))
                           .any(axis=(1, 2)))
-    return ExtensiveMPO.from_arrays(
+    return ExtensiveMPO(
         d, r, live // r, live % r, blocks[live], order=mpo.order,
         params=mpo.params, boundary=(left @ t[:, :r], rho)), residual
 

@@ -26,9 +26,7 @@ the brackets its coefficient sums.  A `CompressionPlan` holds them, and a
 `PowerPlan` keeps one for all the Dyson and Magnus steps of its order.
 The plan enumerates the keys of all pairs in array passes, one weave
 pattern per pair shape (`levels.block_keys`), and stacks its blocks: one
-stack per shape, index arrays padded with -1 to the deepest block.  It
-also keeps the column sort of the MPO's coordinate blocks
-(`CompressionPlan.by_column`), one pattern per plan in practice.
+stack per shape, index arrays padded with -1 to the deepest block.
 
 Per step: the decision and the numbers.  A compression gathers the step's
 brackets into a vector and fills a stack's coefficient matrices at once
@@ -210,7 +208,6 @@ class CompressionPlan:
         blocks, self.keys = block_keys(self.levels, symbols, order)
         self.blocks = [Block(*block) for block in blocks]
         self._batch()
-        self._by_column = None
         self._layout = None
 
     def _batch(self):
@@ -239,18 +236,6 @@ class CompressionPlan:
         levels = np.array([b.levels for b in blocks], dtype=np.intp)
         return Batch(numbers, blocks[0].n_prior if blocks else 0,
                      levels.reshape(len(blocks), cols), index)
-
-    def by_column(self, cols):
-        """``(by_col, start)`` of an MPO whose blocks sit in plan columns
-        `cols`: its entries sorted by column (stable), and where each
-        column's run starts.  The last pattern seen is kept."""
-        cached = self._by_column
-        if cached is None or not np.array_equal(cached[0], cols):
-            by_col = np.argsort(cols, kind="stable")
-            start = np.searchsorted(cols[by_col],
-                                    np.arange(len(self.levels) + 1))
-            cached = self._by_column = (cols, by_col, start)
-        return cached[1:]
 
     def layout(self, kept, rows, cols):
         """The `Layout` of the decision `kept` for an MPO whose
@@ -416,13 +401,15 @@ class Layout:
         hit = np.zeros(m * m, dtype=bool)
         slot = new[rows[self.direct]] * m + new[cols[self.direct]]
         hit[slot] = True
-        # entries of each source column, term by term
+        # entries of each source column, term by term: the entries sorted
+        # by column (stable), and where each column's run starts
         source, target = self.source, self.target
-        by_col, start = plan.by_column(cols)
-        n_entries = start[source + 1] - start[source]
-        term = np.repeat(np.arange(len(source)), n_entries)
+        by_col = np.argsort(cols, kind="stable")
+        start = np.searchsorted(cols[by_col], np.arange(len(plan.levels) + 1))
+        per_col = start[source + 1] - start[source]
+        term = np.repeat(np.arange(len(source)), per_col)
         offset = np.arange(len(term)) - np.repeat(
-            np.cumsum(n_entries) - n_entries, n_entries)
+            np.cumsum(per_col) - per_col, per_col)
         entry = by_col[start[source][term] + offset]
         live = kept[rows[entry]]
         self.entry, self.term = entry[live], term[live]
@@ -483,7 +470,7 @@ def row_compress(mpo, *, tol=1e-12):
     fold_residual, coeff, shown = _solve(plan, layout, decided, tol)
 
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
-    out = ExtensiveMPO.from_arrays(
+    out = ExtensiveMPO(
         mpo.d, layout.labels, *_fold(mpo, layout, coeff, shown),
         order=mpo.order, params=params)
     report = CompressionReport(

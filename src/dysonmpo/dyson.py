@@ -17,9 +17,9 @@ from .levels import IDENTITY_LEVEL
 
 def identity_mpo(d):
     """The exact identity operator as a bond-dimension-1 extensive MPO."""
-    return ExtensiveMPO(d, [IDENTITY_LEVEL],
-                        {(IDENTITY_LEVEL, IDENTITY_LEVEL): np.eye(d, dtype=complex)},
-                        order=0)
+    zero = np.zeros(1, dtype=np.intp)
+    return ExtensiveMPO(d, [IDENTITY_LEVEL], zero, zero,
+                        np.eye(d, dtype=complex)[None])
 
 
 def dyson_mpo(hamiltonian, t0, t, order, integrals, plan=None):

@@ -21,10 +21,15 @@ column.  Every step of one order shares a plan: the Dyson and Magnus
 steps weight it with their bracket tables, the frozen-midpoint Taylor step
 with a frozen table (`brackets.BracketTable.frozen`).
 
-An `ExtensiveMPO` carries its two boundary vectors.  Those of a power, and
-of its row compression, are one-hot on the identity level, and its levels
-carry labels; the bulk MPO that `bulk.bulk_compress` factors from a wide
-step has combined levels, no labels, and boundary vectors of its own.
+An `ExtensiveMPO` is built one way, from coordinate arrays: the level
+index pairs of its nonzero blocks and the blocks.  The power plan, row
+compression and the bulk stage all make their tensors in that form, and
+every read of the MPO (dense site tensor, transfer operators, dense
+operator) derives from it.  It carries its two boundary vectors.  Those of
+a power, and of its row compression, are one-hot on the identity level,
+and its levels carry labels; the bulk MPO that `bulk.bulk_compress`
+factors from a wide step has combined levels, no labels, and boundary
+vectors of its own.
 """
 
 import time
@@ -38,6 +43,13 @@ from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, tw
 class ExtensiveMPO:
     """MPO without termination structure, with its two boundary vectors.
 
+    ``ExtensiveMPO(d, levels, rows, cols, blocks)`` is the operator-valued
+    site tensor with ``W[rows[i], cols[i]] = blocks[i]`` and zero
+    elsewhere; the ``(rows[i], cols[i])`` pairs must be distinct.  These
+    coordinate arrays (`coo`) are the one form of the tensor: the dense
+    `site_tensor`, the `transfer` operators and `to_dense` are reads of
+    them.
+
     Attributes
     ----------
     d : int
@@ -45,84 +57,40 @@ class ExtensiveMPO:
     bond_dimension : int
         Number of virtual levels ``D_w``.
     levels : list of LevelLabel, or None
-        Ordered virtual levels, the identity level first; None for a bulk
-        MPO (`bulk.bulk_compress`), whose levels are combinations of
-        labelled ones.
+        Ordered virtual levels, the identity level first.  The constructor
+        takes either these labels or, for a bulk MPO
+        (`bulk.bulk_compress`), whose levels are combinations of labelled
+        ones, the bond dimension alone; `levels` is then None.
     boundary : (left, right)
         Vectors of length ``D_w``: the operator on ``n >= 1`` sites is
-        ``left^T W ... W right``.  One-hot on the identity level unless
-        given.
-    entries : dict (level, level) -> (d, d) array
-        Operator-valued tensor, keyed by labels (by level index for a bulk
-        MPO); absent entries are zero.
+        ``left^T W ... W right``.  One-hot on level 0 unless given.
     order : int
         Expansion order N the MPO is accurate to.
     params : dict
         Construction record: the `PowerPlan` it came from (``"plan"``) and
         the table it was weighted with (``"brackets"``), as far as known.
-
-    The tensor is held as coordinate arrays (`coo`); `entries`, the dense
-    `site_tensor` and the `transfer` operators are derived from them.
     """
 
-    def __init__(self, d, levels, entries, order=0, params=None):
-        levels = list(levels)
-        if levels and levels[0] != IDENTITY_LEVEL:
-            raise ValueError("the first level must be the identity level, on "
-                             "which both boundary vectors are one-hot")
-        entries = dict(entries)
-        index = {lvl: i for i, lvl in enumerate(levels)}
-        rows = np.array([index[a] for a, _ in entries], dtype=np.intp)
-        cols = np.array([index[b] for _, b in entries], dtype=np.intp)
-        blocks = np.array(list(entries.values()), dtype=complex)
-        self._set(d, levels, order, params,
-                  (rows, cols, blocks.reshape(-1, int(d), int(d))), None)
-        self._entries = entries
-
-    @classmethod
-    def from_arrays(cls, d, levels, rows, cols, blocks, order=0, params=None,
-                    boundary=None):
-        """MPO with ``W[rows[i], cols[i]] = blocks[i]``.
-
-        `levels` is the list of level labels, the identity level first, or
-        the bond dimension of an MPO without labels.  The ``(rows[i],
-        cols[i])`` pairs must be distinct.  `boundary` is the pair
-        ``(left, right)`` of boundary vectors; by default both are one-hot
-        on level 0.
-        """
-        mpo = cls.__new__(cls)
-        mpo._set(d, levels, order, params, (rows, cols, blocks), boundary)
-        return mpo
-
-    def _set(self, d, levels, order, params, coo, boundary):
+    def __init__(self, d, levels, rows, cols, blocks, order=0, params=None,
+                 boundary=None):
         self.d = int(d)
         if isinstance(levels, (int, np.integer)):
             self.levels, self.bond_dimension = None, int(levels)
         else:
             self.levels = list(levels)
             self.bond_dimension = len(self.levels)
+            if self.levels and self.levels[0] != IDENTITY_LEVEL:
+                raise ValueError("the first level must be the identity "
+                                 "level, on which both boundary vectors are "
+                                 "one-hot")
         if boundary is None:
             edge = one_hot(self.bond_dimension, 0)
             boundary = (edge, edge)
         self.boundary = tuple(np.asarray(v, dtype=complex) for v in boundary)
         self.order = int(order)
         self.params = dict(params or {})
-        self._coo = coo
-        self._entries = None
+        self._coo = (rows, cols, blocks)
         self._transfer = None
-
-    @property
-    def entries(self):
-        if self._entries is None:
-            rows, cols, blocks = self.coo()
-            lv = self.levels or range(self.bond_dimension)
-            self._entries = {(lv[a], lv[b]): op
-                             for a, b, op in zip(rows.tolist(), cols.tolist(),
-                                                 blocks)}
-        return self._entries
-
-    def entry(self, a, b):
-        return self.entries.get((a, b))
 
     def coo(self):
         """``(rows, cols, blocks)``: level indices and (d, d) blocks."""
@@ -355,7 +323,7 @@ class PowerPlan:
         scatter_add(column, rows, w[live, None, None] * blocks[live])
         hit = np.unique(rows)
         f_rows, f_cols, f_blocks = self._fixed
-        return ExtensiveMPO.from_arrays(
+        return ExtensiveMPO(
             d, self.levels, np.concatenate([hit, f_rows]),
             np.concatenate([np.zeros_like(hit), f_cols]),
             np.concatenate([column[hit], f_blocks]), order=self.order,

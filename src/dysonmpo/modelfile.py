@@ -19,8 +19,9 @@ term.  Matrix entries may be complex (``1j``).  Channel order in the file is
 the channel order of the Hamiltonian.  Driving kinds: ``const value=``,
 ``sin``/``cos`` (``omega=, phase=, amplitude=, offset=``), ``exp``
 (``rate=, amplitude=``), ``poly`` (``coeffs=[...]``), ``samples``
-(``t0=, t1=, values=[...]``).  Every driving parameter must be finite and
-``dim`` at least 1.
+(``t0=, t1=, values=[...]``); `DRIVING_KINDS` declares them, and a key
+a kind does not take, a repeated key or a missing kind is an error.
+Every driving parameter must be finite and ``dim`` at least 1.
 """
 
 import ast
@@ -34,6 +35,21 @@ from .fdmpo import FirstDegreeMPO
 
 class ModelFileError(ValueError):
     pass
+
+
+_TRIG = {key: key for key in ("omega", "phase", "amplitude", "offset")}
+# Each driving kind a model file names: its class, the constructor fields
+# the kind fixes, and each file key mapped to its constructor field, in
+# the order `dumps` writes them.  A driving's `name` is its kind.
+DRIVING_KINDS = {
+    "const": (ConstDriving, {}, {"value": "value"}),
+    "sin": (TrigDriving, {"kind": "sin"}, _TRIG),
+    "cos": (TrigDriving, {"kind": "cos"}, _TRIG),
+    "exp": (ExpDriving, {}, {"rate": "rate", "amplitude": "amplitude"}),
+    "poly": (PolyDriving, {}, {"coeffs": "coeffs"}),
+    "samples": (SampledDriving, {},
+                {"t0": "t_start", "t1": "t_end", "values": "values"}),
+}
 
 
 def _driving_tokens(text):
@@ -59,26 +75,25 @@ def _driving_tokens(text):
 
 def _parse_driving(text):
     tokens = _driving_tokens(text)
+    if not tokens:
+        raise ModelFileError("driving needs a kind, one of "
+                             + ", ".join(DRIVING_KINDS))
     kind = tokens[0]
-    kwargs = {}
+    if kind not in DRIVING_KINDS:
+        raise ModelFileError(f"unknown driving kind {kind!r}")
+    cls, fixed, fields = DRIVING_KINDS[kind]
+    kwargs = dict(fixed)
     for tok in tokens[1:]:
         if "=" not in tok:
             raise ModelFileError(f"driving parameter {tok!r} must be key=value")
         key, val = tok.split("=", 1)
-        kwargs[key] = ast.literal_eval(val)
-    if kind == "const":
-        return ConstDriving(value=kwargs.get("value", 1.0))
-    if kind in ("sin", "cos"):
-        return TrigDriving(kind=kind, **kwargs)
-    if kind == "exp":
-        return ExpDriving(**kwargs)
-    if kind == "poly":
-        return PolyDriving(coeffs=tuple(kwargs.get("coeffs", (0.0, 1.0))))
-    if kind == "samples":
-        return SampledDriving(t_start=kwargs.get("t0", 0.0),
-                              t_end=kwargs.get("t1", 1.0),
-                              values=tuple(kwargs.get("values", (0.0, 0.0))))
-    raise ModelFileError(f"unknown driving kind {kind!r}")
+        if key not in fields:
+            raise ModelFileError(f"driving {kind} has no parameter {key!r}; "
+                                 f"it takes {', '.join(fields)}")
+        if fields[key] in kwargs:
+            raise ModelFileError(f"driving {kind} repeats parameter {key!r}")
+        kwargs[fields[key]] = ast.literal_eval(val)
+    return cls(**kwargs)
 
 
 def _parse_matrix(text, d):
@@ -169,19 +184,16 @@ def _format_matrix(mat):
 
 
 def _format_driving(drv):
-    if isinstance(drv, ConstDriving):
-        return f"driving const value={drv.value!r}"
-    if isinstance(drv, TrigDriving):
-        return (f"driving {drv.kind} omega={drv.omega!r} phase={drv.phase!r} "
-                f"amplitude={drv.amplitude!r} offset={drv.offset!r}")
-    if isinstance(drv, ExpDriving):
-        return f"driving exp rate={drv.rate!r} amplitude={drv.amplitude!r}"
-    if isinstance(drv, PolyDriving):
-        return f"driving poly coeffs={list(drv.coeffs)!r}"
-    if isinstance(drv, SampledDriving):
-        return (f"driving samples t0={drv.t_start!r} t1={drv.t_end!r} "
-                f"values={list(drv.values)!r}")
-    raise ModelFileError(f"cannot serialize driving {drv!r}")
+    cls, _, fields = DRIVING_KINDS.get(drv.name, (None, None, None))
+    if cls is None or not isinstance(drv, cls):
+        raise ModelFileError(f"cannot serialize driving {drv!r}")
+    words = ["driving", drv.name]
+    for key, field in fields.items():
+        value = getattr(drv, field)
+        if isinstance(value, tuple):
+            value = list(value)
+        words.append(f"{key}={value!r}")
+    return " ".join(words)
 
 
 def dumps(hamiltonian):

@@ -819,6 +819,29 @@ def literal_compression_plan(levels, order):
     return plan
 
 
+def mpo_from_entries(d, levels, entries, order=0, params=None):
+    """The `ExtensiveMPO` with ``W[a, b] = entries[(a, b)]``, keyed by level
+    labels; its coordinate blocks come in the dictionary's order."""
+    levels = list(levels)
+    index = {lvl: i for i, lvl in enumerate(levels)}
+    rows = np.array([index[a] for a, _ in entries], dtype=np.intp)
+    cols = np.array([index[b] for _, b in entries], dtype=np.intp)
+    blocks = np.array(list(entries.values()), dtype=complex)
+    return ExtensiveMPO(d, levels, rows, cols,
+                        blocks.reshape(-1, int(d), int(d)), order=order,
+                        params=params)
+
+
+def entries(mpo):
+    """``{(a, b): W[a, b]}`` over the nonzero blocks of `mpo`, in
+    coordinate order, keyed by level labels (by level index for an MPO
+    without labels)."""
+    rows, cols, blocks = mpo.coo()
+    lv = mpo.levels or range(mpo.bond_dimension)
+    return {(lv[a], lv[b]): op
+            for a, b, op in zip(rows.tolist(), cols.tolist(), blocks)}
+
+
 def literal_to_dense(mpo, n_sites):
     """``mpo.to_dense(n_sites)`` with one `np.kron` per (level, entry),
     between the MPO's boundary vectors."""
@@ -889,7 +912,7 @@ def flat_evolution_mpo(rew, n, weight_of):
                for (a, b), op in entries.items()}
     levels, entries = reroute_finished_levels(levels, entries, weight)
     levels = sorted(levels, key=lambda l: (len(l), l))
-    return ExtensiveMPO(rew.d, levels, entries, order=n)
+    return mpo_from_entries(rew.d, levels, entries, order=n)
 
 
 def static_rewired(h):
@@ -1051,10 +1074,10 @@ def column_compress(mpo):
     classes = {}
     for lvl in mpo.levels:
         classes.setdefault(strip_ones(lvl), []).append(lvl)
-    levels, entries = merge_equivalent_columns(mpo.levels, mpo.entries)
+    levels, merged = merge_equivalent_columns(mpo.levels, entries(mpo))
     levels = sorted(levels, key=lambda l: (len(l), l))
-    out = ExtensiveMPO(mpo.d, levels, entries, order=mpo.order,
-                       params=dict(mpo.params))
+    out = mpo_from_entries(mpo.d, levels, merged, order=mpo.order,
+                           params=dict(mpo.params))
     removed = []
     for key, members in sorted(classes.items()):
         for m in members:
@@ -1125,7 +1148,7 @@ def literal_row_compress(mpo, *, tol=1e-12):
         raise ValueError("row compression needs column-merged levels")
     channels = sorted({sym[1] for lvl in mpo.levels for sym in lvl})
     cols = {}
-    for (a, b), op in mpo.entries.items():
+    for (a, b), op in entries(mpo).items():
         cols.setdefault(b, {})[a] = op
     dropped = set()
     kept_by_cseq = {}
@@ -1218,11 +1241,11 @@ def literal_row_compress(mpo, *, tol=1e-12):
                     dropped.add(lvl)
                     cols.pop(lvl, None)
 
-    entries = {(a, b): op for b, col in cols.items() if b not in dropped
-               for a, op in col.items() if a not in dropped}
+    folded = {(a, b): op for b, col in cols.items() if b not in dropped
+              for a, op in col.items() if a not in dropped}
     levels = [IDENTITY_LEVEL] + sorted(present_set, key=lambda l: (len(l), l))
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
-    out = ExtensiveMPO(mpo.d, levels, entries, order=order, params=params)
+    out = mpo_from_entries(mpo.d, levels, folded, order=order, params=params)
     report = CompressionReport(kept_levels=list(levels),
                                removed_levels=removed,
                                bond_dimension_before=mpo.bond_dimension,

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (column_compress, flat_dyson_mpo, flat_taylor_mpo,
-                     literal_compression_plan, literal_power_plan,
-                     literal_row_compress)
+from helpers import (column_compress, entries, flat_dyson_mpo,
+                     flat_taylor_mpo, literal_compression_plan,
+                     literal_power_plan, literal_row_compress)
 
 from dysonmpo import compression, fdmpo, levels
 from dysonmpo.bench import build_step_mpo
@@ -44,9 +44,10 @@ def table_for(ham, t0, t1, order):
 def assert_same_mpo(a, b, atol=1e-13):
     """Same level list and entry keys, entries equal to `atol`."""
     assert a.levels == b.levels
-    assert set(a.entries) == set(b.entries)
-    for key, op in a.entries.items():
-        np.testing.assert_allclose(b.entries[key], op, rtol=0, atol=atol)
+    ref, got = entries(a), entries(b)
+    assert set(ref) == set(got)
+    for key, op in ref.items():
+        np.testing.assert_allclose(got[key], op, rtol=0, atol=atol)
 
 
 def test_column_compress_merges_same_history_labels():
@@ -216,8 +217,9 @@ def test_row_compress_idempotent():
     twice, report = row_compress(once, tol=1e-6)
     assert twice.bond_dimension == once.bond_dimension
     assert not report.removed_levels
-    for key, op in once.entries.items():
-        np.testing.assert_allclose(twice.entries[key], op, atol=1e-14)
+    got = entries(twice)
+    for key, op in entries(once).items():
+        np.testing.assert_allclose(got[key], op, atol=1e-14)
 
 
 def test_row_compress_zero_driving_leaves_identity():
@@ -357,8 +359,8 @@ def _without_plan(mpo):
     """`mpo` without its power plan, so that `row_compress` gives it a
     compression plan of its own."""
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
-    return ExtensiveMPO.from_arrays(mpo.d, mpo.levels, *mpo.coo(),
-                                    order=mpo.order, params=params)
+    return ExtensiveMPO(mpo.d, mpo.levels, *mpo.coo(), order=mpo.order,
+                        params=params)
 
 
 def _count_layouts(monkeypatch, power):
@@ -412,7 +414,7 @@ def test_a_new_block_pattern_builds_a_new_layout(monkeypatch):
     mpo = dyson_mpo(ham, *interval, 4, _order4_table(modulated_xxz, interval),
                     plan=plan)
     first, _ = row_compress(mpo)
-    thinned = ExtensiveMPO.from_arrays(
+    thinned = ExtensiveMPO(
         mpo.d, mpo.levels, *(a[1:] for a in mpo.coo()), order=mpo.order,
         params=mpo.params)
     out, report = row_compress(thinned)
@@ -641,12 +643,12 @@ def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
     assert np.array_equal(site[rows, cols], blocks)
     assert np.count_nonzero(site.any(axis=(2, 3))) == len(rows)
     lv = out.levels
-    assert list(out.entries) == [(lv[a], lv[b]) for a, b in zip(rows, cols)]
+    assert list(entries(out)) == [(lv[a], lv[b]) for a, b in zip(rows, cols)]
     assert all(np.array_equal(op, block)
-               for op, block in zip(out.entries.values(), blocks))
+               for op, block in zip(entries(out).values(), blocks))
     psi = FiniteMPS.random_product(6, rng=5)
     ref = apply_mpo(out, psi, d_max=8)
-    fresh = ExtensiveMPO.from_arrays(out.d, out.levels, rows, cols, blocks)
+    fresh = ExtensiveMPO(out.d, out.levels, rows, cols, blocks)
 
     def no_site_tensor(self):
         raise AssertionError("apply_mpo asked for the dense site tensor")

@@ -4,10 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (composition_sum, coo_digest, driving_value, exp_weight,
-                     flat_dyson_mpo, level_symbols, literal_to_dense,
-                     log_weight, magnus_omega1, magnus_omega2,
-                     magnus_taylor_mpo, magnus_word, rewired_dense)
+from helpers import (composition_sum, coo_digest, driving_value, entries,
+                     exp_weight, flat_dyson_mpo, level_symbols,
+                     literal_to_dense, log_weight, magnus_omega1,
+                     magnus_omega2, magnus_taylor_mpo, magnus_word,
+                     rewired_dense)
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import BracketCache, build_step_mpo
@@ -94,9 +95,10 @@ def test_dyson_first_order_tensor_structure():
     lvl2 = LevelLabel((two("zz", 0),))
     f1 = tab.value(("zz",))
     f2 = tab.value(("x",))
-    np.testing.assert_allclose(w.entry(one, one), ID2 + f2 * SX, atol=1e-14)
-    np.testing.assert_allclose(w.entry(one, lvl2), SZ, atol=1e-14)
-    np.testing.assert_allclose(w.entry(lvl2, one), f1 * SZ, atol=1e-14)
+    blocks = entries(w)
+    np.testing.assert_allclose(blocks[(one, one)], ID2 + f2 * SX, atol=1e-14)
+    np.testing.assert_allclose(blocks[(one, lvl2)], SZ, atol=1e-14)
+    np.testing.assert_allclose(blocks[(lvl2, one)], f1 * SZ, atol=1e-14)
     assert w.bond_dimension == 2
 
 
@@ -127,9 +129,10 @@ def test_dyson_constant_channel_matches_taylor_entrywise():
         w = dyson_mpo(ham, 0.0, dt, order, tab)
         ref = taylor_mpo(h, -1j * dt, order)
         assert w.levels == ref.levels
-        assert set(w.entries) == set(ref.entries)
-        for key, op in ref.entries.items():
-            np.testing.assert_allclose(w.entries[key], op, atol=1e-14)
+        got, want = entries(w), entries(ref)
+        assert set(got) == set(want)
+        for key, op in want.items():
+            np.testing.assert_allclose(got[key], op, atol=1e-14)
 
 
 def test_dyson_second_order_identity_entry():
@@ -139,8 +142,8 @@ def test_dyson_second_order_identity_entry():
     w = dyson_mpo(ham, t0, t1, 2, tab)
     # identity-level entry is 1 + sum_a [f_a] D_a + sum_ab [f_a f_b] D_a D_b
     ref = ID2 + tab.value(("x",)) * SX + tab.value(("x", "x")) * SX @ SX
-    np.testing.assert_allclose(w.entry(IDENTITY_LEVEL, IDENTITY_LEVEL), ref,
-                               atol=1e-14)
+    np.testing.assert_allclose(
+        entries(w)[(IDENTITY_LEVEL, IDENTITY_LEVEL)], ref, atol=1e-14)
 
 
 def test_dyson_second_order_reroute_weights():
@@ -149,7 +152,7 @@ def test_dyson_second_order_reroute_weights():
     ham = modulated_ising()
     t0, t1 = 0.05, 0.25
     tab = table_for(ham, t0, t1, 2)
-    w = dyson_mpo(ham, t0, t1, 2, tab)
+    w = entries(dyson_mpo(ham, t0, t1, 2, tab))
     one = IDENTITY_LEVEL
     l2 = LevelLabel((two("zz", 0),))
     l23a = LevelLabel((two("zz", 0), three("zz")))
@@ -159,14 +162,14 @@ def test_dyson_second_order_reroute_weights():
     # the first-order row also carries the same-site double completions
     ref = tab.value(("zz",)) * SZ + tab.value(("zz", "x")) * SZ @ SX \
         + tab.value(("x", "zz")) * SX @ SZ
-    np.testing.assert_allclose(w.entry(l2, one), ref, atol=1e-14)
-    np.testing.assert_allclose(w.entry(l23a, one),
+    np.testing.assert_allclose(w[(l2, one)], ref, atol=1e-14)
+    np.testing.assert_allclose(w[(l23a, one)],
                                tab.value(("zz", "zz")) * SZ, atol=1e-14)
-    np.testing.assert_allclose(w.entry(l23b, one),
+    np.testing.assert_allclose(w[(l23b, one)],
                                tab.value(("zz", "x")) * SZ, atol=1e-14)
-    np.testing.assert_allclose(w.entry(l32a, one),
+    np.testing.assert_allclose(w[(l32a, one)],
                                tab.value(("zz", "zz")) * SZ, atol=1e-14)
-    np.testing.assert_allclose(w.entry(l32b, one),
+    np.testing.assert_allclose(w[(l32b, one)],
                                tab.value(("x", "zz")) * SZ, atol=1e-14)
 
 
@@ -559,8 +562,15 @@ def test_dyson_mpo_rejects_order_zero_and_a_plan_of_another_order():
 
 
 def test_extensive_mpo_needs_the_identity_level_first():
-    # both boundary vectors are one-hot on level 0
+    # both boundary vectors are one-hot on level 0, so a labelled MPO
+    # names the identity level first, whichever code builds it
     level = LevelLabel((two("zz", 0),))
+    one = np.ones(1, dtype=np.intp)
+    block = np.eye(2, dtype=complex)[None]
     with pytest.raises(ValueError, match="first level must be the identity"):
-        ExtensiveMPO(2, [level, IDENTITY_LEVEL],
-                     {(IDENTITY_LEVEL, IDENTITY_LEVEL): np.eye(2)})
+        ExtensiveMPO(2, [level, IDENTITY_LEVEL], one, one, block)
+    # the same block in a labelled MPO with the identity first, and in
+    # one without labels, is accepted
+    assert ExtensiveMPO(2, [IDENTITY_LEVEL, level], one, one,
+                        block).bond_dimension == 2
+    assert ExtensiveMPO(2, 2, one, one, block).levels is None

@@ -85,6 +85,21 @@ def test_roundtrip_through_dumps():
                                    atol=1e-13)
 
 
+def test_dumps_writes_each_driving_kind_with_every_key():
+    # one line per kind, its keys in the order the kind table lists them
+    lines = [line for line in modelfile.dumps(every_driving_kind())
+             .splitlines() if line.startswith("driving")]
+    assert lines == [
+        "driving const value=0.5",
+        "driving sin omega=3.0 phase=0.2 amplitude=1.5 offset=0.1",
+        "driving cos omega=2.0 phase=0.0 amplitude=1.0 offset=0.0",
+        "driving exp rate=(-0.5+1j) amplitude=0.3",
+        "driving poly coeffs=[(0.1+0j), (-0.2+0j), 0.3j]",
+        "driving samples t0=0.0 t1=1.0 values=[0.0, 1.0, -0.5]"]
+    assert sorted(modelfile.DRIVING_KINDS) == sorted(
+        line.split()[1] for line in lines)
+
+
 def test_dumps_rejects_a_driving_without_a_kind():
     class Square(DrivingFunction):
         def __call__(self, t):
@@ -263,6 +278,26 @@ def test_dim_below_one_is_rejected(dim):
      "operator must be 2x2, got (1, 1)"),
     ("dim 2\nchannel a\n\ndriving square omega=1.0\nend\n", 4,
      "unknown driving kind 'square'"),
+    ("dim 2\nchannel a\ndriving\nend\n", 3,
+     "driving needs a kind, one of const, sin, cos, exp, poly, samples"),
+    ("dim 2\nchannel a\ndriving const value=1.0 value=2.0\nend\n", 3,
+     "driving const repeats parameter 'value'"),
+    # a key the kind does not take, one case per kind
+    ("dim 2\nchannel a\ndriving const valu=3.0\nend\n", 3,
+     "driving const has no parameter 'valu'; it takes value"),
+    ("dim 2\nchannel a\ndriving sin omega=1.0 phse=0.5\nend\n", 3,
+     "driving sin has no parameter 'phse'; it takes omega, phase, "
+     "amplitude, offset"),
+    ("dim 2\nchannel a\ndriving cos amplitude=2.0 ofset=1.0\nend\n", 3,
+     "driving cos has no parameter 'ofset'; it takes omega, phase, "
+     "amplitude, offset"),
+    ("dim 2\nchannel a\ndriving exp rate=-1.0 amp=2.0\nend\n", 3,
+     "driving exp has no parameter 'amp'; it takes rate, amplitude"),
+    ("dim 2\nchannel a\ndriving poly coef=[1, 2]\nend\n", 3,
+     "driving poly has no parameter 'coef'; it takes coeffs"),
+    ("dim 2\nchannel a\ndriving samples t_start=0 t_end=2 "
+     "values=[0.0, 1.0]\nend\n", 3,
+     "driving samples has no parameter 't_start'; it takes t0, t1, values"),
 ])
 def test_loader_errors_name_their_line(text, line, message):
     with pytest.raises(modelfile.ModelFileError) as exc:

@@ -786,7 +786,7 @@ def test_empty_mps_raises():
 
 def _fresh(w):
     """A copy of `w` that has built no transfer operators."""
-    return ExtensiveMPO.from_arrays(
+    return ExtensiveMPO(
         w.d, w.bond_dimension if w.levels is None else w.levels, *w.coo(),
         order=w.order, params=w.params, boundary=w.boundary)
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (disjoint_power_dense, flat_taylor_mpo,
-                     reference_taylor_mpo, strings_of, zero_hamiltonian)
+from helpers import (disjoint_power_dense, entries, flat_taylor_mpo,
+                     mpo_from_entries, reference_taylor_mpo, strings_of,
+                     zero_hamiltonian)
 
 from dysonmpo import fdmpo
-from dysonmpo.extensive import ExtensiveMPO
 from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, three, two
 from dysonmpo.models import static_tfi
 from dysonmpo.spin import ID2, SX, SY, SZ
@@ -25,9 +25,10 @@ def test_first_order_tensor_blocks():
     w = taylor_mpo(TFI, tau, 1)
     one = IDENTITY_LEVEL
     lvl2 = LevelLabel((two("h", 0),))
-    np.testing.assert_allclose(w.entry(one, one), ID2 + tau * SX, atol=1e-14)
-    np.testing.assert_allclose(w.entry(one, lvl2), SZ, atol=1e-14)
-    np.testing.assert_allclose(w.entry(lvl2, one), tau * SZ, atol=1e-14)
+    blocks = entries(w)
+    np.testing.assert_allclose(blocks[(one, one)], ID2 + tau * SX, atol=1e-14)
+    np.testing.assert_allclose(blocks[(one, lvl2)], SZ, atol=1e-14)
+    np.testing.assert_allclose(blocks[(lvl2, one)], tau * SZ, atol=1e-14)
     assert w.bond_dimension == 2
 
 
@@ -66,22 +67,22 @@ def test_second_order_matches_block_form():
     one = IDENTITY_LEVEL
     mid1 = [LevelLabel((("m1", k),)) for k in range(h.chi)]
     mid2 = [LevelLabel((("m2", k),)) for k in range(sq.chi)]
-    entries = {}
+    blocks = {}
     d11 = sq.D if sq.D is not None else np.zeros((2, 2))
-    entries[(one, one)] = ID2 + tau * h.D + tau ** 2 / 2 * d11
+    blocks[(one, one)] = ID2 + tau * h.D + tau ** 2 / 2 * d11
     for k, op in h.L.items():
-        entries[(one, mid1[k])] = op
+        blocks[(one, mid1[k])] = op
     for k, op in h.R.items():
-        entries[(mid1[k], one)] = tau * op
+        blocks[(mid1[k], one)] = tau * op
     for (i, j), op in h.A.items():
-        entries[(mid1[i], mid1[j])] = op
+        blocks[(mid1[i], mid1[j])] = op
     for k, op in sq.L.items():
-        entries[(one, mid2[k])] = op
+        blocks[(one, mid2[k])] = op
     for k, op in sq.R.items():
-        entries[(mid2[k], one)] = tau ** 2 / 2 * op
+        blocks[(mid2[k], one)] = tau ** 2 / 2 * op
     for (i, j), op in sq.A.items():
-        entries[(mid2[i], mid2[j])] = op
-    explicit = ExtensiveMPO(2, [one] + mid1 + mid2, entries, order=2)
+        blocks[(mid2[i], mid2[j])] = op
+    explicit = mpo_from_entries(2, [one] + mid1 + mid2, blocks, order=2)
 
     w = taylor_mpo(h, tau, 2)
     assert w.bond_dimension == explicit.bond_dimension == 1 + 3 * h.chi + h.chi ** 2
@@ -148,8 +149,8 @@ def test_identity_entry_is_on_site_series():
         for k in range(order + 1):
             ref += tau ** k * np.linalg.matrix_power(SX, k) / \
                 scipy.special.factorial(k)
-        np.testing.assert_allclose(w.entry(IDENTITY_LEVEL, IDENTITY_LEVEL),
-                                   ref, atol=1e-13)
+        np.testing.assert_allclose(
+            entries(w)[(IDENTITY_LEVEL, IDENTITY_LEVEL)], ref, atol=1e-13)
 
 
 def test_invalid_order():
