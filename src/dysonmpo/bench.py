@@ -11,8 +11,10 @@ of the drivings at the midpoint (`BracketTable.frozen`).  From the table
 on, every step is built the same way, as a `dyson_mpo`.  Steps
 congruent modulo the driving period reuse the MPO built at the first of
 them.  A sweep computes one bracket table per congruence class of step
-interval, and builds one step plan (power and compression index sets) per
-order, which all its steps weight (`BracketCache`).  The evolved state is
+interval, all in one stacked `BracketTable.compute` call when its first
+evolution asks for its first table, and builds one step plan (power and
+compression index sets) per order, which all its steps weight
+(`BracketCache`).  The evolved state is
 compared against a dense Runge-Kutta reference (or the most accurate state
 when self-referencing) through the trace-distance error ``sqrt(1 -
 |<a|b>|^2)``, evaluated through the phase-aligned difference.
@@ -58,10 +60,12 @@ class EvolutionConfig:
     dts: tuple = (0.125,)            # step sizes of the sweep
 
 
-def _column(fmt, default=MISSING, name=None):
+def _column(fmt, default=MISSING, name=None, timed=False):
     """A record field written to CSV as ``format(value, fmt)``, under
-    `name` (by default the field's own name)."""
-    return field(default=default, metadata={"fmt": fmt, "column": name})
+    `name` (by default the field's own name); `timed` marks a wall-clock
+    time, which no two runs share."""
+    return field(default=default,
+                 metadata={"fmt": fmt, "column": name, "timed": timed})
 
 
 @dataclass
@@ -70,8 +74,10 @@ class ErrorRecord:
 
     The fields are the CSV columns in order (`records_to_csv`), except
     `n_steps`, last, which is not written.  A field made by `_column`
-    carries its CSV format; any other is written as it is.  `evolve_state`
-    reports every field after `epsilon` but `seed`, under its own name.
+    carries its CSV format, and marks the wall-clock times (`timed`); any
+    other is written as it is.  `UNTIMED_FIELDS` names the others.
+    `evolve_state` reports every field after `epsilon` but `seed`, under
+    its own name.
     The three stage times are taken inside the timed step loop.  `plan_s`
     is 0 when an earlier evolution with the same `BracketCache` built the
     step plan of the order.
@@ -81,7 +87,8 @@ class ErrorRecord:
     order: int
     dt: float = _column(".12g")
     epsilon: float = _column(".12g")  # trace-distance error at t_final
-    wall_time_per_step: float = _column(".6g", name="wall_time_per_step_s")
+    wall_time_per_step: float = _column(".6g", name="wall_time_per_step_s",
+                                        timed=True)
     mpo_bond_dim: int                 # largest applied MPO bond
     mps_bond_dim: int                 # largest MPS bond
     seed: int
@@ -94,16 +101,19 @@ class ErrorRecord:
     discarded_weight: float = _column(".6g", 0.0)  # by the MPS truncations
     # seconds spent obtaining step tables, building and compressing step
     # MPOs, applying them, and (part of build_s) building the step plan
-    bracket_s: float = _column(".6g", 0.0)
-    build_s: float = _column(".6g", 0.0)
-    apply_s: float = _column(".6g", 0.0)
-    plan_s: float = _column(".6g", 0.0)
+    bracket_s: float = _column(".6g", 0.0, timed=True)
+    build_s: float = _column(".6g", 0.0, timed=True)
+    apply_s: float = _column(".6g", 0.0, timed=True)
+    plan_s: float = _column(".6g", 0.0, timed=True)
     mpo_blocks: int = 0               # nonzero blocks of the largest step MPO
     n_steps: int = 1                  # steps of the evolution; last, unwritten
 
 
 _WRITTEN = fields(ErrorRecord)[:-1]
 CSV_COLUMNS = [f.metadata.get("column") or f.name for f in _WRITTEN]
+# the fields that a rerun of the same sweep reproduces bit for bit
+UNTIMED_FIELDS = [f.name for f in fields(ErrorRecord)
+                  if not f.metadata.get("timed")]
 
 
 class BracketCache:
@@ -116,23 +126,32 @@ class BracketCache:
     drive none do.  `key` names the class; `evolve_state` keys its
     compressed step MPOs on it as well.
 
+    `intervals` lists the ``(t0, t1)`` steps the sweep will read, in
+    request order.  The first request that misses computes, in one
+    `BracketTable.compute` call at ``max(order, self.order)``, its own
+    interval and the first listed interval of every class that has no
+    table yet; a class computes on its first listed interval, so a sweep
+    that lists its steps in request order gets the tables it would get
+    one at a time.  A later miss computes its own interval alone.
+    `computed` counts the tables computed.
+
     A table is computed at ``max(order, self.order)``, so a cache made with
     the highest order a sweep reads computes each interval's table once.
     An order-`k` request is served by the stored table whenever ``k`` does
     not exceed its `max_order`: an entry's value does not depend on which
     other entries its table holds, so the lower orders are bitwise what a
     table of order ``k`` would hold.  A request above the stored order
-    recomputes and replaces the table.  `computed` counts the tables
-    computed.  `plan` serves the `PowerPlan` of each order, which every
-    step of that order shares, whatever its method, for the life of the
-    cache.
+    recomputes and replaces the table.  `plan` serves the `PowerPlan` of
+    each order, which every step of that order shares, whatever its
+    method, for the life of the cache.
     """
 
-    def __init__(self, hamiltonian, order=1):
+    def __init__(self, hamiltonian, order=1, intervals=()):
         self.hamiltonian = hamiltonian
         self.order = order
         self.period = hamiltonian.common_period()
         self.computed = 0
+        self._listed = list(intervals)
         self._store = {}
         self._plans = {}
 
@@ -155,11 +174,20 @@ class BracketCache:
                 return table
             # congruent interval: same table, shifted start
             return BracketTable((t0, t1), table.values, table.max_order)
+        batch = {key: (t0, t1)}
+        for s0, s1 in self._listed:
+            batch.setdefault(self.key(s0, s1), (s0, s1))
+        batch = {k: step for k, step in batch.items()
+                 if k == key or k not in self._store}
         channels = [(c.name, c.driving) for c in self.hamiltonian.channels]
-        table = BracketTable.compute(channels, t0, t1, max(order, self.order))
-        self.computed += 1
-        self._store[key] = (t0, table)
-        return table
+        tables = BracketTable.compute(
+            channels, [s0 for s0, _ in batch.values()],
+            [s1 for _, s1 in batch.values()], max(order, self.order))
+        self._listed = []
+        self.computed += len(tables)
+        for k, (s0, _), table in zip(batch, batch.values(), tables):
+            self._store[k] = (s0, table)
+        return self._store[key][1]
 
     def plan(self, order):
         """The step plan of `order`; it builds its power on first use."""
@@ -177,7 +205,7 @@ def step_table(cache, method, t0, t1, order):
     ``BracketTable.frozen`` of the channels' driving values at the
     midpoint, with ``tau = -1j (t1 - t0)``: the Taylor series of the
     Hamiltonian frozen there.  It computes no bracket.  It is the one
-    function past `_step_count` that reads the method; an unknown one
+    function past `_steps` that reads the method; an unknown one
     raises `ValueError`.
     """
     if method not in METHODS:
@@ -214,8 +242,8 @@ def build_step_mpo(hamiltonian, t0, t1, order, table, *, qr_tol,
     return mpo, report
 
 
-def _step_count(config, order, dt):
-    """Steps of an order-`order` evolution of `config` at step `dt`.
+def _steps(config, dt):
+    """The ``(s0, s1)`` of each step of `dt` of an evolution of `config`.
 
     Raises `ValueError` for a run that `evolve_state` cannot make: an
     unknown method, a `d_max` other than None or an int ``>= 1``, a
@@ -234,7 +262,8 @@ def _step_count(config, order, dt):
     n_steps = round(span / dt)
     if abs(n_steps * dt - span) > 1e-12:
         raise ValueError(f"dt = {dt!r} must divide t_final - t0 = {span!r}")
-    return n_steps
+    return [(config.t0 + i * dt, config.t0 + (i + 1) * dt)
+            for i in range(n_steps)]
 
 
 def _raise_to(stats, **values):
@@ -254,11 +283,11 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     `epsilon` but `seed`, under its name and with its meaning there, and
     `tables_computed`, the number of tables computed for this call (a
     shared `cache` may serve tables an earlier call computed).  A run
-    `_step_count` rejects raises `ValueError` before any step.
+    `_steps` rejects raises `ValueError` before any step.
     """
-    n_steps = _step_count(config, order, dt)
+    steps = _steps(config, dt)
     if cache is None:
-        cache = BracketCache(hamiltonian, order=order)
+        cache = BracketCache(hamiltonian, order=order, intervals=steps)
     elif cache.hamiltonian is not hamiltonian:
         raise ValueError("the bracket cache was made for another Hamiltonian")
     computed_before = cache.computed
@@ -270,9 +299,7 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
              "bulk_residual": 0.0, "discarded_weight": 0.0, "bracket_s": 0.0,
              "build_s": 0.0, "apply_s": 0.0, "mpo_blocks": 0}
     t_start = time.perf_counter()
-    for i in range(n_steps):
-        s0 = config.t0 + i * dt
-        s1 = config.t0 + (i + 1) * dt
+    for s0, s1 in steps:
         key = cache.key(s0, s1)
         mpo = step_mpos.get(key)
         if mpo is None:
@@ -297,8 +324,9 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
         _raise_to(stats, mpo_bond_dim=mpo.bond_dimension,
                   mps_bond_dim=psi.max_bond)
     stats.update(
-        wall_time_per_step=(time.perf_counter() - t_start) / max(n_steps, 1),
-        n_steps=n_steps, mpo_builds=len(step_mpos),
+        wall_time_per_step=(time.perf_counter() - t_start)
+        / max(len(steps), 1),
+        n_steps=len(steps), mpo_builds=len(step_mpos),
         plan_s=plan.plan_s - plan_before,
         tables_computed=cache.computed - computed_before)
     return psi, stats
@@ -343,11 +371,12 @@ def _epsilon_stable(psi, reference):
 def run_benchmark(hamiltonian, config):
     """Error records for every (order, dt) pair of the config's sweep.
 
-    One evolution per (order, dt), orders ascending, in record order.  The
-    sweep shares one `BracketCache` at the top order it reads, so the first
-    evolution that touches an interval (the lowest order) computes its
-    table, and its `bracket_s` carries that time.  Every (order, dt) pair
-    is checked before the first evolution (see `_step_count`), and so are
+    One evolution per (order, dt), in record order.  The sweep shares one
+    `BracketCache` at the top order it reads, listing every step of every
+    dt, so the first evolution computes every table of the sweep in one
+    `BracketTable.compute` call, and its `bracket_s` carries all of that
+    time.  Every (order, dt) pair
+    is checked before the first evolution (see `_steps`), and so are
     the seed of the initial state, an int of at least 0, and the state
     size and `oracle_substeps` of the RK4 reference, unless the sweep is
     self-referenced (see `evolve.check_oracle`).
@@ -359,13 +388,11 @@ def run_benchmark(hamiltonian, config):
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) \
             or seed < 0:
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
-    for order in orders:
-        for dt in dts:
-            _step_count(config, order, dt)
+    steps = [step for dt in dts for step in _steps(config, dt)]
     if not config.self_reference:
         check_oracle(hamiltonian.d ** config.n_sites, config.oracle_substeps)
     psi0 = initial_state(config, hamiltonian.d)
-    cache = BracketCache(hamiltonian, order=max(orders))
+    cache = BracketCache(hamiltonian, order=max(orders), intervals=steps)
     evolved = {}
     for order in orders:
         for dt in dts:
@@ -465,8 +492,8 @@ def runtime_at_accuracy(records, target_eps, span=1.0):
     Extrapolates each order's error fit (`_order_fits`) to the step size
     that reaches `target_eps` and multiplies the implied step count by the
     measured average per-step wall time, less the bracket-table time.
-    A sweep computes each interval's table once, in whichever evolution
-    meets the interval first, so the per-step cost of each order is taken
+    A sweep computes every interval's table once, in its first evolution,
+    so the per-step cost of each order is taken
     as ``wall_time_per_step - bracket_s / n_steps``, averaged over all its
     records.  An order without a fit raises `ValueError`.
     """

@@ -42,6 +42,21 @@ does not depend on the order of the table that holds it, and
 `BracketCache` serves lower orders from a higher-order table.  Nor does it
 depend on the other channels, unless their knots split the step
 differently.
+
+Nor does it depend on the other intervals evaluated with it.
+`BracketTable.compute` takes a sequence of intervals as one stack: every
+array carries a leading axis of stretches (or intervals), and every
+operation above runs once for the whole stack, with the same operands in
+the same order for each entry, so each table is bitwise the table of its
+interval alone.  A table costs several hundred small numpy calls, which
+the stack pays once.  Stretches of one piece layout (the letters of each
+channel) share a stack, in passes whose series blocks hold at most
+`PASS_SLOTS` complex entries, so a long evolution takes several passes
+rather than one huge allocation.  numpy's complex multiply (2.4.6, on
+x86-64 with AVX-512) rounds the same whatever the strides of its
+operands, but not when they swap places, so every product keeps its
+operand order; `tests/helpers.per_interval_table` holds the stack to the
+one-interval evaluator bit for bit.
 """
 
 import math
@@ -49,38 +64,45 @@ from itertools import product
 
 import numpy as np
 
+from .driving import Piece
+
 _DOUBLINGS = 12       # a stretch between knots is 2**_DOUBLINGS blocks
 _TERMS = 8            # series terms per letter of an exponential piece
 _RATE_LIMIT = 1 / 32  # largest max|rate| * block length checked exact
+PASS_SLOTS = 1 << 20  # complex entries of a pass's stretch blocks (16 MiB)
 
 
 def _chen(a, b):
     """Truncated tensor-algebra product; `a` precedes `b` in time.
 
-    ``a[k]`` is level ``k + 1``, an array with ``k + 1`` axes; level 0 is 1.
+    ``a[k]`` is level ``k + 1`` of each interval of a stack: an array with
+    the interval axis first and ``k + 1`` letter axes.  Level 0 is 1.
     """
     out = []
     for k in range(len(a)):
         total = a[k] + b[k]
         for i in range(k):
-            total = total + np.multiply.outer(a[i], b[k - 1 - i])
+            x, y = a[i], b[k - 1 - i]   # each interval's outer product
+            total = total + x.reshape(x.shape + (1,) * (y.ndim - 1)) * \
+                y.reshape(y.shape[:1] + (1,) * (x.ndim - 1) + y.shape[1:])
         out.append(total)
     return out
 
 
 def _shifted(levels, cols, coefs):
-    """`levels` with the letter map ``(cols, coefs)`` on every axis.
+    """`levels` with each interval's letter map on every letter axis.
 
-    Row m of the map sends ``u`` to ``sum_w coefs[m, w] * u[cols[m, w]]``.
+    Row m of interval i's map sends ``u`` to ``sum_w coefs[i, m, w] *
+    u[cols[m, w]]``.
     """
     out = []
     for level in levels:
-        for axis in range(level.ndim):
-            shape = [1] * level.ndim
+        for axis in range(1, level.ndim):
+            shape = [len(coefs)] + [1] * (level.ndim - 1)
             shape[axis] = -1
-            moved = coefs[:, 0].reshape(shape) * level
+            moved = coefs[:, :, 0].reshape(shape) * level
             for w in range(1, cols.shape[1]):
-                moved = moved + coefs[:, w].reshape(shape) * \
+                moved = moved + coefs[:, :, w].reshape(shape) * \
                     level.take(cols[:, w], axis=axis)
             level = moved
         out.append(level)
@@ -90,21 +112,22 @@ def _shifted(levels, cols, coefs):
 def _letter_rows(pieces, xs):
     """Rows of the block-diagonal shifts S(x), x in `xs`, over all letters.
 
-    Returns ``cols`` of shape ``(letters, width)`` and ``coefs`` of shape
-    ``(len(xs), letters, width)``; padding points at the row's own letter
-    with coefficient 0.
+    `pieces` are stacked `Piece` objects, one per channel, and `xs` has
+    their leading shape followed by one axis of points.  Returns ``cols``
+    of shape ``(letters, width)`` and ``coefs`` of shape ``xs.shape +
+    (letters, width)``; padding points at the row's own letter with
+    coefficient 0.
     """
-    parts = [[p.shift(x) for x in xs] for p in pieces]
-    size = sum(len(p.state) for p in pieces)
-    width = max(rows[0][0].shape[1] for rows in parts)
+    parts = [p.shift(xs) for p in pieces]
+    size = sum(c.shape[0] for c, _ in parts)
+    width = max(c.shape[1] for c, _ in parts)
     cols = np.repeat(np.arange(size)[:, None], width, axis=1)
-    coefs = np.zeros((len(xs), size, width), dtype=complex)
+    coefs = np.zeros(xs.shape + (size, width), dtype=complex)
     start = 0
-    for rows in parts:
-        stop = start + len(rows[0][0])
-        cols[start:stop, :rows[0][0].shape[1]] = rows[0][0] + start
-        for i, (_, c) in enumerate(rows):
-            coefs[i, start:stop, :c.shape[1]] = c
+    for c, v in parts:
+        stop = start + c.shape[0]
+        cols[start:stop, :c.shape[1]] = c + start
+        coefs[..., start:stop, :c.shape[1]] = v
         start = stop
     return cols, coefs
 
@@ -112,54 +135,81 @@ def _letter_rows(pieces, xs):
 def _block(series, h, order):
     """Levels 1..`order` of the letters' iterated integrals over ``[0, h]``.
 
-    ``series[j]`` is the coefficient of ``xi**j`` (``xi = x / h``) of the
-    letters on the block.  Level k is carried as the coefficients of its
-    running integral in xi, exponents ``k .. k + (k - 1) * (terms - 1)``;
-    the level is their sum, the value at ``xi = 1``.
+    ``series[i, j]`` is the coefficient of ``xi**j`` (``xi = x / h[i]``)
+    of the letters on interval i's block.  Level k is carried as the
+    coefficients of its running integral in xi, exponents ``k .. k + (k -
+    1) * (terms - 1)``; the level is their sum, the value at ``xi = 1``.
+    The running integrals hold their letter axes latest-first, so that
+    each product runs along the earlier letters; each level is returned
+    in time order.
     """
-    terms, size = series.shape
+    n, terms, size = series.shape
     levels = []
-    running = np.ones(1, dtype=complex)   # level 0: the constant 1
+    running = np.ones((n, 1), dtype=complex)   # level 0: the constant 1
     for k in range(1, order + 1):
-        coefs = np.zeros((len(running) + terms - 1,) + running.shape[1:]
-                         + (size,), dtype=complex)
+        length = running.shape[1]
+        shape = (n, length, size) + running.shape[2:]
+        coefs = np.zeros((n, length + terms - 1) + shape[2:], dtype=complex)
+        earlier, product = running[:, :, None], np.empty(shape, dtype=complex)
         for j in range(terms):
-            coefs[j:j + len(running)] += np.multiply.outer(running, series[j])
-        exponents = np.arange(k, k + len(coefs)).reshape(
+            np.multiply(earlier, series[:, j].reshape(
+                (n, 1, size) + (1,) * (k - 1)), out=product)
+            coefs[:, j:j + length] += product
+        exponents = np.arange(k, k + coefs.shape[1]).reshape(
             (-1,) + (1,) * k)
-        running = h * coefs / exponents
-        level = running[-1]
-        for e in range(len(running) - 2, -1, -1):
-            level = level + running[e]
-        levels.append(level)
+        running = np.multiply(h.reshape((-1,) + (1,) * (k + 1)), coefs,
+                              out=coefs)
+        running /= exponents
+        level = running[:, -1]
+        for e in range(running.shape[1] - 2, -1, -1):
+            level = level + running[:, e]
+        levels.append(np.ascontiguousarray(
+            level.transpose((0,) + tuple(range(k, 0, -1)))))
     return levels
 
 
-def _stretch(pieces, span, order):
-    """Channel levels of the pieces over ``[0, span]`` from their origin."""
-    h = span / 2 ** _DOUBLINGS
-    terms = max([_TERMS] + [len(p.state) for p in pieces if p.rates is None])
-    series = np.zeros((terms, sum(len(p.state) for p in pieces)),
-                      dtype=complex)
+def _terms(pieces):
+    """Series terms of a stretch of `pieces`: every term of a polynomial."""
+    return max([_TERMS] + [p.state.shape[-1] for p in pieces
+                           if p.rates is None])
+
+
+def _entries(pieces, order):
+    """Complex entries of the largest array of a stretch's `_block`."""
+    size = sum(p.state.shape[-1] for p in pieces)
+    return (1 + order * (_terms(pieces) - 1)) * size ** order
+
+
+def _stretch(pieces, spans, order):
+    """Channel levels over ``[0, span]`` of stacked pieces from their origin.
+
+    `pieces` holds one stacked `Piece` per channel, all of one layout, and
+    `spans` the stretch length of each entry of the stack.
+    """
+    h = spans / 2 ** _DOUBLINGS
+    terms = _terms(pieces)
+    series = np.zeros((len(spans), terms,
+                       sum(p.state.shape[-1] for p in pieces)), dtype=complex)
     start = 0
     for p in pieces:
         part = p.series(h, terms if p.rates is None else _TERMS)
-        series[:len(part), start:start + part.shape[1]] = part
-        start += part.shape[1]
+        series[:, :part.shape[1], start:start + part.shape[2]] = part
+        start += part.shape[2]
     block = _block(series, h, order)
-    cols, coefs = _letter_rows(pieces, [2 ** j * h for j in range(_DOUBLINGS)])
+    cols, coefs = _letter_rows(pieces, np.ldexp(h[:, None],
+                                                np.arange(_DOUBLINGS)))
     for j in range(_DOUBLINGS):
-        block = _chen(block, _shifted(block, cols, coefs[j]))
+        block = _chen(block, _shifted(block, cols, coefs[:, j]))
     reads, start = [], 0
     for p in pieces:
         reads.append([start + letter for letter in p.read])
-        start += len(p.state)
+        start += p.state.shape[-1]
     return [_to_channels(level, reads) for level in block]
 
 
 def _to_channels(level, reads):
-    """Sum each axis of `level` over the letters each channel reads."""
-    for axis in range(level.ndim):
+    """Sum each letter axis of `level` over the letters each channel reads."""
+    for axis in range(1, level.ndim):
         sums = []
         for read in reads:
             summed = level.take(read[0], axis=axis)
@@ -170,20 +220,18 @@ def _to_channels(level, reads):
     return level
 
 
-def _levels(channels, t0, t, order):
-    """Levels 1..`order` of the iterated integrals of the `channels`.
+def _stretches(channels, t0, t):
+    """``(pieces, span)`` of each stretch of ``[t0, t]``, in time order.
 
-    `channels` lists ``(name, driving)`` pairs; entry
-    ``levels[k - 1][a_1, ..., a_k]`` is the integral of
-    ``f_{a_1}(s_1) ... f_{a_k}(s_k)`` over ``t0 < s_1 < ... < s_k < t``,
-    oriented from t0 to t when ``t < t0``.
+    The stretches run from cut to cut, the cuts being the ends and the
+    channels' knots inside; `pieces` holds one `Piece` per channel.
     """
     cuts = {t0, t}
     for _, f in channels:
         cuts.update(float(knot) for knot in f.knots()
                     if min(t0, t) < knot < max(t0, t))
     cuts = sorted(cuts, reverse=t < t0)
-    total = None
+    out = []
     for a, b in zip(cuts, cuts[1:]):
         pieces = [f.piece(a, b) for _, f in channels]
         for (name, f), p in zip(channels, pieces):
@@ -200,8 +248,55 @@ def _levels(channels, t0, t, order):
                     f"{b - a:.6g} exceeds the bracket series' limit "
                     f"max|rate| * stretch <= "
                     f"{_RATE_LIMIT * 2 ** _DOUBLINGS:g}; split the step")
-        levels = _stretch(pieces, b - a, order)
-        total = levels if total is None else _chen(total, levels)
+        out.append((pieces, b - a))
+    return out
+
+
+def _stack(pieces):
+    """One `Piece` holding `pieces`, all of one layout, along a new axis."""
+    rates = None if pieces[0].rates is None else \
+        np.stack([p.rates for p in pieces])
+    return Piece(np.stack([p.state for p in pieces]), rates)
+
+
+def _levels(stretches, order):
+    """Levels 1..`order` of the iterated integrals of a stack of intervals.
+
+    `stretches` lists each interval's stretches (`_stretches`), none
+    empty.  Entry ``levels[k - 1][i, a_1, ..., a_k]`` is the integral of
+    ``f_{a_1}(s_1) ... f_{a_k}(s_k)`` over ``t0 < s_1 < ... < s_k < t`` on
+    interval i, oriented from t0 to t when ``t < t0``.  The stretches of
+    one piece layout go through `_stretch` as one stack, in passes whose
+    blocks hold at most `PASS_SLOTS` entries (or a single stretch); each
+    interval's stretches are then joined in time order, the intervals
+    with an r-th stretch as one stack.
+    """
+    flat = [s for st in stretches for s in st]
+    n_channels = len(flat[0][0])
+    groups = {}
+    for i, (pieces, _) in enumerate(flat):
+        layout = tuple((p.state.shape[-1], p.rates is None) for p in pieces)
+        groups.setdefault(layout, []).append(i)
+    out = [np.empty((len(flat),) + (n_channels,) * k, dtype=complex)
+           for k in range(1, order + 1)]
+    for members in groups.values():
+        step = max(1, PASS_SLOTS // _entries(flat[members[0]][0], order))
+        for lo in range(0, len(members), step):
+            run = members[lo:lo + step]
+            pieces = [_stack([flat[i][0][c] for i in run])
+                      for c in range(n_channels)]
+            levels = _stretch(pieces, np.array([flat[i][1] for i in run]),
+                              order)
+            for o, level in zip(out, levels):
+                o[run] = level
+    firsts = np.cumsum([0] + [len(st) for st in stretches[:-1]])
+    total = [o[firsts] for o in out]
+    for r in range(1, max(len(st) for st in stretches)):
+        live = [i for i, st in enumerate(stretches) if len(st) > r]
+        joined = _chen([level[live] for level in total],
+                       [o[firsts[live] + r] for o in out])
+        for level, part in zip(total, joined):
+            level[live] = part
     return total
 
 
@@ -238,23 +333,43 @@ class BracketTable:
 
         `channels` is a list of ``(name, driving)`` pairs in channel order;
         a name listed twice raises `ValueError`, and so does a non-finite
-        end of the interval.  An empty interval holds zeros.
+        end of an interval.  An empty interval holds zeros.  `t0` and `t`
+        may also be equal-length sequences of times: then the result is a
+        list of one table per interval, evaluated in stacked passes of at
+        most `PASS_SLOTS` block entries each (`_levels`).
         """
-        check_interval(t0, t)
+        single = np.ndim(t0) == 0 and np.ndim(t) == 0
+        t0s, ts = ([t0], [t]) if single else (list(t0), list(t))
+        if len(t0s) != len(ts):
+            raise ValueError(f"{len(t0s)} interval starts for {len(ts)} "
+                             f"interval ends")
+        for a, b in zip(t0s, ts):
+            check_interval(a, b)
         channels = list(channels)
         index = {}
         for i, (name, _) in enumerate(channels):
             if index.setdefault(name, i) != i:
                 raise ValueError(f"channel name {name!r} is listed twice")
-        keys = [key for k in range(1, max_order + 1)
-                for key in product(index, repeat=k)]
-        if t == t0:
-            return cls((t0, t), dict.fromkeys(keys, 0.0 + 0.0j), max_order)
-        levels = _levels(channels, t0, t, max_order)
-        values = {key: complex((-1j) ** len(key) * levels[len(key) - 1][
-                      tuple(index[name] for name in reversed(key))])
-                  for key in keys}
-        return cls((t0, t), values, max_order)
+        words = [list(product(index, repeat=k))
+                 for k in range(1, max_order + 1)]
+        zeros = dict.fromkeys((key for keys in words for key in keys),
+                              0.0 + 0.0j)
+        tables = [cls((a, b), zeros, max_order) for a, b in zip(t0s, ts)]
+        run = [i for i, (a, b) in enumerate(zip(t0s, ts)) if a != b]
+        if run:
+            levels = _levels([_stretches(channels, t0s[i], ts[i])
+                              for i in run], max_order)
+            # row i of a level: its entries with the letters latest-first,
+            # the words of the level in `product` order
+            rows = [level.transpose((0,) + tuple(range(level.ndim - 1, 0, -1)))
+                    .reshape(len(run), -1).tolist() for level in levels]
+            for r, i in enumerate(run):
+                values = {}
+                for k, (keys, row) in enumerate(zip(words, rows), 1):
+                    phase = (-1j) ** k
+                    values.update(zip(keys, [phase * v for v in row[r]]))
+                tables[i] = cls((t0s[i], ts[i]), values, max_order)
+        return tables[0] if single else tables
 
     @classmethod
     def frozen(cls, weights, tau, max_order):

@@ -78,7 +78,7 @@ import numpy as np
 
 from .extensive import ExtensiveMPO, scatter_add
 from .levels import IDENTITY_LEVEL, block_keys, is_one
-from .linalg import _ZGEQP3, _geqp3_lwork, lstsq
+from .linalg import lstsq, pivoted_qr
 
 
 class CompressionBasisError(RuntimeError):
@@ -509,19 +509,15 @@ def _decide(batch, values, kept, tol):
             g_comp = residual[sub]
             residual[sub] = g_comp - g_kept @ lstsq(g_kept, g_comp)
     # rank of the residual measured against the unprojected column
-    # scale, not the residual's own largest entry; the stack holds each
-    # residual in Fortran order for zgeqp3 to factorise in place
-    n_rows, n_own = residual.shape[1:]
-    r_fac = residual.transpose(0, 2, 1).copy()
-    lwork = _geqp3_lwork(n_rows, n_own)
-    pivots = [_ZGEQP3(r.T, lwork=lwork, overwrite_a=True)[1] for r in r_fac]
-    diag = np.abs(np.diagonal(r_fac, axis1=1, axis2=2))
+    # scale, not the residual's own largest entry
+    n_own = residual.shape[2]
+    diag, pivots = pivoted_qr(residual)
     ranks = (diag > (tol * ref)[:, None]).sum(axis=1)
     # a rank of 0 removes every own level; in between, the greedy subset
     # in column order wins when it has the QR's size
     removed = np.repeat((ranks == 0)[:, None], n_own, axis=1)
     for k in np.flatnonzero((ranks > 0) & (ranks < n_own)).tolist():
-        selected = pivots[k][:ranks[k]] - 1
+        selected = pivots[k][:ranks[k]]
         greedy = _select_new_levels(residual[k], tol, ref[k])
         if len(greedy) == ranks[k]:
             selected = greedy

@@ -25,11 +25,16 @@ PERIOD_DENOMINATOR = 12  # largest denominator of a commensurate period ratio
 
 
 def _binomial(x, size):
-    """``S[m, l] = C(l, m) x**(l - m)``: Taylor coefficients moved by x."""
-    out = np.zeros((size, size))
+    """``S[..., m, l] = C(l, m) x**(l - m)``: Taylor coefficients moved by
+    x, for a time or each time of an array."""
+    x = np.asarray(x, dtype=float)
+    # Python's float power: numpy's rounds some powers differently
+    powers = np.array([[float(v) ** e for e in range(size)]
+                       for v in x.flat]).reshape(x.shape + (size,))
+    out = np.zeros(x.shape + (size, size))
     for m in range(size):
         for l in range(m, size):
-            out[m, l] = math.comb(l, m) * x ** (l - m)
+            out[..., m, l] = math.comb(l, m) * powers[..., l - m]
     return out
 
 
@@ -42,7 +47,9 @@ class Piece:
     exponentials, ``G = diag(rates)`` and every letter is read.  Without,
     `state` holds the Taylor coefficients at ``t_p``, G is the binomial
     derivative matrix (``G[m, m + 1] = m + 1``), S(x) the binomial matrix
-    and letter 0 is read.
+    and letter 0 is read.  A stack of pieces of one layout holds `state`
+    and `rates` with leading axes, the letters last
+    (`dysonmpo.brackets`).
     """
 
     state: np.ndarray
@@ -51,23 +58,30 @@ class Piece:
     @property
     def read(self):
         """Letters whose sum is the driving's value."""
-        return range(len(self.state)) if self.rates is not None else range(1)
+        size = self.state.shape[-1]
+        return range(size) if self.rates is not None else range(1)
 
     def shift(self, x):
-        """Rows of S(x) as ``(cols, coefs)``, both ``(letters, width)``.
+        """Rows of S(x) as ``(cols, coefs)``: ``(letters, width)`` and
+        ``x.shape + (letters, width)``.
 
         Row m of ``S(x) @ u`` is ``sum_w coefs[m, w] * u[cols[m, w]]``;
-        column 0 is the diagonal and padding carries coefficient 0.
+        column 0 is the diagonal and padding carries coefficient 0.  For a
+        stack, `x` has its leading shape, then any axes of points.
         """
-        size = len(self.state)
+        size = self.state.shape[-1]
         rows = np.arange(size)[:, None]
+        x = np.asarray(x, dtype=float)
         if self.rates is not None:
-            return rows, np.exp(self.rates * x)[:, None]
+            lead = self.rates.shape[:-1]
+            rates = self.rates.reshape(
+                lead + (1,) * (x.ndim - len(lead)) + (size,))
+            return rows, np.exp(rates * x[..., None])[..., None]
         cols = rows + np.arange(size)
         full = _binomial(x, size)
-        coefs = np.zeros((size, size), dtype=complex)
+        coefs = np.zeros(full.shape, dtype=complex)
         for m in range(size):
-            coefs[m, :size - m] = full[m, m:]
+            coefs[..., m, :size - m] = full[..., m, m:]
         return np.where(cols < size, cols, rows), coefs
 
     def series(self, h, terms):
@@ -75,18 +89,21 @@ class Piece:
 
         Row j is the coefficient of ``(x / h)**j`` in ``S(x) state``.  A
         polynomial's rows vanish from its number of letters on, so its
-        series is exact with at least that many terms.
+        series is exact with at least that many terms.  For a stack, `h`
+        has its leading shape, and so do the rows.
         """
-        out = np.zeros((terms, len(self.state)), dtype=complex)
-        out[0] = self.state
+        size = self.state.shape[-1]
+        h = np.asarray(h, dtype=float)[..., None]
+        out = np.zeros(self.state.shape[:-1] + (terms, size), dtype=complex)
+        out[..., 0, :] = self.state
         if self.rates is not None:
             step = self.rates * h
             for j in range(1, terms):
-                out[j] = out[j - 1] * step / j
+                out[..., j, :] = out[..., j - 1, :] * step / j
         else:
-            step = np.arange(1, len(self.state)) * h
+            step = np.arange(1, size) * h
             for j in range(1, terms):
-                out[j, :-1] = out[j - 1, 1:] * step / j
+                out[..., j, :-1] = out[..., j - 1, 1:] * step / j
         return out
 
 

@@ -4,8 +4,8 @@ The thin QR that `mps.apply_mpo` and `mps.trace_distance_error` take
 (`qr`); a truncated SVD without the left factor, which `apply_mpo`'s
 truncating sweep calls, with its keep/discard rule; and LAPACK's
 column-pivoted QR ``zgeqp3`` with the workspace it asks for, which row
-compression calls on each block's residual to form only the triangular
-factor.  Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype
+compression calls on a stack of block residuals to form only the
+triangular factors (`pivoted_qr`).  Matrices are ``numpy.ndarray`` objects with ``complex128`` dtype
 and row-major (C-order) data layout.  This module is the one place in
 `dysonmpo` that calls a QR, SVD or least-squares routine.
 
@@ -275,6 +275,23 @@ def truncation_rank(s, tol=0.0, max_rank=None):
     if max_rank is not None:
         keep = min(keep, max_rank)
     return keep, float(np.add.reduce(s[keep:] ** 2))
+
+
+def pivoted_qr(stack):
+    """LAPACK's column-pivoted QR ``zgeqp3`` of each matrix of a stack.
+
+    `stack` is ``(n, rows, cols)`` and is left as it is; each matrix is
+    factorised in place in a Fortran-ordered copy, with the workspace
+    ``zgeqp3`` asks for at the shape.  Returns ``(diag, pivots)``: the
+    moduli of the diagonal of each R, ``(n, min(rows, cols))``, and each
+    factorisation's column order, ``(n, cols)``, 0-based.
+    """
+    n, rows, cols = stack.shape
+    fac = stack.transpose(0, 2, 1).copy()
+    lwork = _geqp3_lwork(rows, cols)
+    pivots = np.array([_ZGEQP3(f.T, lwork=lwork, overwrite_a=True)[1]
+                       for f in fac], dtype=np.int64).reshape(n, cols)
+    return np.abs(np.diagonal(fac, axis1=1, axis2=2)), pivots - 1
 
 
 @functools.lru_cache(maxsize=256)

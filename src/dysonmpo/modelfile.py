@@ -21,7 +21,9 @@ the channel order of the Hamiltonian.  Driving kinds: ``const value=``,
 (``rate=, amplitude=``), ``poly`` (``coeffs=[...]``), ``samples``
 (``t0=, t1=, values=[...]``); `DRIVING_KINDS` declares them, and a key
 a kind does not take, a repeated key or a missing kind is an error.
-Every driving parameter must be finite and ``dim`` at least 1.
+Every driving parameter must be finite and ``dim`` at least 1.  A
+second ``dim`` line, or a second ``driving``, ``D`` or ``A i j`` line
+(same ``i j``) in one channel block, is an error too.
 """
 
 import ast
@@ -103,6 +105,14 @@ def _parse_matrix(text, d):
     return mat
 
 
+def _once(current, slot, directive):
+    """Raise `ModelFileError` when the channel block `current` has set
+    `slot` already, by an earlier `directive` line."""
+    if current[slot] is not None:
+        raise ModelFileError(f"channel {current[0]}: repeated directive "
+                             f"{directive!r}")
+
+
 def loads(text):
     """Parse model-file text into a :class:`TimeDependentHamiltonian`."""
     d = None
@@ -130,9 +140,12 @@ def loads(text):
         rest = rest.strip()
         try:
             if head == "dim":
-                d = int(rest)
-                if d < 1:
-                    raise ModelFileError(f"dim must be at least 1, got {d}")
+                dim = int(rest)
+                if dim < 1:
+                    raise ModelFileError(f"dim must be at least 1, got {dim}")
+                if d is not None:
+                    raise ModelFileError("repeated directive 'dim'")
+                d = dim
             elif head == "channel":
                 close_channel()
                 if d is None:
@@ -141,15 +154,21 @@ def loads(text):
             elif current is None:
                 raise ModelFileError(f"{head!r} outside a channel block")
             elif head == "driving":
+                _once(current, 1, "driving")
                 current[1] = _parse_driving(rest)
             elif head == "L":
                 current[2].append(_parse_matrix(rest, d))
             elif head == "A":
                 i, j, mat = rest.split(maxsplit=2)
-                current[3][(int(i), int(j))] = _parse_matrix(mat, d)
+                key = (int(i), int(j))
+                if key in current[3]:
+                    raise ModelFileError(f"channel {current[0]}: repeated "
+                                         f"directive 'A {key[0]} {key[1]}'")
+                current[3][key] = _parse_matrix(mat, d)
             elif head == "R":
                 current[4].append(_parse_matrix(rest, d))
             elif head == "D":
+                _once(current, 5, "D")
                 current[5] = _parse_matrix(rest, d)
             elif head == "end":
                 close_channel()

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from dysonmpo import fdmpo, mps
+from dysonmpo import brackets, fdmpo, mps
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import (Block, CompressionBasisError,
                                   CompressionPlan, CompressionReport,
@@ -516,6 +516,149 @@ def time_ordered_integral(drivings, t0, t):
         raise ValueError("empty channel sequence")
     word = tuple(range(len(channels)))
     return BracketTable.compute(channels, t0, t, len(word)).values[word]
+
+
+def _one_shift(piece, x):
+    """``Piece.shift`` of one piece at one time x, as a table's single
+    interval reads it."""
+    size = len(piece.state)
+    rows = np.arange(size)[:, None]
+    if piece.rates is not None:
+        return rows, np.exp(piece.rates * x)[:, None]
+    cols = rows + np.arange(size)
+    coefs = np.zeros((size, size), dtype=complex)
+    for m in range(size):
+        for l in range(m, size):
+            coefs[m, l - m] = math.comb(l, m) * x ** (l - m)
+    return np.where(cols < size, cols, rows), coefs
+
+
+def _one_series(piece, h, terms):
+    """``Piece.series`` of one piece at one block length h."""
+    out = np.zeros((terms, len(piece.state)), dtype=complex)
+    out[0] = piece.state
+    if piece.rates is not None:
+        step = piece.rates * h
+        for j in range(1, terms):
+            out[j] = out[j - 1] * step / j
+    else:
+        step = np.arange(1, len(piece.state)) * h
+        for j in range(1, terms):
+            out[j, :-1] = out[j - 1, 1:] * step / j
+    return out
+
+
+def _one_chen(a, b):
+    out = []
+    for k in range(len(a)):
+        total = a[k] + b[k]
+        for i in range(k):
+            total = total + np.multiply.outer(a[i], b[k - 1 - i])
+        out.append(total)
+    return out
+
+
+def _one_shifted(levels, cols, coefs):
+    out = []
+    for level in levels:
+        for axis in range(level.ndim):
+            shape = [1] * level.ndim
+            shape[axis] = -1
+            moved = coefs[:, 0].reshape(shape) * level
+            for w in range(1, cols.shape[1]):
+                moved = moved + coefs[:, w].reshape(shape) * \
+                    level.take(cols[:, w], axis=axis)
+            level = moved
+        out.append(level)
+    return out
+
+
+def _one_stretch(pieces, span, order):
+    """Channel levels of one stretch, one operation per interval."""
+    h = span / 2 ** brackets._DOUBLINGS
+    terms = max([brackets._TERMS] + [len(p.state) for p in pieces
+                                     if p.rates is None])
+    series = np.zeros((terms, sum(len(p.state) for p in pieces)),
+                      dtype=complex)
+    start = 0
+    for p in pieces:
+        part = _one_series(p, h, terms if p.rates is None
+                           else brackets._TERMS)
+        series[:len(part), start:start + part.shape[1]] = part
+        start += part.shape[1]
+    size = series.shape[1]
+    block, running = [], np.ones(1, dtype=complex)
+    for k in range(1, order + 1):
+        coefs = np.zeros((len(running) + terms - 1,) + running.shape[1:]
+                         + (size,), dtype=complex)
+        for j in range(terms):
+            coefs[j:j + len(running)] += np.multiply.outer(running, series[j])
+        exponents = np.arange(k, k + len(coefs)).reshape((-1,) + (1,) * k)
+        running = h * coefs / exponents
+        level = running[-1]
+        for e in range(len(running) - 2, -1, -1):
+            level = level + running[e]
+        block.append(level)
+    xs = [2 ** j * h for j in range(brackets._DOUBLINGS)]
+    parts = [[_one_shift(p, x) for x in xs] for p in pieces]
+    width = max(rows[0][0].shape[1] for rows in parts)
+    cols = np.repeat(np.arange(size)[:, None], width, axis=1)
+    shifts = np.zeros((len(xs), size, width), dtype=complex)
+    start = 0
+    for rows in parts:
+        stop = start + len(rows[0][0])
+        cols[start:stop, :rows[0][0].shape[1]] = rows[0][0] + start
+        for i, (_, c) in enumerate(rows):
+            shifts[i, start:stop, :c.shape[1]] = c
+        start = stop
+    for j in range(brackets._DOUBLINGS):
+        block = _one_chen(block, _one_shifted(block, cols, shifts[j]))
+    reads, start = [], 0
+    for p in pieces:
+        reads.append([start + letter for letter in p.read])
+        start += len(p.state)
+    out = []
+    for level in block:
+        for axis in range(level.ndim):
+            sums = []
+            for read in reads:
+                summed = level.take(read[0], axis=axis)
+                for letter in read[1:]:
+                    summed = summed + level.take(letter, axis=axis)
+                sums.append(summed)
+            level = np.stack(sums, axis=axis)
+        out.append(level)
+    return out
+
+
+def per_interval_table(channels, t0, t, max_order):
+    """`BracketTable.compute` of one interval, one operation at a time.
+
+    The bitwise reference of the stacked pass: the same series block,
+    doublings, channel sums and knot joins, each on this interval's
+    arrays alone, and the same word order.
+    """
+    channels = list(channels)
+    index = {name: i for i, (name, _) in enumerate(channels)}
+    keys = [key for k in range(1, max_order + 1)
+            for key in product(index, repeat=k)]
+    if t == t0:
+        return BracketTable((t0, t), dict.fromkeys(keys, 0.0 + 0.0j),
+                            max_order)
+    total = None
+    for pieces, span in brackets._stretches(channels, t0, t):
+        levels = _one_stretch(pieces, span, max_order)
+        total = levels if total is None else _one_chen(total, levels)
+    values = {key: complex((-1j) ** len(key) * total[len(key) - 1][
+                  tuple(index[name] for name in reversed(key))])
+              for key in keys}
+    return BracketTable((t0, t), values, max_order)
+
+
+def table_bits(table):
+    """The keys and the bytes of every value of a table, in key order."""
+    return list(table.values), np.array(list(table.values.values()),
+                                        dtype=complex).tobytes()
 
 
 def literal_time_ordered_integral(drivings, t0, t, bits):
@@ -1372,16 +1515,29 @@ def dispatch_rk4(hamiltonian, n_sites, psi, t0, t, substeps):
 
 
 def count_tables(monkeypatch):
-    """Record the `max_order` of every `BracketTable.compute` call."""
-    orders = []
+    """Record the `max_order` of every table `BracketTable.compute` makes.
+
+    A call over a sequence of intervals adds one entry per interval.
+    """
+    orders, _ = count_compute_calls(monkeypatch)
+    return orders
+
+
+def count_compute_calls(monkeypatch):
+    """``(orders, calls)``: the `max_order` of every table
+    `BracketTable.compute` makes, and the number of intervals of each
+    call, one for a call on a single interval."""
+    orders, calls = [], []
     original = BracketTable.__dict__["compute"].__func__
 
     def counting(cls, channels, t0, t, max_order, *args, **kwargs):
-        orders.append(max_order)
-        return original(cls, channels, t0, t, max_order, *args, **kwargs)
+        out = original(cls, channels, t0, t, max_order, *args, **kwargs)
+        calls.append(len(out) if isinstance(out, list) else 1)
+        orders.extend([max_order] * calls[-1])
+        return out
 
     monkeypatch.setattr(BracketTable, "compute", classmethod(counting))
-    return orders
+    return orders, calls
 
 
 def coo_digest(mpo):

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import coo_digest, count_tables, numpy_factorisations, \
+from helpers import coo_digest, count_compute_calls, count_tables, \
+    numpy_factorisations, per_interval_table, table_bits, \
     weighted_hamiltonian
 
 from dysonmpo import bench, extensive
@@ -600,7 +601,7 @@ def test_build_step_mpo_takes_the_table_and_no_method():
 
 
 def test_step_table_rejects_an_unknown_method():
-    # the one place past `_step_count` that reads the method
+    # the one place past `_steps` that reads the method
     with pytest.raises(ValueError, match="^unknown method 'foo'$"):
         step_table(BracketCache(modulated_ising()), "foo", 0.0, 0.1, 2)
 
@@ -677,16 +678,61 @@ def test_sweep_computes_one_table_per_interval(monkeypatch):
     config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4),
                              dts=(0.25, 0.125), t_final=0.5,
                              oracle_substeps=300, d_max=8)
-    tables = count_tables(monkeypatch)
+    tables, passes = count_compute_calls(monkeypatch)
     calls = _record_evolutions(monkeypatch)
     records = run_benchmark(ham, config)
-    assert tables == [4] * 6
+    assert tables == [4] * 6 and passes == [6]
     assert sum(stats["tables_computed"] for _, _, stats in calls) == 6
-    for r, (_, _, stats) in zip(records, calls):
-        # the lowest order meets each interval first
-        first = round(config.t_final / r.dt) if r.order == 1 else 0
-        assert stats["tables_computed"] == first
+    for i, (r, (_, _, stats)) in enumerate(zip(records, calls)):
+        # the first evolution computes every interval of the sweep
+        assert stats["tables_computed"] == (6 if i == 0 else 0)
         assert r.bracket_s == stats["bracket_s"] >= 0
+
+
+def test_sweep_makes_one_compute_call(monkeypatch):
+    # period 1 over [0, 1.5]: steps of 0.5 and 0.25 fall in 2 + 4 classes,
+    # and the steps past t = 1 are congruent to earlier ones
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, orders=(2, 3), dts=(0.5, 0.25),
+                             t_final=1.5, oracle_substeps=300, d_max=8)
+    tables, passes = count_compute_calls(monkeypatch)
+    requests = []
+    original = BracketCache.table
+
+    def counting(cache, t0, t1, order):
+        requests.append((t0, t1, order))
+        return original(cache, t0, t1, order)
+
+    monkeypatch.setattr(BracketCache, "table", counting)
+    records = run_benchmark(ham, config)
+    assert passes == [6] and tables == [3] * 6
+    # each evolution asks once per class, and only the first misses
+    assert len(requests) == 2 * 6
+    assert [r.mpo_builds for r in records] == [2, 4, 2, 4]
+
+
+def test_listed_intervals_compute_in_one_call(monkeypatch):
+    ham = modulated_ising()  # period 1
+    channels = [(c.name, c.driving) for c in ham.channels]
+    steps = [(0.0, 0.25), (0.25, 0.5), (1.0, 1.25), (0.5, 0.75)]
+    cache = BracketCache(ham, order=4, intervals=steps)
+    tables, passes = count_compute_calls(monkeypatch)
+    first = cache.table(0.25, 0.5, 2)
+    # one call at the cache's order: the request and each listed class
+    # on its first listed interval, the congruent (1.0, 1.25) left out
+    assert passes == [3] and tables == [4] * 3
+    assert first.max_order == 4 and cache.computed == 3
+    for t0, t1 in [(0.0, 0.25), (1.0, 1.25), (0.5, 0.75), (1.5, 1.75)]:
+        for order in (1, 4):
+            served = cache.table(t0, t1, order)
+            assert served.interval == (t0, t1)
+            direct = per_interval_table(channels, t0 % 1.0, t1 - t0 // 1.0,
+                                        4)
+            assert table_bits(served) == table_bits(direct)
+    assert passes == [3]
+    # a class that no listed interval holds computes alone
+    cache.table(0.1, 0.2, 3)
+    assert passes == [3, 1] and cache.computed == 4
 
 
 def _count_powers(monkeypatch):
@@ -892,10 +938,15 @@ def _tracer_module():
 
 
 def _untimed(records):
-    return [{k: v for k, v in dataclasses.asdict(r).items()
-             if k not in ("wall_time_per_step", "bracket_s", "build_s",
-                          "apply_s", "plan_s")}
+    return [{name: getattr(r, name) for name in bench.UNTIMED_FIELDS}
             for r in records]
+
+
+def test_timed_fields_are_the_wall_clock_times():
+    timed = [f.name for f in dataclasses.fields(ErrorRecord)
+             if f.name not in bench.UNTIMED_FIELDS]
+    assert timed == ["wall_time_per_step", "bracket_s", "build_s", "apply_s",
+                     "plan_s"]
 
 
 @pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from helpers import (OpaqueDriving, dense_discrete_bracket, taylor_weight,
-                     literal_bracket_table, piecewise_van_loan_table,
+                     literal_bracket_table, per_interval_table,
+                     piecewise_van_loan_table, table_bits,
                      time_ordered_integral, van_loan_table)
 from quadrature import quad_time_ordered_integral
 
@@ -363,3 +364,78 @@ def test_unit_weight_frozen_table_is_the_taylor_series_bitwise(tau):
     assert list(table.values) == [("h",) * k for k in range(1, 7)]
     for word, value in table.values.items():
         assert value == taylor_weight(tau, word)
+
+
+# every driving kind next to a second channel; SAMPLES has knots inside
+# (0.0, 0.25) and (0.3, 0.1), none inside (0.15, 0.2), and holds its end
+# value on (0.41, 0.9)
+STACK_KINDS = {
+    "const": ConstDriving(1.5),
+    "sin": SIN_MOD,
+    "cos": COS_MOD,
+    "exp": EXP_COMPLEX,
+    "poly": PolyDriving(coeffs=(0.5, -1.0, 2.0)),
+    "samples": SAMPLES,
+}
+STACK_INTERVALS = [(0.0, 0.25), (0.15, 0.2), (0.41, 0.9), (0.3, 0.1),
+                   (0.2, 0.2), (0.0, 0.0625), (0.0625, 0.125), (0.6, 0.35)]
+
+
+def _assert_stack_is_per_interval(channels, intervals, order):
+    tables = BracketTable.compute(channels, [a for a, _ in intervals],
+                                  [b for _, b in intervals], order)
+    assert len(tables) == len(intervals)
+    for table, (t0, t) in zip(tables, intervals):
+        assert table.interval == (t0, t) and table.max_order == order
+        assert table_bits(table) == \
+            table_bits(per_interval_table(channels, t0, t, order)), (t0, t)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(STACK_KINDS))
+def test_stacked_tables_are_the_per_interval_tables_bitwise(kind, order):
+    channels = [(kind, STACK_KINDS[kind]), ("s", SIN)]
+    _assert_stack_is_per_interval(channels, STACK_INTERVALS, order)
+
+
+def test_stacked_tables_of_mixed_layouts_are_bitwise():
+    # stretches of four layouts in one pass: the samples channel has one
+    # letter where it holds its end values and two between knots
+    channels = [("x", SAMPLES), ("p", STACK_KINDS["poly"]), ("c", COS_MOD)]
+    _assert_stack_is_per_interval(channels, STACK_INTERVALS, 3)
+
+
+def test_single_interval_is_a_stack_of_one():
+    channels = CHANNEL_SETS["trig"]
+    table = BracketTable.compute(channels, 0.1, 0.35, 3)
+    stack = BracketTable.compute(channels, [0.1], [0.35], 3)
+    assert isinstance(table, BracketTable) and len(stack) == 1
+    assert table_bits(stack[0]) == table_bits(table)
+    assert BracketTable.compute(channels, [], [], 3) == []
+    with pytest.raises(ValueError, match="2 interval starts for 1"):
+        BracketTable.compute(channels, [0.0, 0.1], [0.2], 3)
+
+
+def test_entry_cap_splits_a_batch_into_passes(monkeypatch):
+    # an order-3 stretch where the samples channel has two letters (five
+    # in all) has blocks of 22 * 5**3 = 2,750 entries, and one where it
+    # holds its end value 22 * 4**3 = 1,408; a cap of 6,000 lets a pass
+    # hold two or four of them
+    channels = [("x", SAMPLES), ("s", SIN_MOD)]
+    inside, clamped = ([f.piece(t, t + 0.01) for _, f in channels]
+                       for t in (0.15, 0.5))
+    assert brackets._entries(inside, 3) == 22 * 5 ** 3
+    assert brackets._entries(clamped, 3) == 22 * 4 ** 3
+    passes = []
+    original = brackets._stretch
+
+    def counting(pieces, spans, order):
+        passes.append((pieces[0].state.shape[-1], len(spans)))
+        return original(pieces, spans, order)
+
+    monkeypatch.setattr(brackets, "_stretch", counting)
+    monkeypatch.setattr(brackets, "PASS_SLOTS", 6000)
+    _assert_stack_is_per_interval(channels, STACK_INTERVALS, 3)
+    # 4 stretches where the samples channel has one letter, the first
+    # met, and 10 where it has two
+    assert passes == [(1, 4)] + [(2, 2)] * 5

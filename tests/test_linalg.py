@@ -366,3 +366,53 @@ def test_zgesvd_scratch_is_one_per_thread():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+
+
+def _private_linalg_names(source):
+    """`_`-prefixed names `source` takes from `linalg`, by import or as an
+    attribute of the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] == "linalg":
+            found += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id == "linalg" and node.attr.startswith("_"):
+            found.append(node.attr)
+    return found
+
+
+def test_no_other_module_reaches_into_linalg():
+    # linalg's private bindings (_ZGEQP3, _geqp3_lwork, the gufuncs) stay
+    # behind its public functions
+    assert sorted(_private_linalg_names(
+        "from .linalg import _ZGEQP3, lstsq\nlinalg._SCRATCH\n"
+        "from numpy.linalg import _umath_linalg")) == \
+        ["_SCRATCH", "_ZGEQP3", "_umath_linalg"]
+    package = Path(linalg.__file__).parent
+    found = {path.name: _private_linalg_names(path.read_text())
+             for path in sorted(package.glob("*.py"))
+             if path.name != "linalg.py"}
+    assert len(found) > 10
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (6, 3), (3, 7), (1, 5)])
+def test_pivoted_qr_is_zgeqp3_of_each_matrix(rows, cols):
+    rng = np.random.default_rng(rows * 10 + cols)
+    stack = rng.normal(size=(5, rows, cols)) + \
+        1j * rng.normal(size=(5, rows, cols))
+    stack[2, :, 1] = stack[2, :, 0]   # a rank-deficient block
+    stack[3] = 0.0                    # a vanishing one
+    before = stack.copy()
+    diag, pivots = linalg.pivoted_qr(stack)
+    assert stack.tobytes() == before.tobytes()
+    assert diag.shape == (5, min(rows, cols)) and pivots.shape == (5, cols)
+    for k, m in enumerate(stack):
+        a = np.array(m, order="F")
+        qr, piv, _, _, info = scipy.linalg.lapack.zgeqp3(
+            a, lwork=linalg._geqp3_lwork(rows, cols))
+        assert info == 0
+        assert np.abs(np.diagonal(qr)).tobytes() == diag[k].tobytes()
+        assert (piv - 1).tolist() == pivots[k].tolist()

@@ -305,6 +305,36 @@ def test_loader_errors_name_their_line(text, line, message):
     assert str(exc.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("dim 2\ndim 2\nchannel a\nend\n", 2, "repeated directive 'dim'"),
+    ("dim 2\nchannel a\nD [[1, 0], [0, 1]]\nend\ndim 3\n", 5,
+     "repeated directive 'dim'"),
+    ("dim 2\nchannel a\ndriving sin omega=1.0\ndriving cos omega=2.0\n"
+     "end\n", 4, "channel a: repeated directive 'driving'"),
+    ("dim 2\nchannel a\nD [[1, 0], [0, 1]]\n# again\nD [[0, 1], [1, 0]]\n"
+     "end\n", 5, "channel a: repeated directive 'D'"),
+    ("dim 2\nchannel a\nL [[1, 0], [0, 1]]\nL [[1, 0], [0, 1]]\n"
+     "A 0 1 [[1, 0], [0, 1]]\nR [[1, 0], [0, 1]]\nA 0 1 [[0, 1], [1, 0]]\n"
+     "R [[1, 0], [0, 1]]\nend\n", 7,
+     "channel a: repeated directive 'A 0 1'"),
+])
+def test_repeated_directives_are_rejected(text, line, message):
+    # the second line would silently replace the first
+    with pytest.raises(modelfile.ModelFileError) as exc:
+        modelfile.loads(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_each_channel_takes_its_own_directives():
+    # the same directives in two channel blocks are no repetition
+    text = ("dim 2\nchannel a\ndriving sin omega=1.0\nL [[1, 0], [0, 1]]\n"
+            "A 0 0 [[1, 0], [0, 1]]\nR [[1, 0], [0, 1]]\n"
+            "D [[0, 1], [1, 0]]\nend\nchannel b\ndriving cos omega=2.0\n"
+            "D [[1, 0], [0, -1]]\nend\n")
+    ham = modelfile.loads(text)
+    assert [c.driving.name for c in ham.channels] == ["sin", "cos"]
+
+
 def test_cli_integrate_rejects_a_non_finite_driving(tmp_path, capsys):
     # an infinite constant once printed NaN rows and exited 0
     path = tmp_path / "inf.model"
