@@ -29,16 +29,15 @@ u_exact = exact_evolution_operator(ham, L, t0, t0 + dt, substeps=2000)
 print("\noperator error on one step of dt = 0.1:")
 for order in (1, 2, 3):
     tab = dm.BracketTable.compute(channels, t0, t0 + dt, order)
-    w = dm.dyson_mpo(ham, t0, t0 + dt, order, tab)
-    err = np.linalg.norm(w.to_dense(L, cap=256) - u_exact, 2)
+    w = dm.dyson_mpo(ham, tab, order)
+    err = np.linalg.norm(w.to_dense(L) - u_exact, 2)
     print(f"  dyson order {order}: bond {w.bond_dimension:>2}  error {err:.3e}")
 
 # a frozen-Hamiltonian Taylor step of the same order for comparison: the
 # same plan, weighted by tau**k / k! times the drivings at the midpoint
 frozen = dm.step_table(dm.BracketCache(ham), "taylor", t0, t0 + dt, 3)
-w_frozen, _ = dm.build_step_mpo(ham, t0, t0 + dt, 3, frozen, qr_tol=1e-12,
-                                compress=False)
-err = np.linalg.norm(w_frozen.to_dense(L, cap=256) - u_exact, 2)
+w_frozen, _ = dm.build_step_mpo(ham, frozen, 3, qr_tol=1e-12, compress=False)
+err = np.linalg.norm(w_frozen.to_dense(L) - u_exact, 2)
 print(f"  frozen-H taylor order 3 (midpoint): error {err:.3e}")
 
 # the Magnus route: the words of exp(Omega) up to N letters are the
@@ -48,7 +47,7 @@ for order in (2, 3, 4, 5):
     tab = dm.BracketTable.compute(channels, t0, t0 + dt, order)
     for method, build in (("magnus", dm.magnus_evolution),
                           ("dyson", dm.dyson_mpo)):
-        w, _ = dm.row_compress(build(ham, t0, t0 + dt, order, tab), tol=1e-12)
-        err = np.linalg.norm(w.to_dense(L, cap=256) - u_exact, 2)
+        w, _ = dm.row_compress(build(ham, tab, order), tol=1e-12)
+        err = np.linalg.norm(w.to_dense(L) - u_exact, 2)
         print(f"  {method:<6} order {order}: bond {w.bond_dimension:>2}  "
               f"error {err:.3e}")

@@ -33,7 +33,7 @@ ham = dm.TimeDependentHamiltonian([
     dm.Channel("f2", dm.from_terms(2, on_site=SX), cos),
 ])
 tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], 0.1, 0.25, 3)
-w = dm.dyson_mpo(ham, 0.1, 0.25, 3, tab)
+w = dm.dyson_mpo(ham, tab, 3)
 wc, report = dm.row_compress(w)
 print(f"\nthird-order two-channel Dyson MPO: bond {w.bond_dimension} -> "
       f"{wc.bond_dimension}")

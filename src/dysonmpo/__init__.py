@@ -14,7 +14,7 @@ from .driving import (Channel, ConstDriving, DrivingFunction, ExpDriving,
                       TimeDependentHamiltonian, TrigDriving)
 from .dyson import dyson_mpo, identity_mpo, magnus_evolution
 from .evolve import exact_evolution_operator, exact_evolve
-from .extensive import ExtensiveMPO, RewiredHamiltonian
+from .extensive import ExtensiveMPO
 from .fdmpo import (FirstDegreeMPO, add, commutator, from_terms,
                     nondisjoint_product, nondisjoint_square, scale)
 from .levels import IDENTITY_LEVEL, LevelLabel, three, two

@@ -4,20 +4,21 @@ Splits an interval into uniform steps; per step obtains the step's table
 (`step_table`), weights the shared step plan with it, row-compresses the
 MPO, factors a wide one down to its row rank (`bulk.bulk_compress`, from
 bond `bulk.BULK_FROM`) and applies it to the state.  The method is read
-only where the step's table is chosen: Dyson and Magnus steps read the
-brackets of the step (an order-N Magnus step is the order-N Dyson step,
-`magnus_evolution`), the frozen-midpoint Taylor baseline the frozen table
-of the drivings at the midpoint (`BracketTable.frozen`).  From the table
-on, every step is built the same way, as a `dyson_mpo`.  Steps
-congruent modulo the driving period reuse the MPO built at the first of
-them.  A sweep computes one bracket table per congruence class of step
-interval, all in one stacked `BracketTable.compute` call when its first
-evolution asks for its first table, and builds one step plan (power and
-compression index sets) per order, which all its steps weight
-(`BracketCache`).  The evolved state is
-compared against a dense Runge-Kutta reference (or the most accurate state
-when self-referencing) through the trace-distance error ``sqrt(1 -
-|<a|b>|^2)``, evaluated through the phase-aligned difference.
+only where the step's table is chosen: Dyson steps read the brackets of
+the step (an order-N Magnus step is the order-N Dyson step,
+`magnus_evolution`, so it is no method of its own), the frozen-midpoint
+Taylor baseline the frozen table of the drivings at the midpoint
+(`BracketTable.frozen`).  From the table on, every step is built the
+same way, as a `dyson_mpo` of the Hamiltonian, the table and the order.
+Steps congruent modulo the driving period reuse the MPO built at the
+first of them.  A sweep computes one bracket table per congruence class
+of step interval, all in one stacked `BracketTable.compute` call when its
+first evolution asks for its first table, and builds one step plan
+(power and compression index sets) per order, which all its steps weight
+(`BracketCache`).  The evolved state is compared against a dense
+Runge-Kutta reference (or the most accurate state when self-referencing)
+through the trace-distance error ``sqrt(1 - |<a|b>|^2)``, evaluated
+through the phase-aligned difference.
 """
 
 import csv
@@ -36,11 +37,11 @@ from .compression import row_compress
 # looks them up on this module to wrap them
 from .dyson import dyson_mpo, magnus_evolution  # noqa: F401
 from .evolve import check_oracle, exact_evolve
-from .extensive import PowerPlan, RewiredHamiltonian
+from .extensive import PowerPlan
 from .mps import FiniteMPS, apply_mpo, check_d_max, trace_distance_error
 from .taylor import taylor_mpo  # noqa: F401
 
-METHODS = ("taylor", "dyson", "magnus")
+METHODS = ("taylor", "dyson")
 
 
 @dataclass
@@ -50,7 +51,7 @@ class EvolutionConfig:
     n_sites: int = 8
     t0: float = 0.0
     t_final: float = 1.0
-    method: str = "dyson"            # taylor | dyson | magnus
+    method: str = "dyson"            # taylor | dyson
     d_max: int = 64
     oracle_substeps: int = 4000
     qr_tol: float = 1e-12
@@ -192,21 +193,19 @@ class BracketCache:
     def plan(self, order):
         """The step plan of `order`; it builds its power on first use."""
         if order not in self._plans:
-            self._plans[order] = PowerPlan(
-                RewiredHamiltonian.from_hamiltonian(self.hamiltonian), order)
+            self._plans[order] = PowerPlan(self.hamiltonian, order)
         return self._plans[order]
 
 
 def step_table(cache, method, t0, t1, order):
     """The table an order-`order` step of `method` on ``[t0, t1]`` reads.
 
-    Dyson and Magnus steps read the brackets of the step
-    (`BracketCache.table`).  The frozen-midpoint Taylor step reads
-    ``BracketTable.frozen`` of the channels' driving values at the
-    midpoint, with ``tau = -1j (t1 - t0)``: the Taylor series of the
-    Hamiltonian frozen there.  It computes no bracket.  It is the one
-    function past `_steps` that reads the method; an unknown one
-    raises `ValueError`.
+    Dyson steps read the brackets of the step (`BracketCache.table`).
+    The frozen-midpoint Taylor step reads ``BracketTable.frozen`` of the
+    channels' driving values at the midpoint, with ``tau = -1j (t1 -
+    t0)``: the Taylor series of the Hamiltonian frozen there.  It
+    computes no bracket.  It is the one function past `_steps` that
+    reads the method; an unknown one raises `ValueError`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -219,20 +218,21 @@ def step_table(cache, method, t0, t1, order):
     return BracketTable.frozen(weights, -1j * (t1 - t0), order)
 
 
-def build_step_mpo(hamiltonian, t0, t1, order, table, *, qr_tol,
-                   compress=True, plan=None):
+def build_step_mpo(hamiltonian, table, order, *, qr_tol, compress=True,
+                   plan=None):
     """Evolution MPO for one step, optionally compressed.
 
     `table` is the step's table (`step_table`), of order at least `order`,
     and the only thing of the step's method this reads: `dyson_mpo`
-    weights `plan` (`BracketCache.plan`), or one of its own, with it.
+    weights `plan` (`BracketCache.plan`), or one of its own, with it; a
+    table of zeros makes the bond-1 identity, which is not compressed.
     Compression is row compression at `qr_tol`, then, for a row-compressed
     bond of at least `bulk.BULK_FROM`, the exact bulk stage at the same
     tolerance.  Returns ``(mpo, report)``; `report` is the
     `CompressionReport`, with the bulk bond and residual, or None when the
     MPO was not compressed.
     """
-    mpo = dyson_mpo(hamiltonian, t0, t1, order, table, plan=plan)
+    mpo = dyson_mpo(hamiltonian, table, order, plan=plan)
     report = None
     if compress and mpo.bond_dimension > 1:
         mpo, report = row_compress(mpo, tol=qr_tol)
@@ -307,7 +307,7 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
             table = step_table(cache, config.method, s0, s1, order)
             stats["bracket_s"] += time.perf_counter() - start
             start = time.perf_counter()
-            mpo, report = build_step_mpo(hamiltonian, s0, s1, order, table,
+            mpo, report = build_step_mpo(hamiltonian, table, order,
                                          qr_tol=config.qr_tol, plan=plan)
             stats["build_s"] += time.perf_counter() - start
             step_mpos[key] = mpo

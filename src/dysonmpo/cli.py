@@ -69,8 +69,7 @@ def cmd_build_mpo(args):
     ham = modelfile.load(args.model)
     table = step_table(BracketCache(ham), args.method, args.t0, args.t,
                        args.order)
-    mpo, report = build_step_mpo(ham, args.t0, args.t, args.order, table,
-                                 qr_tol=args.qr_tol,
+    mpo, report = build_step_mpo(ham, table, args.order, qr_tol=args.qr_tol,
                                  compress=not args.no_compress)
     print(f"method={args.method} order={args.order} interval=[{args.t0}, {args.t}]")
     print(f"bond dimension: {mpo.bond_dimension}")

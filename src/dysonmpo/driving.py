@@ -377,11 +377,8 @@ class TimeDependentHamiltonian:
             base = long * ratio.denominator
         return base
 
-    def to_dense(self, n_sites, t, cap=64):
-        """Dense H(t) on a finite chain."""
-        dim = self.d ** n_sites
-        out = np.zeros((dim, dim), dtype=complex)
-        for c in self.channels:
-            out += complex(np.asarray(c.driving(t)).item()) * \
-                c.operator.to_dense(n_sites, cap=cap)
-        return out
+    def to_dense(self, n_sites, t):
+        """Dense H(t) on a finite chain (`FirstDegreeMPO.to_dense` of each
+        channel)."""
+        return sum(complex(np.asarray(c.driving(t)).item())
+                   * c.operator.to_dense(n_sites) for c in self.channels)

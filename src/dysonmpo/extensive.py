@@ -1,7 +1,8 @@
 """Extensive (applicable) MPOs built from powers of Hamiltonian MPOs.
 
 The evolution-operator constructions all follow the same pattern: form the
-N-th power of a (rewired) Hamiltonian MPO, label its virtual levels by
+N-th power of a Hamiltonian's channel MPOs, each channel with its own
+finishing level (`_transitions`), label its virtual levels by
 per-factor FSM states, reroute every fully finished level back into the
 identity level with the appropriate scalar weight, and drop the rerouted
 levels.  What remains has no upper-triangular termination structure and can
@@ -17,9 +18,10 @@ the nested-tuple labels are made once, for the levels of the result.
 The power depends on the Hamiltonian's operators and the order, the weights
 on the step.  A `PowerPlan` holds the power once, as arrays, so a weighting
 costs one gather of the weights and one scatter-add into the identity
-column.  Every step of one order shares a plan: the Dyson and Magnus
-steps weight it with their bracket tables, the frozen-midpoint Taylor step
-with a frozen table (`brackets.BracketTable.frozen`).
+column.  Every step of one order shares a plan: the Dyson steps (and so
+the Magnus steps, which are the same) weight it with their bracket tables,
+the frozen-midpoint Taylor step with a frozen table
+(`brackets.BracketTable.frozen`).
 
 An `ExtensiveMPO` is built one way, from coordinate arrays: the level
 index pairs of its nonzero blocks and the blocks.  The power plan, row
@@ -36,7 +38,7 @@ import time
 
 import numpy as np
 
-from .fdmpo import DENSE_CAP, dense_chain, one_hot
+from .fdmpo import dense_chain, one_hot
 from .levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, is_three, three, two
 
 
@@ -132,51 +134,42 @@ class ExtensiveMPO:
             self._transfer = tuple(ops)
         return self._transfer
 
-    def to_dense(self, n_sites, cap=DENSE_CAP):
+    def to_dense(self, n_sites):
         """Dense operator on `n_sites` sites between the boundary vectors
-        (`fdmpo.dense_chain` over the coordinate arrays)."""
+        (`fdmpo.dense_chain` over the coordinate arrays, bounded by
+        `fdmpo.DENSE_CAP`)."""
         return dense_chain(*self.coo(), self.bond_dimension, *self.boundary,
-                           n_sites, cap)
+                           n_sites)
 
     def __repr__(self):
         return (f"ExtensiveMPO(d={self.d}, bond={self.bond_dimension}, "
                 f"order={self.order})")
 
 
-class RewiredHamiltonian:
-    """Hamiltonian MPO with a separate finishing level per driving channel.
+def _transitions(hamiltonian):
+    """The ``(x, y, op)`` transitions of `hamiltonian`'s channel MPOs that
+    append a symbol, channel by channel.
 
-    Transitions into the ``3_a`` level of channel `a` carry the channel's
-    driving weight; the construction keeps them as bare operators tagged by
-    the level label, and the weight is supplied when finished levels are
-    rerouted (time-ordered integrals).
+    Each channel `a` has its own finishing level ``3_a``, so a power's
+    level labels record which channel acted in which factor.  Transitions
+    into ``3_a`` are kept as bare operators; the channel's driving enters
+    as the weight of the finished levels (`PowerPlan.mpo`).  The ``1 -> 1``
+    identity, which appends no symbol, is not listed.
     """
-
-    def __init__(self, channels, d):
-        # channels: list of (name, FirstDegreeMPO, driving-or-None)
-        self.channels = list(channels)
-        self.d = int(d)
-        self._transitions = self._build_transitions()
-
-    @classmethod
-    def from_hamiltonian(cls, hamiltonian):
-        chans = [(c.name, c.operator, c.driving) for c in hamiltonian.channels]
-        return cls(chans, hamiltonian.d)
-
-    def _build_transitions(self):
-        eye = np.eye(self.d, dtype=complex)
-        trans = [(ONE, ONE, eye)]
-        for name, h, _ in self.channels:
-            for k, op in h.L.items():
-                trans.append((ONE, two(name, k), op))
-            if h.D is not None:
-                trans.append((ONE, three(name), h.D))
-            for (i, j), op in h.A.items():
-                trans.append((two(name, i), two(name, j), op))
-            for k, op in h.R.items():
-                trans.append((two(name, k), three(name), op))
-            trans.append((three(name), three(name), eye))
-        return trans
+    eye = np.eye(hamiltonian.d, dtype=complex)
+    trans = []
+    for c in hamiltonian.channels:
+        name, h = c.name, c.operator
+        for k, op in h.L.items():
+            trans.append((ONE, two(name, k), op))
+        if h.D is not None:
+            trans.append((ONE, three(name), h.D))
+        for (i, j), op in h.A.items():
+            trans.append((two(name, i), two(name, j), op))
+        for k, op in h.R.items():
+            trans.append((two(name, k), three(name), op))
+        trans.append((three(name), three(name), eye))
+    return trans
 
 
 def scatter_add(out, slot, add):
@@ -195,8 +188,8 @@ def scatter_add(out, slot, add):
               add.reshape(-1).view(np.float64))
 
 
-def _power(rew, n):
-    """Column-merged `n`-th power of a rewired Hamiltonian, over label ids.
+def _power(hamiltonian, n):
+    """Column-merged `n`-th power of `hamiltonian`, over label ids.
 
     A stripped label (no 1 symbols) is interned once: ``labels[i]`` is its
     tuple of symbols, id 0 the empty label, and a table ``(id, symbol) ->
@@ -210,7 +203,8 @@ def _power(rew, n):
     Returns ``(labels, finished, (src, dst, blocks))``: whether each label
     is finished (3 symbols only), and the entries as label ids and blocks.
     """
-    trans = [(x, y, op) for x, y, op in rew._transitions if not is_one(y)]
+    trans = _transitions(hamiltonian)
+    d = hamiltonian.d
     symbols = list(dict.fromkeys(s for x, y, _ in trans for s in (x, y)
                                  if not is_one(s)))
     code = {sym: i for i, sym in enumerate(symbols)}
@@ -238,13 +232,13 @@ def _power(rew, n):
         return out
 
     src = dst = np.zeros(1, dtype=np.intp)
-    steps = [(src, dst, np.eye(rew.d, dtype=complex)[None])]
+    steps = [(src, dst, np.eye(d, dtype=complex)[None])]
     for k in range(n):
         a = children(np.repeat(src, len(trans)), np.tile(tx, len(src)))
         b = children(np.repeat(dst, len(trans)), np.tile(ty, len(src)))
         # the first factor sums its operators from 0, as a dictionary does
         prods = t_ops + 0.0 if k == 0 else np.matmul(
-            steps[-1][2][:, None], t_ops[None]).reshape(-1, rew.d, rew.d)
+            steps[-1][2][:, None], t_ops[None]).reshape(-1, d, d)
         _, at, inverse = np.unique(a * len(labels) + b, return_index=True,
                                    return_inverse=True)
         rank = np.empty(len(at), dtype=np.intp)
@@ -262,25 +256,28 @@ def _power(rew, n):
 
 
 class PowerPlan:
-    """The stripped `n`-th power of `rew`, rerouted under many weightings.
+    """The stripped `n`-th power of `hamiltonian`, a
+    `driving.TimeDependentHamiltonian`, rerouted under many weightings.
 
-    The power is built on the first call of `mpo` (`_power`).  Its
-    unfinished levels, identity first and the rest by (length, label),
-    are the `levels` of every MPO the plan makes.  `compression` is left
+    The power reads the channel operators, not their drivings, and is
+    built on the first call of `mpo` (`_power`).  Its unfinished levels,
+    identity first and the rest by (length, label), are the `levels` of
+    every MPO the plan makes.  `compression` is left
     to `row_compress`, which keeps its plan for these levels there.
     `plan_s` sums the seconds spent building the power and, in
     `row_compress`, the compression plan.
     """
 
-    def __init__(self, rew, n):
-        self.rew = rew
+    def __init__(self, hamiltonian, n):
+        self.hamiltonian = hamiltonian
         self.order = int(n)
         self.levels = None
         self.compression = None
         self.plan_s = 0.0
 
     def _build(self):
-        labels, finished, (src, dst, blocks) = _power(self.rew, self.order)
+        labels, finished, (src, dst, blocks) = _power(self.hamiltonian,
+                                                      self.order)
         ids = sorted(np.flatnonzero(~finished).tolist(),
                      key=lambda i: (len(labels[i]), labels[i]))
         self.levels = [LevelLabel(labels[i]) for i in ids]
@@ -312,7 +309,7 @@ class PowerPlan:
             start = time.perf_counter()
             self._build()
             self.plan_s += time.perf_counter() - start
-        d = self.rew.d
+        d = self.hamiltonian.d
         weights = np.array([weight_of(s) for s in self.sigmas] + [1.0],
                            dtype=complex)
         rows, slots, blocks = self._rerouted

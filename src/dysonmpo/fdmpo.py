@@ -22,11 +22,11 @@ import scipy.sparse
 
 from .linalg import as_complex
 
-DENSE_CAP = 64  # largest d**n_sites a dense expansion will materialize
+# most complex entries a dense expansion holds: n_levels * (d**n_sites)**2
+DENSE_CAP = 1 << 22
 
 
-def dense_chain(rows, cols, blocks, n_levels, left, right, n_sites,
-                cap=DENSE_CAP):
+def dense_chain(rows, cols, blocks, n_levels, left, right, n_sites):
     """Dense operator of `n_sites` equal site tensors between the boundary
     vectors `left` and `right` (length `n_levels` each).
 
@@ -35,10 +35,15 @@ def dense_chain(rows, cols, blocks, n_levels, left, right, n_sites,
     starts as ``left[b]`` and goes to ``sum over blocks (a, b) of
     kron(env[a], W[a, b])``: one sparse product per site, so no dense site
     tensor is formed.  The result is ``sum over b of right[b] env[b]``.
+    The last site's environments hold ``n_levels * (d**n_sites)**2``
+    entries; above `DENSE_CAP` this raises `ValueError` before allocating.
     """
     d = blocks.shape[-1]
-    if d ** n_sites > cap:
-        raise ValueError(f"d**n_sites = {d ** n_sites} exceeds cap {cap}")
+    size = n_levels * d ** (2 * n_sites)
+    if size > DENSE_CAP:
+        raise ValueError(f"a dense expansion of {n_levels} levels on "
+                         f"{n_sites} sites holds {size} entries, above "
+                         f"DENSE_CAP = {DENSE_CAP}")
     sites = scipy.sparse.csr_array(
         (blocks.reshape(-1), ((cols[:, None] * d * d + np.arange(d * d))
                               .reshape(-1), np.repeat(rows, d * d))),
@@ -118,17 +123,17 @@ class FirstDegreeMPO:
             m[1 + k, n - 1] = op
         return m
 
-    def to_dense(self, n_sites, cap=DENSE_CAP):
+    def to_dense(self, n_sites):
         """Dense matrix of the Hamiltonian on `n_sites` sites.
 
         Contracts the site tensors with the boundary vectors selecting
-        level (1) on the left and level (3) on the right.
+        level (1) on the left and level (3) on the right (`dense_chain`).
         """
         m = self.site_matrix()
         rows, cols = np.nonzero(m.any(axis=(2, 3)))
         return dense_chain(rows, cols, m[rows, cols], len(m),
                            one_hot(len(m), 0), one_hot(len(m), len(m) - 1),
-                           n_sites, cap)
+                           n_sites)
 
     def __repr__(self):
         return (f"FirstDegreeMPO(d={self.d}, chi={self.chi}, "

@@ -1,4 +1,4 @@
-"""Virtual-level labels for powers of rewired Hamiltonians.
+"""Virtual-level labels for powers of time-dependent Hamiltonians.
 
 A level of the k-th power of a Hamiltonian MPO is a tuple of per-factor
 finite-state-machine states over the alphabet

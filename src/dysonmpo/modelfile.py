@@ -23,7 +23,10 @@ the channel order of the Hamiltonian.  Driving kinds: ``const value=``,
 a kind does not take, a repeated key or a missing kind is an error.
 Every driving parameter must be finite and ``dim`` at least 1.  A
 second ``dim`` line, or a second ``driving``, ``D`` or ``A i j`` line
-(same ``i j``) in one channel block, is an error too.
+(same ``i j``) in one channel block, is an error too, and so is a
+``channel`` line without a name or with the name of an earlier channel.
+Each error names its line; an ``A i j`` slot outside the channel's ``L``
+count names the ``A`` line.
 """
 
 import ast
@@ -127,7 +130,12 @@ def loads(text):
         chi = len(L)
         if len(R) != chi:
             raise ModelFileError(f"channel {name}: L and R slot counts differ")
-        op = FirstDegreeMPO(d, chi, L=dict(enumerate(L)), A=A,
+        for (i, j), (_, at) in A.items():
+            if not (0 <= i < chi and 0 <= j < chi):
+                raise ModelFileError(f"line {at}: A slot {(i, j)} outside "
+                                     f"chi={chi}")
+        op = FirstDegreeMPO(d, chi, L=dict(enumerate(L)),
+                            A={key: mat for key, (mat, _) in A.items()},
                             R=dict(enumerate(R)), D=D)
         channels.append(Channel(name, op, driving or ConstDriving(1.0)))
         current = None
@@ -150,6 +158,11 @@ def loads(text):
                 close_channel()
                 if d is None:
                     raise ModelFileError("dim must come before channels")
+                if not rest:
+                    raise ModelFileError("channel needs a name")
+                if any(c.name == rest for c in channels):
+                    raise ModelFileError(f"channel name {rest!r} is listed "
+                                         f"twice")
                 current = [rest, None, [], {}, [], None]
             elif current is None:
                 raise ModelFileError(f"{head!r} outside a channel block")
@@ -164,7 +177,7 @@ def loads(text):
                 if key in current[3]:
                     raise ModelFileError(f"channel {current[0]}: repeated "
                                          f"directive 'A {key[0]} {key[1]}'")
-                current[3][key] = _parse_matrix(mat, d)
+                current[3][key] = (_parse_matrix(mat, d), lineno)
             elif head == "R":
                 current[4].append(_parse_matrix(rest, d))
             elif head == "D":
@@ -175,7 +188,7 @@ def loads(text):
             else:
                 raise ModelFileError(f"unknown directive {head!r}")
         except ModelFileError as exc:
-            if str(exc).startswith(f"line {lineno}: "):
+            if str(exc).startswith("line "):
                 raise
             raise ModelFileError(f"line {lineno}: {exc}") from exc
         except Exception as exc:

@@ -1,18 +1,19 @@
 """Extensive Taylor MPOs for time-independent Hamiltonians.
 
-The N-th order construction is a `PowerPlan` of ``H**N``, one channel
-``"h"``, weighted by the frozen table ``BracketTable.frozen({"h": 1.0},
-tau, N)``: every fully finished level folds back into the identity level,
-and one whose stripped label carries k finished symbols contributes the
-weight ``tau**k / k!``.  The first-order tensor is
+The N-th order Taylor MPO of ``exp(tau * H)`` is the Dyson MPO of the
+one-channel Hamiltonian ``"h"`` under the frozen table
+``BracketTable.frozen({"h": 1.0}, tau, N)``: every fully finished level
+of the power ``H**N`` folds back into the identity level, and one whose
+stripped label carries k finished symbols contributes the weight
+``tau**k / k!``.  The first-order tensor is
 
     ( 1 + tau D   L )
     ( tau R       A )
 
-which reduces to the identity at ``tau = 0``.  The MPO records its table
-in ``params["brackets"]``, where `row_compress` reads it as it reads a
-Dyson MPO's bracket table.  Derivatives at ``tau = 0`` read the same plan,
-one weighting per power of ``tau``.
+which reduces to the identity at ``tau = 0``.  As for any Dyson MPO, the
+table is in ``params["brackets"]``, where `row_compress` reads it.
+Derivatives at ``tau = 0`` read the same power plan, one weighting per
+power of ``tau``.
 """
 
 import math
@@ -20,30 +21,20 @@ import math
 import numpy as np
 
 from .brackets import BracketTable
-from .extensive import PowerPlan, RewiredHamiltonian
-from .fdmpo import DENSE_CAP, dense_chain, one_hot
-
-
-def _plan(h, order):
-    """The power plan of the one-channel Hamiltonian `h` at `order`."""
-    return PowerPlan(RewiredHamiltonian([("h", h, None)], h.d), order)
+from .driving import Channel, TimeDependentHamiltonian
+from .dyson import dyson_mpo
+from .extensive import PowerPlan
+from .fdmpo import dense_chain, one_hot
 
 
 def taylor_mpo(h, tau, order):
-    """N-th order Taylor MPO of ``exp(tau * H)``.
-
-    Each strip-ones class of finished levels is folded once, with the
-    weight ``tau**n3 / n3!``.
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    brackets = BracketTable.frozen({"h": 1.0}, tau, order)
-    mpo = _plan(h, order).mpo(brackets.value)
-    mpo.params["brackets"] = brackets
-    return mpo
+    """N-th order Taylor MPO of ``exp(tau * H)``: `dyson_mpo` of the frozen
+    one-channel table."""
+    return dyson_mpo(TimeDependentHamiltonian([Channel("h", h)]),
+                     BracketTable.frozen({"h": 1.0}, tau, order), order)
 
 
-def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
+def mpo_derivative_at_zero(h, order, p, n_sites):
     """Dense ``(1/p!) d^p/dtau^p`` of ``taylor_mpo(h, tau, order)`` at 0.
 
     The site tensor is a polynomial ``W_0 + sum_k tau**k W_k``.  The plan
@@ -57,9 +48,7 @@ def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
     if p < 1:
         raise ValueError("derivative order must be at least 1")
     d = h.d
-    if d ** n_sites > cap:
-        raise ValueError("dense cap exceeded")
-    plan = _plan(h, order)
+    plan = PowerPlan(TimeDependentHamiltonian([Channel("h", h)]), order)
     base = plan.mpo(lambda sigma: 0.0).site_tensor()
     coeffs = [base] + [
         plan.mpo(lambda sigma, k=k: (len(sigma) == k) / math.factorial(k))
@@ -73,4 +62,4 @@ def mpo_derivative_at_zero(h, order, p, n_sites, cap=DENSE_CAP):
     # the identity level is the first of each block
     rows, cols = np.nonzero(w.any(axis=(2, 3)))
     return dense_chain(rows, cols, w[rows, cols], len(w), one_hot(len(w), 0),
-                       one_hot(len(w), p * n), n_sites, cap)
+                       one_hot(len(w), p * n), n_sites)

@@ -26,9 +26,10 @@ from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import (Block, CompressionBasisError,
                                   CompressionPlan, CompressionReport,
                                   _select_new_levels)
-from dysonmpo.driving import DrivingFunction, PolyDriving, SampledDriving
+from dysonmpo.driving import (Channel, DrivingFunction, PolyDriving,
+                              SampledDriving, TimeDependentHamiltonian)
 from dysonmpo.evolve import sparse_operator
-from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, _transitions
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, is_one, three, two
 from dysonmpo.linalg import _ZGEQP3, _geqp3_lwork, as_complex, truncation_rank
 from dysonmpo.mps import SVD_TOL, FiniteMPS
@@ -721,42 +722,40 @@ class OpaqueDriving(DrivingFunction):
         return self.inner(t)
 
 
-def level_symbols(rew):
-    """The 2 and 3 symbols of a rewired Hamiltonian, channel by channel."""
+def level_symbols(ham):
+    """The 2 and 3 symbols of a Hamiltonian's powers, channel by channel."""
     syms = []
-    for name, h, _ in rew.channels:
-        syms.extend(two(name, k) for k in range(h.chi))
-    syms.extend(three(name) for name, _, _ in rew.channels)
+    for c in ham.channels:
+        syms.extend(two(c.name, k) for k in range(c.operator.chi))
+    syms.extend(three(c.name) for c in ham.channels)
     return syms
 
 
-def driving_value(rew, name, t):
-    """Weight of channel `name` at time `t`; 1 for a static channel."""
-    for cname, _, drv in rew.channels:
-        if cname == name:
-            return 1.0 if drv is None else drv(t)
+def driving_value(ham, name, t):
+    """Weight of channel `name` at time `t`."""
+    for c in ham.channels:
+        if c.name == name:
+            return c.driving(t)
     raise KeyError(name)
 
 
-def rewired_dense(rew, n_sites, t):
-    """Dense H(t) of a rewired Hamiltonian: each channel times its weight."""
-    dim = rew.d ** n_sites
-    total = np.zeros((dim, dim), dtype=complex)
-    for name, h, _ in rew.channels:
-        total += driving_value(rew, name, t) * h.to_dense(n_sites)
-    return total
+def all_transitions(ham):
+    """Every transition of the rewired site tensor: the ``1 -> 1``
+    identity, then `extensive._transitions`."""
+    return [(ONE, ONE, np.eye(ham.d, dtype=complex))] + _transitions(ham)
 
 
-def build_power_flat(rew, n):
+def build_power_flat(ham, n):
     """Literal `n`-th power over full symbol tuples (small n only)."""
+    trans = all_transitions(ham)
     entries = {}
-    for x, y, op in rew._transitions:
+    for x, y, op in trans:
         key = (LevelLabel((x,)), LevelLabel((y,)))
         entries[key] = entries.get(key, 0) + op
     for _ in range(n - 1):
         new = {}
         for (a, b), op in entries.items():
-            for x, y, t_op in rew._transitions:
+            for x, y, t_op in trans:
                 key = (a.append(x), b.append(y))
                 prod = op @ t_op
                 if key in new:
@@ -768,17 +767,16 @@ def build_power_flat(rew, n):
     return levels, entries
 
 
-def build_power_stripped(rew, n):
-    """Column-merged `n`-th power of a rewired Hamiltonian, one dictionary
+def build_power_stripped(ham, n):
+    """Column-merged `n`-th power of a Hamiltonian, one dictionary
     update per (entry, transition) pair; an oracle for `PowerPlan`.
 
     Levels are stripped labels (no 1 symbols); each product step appends one
     factor and folds the new strip-ones classes into their representative.
     Returns ``(levels, entries)``.
     """
-    eye = np.eye(rew.d, dtype=complex)
-    append_trans = [(x, y, op) for (x, y, op) in rew._transitions
-                    if not is_one(y)]
+    eye = np.eye(ham.d, dtype=complex)
+    append_trans = _transitions(ham)
     empty = IDENTITY_LEVEL
     entries = {(empty, empty): eye}
     for x, y, op in append_trans:
@@ -804,10 +802,10 @@ def build_power_stripped(rew, n):
     return levels, entries
 
 
-def literal_power_plan(rew, n):
+def literal_power_plan(ham, n):
     """A `PowerPlan` built from `build_power_stripped`, entry by entry."""
-    levels, entries = build_power_stripped(rew, n)
-    plan = PowerPlan(rew, n)
+    levels, entries = build_power_stripped(ham, n)
+    plan = PowerPlan(ham, n)
     finished = {lvl for lvl in levels if lvl.n2 == 0 and lvl.n3 >= 1}
     plan.levels = sorted((l for l in levels if l not in finished),
                          key=lambda l: (len(l), l))
@@ -830,7 +828,7 @@ def literal_power_plan(rew, n):
         first = np.array([t[0] for t in triples], dtype=np.intp)
         second = np.array([t[1] for t in triples], dtype=np.intp)
         blocks = np.array([t[2] for t in triples], dtype=complex)
-        return first, second, blocks.reshape(-1, rew.d, rew.d)
+        return first, second, blocks.reshape(-1, ham.d, ham.d)
 
     plan._fixed, plan._rerouted = columns(fixed), columns(rerouted)
     return plan
@@ -1034,7 +1032,7 @@ def reroute_finished_levels(levels, entries, weight_of):
     return kept, out
 
 
-def flat_evolution_mpo(rew, n, weight_of):
+def flat_evolution_mpo(ham, n, weight_of):
     """Literal counterpart of ``build_evolution_mpo``.
 
     Every member of a strip-ones class of finished levels is folded on its
@@ -1047,7 +1045,7 @@ def flat_evolution_mpo(rew, n, weight_of):
         return weight_of(sigma) * (math.factorial(k) * math.factorial(n - k)
                                    / math.factorial(n))
 
-    levels, entries = build_power_flat(rew, n)
+    levels, entries = build_power_flat(ham, n)
     rename = {lvl: IDENTITY_LEVEL for lvl in levels
               if lvl.n2 == 0 and lvl.n3 == 0}
     levels = [rename.get(l, l) for l in levels]
@@ -1055,12 +1053,12 @@ def flat_evolution_mpo(rew, n, weight_of):
                for (a, b), op in entries.items()}
     levels, entries = reroute_finished_levels(levels, entries, weight)
     levels = sorted(levels, key=lambda l: (len(l), l))
-    return mpo_from_entries(rew.d, levels, entries, order=n)
+    return mpo_from_entries(ham.d, levels, entries, order=n)
 
 
-def static_rewired(h):
-    """The rewired form of the static Hamiltonian `h`, one channel "h"."""
-    return RewiredHamiltonian([("h", h, None)], h.d)
+def static_hamiltonian(h):
+    """The static Hamiltonian `h` as one constant channel "h"."""
+    return TimeDependentHamiltonian([Channel("h", h)])
 
 
 def taylor_weight(tau, sigma):
@@ -1071,23 +1069,20 @@ def taylor_weight(tau, sigma):
 
 def reference_taylor_mpo(h, tau, order):
     """The static Taylor plan weighted by `taylor_weight` directly."""
-    return PowerPlan(static_rewired(h), order).mpo(
+    return PowerPlan(static_hamiltonian(h), order).mpo(
         lambda sigma: taylor_weight(tau, sigma))
 
 
 def flat_taylor_mpo(h, tau, order):
     """``taylor_mpo`` built over full symbol tuples."""
     brackets = BracketTable.frozen({"h": 1.0}, tau, order)
-    mpo = flat_evolution_mpo(static_rewired(h), order, brackets.value)
-    mpo.params.update(kind="taylor", brackets=brackets)
-    return mpo
+    return flat_dyson_mpo(static_hamiltonian(h), brackets, order)
 
 
-def flat_dyson_mpo(hamiltonian, t0, t, order, integrals):
-    """``dyson_mpo`` built over full symbol tuples (``t > t0``)."""
-    mpo = flat_evolution_mpo(RewiredHamiltonian.from_hamiltonian(hamiltonian),
-                             order, integrals.value)
-    mpo.params.update(kind="dyson", interval=(t0, t), brackets=integrals)
+def flat_dyson_mpo(hamiltonian, integrals, order):
+    """``dyson_mpo`` built over full symbol tuples (a nonzero table)."""
+    mpo = flat_evolution_mpo(hamiltonian, order, integrals.value)
+    mpo.params["brackets"] = integrals
     return mpo
 
 
@@ -1436,10 +1431,9 @@ def literal_apply_mpo(mpo, psi, d_max=None):
     return FiniteMPS(tensors).normalized(), discarded
 
 
-def dense_channel_matrices(hamiltonian, n_sites, cap=1 << 20):
+def dense_channel_matrices(hamiltonian, n_sites):
     """Per-channel dense matrices (`FirstDegreeMPO.to_dense`)."""
-    return [c.operator.to_dense(n_sites, cap=cap)
-            for c in hamiltonian.channels]
+    return [c.operator.to_dense(n_sites) for c in hamiltonian.channels]
 
 
 def literal_rk4(hamiltonian, n_sites, psi, t0, t, substeps):

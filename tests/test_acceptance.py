@@ -71,7 +71,7 @@ def test_criterion_2_bond_dimension_tables():
             Channel("f1", coup, SIN),
             Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
         tab = BracketTable.compute([("f1", SIN), ("f2", COS)], 0.1, 0.25, 3)
-        w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
+        w = dyson_mpo(ham, tab, 3)
         wc, _ = row_compress(w)
         expected = 1 + 3 * chi + chi ** 2 + chi ** 3
         if wc.bond_dimension != expected:
@@ -92,8 +92,8 @@ def test_criterion_3_dense_oracle_equivalence():
             tab = BracketTable.compute(
                 [(c.name, c.driving) for c in ham.channels],
                 t0, t0 + dt, order)
-            flat = flat_dyson_mpo(ham, t0, t0 + dt, order, tab)
-            w = dyson_mpo(ham, t0, t0 + dt, order, tab)
+            flat = flat_dyson_mpo(ham, tab, order)
+            w = dyson_mpo(ham, tab, order)
             merged, _ = column_compress(flat)
             col_changes.append(
                 np.abs(merged.to_dense(n) - flat.to_dense(n)).max())
@@ -204,7 +204,7 @@ def test_criterion_7_equivalence_of_formulations():
     entry_ok = True
     for order in (1, 2, 3):
         tab = BracketTable.compute([("h", ONE)], 0.0, dt, order)
-        wd = dyson_mpo(ham, 0.0, dt, order, tab)
+        wd = dyson_mpo(ham, tab, order)
         wt = taylor_mpo(h, -1j * dt, order)
         entry_ok &= wd.levels == wt.levels
         got, ref = entries(wd), entries(wt)
@@ -214,8 +214,8 @@ def test_criterion_7_equivalence_of_formulations():
     ham2 = modulated_ising()
     tab2 = BracketTable.compute([(c.name, c.driving) for c in ham2.channels],
                                 0.0, 0.1, 1)
-    wm = magnus_evolution(ham2, 0.0, 0.1, 1, tab2)
-    wd2 = dyson_mpo(ham2, 0.0, 0.1, 1, tab2)
+    wm = magnus_evolution(ham2, tab2, 1)
+    wd2 = dyson_mpo(ham2, tab2, 1)
     magnus_err = np.abs(wm.to_dense(4) - wd2.to_dense(4)).max()
     _report(7, entry_ok and magnus_err <= 1e-12,
             f"dyson==taylor entrywise: {entry_ok}, "

@@ -48,9 +48,9 @@ def test_magnus_step_compression_order_accuracy():
     diffs = []
     for dt in (0.1, 0.05, 0.025):
         tab = BracketTable.compute(channels, 0.0, dt, order)
-        w, none = build_step_mpo(ham, 0.0, dt, order, tab, qr_tol=1e-12,
+        w, none = build_step_mpo(ham, tab, order, qr_tol=1e-12,
                                  compress=False)
-        wc, report = build_step_mpo(ham, 0.0, dt, order, tab, qr_tol=1e-12)
+        wc, report = build_step_mpo(ham, tab, order, qr_tol=1e-12)
         assert none is None
         assert report.bond_dimension_before == w.bond_dimension
         assert report.bond_dimension_after == wc.bond_dimension
@@ -62,60 +62,18 @@ def test_magnus_step_compression_order_accuracy():
         assert d1 / d2 > 0.7 * 2 ** (order + 1)
 
 
-def test_magnus_benchmark_runs():
-    ham = modulated_ising()
-    config = EvolutionConfig(n_sites=4, method="magnus", orders=(2,),
-                             dts=(0.25, 0.125), oracle_substeps=500,
-                             d_max=8)
-    records = run_benchmark(ham, config)
-    eps = {r.dt: r.epsilon for r in records}
-    assert 0 < eps[0.125] < eps[0.25] < 1
-    assert all(r.method == "magnus" for r in records)
-
-
 def test_magnus_sweep_keeps_the_order_slopes(criterion1_sweep):
     # criterion 1's sweep with Magnus steps.  Each Magnus step MPO is
     # bitwise the Dyson step the sweep built, under the same table and
-    # plan, so the Magnus sweep's records are the Dyson ones relabelled
+    # plan, so a Magnus sweep would make the Dyson records
     assert len(criterion1_sweep.steps) == 4 * 496
-    for (ham, t0, t1, order, table), kwargs, digest in criterion1_sweep.steps:
-        mpo = magnus_evolution(ham, t0, t1, order, table, plan=kwargs["plan"])
+    for (ham, table, order), kwargs, digest in criterion1_sweep.steps:
+        mpo = magnus_evolution(ham, table, order, plan=kwargs["plan"])
         assert mpo.params["brackets"] is table
         assert mpo.params["plan"] is kwargs["plan"]
         assert coo_digest(mpo) == digest
-    records = [dataclasses.replace(r, method="magnus")
-               for r in criterion1_sweep.records]
-    slopes = order_slopes(records)
+    slopes = order_slopes(criterion1_sweep.records)
     assert all(abs(slopes[n] - n) <= 0.3 for n in (1, 2, 3, 4)), slopes
-
-
-@pytest.mark.parametrize("model", [modulated_ising, modulated_xxz])
-def test_magnus_records_equal_dyson_records(model, monkeypatch):
-    # exp(Omega) truncated to N letters is the order-N bracket table, so a
-    # Magnus sweep makes the Dyson sweep's records, order 5 included
-    config = EvolutionConfig(n_sites=4, orders=(1, 2, 3, 4, 5),
-                             dts=(0.25, 0.125), t_final=0.5,
-                             oracle_substeps=200, d_max=8, seed=3)
-    reports = []
-    original = bench.build_step_mpo
-
-    def recording(*args, **kwargs):
-        mpo, report = original(*args, **kwargs)
-        reports.append(report)
-        return mpo, report
-
-    monkeypatch.setattr(bench, "build_step_mpo", recording)
-    dyson = run_benchmark(model(), config)
-    magnus = run_benchmark(model(),
-                           dataclasses.replace(config, method="magnus"))
-    assert all(r.method == "magnus" for r in magnus)
-    same = [{**d, "method": "dyson"} for d in _untimed(magnus)]
-    assert same == _untimed(dyson)
-    # the order-5 XXZ step is applied at its row rank, 95 of 577 levels
-    assert max(r.mpo_bond_dim for r in magnus) == \
-        {modulated_ising: 21, modulated_xxz: 95}[model]
-    assert max(r.bond_dimension_after for r in reports) == \
-        {modulated_ising: 21, modulated_xxz: 577}[model]
 
 
 def test_dt_must_divide_interval():
@@ -358,7 +316,7 @@ GOLDEN_RECORDS = [
                 bulk_residual=0.0, mpo_builds=4, discarded_weight=1.5e-20,
                 bracket_s=1e-4, build_s=0.0025, apply_s=0.0033333333333,
                 plan_s=0.0, mpo_blocks=np.int64(42), n_steps=4),
-    ErrorRecord(method="magnus", order=1, dt=1 / 3, epsilon=0.1,
+    ErrorRecord(method="taylor", order=1, dt=1 / 3, epsilon=0.1,
                 wall_time_per_step=2.0, mpo_bond_dim=3,
                 mps_bond_dim=np.int32(2), seed=0, n_steps=3),
 ]
@@ -370,7 +328,7 @@ GOLDEN_CSV = (
     "discarded_weight,bracket_s,build_s,apply_s,plan_s,mpo_blocks\r\n"
     "dyson,4,0.0625,1.23456789012e-07,0.00123457,11,16,3,91,2.5e-13,0,4,"
     "1.5e-20,0.0001,0.0025,0.00333333,0,42\r\n"
-    "magnus,1,0.333333333333,0.1,2,3,2,0,0,0,0,0,0,0,0,0,0,0\r\n")
+    "taylor,1,0.333333333333,0.1,2,3,2,0,0,0,0,0,0,0,0,0,0,0\r\n")
 
 
 def test_csv_rows_are_byte_identical_to_the_golden_text():
@@ -416,9 +374,8 @@ def test_discarded_weight_is_summed_over_steps():
         psi, manual = initial_state(config), 0.0
         for i in range(round(config.t_final / r.dt)):
             s0, s1 = i * r.dt, (i + 1) * r.dt
-            mpo, _ = build_step_mpo(ham, s0, s1, r.order,
-                                    cache.table(s0, s1, r.order),
-                                    qr_tol=config.qr_tol)
+            mpo, _ = build_step_mpo(ham, cache.table(s0, s1, r.order),
+                                    r.order, qr_tol=config.qr_tol)
             psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
             manual += disc
         assert manual > 0
@@ -447,10 +404,9 @@ def _build_and_apply_every_step(ham, config, order, dt):
     for i in range(round((config.t_final - config.t0) / dt)):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
-        mpo, _ = build_step_mpo(ham, s0, s1, order,
-                                step_table(cache, config.method, s0, s1,
-                                           order),
-                                qr_tol=config.qr_tol)
+        mpo, _ = build_step_mpo(ham, step_table(cache, config.method, s0,
+                                                s1, order),
+                                order, qr_tol=config.qr_tol)
         psi, _ = apply_mpo(mpo, psi, d_max=config.d_max)
     return psi
 
@@ -465,7 +421,7 @@ def _reuse_config(method):
                            seed=5)
 
 
-@pytest.mark.parametrize("method", ["dyson", "magnus", "taylor"])
+@pytest.mark.parametrize("method", ["dyson", "taylor"])
 def test_congruent_steps_reuse_one_compressed_mpo(method, monkeypatch):
     ham = modulated_ising()
     config = _reuse_config(method)
@@ -547,7 +503,7 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
     for i in range(8):
         s0, s1 = i * 0.125, (i + 1) * 0.125
         table = BracketTable.compute(channels, s0, s1, 3)
-        mpo, _ = build_step_mpo(ham, s0, s1, 3, table, qr_tol=config.qr_tol)
+        mpo, _ = build_step_mpo(ham, table, 3, qr_tol=config.qr_tol)
         ref, _ = apply_mpo(mpo, ref, d_max=config.d_max)
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
 
@@ -593,11 +549,14 @@ def test_fractional_period_ratio_shares_steps_over_the_common_period(
 
 
 def test_build_step_mpo_takes_the_table_and_no_method():
-    # a call in the old form, the method before the table, is refused
+    # calls in the old forms, with the method or the interval before the
+    # table, are refused
     ham = modulated_ising()
     table = BracketCache(ham).table(0.0, 0.1, 2)
     with pytest.raises(TypeError):
         build_step_mpo(ham, 0.0, 0.1, 2, "dyson", table, 1e-12)
+    with pytest.raises(TypeError):
+        build_step_mpo(ham, 0.0, 0.1, 2, table, qr_tol=1e-12)
 
 
 def test_step_table_rejects_an_unknown_method():
@@ -607,7 +566,6 @@ def test_step_table_rejects_an_unknown_method():
 
 
 @pytest.mark.parametrize("method,orders", [("dyson", [3] * 4),
-                                           ("magnus", [3] * 4),
                                            ("taylor", [])])
 def test_tables_computed_at_the_order_the_method_reads(method, orders,
                                                        monkeypatch):
@@ -736,13 +694,13 @@ def test_listed_intervals_compute_in_one_call(monkeypatch):
 
 
 def _count_powers(monkeypatch):
-    """The rewired Hamiltonian and order of every power built."""
+    """The Hamiltonian and order of every power built."""
     built = []
     original = extensive._power
 
-    def counting(rew, n):
-        built.append((rew, n))
-        return original(rew, n)
+    def counting(hamiltonian, n):
+        built.append((hamiltonian, n))
+        return original(hamiltonian, n)
 
     monkeypatch.setattr(extensive, "_power", counting)
     return built
@@ -784,7 +742,7 @@ def test_taylor_step_is_the_series_of_the_midpoint_hamiltonian(model, order):
     ham = model()
     t0, t1 = 0.3, 0.55
     table = step_table(BracketCache(ham), "taylor", t0, t1, order)
-    w, report = build_step_mpo(ham, t0, t1, order, table, qr_tol=1e-12,
+    w, report = build_step_mpo(ham, table, order, qr_tol=1e-12,
                                compress=False)
     assert report is None and w.params["brackets"] is table
     tm = 0.5 * (t0 + t1)
@@ -803,19 +761,15 @@ def test_plans_are_not_shared_between_sweeps(monkeypatch):
     run_benchmark(first, config)
     run_benchmark(second, config)
     assert [n for _, n in built] == [1, 2, 3, 4] * 3
-    rews = [rew for rew, _ in built]
-    assert len({id(rew) for rew in rews}) == 12
-    # each sweep's plans hold the operators of its own Hamiltonian
-    for rew in rews[8:]:
-        assert [op for _, op, _ in rew.channels] == \
-            [c.operator for c in second.channels]
-    # a Magnus sweep weights the same plans: one power per order
+    # each sweep's plans read its own Hamiltonian
+    assert [id(h) for h, _ in built] == [id(first)] * 8 + [id(second)] * 4
+    # a Taylor sweep builds its own plans too: one power per order
     built.clear()
-    run_benchmark(first, _four_site_sweep(method="magnus"))
+    run_benchmark(first, _four_site_sweep(method="taylor"))
     assert [n for _, n in built] == [1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("method", ["dyson", "magnus"])
+@pytest.mark.parametrize("method", ["dyson", "taylor"])
 def test_only_the_first_evolution_of_an_order_builds_its_plan(method):
     # the power and compression plan of an order are built in its first
     # evolution, as part of build_s; later ones of the sweep reuse them
@@ -964,7 +918,6 @@ def test_records_are_those_of_numpy_and_scipy_factorisations(model,
 
 
 @pytest.mark.parametrize("method, build", [("dyson", "dyson_mpo"),
-                                           ("magnus", "dyson_mpo"),
                                            ("taylor", "dyson_mpo")])
 def test_layer_tracer_sees_every_layer_and_changes_no_record(method, build):
     # the benchmark's tracer wraps names it looks up on `bench`; a sweep
@@ -1014,7 +967,7 @@ def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
                         trace_distance_error(a, b))
     for dt in (1e-6, 1e-3, 0.05, 0.5):
         table = BracketTable.compute(channels, 0.0, dt, 2)
-        mpo, _ = build_step_mpo(ham, 0.0, dt, 2, table, qr_tol=1e-12)
+        mpo, _ = build_step_mpo(ham, table, 2, qr_tol=1e-12)
         ref, _ = apply_mpo(mpo, psi)
         eps = bench._epsilon_stable(psi, ref)
         assert calls.pop() is ref and not calls

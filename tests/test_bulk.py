@@ -29,7 +29,7 @@ def _row_compressed(model, order, t0=0.0, dt=0.0625):
     """The row-compressed Dyson step of `model`."""
     ham = MODELS[model]()
     tab = BracketCache(ham, order=order).table(t0, t0 + dt, order)
-    mpo = dyson_mpo(ham, t0, t0 + dt, order, tab)
+    mpo = dyson_mpo(ham, tab, order)
     return row_compress(mpo, tol=1e-12)[0]
 
 
@@ -77,8 +77,8 @@ def test_build_step_mpo_factors_from_bulk_from(model, bonds):
     cache = BracketCache(ham, order=5)
     tab = cache.table(0.0, 0.0625, 5)
     for order, bond in zip(range(1, 6), bonds):
-        mpo, report = build_step_mpo(ham, 0.0, 0.0625, order, tab,
-                                     qr_tol=1e-12, plan=cache.plan(order))
+        mpo, report = build_step_mpo(ham, tab, order, qr_tol=1e-12,
+                                     plan=cache.plan(order))
         assert mpo.bond_dimension == report.bond_dimension_bulk == bond
         factored = report.bond_dimension_after >= BULK_FROM
         assert (mpo.levels is None) == factored
@@ -94,9 +94,8 @@ def test_apply_matches_literal_on_bulk_steps(n_sites, d_max):
     for order in (3, 4):
         for i in range(2):
             t0, t1 = i * 0.0625, (i + 1) * 0.0625
-            w, _ = build_step_mpo(ham, t0, t1, order,
-                                  cache.table(t0, t1, order), qr_tol=1e-12,
-                                  plan=cache.plan(order))
+            w, _ = build_step_mpo(ham, cache.table(t0, t1, order), order,
+                                  qr_tol=1e-12, plan=cache.plan(order))
             assert w.levels is None
             psi, disc = apply_mpo(w, psi, d_max=d_max)
             ref, disc_ref = literal_apply_mpo(w, ref, d_max=d_max)

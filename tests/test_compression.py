@@ -16,8 +16,7 @@ from dysonmpo.compression import Batch, CompressionPlan, _key_sums, \
 from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, magnus_evolution
-from dysonmpo.extensive import ExtensiveMPO, PowerPlan, RewiredHamiltonian, \
-    scatter_add
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, scatter_add
 from dysonmpo.levels import ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz, static_tfi
 from dysonmpo.mps import FiniteMPS, apply_mpo
@@ -53,7 +52,7 @@ def assert_same_mpo(a, b, atol=1e-13):
 def test_column_compress_merges_same_history_labels():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
-    flat = flat_dyson_mpo(ham, 0.1, 0.25, 3, tab)
+    flat = flat_dyson_mpo(ham, tab, 3)
     lvl = lambda *syms: LevelLabel(syms)
     trio = [lvl(ONE, two("f1", 0), three("f2")),
             lvl(two("f1", 0), ONE, three("f2")),
@@ -71,19 +70,19 @@ def test_column_compress_merges_same_history_labels():
             assert removed.get(label) == {target: 1.0} or label not in removed
     np.testing.assert_allclose(merged.to_dense(4), flat.to_dense(4), atol=1e-13)
     # the power construction merges the same classes on the fly
-    assert_same_mpo(merged, dyson_mpo(ham, 0.1, 0.25, 3, tab))
+    assert_same_mpo(merged, dyson_mpo(ham, tab, 3))
 
 
 def test_column_compress_first_order_noop():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.0, 0.2, 1)
-    w = dyson_mpo(ham, 0.0, 0.2, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     merged, report = column_compress(w)
     assert merged.levels == w.levels
     assert report.bond_dimension_before == report.bond_dimension_after
     assert_same_mpo(merged, w, atol=0.0)
     # at first order the flat power has no 1 symbols to merge either
-    assert_same_mpo(flat_dyson_mpo(ham, 0.0, 0.2, 1, tab), w)
+    assert_same_mpo(flat_dyson_mpo(ham, tab, 1), w)
 
 
 @pytest.mark.parametrize("kind", ["taylor", "dyson"])
@@ -94,8 +93,8 @@ def test_column_compress_exact_third_order(kind):
     else:
         ham = appendix_hamiltonian()
         tab = table_for(ham, 0.05, 0.2, 3)
-        flat = flat_dyson_mpo(ham, 0.05, 0.2, 3, tab)
-        built = dyson_mpo(ham, 0.05, 0.2, 3, tab)
+        flat = flat_dyson_mpo(ham, tab, 3)
+        built = dyson_mpo(ham, tab, 3)
     merged, _ = column_compress(flat)
     np.testing.assert_allclose(merged.to_dense(4), flat.to_dense(4), atol=1e-13)
     assert merged.bond_dimension < flat.bond_dimension
@@ -107,7 +106,7 @@ def test_row_compress_rejects_flat_mpo():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.05, 0.2, 2)
     with pytest.raises(ValueError, match="1 symbols"):
-        row_compress(flat_dyson_mpo(ham, 0.05, 0.2, 2, tab), tol=1e-6)
+        row_compress(flat_dyson_mpo(ham, tab, 2), tol=1e-6)
     with pytest.raises(ValueError, match="1 symbols"):
         row_compress(flat_taylor_mpo(static_tfi(), -0.09j, 2))
 
@@ -117,7 +116,7 @@ def test_row_compress_explicit_linear_combination():
     # and (3_2 2_1) as [f2] * (2_1) - (2_1 3_2)
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
-    w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
+    w = dyson_mpo(ham, tab, 3)
     _, report = row_compress(w)
     removed = {lvl: dict(exp) for lvl, exp in report.removed_levels}
     l2 = LevelLabel((two("f1", 0),))
@@ -142,7 +141,7 @@ def test_row_compress_appendix_kept_set(chi):
     ham = TimeDependentHamiltonian([Channel("f1", coup, SIN),
                                     Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
     tab = table_for(ham, 0.1, 0.25, 3)
-    w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
+    w = dyson_mpo(ham, tab, 3)
     compressed, report = row_compress(w)
     assert compressed.bond_dimension == 1 + 3 * chi + chi ** 2 + chi ** 3
     if chi == 1:
@@ -166,7 +165,7 @@ def test_row_compress_kept_set_minimality():
 
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
-    w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
+    w = dyson_mpo(ham, tab, 3)
     compressed, report = row_compress(w, tol=1e-6)
     kept = [l for l in report.kept_levels if l != IDENTITY_LEVEL]
     assert len(kept) == 5
@@ -200,7 +199,7 @@ def test_row_compress_order_accuracy_ratio(order):
     diffs = []
     for dt in (0.1, 0.05, 0.025):
         tab = table_for(ham, 0.0, dt, order)
-        w = dyson_mpo(ham, 0.0, dt, order, tab)
+        w = dyson_mpo(ham, tab, order)
         wc, _ = row_compress(w, tol=1e-6)
         diffs.append(np.linalg.norm(wc.to_dense(n) - w.to_dense(n), 2))
     if max(diffs) < 1e-14:
@@ -212,7 +211,7 @@ def test_row_compress_order_accuracy_ratio(order):
 def test_row_compress_idempotent():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 3)
-    w = dyson_mpo(ham, 0.1, 0.25, 3, tab)
+    w = dyson_mpo(ham, tab, 3)
     once, _ = row_compress(w, tol=1e-6)
     twice, report = row_compress(once, tol=1e-6)
     assert twice.bond_dimension == once.bond_dimension
@@ -226,7 +225,11 @@ def test_row_compress_zero_driving_leaves_identity():
     h = fdmpo.from_terms(2, two_site=[(SZ, SZ)])
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(0.0))])
     tab = table_for(ham, 0.0, 0.3, 2)
-    w = dyson_mpo(ham, 0.0, 0.3, 2, tab)
+    # dyson_mpo makes the bond-1 identity of this table of zeros at once;
+    # the power weighted by the table compresses to it as well
+    w = PowerPlan(ham, 2).mpo(tab.value)
+    w.params["brackets"] = tab
+    assert w.bond_dimension > 1
     wc, _ = row_compress(w, tol=1e-10)
     assert wc.bond_dimension == 1
     np.testing.assert_allclose(wc.to_dense(3), np.eye(8), atol=1e-14)
@@ -252,7 +255,7 @@ def test_compress_taylor_requires_taylor_mpo():
     # neither a step nor a bracket table cannot be row-compressed
     ham = modulated_ising()
     tab = table_for(ham, 0.0, 0.1, 1)
-    w = dyson_mpo(ham, 0.0, 0.1, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     del w.params["brackets"]
     with pytest.raises(ValueError, match="no bracket table"):
         row_compress(w)
@@ -275,7 +278,7 @@ def test_compress_taylor_preserves_order_accuracy():
 def test_report_serialization():
     ham = appendix_hamiltonian()
     tab = table_for(ham, 0.1, 0.25, 2)
-    w = dyson_mpo(ham, 0.1, 0.25, 2, tab)
+    w = dyson_mpo(ham, tab, 2)
     _, report = row_compress(w, tol=1e-6)
     text = report.to_text()
     assert "bond dimension" in text and "kept levels" in text
@@ -288,7 +291,7 @@ def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
     # plan is built; a later step of the same plan enumerates none
     ham = model()
     tab = table_for(ham, 0.0, 0.0625, 4)
-    mpo = dyson_mpo(ham, 0.0, 0.0625, 4, tab)
+    mpo = dyson_mpo(ham, tab, 4)
     seen = []
     pattern = levels._weave_pattern
 
@@ -303,8 +306,7 @@ def test_row_compress_evaluates_each_gamma_entry_once(model, monkeypatch):
     assert len(set(seen)) == len(seen)
     n_seen = len(seen)
     tab2 = table_for(ham, 0.0625, 0.125, 4)
-    row_compress(dyson_mpo(ham, 0.0625, 0.125, 4, tab2,
-                           plan=mpo.params["plan"]), tol=1e-12)
+    row_compress(dyson_mpo(ham, tab2, 4, plan=mpo.params["plan"]), tol=1e-12)
     assert len(seen) == n_seen
 
 
@@ -335,11 +337,11 @@ def test_plan_compression_matches_literal_fold_bitwise(model, order, tol):
     # one plan serves the three steps, as in a sweep; each compressed MPO
     # equals the per-entry gamma sums and column-by-column merges exactly
     ham = model()
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
+    plan = PowerPlan(ham, order)
     settled_zero = 0
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _order4_table(model, interval)
-        mpo = dyson_mpo(ham, *interval, order, tab, plan=plan)
+        mpo = dyson_mpo(ham, tab, order, plan=plan)
         out, report = row_compress(mpo, tol=tol)
         ref, ref_report = literal_row_compress(mpo, tol=tol)
         assert out.levels == ref.levels
@@ -383,10 +385,10 @@ def test_a_repeated_decision_builds_its_layout_once(monkeypatch):
     # plan builds the layout at the first and serves the second, and a
     # step compressed again, from it
     ham = modulated_xxz()
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    plan = PowerPlan(ham, 4)
     built = _count_layouts(monkeypatch, plan)
-    steps = [dyson_mpo(ham, *interval, 4, _order4_table(modulated_xxz,
-                                                        interval), plan=plan)
+    steps = [dyson_mpo(ham, _order4_table(modulated_xxz, interval), 4,
+                       plan=plan)
              for interval in [(0.0, 0.0625), (0.1875, 0.25)]]
     first, _ = row_compress(steps[0])
     layout = plan.compression._layout
@@ -408,10 +410,10 @@ def test_a_new_block_pattern_builds_a_new_layout(monkeypatch):
     # fewer keeps the same levels; its fold still needs its own index
     # arrays, and equals the fold of a plan of its own
     ham = modulated_xxz()
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    plan = PowerPlan(ham, 4)
     built = _count_layouts(monkeypatch, plan)
     interval = (0.0, 0.0625)
-    mpo = dyson_mpo(ham, *interval, 4, _order4_table(modulated_xxz, interval),
+    mpo = dyson_mpo(ham, _order4_table(modulated_xxz, interval), 4,
                     plan=plan)
     first, _ = row_compress(mpo)
     thinned = ExtensiveMPO(
@@ -434,13 +436,13 @@ def test_plan_compressions_through_layout_misses_equal_fresh_plans(
     # it where it repeats; every result is bitwise the one of a plan of
     # its own
     ham = modulated_xxz()
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), 4)
+    plan = PowerPlan(ham, 4)
     built = _count_layouts(monkeypatch, plan)
     kept_sets = []
     for step in range(6):
         interval = (step / 16, (step + 1) / 16)
-        mpo = dyson_mpo(ham, *interval, 4,
-                        _order4_table(modulated_xxz, interval), plan=plan)
+        mpo = dyson_mpo(ham, _order4_table(modulated_xxz, interval), 4,
+                        plan=plan)
         out, report = row_compress(mpo, tol=1e-6)
         ref, ref_report = row_compress(_without_plan(mpo), tol=1e-6)
         assert [a.tobytes() for a in out.coo()] == \
@@ -463,10 +465,10 @@ def test_magnus_compression_matches_literal_fold_bitwise(model, order, tol):
     # a Magnus step is the Dyson step under its own label; one plan serves
     # three intervals and every compressed MPO is the literal one
     ham = model()
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(ham), order)
+    plan = PowerPlan(ham, order)
     for interval in [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]:
         tab = _order4_table(model, interval)
-        mpo = magnus_evolution(ham, *interval, order, tab, plan=plan)
+        mpo = magnus_evolution(ham, tab, order, plan=plan)
         out, report = row_compress(mpo, tol=tol)
         ref, ref_report = literal_row_compress(mpo, tol=tol)
         assert out.levels == ref.levels
@@ -481,7 +483,7 @@ def test_basis_that_cannot_span_raises_naming_the_block(monkeypatch):
     # names the first such block in block order
     ham = modulated_xxz()
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
-    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    mpo = dyson_mpo(ham, tab, 4)
     greedy = compression._select_new_levels
     chosen = []
 
@@ -509,7 +511,7 @@ def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
     # 0 and the column count; elsewhere the pivots fix the kept set
     ham = modulated_xxz()
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
-    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    mpo = dyson_mpo(ham, tab, 4)
     residuals = []
     greedy = compression._select_new_levels
 
@@ -535,7 +537,7 @@ def test_greedy_sees_the_residuals_of_a_literal_evaluation(monkeypatch):
 
     ham = modulated_xxz()
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
-    mpo = dyson_mpo(ham, 0.1875, 0.25, 4, tab)
+    mpo = dyson_mpo(ham, tab, 4)
     greedy = compression._select_new_levels
     seen = {"plan": [], "literal": []}
 
@@ -596,9 +598,9 @@ def test_row_compress_rejects_tolerance_outside_unit_interval(tol):
     tab = table_for(ham, 0.0, 0.0625, 2)
     named = re.escape(f"got {tol!r}")
     with pytest.raises(ValueError, match=named):
-        row_compress(dyson_mpo(ham, 0.0, 0.0625, 2, tab), tol=tol)
+        row_compress(dyson_mpo(ham, tab, 2), tol=tol)
     with pytest.raises(ValueError, match=named):
-        build_step_mpo(ham, 0.0, 0.0625, 2, tab, qr_tol=tol)
+        build_step_mpo(ham, tab, 2, qr_tol=tol)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -611,11 +613,11 @@ def test_row_compress_rejects_non_finite_brackets(bad):
     broken = BracketTable(tab.interval, values, tab.max_order)
     # the power build multiplies the infinity by zeros on the way
     with np.errstate(invalid="ignore"):
-        mpo = dyson_mpo(ham, 0.0, 0.0625, 2, broken)
+        mpo = dyson_mpo(ham, broken, 2)
         with pytest.raises(ValueError, match=re.escape("('zz', 'x')")):
             row_compress(mpo)
         with pytest.raises(ValueError, match="not finite"):
-            build_step_mpo(ham, 0.0, 0.0625, 2, broken, qr_tol=1e-12)
+            build_step_mpo(ham, broken, 2, qr_tol=1e-12)
 
 
 def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
@@ -633,7 +635,7 @@ def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
     monkeypatch.setattr(compression, "_fold", recording)
     ham = modulated_xxz()
     tab = table_for(ham, 0.0, 0.0625, 3)
-    out, _ = row_compress(dyson_mpo(ham, 0.0, 0.0625, 3, tab))
+    out, _ = row_compress(dyson_mpo(ham, tab, 3))
     rows, cols, blocks = out.coo()
     assert all(a is b for a, b in zip(out.coo(), folded[0]))
     m = out.bond_dimension
@@ -742,8 +744,8 @@ def test_step_plans_equal_the_literal_builds_bitwise(model, order):
     # the power built entry by entry and the keys enumerated per (level,
     # row) pair: levels, entry order and blocks, keys, index arrays,
     # waves and the settled stack
-    rew = RewiredHamiltonian.from_hamiltonian(model())
-    plan, ref = PowerPlan(rew, order), literal_power_plan(rew, order)
+    ham = model()
+    plan, ref = PowerPlan(ham, order), literal_power_plan(ham, order)
     mpo = plan.mpo(_weight)
     assert plan.levels == ref.levels and plan.sigmas == ref.sigmas
     assert _same_arrays(plan._fixed + plan._rerouted,
@@ -779,7 +781,7 @@ def test_step_plans_equal_the_literal_builds_bitwise(model, order):
 def test_plan_partitions_its_blocks_into_stacks(model, order):
     # read against the plan's block list alone: each block sits in one
     # stack, settled or of one wave and shape, padded with -1
-    power = PowerPlan(RewiredHamiltonian.from_hamiltonian(model()), order)
+    power = PowerPlan(model(), order)
     power.mpo(_weight)
     plan = CompressionPlan(power.levels, order)
     blocks = plan.blocks
@@ -818,7 +820,7 @@ def test_plan_partitions_its_blocks_into_stacks(model, order):
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_compression_plan_below_the_power_order_equals_the_literal(order):
     # levels longer than the compression order take no block
-    plan = PowerPlan(RewiredHamiltonian.from_hamiltonian(modulated_xxz()), 4)
+    plan = PowerPlan(modulated_xxz(), 4)
     plan.mpo(_weight)
     comp = CompressionPlan(plan.levels, order)
     lit = literal_compression_plan(plan.levels, order)

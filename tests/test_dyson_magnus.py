@@ -4,11 +4,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import (composition_sum, coo_digest, driving_value, entries,
-                     exp_weight, flat_dyson_mpo, level_symbols,
-                     literal_to_dense, log_weight, magnus_omega1,
-                     magnus_omega2, magnus_taylor_mpo, magnus_word,
-                     rewired_dense)
+from helpers import (all_transitions, composition_sum, coo_digest,
+                     driving_value, entries, exp_weight, flat_dyson_mpo,
+                     level_symbols, literal_to_dense, log_weight,
+                     magnus_omega1, magnus_omega2, magnus_taylor_mpo,
+                     magnus_word)
 
 from dysonmpo import fdmpo
 from dysonmpo.bench import BracketCache, build_step_mpo
@@ -18,7 +18,7 @@ from dysonmpo.driving import Channel, ConstDriving, TimeDependentHamiltonian, \
     TrigDriving
 from dysonmpo.dyson import dyson_mpo, identity_mpo, magnus_evolution
 from dysonmpo.evolve import exact_evolution_operator
-from dysonmpo.extensive import ExtensiveMPO, RewiredHamiltonian
+from dysonmpo.extensive import ExtensiveMPO, PowerPlan, _transitions
 from dysonmpo.levels import IDENTITY_LEVEL, ONE, LevelLabel, three, two
 from dysonmpo.models import modulated_ising, modulated_xxz
 from dysonmpo.spin import ID2, SX, SZ
@@ -42,20 +42,21 @@ def table_for(ham, t0, t1, order, **kw):
 
 def test_rewire_five_level_structure():
     ham = two_channel_couplings()
-    rew = RewiredHamiltonian.from_hamiltonian(ham)
-    assert level_symbols(rew) == [two("a", 0), two("b", 0), three("a"),
-                                   three("b")]
+    assert level_symbols(ham) == [two("a", 0), two("b", 0), three("a"),
+                                  three("b")]
     trans = {}
-    for x, y, op in rew._transitions:
+    for x, y, op in _transitions(ham):
         assert (x, y) not in trans
         trans[(x, y)] = op
     # the start level, one middle level per channel, one finishing level
-    # per channel; nothing leads back towards the start level
+    # per channel; nothing leads back towards the start level, and the
+    # 1 -> 1 identity, which appends no symbol, is left to the oracles
     assert set(trans) == {
-        (ONE, ONE), (ONE, two("a", 0)), (ONE, two("b", 0)),
+        (ONE, two("a", 0)), (ONE, two("b", 0)),
         (two("a", 0), three("a")), (two("b", 0), three("b")),
         (three("a"), three("a")), (three("b"), three("b"))}
-    np.testing.assert_allclose(trans[(ONE, ONE)], ID2)
+    assert all_transitions(ham)[0][:2] == (ONE, ONE)
+    np.testing.assert_allclose(all_transitions(ham)[0][2], ID2)
     np.testing.assert_allclose(trans[(ONE, two("a", 0))], SZ)
     np.testing.assert_allclose(trans[(ONE, two("b", 0))], SX)
     np.testing.assert_allclose(trans[(two("a", 0), three("a"))], SZ)
@@ -63,24 +64,22 @@ def test_rewire_five_level_structure():
     np.testing.assert_allclose(trans[(three("a"), three("a"))], ID2)
     np.testing.assert_allclose(trans[(three("b"), three("b"))], ID2)
     # the driving weights belong to the arrows into the finishing levels
-    assert driving_value(rew, "a", 0.3) == pytest.approx(
+    assert driving_value(ham, "a", 0.3) == pytest.approx(
         math.sin(2 * math.pi * 0.3), abs=1e-15)
-    assert driving_value(rew, "b", 0.3) == pytest.approx(
+    assert driving_value(ham, "b", 0.3) == pytest.approx(
         math.cos(2 * math.pi * 0.3), abs=1e-15)
 
 
 def test_rewire_constant_driving_matches_static():
     h = fdmpo.from_terms(2, two_site=[(SZ, SZ)])
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
-    rew = RewiredHamiltonian.from_hamiltonian(ham)
-    np.testing.assert_allclose(rewired_dense(rew, 3, 0.77), h.to_dense(3),
+    np.testing.assert_allclose(ham.to_dense(3, 0.77), h.to_dense(3),
                                atol=1e-14)
 
 
 def test_rewire_dense_at_time():
     ham = two_channel_couplings()
-    rew = RewiredHamiltonian.from_hamiltonian(ham)
-    got = rewired_dense(rew, 3, 0.3)
+    got = ham.to_dense(3, 0.3)
     ref = math.sin(0.6 * math.pi) * ham.channels[0].operator.to_dense(3) + \
         math.cos(0.6 * math.pi) * ham.channels[1].operator.to_dense(3)
     np.testing.assert_allclose(got, ref, atol=1e-13)
@@ -90,7 +89,7 @@ def test_dyson_first_order_tensor_structure():
     ham = modulated_ising()
     t0, t1 = 0.1, 0.3
     tab = table_for(ham, t0, t1, 1)
-    w = dyson_mpo(ham, t0, t1, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     one = IDENTITY_LEVEL
     lvl2 = LevelLabel((two("zz", 0),))
     f1 = tab.value(("zz",))
@@ -105,7 +104,7 @@ def test_dyson_first_order_tensor_structure():
 def test_dyson_zero_interval_is_identity():
     ham = modulated_ising()
     tab = table_for(ham, 0.2, 0.2, 1)
-    w = dyson_mpo(ham, 0.2, 0.2, 3, BracketTable((0.2, 0.2), tab.values, 3))
+    w = dyson_mpo(ham, BracketTable((0.2, 0.2), tab.values, 3), 3)
     np.testing.assert_allclose(w.to_dense(4), np.eye(16), atol=1e-15)
     assert w.bond_dimension == 1
 
@@ -115,7 +114,7 @@ def test_dyson_constant_channel_matches_taylor_densely():
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
     dt = 0.17
     tab = table_for(ham, 0.0, dt, 1)
-    w = dyson_mpo(ham, 0.0, dt, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     ref = taylor_mpo(h, -1j * dt, 1)
     np.testing.assert_allclose(w.to_dense(3), ref.to_dense(3), atol=1e-13)
 
@@ -126,7 +125,7 @@ def test_dyson_constant_channel_matches_taylor_entrywise():
     dt = 0.11
     for order in (1, 2, 3):
         tab = table_for(ham, 0.0, dt, order)
-        w = dyson_mpo(ham, 0.0, dt, order, tab)
+        w = dyson_mpo(ham, tab, order)
         ref = taylor_mpo(h, -1j * dt, order)
         assert w.levels == ref.levels
         got, want = entries(w), entries(ref)
@@ -139,7 +138,7 @@ def test_dyson_second_order_identity_entry():
     ham = modulated_ising()
     t0, t1 = 0.05, 0.25
     tab = table_for(ham, t0, t1, 2)
-    w = dyson_mpo(ham, t0, t1, 2, tab)
+    w = dyson_mpo(ham, tab, 2)
     # identity-level entry is 1 + sum_a [f_a] D_a + sum_ab [f_a f_b] D_a D_b
     ref = ID2 + tab.value(("x",)) * SX + tab.value(("x", "x")) * SX @ SX
     np.testing.assert_allclose(
@@ -152,7 +151,7 @@ def test_dyson_second_order_reroute_weights():
     ham = modulated_ising()
     t0, t1 = 0.05, 0.25
     tab = table_for(ham, t0, t1, 2)
-    w = entries(dyson_mpo(ham, t0, t1, 2, tab))
+    w = entries(dyson_mpo(ham, tab, 2))
     one = IDENTITY_LEVEL
     l2 = LevelLabel((two("zz", 0),))
     l23a = LevelLabel((two("zz", 0), three("zz")))
@@ -181,7 +180,7 @@ def test_dyson_overlapping_string_coefficient():
     ham = TimeDependentHamiltonian([Channel("f", h1, SIN), Channel("g", h2, COS)])
     dt = 0.02
     tab = table_for(ham, 0.0, dt, 2)
-    w = dyson_mpo(ham, 0.0, dt, 2, tab).to_dense(2)
+    w = dyson_mpo(ham, tab, 2).to_dense(2)
     string = np.kron(SZ @ SX, SZ)
     coeff = np.trace(string.conj().T @ w) / 4.0
     assert abs(coeff - tab.value(("f", "g"))) < 5 * dt ** 3
@@ -193,7 +192,7 @@ def test_dyson_disjoint_second_order_factors():
     ham = modulated_ising()
     t0, t1 = 0.1, 0.35
     tab = table_for(ham, t0, t1, 1)
-    w = dyson_mpo(ham, t0, t1, 1, tab).to_dense(4)
+    w = dyson_mpo(ham, tab, 1).to_dense(4)
     string = np.kron(np.kron(np.kron(SZ, SZ), ID2), SX)
     coeff = np.trace(string.conj().T @ w) / 16.0
     ref = tab.value(("zz",)) * tab.value(("x",))
@@ -208,7 +207,7 @@ def test_dyson_order_scaling(order):
     errs = []
     for dt in (0.1, 0.05, 0.025):
         tab = table_for(ham, t0, t0 + dt, order)
-        w = dyson_mpo(ham, t0, t0 + dt, order, tab).to_dense(n, cap=256)
+        w = dyson_mpo(ham, tab, order).to_dense(n)
         u = exact_evolution_operator(ham, n, t0, t0 + dt, substeps=2000)
         errs.append(np.linalg.norm(w - u, 2))
     for e1, e2 in zip(errs, errs[1:]):
@@ -218,8 +217,8 @@ def test_dyson_order_scaling(order):
 def test_dyson_merged_equals_flat():
     ham = modulated_ising()
     tab = table_for(ham, 0.3, 0.4, 2)
-    wm = dyson_mpo(ham, 0.3, 0.4, 2, tab)
-    wf = flat_dyson_mpo(ham, 0.3, 0.4, 2, tab)
+    wm = dyson_mpo(ham, tab, 2)
+    wf = flat_dyson_mpo(ham, tab, 2)
     np.testing.assert_allclose(wm.to_dense(4), wf.to_dense(4), atol=1e-13)
 
 
@@ -227,14 +226,36 @@ def test_dyson_missing_bracket_error():
     ham = modulated_ising()
     tab = table_for(ham, 0.0, 0.1, 1)
     with pytest.raises(ValueError):
-        dyson_mpo(ham, 0.0, 0.1, 2, tab)
+        dyson_mpo(ham, tab, 2)
 
 
-def test_dyson_interval_mismatch_error():
+def test_power_plan_reads_the_hamiltonian():
+    # a plan takes the Hamiltonian itself; a step that weights it is the
+    # step that builds its own plan, bit for bit
     ham = modulated_ising()
-    tab = table_for(ham, 0.0, 0.1, 1)
-    with pytest.raises(ValueError):
-        dyson_mpo(ham, 0.0, 0.2, 1, tab)
+    tab = table_for(ham, 0.1, 0.3, 3)
+    plan = PowerPlan(ham, 3)
+    assert plan.hamiltonian is ham
+    mpo = dyson_mpo(ham, tab, 3, plan=plan)
+    assert mpo.params["plan"] is plan and mpo.params["brackets"] is tab
+    assert coo_digest(mpo) == coo_digest(dyson_mpo(ham, tab, 3))
+
+
+def test_a_table_of_zeros_builds_the_identity():
+    # a frozen tau = 0 and drivings that vanish on the step weight every
+    # finished level 0: the step is the exact identity, of bond 1
+    ham = modulated_ising()
+    still = TimeDependentHamiltonian(
+        [Channel(c.name, c.operator, ConstDriving(0.0))
+         for c in ham.channels])
+    tables = [(ham, BracketTable.frozen({"zz": 1.0, "x": 1.0}, 0.0, 3)),
+              (still, table_for(still, 0.1, 0.3, 3))]
+    for h, table in tables:
+        assert not any(table.values.values())
+        w, report = build_step_mpo(h, table, 3, qr_tol=1e-12,
+                                   compress=False)
+        assert report is None and w.bond_dimension == 1
+        np.testing.assert_array_equal(w.to_dense(4), np.eye(16))
 
 
 def test_omega1_single_constant_channel():
@@ -305,8 +326,8 @@ def test_magnus_evolution_matches_dyson_first_order():
     ham = modulated_ising()
     t0, t1 = 0.0, 0.08
     tab = table_for(ham, t0, t1, 1)
-    wd = dyson_mpo(ham, t0, t1, 1, tab)
-    wm = magnus_evolution(ham, t0, t1, 1, tab)
+    wd = dyson_mpo(ham, tab, 1)
+    wm = magnus_evolution(ham, tab, 1)
     np.testing.assert_allclose(wm.to_dense(4), wd.to_dense(4), atol=1e-12)
 
 
@@ -315,7 +336,7 @@ def test_magnus_time_independent_reduces_to_taylor():
     ham = TimeDependentHamiltonian([Channel("c", h, ConstDriving(1.0))])
     dt = 0.16
     tab = table_for(ham, 0.0, dt, 2)
-    wm = magnus_evolution(ham, 0.0, dt, 2, tab)
+    wm = magnus_evolution(ham, tab, 2)
     ref = taylor_mpo(h, -1j * dt, 2)
     np.testing.assert_allclose(wm.to_dense(4), ref.to_dense(4), atol=1e-12)
 
@@ -326,7 +347,7 @@ def test_magnus_second_order_scaling():
     errs = []
     for dt in (0.05, 0.025):
         tab = table_for(ham, 0.0, dt, 2)
-        w = magnus_evolution(ham, 0.0, dt, 2, tab).to_dense(n, cap=256)
+        w = magnus_evolution(ham, tab, 2).to_dense(n)
         u = exact_evolution_operator(ham, n, 0.0, dt, substeps=1500)
         errs.append(np.linalg.norm(w - u, 2))
     assert abs(errs[0] / errs[1] - 8) < 0.25 * 8
@@ -460,13 +481,13 @@ def test_magnus_bond_equals_dyson_bond(model, bonds):
     tab = cache.table(0.0, 0.0625, 4)
     for order, (rows, bond) in zip((1, 2, 3, 4), bonds):
         plan = cache.plan(order)
-        step, report = build_step_mpo(ham, 0.0, 0.0625, order, tab,
-                                      qr_tol=1e-12, plan=plan)
+        step, report = build_step_mpo(ham, tab, order, qr_tol=1e-12,
+                                      plan=plan)
         assert step.bond_dimension == report.bond_dimension_bulk == bond
         assert report.bond_dimension_after == rows
         compression = plan.compression
-        dyson = dyson_mpo(ham, 0.0, 0.0625, order, tab, plan=plan)
-        magnus = magnus_evolution(ham, 0.0, 0.0625, order, tab, plan=plan)
+        dyson = dyson_mpo(ham, tab, order, plan=plan)
+        magnus = magnus_evolution(ham, tab, order, plan=plan)
         assert coo_digest(magnus) == coo_digest(dyson)
         for mpo in (dyson, magnus):
             compressed, _ = row_compress(mpo, tol=1e-12)
@@ -484,7 +505,7 @@ def test_magnus_mpo_against_the_taylor_power_of_omega(order, dts):
     diffs = []
     for dt in dts:
         tab = table_for(ham, 0.0, dt, order)
-        new = magnus_evolution(ham, 0.0, dt, order, tab)
+        new = magnus_evolution(ham, tab, order)
         old = magnus_taylor_mpo(ham, order, tab)
         diffs.append(np.linalg.norm(new.to_dense(4) - old.to_dense(4), 2))
     for d1, d2 in zip(diffs, diffs[1:]):
@@ -503,9 +524,8 @@ def test_to_dense_matches_the_per_entry_expansion(model, order):
     # per (level, entry), for the power and its row compression
     ham = model()
     tab = table_for(ham, 0.1, 0.35, order)
-    mpo, _ = build_step_mpo(ham, 0.1, 0.35, order, tab, qr_tol=1e-12,
-                            compress=False)
-    compressed, _ = build_step_mpo(ham, 0.1, 0.35, order, tab, qr_tol=1e-12)
+    mpo, _ = build_step_mpo(ham, tab, order, qr_tol=1e-12, compress=False)
+    compressed, _ = build_step_mpo(ham, tab, order, qr_tol=1e-12)
     for w in (mpo, compressed):
         for n in range(5):
             ref = literal_to_dense(w, n)
@@ -555,10 +575,10 @@ def test_dyson_mpo_rejects_order_zero_and_a_plan_of_another_order():
     cache = BracketCache(ham, order=3)
     tab = cache.table(0.0, 0.125, 3)
     with pytest.raises(ValueError, match="^order must be at least 1$"):
-        dyson_mpo(ham, 0.0, 0.125, 0, tab)
+        dyson_mpo(ham, tab, 0)
     with pytest.raises(ValueError, match="^an order-2 plan cannot build an "
                                          "order-3 Dyson MPO$"):
-        dyson_mpo(ham, 0.0, 0.125, 3, tab, plan=cache.plan(2))
+        dyson_mpo(ham, tab, 3, plan=cache.plan(2))
 
 
 def test_extensive_mpo_needs_the_identity_level_first():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ from helpers import (disjoint_product_dense, embed, random_fdmpo, strings_of,
                      zero_hamiltonian)
 
 from dysonmpo import fdmpo
+from dysonmpo.brackets import BracketTable
+from dysonmpo.dyson import dyson_mpo
+from dysonmpo.models import modulated_xxz
 from dysonmpo.spin import ID2, SX, SZ
 
 
@@ -181,8 +186,9 @@ def test_to_dense_tfi_two_sites():
 
 
 def test_to_dense_cap():
+    # 3 levels on 11 sites would hold 3 * 4**11 entries, above DENSE_CAP
     with pytest.raises(ValueError):
-        ising().to_dense(8)
+        ising().to_dense(11)
 
 
 def test_expectation_scales_linearly():
@@ -230,3 +236,33 @@ def test_randomized_product_and_commutator_oracle():
         comm = fdmpo.commutator(h1, h2)
         a, b = h1.to_dense(n), h2.to_dense(n)
         np.testing.assert_allclose(comm.to_dense(n), a @ b - b @ a, atol=1e-12)
+
+
+def test_dense_reads_are_bounded_by_the_entries_they_hold(monkeypatch):
+    # the bound is on n_levels * (d**n_sites)**2, whatever the caller
+    tfi = fdmpo.from_terms(2, two_site=[(SZ, SZ)], on_site=SX)  # 3 levels
+    monkeypatch.setattr(fdmpo, "DENSE_CAP", 3 * 4 ** 4)
+    assert tfi.to_dense(4).shape == (16, 16)
+    with pytest.raises(ValueError, match="^a dense expansion of 3 levels on "
+                                         "5 sites holds 3072 entries, above "
+                                         "DENSE_CAP = 768$"):
+        tfi.to_dense(5)
+
+
+def test_a_wide_dense_read_raises_before_allocating():
+    # the order-4 XXZ power has 751 levels: on 8 sites its environments
+    # would hold 49M complex entries (~790 MB)
+    ham = modulated_xxz()
+    table = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
+                                 0.0, 0.0625, 4)
+    w = dyson_mpo(ham, table, 4)
+    assert w.bond_dimension == 751
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="751 levels on 8 sites holds "
+                                             "49217536 entries"):
+            w.to_dense(8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -63,7 +63,7 @@ def test_apply_taylor_matches_dense():
     psi = FiniteMPS.random_product(6, rng=4)
     w = taylor_mpo(static_tfi(), -0.01j, 2)
     out, _ = apply_mpo(w, psi, d_max=64)
-    ref = w.to_dense(6, cap=256) @ psi.to_dense()
+    ref = w.to_dense(6) @ psi.to_dense()
     ref /= np.linalg.norm(ref)
     assert abs(abs(np.vdot(out.to_dense(), ref)) - 1.0) < 1e-10
 
@@ -72,7 +72,7 @@ def test_apply_dyson_first_order_on_chain_of_eight():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.125, 1)
-    w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     psi = FiniteMPS.all_up(8)
     out, _ = apply_mpo(w, psi, d_max=16)
     assert abs(out.norm() - 1.0) < 1e-12
@@ -231,7 +231,7 @@ def test_sparse_operators_equal_the_dense_chain(model):
     for ch in ham.channels:
         for n in range(1, 9):
             op = sparse_operator(ch.operator, n)
-            dense = ch.operator.to_dense(n, cap=1 << 8)
+            dense = ch.operator.to_dense(n)
             assert np.array_equal(op.toarray(), dense)
             assert op.nnz == np.count_nonzero(dense)
         if ch.operator.D is None:  # no one-site term: the zero operator
@@ -259,7 +259,7 @@ def test_sparse_operators_of_random_mpos_with_chains(seed):
     w = _random_fdmpo(np.random.default_rng(seed))
     for n in range(1, 6):
         op = sparse_operator(w, n)
-        dense = w.to_dense(n, cap=3 ** 5)
+        dense = w.to_dense(n)
         assert np.abs(op.toarray() - dense).max() <= \
             1e-15 * np.abs(dense).max()
         assert op.nnz == np.count_nonzero(dense)
@@ -512,10 +512,10 @@ def test_exact_regime_commutes_with_dense_application():
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.1, 2)
     from dysonmpo.dyson import dyson_mpo
-    w = dyson_mpo(ham, 0.0, 0.1, 2, tab)
+    w = dyson_mpo(ham, tab, 2)
     psi = FiniteMPS.random_product(6, rng=8)
     out, _ = apply_mpo(w, psi, d_max=8)  # 8 = d**(L/2) is exact at L=6
-    ref = w.to_dense(6, cap=256) @ psi.to_dense()
+    ref = w.to_dense(6) @ psi.to_dense()
     ref /= np.linalg.norm(ref)
     assert 1.0 - abs(np.vdot(out.to_dense(), ref)) < 1e-10
 
@@ -527,8 +527,8 @@ def _dyson_builds(ham, dt, n_steps=4, order=4):
         t0, t1 = i * dt, (i + 1) * dt
         tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                    t0, t1, order)
-        builds.append(build_step_mpo(ham, t0, t1, order, tab, qr_tol=1e-12))
-        rows.append(row_compress(dyson_mpo(ham, t0, t1, order, tab),
+        builds.append(build_step_mpo(ham, tab, order, qr_tol=1e-12))
+        rows.append(row_compress(dyson_mpo(ham, tab, order),
                                  tol=1e-12)[0])
     return builds, rows
 
@@ -654,7 +654,7 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
                                0.0, 0.125, 1)
-    w = dyson_mpo(ham, 0.0, 0.125, 1, tab)
+    w = dyson_mpo(ham, tab, 1)
     assert w.bond_dimension == 2
     n = 12
     psi = _random_mps(n, 16, np.random.default_rng(13))

@@ -41,7 +41,7 @@ def test_digest_sees_every_untimed_field():
     base = _digest(RECORDS)
     for name in bench.UNTIMED_FIELDS:
         value = getattr(RECORDS[1], name)
-        changed = "magnus" if isinstance(value, str) else value + 1
+        changed = "taylor" if isinstance(value, str) else value + 1
         moved = [RECORDS[0], dataclasses.replace(RECORDS[1], **{name: changed})]
         assert _digest(moved) != base, name
 

@@ -7,6 +7,9 @@ from helpers import (disjoint_power_dense, entries, flat_taylor_mpo,
                      zero_hamiltonian)
 
 from dysonmpo import fdmpo
+from dysonmpo.brackets import BracketTable
+from dysonmpo.driving import Channel, TimeDependentHamiltonian
+from dysonmpo.dyson import dyson_mpo
 from dysonmpo.levels import IDENTITY_LEVEL, LevelLabel, three, two
 from dysonmpo.models import static_tfi
 from dysonmpo.spin import ID2, SX, SY, SZ
@@ -18,6 +21,20 @@ TFI = static_tfi()
 def test_first_order_tau_zero_is_identity():
     w = taylor_mpo(TFI, 0.0, 1)
     np.testing.assert_allclose(w.to_dense(4), np.eye(16), atol=1e-14)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_taylor_mpo_is_the_frozen_one_channel_dyson_mpo(order):
+    tau = -0.07j
+    got = taylor_mpo(TFI, tau, order)
+    table = BracketTable.frozen({"h": 1.0}, tau, order)
+    ref = dyson_mpo(TimeDependentHamiltonian([Channel("h", TFI)]), table,
+                    order)
+    assert got.levels == ref.levels
+    for a, b in zip(got.coo(), ref.coo()):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got.params["brackets"].values == table.values
 
 
 def test_first_order_tensor_blocks():
