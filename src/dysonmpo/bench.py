@@ -1,24 +1,26 @@
 """Finite-chain error-scaling benchmark for the evolution-operator MPOs.
 
-Splits an interval into uniform steps; per step obtains the step's table
-(`step_table`), weights the shared step plan with it, row-compresses the
-MPO, factors a wide one down to its row rank (`bulk.bulk_compress`, from
-bond `bulk.BULK_FROM`) and applies it to the state.  The method is read
-only where the step's table is chosen: Dyson steps read the brackets of
-the step (an order-N Magnus step is the order-N Dyson step,
-`magnus_evolution`, so it is no method of its own), the frozen-midpoint
-Taylor baseline the frozen table of the drivings at the midpoint
-(`BracketTable.frozen`).  From the table on, every step is built the
-same way, as a `dyson_mpo` of the Hamiltonian, the table and the order.
-Steps congruent modulo the driving period reuse the MPO built at the
-first of them.  A sweep computes one bracket table per congruence class
-of step interval, all in one stacked `BracketTable.compute` call when its
-first evolution asks for its first table, and builds one step plan
-(power and compression index sets) per order, which all its steps weight
-(`BracketCache`).  The evolved state is compared against a dense
-Runge-Kutta reference (or the most accurate state when self-referencing)
-through the trace-distance error ``sqrt(1 - |<a|b>|^2)``, evaluated
-through the phase-aligned difference.
+Splits an interval into uniform steps.  Steps congruent modulo the
+driving period form a class, which shares one MPO.  An evolution lists
+its classes in step order and obtains each class's table (`step_table`);
+then it weights the shared step plan with each table, row-compresses all
+the class MPOs in one stacked pass (`build_step_mpo`), factors each wide
+one down to its row rank (`bulk.bulk_compress`, from bond
+`bulk.BULK_FROM`), and applies the MPO of each step's class to the
+state, step by step.  The method is read only where the step's table is
+chosen: Dyson steps read the brackets of the step (an order-N Magnus
+step is the order-N Dyson step, `magnus_evolution`, so it is no method
+of its own), the frozen-midpoint Taylor baseline the frozen table of the
+drivings at the midpoint (`BracketTable.frozen`).  From the table on,
+every step is built the same way, as a `dyson_mpo` of the Hamiltonian,
+the table and the order.  A sweep computes one bracket table per
+congruence class of step interval, all in one stacked
+`BracketTable.compute` call when its first evolution asks for its first
+table, and builds one step plan (power and compression index sets) per
+order, which all its steps weight (`BracketCache`).  The evolved state
+is compared against a dense Runge-Kutta reference (or the most accurate
+state when self-referencing) through the trace-distance error
+``sqrt(1 - |<a|b>|^2)``, evaluated through the phase-aligned difference.
 """
 
 import csv
@@ -42,6 +44,9 @@ from .mps import FiniteMPS, apply_mpo, check_d_max, trace_distance_error
 from .taylor import taylor_mpo  # noqa: F401
 
 METHODS = ("taylor", "dyson")
+# raw block entries after which `build_step_mpo` compresses the MPOs it
+# holds (32 MiB), so that a long aperiodic evolution holds few at once
+STACK_SLOTS = 1 << 21
 
 
 @dataclass
@@ -79,9 +84,9 @@ class ErrorRecord:
     other is written as it is.  `UNTIMED_FIELDS` names the others.
     `evolve_state` reports every field after `epsilon` but `seed`, under
     its own name.
-    The three stage times are taken inside the timed step loop.  `plan_s`
-    is 0 when an earlier evolution with the same `BracketCache` built the
-    step plan of the order.
+    The three stage times are taken inside the evolution's timed span.
+    `plan_s` is 0 when an earlier evolution with the same `BracketCache`
+    built the step plan of the order.
     """
 
     method: str
@@ -231,15 +236,43 @@ def build_step_mpo(hamiltonian, table, order, *, qr_tol, compress=True,
     tolerance.  Returns ``(mpo, report)``; `report` is the
     `CompressionReport`, with the bulk bond and residual, or None when the
     MPO was not compressed.
+
+    `table` may also be a sequence of tables, one per step: then the
+    result is a list of one ``(mpo, report)`` per table, each bitwise the
+    one of its table alone.  The steps' `dyson_mpo` are built in order
+    and compressed in passes: a pass closes once its raw MPOs hold
+    `STACK_SLOTS` block entries, or at the last table.  Each MPO of a pass
+    is row-compressed by a call of its own, the first of which decides
+    and solves the whole pass at once (`row_compress`'s `stack`).
     """
-    mpo = dyson_mpo(hamiltonian, table, order, plan=plan)
-    report = None
-    if compress and mpo.bond_dimension > 1:
-        mpo, report = row_compress(mpo, tol=qr_tol)
-        if mpo.bond_dimension >= BULK_FROM:
-            mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
-            report.bond_dimension_bulk = mpo.bond_dimension
-    return mpo, report
+    single = isinstance(table, BracketTable)
+    if plan is None:
+        plan = PowerPlan(hamiltonian, order)
+    built, held, slots = [], [], 0
+    for t in ([table] if single else table):
+        held.append(dyson_mpo(hamiltonian, t, order, plan=plan))
+        slots += held[-1].coo()[2].size
+        if slots >= STACK_SLOTS:
+            built += _compress(held, qr_tol, compress)
+            held, slots = [], 0
+    built += _compress(held, qr_tol, compress)
+    return built[0] if single else built
+
+
+def _compress(mpos, qr_tol, compress):
+    """``(mpo, report)`` of each of `mpos`, compressed unless `compress`
+    is false or its bond is 1, with one stacked row-compression pass."""
+    stack = [mpo for mpo in mpos if compress and mpo.bond_dimension > 1]
+    built = []
+    for mpo in mpos:
+        report = None
+        if compress and mpo.bond_dimension > 1:
+            mpo, report = row_compress(mpo, tol=qr_tol, stack=stack)
+            if mpo.bond_dimension >= BULK_FROM:
+                mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
+                report.bond_dimension_bulk = mpo.bond_dimension
+        built.append((mpo, report))
+    return built
 
 
 def _steps(config, dt):
@@ -277,8 +310,11 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
 
     A given `cache` must have been made for `hamiltonian`.  Steps in the
     same congruence class of `cache` share one compressed MPO of `order`,
-    built at the first of them and stored for this call only, from its
-    `step_table` and the cache's step plan of `order`.  Returns
+    stored for this call only.  The classes are listed in step order, and
+    their tables fetched in that order (`step_table`), before any step;
+    one `build_step_mpo` call then builds every class MPO from its table
+    and the cache's step plan of `order`, compressing them in one stacked
+    pass, and the steps apply them in order.  Returns
     ``(psi_out, stats)``.  `stats` holds every `ErrorRecord` field after
     `epsilon` but `seed`, under its name and with its meaning there, and
     `tables_computed`, the number of tables computed for this call (a
@@ -293,30 +329,33 @@ def evolve_state(hamiltonian, psi, config, order, dt, cache=None):
     computed_before = cache.computed
     plan = cache.plan(order)
     plan_before = plan.plan_s
-    step_mpos = {}
     stats = {"mpo_bond_dim": 0, "mps_bond_dim": psi.max_bond,
              "mpo_bond_before": 0, "fold_residual": 0.0,
              "bulk_residual": 0.0, "discarded_weight": 0.0, "bracket_s": 0.0,
              "build_s": 0.0, "apply_s": 0.0, "mpo_blocks": 0}
     t_start = time.perf_counter()
+    # the first step of each congruence class, in step order
+    first = {}
     for s0, s1 in steps:
-        key = cache.key(s0, s1)
-        mpo = step_mpos.get(key)
-        if mpo is None:
-            start = time.perf_counter()
-            table = step_table(cache, config.method, s0, s1, order)
-            stats["bracket_s"] += time.perf_counter() - start
-            start = time.perf_counter()
-            mpo, report = build_step_mpo(hamiltonian, table, order,
-                                         qr_tol=config.qr_tol, plan=plan)
-            stats["build_s"] += time.perf_counter() - start
-            step_mpos[key] = mpo
-            _raise_to(stats, mpo_blocks=mpo.n_blocks,
-                      mpo_bond_before=mpo.bond_dimension)
-            if report is not None:
-                _raise_to(stats, mpo_bond_before=report.bond_dimension_before,
-                          fold_residual=report.fold_residual,
-                          bulk_residual=report.bulk_residual)
+        first.setdefault(cache.key(s0, s1), (s0, s1))
+    start = time.perf_counter()
+    tables = [step_table(cache, config.method, s0, s1, order)
+              for s0, s1 in first.values()]
+    stats["bracket_s"] = time.perf_counter() - start
+    start = time.perf_counter()
+    built = build_step_mpo(hamiltonian, tables, order, qr_tol=config.qr_tol,
+                           plan=plan)
+    stats["build_s"] = time.perf_counter() - start
+    step_mpos = dict(zip(first, (mpo for mpo, _ in built)))
+    for mpo, report in built:
+        _raise_to(stats, mpo_blocks=mpo.n_blocks,
+                  mpo_bond_before=mpo.bond_dimension)
+        if report is not None:
+            _raise_to(stats, mpo_bond_before=report.bond_dimension_before,
+                      fold_residual=report.fold_residual,
+                      bulk_residual=report.bulk_residual)
+    for s0, s1 in steps:
+        mpo = step_mpos[cache.key(s0, s1)]
         start = time.perf_counter()
         psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
         stats["apply_s"] += time.perf_counter() - start

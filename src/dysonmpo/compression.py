@@ -28,22 +28,28 @@ The plan enumerates the keys of all pairs in array passes, one weave
 pattern per pair shape (`levels.block_keys`), and stacks its blocks: one
 stack per shape, index arrays padded with -1 to the deepest block.
 
-Per step: the decision and the numbers.  A compression gathers the step's
-brackets into a vector and fills a stack's coefficient matrices at once
-with `_key_sums`, the one evaluator of gamma sums (each entry sums its
-keys in weave order, so the rank decisions match a literal evaluation bit
-for bit).  A block with one own level and no earlier levels of its
+Per step: the decision and the numbers.  The steps of a stack (the
+classes of one evolution, `bench.build_step_mpo`) share their plan, and
+one pass decides and solves them all: every array below carries a
+leading step axis, and the first `row_compress` call of the stack runs
+the pass and keeps the other steps' solutions for their own calls.  A
+stack of one is a single step.  The pass gathers each step's brackets
+into a vector and fills a stack's coefficient matrices at once with
+`_key_sums`, the one evaluator of gamma sums (each entry sums its keys in
+weave order, so the rank decisions match a literal evaluation bit for
+bit).  A block with one own level and no earlier levels of its
 2-sequence keeps that level exactly when its gamma column is nonzero,
 which is what the pivoted QR decides for any ``tol < 1``; these blocks
-form one more stack, which a step settles with one gather.  The other
+form one more stack, which a pass settles with one gather.  The other
 blocks take an R-only pivoted QR; only a rank strictly between 0 and the
 column count leaves a choice, and only then does the greedy pass run,
-its subset in column order kept when it has the QR's size.  A block reads
-only the kept flags of the earlier blocks of its 2-sequence, which have
-the same ``n2`` and a smaller ``n3``, so the blocks of one ``n3`` are
-independent: a step takes them as one wave, and within a wave their
-stacks, whose column scales, projections and rank tests run on the whole
-stack.  The decision is the kept flags it leaves.
+per step and block, its subset in column order kept when it has the
+QR's size.  A block reads only the kept flags of the earlier blocks of
+its 2-sequence, which have the same ``n2`` and a smaller ``n3``, so the
+blocks of one ``n3`` are independent: a pass takes them as one wave, and
+within a wave their stacks, whose column scales, projections and rank
+tests run on every step of the whole stack.  Each step is decided in
+full, from its own numbers; its decision is the kept flags it leaves.
 
 Per decision.  The kept flags fix each block's basis (its earlier kept
 levels, then its own kept ones) and removed levels, in column order, and
@@ -51,23 +57,25 @@ so the fold solves stacked by shape, the full list of fold terms (every
 removed level over every basis level of its block) and where each term's
 products land in the folded tensor, for the block pattern of the MPO
 (which a plan's steps share in practice).  A `Layout` holds all of that;
-the plan memoises one, which serves every step whose decision and
-pattern repeat and is replaced by a step with another.  On the benchmark workloads at
-``qr_tol`` 1e-12 each plan decides once per sweep, so every step after a
-plan's first is served.
+the steps of a pass whose decision and pattern agree share one, and the
+plan keeps the distinct layouts of its last pass for the next.  On the
+benchmark workloads at ``qr_tol`` 1e-12 each plan decides once per
+sweep, so every step after a plan's first is served.
 
 Per step again, the numbers of the fold.  The least-squares solves call
 the gufunc behind ``np.linalg.lstsq`` once per stack (`linalg.lstsq`),
 which runs the same ``zgelsd`` per matrix; the fold solves, which no later
-block reads, run after the last wave, one stack per shape, and each is
-checked.  A step cuts the coefficients at most ``1e-13`` times its
-block's largest as a mask on the layout's term list.  The fold then forms
-the product ``W[kept rows, :] @ T``, ``T`` holding the identity on kept
-levels and the fold coefficients, as the coordinate blocks `apply_mpo`
-reads: each entry adds its shown terms in block order, with one ordered
-scatter-add (`extensive.scatter_add`), and entries that sum to exactly
-zero, or that only cut terms reach, are dropped.  So a memoised layout
-gives bitwise the MPO and report of one built for the step alone.
+block reads, run after the last wave, one stack per shape over all the
+steps that share a layout, and each is checked.  A step cuts the
+coefficients at most ``1e-13`` times its block's largest as a mask on
+the layout's term list.  The fold, in the step's own `row_compress`
+call, then forms the product ``W[kept rows, :] @ T``, ``T`` holding the
+identity on kept levels and the fold coefficients, as the coordinate
+blocks `apply_mpo` reads: each entry adds its shown terms in block order,
+with one ordered scatter-add (`extensive.scatter_add`), and entries that
+sum to exactly zero, or that only cut terms reach, are dropped.  So a
+stacked pass and a shared layout give bitwise the MPO and report of one
+built for the step alone.
 """
 
 import math
@@ -135,14 +143,16 @@ class CompressionReport:
 
 
 def _key_sums(values, index):
-    """``sum_t values[index[t]]``, from zero, one layer at a time.
+    """``sum_t values[..., index[t]]``, from zero, one layer at a time.
 
-    Each entry sums its keys in key order, as a literal evaluation does;
-    an index of -1 adds the vector's trailing zero, which changes no sum.
+    `values` is a bracket vector or a stack of them, one per step, which
+    lead the result.  Each entry sums its keys in key order, as a literal
+    evaluation does; an index of -1 adds the vector's trailing zero,
+    which changes no sum.
     """
-    g = values[index[0]] + 0.0
+    g = values.take(index[0], axis=-1) + 0.0
     for layer in index[1:]:
-        g = g + values[layer]
+        g = g + values.take(layer, axis=-1)
     return g
 
 
@@ -192,6 +202,11 @@ class CompressionPlan:
     earlier one is settled by its gamma column alone; `settled` stacks all
     of these.  `waves` holds the other blocks, one list per ``n3``,
     ascending, of one stack per shape.
+
+    Between calls the plan keeps the distinct layouts of its last pass
+    (`layouts`) and, as ``(mpo, tol, Solution)`` by the MPO's `id`, the
+    solutions a stacked pass left for the `row_compress` calls of its
+    other members.
     """
 
     def __init__(self, levels, order):
@@ -208,7 +223,8 @@ class CompressionPlan:
         blocks, self.keys = block_keys(self.levels, symbols, order)
         self.blocks = [Block(*block) for block in blocks]
         self._batch()
-        self._layout = None
+        self._layouts = {}
+        self._pending = {}
 
     def _batch(self):
         """Stack the single-column blocks; the others by wave and shape."""
@@ -237,21 +253,24 @@ class CompressionPlan:
         return Batch(numbers, blocks[0].n_prior if blocks else 0,
                      levels.reshape(len(blocks), cols), index)
 
-    def layout(self, kept, rows, cols):
-        """The `Layout` of the decision `kept` for an MPO whose
-        coordinate blocks sit at `rows`, `cols`.
+    def layouts(self, kept, patterns):
+        """The `Layout` of each step's decision ``kept[s]`` for an MPO
+        whose coordinate blocks sit at ``patterns[s]``, a ``(rows, cols)``
+        pair.
 
-        One layout is memoised: it serves while the decision and the
-        block pattern repeat, and a step with another builds and keeps a
-        new one.  A layout is not changed once built, so steps that share
-        the plan may run in parallel.
+        Steps whose decision and block pattern agree share one layout,
+        found by the bytes of the three arrays.  The plan keeps the
+        distinct layouts of its last pass, which serve the steps of the
+        next one that repeat them.  A layout is not changed once built.
         """
-        memo = self._layout
-        if (memo is None or not np.array_equal(memo.kept, kept)
-                or not np.array_equal(memo.rows, rows)
-                or not np.array_equal(memo.cols, cols)):
-            memo = self._layout = Layout(self, kept, rows, cols)
-        return memo
+        memo, found, out = self._layouts, {}, []
+        for flags, (rows, cols) in zip(kept, patterns):
+            key = (flags.tobytes(), rows.tobytes(), cols.tobytes())
+            if key not in found:
+                found[key] = memo.get(key) or Layout(self, flags, rows, cols)
+            out.append(found[key])
+        self._layouts = found
+        return out
 
     def values(self, brackets):
         """The bracket vector: one value per key, then a zero.
@@ -431,7 +450,18 @@ def _terms(stack):
             np.tile(basis, (1, nr)).ravel())
 
 
-def row_compress(mpo, *, tol=1e-12):
+class Solution(NamedTuple):
+    """What a stacked pass leaves for one step's fold: its `layout`, the
+    coefficient of each term and whether it is `shown`, in term order,
+    and the largest relative `fold_residual` of its folds."""
+
+    layout: Layout
+    coeff: np.ndarray
+    shown: np.ndarray
+    fold_residual: float
+
+
+def row_compress(mpo, *, tol=1e-12, stack=None):
     """Order-preserving row compression of a column-merged MPO.
 
     Parameters
@@ -447,27 +477,34 @@ def row_compress(mpo, *, tol=1e-12):
     tol : float
         Relative rank tolerance of the pivoted QR; vanishing integrals can
         legitimately reduce the kept set.
+    stack : sequence of ExtensiveMPO, optional
+        MPOs of one `PowerPlan`, `mpo` among them, each to be compressed
+        by a call of its own at `tol`.  The first call decides and solves
+        every member in one stacked pass (`_solve_stack`); the compression
+        plan keeps the other members' solutions until their calls take
+        and fold them.  Without it, `mpo` is a stack of one.
 
     Returns ``(compressed_mpo, report)``; the compressed MPO holds the
-    coordinate blocks of the fold.
+    coordinate blocks of the fold.  Each member's result is bitwise the
+    one of a stack of one.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
-    brackets = mpo.params.get("brackets")
-    if brackets is None:
-        raise ValueError("no bracket table available for row compression")
     plan = _plan_for(mpo)
-    values = plan.values(brackets)
-    kept = np.ones(len(plan.levels), dtype=bool)
-    # a single-column block drops its level when all squared entries of
-    # its column are zero, which is when the column's norm is
-    g = _key_sums(values, plan.settled.index)
-    kept[plan.settled.levels[~(g.real * g.real + g.imag * g.imag)
-                             .any(axis=(1, 2))]] = False
-    decided = [_decide(batch, values, kept, tol)
-               for wave in plan.waves for batch in wave]
-    layout = plan.layout(kept, *mpo.coo()[:2])
-    fold_residual, coeff, shown = _solve(plan, layout, decided, tol)
+    member, at, solved = plan._pending.pop(id(mpo), (None, None, None))
+    if member is not mpo or at != tol:
+        members = [mpo] if stack is None else list(stack)
+        power = mpo.params.get("plan")
+        if not any(m is mpo for m in members):
+            raise ValueError("the stack does not hold the MPO to compress")
+        if any(m.params.get("plan") is not power
+               or (power is None and m is not mpo) for m in members):
+            raise ValueError("the MPOs of a stack share one power plan")
+        solutions = _solve_stack(plan, members, tol)
+        plan._pending = {id(m): (m, tol, s)
+                         for m, s in zip(members, solutions)}
+        _, _, solved = plan._pending.pop(id(mpo))
+    layout, coeff, shown, fold_residual = solved
 
     params = {k: v for k, v in mpo.params.items() if k != "plan"}
     out = ExtensiveMPO(
@@ -482,20 +519,75 @@ def row_compress(mpo, *, tol=1e-12):
     return out, report
 
 
-def _decide(batch, values, kept, tol):
-    """Kept sets of one batch's blocks; their folds are solved later.
+def _solve_stack(plan, members, tol):
+    """The `Solution` of each MPO of `members`, all of `plan`, in order.
 
-    Clears the kept flag of every level a block removes, and returns the
-    batch's gammas and column scales, which the fold solves read.  A
-    block whose columns all vanish takes rank 0, and its levels fold to
-    zero.
+    Every step is decided in full: its brackets, the settled gather and
+    each wave's `_decide` run with a leading step axis, then `_solve`
+    solves the folds of the steps that share a layout together.  A step
+    without a bracket table, or with a non-finite bracket, raises
+    `ValueError`, the first such step in order; a fold that fails raises
+    `CompressionBasisError` for the first step in order with one.
     """
+    for m in members:
+        if m.params.get("brackets") is None:
+            raise ValueError("no bracket table available for row compression")
+    values = np.stack([plan.values(m.params["brackets"]) for m in members])
+    kept = np.ones((len(members), len(plan.levels)), dtype=bool)
+    # a single-column block keeps its level when some squared entry of
+    # its column is nonzero, which is when the column's norm is
+    g = _key_sums(values, plan.settled.index)
+    kept[:, plan.settled.levels[:, 0]] = (g.real * g.real
+                                          + g.imag * g.imag).any(axis=(2, 3))
+    decided = [_decide(batch, values, kept, tol)
+               for wave in plan.waves for batch in wave]
+    layouts = plan.layouts(kept, [m.coo()[:2] for m in members])
+    # every batch's gammas, raveled in wave order, and column scales
+    n = len(members)
+    gamma = np.concatenate([np.zeros((n, 0), dtype=complex)]
+                           + [g.reshape(n, -1) for g, _ in decided], axis=1)
+    scales = np.concatenate([np.zeros((n, 0))]
+                            + [ref for _, ref in decided], axis=1)
+    shared = {}
+    for s, layout in enumerate(layouts):
+        shared.setdefault(id(layout), (layout, []))[1].append(s)
+    solutions, failed = [None] * n, []
+    for layout, share in shared.values():
+        solved, fails = _solve(layout, gamma[share], scales[share], tol)
+        for s, solution in zip(share, solved):
+            solutions[s] = solution
+        failed.extend((share[s], number, why) for s, number, why in fails)
+    if failed:
+        _, number, why = min(failed)
+        n2, n3, two_sequence = plan.blocks[number][:3]
+        raise CompressionBasisError(
+            f"group ({n2},{n3}) block {two_sequence}: {why}")
+    return solutions
+
+
+def _decide(batch, values, kept, tol):
+    """Kept sets of one batch's blocks in every step; their folds are
+    solved later.
+
+    `values` holds each step's bracket vector and `kept` its kept flags,
+    ``(steps, levels)``.  Clears the kept flag of every level a block
+    removes in a step, and returns the batch's gammas ``(steps, blocks,
+    rows, columns)`` and column scales ``(steps, blocks)``, which the fold
+    solves read.  A block whose columns all vanish takes rank 0, and its
+    levels fold to zero.  The steps' blocks are taken as one list, each
+    block's levels as positions in the raveled flags.
+    """
+    n_steps, n_levels = kept.shape
+    flags = kept.reshape(-1)
+    levels = (batch.levels + n_levels * np.arange(n_steps)[:, None, None]
+              ).reshape(-1, batch.levels.shape[1])
     g = _key_sums(values, batch.index)
+    g = g.reshape((len(levels),) + g.shape[2:])
     p = batch.n_prior
     residual = g[:, :, p:].copy()
     ref = _column_scale(residual)
     if p:
-        prior_kept = kept[batch.levels[:, :p]]
+        prior_kept = flags[levels[:, :p]]
         n_kept = prior_kept.sum(axis=1)
         # projection on the earlier kept columns; where those all vanish
         # zgelsd returns zero and the residual stays bitwise the gammas
@@ -523,58 +615,66 @@ def _decide(batch, values, kept, tol):
             selected = greedy
         removed[k] = True
         removed[k, selected] = False
-    kept[batch.levels[:, p:][removed]] = False
-    return g, ref
+    flags[levels[:, p:][removed]] = False
+    return (g.reshape((n_steps, -1) + g.shape[1:]),
+            ref.reshape(n_steps, -1))
 
 
-def _solve(plan, layout, decided, tol):
-    """Solve every fold of `layout`, one stack per shape, and check each.
+def _solve(layout, gamma, scales, tol):
+    """Solve every fold of `layout` for the steps that share it, one
+    stack per shape, and check each.
 
-    `decided` holds each batch's gammas and column scales.  Returns the
-    largest relative fold residual, and the coefficient and whether it is
-    shown of every term, in term order: coefficients at most ``1e-13``
-    times the block's largest (or 1) are not.  The first block, in block
-    order, whose basis cannot expand its removed levels raises
-    `CompressionBasisError`.
+    `gamma` holds each step's gammas, all batches' raveled in wave order,
+    and `scales` its column scales.  Returns each step's `Solution`: the
+    coefficient and whether it is shown of every term, in term order
+    (coefficients at most ``1e-13`` times the block's largest, or 1, are
+    not), and the largest relative fold residual.  Returns too the failed
+    folds, ``(step, block number, why)``, whose basis cannot expand their
+    removed levels.
     """
-    ratios, failed = [np.zeros(1)], []
-    coeffs, shows = [np.zeros(0, dtype=complex)], [np.zeros(0, dtype=bool)]
-    # every batch's gammas, raveled in wave order, and column scales
-    gamma = np.concatenate([np.zeros(0, dtype=complex)]
-                           + [g.ravel() for g, _ in decided])
-    scales = np.concatenate([np.zeros(0)] + [ref for _, ref in decided])
+    n_steps = len(gamma)
+    ratios = [np.zeros((n_steps, 1))]
+    coeffs = [np.zeros((n_steps, 0), dtype=complex)]
+    shows = [np.zeros((n_steps, 0), dtype=bool)]
+    failed = []
     for stack in layout.stacks:
         n = len(stack.numbers)
-        g_basis, g_rest = gamma[stack.basis], gamma[stack.rest]
-        ref = scales[stack.scale]
+        total = n_steps * n
+        g_basis = gamma.take(stack.basis, axis=1).reshape(
+            (total,) + stack.basis.shape[1:])
+        g_rest = gamma.take(stack.rest, axis=1).reshape(
+            (total,) + stack.rest.shape[1:])
+        ref = scales.take(stack.scale, axis=1).ravel()
         # minimal-norm solutions; kept levels may carry no weight in a
         # block's truncated basis, and a basis of zeros solves to zero
         x = lstsq(g_basis, g_rest)
         norms = _norms(np.concatenate([g_basis @ x - g_rest, g_rest])
-                       .reshape(2 * n, -1))
-        resid, rest_norm = norms[:n], norms[n:]
+                       .reshape(2 * total, -1))
+        resid, rest_norm = norms[:total], norms[total:]
         bad = resid > np.maximum(1e-8 * rest_norm, 100 * tol * ref)
-        spans = g_basis.reshape(n, -1).any(axis=1)
+        spans = g_basis.reshape(total, -1).any(axis=1)
         if not spans.all():
             bad[~spans] = (rest_norm > tol * ref)[~spans]
-        failed.extend((stack.numbers[k], f"expansion residual {resid[k]:.2e}"
-                       if spans[k] else "nothing spans the remaining levels")
-                      for k in bad.nonzero()[0].tolist())
+        failed.extend((i // n, int(stack.numbers[i % n]),
+                       f"expansion residual {resid[i]:.2e}" if spans[i]
+                       else "nothing spans the remaining levels")
+                      for i in bad.nonzero()[0].tolist())
         measured = spans & (rest_norm > 0)
-        ratios.append(resid[measured] / rest_norm[measured])
+        ratio = np.zeros(total)
+        ratio[measured] = resid[measured] / rest_norm[measured]
+        ratios.append(ratio.reshape(n_steps, n))
         size = np.abs(x)
         cutoff = 1e-13 * np.maximum(1.0, size.max(axis=(1, 2), initial=0.0))
         # terms removed level by level, each over its basis in order
-        coeffs.append(x.transpose(0, 2, 1).ravel())
-        shows.append((size > cutoff[:, None, None]).transpose(0, 2, 1).ravel())
-    if failed:
-        number, why = min(failed, key=lambda item: item[0])
-        n2, n3, two_sequence = plan.blocks[number][:3]
-        raise CompressionBasisError(
-            f"group ({n2},{n3}) block {two_sequence}: {why}")
+        coeffs.append(x.transpose(0, 2, 1).reshape(n_steps, -1))
+        shows.append((size > cutoff[:, None, None]).transpose(0, 2, 1)
+                     .reshape(n_steps, -1))
     order = layout.term_order
-    return (float(np.concatenate(ratios).max()),
-            np.concatenate(coeffs)[order], np.concatenate(shows)[order])
+    residuals = np.concatenate(ratios, axis=1).max(axis=1).tolist()
+    coeff = np.concatenate(coeffs, axis=1).take(order, axis=1)
+    shown = np.concatenate(shows, axis=1).take(order, axis=1)
+    return ([Solution(layout, c, v, r)
+             for c, v, r in zip(coeff, shown, residuals)], failed)
 
 
 def _removals(plan, layout, coeff, shown):

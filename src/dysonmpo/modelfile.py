@@ -25,11 +25,14 @@ Every driving parameter must be finite and ``dim`` at least 1.  A
 second ``dim`` line, or a second ``driving``, ``D`` or ``A i j`` line
 (same ``i j``) in one channel block, is an error too, and so is a
 ``channel`` line without a name or with the name of an earlier channel.
-Each error names its line; an ``A i j`` slot outside the channel's ``L``
-count names the ``A`` line.
+Each error names its line.  One found when a channel block closes (at
+its ``end``, the next ``channel`` line or the end of the text) names the
+block's ``channel`` line, except an ``A i j`` slot outside the channel's
+``L`` count, which names the ``A`` line.
 """
 
 import ast
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -116,6 +119,20 @@ def _once(current, slot, directive):
                              f"{directive!r}")
 
 
+@contextmanager
+def _naming_line(lineno):
+    """Raise an error from inside as `ModelFileError` naming line
+    `lineno`, unless it names a line already."""
+    try:
+        yield
+    except ModelFileError as exc:
+        if str(exc).startswith("line "):
+            raise
+        raise ModelFileError(f"line {lineno}: {exc}") from exc
+    except Exception as exc:
+        raise ModelFileError(f"line {lineno}: {exc}") from exc
+
+
 def loads(text):
     """Parse model-file text into a :class:`TimeDependentHamiltonian`."""
     d = None
@@ -126,19 +143,21 @@ def loads(text):
         nonlocal current
         if current is None:
             return
-        name, driving, L, A, R, D = current
-        chi = len(L)
-        if len(R) != chi:
-            raise ModelFileError(f"channel {name}: L and R slot counts differ")
-        for (i, j), (_, at) in A.items():
-            if not (0 <= i < chi and 0 <= j < chi):
-                raise ModelFileError(f"line {at}: A slot {(i, j)} outside "
-                                     f"chi={chi}")
-        op = FirstDegreeMPO(d, chi, L=dict(enumerate(L)),
-                            A={key: mat for key, (mat, _) in A.items()},
-                            R=dict(enumerate(R)), D=D)
-        channels.append(Channel(name, op, driving or ConstDriving(1.0)))
+        name, driving, L, A, R, D, header = current
         current = None
+        with _naming_line(header):
+            chi = len(L)
+            if len(R) != chi:
+                raise ModelFileError(f"channel {name}: L and R slot counts "
+                                     f"differ")
+            for (i, j), (_, at) in A.items():
+                if not (0 <= i < chi and 0 <= j < chi):
+                    raise ModelFileError(f"line {at}: A slot {(i, j)} "
+                                         f"outside chi={chi}")
+            op = FirstDegreeMPO(d, chi, L=dict(enumerate(L)),
+                                A={key: mat for key, (mat, _) in A.items()},
+                                R=dict(enumerate(R)), D=D)
+            channels.append(Channel(name, op, driving or ConstDriving(1.0)))
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,7 +165,7 @@ def loads(text):
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        try:
+        with _naming_line(lineno):
             if head == "dim":
                 dim = int(rest)
                 if dim < 1:
@@ -163,7 +182,7 @@ def loads(text):
                 if any(c.name == rest for c in channels):
                     raise ModelFileError(f"channel name {rest!r} is listed "
                                          f"twice")
-                current = [rest, None, [], {}, [], None]
+                current = [rest, None, [], {}, [], None, lineno]
             elif current is None:
                 raise ModelFileError(f"{head!r} outside a channel block")
             elif head == "driving":
@@ -187,12 +206,6 @@ def loads(text):
                 close_channel()
             else:
                 raise ModelFileError(f"unknown directive {head!r}")
-        except ModelFileError as exc:
-            if str(exc).startswith("line "):
-                raise
-            raise ModelFileError(f"line {lineno}: {exc}") from exc
-        except Exception as exc:
-            raise ModelFileError(f"line {lineno}: {exc}") from exc
     close_channel()
     if not channels:
         raise ModelFileError("no channels defined")

@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from helpers import coo_digest, count_compute_calls, count_tables, \
     numpy_factorisations, per_interval_table, table_bits, \
     weighted_hamiltonian
 
-from dysonmpo import bench, extensive
+from dysonmpo import bench, compression, extensive
 from dysonmpo.bench import (BracketCache, ErrorRecord, EvolutionConfig,
                             build_step_mpo, evolve_state, initial_state,
                             order_slopes, prune_plateau, records_to_csv,
@@ -793,10 +794,11 @@ def test_evolve_state_reports_the_compression(monkeypatch):
     original = bench.build_step_mpo
 
     def recording(*args, **kwargs):
-        mpo, report = original(*args, **kwargs)
-        reports.append(report)
-        mpos.append(mpo)
-        return mpo, report
+        built = original(*args, **kwargs)
+        for mpo, report in built:
+            reports.append(report)
+            mpos.append(mpo)
+        return built
 
     monkeypatch.setattr(bench, "build_step_mpo", recording)
     _, stats = evolve_state(ham, initial_state(config), config, *REUSE_STEP)
@@ -975,3 +977,67 @@ def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
         assert not calls
         assert 1e-6 < dense < 1
         assert abs(eps - dense) <= 1e-14
+
+
+@pytest.mark.parametrize("qr_tol", [1e-12, 1e-6])
+def test_evolve_state_stats_are_those_of_a_stack_of_one_loop(qr_tol):
+    # the stacked build of an evolution's classes changes no stat and no
+    # bit of the state: the same evolution, each class built alone
+    ham = modulated_xxz()
+    config = EvolutionConfig(n_sites=6, t_final=1.25, d_max=8, seed=2,
+                             qr_tol=qr_tol)
+    psi, stats = evolve_state(ham, initial_state(config), config, 4, 0.125)
+    cache = BracketCache(ham)
+    plan = cache.plan(4)
+    ref, built = initial_state(config), {}
+    expected = dict.fromkeys(["mpo_bond_dim", "mpo_bond_before",
+                              "fold_residual", "bulk_residual",
+                              "discarded_weight", "mpo_blocks"], 0)
+    expected["mps_bond_dim"] = ref.max_bond
+    for s0, s1 in bench._steps(config, 0.125):
+        key = cache.key(s0, s1)
+        if key not in built:
+            mpo, report = built[key] = build_step_mpo(
+                ham, cache.table(s0, s1, 4), 4, qr_tol=qr_tol, plan=plan)
+            bench._raise_to(expected, mpo_blocks=mpo.n_blocks,
+                            mpo_bond_before=report.bond_dimension_before,
+                            fold_residual=report.fold_residual,
+                            bulk_residual=report.bulk_residual)
+        mpo = built[key][0]
+        ref, disc = apply_mpo(mpo, ref, d_max=config.d_max)
+        expected["discarded_weight"] += disc
+        bench._raise_to(expected, mpo_bond_dim=mpo.bond_dimension,
+                        mps_bond_dim=ref.max_bond)
+    assert {k: stats[k] for k in expected} == expected
+    # ten steps in eight classes: the last two reuse the first two
+    assert stats["mpo_builds"] == len(built) == 8 and stats["n_steps"] == 10
+    assert expected["bulk_residual"] > 0
+    assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
+
+
+def test_the_stacked_pass_runs_inside_the_first_row_compress_span(
+        monkeypatch):
+    # the benchmark's tracer times `row_compress` once per class; the
+    # pass that decides all four classes of the evolution lies inside
+    # the first of those spans, and the later ones only fold
+    passes = []
+    solve_stack = compression._solve_stack
+
+    def timed(plan, members, tol):
+        start = time.perf_counter()
+        out = solve_stack(plan, members, tol)
+        passes.append((start, time.perf_counter(), len(members)))
+        return out
+
+    monkeypatch.setattr(compression, "_solve_stack", timed)
+    ham = modulated_ising()
+    config = _reuse_config("dyson")
+    tracer = _tracer_module().LayerTracer(bench)
+    with tracer.installed():
+        evolve_state(ham, initial_state(config), config, *REUSE_STEP)
+    spans = [(start, end) for _, name, start, end, _ in tracer.spans
+             if name == "row_compress"]
+    assert len(spans) == 4 and len(passes) == 1
+    start, end, members = passes[0]
+    assert members == 4
+    assert spans[0][0] <= start and end <= spans[0][1]

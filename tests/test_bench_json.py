@@ -2,14 +2,24 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from dysonmpo import bench
+from dysonmpo.bench import ErrorRecord
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_json.py"
 _SPEC = importlib.util.spec_from_file_location("bench_json", _PATH)
 bench_json = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_json)
+# the script imports its neighbour tools/records_digest.py
+sys.path.insert(0, str(_PATH.parent))
+try:
+    _SPEC.loader.exec_module(bench_json)
+finally:
+    sys.path.remove(str(_PATH.parent))
 
 ENV = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1", "nproc": 2,
        "blas_threads": 1, "blas_threads_env": "1"}
@@ -90,3 +100,53 @@ def test_measure_rejects_runs_from_two_environments():
 def test_a_failed_traced_run_marks_the_workload_incorrect():
     entry = bench_json.workload_entry(PLAIN, dict(TRACED, correct=False))
     assert entry["correct"] is False
+
+
+def _record(order, dt, step_s, bracket_s=0.0, n_steps=4):
+    # an error of exactly dt^order, so each fit passes through both runs
+    return ErrorRecord("dyson", order, dt, dt ** order, step_s, 11, 16, 6,
+                       bracket_s=bracket_s, n_steps=n_steps)
+
+
+def test_time_to_accuracy_fits_as_perfbench_does():
+    # a self-referenced sweep: the top order's finest run is the
+    # reference, which leaves order 4 one run and so no fit
+    workload = SimpleNamespace(orders=(2, 4), dts=(0.5, 0.25), t_final=3.0,
+                               self_reference=True)
+    records = [_record(2, 0.5, 0.01, bracket_s=0.06, n_steps=6),
+               _record(2, 0.25, 0.02, n_steps=12),
+               _record(4, 0.5, 0.03, n_steps=6),
+               _record(4, 0.25, 0.04, n_steps=12)]
+    times = bench_json.time_to_accuracy(bench, workload, records)
+    # eps = dt^2 reaches 1e-6 at dt 1e-3: 3,000 steps over the span
+    assert times["target_eps"] == 1e-6
+    assert list(times["without_tables_s"]) == ["2"]
+    assert times["without_tables_s"]["2"] == pytest.approx(
+        3000 * (0.0 + 0.02) / 2, rel=1e-9)
+    assert times["with_tables_s"]["2"] == pytest.approx(
+        3000 * (0.01 + 0.02) / 2, rel=1e-9)
+    json.dumps(times)
+
+
+def test_time_to_accuracy_keeps_every_order_against_an_oracle():
+    workload = SimpleNamespace(orders=(3, 4), dts=(0.125, 0.0625),
+                               t_final=0.25, self_reference=False)
+    records = [_record(order, dt, 0.001 * order, bracket_s=0.004)
+               for order in (3, 4) for dt in (0.125, 0.0625)]
+    times = bench_json.time_to_accuracy(bench, workload, records)
+    assert list(times["without_tables_s"]) == ["3", "4"]
+    for order in (3, 4):
+        steps = 0.25 / 1e-6 ** (1 / order)
+        assert times["without_tables_s"][str(order)] == pytest.approx(
+            steps * 0.001 * (order - 1), rel=1e-9)
+        assert times["with_tables_s"][str(order)] == pytest.approx(
+            steps * 0.001 * order, rel=1e-9)
+
+
+def test_median_records_take_each_timed_field_over_the_runs():
+    runs = [[_record(3, 0.125, step, bracket_s=b), _record(4, 0.125, 2 * step)]
+            for step, b in [(0.003, 0.2), (0.001, 0.1), (0.002, 0.3)]]
+    low, high = bench_json.median_records(runs)
+    assert (low.wall_time_per_step, low.bracket_s) == (0.002, 0.2)
+    assert (high.wall_time_per_step, high.bracket_s) == (0.004, 0.0)
+    assert (low.order, low.dt, low.epsilon) == (3, 0.125, 0.125 ** 3)

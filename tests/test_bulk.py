@@ -157,9 +157,9 @@ def test_records_carry_the_bulk_residual(monkeypatch):
     original = bench.build_step_mpo
 
     def recording(*args, **kwargs):
-        mpo, report = original(*args, **kwargs)
-        reports.append(report)
-        return mpo, report
+        built = original(*args, **kwargs)
+        reports.extend(report for _, report in built)
+        return built
 
     monkeypatch.setattr(bench, "build_step_mpo", recording)
     config = EvolutionConfig(n_sites=6, orders=(2, 4), dts=(0.25,),

@@ -8,8 +8,8 @@ from helpers import (column_compress, entries, flat_dyson_mpo,
                      flat_taylor_mpo, literal_compression_plan,
                      literal_power_plan, literal_row_compress)
 
-from dysonmpo import compression, fdmpo, levels
-from dysonmpo.bench import build_step_mpo
+from dysonmpo import bench, compression, fdmpo, levels
+from dysonmpo.bench import BracketCache, build_step_mpo, step_table
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import Batch, CompressionPlan, _key_sums, \
     row_compress
@@ -391,11 +391,12 @@ def test_a_repeated_decision_builds_its_layout_once(monkeypatch):
                        plan=plan)
              for interval in [(0.0, 0.0625), (0.1875, 0.25)]]
     first, _ = row_compress(steps[0])
-    layout = plan.compression._layout
+    layout, = plan.compression._layouts.values()
     assert len(built) == 1
     second, report = row_compress(steps[1])
     again, _ = row_compress(steps[0])
-    assert len(built) == 1 and plan.compression._layout is layout
+    assert len(built) == 1
+    assert list(plan.compression._layouts.values()) == [layout]
     assert second.levels == first.levels == report.kept_levels
     assert [a.tobytes() for a in again.coo()] == \
         [a.tobytes() for a in first.coo()]
@@ -569,14 +570,14 @@ def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
         return [0]
 
     monkeypatch.setattr(compression, "_select_new_levels", recording)
-    kept = np.ones(4, dtype=bool)
-    g, ref = compression._decide(batch, values, kept, 1e-12)
+    kept = np.ones((1, 4), dtype=bool)
+    g, ref = compression._decide(batch, values[None], kept, 1e-12)
     assert len(seen) == 1
     assert np.array_equal(seen[0], values[None, :3])
-    assert kept.tolist() == [True, True, False, False]
+    assert kept[0].tolist() == [True, True, False, False]
     # the gammas and column scale the fold of levels 2 and 3 reads
-    assert np.array_equal(g, values[None, None, :3])
-    assert ref.tolist() == [3.0]
+    assert np.array_equal(g[0], values[None, None, :3])
+    assert ref[0].tolist() == [3.0]
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 0.0])
@@ -830,3 +831,167 @@ def test_compression_plan_below_the_power_order_equals_the_literal(order):
     assert _same_arrays(
         [a for b in comp.blocks for a in (b.levels, b.index)],
         [a for b in lit.blocks for a in (b.levels, b.index)])
+
+
+def _stack_tables(ham, intervals, order):
+    channels = [(c.name, c.driving) for c in ham.channels]
+    return BracketTable.compute(channels, [a for a, _ in intervals],
+                                [b for _, b in intervals], order)
+
+
+def _assert_stack_is_one_at_a_time(ham, tables, order, tol):
+    """The stacked build of `tables` against a build of each table alone,
+    with a plan of its own; returns the stacked reports."""
+    stacked = build_step_mpo(ham, tables, order, qr_tol=tol)
+    assert len(stacked) == len(tables)
+    for table, (mpo, report) in zip(tables, stacked):
+        alone, ref = build_step_mpo(ham, table, order, qr_tol=tol)
+        assert [a.tobytes() for a in mpo.coo()] == \
+            [a.tobytes() for a in alone.coo()]
+        assert mpo.bond_dimension == alone.bond_dimension
+        if ref is None:
+            assert report is None
+            continue
+        assert report.to_text() == ref.to_text()
+        assert report.fold_residual == ref.fold_residual
+        assert report.bulk_residual == ref.bulk_residual
+    return [report for _, report in stacked]
+
+
+STACK_STEPS = [(0.0, 0.0625), (0.0625, 0.125), (0.1875, 0.25), (0.1, 0.35)]
+
+
+@pytest.mark.parametrize("model, order", [
+    (modulated_ising, 1), (modulated_ising, 2), (modulated_ising, 3),
+    (modulated_ising, 4), (modulated_xxz, 3), (modulated_xxz, 4)])
+def test_a_stacked_build_is_bitwise_the_one_at_a_time_build(model, order):
+    ham = model()
+    tables = _stack_tables(ham, STACK_STEPS, order)
+    reports = _assert_stack_is_one_at_a_time(ham, tables, order, 1e-12)
+    assert all(r is not None for r in reports)
+
+
+def test_stacked_steps_that_decide_differently_keep_their_decisions():
+    # at qr_tol 1e-6 the XXZ order-4 steps of one stack keep different
+    # sets; each is decided in full, as a step alone is
+    ham = modulated_xxz()
+    steps = [(k / 16, (k + 1) / 16) for k in range(4)]
+    reports = _assert_stack_is_one_at_a_time(
+        ham, _stack_tables(ham, steps, 4), 4, 1e-6)
+    assert len({tuple(r.kept_levels) for r in reports}) > 1
+
+
+def test_a_stack_of_frozen_taylor_tables_is_bitwise_one_at_a_time():
+    ham = modulated_xxz()
+    cache = BracketCache(ham)
+    tables = [step_table(cache, "taylor", a, b, 3) for a, b in STACK_STEPS]
+    _assert_stack_is_one_at_a_time(ham, tables, 3, 1e-12)
+
+
+def test_an_all_zero_table_in_a_stack_stays_the_identity():
+    # the empty interval builds the bond-1 identity, which is not
+    # compressed; the stack compresses the other steps around it
+    ham = modulated_ising()
+    steps = [(0.0, 0.0625), (0.3, 0.3), (0.1875, 0.25)]
+    reports = _assert_stack_is_one_at_a_time(
+        ham, _stack_tables(ham, steps, 3), 3, 1e-12)
+    assert [r is None for r in reports] == [False, True, False]
+
+
+def test_a_stack_whose_block_patterns_differ_is_one_at_a_time():
+    # over whole drive periods some brackets vanish, and the silent
+    # channel's never show, so the steps' MPOs differ in their blocks
+    ham = ising_with_silent_channel()
+    steps = [(0.0, 0.0625), (0.0, 1.0), (0.0, 0.5), (0.25, 0.75)]
+    tables = _stack_tables(ham, steps, 3)
+    plan = PowerPlan(ham, 3)
+    patterns = {tuple(np.concatenate(dyson_mpo(ham, t, 3, plan=plan)
+                                     .coo()[:2]).tolist()) for t in tables}
+    assert len(patterns) > 1
+    for tol in (1e-12, 1e-6):
+        _assert_stack_is_one_at_a_time(ham, tables, 3, tol)
+
+
+def test_each_stack_member_is_folded_by_its_own_call(monkeypatch):
+    # the first call solves the stack and folds only its own MPO; the
+    # others' solutions wait on the plan until their calls fold them
+    ham = modulated_xxz()
+    plan = PowerPlan(ham, 3)
+    mpos = [dyson_mpo(ham, t, 3, plan=plan)
+            for t in _stack_tables(ham, STACK_STEPS, 3)]
+    passes = []
+    solve_stack = compression._solve_stack
+    monkeypatch.setattr(compression, "_solve_stack",
+                        lambda *args: passes.append(args[1]) or
+                        solve_stack(*args))
+    folded = []
+    fold = compression._fold
+    monkeypatch.setattr(compression, "_fold",
+                        lambda mpo, *args: folded.append(mpo) or
+                        fold(mpo, *args))
+    for k, mpo in enumerate(mpos):
+        row_compress(mpo, stack=mpos)
+        assert folded == mpos[:k + 1]
+        assert len(plan.compression._pending) == len(mpos) - k - 1
+    assert passes == [mpos]
+    # a stack at another tolerance, or without the MPO, is its own pass
+    row_compress(mpos[0], tol=1e-6, stack=mpos)
+    assert len(passes) == 2
+    with pytest.raises(ValueError, match="does not hold"):
+        row_compress(mpos[0], stack=mpos[1:])
+    with pytest.raises(ValueError, match="share one power plan"):
+        row_compress(mpos[0], stack=[mpos[0], dyson_mpo(
+            ham, _stack_tables(ham, STACK_STEPS[:1], 3)[0], 3)])
+
+
+def test_a_long_stack_is_compressed_in_bounded_passes(monkeypatch):
+    # a pass closes once its raw MPOs hold STACK_SLOTS block entries;
+    # where the passes fall changes no bit
+    ham = modulated_xxz()
+    tables = _stack_tables(ham, STACK_STEPS, 3)
+    whole = build_step_mpo(ham, tables, 3, qr_tol=1e-12)
+    passes = []
+    solve_stack = compression._solve_stack
+    monkeypatch.setattr(compression, "_solve_stack",
+                        lambda *args: passes.append(len(args[1])) or
+                        solve_stack(*args))
+    size = dyson_mpo(ham, tables[0], 3).coo()[2].size
+    monkeypatch.setattr(bench, "STACK_SLOTS", 2 * size)
+    parts = build_step_mpo(ham, tables, 3, qr_tol=1e-12)
+    assert passes == [2, 2]
+    for (mpo, report), (part, part_report) in zip(whole, parts):
+        assert [a.tobytes() for a in mpo.coo()] == \
+            [a.tobytes() for a in part.coo()]
+        assert report.to_text() == part_report.to_text()
+
+
+def test_a_stack_raises_the_fold_error_of_its_first_failing_step(
+        monkeypatch):
+    # the greedy subset of the smallest residual columns leaves removed
+    # levels outside the kept span; a stack raises what its first
+    # failing member raises alone, and leaves no solution waiting
+    greedy = compression._select_new_levels
+
+    def smallest(residual, tol, ref):
+        size = len(greedy(residual, tol, ref))
+        norms = np.linalg.norm(residual, axis=0)
+        return sorted(np.argsort(norms, kind="stable")[:size].tolist())
+
+    monkeypatch.setattr(compression, "_select_new_levels", smallest)
+    ham = modulated_xxz()
+    plan = PowerPlan(ham, 4)
+    intervals = [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]
+    mpos = [dyson_mpo(ham, _order4_table(modulated_xxz, interval), 4,
+                      plan=plan) for interval in intervals]
+    alone = []
+    for mpo in mpos:
+        with pytest.raises(compression.CompressionBasisError) as exc:
+            row_compress(_without_plan(mpo))
+        alone.append(str(exc.value))
+    assert len(set(alone)) > 1
+    for k in range(len(mpos)):
+        stack = mpos[k:] + mpos[:k]
+        with pytest.raises(compression.CompressionBasisError) as exc:
+            row_compress(stack[-1], stack=stack)
+        assert str(exc.value) == alone[k]
+        assert plan.compression._pending == {}

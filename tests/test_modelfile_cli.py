@@ -300,6 +300,15 @@ def test_dim_below_one_is_rejected(dim):
      "channel name 'a' is listed twice"),
     ("dim 2\nchannel\nD [[1, 0], [0, 1]]\nend\n", 2,
      "channel needs a name"),
+    # errors found when a block closes name the block's channel line,
+    # whether its end line, the next channel or the end of the text
+    # closes it
+    ("dim 2\nchannel a\nL [[1, 0], [0, 1]]\n", 2,
+     "channel a: L and R slot counts differ"),
+    ("dim 2\nchannel a\nL [[1, 0], [0, 1]]\nchannel b\n"
+     "D [[1, 0], [0, 1]]\nend\n", 2, "channel a: L and R slot counts differ"),
+    ("dim 2\nchannel a\nD [[1, 0], [0, 1]]\nend\n\nchannel b\n"
+     "R [[1, 0], [0, 1]]\nend\n", 6, "channel b: L and R slot counts differ"),
 ])
 def test_loader_errors_name_their_line(text, line, message):
     with pytest.raises(modelfile.ModelFileError) as exc:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,35 @@ def test_digest_tells_apart_the_last_bit_and_not_the_number_type():
 def test_digest_depends_on_record_order():
     assert _digest(RECORDS[::-1]) != _digest(RECORDS)
     assert len(_digest(RECORDS)) == 64
+
+
+SAVED = ["tfi_sweep seed=1 qr_tol=1e-12 " + "a" * 64,
+         "tfi_sweep seed=1 qr_tol=1e-06 " + "b" * 64,
+         "xxz_wide seed=1 qr_tol=1e-12 " + "c" * 64]
+
+
+def test_differences_name_the_saved_and_the_new_line():
+    assert records_digest.differences(SAVED, SAVED) == []
+    moved = [SAVED[0], SAVED[1][:-1] + "d", SAVED[2]]
+    assert records_digest.differences(moved, SAVED) == [
+        f"- {SAVED[1]}", f"+ {moved[1]}"]
+    # a run that lost a line, or made one more, differs too
+    assert records_digest.differences(SAVED[:2], SAVED) == [f"- {SAVED[2]}"]
+    assert records_digest.differences(SAVED + ["extra"], SAVED) == ["+ extra"]
+
+
+def test_against_exits_with_1_exactly_when_a_line_differs(
+        tmp_path, monkeypatch, capsys):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    saved = tmp_path / "digest.txt"
+    saved.write_text("\n".join(SAVED) + "\n\n")
+    runs = iter([SAVED, SAVED[:1] + [SAVED[1][:-1] + "d"] + SAVED[2:]])
+    monkeypatch.setattr(records_digest, "lines",
+                        lambda checkout, bench, modelfile: next(runs))
+    assert records_digest.main(["--against", str(saved)]) == 0
+    assert capsys.readouterr().out == ""
+    assert records_digest.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"- {SAVED[1]}", f"+ {SAVED[1][:-1]}d"]
