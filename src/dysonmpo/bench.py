@@ -4,8 +4,8 @@ Splits an interval into uniform steps.  Steps congruent modulo the
 driving period form a class, which shares one MPO.  An evolution lists
 its classes in step order and obtains each class's table (`step_table`);
 then it weights the shared step plan with each table, row-compresses all
-the class MPOs in one stacked pass (`build_step_mpo`), factors each wide
-one down to its row rank (`bulk.bulk_compress`, from bond
+the class MPOs in one stacked pass (`build_step_mpo`), factors the wide
+ones down to their row rank in one `bulk.bulk_compress` call (from bond
 `bulk.BULK_FROM`), and applies the MPO of each step's class to the
 state, step by step.  The method is read only where the step's table is
 chosen: Dyson steps read the brackets of the step (an order-N Magnus
@@ -243,7 +243,9 @@ def build_step_mpo(hamiltonian, table, order, *, qr_tol, compress=True,
     and compressed in passes: a pass closes once its raw MPOs hold
     `STACK_SLOTS` block entries, or at the last table.  Each MPO of a pass
     is row-compressed by a call of its own, the first of which decides
-    and solves the whole pass at once (`row_compress`'s `stack`).
+    and solves the whole pass at once (`row_compress`'s `stack`); then
+    the pass's row-compressed MPOs of bond `bulk.BULK_FROM` or more go to
+    one `bulk_compress` call.
     """
     single = isinstance(table, BracketTable)
     if plan is None:
@@ -261,17 +263,21 @@ def build_step_mpo(hamiltonian, table, order, *, qr_tol, compress=True,
 
 def _compress(mpos, qr_tol, compress):
     """``(mpo, report)`` of each of `mpos`, compressed unless `compress`
-    is false or its bond is 1, with one stacked row-compression pass."""
+    is false or its bond is 1, with one stacked row-compression pass and
+    one stacked bulk stage for the row-compressed bonds of at least
+    `bulk.BULK_FROM`."""
     stack = [mpo for mpo in mpos if compress and mpo.bond_dimension > 1]
-    built = []
-    for mpo in mpos:
-        report = None
-        if compress and mpo.bond_dimension > 1:
-            mpo, report = row_compress(mpo, tol=qr_tol, stack=stack)
-            if mpo.bond_dimension >= BULK_FROM:
-                mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
-                report.bond_dimension_bulk = mpo.bond_dimension
-        built.append((mpo, report))
+    built = [row_compress(mpo, tol=qr_tol, stack=stack)
+             if compress and mpo.bond_dimension > 1 else (mpo, None)
+             for mpo in mpos]
+    wide = [i for i, (mpo, report) in enumerate(built)
+            if report is not None and mpo.bond_dimension >= BULK_FROM]
+    factored = bulk_compress([built[i][0] for i in wide], qr_tol)
+    for i, (mpo, residual) in zip(wide, factored):
+        report = built[i][1]
+        report.bulk_residual = residual
+        report.bond_dimension_bulk = mpo.bond_dimension
+        built[i] = (mpo, report)
     return built
 
 
@@ -530,11 +536,18 @@ def runtime_at_accuracy(records, target_eps, span=1.0):
 
     Extrapolates each order's error fit (`_order_fits`) to the step size
     that reaches `target_eps` and multiplies the implied step count by the
-    measured average per-step wall time, less the bracket-table time.
-    A sweep computes every interval's table once, in its first evolution,
-    so the per-step cost of each order is taken
-    as ``wall_time_per_step - bracket_s / n_steps``, averaged over all its
-    records.  An order without a fit raises `ValueError`.
+    measured average per-step wall time, less the bracket-table time:
+    ``dt_av`` is ``wall_time_per_step - bracket_s / n_steps``, averaged
+    over all the order's records.  What a record's wall time holds is
+    what its evolution did: fetching its tables (`bracket_s`), building
+    the step plan when it was the first of its order on its cache
+    (`plan_s`), building and compressing its class MPOs and applying
+    them; so ``dt_av`` is the cost of a step without its tables, plan
+    builds included.  A sweep computes every interval's table once, at
+    its top order, in its first evolution (`run_benchmark`), so no
+    record of a sweep tells what an order's own tables cost;
+    ``tools/bench_json.py`` adds those from evolutions that compute their
+    own.  An order without a fit raises `ValueError`.
     """
     out = {}
     for order, (slope, intercept, rs) in _order_fits(records).items():

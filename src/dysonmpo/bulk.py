@@ -34,15 +34,25 @@ estimates ``|M - T W_r| / |M|`` in the Frobenius norm (Halko, Martinsson
 
 The sketch columns are uniform random numbers drawn once per shape from
 a fixed seed and kept read-only, so equal MPOs give bitwise equal
-results; the cache holds at most eight shapes.
+results; the cache holds at most eight shapes.  Both sparse products,
+the sketch and ``W_r [T | right]``, call the CSR kernel a SciPy sparse
+product ends in (``csr_matvecs``, bound in `evolve`) on the index and
+value arrays directly, with no sparse-matrix object, in the same entry
+order, so they are bitwise SciPy's.
+
+`bulk_compress` also takes a stack, a sequence of MPOs:
+`bench.build_step_mpo` passes the wide MPOs of one compression pass in
+one call.  Each MPO is factored alone, with its own site matrix, sketch,
+LU, basis and checks, and the first in order that fails its check
+raises.
 """
 
 import functools
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import blas, lapack
 
+from .evolve import _CSR_MATVECS
 from .extensive import ExtensiveMPO
 
 # Row-compressed bond from which `bench.build_step_mpo` factors a step;
@@ -88,6 +98,15 @@ def _site_matrix(mpo):
             np.searchsorted(a, np.arange(mpo.bond_dimension + 1)))
 
 
+def _csr_times(shape, indptr, columns, data, x):
+    """The CSR matrix of `shape`, `indptr`, `columns` and `data` times the
+    C-ordered matrix `x`, by the kernel a SciPy sparse product ends in."""
+    out = np.zeros((shape[0], x.shape[1]), dtype=np.result_type(data, x))
+    _CSR_MATVECS(*shape, x.shape[1], indptr, columns, data, x.reshape(-1),
+                 out.reshape(-1))
+    return out
+
+
 def _basis(data, columns, indptr, dd, right, tol):
     """``(probes, lu, order, r)`` of the sketch ``[right | M Omega]``.
 
@@ -104,14 +123,13 @@ def _basis(data, columns, indptr, dd, right, tol):
     """
     n = len(indptr) - 1
     bound = min(n, np.count_nonzero(np.bincount(columns)))
-    parts = sparse.csr_array(
-        (np.concatenate([data.real, data.imag]), np.tile(columns, 2),
-         np.concatenate([indptr, indptr[1:] + len(data)])),
-        shape=(2 * n, n * dd))
+    parts = ((2 * n, n * dd),
+             np.concatenate([indptr, indptr[1:] + len(data)]),
+             np.tile(columns, 2), np.concatenate([data.real, data.imag]))
     top = np.abs(right).max()
     k = min(bound, SKETCH)
     while True:
-        y = parts @ _omega(n * dd, k)
+        y = _csr_times(*parts, _omega(n * dd, k))
         y = y[:n] + 1j * y[n:]
         edge = right * (np.abs(y).max() / top) if top else right
         lu, piv, _ = _ZGETRF(np.column_stack([edge, y[:, :k]]))
@@ -134,9 +152,21 @@ def bulk_compress(mpo, tol=1e-12):
     the larger of its two relative check residuals.  An MPO whose rank is
     0 or its bond dimension comes back as it is, with residual 0.  A
     residual above ``max(1e-8, 100 * tol)`` raises `BulkCheckError`.
+
+    `mpo` may also be a sequence of MPOs, a stack: then the result is a
+    list of one ``(bulk, residual)`` per MPO, each the result of the MPO
+    alone, and the first MPO in order whose residual is above the bound
+    raises.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
+    if isinstance(mpo, ExtensiveMPO):
+        return _factor(mpo, tol)
+    return [_factor(m, tol) for m in mpo]
+
+
+def _factor(mpo, tol):
+    """``(bulk, residual)`` of one MPO; see `bulk_compress`."""
     n_levels, d = mpo.bond_dimension, mpo.d
     dd = d * d
     left, right = mpo.boundary
@@ -158,10 +188,10 @@ def bulk_compress(mpo, tol=1e-12):
     sel = np.flatnonzero(at[rows] >= 0)
     key = at[rows[sel]] * dd + ops[sel]
     sel = sel[np.argsort(key)]
-    w = sparse.csr_array(
-        (data[sel], levels[sel],
-         np.concatenate([[0], np.bincount(key, minlength=r * dd).cumsum()])),
-        shape=(r * dd, n_levels)) @ t
+    w = _csr_times(
+        (r * dd, n_levels),
+        np.concatenate([[0], np.bincount(key, minlength=r * dd).cumsum()]),
+        levels[sel], data[sel], t)
     rho = right[basis]
     residual = max(_relative(probes - t[:, :r] @ probes[basis], probes),
                    _relative(w[:, :r] @ rho - w[:, r], w[:, r]))

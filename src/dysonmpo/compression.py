@@ -43,13 +43,14 @@ which is what the pivoted QR decides for any ``tol < 1``; these blocks
 form one more stack, which a pass settles with one gather.  The other
 blocks take an R-only pivoted QR; only a rank strictly between 0 and the
 column count leaves a choice, and only then does the greedy pass run,
-per step and block, its subset in column order kept when it has the
-QR's size.  A block reads only the kept flags of the earlier blocks of
-its 2-sequence, which have the same ``n2`` and a smaller ``n3``, so the
-blocks of one ``n3`` are independent: a pass takes them as one wave, and
-within a wave their stacks, whose column scales, projections and rank
-tests run on every step of the whole stack.  Each step is decided in
-full, from its own numbers; its decision is the kept flags it leaves.
+once per stack over every such block of every step (`_greedy`), each
+block's subset in column order kept when it has the QR's size.  A block
+reads only the kept flags of the earlier blocks of its 2-sequence, which
+have the same ``n2`` and a smaller ``n3``, so the blocks of one ``n3``
+are independent: a pass takes them as one wave, and within a wave their
+stacks, whose column scales, projections and rank tests run on every
+step of the whole stack.  Each step is decided in full, from its own
+numbers; its decision is the kept flags it leaves.
 
 Per decision.  The kept flags fix each block's basis (its earlier kept
 levels, then its own kept ones) and removed levels, in column order, and
@@ -78,7 +79,6 @@ stacked pass and a shared layout give bitwise the MPO and report of one
 built for the step alone.
 """
 
-import math
 import time
 from typing import NamedTuple
 
@@ -286,28 +286,50 @@ class CompressionPlan:
         return values
 
 
-def _select_new_levels(residual, tol, ref):
-    """Greedy spanning subset of residual columns, in column order.
+def _greedy(residual, tol, ref):
+    """Greedy spanning subset of the columns of each matrix of a stack.
 
-    The rank criterion matches the rank-revealing QR (columns whose
-    residual norm exceeds ``tol * ref``); walking the columns in canonical
-    label order keeps the selection deterministic.  The norm is
-    ``np.linalg.norm``'s sum of two real dot products, spelled out.
+    `residual` is ``(k, rows, columns)`` and `ref` the column scale of
+    each matrix.  A matrix's columns are walked in canonical label order,
+    which keeps the selection deterministic: a column is selected when its
+    norm, after two modified Gram-Schmidt passes against the matrix's
+    selected columns in selection order, exceeds ``tol * ref``, the rank
+    criterion of the rank-revealing QR.  The norm is ``np.linalg.norm``'s
+    sum of two real dot products.
+
+    All matrices walk together, column by column.  When some matrix
+    selects a column, its normalised residual becomes one basis vector per
+    matrix, zero in the others (a projection on zero leaves a column as it
+    is), and the first pass projects it out of every later column at once;
+    the second pass takes a column's basis vectors in order when the walk
+    reaches it.  So each column sees the operations of a walk that takes
+    one column at a time, in the same order, and every product
+    (`np.vecdot`, the dot product of the conjugate), norm and quotient is
+    the one of a matrix alone (`tests/helpers.select_new_levels`, the
+    oracle).  Returns the selected flags ``(k, columns)``.
     """
-    basis = []  # (vector, its conjugate)
-    selected = []
-    for j in range(residual.shape[1]):
-        v = residual[:, j].copy()
+    k, rows, n = residual.shape
+    columns = residual.transpose(2, 0, 1).copy()
+    # each column's real and imaginary parts, each as k rows of doubles
+    parts = columns.view(np.float64).reshape(n, k, rows, 2).transpose(
+        0, 3, 1, 2)
+    cut = tol * ref
+    basis = []
+    selected = np.empty((n, k), dtype=bool)
+    for j, (v, part, new) in enumerate(zip(columns, parts, selected)):
         # the second orthogonalization pass is for numerical safety
-        for _ in range(2):
-            for b, b_conj in basis:
-                v -= b_conj.dot(v) * b
-        nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-        if nrm > tol * ref:
-            b = v / nrm
-            basis.append((b, b.conj()))
-            selected.append(j)
-    return selected
+        for b in basis:
+            v -= np.vecdot(b, v, keepdims=True) * b
+        squares = np.vecdot(part, part)
+        nrm = np.sqrt(squares[0] + squares[1])
+        count = np.count_nonzero(np.greater(nrm, cut, out=new))
+        if count and j + 1 < n:
+            scale = nrm if count == k else np.where(new, nrm, np.inf)
+            b = v / scale[:, None]
+            basis.append(b)
+            later = columns[j + 1:]
+            later -= np.vecdot(b, later, keepdims=True) * b
+    return selected.T
 
 
 def _plan_for(mpo):
@@ -575,7 +597,8 @@ def _decide(batch, values, kept, tol):
     rows, columns)`` and column scales ``(steps, blocks)``, which the fold
     solves read.  A block whose columns all vanish takes rank 0, and its
     levels fold to zero.  The steps' blocks are taken as one list, each
-    block's levels as positions in the raveled flags.
+    block's levels as positions in the raveled flags, and one `_greedy`
+    call takes every block of that list whose rank leaves a choice.
     """
     n_steps, n_levels = kept.shape
     flags = kept.reshape(-1)
@@ -597,7 +620,9 @@ def _decide(batch, values, kept, tol):
             if n < p:
                 # each block's kept earlier columns, in column order
                 cols = np.argsort(~prior_kept[sub], axis=1, kind="stable")
-                g_kept = np.take_along_axis(g_kept, cols[:, None, :n], axis=2)
+                g_kept = g_kept[np.arange(len(sub))[:, None, None],
+                                np.arange(g.shape[1])[:, None],
+                                cols[:, None, :n]]
             g_comp = residual[sub]
             residual[sub] = g_comp - g_kept @ lstsq(g_kept, g_comp)
     # rank of the residual measured against the unprojected column
@@ -605,16 +630,14 @@ def _decide(batch, values, kept, tol):
     n_own = residual.shape[2]
     diag, pivots = pivoted_qr(residual)
     ranks = (diag > (tol * ref)[:, None]).sum(axis=1)
-    # a rank of 0 removes every own level; in between, the greedy subset
-    # in column order wins when it has the QR's size
-    removed = np.repeat((ranks == 0)[:, None], n_own, axis=1)
-    for k in np.flatnonzero((ranks > 0) & (ranks < n_own)).tolist():
-        selected = pivots[k][:ranks[k]]
-        greedy = _select_new_levels(residual[k], tol, ref[k])
-        if len(greedy) == ranks[k]:
-            selected = greedy
-        removed[k] = True
-        removed[k, selected] = False
+    # the first `rank` pivots stay; where the rank leaves a choice, the
+    # greedy subset in column order wins when it has the QR's size
+    removed = pivots.argsort(axis=1) >= ranks[:, None]
+    choice = ((ranks > 0) & (ranks < n_own)).nonzero()[0]
+    if len(choice):
+        greedy = _greedy(residual[choice], tol, ref[choice])
+        agree = greedy.sum(axis=1) == ranks[choice]
+        removed[choice[agree]] = ~greedy[agree]
     flags[levels[:, p:][removed]] = False
     return (g.reshape((n_steps, -1) + g.shape[1:]),
             ref.reshape(n_steps, -1))

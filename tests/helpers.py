@@ -24,8 +24,7 @@ import scipy.sparse
 from dysonmpo import brackets, fdmpo, mps
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import (Block, CompressionBasisError,
-                                  CompressionPlan, CompressionReport,
-                                  _select_new_levels)
+                                  CompressionPlan, CompressionReport)
 from dysonmpo.driving import (Channel, DrivingFunction, PolyDriving,
                               SampledDriving, TimeDependentHamiltonian)
 from dysonmpo.evolve import sparse_operator
@@ -1273,6 +1272,31 @@ def qr_column_pivoted(m, tol=1e-12):
     return rank, [int(p) - 1 for p in piv[:rank]], r
 
 
+def select_new_levels(residual, tol, ref):
+    """Greedy spanning subset of the columns of one residual, in column
+    order: the oracle of `compression._greedy`, one matrix at a time.
+
+    The rank criterion matches the rank-revealing QR (columns whose
+    residual norm exceeds ``tol * ref``); walking the columns in canonical
+    label order keeps the selection deterministic.  The norm is
+    ``np.linalg.norm``'s sum of two real dot products, spelled out.
+    """
+    basis = []  # (vector, its conjugate)
+    selected = []
+    for j in range(residual.shape[1]):
+        v = residual[:, j].copy()
+        # the second orthogonalization pass is for numerical safety
+        for _ in range(2):
+            for b, b_conj in basis:
+                v -= b_conj.dot(v) * b
+        nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+        if nrm > tol * ref:
+            b = v / nrm
+            basis.append((b, b.conj()))
+            selected.append(j)
+    return selected
+
+
 def literal_row_compress(mpo, *, tol=1e-12):
     """`row_compress` with per-entry gammas and a column-by-column fold.
 
@@ -1340,7 +1364,7 @@ def literal_row_compress(mpo, *, tol=1e-12):
                 _, pivots, r_fac = qr_column_pivoted(residual, tol=0.0)
                 diag = np.abs(np.diag(r_fac))
                 rank = int(np.count_nonzero(diag > tol * ref))
-                selected = _select_new_levels(residual, tol, ref)
+                selected = select_new_levels(residual, tol, ref)
                 if len(selected) != rank:
                     selected = sorted(pivots[:rank])
                 kept_by_cseq.setdefault(cseq, []).extend(

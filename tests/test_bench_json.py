@@ -117,30 +117,41 @@ def test_time_to_accuracy_fits_as_perfbench_does():
                _record(2, 0.25, 0.02, n_steps=12),
                _record(4, 0.5, 0.03, n_steps=6),
                _record(4, 0.25, 0.04, n_steps=12)]
-    times = bench_json.time_to_accuracy(bench, workload, records)
+    own = {(2, 0.5): 0.012, (2, 0.25): 0.024, (4, 0.5): 0.03,
+           (4, 0.25): 0.06}
+    times = bench_json.time_to_accuracy(bench, workload, records, own)
     # eps = dt^2 reaches 1e-6 at dt 1e-3: 3,000 steps over the span
     assert times["target_eps"] == 1e-6
     assert list(times["without_tables_s"]) == ["2"]
+    assert list(times["with_tables_s"]) == ["2"]
     assert times["without_tables_s"]["2"] == pytest.approx(
         3000 * (0.0 + 0.02) / 2, rel=1e-9)
+    # each run carries its own tables, 0.002 s a step at either dt
     assert times["with_tables_s"]["2"] == pytest.approx(
-        3000 * (0.01 + 0.02) / 2, rel=1e-9)
+        3000 * (0.002 + 0.022) / 2, rel=1e-9)
     json.dumps(times)
 
 
 def test_time_to_accuracy_keeps_every_order_against_an_oracle():
+    # the sweep's tables all fall on the first record, at order 3; with
+    # table time each order carries only the tables it computes alone
     workload = SimpleNamespace(orders=(3, 4), dts=(0.125, 0.0625),
                                t_final=0.25, self_reference=False)
-    records = [_record(order, dt, 0.001 * order, bracket_s=0.004)
+    records = [_record(order, dt, 0.001 * order,
+                       bracket_s=0.004 if (order, dt) == (3, 0.125) else 0.0)
                for order in (3, 4) for dt in (0.125, 0.0625)]
-    times = bench_json.time_to_accuracy(bench, workload, records)
+    own = {(order, dt): 0.0008 * order for order in (3, 4)
+           for dt in (0.125, 0.0625)}
+    times = bench_json.time_to_accuracy(bench, workload, records, own)
     assert list(times["without_tables_s"]) == ["3", "4"]
     for order in (3, 4):
         steps = 0.25 / 1e-6 ** (1 / order)
+        step_s = 0.001 * order - (0.0005 if order == 3 else 0.0)
         assert times["without_tables_s"][str(order)] == pytest.approx(
-            steps * 0.001 * (order - 1), rel=1e-9)
+            steps * step_s, rel=1e-9)
         assert times["with_tables_s"][str(order)] == pytest.approx(
-            steps * 0.001 * order, rel=1e-9)
+            steps * (step_s + 0.0002 * order), rel=1e-9)
+    assert times["with_tables_s"]["4"] > times["without_tables_s"]["4"]
 
 
 def test_median_records_take_each_timed_field_over_the_runs():
@@ -150,3 +161,80 @@ def test_median_records_take_each_timed_field_over_the_runs():
     assert (low.wall_time_per_step, low.bracket_s) == (0.002, 0.2)
     assert (high.wall_time_per_step, high.bracket_s) == (0.004, 0.0)
     assert (low.order, low.dt, low.epsilon) == (3, 0.125, 0.125 ** 3)
+
+
+def test_own_table_times_evolve_each_pair_with_its_own_tables():
+    calls = []
+
+    def evolve_state(ham, psi, config, order, dt, cache=None):
+        calls.append((order, dt, cache))
+        return psi, {"bracket_s": 0.001 * order * len(calls)}
+
+    fake = SimpleNamespace(initial_state=lambda config, d: "psi0",
+                           evolve_state=evolve_state)
+    config = SimpleNamespace(orders=(1, 4), dts=(0.5, 0.25))
+    times = bench_json.own_table_times(fake, SimpleNamespace(d=2), config)
+    runs = bench_json.ACCURACY_SWEEPS + 1
+    assert len(calls) == 4 * runs
+    assert all(cache is None for _, _, cache in calls)
+    assert [c[:2] for c in calls[::runs]] == [(1, 0.5), (1, 0.25),
+                                              (4, 0.5), (4, 0.25)]
+    # the median of the calls after the warm-up
+    assert times[(4, 0.25)] == pytest.approx(0.004 * (3 * runs + 4))
+    assert set(times) == {(1, 0.5), (1, 0.25), (4, 0.5), (4, 0.25)}
+
+
+def _round_runner(speed):
+    """A fake perfbench: `speed` scales every time it reports."""
+    def runner(cmd):
+        trace = int(cmd[cmd.index("--trace") + 1])
+        result = json.loads(json.dumps(TRACED if trace else PLAIN))
+        for metric in result["metrics"].values():
+            metric["value"] *= speed
+        return _output(result, trace)
+    return runner
+
+
+def test_rounds_alternate_the_labels_and_keep_every_round():
+    order = []
+    speeds = iter([1.0, 1.2, 1.5, 0.9, 1.1, 1.3])
+    accuracy = {w: {"target_eps": 1e-6, "with_tables_s": {"4": 0.02},
+                    "without_tables_s": {"4": 0.01}}
+                for w in bench_json.WORKLOADS}
+
+    def one_round(label):
+        order.append(label)
+        return bench_json.run_round(_round_runner(next(speeds)),
+                                    lambda: accuracy)
+
+    rounds = bench_json.interleave(["parent", "change"], one_round)
+    assert bench_json.ROUNDS >= 3
+    assert order == ["parent", "change"] * bench_json.ROUNDS
+    entry = bench_json.label_entry(rounds["change"])
+    assert len(entry["rounds"]) == bench_json.ROUNDS
+    run_s = [r["xxz_wide"]["end_to_end"]["run_s"]["value"]
+             for r in entry["rounds"]]
+    assert run_s == pytest.approx([0.0823 * k for k in (1.2, 0.9, 1.3)])
+    summary = entry["workloads"]["xxz_wide"]
+    assert summary["end_to_end"]["run_s"] == {"value": pytest.approx(
+        0.0823 * 1.2), "unit": "s"}
+    assert summary["layers"]["trace.run_s"]["scaled"] is True
+    assert summary["correct"] is True
+    assert summary["runtime_at_accuracy"] == accuracy["xxz_wide"]
+    assert entry["env"] == ENV
+    json.dumps(entry)
+
+
+def test_rounds_in_two_environments_are_refused():
+    rounds = [(ENV, {}), (dict(ENV, nproc=4), {})]
+    with pytest.raises(ValueError, match="environment changed"):
+        bench_json.label_entry(rounds)
+
+
+def test_summary_takes_the_median_of_every_number():
+    rounds = [{"a": {"value": 3.0, "unit": "s"}, "ok": True, "n": 4},
+              {"a": {"value": 1.0, "unit": "s"}, "ok": False, "n": 6},
+              {"a": {"value": 2.0, "unit": "s"}, "ok": True, "n": 5,
+               "extra": 1}]
+    assert bench_json.summary(rounds) == {
+        "a": {"value": 2.0, "unit": "s"}, "ok": False, "n": 5}

@@ -1,15 +1,19 @@
+import importlib.util
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (column_compress, entries, flat_dyson_mpo,
                      flat_taylor_mpo, literal_compression_plan,
-                     literal_power_plan, literal_row_compress)
+                     literal_power_plan, literal_row_compress,
+                     select_new_levels)
 
-from dysonmpo import bench, compression, fdmpo, levels
-from dysonmpo.bench import BracketCache, build_step_mpo, step_table
+from dysonmpo import bench, compression, fdmpo, levels, modelfile
+from dysonmpo.bench import (BracketCache, EvolutionConfig, build_step_mpo,
+                            step_table)
 from dysonmpo.brackets import BracketTable
 from dysonmpo.compression import Batch, CompressionPlan, _key_sums, \
     row_compress
@@ -478,6 +482,23 @@ def test_magnus_compression_matches_literal_fold_bitwise(model, order, tol):
     assert plan.compression is not None
 
 
+def _smallest_columns(greedy, chosen=None):
+    """A stacked greedy pass that keeps, in each matrix, as many columns
+    as `greedy` would, but those of the smallest residual norms; each
+    stack it sees is appended to `chosen`."""
+    def smallest(residual, tol, ref):
+        size = greedy(residual, tol, ref).sum(axis=1)
+        norms = np.linalg.norm(residual, axis=1)
+        order = np.argsort(norms, axis=1, kind="stable")
+        picked = np.zeros(norms.shape, dtype=bool)
+        for k, n in enumerate(size.tolist()):
+            picked[k, order[k, :n]] = True
+        if chosen is not None:
+            chosen.append(residual)
+        return picked
+    return smallest
+
+
 def test_basis_that_cannot_span_raises_naming_the_block(monkeypatch):
     # a greedy subset of the QR's size that picks the smallest residual
     # columns leaves a removed level outside the kept span; the error
@@ -485,16 +506,9 @@ def test_basis_that_cannot_span_raises_naming_the_block(monkeypatch):
     ham = modulated_xxz()
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
     mpo = dyson_mpo(ham, tab, 4)
-    greedy = compression._select_new_levels
     chosen = []
-
-    def smallest(residual, tol, ref):
-        size = len(greedy(residual, tol, ref))
-        norms = np.linalg.norm(residual, axis=0)
-        chosen.append(residual)
-        return sorted(np.argsort(norms, kind="stable")[:size].tolist())
-
-    monkeypatch.setattr(compression, "_select_new_levels", smallest)
+    monkeypatch.setattr(compression, "_greedy",
+                        _smallest_columns(compression._greedy, chosen))
     with pytest.raises(compression.CompressionBasisError) as exc:
         row_compress(mpo, tol=1e-12)
     assert chosen
@@ -514,13 +528,13 @@ def test_greedy_selection_only_where_rank_leaves_a_choice(monkeypatch):
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
     mpo = dyson_mpo(ham, tab, 4)
     residuals = []
-    greedy = compression._select_new_levels
+    greedy = compression._greedy
 
     def recording(residual, tol, ref):
-        residuals.append(residual.copy())
+        residuals.extend(r.copy() for r in residual)
         return greedy(residual, tol, ref)
 
-    monkeypatch.setattr(compression, "_select_new_levels", recording)
+    monkeypatch.setattr(compression, "_greedy", recording)
     out, report = row_compress(mpo, tol=1e-12)
     ref, ref_report = literal_row_compress(mpo, tol=1e-12)
     assert residuals
@@ -539,17 +553,20 @@ def test_greedy_sees_the_residuals_of_a_literal_evaluation(monkeypatch):
     ham = modulated_xxz()
     tab = _order4_table(modulated_xxz, (0.1875, 0.25))
     mpo = dyson_mpo(ham, tab, 4)
-    greedy = compression._select_new_levels
+    greedy = compression._greedy
+    oracle = helpers.select_new_levels
     seen = {"plan": [], "literal": []}
 
-    def recording(side):
-        def select(residual, tol, ref):
-            seen[side].append(residual.copy())
-            return greedy(residual, tol, ref)
-        return select
+    def plan_side(residual, tol, ref):
+        seen["plan"].extend(r.copy() for r in residual)
+        return greedy(residual, tol, ref)
 
-    monkeypatch.setattr(compression, "_select_new_levels", recording("plan"))
-    monkeypatch.setattr(helpers, "_select_new_levels", recording("literal"))
+    def literal_side(residual, tol, ref):
+        seen["literal"].append(residual.copy())
+        return oracle(residual, tol, ref)
+
+    monkeypatch.setattr(compression, "_greedy", plan_side)
+    monkeypatch.setattr(helpers, "select_new_levels", literal_side)
     row_compress(mpo, tol=1e-12)
     literal_row_compress(mpo, tol=1e-12)
     assert seen["plan"]
@@ -566,10 +583,12 @@ def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
     seen = []
 
     def recording(residual, tol, ref):
-        seen.append(residual.copy())
-        return [0]
+        seen.extend(r.copy() for r in residual)
+        picked = np.zeros(residual.shape[::2], dtype=bool)
+        picked[:, 0] = True
+        return picked
 
-    monkeypatch.setattr(compression, "_select_new_levels", recording)
+    monkeypatch.setattr(compression, "_greedy", recording)
     kept = np.ones((1, 4), dtype=bool)
     g, ref = compression._decide(batch, values[None], kept, 1e-12)
     assert len(seen) == 1
@@ -578,6 +597,103 @@ def test_single_row_residual_reaches_the_greedy_pass_intact(monkeypatch):
     # the gammas and column scale the fold of levels 2 and 3 reads
     assert np.array_equal(g[0], values[None, None, :3])
     assert ref[0].tolist() == [3.0]
+
+
+def _selections(flags):
+    return [np.flatnonzero(row).tolist() for row in flags]
+
+
+def _oracle(residual, tol, ref):
+    return [select_new_levels(r, tol, c) for r, c in zip(residual, ref)]
+
+
+def _benchmark_workloads():
+    """The workloads of ``perfbench/run.py``, read without running it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return path.parents[1], module.WORKLOADS
+
+
+@pytest.mark.parametrize("qr_tol", [1e-12, 1e-6])
+def test_stacked_greedy_selects_as_the_per_block_oracle_on_the_workloads(
+        monkeypatch, qr_tol):
+    # every stacked greedy call of the step builds of the three benchmark
+    # sweeps, each member against the per-block walk
+    greedy = compression._greedy
+    calls = []
+
+    def recording(residual, tol, ref):
+        selected = greedy(residual, tol, ref)
+        calls.append((residual.copy(), tol, ref.copy(), selected))
+        return selected
+
+    monkeypatch.setattr(compression, "_greedy", recording)
+    root, workloads = _benchmark_workloads()
+    for w in workloads.values():
+        ham = modelfile.load(str(root / w.model))
+        config = EvolutionConfig(n_sites=w.n_sites, t_final=w.t_final,
+                                 orders=w.orders, dts=w.dts, qr_tol=qr_tol)
+        steps = {dt: bench._steps(config, dt) for dt in w.dts}
+        cache = BracketCache(ham, order=max(w.orders),
+                             intervals=[s for dt in w.dts for s in steps[dt]])
+        for order in w.orders:
+            for dt in w.dts:
+                first = {}
+                for s0, s1 in steps[dt]:
+                    first.setdefault(cache.key(s0, s1), (s0, s1))
+                tables = [cache.table(s0, s1, order)
+                          for s0, s1 in first.values()]
+                build_step_mpo(ham, tables, order, qr_tol=qr_tol,
+                               plan=cache.plan(order))
+    assert sum(len(residual) for residual, *_ in calls) >= 90
+    assert any(len(residual) == 1 for residual, *_ in calls)
+    for residual, tol, ref, selected in calls:
+        assert _selections(selected) == _oracle(residual, tol, ref)
+
+
+def _planted_stack(rng, k, rows, n):
+    """`k` random complex matrices of `n` columns, some columns exact or
+    near (1e-9) combinations of the earlier ones, the first matrix zero
+    when there are several."""
+    stack = rng.normal(size=(k, rows, n)) + 1j * rng.normal(size=(k, rows, n))
+    for m in range(k):
+        for j in range(1, n):
+            kind = rng.integers(3)
+            if kind:
+                mix = rng.normal(size=j) + 1j * rng.normal(size=j)
+                stack[m, :, j] = stack[m, :, :j] @ mix
+                if kind == 2:
+                    stack[m, :, j] += 1e-9 * rng.normal(size=rows)
+    if k > 1:
+        stack[0] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", [(1, 5, 4), (1, 1, 3), (2, 7, 6),
+                                   (6, 17, 4), (9, 4, 8)])
+def test_stacked_greedy_selects_as_the_per_block_oracle_on_random_stacks(
+        seed, shape):
+    rng = np.random.default_rng(seed)
+    stack = _planted_stack(rng, *shape)
+    ref = compression._column_scale(stack)
+    for tol in (0.0, 1e-12, 1e-6, 0.5):
+        selected = compression._greedy(stack, tol, ref)
+        assert selected.shape == (shape[0], shape[2])
+        assert _selections(selected) == _oracle(stack, tol, ref)
+    if shape[0] > 1:
+        # the member of rank 0 selects nothing
+        assert not compression._greedy(stack, 1e-12, ref)[0].any()
+
+
+def test_stacked_greedy_leaves_its_residuals_as_they_are():
+    rng = np.random.default_rng(4)
+    stack = _planted_stack(rng, 3, 5, 4)
+    before = stack.copy()
+    compression._greedy(stack, 1e-12, compression._column_scale(stack))
+    assert np.array_equal(stack, before)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-160, 0.0])
@@ -970,14 +1086,8 @@ def test_a_stack_raises_the_fold_error_of_its_first_failing_step(
     # the greedy subset of the smallest residual columns leaves removed
     # levels outside the kept span; a stack raises what its first
     # failing member raises alone, and leaves no solution waiting
-    greedy = compression._select_new_levels
-
-    def smallest(residual, tol, ref):
-        size = len(greedy(residual, tol, ref))
-        norms = np.linalg.norm(residual, axis=0)
-        return sorted(np.argsort(norms, kind="stable")[:size].tolist())
-
-    monkeypatch.setattr(compression, "_select_new_levels", smallest)
+    monkeypatch.setattr(compression, "_greedy",
+                        _smallest_columns(compression._greedy))
     ham = modulated_xxz()
     plan = PowerPlan(ham, 4)
     intervals = [(0.0, 0.0625), (0.1875, 0.25), (0.1, 0.35)]
