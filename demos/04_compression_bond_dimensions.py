@@ -32,7 +32,7 @@ ham = dm.TimeDependentHamiltonian([
     dm.Channel("f1", dm.from_terms(2, two_site=[(SZ, SZ)]), sin),
     dm.Channel("f2", dm.from_terms(2, on_site=SX), cos),
 ])
-tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], 0.1, 0.25, 3)
+tab = dm.BracketTable.compute([("f1", sin), ("f2", cos)], [0.1], [0.25], 3)[0]
 w = dm.dyson_mpo(ham, tab, 3)
 wc, report = dm.row_compress(w)
 print(f"\nthird-order two-channel Dyson MPO: bond {w.bond_dimension} -> "

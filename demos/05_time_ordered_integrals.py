@@ -46,7 +46,7 @@ def explicit_grid_sum(fs, t0, t1, r, chunk=2 ** 18):
 
 
 start = time.perf_counter()
-table = dm.BracketTable.compute(channels, t0, t1, 4)
+table = dm.BracketTable.compute(channels, [t0], [t1], 4)[0]
 elapsed = time.perf_counter() - start
 print(f"order-4 table over {len(channels)} channels (poly, samples, sin): "
       f"{len(table.values)} entries in {1e3 * elapsed:.1f} ms")

@@ -4,8 +4,8 @@ Splits an interval into uniform steps.  Steps congruent modulo the
 driving period form a class, which shares one MPO.  An evolution lists
 its classes in step order and obtains each class's table (`step_table`);
 then it weights the shared step plan with each table, row-compresses all
-the class MPOs in one stacked pass (`build_step_mpo`), factors the wide
-ones down to their row rank in one `bulk.bulk_compress` call (from bond
+the class MPOs in one stacked pass (`build_step_mpo`), factors each wide
+one down to its row rank (`bulk.bulk_compress`, from bond
 `bulk.BULK_FROM`), and applies the MPO of each step's class to the
 state, step by step.  The method is read only where the step's table is
 chosen: Dyson steps read the brackets of the step (an order-N Magnus
@@ -139,7 +139,9 @@ class BracketCache:
     table yet; a class computes on its first listed interval, so a sweep
     that lists its steps in request order gets the tables it would get
     one at a time.  A later miss computes its own interval alone.
-    `computed` counts the tables computed.
+    `computed` counts the tables computed.  The cache stores each class's
+    table as computed, and `table` returns that one object for every step
+    of the class.
 
     A table is computed at ``max(order, self.order)``, so a cache made with
     the highest order a sweep reads computes each interval's table once.
@@ -173,13 +175,9 @@ class BracketCache:
     def table(self, t0, t1, order):
         check_interval(t0, t1)
         key = self.key(t0, t1)
-        hit = self._store.get(key)
-        if hit is not None and hit[1].max_order >= order:
-            stored_t0, table = hit
-            if abs(stored_t0 - t0) < 1e-12:
-                return table
-            # congruent interval: same table, shifted start
-            return BracketTable((t0, t1), table.values, table.max_order)
+        table = self._store.get(key)
+        if table is not None and table.max_order >= order:
+            return table
         batch = {key: (t0, t1)}
         for s0, s1 in self._listed:
             batch.setdefault(self.key(s0, s1), (s0, s1))
@@ -191,9 +189,8 @@ class BracketCache:
             [s1 for _, s1 in batch.values()], max(order, self.order))
         self._listed = []
         self.computed += len(tables)
-        for k, (s0, _), table in zip(batch, batch.values(), tables):
-            self._store[k] = (s0, table)
-        return self._store[key][1]
+        self._store.update(zip(batch, tables))
+        return self._store[key]
 
     def plan(self, order):
         """The step plan of `order`; it builds its power on first use."""
@@ -205,7 +202,8 @@ class BracketCache:
 def step_table(cache, method, t0, t1, order):
     """The table an order-`order` step of `method` on ``[t0, t1]`` reads.
 
-    Dyson steps read the brackets of the step (`BracketCache.table`).
+    Dyson steps read the brackets of the step's congruence class
+    (`BracketCache.table`), one table object for every step of the class.
     The frozen-midpoint Taylor step reads ``BracketTable.frozen`` of the
     channels' driving values at the midpoint, with ``tau = -1j (t1 -
     t0)``: the Taylor series of the Hamiltonian frozen there.  It
@@ -223,61 +221,55 @@ def step_table(cache, method, t0, t1, order):
     return BracketTable.frozen(weights, -1j * (t1 - t0), order)
 
 
-def build_step_mpo(hamiltonian, table, order, *, qr_tol, compress=True,
+def build_step_mpo(hamiltonian, tables, order, *, qr_tol, compress=True,
                    plan=None):
-    """Evolution MPO for one step, optionally compressed.
+    """Evolution MPOs of steps, one per table, optionally compressed.
 
-    `table` is the step's table (`step_table`), of order at least `order`,
-    and the only thing of the step's method this reads: `dyson_mpo`
-    weights `plan` (`BracketCache.plan`), or one of its own, with it; a
-    table of zeros makes the bond-1 identity, which is not compressed.
-    Compression is row compression at `qr_tol`, then, for a row-compressed
-    bond of at least `bulk.BULK_FROM`, the exact bulk stage at the same
-    tolerance.  Returns ``(mpo, report)``; `report` is the
+    `tables` lists the steps' tables (`step_table`), each of order at
+    least `order`: the only thing of the steps' method this reads.
+    `dyson_mpo` weights `plan` (`BracketCache.plan`), or one of its own,
+    with each table; a table of zeros makes the bond-1 identity, which is
+    not compressed.  Compression is row compression at `qr_tol`, then, for
+    a row-compressed bond of at least `bulk.BULK_FROM`, the exact bulk
+    stage at the same tolerance.  Returns a list of one ``(mpo, report)``
+    per table, each bitwise the one of its table alone; `report` is the
     `CompressionReport`, with the bulk bond and residual, or None when the
     MPO was not compressed.
 
-    `table` may also be a sequence of tables, one per step: then the
-    result is a list of one ``(mpo, report)`` per table, each bitwise the
-    one of its table alone.  The steps' `dyson_mpo` are built in order
-    and compressed in passes: a pass closes once its raw MPOs hold
-    `STACK_SLOTS` block entries, or at the last table.  Each MPO of a pass
-    is row-compressed by a call of its own, the first of which decides
-    and solves the whole pass at once (`row_compress`'s `stack`); then
-    the pass's row-compressed MPOs of bond `bulk.BULK_FROM` or more go to
-    one `bulk_compress` call.
+    The steps' `dyson_mpo` are built in order and compressed in passes: a
+    pass closes once its raw MPOs hold `STACK_SLOTS` block entries, or at
+    the last table.  Each MPO of a pass is row-compressed by a call of its
+    own, the first of which decides and solves the whole pass at once
+    (`row_compress`'s `stack`); then each row-compressed MPO of bond
+    `bulk.BULK_FROM` or more is factored by a `bulk_compress` call of its
+    own.
     """
-    single = isinstance(table, BracketTable)
     if plan is None:
         plan = PowerPlan(hamiltonian, order)
     built, held, slots = [], [], 0
-    for t in ([table] if single else table):
-        held.append(dyson_mpo(hamiltonian, t, order, plan=plan))
+    for table in tables:
+        held.append(dyson_mpo(hamiltonian, table, order, plan=plan))
         slots += held[-1].coo()[2].size
         if slots >= STACK_SLOTS:
             built += _compress(held, qr_tol, compress)
             held, slots = [], 0
-    built += _compress(held, qr_tol, compress)
-    return built[0] if single else built
+    return built + _compress(held, qr_tol, compress)
 
 
 def _compress(mpos, qr_tol, compress):
     """``(mpo, report)`` of each of `mpos`, compressed unless `compress`
-    is false or its bond is 1, with one stacked row-compression pass and
-    one stacked bulk stage for the row-compressed bonds of at least
+    is false or its bond is 1, with one stacked row-compression pass, then
+    the bulk stage for each row-compressed bond of at least
     `bulk.BULK_FROM`."""
     stack = [mpo for mpo in mpos if compress and mpo.bond_dimension > 1]
     built = [row_compress(mpo, tol=qr_tol, stack=stack)
              if compress and mpo.bond_dimension > 1 else (mpo, None)
              for mpo in mpos]
-    wide = [i for i, (mpo, report) in enumerate(built)
-            if report is not None and mpo.bond_dimension >= BULK_FROM]
-    factored = bulk_compress([built[i][0] for i in wide], qr_tol)
-    for i, (mpo, residual) in zip(wide, factored):
-        report = built[i][1]
-        report.bulk_residual = residual
-        report.bond_dimension_bulk = mpo.bond_dimension
-        built[i] = (mpo, report)
+    for i, (mpo, report) in enumerate(built):
+        if report is not None and mpo.bond_dimension >= BULK_FROM:
+            mpo, report.bulk_residual = bulk_compress(mpo, qr_tol)
+            report.bond_dimension_bulk = mpo.bond_dimension
+            built[i] = (mpo, report)
     return built
 
 

@@ -44,9 +44,9 @@ depend on the other channels, unless their knots split the step
 differently.
 
 Nor does it depend on the other intervals evaluated with it.
-`BracketTable.compute` takes a sequence of intervals as one stack: every
-array carries a leading axis of stretches (or intervals), and every
-operation above runs once for the whole stack, with the same operands in
+`BracketTable.compute` takes its intervals as one stack: every array
+carries a leading axis of stretches (or intervals), and every operation
+above runs once for the whole stack, with the same operands in
 the same order for each entry, so each table is bitwise the table of its
 interval alone.  A table costs several hundred small numpy calls, which
 the stack pays once.  Stretches of one piece layout (the letters of each
@@ -310,13 +310,12 @@ def check_interval(t0, t):
 class BracketTable:
     """Time-ordered integrals keyed by channel-name sequences.
 
-    A computed table holds the brackets of its interval; a frozen one
-    (`frozen`) the word weights of a time-independent exponential, and no
-    interval.
+    `values` maps each word of at most `max_order` channel names to its
+    entry: the brackets of a step (`compute`), or the word weights of a
+    time-independent exponential (`frozen`).
     """
 
-    def __init__(self, interval, values, max_order):
-        self.interval = None if interval is None else tuple(interval)
+    def __init__(self, values, max_order):
         self.values = dict(values)
         self.max_order = int(max_order)
 
@@ -328,18 +327,18 @@ class BracketTable:
         return self.values[sigma]
 
     @classmethod
-    def compute(cls, channels, t0, t, max_order):
-        """Evaluate all brackets up to `max_order` on ``[t0, t]``.
+    def compute(cls, channels, t0s, ts, max_order):
+        """One table of all brackets up to `max_order` per interval.
 
-        `channels` is a list of ``(name, driving)`` pairs in channel order;
-        a name listed twice raises `ValueError`, and so does a non-finite
-        end of an interval.  An empty interval holds zeros.  `t0` and `t`
-        may also be equal-length sequences of times: then the result is a
-        list of one table per interval, evaluated in stacked passes of at
-        most `PASS_SLOTS` block entries each (`_levels`).
+        `t0s` and `ts` are equal-length sequences of interval ends, and
+        ``[t0s[i], ts[i]]`` the interval of the i-th table of the returned
+        list.  The intervals are evaluated as one stack, in passes of at
+        most `PASS_SLOTS` block entries each (`_levels`).  `channels` is a
+        list of ``(name, driving)`` pairs in channel order; a name listed
+        twice raises `ValueError`, and so does a non-finite end of an
+        interval.  An empty interval holds zeros.
         """
-        single = np.ndim(t0) == 0 and np.ndim(t) == 0
-        t0s, ts = ([t0], [t]) if single else (list(t0), list(t))
+        t0s, ts = list(t0s), list(ts)
         if len(t0s) != len(ts):
             raise ValueError(f"{len(t0s)} interval starts for {len(ts)} "
                              f"interval ends")
@@ -354,7 +353,7 @@ class BracketTable:
                  for k in range(1, max_order + 1)]
         zeros = dict.fromkeys((key for keys in words for key in keys),
                               0.0 + 0.0j)
-        tables = [cls((a, b), zeros, max_order) for a, b in zip(t0s, ts)]
+        tables = [cls(zeros, max_order) for _ in t0s]
         run = [i for i, (a, b) in enumerate(zip(t0s, ts)) if a != b]
         if run:
             levels = _levels([_stretches(channels, t0s[i], ts[i])
@@ -368,8 +367,8 @@ class BracketTable:
                 for k, (keys, row) in enumerate(zip(words, rows), 1):
                     phase = (-1j) ** k
                     values.update(zip(keys, [phase * v for v in row[r]]))
-                tables[i] = cls((t0s[i], ts[i]), values, max_order)
-        return tables[0] if single else tables
+                tables[i] = cls(values, max_order)
+        return tables
 
     @classmethod
     def frozen(cls, weights, tau, max_order):
@@ -385,4 +384,4 @@ class BracketTable:
                   * math.prod(weights[a] for a in key)
                   for k in range(1, max_order + 1)
                   for key in product(weights, repeat=k)}
-        return cls(None, values, max_order)
+        return cls(values, max_order)

@@ -40,11 +40,9 @@ product ends in (``csr_matvecs``, bound in `evolve`) on the index and
 value arrays directly, with no sparse-matrix object, in the same entry
 order, so they are bitwise SciPy's.
 
-`bulk_compress` also takes a stack, a sequence of MPOs:
-`bench.build_step_mpo` passes the wide MPOs of one compression pass in
-one call.  Each MPO is factored alone, with its own site matrix, sketch,
-LU, basis and checks, and the first in order that fails its check
-raises.
+`bench.build_step_mpo` calls `bulk_compress` once per row-compressed
+MPO of bond `BULK_FROM` or more, each with its own site matrix, sketch,
+LU, basis and checks.
 """
 
 import functools
@@ -152,21 +150,9 @@ def bulk_compress(mpo, tol=1e-12):
     the larger of its two relative check residuals.  An MPO whose rank is
     0 or its bond dimension comes back as it is, with residual 0.  A
     residual above ``max(1e-8, 100 * tol)`` raises `BulkCheckError`.
-
-    `mpo` may also be a sequence of MPOs, a stack: then the result is a
-    list of one ``(bulk, residual)`` per MPO, each the result of the MPO
-    alone, and the first MPO in order whose residual is above the bound
-    raises.
     """
     if not 0.0 <= tol < 1.0:
         raise ValueError(f"tol must lie in [0, 1), got {tol!r}")
-    if isinstance(mpo, ExtensiveMPO):
-        return _factor(mpo, tol)
-    return [_factor(m, tol) for m in mpo]
-
-
-def _factor(mpo, tol):
-    """``(bulk, residual)`` of one MPO; see `bulk_compress`."""
     n_levels, d = mpo.bond_dimension, mpo.d
     dd = d * d
     left, right = mpo.boundary

@@ -69,8 +69,8 @@ def cmd_build_mpo(args):
     ham = modelfile.load(args.model)
     table = step_table(BracketCache(ham), args.method, args.t0, args.t,
                        args.order)
-    mpo, report = build_step_mpo(ham, table, args.order, qr_tol=args.qr_tol,
-                                 compress=not args.no_compress)
+    [(mpo, report)] = build_step_mpo(
+        ham, [table], args.order, qr_tol=args.qr_tol, compress=args.compress)
     print(f"method={args.method} order={args.order} interval=[{args.t0}, {args.t}]")
     print(f"bond dimension: {mpo.bond_dimension}")
     levels = mpo.levels
@@ -130,7 +130,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--method", choices=METHODS, default="dyson")
     p.add_argument("--order", type=_at_least_one, default=2)
-    p.add_argument("--no-compress", action="store_true")
+    p.add_argument("--no-compress", dest="compress", action="store_false")
     p.add_argument("--report", action="store_true",
                    help="print the compression report")
     p.add_argument("--qr-tol", type=float, default=1e-12)

@@ -214,7 +214,6 @@ class CompressionPlan:
         if any(is_one(sym) for sym in symbols):
             raise ValueError("row compression needs column-merged levels "
                              "(no 1 symbols)")
-        self.order = order
         others = sorted((l for l in levels if l != IDENTITY_LEVEL),
                         key=lambda l: (len(l), l))
         self.levels = [IDENTITY_LEVEL] + others
@@ -384,7 +383,6 @@ class Layout:
 
     def __init__(self, plan, kept, rows, cols):
         self.kept = kept.copy()
-        self.rows, self.cols = rows, cols
         self.labels = [plan.levels[p] for p in np.flatnonzero(kept)]
         self.stacks = self._stacks(plan, kept)
         none = np.zeros(0, dtype=np.intp)

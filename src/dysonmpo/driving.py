@@ -340,8 +340,7 @@ class TimeDependentHamiltonian:
     """``H(t) = sum_a f_a(t) H_a`` with a fixed channel order."""
 
     def __init__(self, channels):
-        self.channels = [c if isinstance(c, Channel) else Channel(*c)
-                         for c in channels]
+        self.channels = list(channels)
         if not self.channels:
             raise ValueError("at least one channel required")
         dims = {c.operator.d for c in self.channels}

@@ -27,11 +27,11 @@ def dyson_mpo(hamiltonian, integrals, order, plan=None):
     """N-th order Dyson MPO of the evolution operator of a table's step.
 
     `integrals` must hold all brackets of the Hamiltonian's channels up to
-    `order`, computed on the step's interval, or be a frozen table
-    without an interval (`BracketTable.frozen`), which makes the Taylor
-    series of a frozen Hamiltonian.  A table whose every entry is zero (an
-    empty interval, a frozen ``tau = 0``, drivings that vanish on the
-    step) returns the exact identity, of bond dimension 1.  `plan` is the
+    `order`, computed on the step's interval, or be the word weights of a
+    frozen Hamiltonian (`BracketTable.frozen`), which make its Taylor
+    series.  A table whose every entry is zero (an empty interval, a
+    frozen ``tau = 0``, drivings that vanish on the step) returns the
+    exact identity, of bond dimension 1.  `plan` is the
     `PowerPlan` of the Hamiltonian at `order`, which the steps of a sweep
     share; without one, this call builds its own.  The MPO's ``params``
     hold the plan and, under ``"brackets"``, the table, which

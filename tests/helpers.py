@@ -515,7 +515,7 @@ def time_ordered_integral(drivings, t0, t):
     if not channels:
         raise ValueError("empty channel sequence")
     word = tuple(range(len(channels)))
-    return BracketTable.compute(channels, t0, t, len(word)).values[word]
+    return BracketTable.compute(channels, [t0], [t], len(word))[0].values[word]
 
 
 def _one_shift(piece, x):
@@ -643,8 +643,7 @@ def per_interval_table(channels, t0, t, max_order):
     keys = [key for k in range(1, max_order + 1)
             for key in product(index, repeat=k)]
     if t == t0:
-        return BracketTable((t0, t), dict.fromkeys(keys, 0.0 + 0.0j),
-                            max_order)
+        return BracketTable(dict.fromkeys(keys, 0.0 + 0.0j), max_order)
     total = None
     for pieces, span in brackets._stretches(channels, t0, t):
         levels = _one_stretch(pieces, span, max_order)
@@ -652,7 +651,7 @@ def per_interval_table(channels, t0, t, max_order):
     values = {key: complex((-1j) ** len(key) * total[len(key) - 1][
                   tuple(index[name] for name in reversed(key))])
               for key in keys}
-    return BracketTable((t0, t), values, max_order)
+    return BracketTable(values, max_order)
 
 
 def table_bits(table):
@@ -921,7 +920,6 @@ def literal_compression_plan(levels, order):
     """A `CompressionPlan` whose blocks and keys come from `gamma_keys`,
     called per (level, row) pair; an oracle for the plan's enumeration."""
     plan = CompressionPlan.__new__(CompressionPlan)
-    plan.order = order
     others = sorted((l for l in levels if l != IDENTITY_LEVEL),
                     key=lambda l: (len(l), l))
     plan.levels = [IDENTITY_LEVEL] + others

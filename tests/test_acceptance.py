@@ -70,7 +70,8 @@ def test_criterion_2_bond_dimension_tables():
         ham = TimeDependentHamiltonian([
             Channel("f1", coup, SIN),
             Channel("f2", fdmpo.from_terms(2, on_site=SX), COS)])
-        tab = BracketTable.compute([("f1", SIN), ("f2", COS)], 0.1, 0.25, 3)
+        tab = BracketTable.compute([("f1", SIN), ("f2", COS)], [0.1], [0.25],
+                                   3)[0]
         w = dyson_mpo(ham, tab, 3)
         wc, _ = row_compress(w)
         expected = 1 + 3 * chi + chi ** 2 + chi ** 3
@@ -91,7 +92,7 @@ def test_criterion_3_dense_oracle_equivalence():
         for dt in dts:
             tab = BracketTable.compute(
                 [(c.name, c.driving) for c in ham.channels],
-                t0, t0 + dt, order)
+                [t0], [t0 + dt], order)[0]
             flat = flat_dyson_mpo(ham, tab, order)
             w = dyson_mpo(ham, tab, order)
             merged, _ = column_compress(flat)
@@ -203,7 +204,7 @@ def test_criterion_7_equivalence_of_formulations():
     dt = 0.13
     entry_ok = True
     for order in (1, 2, 3):
-        tab = BracketTable.compute([("h", ONE)], 0.0, dt, order)
+        tab = BracketTable.compute([("h", ONE)], [0.0], [dt], order)[0]
         wd = dyson_mpo(ham, tab, order)
         wt = taylor_mpo(h, -1j * dt, order)
         entry_ok &= wd.levels == wt.levels
@@ -213,7 +214,7 @@ def test_criterion_7_equivalence_of_formulations():
             entry_ok &= bool(np.abs(got[key] - op).max() < 1e-14)
     ham2 = modulated_ising()
     tab2 = BracketTable.compute([(c.name, c.driving) for c in ham2.channels],
-                                0.0, 0.1, 1)
+                                [0.0], [0.1], 1)[0]
     wm = magnus_evolution(ham2, tab2, 1)
     wd2 = dyson_mpo(ham2, tab2, 1)
     magnus_err = np.abs(wm.to_dense(4) - wd2.to_dense(4)).max()

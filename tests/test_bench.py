@@ -48,10 +48,10 @@ def test_magnus_step_compression_order_accuracy():
     order, n = 2, 4
     diffs = []
     for dt in (0.1, 0.05, 0.025):
-        tab = BracketTable.compute(channels, 0.0, dt, order)
-        w, none = build_step_mpo(ham, tab, order, qr_tol=1e-12,
-                                 compress=False)
-        wc, report = build_step_mpo(ham, tab, order, qr_tol=1e-12)
+        tab = BracketTable.compute(channels, [0.0], [dt], order)[0]
+        [(w, none)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12,
+                                     compress=False)
+        [(wc, report)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12)
         assert none is None
         assert report.bond_dimension_before == w.bond_dimension
         assert report.bond_dimension_after == wc.bond_dimension
@@ -190,9 +190,32 @@ def test_bracket_cache_reuses_congruent_intervals():
     cache = BracketCache(ham)
     t1 = cache.table(0.25, 0.375, 2)
     t2 = cache.table(1.25, 1.375, 2)
-    assert t2.values == t1.values
-    assert t2.interval == (1.25, 1.375)
+    assert t2 is t1
     assert len(cache._store) == 1
+
+
+def test_congruent_steps_read_their_class_table_itself(monkeypatch):
+    # period 1: the twelve steps of 0.25 over [0, 3] fall in four classes,
+    # each computed once, and every step of a class is served the very
+    # table its class MPO was built from
+    ham = modulated_ising()
+    config = EvolutionConfig(n_sites=4, t_final=3.0, d_max=8)
+    built = []
+    original = bench.build_step_mpo
+
+    def recording(hamiltonian, tables, *args, **kwargs):
+        built.extend(tables)
+        return original(hamiltonian, tables, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "build_step_mpo", recording)
+    cache = BracketCache(ham, order=2)
+    _, stats = evolve_state(ham, initial_state(config), config, 2, 0.25,
+                            cache=cache)
+    assert stats["n_steps"] == 12 and stats["mpo_builds"] == len(built) == 4
+    assert cache.computed == stats["tables_computed"] == 4
+    for i in range(12):
+        assert cache.table(i * 0.25, (i + 1) * 0.25, 2) is built[i % 4]
+    assert cache.computed == 4
 
 
 def test_commuting_on_site_model_single_full_period_step():
@@ -375,8 +398,8 @@ def test_discarded_weight_is_summed_over_steps():
         psi, manual = initial_state(config), 0.0
         for i in range(round(config.t_final / r.dt)):
             s0, s1 = i * r.dt, (i + 1) * r.dt
-            mpo, _ = build_step_mpo(ham, cache.table(s0, s1, r.order),
-                                    r.order, qr_tol=config.qr_tol)
+            [(mpo, _)] = build_step_mpo(ham, [cache.table(s0, s1, r.order)],
+                                        r.order, qr_tol=config.qr_tol)
             psi, disc = apply_mpo(mpo, psi, d_max=config.d_max)
             manual += disc
         assert manual > 0
@@ -405,9 +428,9 @@ def _build_and_apply_every_step(ham, config, order, dt):
     for i in range(round((config.t_final - config.t0) / dt)):
         s0 = config.t0 + i * dt
         s1 = config.t0 + (i + 1) * dt
-        mpo, _ = build_step_mpo(ham, step_table(cache, config.method, s0,
-                                                s1, order),
-                                order, qr_tol=config.qr_tol)
+        table = step_table(cache, config.method, s0, s1, order)
+        [(mpo, _)] = build_step_mpo(ham, [table], order,
+                                    qr_tol=config.qr_tol)
         psi, _ = apply_mpo(mpo, psi, d_max=config.d_max)
     return psi
 
@@ -461,14 +484,13 @@ def test_bracket_cache_serves_lower_orders_from_top_table(model):
     channels = [(c.name, c.driving) for c in ham.channels]
     cache = BracketCache(ham, order=4)
     for order in (1, 2, 3):
-        direct = BracketTable.compute(channels, 0.25, 0.375, order)
-        # the congruent interval gets the stored values, shifted
-        for t0 in (0.25, 1.25):
-            served = cache.table(t0, t0 + 0.125, order)
-            assert served.max_order == 4
-            assert served.interval == (t0, t0 + 0.125)
-            assert all(served.value(key) == value
-                       for key, value in direct.values.items())
+        direct = BracketTable.compute(channels, [0.25], [0.375], order)[0]
+        # the congruent interval is served the stored table itself
+        stored, served = (cache.table(t0, t0 + 0.125, order)
+                          for t0 in (0.25, 1.25))
+        assert served is stored and served.max_order == 4
+        assert all(served.value(key) == value
+                   for key, value in direct.values.items())
     assert cache.computed == len(cache._store) == 1
 
 
@@ -480,7 +502,7 @@ def test_bracket_cache_recomputes_above_stored_order():
     high = cache.table(0.25, 0.375, 3)
     assert high.max_order == 3 and cache.computed == 2
     assert len(cache._store) == 1
-    direct = BracketTable.compute(channels, 0.25, 0.375, 3)
+    direct = BracketTable.compute(channels, [0.25], [0.375], 3)[0]
     assert high.values == direct.values
     # the replacement serves every order up to its own
     assert cache.table(1.25, 1.375, 2).values == direct.values
@@ -503,8 +525,8 @@ def _assert_static_drive_builds_once(driving, monkeypatch):
     ref = initial_state(config)
     for i in range(8):
         s0, s1 = i * 0.125, (i + 1) * 0.125
-        table = BracketTable.compute(channels, s0, s1, 3)
-        mpo, _ = build_step_mpo(ham, table, 3, qr_tol=config.qr_tol)
+        table = BracketTable.compute(channels, [s0], [s1], 3)[0]
+        [(mpo, _)] = build_step_mpo(ham, [table], 3, qr_tol=config.qr_tol)
         ref, _ = apply_mpo(mpo, ref, d_max=config.d_max)
     assert all(np.array_equal(a, b) for a, b in zip(psi.tensors, ref.tensors))
 
@@ -576,11 +598,14 @@ def test_tables_computed_at_the_order_the_method_reads(method, orders,
     _, stats = evolve_state(ham, initial_state(config), config, *REUSE_STEP)
     assert tables == orders
     assert stats["tables_computed"] == len(orders)
-    # the step table holds every word the step reads; a frozen Taylor
-    # table, computed from no bracket, has no interval
-    table = step_table(BracketCache(ham), method, 0.25, 0.5, 3)
+    # the step table holds every word the step reads; a Dyson step is
+    # served its class's table itself, and a frozen Taylor table is
+    # computed from no bracket
+    cache = BracketCache(ham)
+    table = step_table(cache, method, 0.25, 0.5, 3)
     assert table.max_order == 3
-    assert table.interval == (None if method == "taylor" else (0.25, 0.5))
+    assert cache.computed == (method == "dyson")
+    assert (table is cache.table(1.25, 1.5, 3)) == (method == "dyson")
 
 
 def _record_evolutions(monkeypatch):
@@ -684,7 +709,7 @@ def test_listed_intervals_compute_in_one_call(monkeypatch):
     for t0, t1 in [(0.0, 0.25), (1.0, 1.25), (0.5, 0.75), (1.5, 1.75)]:
         for order in (1, 4):
             served = cache.table(t0, t1, order)
-            assert served.interval == (t0, t1)
+            assert served is cache._store[cache.key(t0, t1)]
             direct = per_interval_table(channels, t0 % 1.0, t1 - t0 // 1.0,
                                         4)
             assert table_bits(served) == table_bits(direct)
@@ -743,8 +768,8 @@ def test_taylor_step_is_the_series_of_the_midpoint_hamiltonian(model, order):
     ham = model()
     t0, t1 = 0.3, 0.55
     table = step_table(BracketCache(ham), "taylor", t0, t1, order)
-    w, report = build_step_mpo(ham, table, order, qr_tol=1e-12,
-                               compress=False)
+    [(w, report)] = build_step_mpo(ham, [table], order, qr_tol=1e-12,
+                                   compress=False)
     assert report is None and w.params["brackets"] is table
     tm = 0.5 * (t0 + t1)
     frozen = weighted_hamiltonian(
@@ -968,8 +993,8 @@ def test_epsilon_above_the_dense_cap_is_the_dense_formula(monkeypatch):
                         lambda a, b: calls.append(b) or
                         trace_distance_error(a, b))
     for dt in (1e-6, 1e-3, 0.05, 0.5):
-        table = BracketTable.compute(channels, 0.0, dt, 2)
-        mpo, _ = build_step_mpo(ham, table, 2, qr_tol=1e-12)
+        table = BracketTable.compute(channels, [0.0], [dt], 2)[0]
+        [(mpo, _)] = build_step_mpo(ham, [table], 2, qr_tol=1e-12)
         ref, _ = apply_mpo(mpo, psi)
         eps = bench._epsilon_stable(psi, ref)
         assert calls.pop() is ref and not calls
@@ -997,8 +1022,9 @@ def test_evolve_state_stats_are_those_of_a_stack_of_one_loop(qr_tol):
     for s0, s1 in bench._steps(config, 0.125):
         key = cache.key(s0, s1)
         if key not in built:
-            mpo, report = built[key] = build_step_mpo(
-                ham, cache.table(s0, s1, 4), 4, qr_tol=qr_tol, plan=plan)
+            [(mpo, report)] = build_step_mpo(
+                ham, [cache.table(s0, s1, 4)], 4, qr_tol=qr_tol, plan=plan)
+            built[key] = mpo, report
             bench._raise_to(expected, mpo_blocks=mpo.n_blocks,
                             mpo_bond_before=report.bond_dimension_before,
                             fold_residual=report.fold_residual,

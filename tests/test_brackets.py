@@ -41,7 +41,7 @@ def assert_matches_oracle(channels, t0, t1, order, rel=1e-14):
     [0.1, 0.35] the cos channel's integral changes sign and
     ``[x x x x]`` is 6.4e-8 against an order-4 scale of 1.0e-4.
     """
-    table = BracketTable.compute(channels, t0, t1, order)
+    table = BracketTable.compute(channels, [t0], [t1], order)[0]
     names = [name for name, _ in channels]
     for k in range(1, order + 1):
         got = {key for key in table.values if len(key) == k}
@@ -95,8 +95,8 @@ def test_table_all_constant_channels_closed_form():
 def test_entry_does_not_depend_on_table():
     channels = channels_of(modulated_ising())
     by_name = dict(channels)
-    small = BracketTable.compute(channels, 0.1, 0.35, 2)
-    large = BracketTable.compute(channels, 0.1, 0.35, 4)
+    small = BracketTable.compute(channels, [0.1], [0.35], 2)[0]
+    large = BracketTable.compute(channels, [0.1], [0.35], 4)[0]
     for key, value in small.values.items():
         assert large.values[key] == value, key
         single = time_ordered_integral([by_name[n] for n in key], 0.1, 0.35)
@@ -114,14 +114,14 @@ def test_table_rejects_a_repeated_channel_name():
     # table would keep the last driving's
     channels = [("a", ConstDriving(1.0)), ("a", ConstDriving(5.0))]
     with pytest.raises(ValueError, match="^channel name 'a' is listed twice$"):
-        BracketTable.compute(channels, 0.0, 1.0, 2)
+        BracketTable.compute(channels, [0.0], [1.0], 2)
 
 
 def test_driving_without_piece_form_raises():
     channels = [("a", SIN), ("b", OpaqueDriving(SIN))]
     with pytest.raises(ValueError, match="channel 'b': driving OpaqueDriving "
                                          r"\(driving\) states no piece form"):
-        BracketTable.compute(channels, 0.0, 0.25, 2)
+        BracketTable.compute(channels, [0.0], [0.25], 2)
 
 
 SIN_MOD = TrigDriving("sin", omega=2 * math.pi, phase=0.3, amplitude=1.7,
@@ -181,7 +181,7 @@ def test_samples_table_matches_quadrature_and_joined_pieces(interval):
     # table to 1e-14 of [x]**4 / 4!), 1.3e-14 of the order-4 scale
     channels = CHANNEL_SETS["samples"]
     by_name = dict(channels)
-    table = BracketTable.compute(channels, *interval, 4)
+    [table] = BracketTable.compute(channels, [interval[0]], [interval[1]], 4)
     joined = piecewise_van_loan_table(channels, *interval, 4)
     scale = {}
     for key, ref in joined.items():
@@ -219,7 +219,7 @@ def test_closed_form_is_the_grid_sum(bits, interval, set_name):
     by_name = dict(channels)
     t0, t1 = interval
     tau, h = t1 - t0, (t1 - t0) / 2 ** bits
-    table = BracketTable.compute(channels, t0, t1, 4)
+    table = BracketTable.compute(channels, [t0], [t1], 4)[0]
     trains = literal_bracket_table(channels, t0, t1, 4, bits)
     bounds = {name: _sup_and_slope(f, t0, t1) for name, f in channels}
     scale = {}
@@ -250,10 +250,10 @@ def test_stretch_beyond_the_series_limit_raises():
                 ("decay", ExpDriving(rate=-most))]
     assert_matches_oracle(channels, 0.0, 1.0, 4)
     with pytest.raises(ValueError, match="channel 'fast': rate"):
-        BracketTable.compute(channels, 0.0, 1.01, 2)
+        BracketTable.compute(channels, [0.0], [1.01], 2)
     # a knot splits the step into stretches that are short enough
     split = channels + [("x", SampledDriving(t_start=0.5, t_end=2.0))]
-    BracketTable.compute(split, 0.0, 1.01, 2)
+    BracketTable.compute(split, [0.0], [1.01], 2)
 
 
 def test_order4_poly_and_samples_table_reads_no_grid(monkeypatch):
@@ -269,7 +269,7 @@ def test_order4_poly_and_samples_table_reads_no_grid(monkeypatch):
 
         monkeypatch.setattr(cls, "__call__", counting)
     channels = [("p", POLY), ("x", SAMPLES), ("s", SIN_MOD)]
-    table = BracketTable.compute(channels, 0.0, 0.5, 4)
+    table = BracketTable.compute(channels, [0.0], [0.5], 4)[0]
     assert len(table.values) == 3 + 9 + 27 + 81
     assert sum(calls) <= 4
     for key in [("p",), ("x",), ("x", "p"), ("s", "p")]:
@@ -338,14 +338,15 @@ def test_trig_driving_rejects_an_unknown_kind():
 def test_non_finite_interval_ends_raise(t0, t, named):
     channels = [(c.name, c.driving) for c in modulated_ising().channels]
     with pytest.raises(ValueError, match=f"interval end {named} is not"):
-        BracketTable.compute(channels, t0, t, 2)
+        BracketTable.compute(channels, [t0], [t], 2)
 
 
 def test_frozen_table_entries():
     # a word of k letters weighs tau**k / k! times its letters' weights
     tau, weights = -0.5j, {"a": 2.0, "b": 1j}
     table = BracketTable.frozen(weights, tau, 3)
-    assert table.interval is None and table.max_order == 3
+    assert set(vars(table)) == {"values", "max_order"}
+    assert table.max_order == 3
     assert set(table.values) == {word for k in (1, 2, 3)
                                  for word in product("ab", repeat=k)}
     assert table.value(("a",)) == -1j
@@ -386,7 +387,8 @@ def _assert_stack_is_per_interval(channels, intervals, order):
                                   [b for _, b in intervals], order)
     assert len(tables) == len(intervals)
     for table, (t0, t) in zip(tables, intervals):
-        assert table.interval == (t0, t) and table.max_order == order
+        assert set(vars(table)) == {"values", "max_order"}
+        assert table.max_order == order
         assert table_bits(table) == \
             table_bits(per_interval_table(channels, t0, t, order)), (t0, t)
 
@@ -405,12 +407,8 @@ def test_stacked_tables_of_mixed_layouts_are_bitwise():
     _assert_stack_is_per_interval(channels, STACK_INTERVALS, 3)
 
 
-def test_single_interval_is_a_stack_of_one():
+def test_interval_ends_come_in_sequences_of_equal_length():
     channels = CHANNEL_SETS["trig"]
-    table = BracketTable.compute(channels, 0.1, 0.35, 3)
-    stack = BracketTable.compute(channels, [0.1], [0.35], 3)
-    assert isinstance(table, BracketTable) and len(stack) == 1
-    assert table_bits(stack[0]) == table_bits(table)
     assert BracketTable.compute(channels, [], [], 3) == []
     with pytest.raises(ValueError, match="2 interval starts for 1"):
         BracketTable.compute(channels, [0.0, 0.1], [0.2], 3)

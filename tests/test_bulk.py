@@ -77,8 +77,8 @@ def test_build_step_mpo_factors_from_bulk_from(model, bonds):
     cache = BracketCache(ham, order=5)
     tab = cache.table(0.0, 0.0625, 5)
     for order, bond in zip(range(1, 6), bonds):
-        mpo, report = build_step_mpo(ham, tab, order, qr_tol=1e-12,
-                                     plan=cache.plan(order))
+        [(mpo, report)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12,
+                                         plan=cache.plan(order))
         assert mpo.bond_dimension == report.bond_dimension_bulk == bond
         factored = report.bond_dimension_after >= BULK_FROM
         assert (mpo.levels is None) == factored
@@ -94,8 +94,9 @@ def test_apply_matches_literal_on_bulk_steps(n_sites, d_max):
     for order in (3, 4):
         for i in range(2):
             t0, t1 = i * 0.0625, (i + 1) * 0.0625
-            w, _ = build_step_mpo(ham, cache.table(t0, t1, order), order,
-                                  qr_tol=1e-12, plan=cache.plan(order))
+            [(w, _)] = build_step_mpo(ham, [cache.table(t0, t1, order)],
+                                      order, qr_tol=1e-12,
+                                      plan=cache.plan(order))
             assert w.levels is None
             psi, disc = apply_mpo(w, psi, d_max=d_max)
             ref, disc_ref = literal_apply_mpo(w, ref, d_max=d_max)
@@ -155,60 +156,9 @@ def _same_bits(a, b):
     return ra == rb and bits(ma) == bits(mb)
 
 
-def test_each_member_of_a_stack_is_its_stack_of_one():
-    # bonds 46 and 163 mixed, and a member whose row rank is its bond,
-    # which comes back as it is
-    full = _row_compressed("tfi", 3)
-    stack = [_row_compressed("xxz", 4), _row_compressed("xxz", 3), full,
-             _row_compressed("xxz", 4, t0=0.1875),
-             _row_compressed("xxz", 3, t0=0.0625)]
-    together = bulk_compress(stack, 1e-12)
-    assert isinstance(together, list) and len(together) == len(stack)
-    for mpo, got in zip(stack, together):
-        assert _same_bits(got, bulk_compress(mpo, 1e-12))
-    assert [out.bond_dimension for out, _ in together] == [35, 20, 6, 35, 20]
-    assert together[2][0] is full and together[2][1] == 0.0
-    assert bulk_compress([], 1e-12) == []
-    assert _same_bits(bulk_compress([stack[0]], 1e-12)[0],
-                      bulk_compress(stack[0], 1e-12))
-
-
-def _failing_at(monkeypatch, rows):
-    """Perturb the LU of every sketch of `rows` rows, so that the
-    factorisation of an MPO of that bond fails its check."""
-    getrf = bulk._ZGETRF
-
-    def perturbed(a):
-        lu, piv, info = getrf(a)
-        if len(a) == rows:
-            lu[np.tril_indices_from(lu, -1)] *= 1.001
-        return lu, piv, info
-
-    monkeypatch.setattr(bulk, "_ZGETRF", perturbed)
-
-
-def test_a_stack_raises_what_a_loop_raises_first(monkeypatch):
-    # the second member fails its check, and so does the fourth; the
-    # stack raises the error of the second, as a loop over it would
-    stack = [_row_compressed("xxz", 3), _row_compressed("xxz", 4),
-             _row_compressed("xxz", 3, t0=0.0625),
-             _row_compressed("xxz", 4, t0=0.1875)]
-    _failing_at(monkeypatch, 163)
-    with pytest.raises(BulkCheckError) as alone:
-        for mpo in stack:
-            bulk_compress(mpo, 1e-12)
-    with pytest.raises(BulkCheckError) as together:
-        bulk_compress(stack, 1e-12)
-    assert str(together.value) == str(alone.value)
-    assert str(together.value).startswith("bulk factorisation 163 -> 35")
-    with pytest.raises(BulkCheckError) as second:
-        bulk_compress(stack[3], 1e-12)
-    assert str(second.value) != str(together.value)
-
-
-def test_a_build_factors_its_pass_in_one_call(monkeypatch):
-    # the four order-4 XXZ classes of one pass go to one bulk call, and
-    # each comes out as its table alone makes it
+def test_a_build_factors_each_wide_mpo_by_a_call_of_its_own(monkeypatch):
+    # the four order-4 XXZ classes of one pass go to one bulk call each,
+    # and each comes out as its table alone makes it
     ham = modulated_xxz()
     cache = BracketCache(ham, order=4)
     tables = [cache.table(t0, t0 + 0.0625, 4)
@@ -216,17 +166,18 @@ def test_a_build_factors_its_pass_in_one_call(monkeypatch):
     calls = []
     original = bench.bulk_compress
 
-    def recording(mpos, tol):
-        calls.append(len(mpos))
-        return original(mpos, tol)
+    def recording(mpo, tol):
+        calls.append(mpo.bond_dimension)
+        return original(mpo, tol)
 
     monkeypatch.setattr(bench, "bulk_compress", recording)
     built = build_step_mpo(ham, tables, 4, qr_tol=1e-12,
                            plan=cache.plan(4))
-    assert calls == [4]
+    assert calls == [163] * 4
     monkeypatch.setattr(bench, "bulk_compress", original)
     for table, (mpo, report) in zip(tables, built):
-        alone, alone_report = build_step_mpo(ham, table, 4, qr_tol=1e-12)
+        [(alone, alone_report)] = build_step_mpo(ham, [table], 4,
+                                                 qr_tol=1e-12)
         assert _same_bits((mpo, report.bulk_residual),
                           (alone, alone_report.bulk_residual))
         assert report.bond_dimension_bulk == alone.bond_dimension == 35

@@ -41,7 +41,7 @@ def appendix_hamiltonian():
 
 def table_for(ham, t0, t1, order):
     return BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                                t0, t1, order)
+                                [t0], [t1], order)[0]
 
 
 def assert_same_mpo(a, b, atol=1e-13):
@@ -717,7 +717,7 @@ def test_row_compress_rejects_tolerance_outside_unit_interval(tol):
     with pytest.raises(ValueError, match=named):
         row_compress(dyson_mpo(ham, tab, 2), tol=tol)
     with pytest.raises(ValueError, match=named):
-        build_step_mpo(ham, tab, 2, qr_tol=tol)
+        build_step_mpo(ham, [tab], 2, qr_tol=tol)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -727,14 +727,14 @@ def test_row_compress_rejects_non_finite_brackets(bad):
     tab = table_for(ham, 0.0, 0.0625, 2)
     values = dict(tab.values)
     values[("zz", "x")] = complex(bad, 0.0)
-    broken = BracketTable(tab.interval, values, tab.max_order)
+    broken = BracketTable(values, tab.max_order)
     # the power build multiplies the infinity by zeros on the way
     with np.errstate(invalid="ignore"):
         mpo = dyson_mpo(ham, broken, 2)
         with pytest.raises(ValueError, match=re.escape("('zz', 'x')")):
             row_compress(mpo)
         with pytest.raises(ValueError, match="not finite"):
-            build_step_mpo(ham, broken, 2, qr_tol=1e-12)
+            build_step_mpo(ham, [broken], 2, qr_tol=1e-12)
 
 
 def test_compressed_mpo_holds_its_fold_tensor(monkeypatch):
@@ -961,7 +961,7 @@ def _assert_stack_is_one_at_a_time(ham, tables, order, tol):
     stacked = build_step_mpo(ham, tables, order, qr_tol=tol)
     assert len(stacked) == len(tables)
     for table, (mpo, report) in zip(tables, stacked):
-        alone, ref = build_step_mpo(ham, table, order, qr_tol=tol)
+        [(alone, ref)] = build_step_mpo(ham, [table], order, qr_tol=tol)
         assert [a.tobytes() for a in mpo.coo()] == \
             [a.tobytes() for a in alone.coo()]
         assert mpo.bond_dimension == alone.bond_dimension

@@ -37,7 +37,7 @@ def two_channel_couplings():
 
 def table_for(ham, t0, t1, order, **kw):
     channels = [(c.name, c.driving) for c in ham.channels]
-    return BracketTable.compute(channels, t0, t1, order, **kw)
+    return BracketTable.compute(channels, [t0], [t1], order, **kw)[0]
 
 
 def test_rewire_five_level_structure():
@@ -104,7 +104,7 @@ def test_dyson_first_order_tensor_structure():
 def test_dyson_zero_interval_is_identity():
     ham = modulated_ising()
     tab = table_for(ham, 0.2, 0.2, 1)
-    w = dyson_mpo(ham, BracketTable((0.2, 0.2), tab.values, 3), 3)
+    w = dyson_mpo(ham, BracketTable(tab.values, 3), 3)
     np.testing.assert_allclose(w.to_dense(4), np.eye(16), atol=1e-15)
     assert w.bond_dimension == 1
 
@@ -252,8 +252,8 @@ def test_a_table_of_zeros_builds_the_identity():
               (still, table_for(still, 0.1, 0.3, 3))]
     for h, table in tables:
         assert not any(table.values.values())
-        w, report = build_step_mpo(h, table, 3, qr_tol=1e-12,
-                                   compress=False)
+        [(w, report)] = build_step_mpo(h, [table], 3, qr_tol=1e-12,
+                                       compress=False)
         assert report is None and w.bond_dimension == 1
         np.testing.assert_array_equal(w.to_dense(4), np.eye(16))
 
@@ -481,8 +481,8 @@ def test_magnus_bond_equals_dyson_bond(model, bonds):
     tab = cache.table(0.0, 0.0625, 4)
     for order, (rows, bond) in zip((1, 2, 3, 4), bonds):
         plan = cache.plan(order)
-        step, report = build_step_mpo(ham, tab, order, qr_tol=1e-12,
-                                      plan=plan)
+        [(step, report)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12,
+                                          plan=plan)
         assert step.bond_dimension == report.bond_dimension_bulk == bond
         assert report.bond_dimension_after == rows
         compression = plan.compression
@@ -524,8 +524,9 @@ def test_to_dense_matches_the_per_entry_expansion(model, order):
     # per (level, entry), for the power and its row compression
     ham = model()
     tab = table_for(ham, 0.1, 0.35, order)
-    mpo, _ = build_step_mpo(ham, tab, order, qr_tol=1e-12, compress=False)
-    compressed, _ = build_step_mpo(ham, tab, order, qr_tol=1e-12)
+    [(mpo, _)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12,
+                                compress=False)
+    [(compressed, _)] = build_step_mpo(ham, [tab], order, qr_tol=1e-12)
     for w in (mpo, compressed):
         for n in range(5):
             ref = literal_to_dense(w, n)

@@ -254,7 +254,7 @@ def test_a_wide_dense_read_raises_before_allocating():
     # would hold 49M complex entries (~790 MB)
     ham = modulated_xxz()
     table = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                                 0.0, 0.0625, 4)
+                                 [0.0], [0.0625], 4)[0]
     w = dyson_mpo(ham, table, 4)
     assert w.bond_dimension == 751
     tracemalloc.start()

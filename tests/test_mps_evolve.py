@@ -71,7 +71,7 @@ def test_apply_taylor_matches_dense():
 def test_apply_dyson_first_order_on_chain_of_eight():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.125, 1)
+                               [0.0], [0.125], 1)[0]
     w = dyson_mpo(ham, tab, 1)
     psi = FiniteMPS.all_up(8)
     out, _ = apply_mpo(w, psi, d_max=16)
@@ -510,7 +510,7 @@ def test_energy_drift_time_independent():
 def test_exact_regime_commutes_with_dense_application():
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.1, 2)
+                               [0.0], [0.1], 2)[0]
     from dysonmpo.dyson import dyson_mpo
     w = dyson_mpo(ham, tab, 2)
     psi = FiniteMPS.random_product(6, rng=8)
@@ -526,8 +526,8 @@ def _dyson_builds(ham, dt, n_steps=4, order=4):
     for i in range(n_steps):
         t0, t1 = i * dt, (i + 1) * dt
         tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                                   t0, t1, order)
-        builds.append(build_step_mpo(ham, tab, order, qr_tol=1e-12))
+                                   [t0], [t1], order)[0]
+        builds += build_step_mpo(ham, [tab], order, qr_tol=1e-12)
         rows.append(row_compress(dyson_mpo(ham, tab, order),
                                  tol=1e-12)[0])
     return builds, rows
@@ -653,7 +653,7 @@ def test_apply_matches_literal_skipped_and_factorised_steps(qr_shapes, d_max):
     # factorise than to form and skip it, the inner ones are tall
     ham = modulated_ising()
     tab = BracketTable.compute([(c.name, c.driving) for c in ham.channels],
-                               0.0, 0.125, 1)
+                               [0.0], [0.125], 1)[0]
     w = dyson_mpo(ham, tab, 1)
     assert w.bond_dimension == 2
     n = 12
